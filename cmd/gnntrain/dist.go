@@ -119,19 +119,12 @@ func buildPartition(ds *dataset.Dataset, name string, k int, seed uint64) (*part
 	case "fennel":
 		return partition.Fennel(ds.G, k, rng)
 	case "metis-style":
-		return partition.Multilevel(ds.G, k, maxInt(ds.G.N/10, k), 8, rng)
+		return partition.Multilevel(ds.G, k, max(ds.G.N/10, k), 8, rng)
 	case "hash":
 		return partition.Hash(ds.G, k, rng)
 	default:
 		return nil, fmt.Errorf("unknown partitioner %q (want ldg | fennel | metis-style | hash)", name)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runFingerprint hashes every shard-invariant setting that must agree

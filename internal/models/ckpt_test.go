@@ -146,3 +146,60 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 		t.Fatalf("resume with changed LR: got %v, want fingerprint mismatch", err)
 	}
 }
+
+// TestFitInstallsStateOnlyOnSuccess: a cancelled or failed Fit must leave
+// the model answering from whatever it held before — nothing on a fresh
+// model, the previous run's weights on a refit — never from the
+// half-trained network of the run that failed.
+func TestFitInstallsStateOnlyOnSuccess(t *testing.T) {
+	ds := servingDataset(t)
+	cases := map[string]func() (Trainer, error){
+		"gcn":   func() (Trainer, error) { return NewGCN(2) },
+		"sgc":   func() (Trainer, error) { return NewSGC(2) },
+		"appnp": func() (Trainer, error) { return NewAPPNP(6, 0.15) },
+		"gamlp": func() (Trainer, error) { return NewGAMLP(2) },
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			m, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancelledFit := func() {
+				t.Helper()
+				cfg := servingConfig()
+				cfg.Seed = 99 // a different trajectory from the good fit
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg.Ctx = ctx
+				cfg.Hooks = []train.Hook{&cancelAfterBatches{n: 3, cancel: cancel}}
+				if _, err := m.Fit(ds, cfg); err == nil || !strings.Contains(err.Error(), "cancelled") {
+					t.Fatalf("cancelled Fit: err = %v", err)
+				}
+			}
+
+			cancelledFit()
+			if _, err := m.Predict(ds); err == nil || !strings.Contains(err.Error(), "before Fit") {
+				t.Fatalf("Predict after a cancelled first Fit: err = %v, want \"before Fit\"", err)
+			}
+
+			if _, err := m.Fit(ds, servingConfig()); err != nil {
+				t.Fatal(err)
+			}
+			first, err := m.Predict(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := PredictionFingerprint(first)
+
+			cancelledFit()
+			after, err := m.Predict(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := PredictionFingerprint(after); got != want {
+				t.Fatalf("cancelled refit changed predictions: %016x, want the first fit's %016x", got, want)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
@@ -56,21 +57,15 @@ type clusterBatch[T tensor.Elem] struct {
 // Fit partitions the graph and cycles clusters as mini-batches, at the tier
 // selected by cfg.DType.
 func (m *ClusterGCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitClusterGCN[float32](m, ds, cfg)
-	}
-	return fitClusterGCN[float64](m, ds, cfg)
+	return atTier(m, &m.lastPred, ds, cfg, nil, fitClusterGCN[float64], fitClusterGCN[float32])
 }
 
-func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
+// fitClusterGCN returns the full-graph predictions Predict serves.
+func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) ([]int, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
-	rep := &Report{Model: m.Name()}
 
 	preStart := time.Now()
-	assign, err := partition.Multilevel(ds.G, m.Clusters, maxInt(ds.G.N/20, m.Clusters), 3, rng)
+	assign, err := partition.Multilevel(ds.G, m.Clusters, max(ds.G.N/20, m.Clusters), 3, rng)
 	if err != nil {
 		return nil, fmt.Errorf("models: ClusterGCN partition: %w", err)
 	}
@@ -191,8 +186,7 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 		}
 		return out
 	}, ds, rep)
-	m.lastPred = pred
-	return rep, nil
+	return pred, nil
 }
 
 func clusterValAccuracy[T tensor.Elem](batches []*clusterBatch[T], ds *dataset.Dataset, forward func(*clusterBatch[T], bool) (*tensor.Mat[T], []*nn.ReLUOf[T])) float64 {
@@ -217,21 +211,11 @@ func clusterPredictAll[T tensor.Elem](batches []*clusterBatch[T], ds *dataset.Da
 	for _, cb := range batches {
 		logits, _ := forward(cb, false)
 		p := nn.Argmax(logits)
-		for i, orig := range cb.origIDs() {
+		for i, orig := range cb.ids {
 			pred[orig] = p[i]
 		}
 	}
 	return pred
-}
-
-// origIDs returns the original node IDs of the cluster's local indices.
-func (cb *clusterBatch[T]) origIDs() []int { return cb.ids }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Predict implements Trainer.

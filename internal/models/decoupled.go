@@ -1,10 +1,12 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
@@ -13,77 +15,29 @@ import (
 	"scalegnn/internal/train"
 )
 
-// decoupledState is the trained state shared by the embedding+head families
-// (SGC, SIGN, LD2): a precomputed embedding and an MLP head at exactly one
-// numeric tier, plus the float64 full-graph logits cache the serving path
-// reads. A refit or restore at either tier clears the other.
-type decoupledState struct {
-	emb     *tensor.Matrix
-	net     *nn.Sequential
-	emb32   *tensor.Mat[float32]
-	net32   *nn.SequentialOf[float32]
-	classes int
-	logits  *tensor.Matrix // cached full-graph logits, nil until first Predict
-}
+// buildHead is the one skeleton SGC, SIGN and LD2 share — they differ only
+// in their embedding function and hidden widths: precompute the embedding,
+// construct the head, then train it (snap == nil) or load its weights.
+func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report,
+	embed func(*dataset.Dataset) (*tensor.Mat[T], error)) (served, error) {
+	start := time.Now()
+	emb, err := embed(ds)
+	if err != nil {
+		return served{}, err
+	}
+	rep.Precompute = time.Since(start)
 
-// decEmb returns the pointer to the dtype-matching embedding field.
-func decEmb[T tensor.Elem](s *decoupledState) **tensor.Mat[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&s.emb32).(**tensor.Mat[T])
+	pcg, rng := newRunRNG(cfg.Seed)
+	net := newHead[T](emb.Cols, hidden, ds, cfg, rng)
+	if snap != nil {
+		err = restoreParams(m.Name(), net.Params(), snap)
+	} else {
+		err = trainHead(m.Name(), emb, net, pcg, rng, ds, cfg, rep)
 	}
-	return any(&s.emb).(**tensor.Mat[T])
-}
-
-// decNet returns the pointer to the dtype-matching head field.
-func decNet[T tensor.Elem](s *decoupledState) **nn.SequentialOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&s.net32).(**nn.SequentialOf[T])
+	if err != nil {
+		return served{}, err
 	}
-	return any(&s.net).(**nn.SequentialOf[T])
-}
-
-// decStore installs a freshly trained (or restored) embedding+head pair,
-// invalidating the other tier and the logits cache.
-func decStore[T tensor.Elem](s *decoupledState, emb *tensor.Mat[T], net *nn.SequentialOf[T], classes int) {
-	s.emb, s.net, s.emb32, s.net32 = nil, nil, nil, nil
-	*decEmb[T](s) = emb
-	*decNet[T](s) = net
-	s.classes = classes
-	s.logits = nil
-}
-
-func (s *decoupledState) nodes() int {
-	if s.emb32 != nil {
-		return s.emb32.Rows
-	}
-	if s.emb == nil {
-		return 0
-	}
-	return s.emb.Rows
-}
-
-// predict returns cached-argmax predictions at whichever tier is trained.
-func (s *decoupledState) predict(name string) ([]int, error) {
-	if s.net32 != nil {
-		return nn.Argmax(headLogits(s.net32, s.emb32, &s.logits)), nil
-	}
-	if s.net == nil {
-		return nil, fmt.Errorf("models: %s.Predict before Fit", name)
-	}
-	return nn.Argmax(headLogits(s.net, s.emb, &s.logits)), nil
-}
-
-// score runs the batched serving kernel at whichever tier is trained.
-func (s *decoupledState) score(name string, idx []int, out *tensor.Matrix) error {
-	if s.net32 != nil {
-		return scoreHead(name, s.net32, s.emb32, s.classes, idx, out)
-	}
-	if s.net == nil {
-		return fmt.Errorf("models: %s.Score before Fit or Restore", name)
-	}
-	return scoreHead(name, s.net, s.emb, s.classes, idx, out)
+	return served{&headState[T]{emb: emb, net: net}, ds.NumClasses}, nil
 }
 
 // SGC is Simple Graph Convolution: precompute Â^K X once, then train a
@@ -93,7 +47,7 @@ func (s *decoupledState) score(name string, idx []int, out *tensor.Matrix) error
 type SGC struct {
 	K int // propagation hops
 
-	decoupledState
+	served
 }
 
 // NewSGC constructs SGC with K propagation hops.
@@ -110,39 +64,30 @@ func (m *SGC) Name() string { return fmt.Sprintf("SGC-K%d", m.K) }
 // Fit precomputes the smoothed features and trains the head at the tier
 // selected by cfg.DType.
 func (m *SGC) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitSGC[float32](m, ds, cfg)
-	}
-	return fitSGC[float64](m, ds, cfg)
+	return atTier(m, &m.served, ds, cfg, nil, buildSGC[float64], buildSGC[float32])
 }
 
-func fitSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	rep := &Report{Model: m.Name()}
-	start := time.Now()
-	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
-	emb := op.PowerApply(tensor.FromFloat64[T](ds.X), m.K)
-	rep.Precompute = time.Since(start)
+// Restore implements Restorer: rerun the Â^K X precompute, rebuild the
+// linear head, and load its weights from the snapshot.
+func (m *SGC) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
+	return restoreAtTier(m, &m.served, ds, cfg, snap, buildSGC[float64], buildSGC[float32])
+}
 
-	net, err := decoupledHead(m.Name(), emb, ds, cfg, nil, rep) // linear head: no hidden
-	if err != nil {
-		return nil, err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return rep, nil
+func buildSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+	// Linear head: no hidden layer.
+	return buildHead(m, nil, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+		op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
+		return op.PowerApply(tensor.FromFloat64[T](ds.X), m.K), nil
+	})
 }
 
 // Predict implements Trainer. Predictions come from the logits cached on
 // first use after Fit/Restore: the head no longer reruns over every node on
 // every call.
-func (m *SGC) Predict(ds *dataset.Dataset) ([]int, error) {
-	return m.decoupledState.predict(m.Name())
-}
+func (m *SGC) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
 
 // Nodes implements NodeScorer.
-func (m *SGC) Nodes() int { return m.decoupledState.nodes() }
+func (m *SGC) Nodes() int { return m.nodes() }
 
 // Classes implements NodeScorer.
 func (m *SGC) Classes() int { return m.classes }
@@ -150,9 +95,7 @@ func (m *SGC) Classes() int { return m.classes }
 // Score implements NodeScorer: batched per-node logits via one pooled
 // gather + head forward.
 // lint:confine score-path
-func (m *SGC) Score(idx []int, out *tensor.Matrix) error {
-	return m.decoupledState.score(m.Name(), idx, out)
-}
+func (m *SGC) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // SIGN precomputes the multi-hop embedding [X | ÂX | Â²X | … | Â^K X] and
 // trains an MLP on the concatenation — multi-scale information without
@@ -160,7 +103,7 @@ func (m *SGC) Score(idx []int, out *tensor.Matrix) error {
 type SIGN struct {
 	K int
 
-	decoupledState
+	served
 }
 
 // NewSIGN constructs SIGN with hops 0..K.
@@ -191,46 +134,33 @@ func hopEmbeddings[T tensor.Elem](ds *dataset.Dataset, k int) []*tensor.Mat[T] {
 // Fit precomputes hop embeddings and trains the MLP head at the tier
 // selected by cfg.DType.
 func (m *SIGN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitSIGN[float32](m, ds, cfg)
-	}
-	return fitSIGN[float64](m, ds, cfg)
+	return atTier(m, &m.served, ds, cfg, nil, buildSIGN[float64], buildSIGN[float32])
 }
 
-func fitSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	rep := &Report{Model: m.Name()}
-	start := time.Now()
-	emb := spectral.ConcatColumns(hopEmbeddings[T](ds, m.K))
-	rep.Precompute = time.Since(start)
+// Restore implements Restorer for SIGN.
+func (m *SIGN) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
+	return restoreAtTier(m, &m.served, ds, cfg, snap, buildSIGN[float64], buildSIGN[float32])
+}
 
-	net, err := decoupledHead(m.Name(), emb, ds, cfg, []int{cfg.Hidden}, rep)
-	if err != nil {
-		return nil, err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return rep, nil
+func buildSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+		return spectral.ConcatColumns(hopEmbeddings[T](ds, m.K)), nil
+	})
 }
 
 // Predict implements Trainer. Predictions come from the logits cached on
 // first use after Fit/Restore.
-func (m *SIGN) Predict(ds *dataset.Dataset) ([]int, error) {
-	return m.decoupledState.predict(m.Name())
-}
+func (m *SIGN) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
 
 // Nodes implements NodeScorer.
-func (m *SIGN) Nodes() int { return m.decoupledState.nodes() }
+func (m *SIGN) Nodes() int { return m.nodes() }
 
 // Classes implements NodeScorer.
 func (m *SIGN) Classes() int { return m.classes }
 
 // Score implements NodeScorer.
 // lint:confine score-path
-func (m *SIGN) Score(idx []int, out *tensor.Matrix) error {
-	return m.decoupledState.score(m.Name(), idx, out)
-}
+func (m *SIGN) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // APPNP is predict-then-propagate: an MLP produces per-node logits, which
 // are then smoothed by a K-step truncated personalized-PageRank
@@ -241,14 +171,7 @@ type APPNP struct {
 	K     int
 	Alpha float64
 
-	net     *nn.Sequential
-	op      *graph.Operator
-	x       *tensor.Matrix // features the model was fit on (diffusion input)
-	net32   *nn.SequentialOf[float32]
-	op32    *graph.OperatorOf[float32]
-	x32     *tensor.Mat[float32]
-	classes int
-	logits  *tensor.Matrix // cached diffused full-graph logits, nil until first Predict
+	served
 }
 
 // NewAPPNP constructs APPNP with K propagation steps and restart α.
@@ -265,12 +188,24 @@ func NewAPPNP(k int, alpha float64) (*APPNP, error) {
 // Name implements Trainer.
 func (m *APPNP) Name() string { return fmt.Sprintf("APPNP-K%d", m.K) }
 
-// appnpPropagate applies the truncated PPR diffusion to h. Hops ping-pong
+// appnpState is APPNP's trained state at one tier: the MLP, the diffusion
+// operator and the features the model was fit on (the diffusion input).
+type appnpState[T tensor.Elem] struct {
+	net   *nn.SequentialOf[T]
+	op    *graph.OperatorOf[T]
+	x     *tensor.Mat[T]
+	alpha float64
+	k     int
+	cache *tensor.Matrix
+}
+
+// propagate applies the truncated PPR diffusion to h. Hops ping-pong
 // between two pooled scratch matrices; the returned accumulator is drawn
 // from the shared tensor workspace and callers release it with
 // tensor.PutBufOf once consumed. Hop coefficients are computed in float64
 // at every tier and narrowed only when applied.
-func appnpPropagate[T tensor.Elem](op *graph.OperatorOf[T], alpha float64, K int, h *tensor.Mat[T]) *tensor.Mat[T] {
+func (s *appnpState[T]) propagate(h *tensor.Mat[T]) *tensor.Mat[T] {
+	alpha := s.alpha
 	z := tensor.GetBufOf[T](h.Rows, h.Cols)
 	copy(z.Data, h.Data)
 	z.Scale(T(alpha))
@@ -278,14 +213,14 @@ func appnpPropagate[T tensor.Elem](op *graph.OperatorOf[T], alpha float64, K int
 	copy(cur.Data, h.Data)
 	next := tensor.GetBufOf[T](h.Rows, h.Cols)
 	w := alpha
-	for k := 1; k <= K; k++ {
-		op.ApplyInto(cur, next)
+	for k := 1; k <= s.k; k++ {
+		s.op.ApplyInto(cur, next)
 		cur, next = next, cur
 		w *= 1 - alpha
 		// Final hop absorbs the geometric tail so the weights sum to 1
 		// (the standard iterate z ← (1-α)Âz + αh has the same effect).
 		coef := w
-		if k == K {
+		if k == s.k {
 			coef = w / alpha
 		}
 		z.AddScaled(T(coef), cur)
@@ -295,172 +230,117 @@ func appnpPropagate[T tensor.Elem](op *graph.OperatorOf[T], alpha float64, K int
 	return z
 }
 
-// propagate is the float64 diffusion used by the serving/benchmark paths.
-func (m *APPNP) propagate(h *tensor.Matrix) *tensor.Matrix {
-	return appnpPropagate(m.op, m.Alpha, m.K, h)
+// diffused returns the propagated full-graph logits in a pooled matrix the
+// caller releases with tensor.PutBufOf.
+func (s *appnpState[T]) diffused(training bool) *tensor.Mat[T] {
+	return s.propagate(s.net.Forward(s.x, training))
 }
 
-// appnpNet returns the pointer to the dtype-matching trained-network field.
-func appnpNet[T tensor.Elem](m *APPNP) **nn.SequentialOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.net32).(**nn.SequentialOf[T])
+func (s *appnpState[T]) nodes() int { return s.x.Rows }
+
+// fullLogits caches the diffused logits: recomputing them per call would
+// make serving pay the whole-graph K-hop cost per request.
+func (s *appnpState[T]) fullLogits() *tensor.Matrix {
+	if s.cache == nil {
+		z := s.diffused(false)
+		s.cache = widened(z)
+		tensor.PutBufOf(z)
 	}
-	return any(&m.net).(**nn.SequentialOf[T])
+	return s.cache
 }
 
-// appnpOp returns the pointer to the dtype-matching operator field.
-func appnpOp[T tensor.Elem](m *APPNP) **graph.OperatorOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.op32).(**graph.OperatorOf[T])
+// score reads rows of the cached diffused logits: propagation couples every
+// node, so per-node serving cannot recompute the K-hop walk per request.
+func (s *appnpState[T]) score(idx []int, out *tensor.Matrix) error {
+	z := s.fullLogits()
+	if tensor.Overlaps(out.Data, z.Data) {
+		return errors.New("dst aliases the cached logits")
 	}
-	return any(&m.op).(**graph.OperatorOf[T])
+	z.SelectRowsInto(idx, out)
+	return nil
 }
 
 // Fit trains the MLP with propagation in the loss path, at the tier
 // selected by cfg.DType.
 func (m *APPNP) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitAPPNP[float32](m, ds, cfg)
-	}
-	return fitAPPNP[float64](m, ds, cfg)
+	return atTier(m, &m.served, ds, cfg, nil, buildAPPNP[float64], buildAPPNP[float32])
 }
 
-func fitAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
+// Restore implements Restorer for APPNP. The MLP weights come from the
+// snapshot; the diffused logits cache repopulates on first use.
+func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
+	return restoreAtTier(m, &m.served, ds, cfg, snap, buildAPPNP[float64], buildAPPNP[float32])
+}
+
+func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
-	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
-	x := tensor.FromFloat64[T](ds.X)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: ds.X.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-
-	m.net, m.net32, m.op, m.op32, m.x32 = nil, nil, nil, nil, nil
-	*appnpNet[T](m) = net
-	*appnpOp[T](m) = op
-	m.x = ds.X
-	if x32, ok := any(x).(*tensor.Mat[float32]); ok {
-		m.x32 = x32
+	st := &appnpState[T]{
+		net:   newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
+		op:    graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true),
+		x:     tensor.FromFloat64[T](ds.X),
+		alpha: m.Alpha,
+		k:     m.K,
 	}
-	m.classes = ds.NumClasses
-	m.logits = nil // refit invalidates the cached predictions
-
+	out := served{st, ds.NumClasses}
+	if snap != nil {
+		return out, restoreParams(m.Name(), st.net.Params(), snap)
+	}
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	rep := &Report{Model: m.Name()}
 	defer opt.Reset()
 	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
 		Source: train.FullBatchOf[T]{},
 		Step: func(train.BatchOf[T]) error {
-			h := net.Forward(x, true)
-			z := appnpPropagate(op, m.Alpha, m.K, h)
+			z := st.diffused(true)
 			_, gz := maskedLoss(z, ds.Labels, ds.TrainIdx)
 			tensor.PutBufOf(z)
-			gh := appnpPropagate(op, m.Alpha, m.K, gz) // symmetric diffusion is self-adjoint
+			gh := st.propagate(gz) // symmetric diffusion is self-adjoint
 			tensor.PutBufOf(gz)
-			net.Backward(gh)
+			st.net.Backward(gh)
 			tensor.PutBufOf(gh)
-			opt.Step(net.Params())
+			opt.Step(st.net.Params())
 			return nil
 		},
 		Validate: func() (float64, error) {
-			valZ := appnpPropagate(op, m.Alpha, m.K, net.Forward(x, false))
+			valZ := st.diffused(false)
 			val := accuracyAt(valZ, ds.Labels, ds.ValIdx)
 			tensor.PutBufOf(valZ)
 			return val, nil
 		},
-		Params:    net.Params(),
+		Params:    st.net.Params(),
 		Optimizer: opt,
 		PeakFloats: func() int {
 			n := ds.G.N
-			return 2*n*(ds.X.Cols+cfg.Hidden+2*ds.NumClasses) + net.NumParams()*3
+			return 2*n*(ds.X.Cols+cfg.Hidden+2*ds.NumClasses) + st.net.NumParams()*3
 		},
 	})
 	if err != nil {
-		return nil, err
+		return served{}, err
 	}
 
-	logits := appnpPropagate(op, m.Alpha, m.K, net.Forward(x, false))
+	logits := st.diffused(false)
 	fillAccuracies(func(idx []int) []int {
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
 	tensor.PutBufOf(logits)
-	return rep, nil
+	return out, nil
 }
 
-// Predict implements Trainer. The diffused logits are cached on first use
-// after Fit/Restore: Predict used to rerun the full K-hop propagation on
-// every call — the recompute bug that made decoupled serving pay the
-// whole-graph cost per request.
-func (m *APPNP) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.net == nil && m.net32 == nil {
-		return nil, fmt.Errorf("models: APPNP.Predict before Fit")
-	}
-	return nn.Argmax(m.fullLogits()), nil
-}
-
-// fullLogits returns (computing and caching on first call) the propagated
-// full-graph logits over the features the model was fit on. A float32
-// model computes the diffusion in float32 and widens once into the cache.
-func (m *APPNP) fullLogits() *tensor.Matrix {
-	if m.logits == nil {
-		if m.net32 != nil {
-			z := appnpPropagate(m.op32, m.Alpha, m.K, m.net32.Forward(m.x32, false))
-			c := tensor.New(z.Rows, z.Cols)
-			tensor.WidenInto(z, c)
-			tensor.PutBufOf(z)
-			m.logits = c
-		} else {
-			z := m.propagate(m.net.Forward(m.x, false))
-			m.logits = z.Clone()
-			tensor.PutBuf(z)
-		}
-	}
-	return m.logits
-}
+// Predict implements Trainer, from the diffused logits cached on first use
+// after Fit/Restore.
+func (m *APPNP) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
 
 // Nodes implements NodeScorer.
-func (m *APPNP) Nodes() int {
-	if m.x32 != nil {
-		return m.x32.Rows
-	}
-	if m.x == nil {
-		return 0
-	}
-	return m.x.Rows
-}
+func (m *APPNP) Nodes() int { return m.nodes() }
 
 // Classes implements NodeScorer.
 func (m *APPNP) Classes() int { return m.classes }
 
-// Score implements NodeScorer. Propagation couples every node, so per-node
-// serving reads rows of the cached diffused logits instead of recomputing
-// the K-hop walk per request.
+// Score implements NodeScorer by reading rows of the cached diffused
+// logits.
 // lint:confine score-path
-func (m *APPNP) Score(idx []int, out *tensor.Matrix) error {
-	if m.net == nil && m.net32 == nil {
-		return fmt.Errorf("models: APPNP.Score before Fit or Restore")
-	}
-	z := m.fullLogits()
-	if out.Rows != len(idx) || out.Cols != m.classes {
-		return fmt.Errorf("models: APPNP.Score dst %dx%d, want %dx%d", out.Rows, out.Cols, len(idx), m.classes)
-	}
-	if tensor.Overlaps(out.Data, z.Data) {
-		return fmt.Errorf("models: APPNP.Score dst aliases the cached logits")
-	}
-	for _, n := range idx {
-		if n < 0 || n >= z.Rows {
-			return fmt.Errorf("models: APPNP.Score node %d outside [0,%d)", n, z.Rows)
-		}
-	}
-	z.SelectRowsInto(idx, out)
-	return nil
-}
+func (m *APPNP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // GAMLP is SIGN with learnable hop attention: per-hop embeddings are
 // combined with softmax-normalized learnable scalars before the MLP head,
@@ -469,14 +349,7 @@ func (m *APPNP) Score(idx []int, out *tensor.Matrix) error {
 type GAMLP struct {
 	K int
 
-	hops    []*tensor.Matrix
-	theta   *nn.Param // raw attention logits, 1 x (K+1)
-	net     *nn.Sequential
-	hops32  []*tensor.Mat[float32]
-	theta32 *nn.ParamOf[float32]
-	net32   *nn.SequentialOf[float32]
-	classes int
-	logits  *tensor.Matrix // cached full-graph logits, nil until first Predict
+	served
 }
 
 // NewGAMLP constructs GAMLP with hops 0..K.
@@ -490,9 +363,18 @@ func NewGAMLP(k int) (*GAMLP, error) {
 // Name implements Trainer.
 func (m *GAMLP) Name() string { return fmt.Sprintf("GAMLP-K%d", m.K) }
 
-// gamlpAttention returns softmax(θ), accumulated in float64 at every tier.
-func gamlpAttention[T tensor.Elem](theta *nn.ParamOf[T]) []float64 {
-	raw := theta.Value.Row(0)
+// gamlpState is GAMLP's trained state at one tier: the hop embeddings, the
+// raw attention logits θ (1 x (K+1)) and the MLP head.
+type gamlpState[T tensor.Elem] struct {
+	hops  []*tensor.Mat[T]
+	theta *nn.ParamOf[T]
+	net   *nn.SequentialOf[T]
+	cache *tensor.Matrix
+}
+
+// attention returns softmax(θ), accumulated in float64 at every tier.
+func (s *gamlpState[T]) attention() []float64 {
+	raw := s.theta.Value.Row(0)
 	out := make([]float64, len(raw))
 	max := float64(raw[0])
 	for _, v := range raw[1:] {
@@ -511,13 +393,13 @@ func gamlpAttention[T tensor.Elem](theta *nn.ParamOf[T]) []float64 {
 	return out
 }
 
-// gamlpCombine produces Σ_k a_k H_k restricted to the given rows. The result
+// combine produces Σ_k a_k H_k restricted to the given rows. The result
 // comes from the shared tensor workspace; callers release it with
 // tensor.PutBufOf after the last use.
-func gamlpCombine[T tensor.Elem](hops []*tensor.Mat[T], att []float64, idx []int) *tensor.Mat[T] {
-	out := tensor.GetZeroBufOf[T](len(idx), hops[0].Cols)
-	sel := tensor.GetBufOf[T](len(idx), hops[0].Cols)
-	for k, h := range hops {
+func (s *gamlpState[T]) combine(att []float64, idx []int) *tensor.Mat[T] {
+	out := tensor.GetZeroBufOf[T](len(idx), s.hops[0].Cols)
+	sel := tensor.GetBufOf[T](len(idx), s.hops[0].Cols)
+	for k, h := range s.hops {
 		h.SelectRowsInto(idx, sel)
 		out.AddScaled(T(att[k]), sel)
 	}
@@ -525,68 +407,63 @@ func gamlpCombine[T tensor.Elem](hops []*tensor.Mat[T], att []float64, idx []int
 	return out
 }
 
-// gamlpHops returns the pointer to the dtype-matching hop-embedding field.
-func gamlpHops[T tensor.Elem](m *GAMLP) *[]*tensor.Mat[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.hops32).(*[]*tensor.Mat[T])
+func (s *gamlpState[T]) nodes() int { return s.hops[0].Rows }
+
+// fullLogits caches the full-graph logits under the learned hop attention,
+// so Predict does not recombine every hop embedding and rerun the head over
+// the whole graph on every call.
+func (s *gamlpState[T]) fullLogits() *tensor.Matrix {
+	if s.cache == nil {
+		x := s.combine(s.attention(), rangeIdx(s.nodes()))
+		s.cache = widened(s.net.Forward(x, false))
+		tensor.PutBufOf(x)
 	}
-	return any(&m.hops).(*[]*tensor.Mat[T])
+	return s.cache
 }
 
-// gamlpTheta returns the pointer to the dtype-matching attention parameter.
-func gamlpTheta[T tensor.Elem](m *GAMLP) **nn.ParamOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.theta32).(**nn.ParamOf[T])
+func (s *gamlpState[T]) score(idx []int, out *tensor.Matrix) error {
+	for _, h := range s.hops {
+		if aliases(out, h) {
+			return errors.New("dst aliases a hop embedding")
+		}
 	}
-	return any(&m.theta).(**nn.ParamOf[T])
-}
-
-// gamlpNet returns the pointer to the dtype-matching trained-network field.
-func gamlpNet[T tensor.Elem](m *GAMLP) **nn.SequentialOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.net32).(**nn.SequentialOf[T])
-	}
-	return any(&m.net).(**nn.SequentialOf[T])
+	x := s.combine(s.attention(), idx)
+	tensor.WidenInto(s.net.Forward(x, false), out)
+	tensor.PutBufOf(x)
+	return nil
 }
 
 // Fit precomputes hop embeddings and trains attention + MLP jointly, at the
 // tier selected by cfg.DType.
 func (m *GAMLP) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitGAMLP[float32](m, ds, cfg)
-	}
-	return fitGAMLP[float64](m, ds, cfg)
+	return atTier(m, &m.served, ds, cfg, nil, buildGAMLP[float64], buildGAMLP[float32])
 }
 
-func fitGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	rep := &Report{Model: m.Name()}
+// Restore implements Restorer for GAMLP. The snapshot's parameter order is
+// the MLP weights followed by the hop-attention logits θ, matching Fit.
+func (m *GAMLP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
+	return restoreAtTier(m, &m.served, ds, cfg, snap, buildGAMLP[float64], buildGAMLP[float32])
+}
+
+func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
 	start := time.Now()
 	hops := hopEmbeddings[T](ds, m.K)
 	rep.Precompute = time.Since(start)
 
 	pcg, rng := newRunRNG(cfg.Seed)
-	theta := nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1))
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: ds.X.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-
-	m.hops, m.theta, m.net, m.hops32, m.theta32, m.net32 = nil, nil, nil, nil, nil, nil
-	*gamlpHops[T](m) = hops
-	*gamlpTheta[T](m) = theta
-	*gamlpNet[T](m) = net
-	m.classes = ds.NumClasses
-	m.logits = nil // refit invalidates the cached predictions
-
+	st := &gamlpState[T]{
+		hops:  hops,
+		theta: nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1)),
+		net:   newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
+	}
+	theta, net := st.theta, st.net
+	params := append(net.Params(), theta)
+	out := served{st, ds.NumClasses}
+	if snap != nil {
+		return out, restoreParams(m.Name(), params, snap)
+	}
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
-	params := append(net.Params(), theta)
 
 	src := train.NewIndexBatchesOf[T](ds.TrainIdx, cfg.BatchSize)
 	// Batch scratch reused across the run (attention-gradient accumulator);
@@ -600,8 +477,8 @@ func fitGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig) (*R
 		Source: src,
 		Step: func(b train.BatchOf[T]) error {
 			bIdx := b.Indices
-			att := gamlpAttention(theta)
-			x := gamlpCombine(hops, att, bIdx)
+			att := st.attention()
+			x := st.combine(att, bIdx)
 			logits := net.Forward(x, true)
 			gLogits := tensor.GetBufOf[T](logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(logits, dataset.LabelsAt(ds.Labels, bIdx), gLogits)
@@ -631,8 +508,7 @@ func fitGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig) (*R
 			return nil
 		},
 		Validate: func() (float64, error) {
-			att := gamlpAttention(theta)
-			valX := gamlpCombine(hops, att, ds.ValIdx)
+			valX := st.combine(st.attention(), ds.ValIdx)
 			valLogits := net.Forward(valX, false)
 			tensor.PutBufOf(valX)
 			return accuracyAt(valLogits, valLabels, valIota), nil
@@ -644,62 +520,24 @@ func fitGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig) (*R
 		},
 	})
 	if err != nil {
-		return nil, err
+		return served{}, err
 	}
 
 	fillAccuracies(func(idx []int) []int {
-		att := gamlpAttention(theta)
-		x := gamlpCombine(hops, att, idx)
+		x := st.combine(st.attention(), idx)
 		pred := nn.Argmax(net.Forward(x, false))
 		tensor.PutBufOf(x)
 		return pred
 	}, ds, rep)
-	return rep, nil
+	return out, nil
 }
 
-// Predict implements Trainer. The attention-combined logits are cached on
-// first use after Fit/Restore: Predict used to recombine every hop
-// embedding and rerun the head over the whole graph on every call.
-func (m *GAMLP) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.net == nil && m.net32 == nil {
-		return nil, fmt.Errorf("models: GAMLP.Predict before Fit")
-	}
-	return nn.Argmax(m.fullLogits()), nil
-}
-
-// fullLogits returns (computing and caching on first call) the full-graph
-// logits under the learned hop attention. A float32 model combines and
-// scores in float32, widening once into the cache.
-func (m *GAMLP) fullLogits() *tensor.Matrix {
-	if m.logits == nil {
-		if m.net32 != nil {
-			att := gamlpAttention(m.theta32)
-			x := gamlpCombine(m.hops32, att, rangeIdx(m.hops32[0].Rows))
-			y := m.net32.Forward(x, false)
-			c := tensor.New(y.Rows, y.Cols)
-			tensor.WidenInto(y, c)
-			m.logits = c
-			tensor.PutBufOf(x)
-		} else {
-			att := gamlpAttention(m.theta)
-			x := gamlpCombine(m.hops, att, rangeIdx(m.hops[0].Rows))
-			m.logits = m.net.Forward(x, false).Clone()
-			tensor.PutBuf(x)
-		}
-	}
-	return m.logits
-}
+// Predict implements Trainer, from the attention-combined logits cached on
+// first use after Fit/Restore.
+func (m *GAMLP) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
 
 // Nodes implements NodeScorer.
-func (m *GAMLP) Nodes() int {
-	if len(m.hops32) > 0 {
-		return m.hops32[0].Rows
-	}
-	if len(m.hops) == 0 {
-		return 0
-	}
-	return m.hops[0].Rows
-}
+func (m *GAMLP) Nodes() int { return m.nodes() }
 
 // Classes implements NodeScorer.
 func (m *GAMLP) Classes() int { return m.classes }
@@ -707,47 +545,15 @@ func (m *GAMLP) Classes() int { return m.classes }
 // Score implements NodeScorer: attention-combine the requested rows, then
 // one pooled head forward.
 // lint:confine score-path
-func (m *GAMLP) Score(idx []int, out *tensor.Matrix) error {
-	if m.net == nil && m.net32 == nil {
-		return fmt.Errorf("models: GAMLP.Score before Fit or Restore")
-	}
-	if out.Rows != len(idx) || out.Cols != m.classes {
-		return fmt.Errorf("models: GAMLP.Score dst %dx%d, want %dx%d", out.Rows, out.Cols, len(idx), m.classes)
-	}
-	n := m.Nodes()
-	for _, v := range idx {
-		if v < 0 || v >= n {
-			return fmt.Errorf("models: GAMLP.Score node %d outside [0,%d)", v, n)
-		}
-	}
-	if m.net32 != nil {
-		att := gamlpAttention(m.theta32)
-		x := gamlpCombine(m.hops32, att, idx)
-		y := m.net32.Forward(x, false)
-		tensor.WidenInto(y, out)
-		tensor.PutBufOf(x)
-		return nil
-	}
-	for _, h := range m.hops {
-		if tensor.Overlaps(out.Data, h.Data) {
-			return fmt.Errorf("models: GAMLP.Score dst aliases a hop embedding")
-		}
-	}
-	att := gamlpAttention(m.theta)
-	x := gamlpCombine(m.hops, att, idx)
-	y := m.net.Forward(x, false)
-	copy(out.Data, y.Data)
-	tensor.PutBuf(x)
-	return nil
-}
+func (m *GAMLP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // HopAttention exposes the learned softmax hop weights (for the ablation
-// benchmarks).
+// benchmarks); nil before Fit.
 func (m *GAMLP) HopAttention() []float64 {
-	if m.theta32 != nil {
-		return gamlpAttention(m.theta32)
+	if a, ok := m.st.(interface{ attention() []float64 }); ok {
+		return a.attention()
 	}
-	return gamlpAttention(m.theta)
+	return nil
 }
 
 // LD2 is the multi-filter heterophilous decoupled model: precompute
@@ -757,7 +563,7 @@ func (m *GAMLP) HopAttention() []float64 {
 type LD2 struct {
 	Hops int
 
-	decoupledState
+	served
 }
 
 // NewLD2 constructs LD2 with K-hop low/high-pass channels.
@@ -771,8 +577,7 @@ func NewLD2(hops int) (*LD2, error) {
 // Name implements Trainer.
 func (m *LD2) Name() string { return fmt.Sprintf("LD2-K%d", m.Hops) }
 
-// embed precomputes the multi-filter embedding — shared by Fit and Restore.
-// The spectral channels always run in float64 (the filter recurrences are
+// embed precomputes the multi-filter embedding. The spectral channels always run in float64 (the filter recurrences are
 // precision-sensitive); a float32 run narrows the result at the boundary.
 func (m *LD2) embed(ds *dataset.Dataset) (*tensor.Matrix, error) {
 	// Self-looped operator: the low-pass channel is then exactly Â^K (self
@@ -799,31 +604,22 @@ func (m *LD2) embed(ds *dataset.Dataset) (*tensor.Matrix, error) {
 // Fit precomputes the multi-filter embedding and trains the head at the
 // tier selected by cfg.DType.
 func (m *LD2) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitLD2[float32](m, ds, cfg)
-	}
-	return fitLD2[float64](m, ds, cfg)
+	return atTier(m, &m.served, ds, cfg, nil, buildLD2[float64], buildLD2[float32])
 }
 
-func fitLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	rep := &Report{Model: m.Name()}
-	start := time.Now()
-	emb64, err := m.embed(ds)
-	if err != nil {
-		return nil, err
-	}
-	emb := tensor.FromFloat64[T](emb64)
-	rep.Precompute = time.Since(start)
+// Restore implements Restorer for LD2.
+func (m *LD2) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
+	return restoreAtTier(m, &m.served, ds, cfg, snap, buildLD2[float64], buildLD2[float32])
+}
 
-	net, err := decoupledHead(m.Name(), emb, ds, cfg, []int{cfg.Hidden}, rep)
-	if err != nil {
-		return nil, err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return rep, nil
+func buildLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+		emb, err := m.embed(ds)
+		if err != nil {
+			return nil, err
+		}
+		return tensor.FromFloat64[T](emb), nil
+	})
 }
 
 // normalizeChannel rescales a channel matrix so its mean row L2 norm is 1
@@ -845,18 +641,14 @@ func normalizeChannel(m *tensor.Matrix) {
 
 // Predict implements Trainer. Predictions come from the logits cached on
 // first use after Fit/Restore.
-func (m *LD2) Predict(ds *dataset.Dataset) ([]int, error) {
-	return m.decoupledState.predict(m.Name())
-}
+func (m *LD2) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
 
 // Nodes implements NodeScorer.
-func (m *LD2) Nodes() int { return m.decoupledState.nodes() }
+func (m *LD2) Nodes() int { return m.nodes() }
 
 // Classes implements NodeScorer.
 func (m *LD2) Classes() int { return m.classes }
 
 // Score implements NodeScorer.
 // lint:confine score-path
-func (m *LD2) Score(idx []int, out *tensor.Matrix) error {
-	return m.decoupledState.score(m.Name(), idx, out)
-}
+func (m *LD2) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }

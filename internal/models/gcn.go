@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
@@ -54,9 +55,30 @@ var (
 type GCN struct {
 	Layers int
 
-	net   *nn.Sequential            // float64 tier
-	net32 *nn.SequentialOf[float32] // float32 tier
-	x32   *tensor.Mat[float32]      // narrowed features the float32 net was fit on
+	st gcnTrained // nil before Fit
+}
+
+// gcnTrained is GCN's trained state seen tier-blind (a *gcnState[T]).
+type gcnTrained interface {
+	predict(ds *dataset.Dataset) []int
+}
+
+// gcnState is GCN's trained state at one tier: the network and the
+// tier-T view of the features it was fit on.
+type gcnState[T tensor.Elem] struct {
+	net *nn.SequentialOf[T]
+	src *tensor.Matrix // the float64 features x was converted from
+	x   *tensor.Mat[T]
+}
+
+// predict runs a full-graph forward, reusing the converted features when
+// ds carries the matrix the model was fit on.
+func (s *gcnState[T]) predict(ds *dataset.Dataset) []int {
+	x := s.x
+	if ds.X != s.src {
+		x = tensor.FromFloat64[T](ds.X)
+	}
+	return nn.Argmax(s.net.Forward(x, false))
 }
 
 // NewGCN constructs a GCN with the given number of convolution layers
@@ -74,25 +96,10 @@ func (m *GCN) Name() string { return fmt.Sprintf("GCN-%dL", m.Layers) }
 // Fit trains full-batch with Adam on the training mask, at the tier
 // selected by cfg.DType.
 func (m *GCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return fitGCN[float32](m, ds, cfg)
-	}
-	return fitGCN[float64](m, ds, cfg)
+	return atTier(m, &m.st, ds, cfg, nil, fitGCN[float64], fitGCN[float32])
 }
 
-// gcnNet returns the pointer to the dtype-matching trained-network field.
-func gcnNet[T tensor.Elem](m *GCN) **nn.SequentialOf[T] {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(&m.net32).(**nn.SequentialOf[T])
-	}
-	return any(&m.net).(**nn.SequentialOf[T])
-}
-
-func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
+func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (gcnTrained, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 	x := tensor.FromFloat64[T](ds.X)
@@ -114,15 +121,9 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig) (*Repor
 		in = out
 	}
 	net := nn.NewSequentialOf(layers...)
-	m.net, m.net32, m.x32 = nil, nil, nil // a refit at either tier invalidates both
-	*gcnNet[T](m) = net
-	if x32, ok := any(x).(*tensor.Mat[float32]); ok {
-		m.x32 = x32
-	}
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	rep := &Report{Model: m.Name()}
 	defer opt.Reset()
 	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
 		Source: train.FullBatchOf[T]{},
@@ -154,20 +155,13 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig) (*Repor
 	fillAccuracies(func(idx []int) []int {
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
-	return rep, nil
+	return &gcnState[T]{net: net, src: ds.X, x: x}, nil
 }
 
 // Predict implements Trainer.
 func (m *GCN) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.net32 != nil {
-		x := m.x32
-		if x == nil || x.Rows != ds.G.N {
-			x = tensor.FromFloat64[float32](ds.X)
-		}
-		return nn.Argmax(m.net32.Forward(x, false)), nil
-	}
-	if m.net == nil {
+	if m.st == nil {
 		return nil, fmt.Errorf("models: GCN.Predict before Fit")
 	}
-	return nn.Argmax(m.net.Forward(ds.X, false)), nil
+	return m.st.predict(ds), nil
 }

@@ -85,11 +85,8 @@ func (m *ImplicitNet) forward(op *graph.Operator, x *tensor.Matrix) (zs []*tenso
 
 // Fit trains full-batch with implicit differentiation.
 func (m *ImplicitNet) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
+	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
 		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return nil, errFloat32Unsupported(m.Name())
 	}
 	m.ds = ds
 	m.hidden = cfg.Hidden

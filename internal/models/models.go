@@ -41,7 +41,10 @@ const (
 	DTypeFloat64 = "float64"
 	// DTypeFloat32 is the raw-speed tier: half the memory traffic through
 	// every dense kernel and SpMM, same RNG stream, same accuracy to within
-	// rounding. GCN, ClusterGCN, and the decoupled families support it.
+	// rounding. GCN, ClusterGCN, and the decoupled families (SGC, SIGN, LD2,
+	// APPNP, GAMLP) support it; the other families reject it. A model holds
+	// trained state at exactly one tier — the one its last successful Fit or
+	// Restore ran at.
 	DTypeFloat32 = "float32"
 )
 
@@ -117,6 +120,59 @@ func (c TrainConfig) dtype() string {
 // float32 training path.
 func errFloat32Unsupported(name string) error {
 	return fmt.Errorf("models: %s has no float32 tier (iterative sampling/equilibrium/attention models stay float64); drop DType or use float64", name)
+}
+
+// float32Run is the preamble of every Fit and Restore and the one place the
+// package reads a numeric tier out of a config: it validates cfg, checks
+// the snapshot (Restore only; nil for Fit) against the run fingerprint, and
+// reports whether the run is on the float32 tier — an error for a family
+// that has none.
+func float32Run(name string, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, has32 bool) (bool, error) {
+	if err := cfg.validate(); err != nil {
+		return false, err
+	}
+	if snap != nil {
+		if err := checkSnapshotFingerprint(name, ds, cfg, snap); err != nil {
+			return false, err
+		}
+	}
+	f32 := cfg.dtype() == DTypeFloat32
+	if f32 && !has32 {
+		return false, errFloat32Unsupported(name)
+	}
+	return f32, nil
+}
+
+// namer is the part of Trainer the shared helpers need: the family name,
+// for error messages and run fingerprints.
+type namer interface{ Name() string }
+
+// tierFunc is one numeric tier's instantiation of a family's generic build
+// function: it reruns the graph-side precompute, constructs the network,
+// and then either trains it (snap == nil, filling rep) or loads its weights
+// from snap. It returns the family's trained state and leaves m untouched.
+type tierFunc[M, S any] func(m M, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (S, error)
+
+// atTier runs a float32-capable family's Fit (snap == nil) or Restore at
+// the tier cfg selects, and installs the resulting state in *dst only on
+// success: a cancelled or failed run leaves the model answering from
+// whatever it held before.
+func atTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, f64, f32 tierFunc[M, S]) (*Report, error) {
+	is32, err := float32Run(m.Name(), ds, cfg, snap, true)
+	if err != nil {
+		return nil, err
+	}
+	build := f64
+	if is32 {
+		build = f32
+	}
+	rep := &Report{Model: m.Name()}
+	st, err := build(m, ds, cfg, snap, rep)
+	if err != nil {
+		return nil, err
+	}
+	*dst = st
+	return rep, nil
 }
 
 // Report summarizes one training run.
@@ -239,21 +295,22 @@ func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, 
 	return err
 }
 
-// decoupledHead trains an MLP on fixed per-node embeddings with mini-batch
-// SGD — the shared training path of every decoupled model (SGC, SIGN, LD2
-// all reduce to this after their precompute step), driven by the engine's
-// precomputed-embedding batch source. Returns the trained network and fills
-// the timing/accuracy parts of the report. The element type follows emb:
-// float32 embeddings train a float32 head end to end.
-func decoupledHead[T tensor.Elem](model string, emb *tensor.Mat[T], ds *dataset.Dataset, cfg TrainConfig, hidden []int, rep *Report) (*nn.SequentialOf[T], error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	pcg, rng := newRunRNG(cfg.Seed)
-	mlp := nn.NewMLPOf[T](nn.MLPConfig{
-		In: emb.Cols, Hidden: hidden, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
+// newHead builds the MLP classifier of a decoupled family: in → hidden… →
+// classes with the run's dropout. Fit and Restore both construct the head
+// here, so a restored network cannot drift from the trained one.
+func newHead[T tensor.Elem](in int, hidden []int, ds *dataset.Dataset, cfg TrainConfig, rng *rand.Rand) *nn.SequentialOf[T] {
+	return nn.NewMLPOf[T](nn.MLPConfig{
+		In: in, Hidden: hidden, Out: ds.NumClasses, Dropout: cfg.Dropout, Bias: true,
 	}, rng)
+}
+
+// trainHead trains mlp on fixed per-node embeddings with mini-batch SGD —
+// the shared training path of every embedding+head model (SGC, SIGN, LD2
+// all reduce to this after their precompute step), driven by the engine's
+// precomputed-embedding batch source. It fills the timing/accuracy parts of
+// the report. The element type follows emb: float32 embeddings train a
+// float32 head end to end.
+func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.SequentialOf[T], pcg *rand.PCG, rng *rand.Rand, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -290,13 +347,13 @@ func decoupledHead[T tensor.Elem](model string, emb *tensor.Mat[T], ds *dataset.
 		},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	fillAccuracies(func(idx []int) []int {
 		return nn.Argmax(mlp.Forward(emb.SelectRows(idx), false))
 	}, ds, rep)
-	return mlp, nil
+	return nil
 }
 
 // rangeIdx returns [0, 1, ..., n-1].

@@ -49,8 +49,12 @@ func (r *NAIResult) Speedup() float64 {
 // k < K differs from Â^K X only by residual high-frequency energy that
 // confident nodes have already shed.
 func NAIPredict(m *SGC, hops []*tensor.Matrix, threshold float64, minHops int) (*NAIResult, error) {
-	if m.net == nil {
+	if m.st == nil {
 		return nil, fmt.Errorf("models: NAIPredict before Fit")
+	}
+	head, ok := m.st.(*headState[float64])
+	if !ok {
+		return nil, fmt.Errorf("models: NAIPredict: the head was trained at float32 but the hop embeddings are float64; fit with DType float64")
 	}
 	if len(hops) == 0 {
 		return nil, fmt.Errorf("models: NAIPredict needs hop embeddings")
@@ -83,7 +87,7 @@ func NAIPredict(m *SGC, hops []*tensor.Matrix, threshold float64, minHops int) (
 				idx = append(idx, i)
 			}
 		}
-		probs := nn.Softmax(m.net.Forward(h.SelectRows(idx), false))
+		probs := nn.Softmax(head.net.Forward(h.SelectRows(idx), false))
 		last := k == len(hops)-1
 		for bi, i := range idx {
 			row := probs.Row(bi)

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"strings"
 	"testing"
 
 	"scalegnn/internal/metrics"
@@ -105,5 +106,14 @@ func TestNAIValidation(t *testing.T) {
 	}
 	if _, err := NAIPredict(m, hops, 0.9, 5); err == nil {
 		t.Error("minHops out of range should error")
+	}
+	m32, _ := NewSGC(2)
+	cfg32 := quickCfg()
+	cfg32.DType = DTypeFloat32
+	if _, err := m32.Fit(ds, cfg32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NAIPredict(m32, hops, 0.9, 0); err == nil || !strings.Contains(err.Error(), "float32") {
+		t.Errorf("float32 head on float64 hops: err = %v, want one naming the tier mismatch", err)
 	}
 }

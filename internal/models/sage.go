@@ -173,11 +173,8 @@ func (m *GraphSAGE) gatherSrcFeats(x *tensor.Matrix, ids []int32) *tensor.Matrix
 
 // Fit trains with sampled mini-batches.
 func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
+	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
 		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return nil, errFloat32Unsupported(m.Name())
 	}
 	pcg, rng := newRunRNG(cfg.Seed)
 	sampler, err := sampling.NewNeighborSampler(ds.G, m.Fanout)

@@ -7,13 +7,12 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
-	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
-	"scalegnn/internal/spectral"
 	"scalegnn/internal/tensor"
 )
 
@@ -38,11 +37,12 @@ type NodeScorer interface {
 }
 
 // Restorer rebuilds a trained model from a checkpoint snapshot without
-// retraining: the graph-side precompute reruns, the head weights come from
-// the snapshot. The dataset and config must describe the run that produced
-// the snapshot — Restore rejects a mismatched ckpt.ErrFingerprint. A
-// float32-run snapshot restores only under cfg.DType = "float32" (the
-// fingerprint encodes the tier).
+// retraining: the graph-side precompute reruns, the network is constructed
+// by the same code Fit uses, and its weights come from the snapshot. The
+// dataset and config must describe the run that produced the snapshot —
+// Restore rejects a mismatch with ckpt.ErrFingerprint. A float32-run
+// snapshot restores only under cfg.DType = "float32" (the fingerprint
+// encodes the tier). A failed Restore leaves the model as it was.
 type Restorer interface {
 	Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error
 }
@@ -69,40 +69,106 @@ func RunFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 	return runFingerprint(name, ds, cfg)
 }
 
-// headLogits lazily computes and caches the full-graph head output — the
-// forward pass every decoupled Predict used to rerun per call. The cache is
-// always float64; a float32 head widens its logits once on the first call.
-func headLogits[T tensor.Elem](net *nn.SequentialOf[T], emb *tensor.Mat[T], cache **tensor.Matrix) *tensor.Matrix {
-	if *cache == nil {
-		y := net.Forward(emb, false)
-		c := tensor.New(y.Rows, y.Cols)
-		tensor.WidenInto(y, c)
-		*cache = c
-	}
-	return *cache
+// tierState is a servable family's trained state at one numeric tier, seen
+// tier-blind. The implementations are generic structs (headState[T],
+// appnpState[T], gamlpState[T]); everything above this interface is
+// non-generic, and logits cross it as float64.
+type tierState interface {
+	// nodes returns the number of servable node ids.
+	nodes() int
+	// fullLogits returns the full-graph logits, computed at the model's tier
+	// on first use, widened once, and cached until the state is replaced.
+	fullLogits() *tensor.Matrix
+	// score writes the logits of idx into out; served.score has already
+	// validated the ids and out's shape.
+	score(idx []int, out *tensor.Matrix) error
 }
 
-// scoreHead gathers embedding rows for idx and runs them through the head —
-// the batched serving kernel shared by the embedding+head families. Row
-// independence of the dense kernels makes the result bitwise-equal to the
-// same rows of a full-graph forward at the model's tier; float32 logits
-// widen into the float64 destination.
-func scoreHead[T tensor.Elem](name string, net *nn.SequentialOf[T], emb *tensor.Mat[T], classes int, idx []int, out *tensor.Matrix) error {
-	if out.Rows != len(idx) || out.Cols != classes {
-		return fmt.Errorf("models: %s.Score dst %dx%d, want %dx%d", name, out.Rows, out.Cols, len(idx), classes)
+// served is what a servable family holds after a successful Fit or Restore:
+// its trained state and the logit width. The zero value means "before Fit".
+type served struct {
+	st      tierState
+	classes int
+}
+
+// predict returns the argmax of the cached full-graph logits.
+func (s served) predict(m namer) ([]int, error) {
+	if s.st == nil {
+		return nil, fmt.Errorf("models: %s.Predict before Fit", m.Name())
 	}
-	if e64, ok := any(emb).(*tensor.Matrix); ok && tensor.Overlaps(out.Data, e64.Data) {
-		return fmt.Errorf("models: %s.Score dst aliases the embedding", name)
+	return nn.Argmax(s.st.fullLogits()), nil
+}
+
+func (s served) nodes() int {
+	if s.st == nil {
+		return 0
 	}
-	for _, n := range idx {
-		if n < 0 || n >= emb.Rows {
-			return fmt.Errorf("models: %s.Score node %d outside [0,%d)", name, n, emb.Rows)
+	return s.st.nodes()
+}
+
+// score validates a NodeScorer.Score call and hands it to the trained state.
+func (s served) score(m namer, idx []int, out *tensor.Matrix) error {
+	if s.st == nil {
+		return fmt.Errorf("models: %s.Score before Fit or Restore", m.Name())
+	}
+	if out.Rows != len(idx) || out.Cols != s.classes {
+		return fmt.Errorf("models: %s.Score dst %dx%d, want %dx%d", m.Name(), out.Rows, out.Cols, len(idx), s.classes)
+	}
+	n := s.st.nodes()
+	for _, v := range idx {
+		if v < 0 || v >= n {
+			return fmt.Errorf("models: %s.Score node %d outside [0,%d)", m.Name(), v, n)
 		}
 	}
-	sel := tensor.GetBufOf[T](len(idx), emb.Cols)
-	emb.SelectRowsInto(idx, sel)
-	y := net.Forward(sel, false)
-	tensor.WidenInto(y, out)
+	if err := s.st.score(idx, out); err != nil {
+		return fmt.Errorf("models: %s.Score %w", m.Name(), err)
+	}
+	return nil
+}
+
+// widened copies a tier-T matrix (typically a layer-owned forward output)
+// into a fresh float64 matrix.
+func widened[T tensor.Elem](y *tensor.Mat[T]) *tensor.Matrix {
+	c := tensor.New(y.Rows, y.Cols)
+	tensor.WidenInto(y, c)
+	return c
+}
+
+// aliases reports whether the float64 destination overlaps m's storage,
+// which only a float64-tier matrix can.
+func aliases[T tensor.Elem](out *tensor.Matrix, m *tensor.Mat[T]) bool {
+	m64, ok := any(m).(*tensor.Matrix)
+	return ok && tensor.Overlaps(out.Data, m64.Data)
+}
+
+// headState is the trained state of the embedding+head families (SGC, SIGN,
+// LD2): a precomputed embedding and an MLP head at one tier.
+type headState[T tensor.Elem] struct {
+	emb   *tensor.Mat[T]
+	net   *nn.SequentialOf[T]
+	cache *tensor.Matrix
+}
+
+func (s *headState[T]) nodes() int { return s.emb.Rows }
+
+func (s *headState[T]) fullLogits() *tensor.Matrix {
+	if s.cache == nil {
+		s.cache = widened(s.net.Forward(s.emb, false))
+	}
+	return s.cache
+}
+
+// score gathers the embedding rows of idx and runs them through the head —
+// the batched serving kernel. Row independence of the dense kernels makes
+// the result bitwise-equal to the same rows of a full-graph forward at the
+// model's tier; float32 logits widen into the float64 destination.
+func (s *headState[T]) score(idx []int, out *tensor.Matrix) error {
+	if aliases(out, s.emb) {
+		return errors.New("dst aliases the embedding")
+	}
+	sel := tensor.GetBufOf[T](len(idx), s.emb.Cols)
+	s.emb.SelectRowsInto(idx, sel)
+	tensor.WidenInto(s.net.Forward(sel, false), out)
 	tensor.PutBufOf(sel)
 	return nil
 }
@@ -154,164 +220,12 @@ func restoreParams[T tensor.Elem](name string, params []*nn.ParamOf[T], snap *ck
 	return nil
 }
 
-// Restore implements Restorer: rerun the Â^K X precompute, rebuild the
-// linear head, and load its weights from the snapshot.
-func (m *SGC) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	if err := cfg.validate(); err != nil {
-		return err
+// restoreAtTier is atTier for Restorer implementations: the same build
+// functions as Fit, with the weights loaded from snap instead of trained.
+func restoreAtTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, f64, f32 tierFunc[M, S]) error {
+	if snap == nil {
+		return fmt.Errorf("models: restore %s: nil snapshot", m.Name())
 	}
-	if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-		return err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return restoreSGC[float32](m, ds, cfg, snap)
-	}
-	return restoreSGC[float64](m, ds, cfg, snap)
-}
-
-func restoreSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
-	emb := op.PowerApply(tensor.FromFloat64[T](ds.X), m.K)
-	_, rng := newRunRNG(cfg.Seed)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: emb.Cols, Out: ds.NumClasses, Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-	if err := restoreParams(m.Name(), net.Params(), snap); err != nil {
-		return err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return nil
-}
-
-// Restore implements Restorer for SIGN.
-func (m *SIGN) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-		return err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return restoreSIGN[float32](m, ds, cfg, snap)
-	}
-	return restoreSIGN[float64](m, ds, cfg, snap)
-}
-
-func restoreSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	emb := spectral.ConcatColumns(hopEmbeddings[T](ds, m.K))
-	_, rng := newRunRNG(cfg.Seed)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: emb.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-	if err := restoreParams(m.Name(), net.Params(), snap); err != nil {
-		return err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return nil
-}
-
-// Restore implements Restorer for LD2.
-func (m *LD2) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-		return err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return restoreLD2[float32](m, ds, cfg, snap)
-	}
-	return restoreLD2[float64](m, ds, cfg, snap)
-}
-
-func restoreLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	emb64, err := m.embed(ds)
-	if err != nil {
-		return err
-	}
-	emb := tensor.FromFloat64[T](emb64)
-	_, rng := newRunRNG(cfg.Seed)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: emb.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-	if err := restoreParams(m.Name(), net.Params(), snap); err != nil {
-		return err
-	}
-	decStore(&m.decoupledState, emb, net, ds.NumClasses)
-	return nil
-}
-
-// Restore implements Restorer for APPNP. The MLP weights come from the
-// snapshot; the diffused logits cache repopulates on first use.
-func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-		return err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return restoreAPPNP[float32](m, ds, cfg, snap)
-	}
-	return restoreAPPNP[float64](m, ds, cfg, snap)
-}
-
-func restoreAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	_, rng := newRunRNG(cfg.Seed)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: ds.X.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-	if err := restoreParams(m.Name(), net.Params(), snap); err != nil {
-		return err
-	}
-	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
-	x := tensor.FromFloat64[T](ds.X)
-	m.net, m.net32, m.op, m.op32, m.x32 = nil, nil, nil, nil, nil
-	*appnpNet[T](m) = net
-	*appnpOp[T](m) = op
-	m.x = ds.X
-	if x32, ok := any(x).(*tensor.Mat[float32]); ok {
-		m.x32 = x32
-	}
-	m.classes = ds.NumClasses
-	m.logits = nil
-	return nil
-}
-
-// Restore implements Restorer for GAMLP. The snapshot's parameter order is
-// the MLP weights followed by the hop-attention logits θ, matching Fit.
-func (m *GAMLP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-		return err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return restoreGAMLP[float32](m, ds, cfg, snap)
-	}
-	return restoreGAMLP[float64](m, ds, cfg, snap)
-}
-
-func restoreGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	hops := hopEmbeddings[T](ds, m.K)
-	theta := nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1))
-	_, rng := newRunRNG(cfg.Seed)
-	net := nn.NewMLPOf[T](nn.MLPConfig{
-		In: ds.X.Cols, Hidden: []int{cfg.Hidden}, Out: ds.NumClasses,
-		Dropout: cfg.Dropout, Bias: true,
-	}, rng)
-	if err := restoreParams(m.Name(), append(net.Params(), theta), snap); err != nil {
-		return err
-	}
-	m.hops, m.theta, m.net, m.hops32, m.theta32, m.net32 = nil, nil, nil, nil, nil, nil
-	*gamlpHops[T](m) = hops
-	*gamlpTheta[T](m) = theta
-	*gamlpNet[T](m) = net
-	m.classes = ds.NumClasses
-	m.logits = nil
-	return nil
+	_, err := atTier(m, dst, ds, cfg, snap, f64, f32)
+	return err
 }

@@ -49,91 +49,94 @@ func servableFamilies() map[string]func() servableTrainer {
 	}
 }
 
-// TestRestoreMatchesOfflinePredict trains each decoupled family with
-// checkpointing, restores a fresh instance from the newest snapshot, and
+// TestRestoreMatchesOfflinePredict trains each decoupled family at each
+// numeric tier with checkpointing, restores a fresh instance from the newest snapshot, and
 // requires (a) identical predictions and (b) Score output — full and
 // chunked — bitwise-equal to the offline logits path.
 func TestRestoreMatchesOfflinePredict(t *testing.T) {
 	ds := servingDataset(t)
 	for name, make := range servableFamilies() {
-		t.Run(name, func(t *testing.T) {
-			cfg := servingConfig()
-			cfg.Checkpoint = train.CheckpointConfig{Dir: t.TempDir(), Every: 1}
-			m := make()
-			if _, err := m.Fit(ds, cfg); err != nil {
-				t.Fatalf("fit: %v", err)
-			}
-			want, err := m.Predict(ds)
-			if err != nil {
-				t.Fatalf("predict: %v", err)
-			}
-
-			mgr, err := ckpt.NewManager(cfg.Checkpoint.Dir, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, _, err := mgr.Latest(RunFingerprint(m.Name(), ds, cfg))
-			if err != nil {
-				t.Fatalf("latest snapshot: %v", err)
-			}
-			if snap == nil {
-				t.Fatal("no snapshot written")
-			}
-
-			r := make()
-			if err := r.Restore(ds, cfg, snap); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			got, err := r.Predict(ds)
-			if err != nil {
-				t.Fatalf("restored predict: %v", err)
-			}
-			if !equalInts(want, got) {
-				t.Fatalf("restored predictions differ from offline Predict")
-			}
-
-			if r.Nodes() != ds.G.N || r.Classes() != ds.NumClasses {
-				t.Fatalf("Nodes/Classes = %d/%d, want %d/%d", r.Nodes(), r.Classes(), ds.G.N, ds.NumClasses)
-			}
-
-			// Score over everything at once, and in uneven chunks, must argmax
-			// to the same predictions.
-			idx := rangeIdx(ds.G.N)
-			full := tensor.New(ds.G.N, ds.NumClasses)
-			if err := r.Score(idx, full); err != nil {
-				t.Fatalf("score: %v", err)
-			}
-			checkArgmax(t, full, want, "full Score")
-
-			chunked := tensor.New(ds.G.N, ds.NumClasses)
-			for lo := 0; lo < ds.G.N; lo += 17 {
-				hi := lo + 17
-				if hi > ds.G.N {
-					hi = ds.G.N
+		for _, dtype := range []string{DTypeFloat64, DTypeFloat32} {
+			t.Run(name+"/"+dtype, func(t *testing.T) {
+				cfg := servingConfig()
+				cfg.DType = dtype
+				cfg.Checkpoint = train.CheckpointConfig{Dir: t.TempDir(), Every: 1}
+				m := make()
+				if _, err := m.Fit(ds, cfg); err != nil {
+					t.Fatalf("fit: %v", err)
 				}
-				out := tensor.New(hi-lo, ds.NumClasses)
-				if err := r.Score(idx[lo:hi], out); err != nil {
-					t.Fatalf("chunked score [%d,%d): %v", lo, hi, err)
+				want, err := m.Predict(ds)
+				if err != nil {
+					t.Fatalf("predict: %v", err)
 				}
-				copy(chunked.Data[lo*ds.NumClasses:hi*ds.NumClasses], out.Data)
-			}
-			for i := range full.Data {
-				if full.Data[i] != chunked.Data[i] {
-					t.Fatalf("chunked Score logits differ at %d: %v vs %v", i, full.Data[i], chunked.Data[i])
-				}
-			}
 
-			// Out-of-range nodes and bad shapes fail loudly, not silently.
-			if err := r.Score([]int{-1}, tensor.New(1, ds.NumClasses)); err == nil {
-				t.Error("negative node id accepted")
-			}
-			if err := r.Score([]int{ds.G.N}, tensor.New(1, ds.NumClasses)); err == nil {
-				t.Error("out-of-range node id accepted")
-			}
-			if err := r.Score([]int{0}, tensor.New(2, ds.NumClasses)); err == nil {
-				t.Error("wrong-shape destination accepted")
-			}
-		})
+				mgr, err := ckpt.NewManager(cfg.Checkpoint.Dir, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, _, err := mgr.Latest(RunFingerprint(m.Name(), ds, cfg))
+				if err != nil {
+					t.Fatalf("latest snapshot: %v", err)
+				}
+				if snap == nil {
+					t.Fatal("no snapshot written")
+				}
+
+				r := make()
+				if err := r.Restore(ds, cfg, snap); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				got, err := r.Predict(ds)
+				if err != nil {
+					t.Fatalf("restored predict: %v", err)
+				}
+				if !equalInts(want, got) {
+					t.Fatalf("restored predictions differ from offline Predict")
+				}
+
+				if r.Nodes() != ds.G.N || r.Classes() != ds.NumClasses {
+					t.Fatalf("Nodes/Classes = %d/%d, want %d/%d", r.Nodes(), r.Classes(), ds.G.N, ds.NumClasses)
+				}
+
+				// Score over everything at once, and in uneven chunks, must argmax
+				// to the same predictions.
+				idx := rangeIdx(ds.G.N)
+				full := tensor.New(ds.G.N, ds.NumClasses)
+				if err := r.Score(idx, full); err != nil {
+					t.Fatalf("score: %v", err)
+				}
+				checkArgmax(t, full, want, "full Score")
+
+				chunked := tensor.New(ds.G.N, ds.NumClasses)
+				for lo := 0; lo < ds.G.N; lo += 17 {
+					hi := lo + 17
+					if hi > ds.G.N {
+						hi = ds.G.N
+					}
+					out := tensor.New(hi-lo, ds.NumClasses)
+					if err := r.Score(idx[lo:hi], out); err != nil {
+						t.Fatalf("chunked score [%d,%d): %v", lo, hi, err)
+					}
+					copy(chunked.Data[lo*ds.NumClasses:hi*ds.NumClasses], out.Data)
+				}
+				for i := range full.Data {
+					if full.Data[i] != chunked.Data[i] {
+						t.Fatalf("chunked Score logits differ at %d: %v vs %v", i, full.Data[i], chunked.Data[i])
+					}
+				}
+
+				// Out-of-range nodes and bad shapes fail loudly, not silently.
+				if err := r.Score([]int{-1}, tensor.New(1, ds.NumClasses)); err == nil {
+					t.Error("negative node id accepted")
+				}
+				if err := r.Score([]int{ds.G.N}, tensor.New(1, ds.NumClasses)); err == nil {
+					t.Error("out-of-range node id accepted")
+				}
+				if err := r.Score([]int{0}, tensor.New(2, ds.NumClasses)); err == nil {
+					t.Error("wrong-shape destination accepted")
+				}
+			})
+		}
 	}
 }
 

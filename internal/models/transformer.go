@@ -136,11 +136,8 @@ func (m *GraphTransformer) params() []*nn.Param {
 // Fit builds the hub-label index once, then trains on SPD-biased attention
 // batches.
 func (m *GraphTransformer) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if err := cfg.validate(); err != nil {
+	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
 		return nil, err
-	}
-	if cfg.dtype() == DTypeFloat32 {
-		return nil, errFloat32Unsupported(m.Name())
 	}
 	rep := &Report{Model: m.Name()}
 	preStart := time.Now()

@@ -9,6 +9,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tracked-file size gate: a built binary committed by accident (a 10.8 MB
+# gnntrain ELF once was) fails here instead of riding along in every clone.
+echo "== tracked files <= 1 MB"
+BIG=$(git ls-files -z | xargs -0 -r wc -c 2>/dev/null | awk '$2 != "total" && $1 > 1048576' || true)
+[ -z "$BIG" ] || { echo "tracked files over 1 MB (bytes, path):"; echo "$BIG"; exit 1; }
+
 echo "== go build ./..."
 go build ./...
 
