@@ -116,6 +116,38 @@ func benchMatMuls[T tensor.Elem](dt string, m, k, n int, rng *rand.Rand, out *[]
 	)
 }
 
+// benchF64Kernels measures the two float64 vector kernels on their own, at
+// the shape one GCN destination row has (25 arcs over 64 columns). They run
+// once per row or per arc, so the gate holds them to zero allocations.
+func benchF64Kernels(rng *rand.Rand, out *[]*KernelResult) {
+	const terms, rows, cols = 25, 512, 64
+	x := make([]float64, rows*cols)
+	for i := range x {
+		x[i] = rng.Float64() - 0.5
+	}
+	coef := make([]float64, terms)
+	idx := make([]int32, terms)
+	for k := range coef {
+		coef[k] = rng.Float64()
+		idx[k] = int32(rng.IntN(rows))
+	}
+	acc := make([]float64, cols)
+	*out = append(*out,
+		record(fmt.Sprintf("f64_axpy/float64/n%d", cols), testing.Benchmark(func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				tensor.F64Axpy(1e-9, x[:cols], acc)
+			}
+		})),
+		record(fmt.Sprintf("f64_accum_rows/float64/%dx%d", terms, cols), testing.Benchmark(func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				tensor.F64AccumRows(coef, idx, x, rows, cols, acc)
+			}
+		})),
+	)
+}
+
 // benchSpMM measures the CSR×dense propagation ApplyInto at tier T over a
 // synthetic homophilous graph.
 func benchSpMM[T tensor.Elem](dt string, ds *dataset.Dataset, dim int, rng *rand.Rand, out *[]*KernelResult) {
@@ -183,6 +215,7 @@ func RunKernelBench(quick bool, seed uint64) ([]*KernelResult, error) {
 			benchSpMM[float32](dt, ds, dim, rng, &results)
 			benchGCNEpoch[float32](dt, ds, hidden, seed, &results)
 		} else {
+			benchF64Kernels(rng, &results)
 			benchMatMuls[float64](dt, m, k, n, rng, &results)
 			benchSpMM[float64](dt, ds, dim, rng, &results)
 			benchGCNEpoch[float64](dt, ds, hidden, seed, &results)

@@ -186,9 +186,10 @@ func (op *OperatorOf[T]) Apply(x *tensor.Mat[T]) *tensor.Mat[T] {
 // FromSlice views would corrupt the result). dst is overwritten.
 //
 // Work is row-chunked across goroutines via internal/par; each destination
-// row accumulates its arcs in CSR order with a 4-wide unrolled axpy over
-// the feature columns. Columns are independent, so unrolling never
-// reassociates a sum and the float64 path stays bitwise-stable.
+// row accumulates its arcs in CSR order through the tier's row kernel (see
+// rowKernelOf). Columns are independent and every term is a rounded product
+// followed by a rounded add, so the float64 path is bitwise-stable whether
+// the vector kernels are on or not.
 func (op *OperatorOf[T]) ApplyInto(x, dst *tensor.Mat[T]) {
 	if x.Rows != op.G.N {
 		panic(fmt.Sprintf("graph: ApplyInto rows %d != n %d", x.Rows, op.G.N))
@@ -209,27 +210,51 @@ func (op *OperatorOf[T]) ApplyInto(x, dst *tensor.Mat[T]) {
 			return
 		}
 	}
-	if tensor.FastF32() {
-		if fop, ok := any(op).(*OperatorOf[float32]); ok {
-			applyIntoF32(fop, any(x).(*tensor.Mat[float32]), any(dst).(*tensor.Mat[float32]))
-			return
-		}
-	}
-	g := op.G
-	par.Range(g.N, minChunkSparse, func(lo, hi int) {
+	accum := rowKernelOf[T]()
+	par.Range(op.G.N, minChunkSparse, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			applyRow(op, u, x, dst)
+			applyRow(op, u, x, dst, accum)
 		}
 	})
 }
 
+// rowKernel adds Σ_k coef[k]·(row adj[k] of x) into orow in increasing k,
+// skipping zero coefficients — the arcs of one destination row. x is the
+// row-major data of an nrows × stride matrix.
+type rowKernel[T tensor.Elem] func(coef []T, adj []int32, x []T, nrows, stride int, orow []T)
+
+// rowKernelOf picks the row kernel of tier T, once per ApplyInto or
+// ApplyRowsInto call. float64 is tensor.F64AccumRows, which holds a row's
+// partial sums in registers across all its arcs when the vector kernels are
+// on and is bitwise equal to the scalar loop either way; float32 does one
+// tensor.F32Axpy per arc.
+func rowKernelOf[T tensor.Elem]() rowKernel[T] {
+	var k any
+	switch any(*new(T)).(type) {
+	case float64:
+		k = rowKernel[float64](tensor.F64AccumRows)
+	case float32:
+		k = rowKernel[float32](accumRowsF32)
+	}
+	return k.(rowKernel[T])
+}
+
+// accumRowsF32 is the float32 row kernel: one (vector) axpy per arc.
+func accumRowsF32(coef []float32, adj []int32, x []float32, _, stride int, orow []float32) {
+	for i, c := range coef {
+		if c != 0 {
+			r := int(adj[i]) * stride
+			tensor.F32Axpy(c, x[r:r+stride], orow)
+		}
+	}
+}
+
 // applyRow computes one destination row of P*X into dst.Row(u) — the shared
 // per-row SpMM body of ApplyInto and ApplyRowsInto. A row's value depends
-// only on u's arcs (accumulated in CSR order via scatterAxpy) and the
-// referenced rows of x, never on which other rows are computed alongside it,
-// so any subset of rows is bitwise identical to the same rows of a full
-// ApplyInto.
-func applyRow[T tensor.Elem](op *OperatorOf[T], u int, x, dst *tensor.Mat[T]) {
+// only on u's arcs (accumulated in CSR order by accum) and the referenced
+// rows of x, never on which other rows are computed alongside it, so any
+// subset of rows is bitwise identical to the same rows of a full ApplyInto.
+func applyRow[T tensor.Elem](op *OperatorOf[T], u int, x, dst *tensor.Mat[T], accum rowKernel[T]) {
 	orow := dst.Row(u)
 	if op.loopCo != nil && op.loopCo[u] != 0 {
 		c := op.loopCo[u]
@@ -242,16 +267,8 @@ func applyRow[T tensor.Elem](op *OperatorOf[T], u int, x, dst *tensor.Mat[T]) {
 			orow[j] = 0
 		}
 	}
-	g := op.G
-	s, e := g.Offsets[u], g.Offsets[u+1]
-	for k := s; k < e; k++ {
-		c := op.Coef[k]
-		if c == 0 {
-			continue
-		}
-		xrow := x.Row(int(g.Adj[k]))
-		scatterAxpy(c, xrow, orow)
-	}
+	s, e := op.G.Offsets[u], op.G.Offsets[u+1]
+	accum(op.Coef[s:e], op.G.Adj[s:e], x.Data, x.Rows, x.Cols, orow)
 }
 
 // ApplyRowsInto computes only the listed destination rows of P*X into dst,
@@ -272,82 +289,12 @@ func (op *OperatorOf[T]) ApplyRowsInto(x, dst *tensor.Mat[T], rows []int32) {
 	if tensor.Overlaps(x.Data, dst.Data) {
 		panic("graph: ApplyRowsInto dst must not overlap x")
 	}
-	if tensor.FastF32() {
-		if fop, ok := any(op).(*OperatorOf[float32]); ok {
-			fx, fdst := any(x).(*tensor.Mat[float32]), any(dst).(*tensor.Mat[float32])
-			par.Range(len(rows), minChunkSparse, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					applyRowF32(fop, int(rows[i]), fx, fdst)
-				}
-			})
-			return
-		}
-	}
+	accum := rowKernelOf[T]()
 	par.Range(len(rows), minChunkSparse, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			applyRow(op, int(rows[i]), x, dst)
+			applyRow(op, int(rows[i]), x, dst, accum)
 		}
 	})
-}
-
-// applyIntoF32 is the vectorized float32 SpMM: identical traversal to the
-// generic ApplyInto, with the per-arc row update routed through the AVX2
-// axpy. The float64 tier never takes this path, so its accumulation order
-// (and bitwise fingerprints) are unaffected.
-func applyIntoF32(op *OperatorOf[float32], x, dst *tensor.Mat[float32]) {
-	g := op.G
-	par.Range(g.N, minChunkSparse, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			applyRowF32(op, u, x, dst)
-		}
-	})
-}
-
-// applyRowF32 is applyRow with the per-arc update routed through the AVX2
-// axpy — the float32 fast-path row kernel shared by applyIntoF32 and
-// ApplyRowsInto.
-func applyRowF32(op *OperatorOf[float32], u int, x, dst *tensor.Mat[float32]) {
-	orow := dst.Row(u)
-	if op.loopCo != nil && op.loopCo[u] != 0 {
-		c := op.loopCo[u]
-		xrow := x.Row(u)
-		for j, xv := range xrow {
-			orow[j] = c * xv
-		}
-	} else {
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
-	g := op.G
-	s, e := g.Offsets[u], g.Offsets[u+1]
-	for k := s; k < e; k++ {
-		c := op.Coef[k]
-		if c == 0 {
-			continue
-		}
-		tensor.F32Axpy(c, x.Row(int(g.Adj[k])), orow)
-	}
-}
-
-// scatterAxpy computes orow += c*xrow with a 4-wide unrolled loop — the
-// SpMM inner kernel. Rows are contiguous and columns independent, so the
-// unroll affects instruction-level parallelism only, never accumulation
-// order.
-func scatterAxpy[T tensor.Elem](c T, xrow, orow []T) {
-	n := len(orow)
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		xq := xrow[j : j+4 : j+4]
-		oq := orow[j : j+4 : j+4]
-		oq[0] += c * xq[0]
-		oq[1] += c * xq[1]
-		oq[2] += c * xq[2]
-		oq[3] += c * xq[3]
-	}
-	for ; j < n; j++ {
-		orow[j] += c * xrow[j]
-	}
 }
 
 // ApplyVec computes P*x for a vector x of length N.

@@ -107,3 +107,74 @@ func TestSpMMEmptyRowsZeroOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyRowsIntoBitsMatchApplyInto pins the float64 SpMM to the bits of
+// the textbook row loop (arcs in CSR order, product rounded before the add,
+// zero coefficients skipped) and ApplyRowsInto on a row subset to the same
+// rows of ApplyInto — the property that keeps distributed shards bitwise
+// equal to a single process. Widths cover the row kernel's 32-, 4- and
+// 1-column blocks. Nothing here depends on whether the vector kernels are
+// on; scripts/check.sh runs it both ways.
+func TestApplyRowsIntoBitsMatchApplyInto(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	const n = 300
+	g := randCSR(t, rng, n, 9, 0.1)
+	for _, d := range []int{1, 5, 64, 67} {
+		x := tensor.New(n, d)
+		for i := range x.Data {
+			switch rng.IntN(8) {
+			case 0:
+				x.Data[i] = 0
+			case 1:
+				x.Data[i] = math.Copysign(0, -1)
+			default:
+				x.Data[i] = rng.NormFloat64()
+			}
+		}
+		for _, loops := range []bool{false, true} {
+			op := NewOperator(g, NormSymmetric, loops)
+			op.Coef[rng.IntN(len(op.Coef))] = 0 // a skipped arc
+
+			full := tensor.New(n, d)
+			op.ApplyInto(x, full)
+			for u := 0; u < n; u++ {
+				for j := 0; j < d; j++ {
+					var s float64
+					if loops && op.loopCo[u] != 0 {
+						s = op.loopCo[u] * x.At(u, j)
+					}
+					for k := g.Offsets[u]; k < g.Offsets[u+1]; k++ {
+						if c := op.Coef[k]; c != 0 {
+							s += float64(c * x.At(int(g.Adj[k]), j)) // the conversion forbids fusing
+						}
+					}
+					if math.Float64bits(full.At(u, j)) != math.Float64bits(s) {
+						t.Fatalf("d=%d loops=%v: ApplyInto[%d,%d] = %v, row loop %v", d, loops, u, j, full.At(u, j), s)
+					}
+				}
+			}
+
+			var rows []int32
+			for u := 0; u < n; u++ {
+				if rng.IntN(3) == 0 {
+					rows = append(rows, int32(u))
+				}
+			}
+			const untouched = 99.0
+			part := tensor.New(n, d)
+			part.Fill(untouched)
+			op.ApplyRowsInto(x, part, rows)
+			want := tensor.New(n, d)
+			want.Fill(untouched)
+			for _, u := range rows {
+				copy(want.Row(int(u)), full.Row(int(u)))
+			}
+			for i := range want.Data {
+				if math.Float64bits(part.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("d=%d loops=%v: ApplyRowsInto differs from ApplyInto at row %d col %d: %v vs %v",
+						d, loops, i/d, i%d, part.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}

@@ -117,6 +117,7 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 		lins[l] = nn.NewLinearOf[T](in, out, true, rng)
 		in = out
 	}
+	lins[0].NoInputGrad = true // layer 0's input is the cluster's features
 	var params []*nn.ParamOf[T]
 	for _, l := range lins {
 		params = append(params, l.Params()...)
@@ -153,6 +154,9 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 					grad = relus[l].Backward(grad)
 				}
 				g := lins[l].Backward(grad)
+				if g == nil {
+					break // layer 0: nobody reads ∂L/∂X, so no SpMM for it
+				}
 				gx := cb.gx[l].Next(g.Rows, g.Cols)
 				cb.op.ApplyInto(g, gx)
 				grad = gx

@@ -28,7 +28,7 @@ func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg Tr
 	rep.Precompute = time.Since(start)
 
 	pcg, rng := newRunRNG(cfg.Seed)
-	net := newHead[T](emb.Cols, hidden, ds, cfg, rng)
+	net := noInputGrad(newHead[T](emb.Cols, hidden, ds, cfg, rng))
 	if snap != nil {
 		err = restoreParams(m.Name(), net.Params(), snap)
 	} else {
@@ -275,7 +275,7 @@ func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapsho
 func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	st := &appnpState[T]{
-		net:   newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
+		net:   noInputGrad(newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)),
 		op:    graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true),
 		x:     tensor.FromFloat64[T](ds.X),
 		alpha: m.Alpha,
@@ -454,7 +454,8 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 	st := &gamlpState[T]{
 		hops:  hops,
 		theta: nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1)),
-		net:   newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
+		// No noInputGrad: the attention gradient is read off net.Backward.
+		net: newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
 	}
 	theta, net := st.theta, st.net
 	params := append(net.Params(), theta)

@@ -13,9 +13,10 @@ import (
 
 // GCNConvOf is one graph-convolution layer y = Lin(Â x): propagation
 // followed by a dense transform. Backward exploits the symmetry of Â
-// (undirected graphs): ∂L/∂x = Â · Lin.Backward(g). Propagation buffers are
-// recycled through the shared tensor workspace under the nn.Layer lifetime
-// contract.
+// (undirected graphs): ∂L/∂x = Â · Lin.Backward(g) — or nil, with no
+// propagation, when Lin.NoInputGrad is set (the first layer of a network,
+// whose input is the feature matrix). Propagation buffers are recycled
+// through the shared tensor workspace under the nn.Layer lifetime contract.
 type GCNConvOf[T tensor.Elem] struct {
 	Op  *graph.OperatorOf[T]
 	Lin *nn.LinearOf[T]
@@ -36,6 +37,9 @@ func (c *GCNConvOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
 // Backward transforms the gradient then propagates it back through Â.
 func (c *GCNConvOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 	g := c.Lin.Backward(gradOut)
+	if g == nil {
+		return nil
+	}
 	gx := c.gx.Next(g.Rows, g.Cols)
 	c.Op.ApplyInto(g, gx)
 	return gx
@@ -114,7 +118,9 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 		if cfg.Dropout > 0 {
 			layers = append(layers, nn.NewDropoutOf[T](cfg.Dropout, rng))
 		}
-		layers = append(layers, &GCNConvOf[T]{Op: op, Lin: nn.NewLinearOf[T](in, out, true, rng)})
+		lin := nn.NewLinearOf[T](in, out, true, rng)
+		lin.NoInputGrad = l == 0 // ∂L/∂X: one SpMM and one matmul nobody reads
+		layers = append(layers, &GCNConvOf[T]{Op: op, Lin: lin})
 		if l != m.Layers-1 {
 			layers = append(layers, nn.NewReLUOf[T]())
 		}

@@ -304,6 +304,19 @@ func newHead[T tensor.Elem](in int, hidden []int, ds *dataset.Dataset, cfg Train
 	}, rng)
 }
 
+// noInputGrad tells net's first Linear that its input is fixed data
+// (features, precomputed embeddings), so training skips the ∂L/∂input
+// nobody reads (nn.LinearOf.NoInputGrad); net.Backward then returns nil.
+func noInputGrad[T tensor.Elem](net *nn.SequentialOf[T]) *nn.SequentialOf[T] {
+	for _, l := range net.Layers {
+		if lin, ok := l.(*nn.LinearOf[T]); ok {
+			lin.NoInputGrad = true
+			break
+		}
+	}
+	return net
+}
+
 // trainHead trains mlp on fixed per-node embeddings with mini-batch SGD —
 // the shared training path of every embedding+head model (SGC, SIGN, LD2
 // all reduce to this after their precompute step), driven by the engine's

@@ -25,10 +25,9 @@ type sageLayer struct {
 	block *sampling.Block
 	mask  []bool
 
-	// pooled/reused scratch: iota of the destination rows, the self-feature
-	// selection, and the ReLU-masked gradient copy.
-	selfIdx  []int
-	selfBuf  tensor.Buf
+	// reused scratch: the view of the destination rows of the source
+	// features, and the ReLU-masked gradient copy.
+	selfView tensor.Matrix
 	gradBuf  tensor.Buf
 }
 
@@ -45,15 +44,10 @@ func (l *sageLayer) forward(block *sampling.Block, srcFeats *tensor.Matrix, trai
 	if training {
 		l.block = block
 	}
-	if cap(l.selfIdx) < len(block.Dsts) {
-		l.selfIdx = make([]int, len(block.Dsts))
-	}
-	idx := l.selfIdx[:len(block.Dsts)]
-	for i := range idx {
-		idx[i] = i
-	}
-	selfFeats := l.selfBuf.Next(len(idx), srcFeats.Cols)
-	srcFeats.SelectRowsInto(idx, selfFeats) // Srcs start with Dsts
+	// Srcs start with Dsts, so the self features are the first rows.
+	nd := len(block.Dsts)
+	l.selfView = tensor.Matrix{Rows: nd, Cols: srcFeats.Cols, Data: srcFeats.Data[:nd*srcFeats.Cols]}
+	selfFeats := &l.selfView
 	agg := block.Aggregate(srcFeats)
 	y := l.self.Forward(selfFeats, training)
 	y.Add(l.neigh.Forward(agg, training))
@@ -81,7 +75,10 @@ func (l *sageLayer) forward(block *sampling.Block, srcFeats *tensor.Matrix, trai
 	return y
 }
 
-// backward returns the gradient with respect to the source features.
+// backward returns the gradient with respect to the source features, or
+// nil on the innermost layer, whose sources are rows of the feature matrix:
+// its Linears carry NoInputGrad, and the scatter into a gradient nobody
+// reads is skipped with them.
 func (l *sageLayer) backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := gradOut
 	if l.relu {
@@ -99,10 +96,14 @@ func (l *sageLayer) backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	gSelf := l.self.Backward(g)
 	gAgg := l.neigh.Backward(g)
+	if gAgg == nil {
+		return nil
+	}
 	gSrc := l.block.AggregateBackward(gAgg)
-	// Self path: dsts are the first rows of srcs; selfIdx still holds their
-	// iota from the forward pass.
-	gSrc.ScatterAddRows(l.selfIdx[:len(l.block.Dsts)], gSelf)
+	// Self path: dsts are the first rows of srcs.
+	for i, v := range gSelf.Data {
+		gSrc.Data[i] += v
+	}
 	return gSrc
 }
 
@@ -191,6 +192,8 @@ func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 		m.layers = append(m.layers, newSageLayer(in, out, l != m.Layers-1, rng))
 		in = out
 	}
+	// The innermost layer's sources are rows of ds.X: no gradient for them.
+	m.layers[0].self.NoInputGrad, m.layers[0].neigh.NoInputGrad = true, true
 	var params []*nn.Param
 	for _, l := range m.layers {
 		params = append(params, l.params()...)

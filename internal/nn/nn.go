@@ -59,6 +59,10 @@ func (p *ParamOf[T]) NumValues() int { return len(p.Value.Data) }
 // (forward → loss → backward → step, then the next pass) satisfy this
 // naturally; clone any output that must outlive the next pass, and run
 // Backward before any intervening Forward on the same network.
+//
+// Backward returns nil when the layer was built not to compute ∂L/∂input
+// (LinearOf.NoInputGrad): nothing upstream of such a layer can be trained,
+// so whoever drives the layers stops there (SequentialOf.Backward does).
 type LayerOf[T tensor.Elem] interface {
 	Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T]
 	Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T]
@@ -75,9 +79,16 @@ type Layer = LayerOf[float64]
 // layer's next pass, which is exactly the lifetime training loops need.
 // Clone anything that must survive longer.
 type LinearOf[T tensor.Elem] struct {
-	W, B  *ParamOf[T]
-	InF   int
-	OutF  int
+	W, B *ParamOf[T]
+	InF  int
+	OutF int
+
+	// NoInputGrad makes Backward accumulate the parameter gradients only
+	// and return nil instead of ∂L/∂x = g Wᵀ. A model sets it on the layer
+	// that consumes its input data, whose gradient nobody reads; parameter
+	// gradients are unaffected. Off by default.
+	NoInputGrad bool
+
 	hasB  bool
 	lastX *tensor.Mat[T]
 
@@ -126,7 +137,7 @@ func (l *LinearOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
 }
 
 // Backward accumulates ∂L/∂W = xᵀ g and ∂L/∂b = Σ rows(g), returning
-// ∂L/∂x = g Wᵀ.
+// ∂L/∂x = g Wᵀ (nil under NoInputGrad).
 func (l *LinearOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 	if l.lastX == nil {
 		panic("nn: Linear.Backward before Forward(training=true)")
@@ -141,6 +152,9 @@ func (l *LinearOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 				brow[j] += v
 			}
 		}
+	}
+	if l.NoInputGrad {
+		return nil
 	}
 	gx := l.gx.Next(gradOut.Rows, l.InF)
 	tensor.MatMulTInto(gradOut, l.W.Value, gx)
@@ -304,9 +318,10 @@ func (s *SequentialOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T
 	return x
 }
 
-// Backward runs all layers in reverse.
+// Backward runs the layers in reverse, down to the first one that returns
+// no input gradient (see LayerOf), and returns what that layer returned.
 func (s *SequentialOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	for i := len(s.Layers) - 1; i >= 0 && gradOut != nil; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
 	return gradOut

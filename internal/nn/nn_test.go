@@ -452,3 +452,50 @@ func TestAdamPruneKeepsSurvivors(t *testing.T) {
 		t.Fatalf("Prune must keep the step counter, got t=%d", opt.t)
 	}
 }
+
+// TestNoInputGradKeepsParamGradients trains two identically seeded MLPs for
+// three Adam steps, one with NoInputGrad on the first Linear: Backward
+// returns nil there and every parameter gradient and value stays bit-equal,
+// dropout masks included.
+func TestNoInputGradKeepsParamGradients(t *testing.T) {
+	build := func(skip bool) *Sequential {
+		net := NewMLP(MLPConfig{In: 6, Hidden: []int{8}, Out: 3, Dropout: 0.3, Bias: true}, tensor.NewRand(5))
+		net.Layers[1].(*Linear).NoInputGrad = skip // Layers[0] is the input dropout
+		return net
+	}
+	ref, skip := build(false), build(true)
+	x := tensor.RandNormal(20, 6, 1, tensor.NewRand(9))
+	labels := make([]int, x.Rows)
+	for i := range labels {
+		labels[i] = i % 3
+	}
+	optRef, optSkip := NewAdam(0.01), NewAdam(0.01)
+	defer optRef.Reset()
+	defer optSkip.Reset()
+	sameBits := func(what string, step int, a, b *tensor.Matrix) {
+		t.Helper()
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+				t.Fatalf("step %d %s[%d]: %v with the input gradient, %v without", step, what, i, a.Data[i], b.Data[i])
+			}
+		}
+	}
+	for step := 0; step < 3; step++ {
+		_, g := SoftmaxCrossEntropy(ref.Forward(x, true), labels)
+		if gx := ref.Backward(g); gx == nil || !gx.SameShape(x) {
+			t.Fatalf("step %d: default Backward returned %v, want ∂L/∂x", step, gx)
+		}
+		_, g = SoftmaxCrossEntropy(skip.Forward(x, true), labels)
+		if gx := skip.Backward(g); gx != nil {
+			t.Fatalf("step %d: NoInputGrad Backward returned a %dx%d matrix, want nil", step, gx.Rows, gx.Cols)
+		}
+		for i, p := range ref.Params() {
+			sameBits(p.Name+".Grad", step, p.Grad, skip.Params()[i].Grad)
+		}
+		optRef.Step(ref.Params())
+		optSkip.Step(skip.Params())
+		for i, p := range ref.Params() {
+			sameBits(p.Name+".Value", step, p.Value, skip.Params()[i].Value)
+		}
+	}
+}

@@ -54,10 +54,7 @@ func (b *Block) Aggregate(srcFeats *tensor.Matrix) *tensor.Matrix {
 	for i := range b.Dsts {
 		row := out.Row(i)
 		for j, s := range b.Neigh[i] {
-			w := b.Weight[i][j]
-			for c, v := range srcFeats.Row(int(s)) {
-				row[c] += w * v
-			}
+			tensor.F64Axpy(b.Weight[i][j], srcFeats.Row(int(s)), row)
 		}
 	}
 	return out
@@ -371,11 +368,7 @@ func (b *Block) AggregateBackward(gradOut *tensor.Matrix) *tensor.Matrix {
 	for i := range b.Dsts {
 		grow := gradOut.Row(i)
 		for j, s := range b.Neigh[i] {
-			w := b.Weight[i][j]
-			dst := gradSrc.Row(int(s))
-			for c, v := range grow {
-				dst[c] += w * v
-			}
+			tensor.F64Axpy(b.Weight[i][j], grow, gradSrc.Row(int(s)))
 		}
 	}
 	return gradSrc

@@ -103,7 +103,7 @@ func TestSIMDMatchesScalarFloat32(t *testing.T) {
 	if !FastF32() {
 		t.Skip("no vectorized float32 kernels on this machine")
 	}
-	restore := func() { fastF32 = true }
+	restore := func() { simdOn = true }
 	defer restore()
 
 	rng := rand.New(rand.NewPCG(23, 29))
@@ -113,14 +113,14 @@ func TestSIMDMatchesScalarFloat32(t *testing.T) {
 		_, bt := randMatPair(rng, c.n, c.k)
 		_, w := randMatPair(rng, c.m, c.n)
 
-		fastF32 = true
+		simdOn = true
 		mmV := MatMul(a, b)
 		mtV := MatMulT(a, bt)
 		tmV := TMatMul(a, w)
 		addV := a.Clone()
 		addV.AddScaled(1.5, a)
 
-		fastF32 = false
+		simdOn = false
 		mmS := MatMul(a, b)
 		mtS := MatMulT(a, bt)
 		tmS := TMatMul(a, w)

@@ -4,11 +4,12 @@ package tensor
 
 import "os"
 
-// fastF32 gates the AVX2+FMA float32 kernels in simd_amd64.s. It is decided
-// once at init (CPU capability plus the SCALEGNN_NOSIMD kill switch) and
-// read-only afterwards, so the hot paths can branch on it without locks.
-// Tests flip it temporarily to compare the vector and scalar paths.
-var fastF32 = cpuHasAVX2FMA() && os.Getenv("SCALEGNN_NOSIMD") == ""
+// simdOn gates every AVX2 kernel in simd_amd64.s, float32 and float64
+// alike. It is decided once at init (CPU capability plus the
+// SCALEGNN_NOSIMD kill switch) and read-only afterwards, so the hot paths
+// can branch on it without locks. Tests flip it temporarily to compare the
+// vector and scalar paths.
+var simdOn = cpuHasAVX2FMA() && os.Getenv("SCALEGNN_NOSIMD") == ""
 
 // cpuHasAVX2FMA reports CPU+OS support for the AVX2/FMA kernels.
 func cpuHasAVX2FMA() bool
@@ -21,3 +22,12 @@ func f32DotAVX(x, y []float32) float32
 
 // f32GemmTileAVX adds sum_k a[k]*b[k*stride:k*stride+8] into acc[0:8].
 func f32GemmTileAVX(a, b, acc []float32, stride int)
+
+// f64AxpyAVX computes y += a*x, multiply rounded before the add. Caller
+// guarantees len(x) == len(y).
+func f64AxpyAVX(a float64, x, y []float64)
+
+// f64AccumRowsAVX adds sum_k coef[k]*x[idx[k]*stride:][:len(acc)] into acc,
+// k increasing, zero coefficients skipped; false if an idx[k] is not in
+// [0, nrows). See F64AccumRows for the caller's side of the contract.
+func f64AccumRowsAVX(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) bool

@@ -170,15 +170,7 @@ func (m *Mat[T]) Scale(s T) {
 // AddScaled computes m += s*other element-wise.
 func (m *Mat[T]) AddScaled(s T, other *Mat[T]) {
 	mustSameShape("AddScaled", m, other)
-	if fastF32 {
-		if fm, ok := any(m).(*Mat[float32]); ok {
-			f32AxpyAVX(float32(s), any(other).(*Mat[float32]).Data, fm.Data)
-			return
-		}
-	}
-	for i, v := range other.Data {
-		m.Data[i] += s * v
-	}
+	axpyOf[T]()(s, other.Data, m.Data)
 }
 
 // AddRowVector adds vector v (length Cols) to every row of m.
@@ -323,11 +315,12 @@ func MatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 // dst must not alias a or b. This is the zero-allocation form used by the
 // pooled training hot path.
 //
-// The kernel is register-blocked: each output row is produced in 8-column
-// tiles held in scalar accumulators while k streams through a tile of b, so
-// the inner loop is 8 independent multiply-adds with no load/store of dst.
-// Per output element the sum still runs over k in increasing order with one
-// accumulator — bitwise-equal to the naive ikj loop for finite inputs.
+// The kernel is register-blocked: each output row is produced in column
+// tiles (8 scalar accumulators, or 32 columns in YMM registers when the
+// vector kernels are on) while k streams through a tile of b, so the inner
+// loop has no load/store of dst. Per output element the sum still runs over
+// k in increasing order with one accumulator and a separately rounded
+// product — on float64 bitwise-equal to the naive ikj loop, vector or not.
 func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -336,13 +329,8 @@ func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulInto", dst, a, b)
-	if fastF32 {
-		if fa, ok := any(a).(*Mat[float32]); ok {
-			matMulIntoF32(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
-			return
-		}
-	}
 	n := b.Cols
+	tile := matMulTileOf[T]()
 	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
@@ -355,17 +343,18 @@ func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 				if kend > len(arow) {
 					kend = len(arow)
 				}
-				matMulTile(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
+				tile(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
 			}
 		}
 	})
 }
 
 // matMulTile adds ablk · bblk into orow, where ablk is a k-tile of one row
-// of a and bblk the matching rows of b. Columns advance in tiles of 8 with
-// the partial sums pinned in registers; zero a-entries are skipped, which
-// both exploits ReLU sparsity and preserves the historical Inf/NaN
-// behavior of the skip.
+// of a and bblk the matching rows of b — the scalar tile kernel, and the
+// reference matMulTileF64 must equal bit for bit. Columns advance in tiles
+// of 8 with the partial sums pinned in registers; zero a-entries are
+// skipped, which both exploits ReLU sparsity and preserves the historical
+// Inf/NaN behavior of the skip.
 func matMulTile[T Elem](ablk, bblk []T, orow []T, n int) {
 	j := 0
 	for ; j+8 <= n; j += 8 {
@@ -416,7 +405,9 @@ func MatMulT[T Elem](a, b *Mat[T]) *Mat[T] {
 // Four output columns (rows of b) are produced per pass so each element of
 // arow is loaded once per four dot products; every dot product keeps its own
 // single accumulator running over k in increasing order, so float64 results
-// are bitwise-equal to the naive per-column loop.
+// are bitwise-equal to the naive per-column loop. float64 has no vector
+// kernel here: a dot product vectorizes only by splitting its k-sum, which
+// the float64 tier forbids.
 func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -425,7 +416,7 @@ func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	mustNotAlias("MatMulTInto", dst, a, b)
-	if fastF32 {
+	if simdOn {
 		if fa, ok := any(a).(*Mat[float32]); ok {
 			matMulTIntoF32(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
 			return
@@ -471,8 +462,10 @@ func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 //
 // k runs outermost in increasing order (so each dst element accumulates in
 // k order, preserving float64 bitwise stability); within a k step the
-// update of each output row is an unrolled axpy. Work is partitioned over
-// output rows (columns of a) to stay deterministic and race-free.
+// update of each output row is an axpy, vectorized on both tiers when the
+// kernels are on (elements are independent, and the float64 axpy rounds
+// the product before the add like the scalar loop). Work is partitioned
+// over output rows (columns of a) to stay deterministic and race-free.
 func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dim mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -481,12 +474,7 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: TMatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("TMatMulInto", dst, a, b)
-	if fastF32 {
-		if fa, ok := any(a).(*Mat[float32]); ok {
-			tMatMulIntoF32(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
-			return
-		}
-	}
+	axpy := axpyOf[T]()
 	dst.Zero()
 	par.Range(a.Cols, minChunkDense, func(lo, hi int) {
 		for k := 0; k < a.Rows; k++ {
@@ -497,14 +485,15 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 				if av == 0 {
 					continue
 				}
-				axpyUnrolled(av, brow, dst.Row(i))
+				axpy(av, brow, dst.Row(i))
 			}
 		}
 	})
 }
 
-// axpyUnrolled computes y += a*x with a 4-wide unrolled loop. Elements are
-// independent, so unrolling cannot reassociate any sum.
+// axpyUnrolled computes y += a*x with a 4-wide unrolled loop — the scalar
+// axpy of both tiers. Elements are independent, so unrolling cannot
+// reassociate any sum.
 func axpyUnrolled[T Elem](a T, x, y []T) {
 	n := len(y)
 	j := 0
@@ -540,7 +529,7 @@ func MatVecInto[T Elem](a *Mat[T], x, dst []T) {
 	if Overlaps(dst, x) || Overlaps(dst, a.Data) {
 		panic("tensor: MatVecInto dst aliases an operand")
 	}
-	if fastF32 {
+	if simdOn {
 		if fa, ok := any(a).(*Mat[float32]); ok {
 			matVecIntoF32(fa, any(x).([]float32), any(dst).([]float32))
 			return

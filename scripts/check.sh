@@ -27,11 +27,40 @@ go build -tags nofault ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The no-asm stubs (simd_noasm.go) are compiled by nobody on an amd64 CI
+# host; vet the two packages that dispatch to the kernels for arm64 so a
+# signature change in simd_amd64.go cannot leave them behind.
+echo "== GOARCH=arm64 go vet ./internal/tensor ./internal/graph"
+GOARCH=arm64 go vet ./internal/tensor ./internal/graph
+
+# The float64 tier is bitwise equal to the scalar loops only while its
+# vector kernels multiply, round, then add. No fused double-precision
+# multiply-add may appear in the kernel file (the float32 kernels use the
+# ...PS/...SS forms and are not matched).
+echo "== no double-precision FMA in internal/tensor/simd_amd64.s"
+if grep -nE '^[[:space:]]*VFN?M(ADD|SUB)[A-Z0-9]*[PS]D[[:space:]]' internal/tensor/simd_amd64.s; then
+  echo "float64 kernels must not fuse multiply and add"; exit 1
+fi
+
+# The benchmark is its own module, so ./... above does not reach it.
+echo "== go test -C benchmark ./... && go vet -C benchmark ./..."
+go test -C benchmark ./...
+go vet -C benchmark ./...
+
 echo "== gnnlint ./..."
 go run ./cmd/gnnlint ./...
 
 echo "== go test ./..."
 go test ./...
+
+# Second pass with the vector kernels off: the golden fingerprints and the
+# kernel tests must hold on the scalar fallback too — it is what every
+# non-AVX2 host runs and what the vector kernels are compared against.
+# -count=1 because the gate is read at package init, where the test cache
+# does not see the environment.
+echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints)"
+SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph
+SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints' ./internal/models
 
 RACE_PKGS=(
   ./internal/tensor
@@ -140,7 +169,9 @@ grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SERVE_TMP/metrics.prom" || {
 echo "== kernel perf gate (gnnbench -kernels-out + gnnperfgate)"
 KERNELS_TMP=$(mktemp -d)
 trap 'rm -rf "$DIST_TMP" "$SERVE_TMP" "$KERNELS_TMP"' EXIT
-go run ./cmd/gnnbench -quick -kernels-out "$KERNELS_TMP/kernels.json" > /dev/null
+# GOMAXPROCS=1: the baseline counts pooling, and a parallel par.Range adds
+# ~5 allocs per kernel call for its goroutines on any host with 2+ CPUs.
+GOMAXPROCS=1 go run ./cmd/gnnbench -quick -kernels-out "$KERNELS_TMP/kernels.json" > /dev/null
 go run ./cmd/gnnperfgate -report "$KERNELS_TMP/kernels.json" \
   -baseline scripts/kernel_allocs_baseline.json
 
