@@ -7,8 +7,6 @@
 //	gnnbench -run E5,E12      # run selected experiments
 //	gnnbench -quick           # shrunken workloads (~seconds each)
 //	gnnbench -list            # list experiments
-//	gnnbench -kernels-out BENCH_kernels.json   # kernel microbench report only
-//	gnnbench -dist-out BENCH_dist.json         # distributed-exchange scaling report only
 package main
 
 import (
@@ -31,8 +29,6 @@ func main() {
 		quick       = flag.Bool("quick", false, "run shrunken workloads")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		seed        = flag.Uint64("seed", 42, "base random seed")
-		kernelsOut  = flag.String("kernels-out", "", "run the kernel microbenchmarks, write BENCH_kernels.json-style report here, and exit")
-		distOut     = flag.String("dist-out", "", "run the distributed-exchange scaling bench, write BENCH_dist.json-style report here, and exit")
 		traceOut    = flag.String("trace-out", "", "write the span timeline to this file as JSONL")
 		metricsAddr = flag.String("metrics-addr", "", "serve expvar metrics, /metrics (Prometheus), and pprof on this address (e.g. localhost:6060)")
 		pprofOut    = flag.String("pprof", "", "write a CPU profile of the run to this file")
@@ -65,42 +61,6 @@ func main() {
 	}
 	if addr := sess.Addr(); addr != "" {
 		fmt.Printf("metrics: http://%s/metrics  expvar: http://%s/debug/vars  pprof: http://%s/debug/pprof/\n", addr, addr, addr)
-	}
-
-	if *kernelsOut != "" {
-		results, err := bench.RunKernelBench(*quick, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gnnbench: kernels: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-42s %14.0f ns/op %6d allocs/op %10d B/op\n",
-				r.Name, r.NsPerOp, r.AllocsOp, r.BytesOp)
-		}
-		if err := bench.WriteKernelBenchJSON(*kernelsOut, results); err != nil {
-			fmt.Fprintf(os.Stderr, "gnnbench: kernels: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kernel report: %s\n", *kernelsOut)
-		return
-	}
-
-	if *distOut != "" {
-		results, err := bench.RunDistBench(*quick, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gnnbench: dist: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-34s %8.3f s/epoch %12d wire B %6d stale %6d rounds\n",
-				r.Name, r.EpochSeconds, r.WireBytes, r.StaleHits, r.Rounds)
-		}
-		if err := bench.WriteDistBenchJSON(*distOut, results); err != nil {
-			fmt.Fprintf(os.Stderr, "gnnbench: dist: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("dist report: %s\n", *distOut)
-		return
 	}
 
 	var selected []bench.Experiment

@@ -17,7 +17,7 @@
 //	curl 'localhost:8080/predict?nodes=17,42'
 //	curl -X POST -d '{"source":"ckpts"}' localhost:8080/admin/swap
 //
-//	gnnserve -selftest -bench-out BENCH_serve.json   # offline correctness + load benchmark
+//	gnnserve -selftest   # train, snapshot, restore, verify parity, load-test in-process
 //
 // Requests are traced end-to-end when -trace-out is set: /predict ingests
 // W3C traceparent headers, every request span links to the batch-forward
@@ -91,7 +91,6 @@ func main() {
 		sloWindow     = flag.Duration("slo-window", 60*time.Second, "rolling window the SLO burn rate is computed over")
 		sloBurn       = flag.Float64("slo-burn-threshold", 1.0, "burn rate at or above which /healthz reports degraded")
 		selftest      = flag.Bool("selftest", false, "train, snapshot, restore, verify parity, then load-test in-process")
-		benchOut      = flag.String("bench-out", "BENCH_serve.json", "selftest: write the load-test report here")
 		metricsOut    = flag.String("metrics-out", "", "selftest: scrape /metrics after the load run and write the exposition here")
 		duration      = flag.Duration("duration", 2*time.Second, "selftest: load-generation duration")
 		concurrency   = flag.Int("concurrency", 8, "selftest: closed-loop load workers")
@@ -161,8 +160,8 @@ func main() {
 
 	if *selftest {
 		opts := selftestOpts{
-			benchOut: *benchOut, metricsOut: *metricsOut,
-			duration: *duration, concurrency: *concurrency, slo: *slo,
+			metricsOut: *metricsOut,
+			duration:   *duration, concurrency: *concurrency, slo: *slo,
 		}
 		if err := runSelftest(ctx, ds, *model, *hops, cfg, engCfg, opts); err != nil {
 			fatal("selftest: %v", err)
@@ -299,7 +298,6 @@ func warm(m models.NodeScorer) error {
 
 // selftestOpts bundles the selftest-only knobs.
 type selftestOpts struct {
-	benchOut    string
 	metricsOut  string
 	duration    time.Duration
 	concurrency int
@@ -308,8 +306,8 @@ type selftestOpts struct {
 
 // runSelftest is the offline gate behind scripts/check.sh's serve smoke
 // test: train → snapshot → restore → verify the served path is byte-equal
-// to offline Predict → serve over HTTP → hot-swap once → load-test and
-// write the benchmark report. It then exercises the telemetry surface:
+// to offline Predict → serve over HTTP → load-test → hot-swap once. It
+// then exercises the telemetry surface:
 // /metrics must parse as strict Prometheus text with serve.request_seconds
 // buckets, an inbound traceparent must be honored end-to-end, the span
 // timeline must carry trace ids and request↔batch links (when tracing is
@@ -401,10 +399,6 @@ func runSelftest(ctx context.Context, ds *dataset.Dataset, model string, hops in
 	if err != nil {
 		return fmt.Errorf("loadgen: %w", err)
 	}
-	res.Label = "selftest"
-	res.WindowMicros = float64(engCfg.Window.Nanoseconds()) / 1e3
-	res.MaxBatch = engCfg.MaxBatch
-	res.CacheSize = engCfg.CacheSize
 	st := eng.Stats()
 	if st.CacheHits+st.CacheMisses > 0 {
 		res.CacheHitRate = float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
@@ -441,9 +435,6 @@ func runSelftest(ctx context.Context, ds *dataset.Dataset, model string, hops in
 		return err
 	}
 
-	if err := serve.WriteBenchJSON(opts.benchOut, []*serve.LoadResult{res}); err != nil {
-		return err
-	}
 	verdict := "met"
 	if !res.SLOMet {
 		verdict = "MISSED (informational)"
@@ -454,7 +445,6 @@ func runSelftest(ctx context.Context, ds *dataset.Dataset, model string, hops in
 		"slo_ms", fmt.Sprintf("%.0f", res.SLOMs), "slo", verdict,
 		"cache_hit_rate", fmt.Sprintf("%.0f%%", res.CacheHitRate*100),
 	)
-	logger.Info("selftest: report written", "path", opts.benchOut)
 	return nil
 }
 

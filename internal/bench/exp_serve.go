@@ -123,9 +123,6 @@ func serveOnce(m serve.Model, n int, window time.Duration, cache, workers int,
 	if res.Errors > 0 {
 		return nil, 0, "", fmt.Errorf("load run saw %d request errors", res.Errors)
 	}
-	res.WindowMicros = float64(window.Nanoseconds()) / 1e3
-	res.MaxBatch = 256
-	res.CacheSize = cache
 	st := eng.Stats()
 	if st.CacheHits+st.CacheMisses > 0 {
 		res.CacheHitRate = float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)

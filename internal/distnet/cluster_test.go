@@ -97,11 +97,13 @@ func fixture(n, k int) (*graph.CSR, *partition.Assignment, *tensor.Matrix) {
 
 // TestHookApplyBitwiseIdentical: ApplyInto through the distributed hook
 // (owned rows computed locally, the rest received over unix sockets) must
-// be bitwise identical to the plain single-process ApplyInto, for 2 and 3
-// shards.
+// be bitwise identical to the plain single-process ApplyInto, for 2, 3 and
+// 4 shards — and must have got there by moving frame bytes in exchange
+// rounds on every shard, not by computing all rows locally.
 func TestHookApplyBitwiseIdentical(t *testing.T) {
-	for _, k := range []int{2, 3} {
+	for _, k := range []int{2, 3, 4} {
 		cs := startClusters(t, k, nil)
+		sent0, _ := WireBytes()
 		results := make([]*tensor.Matrix, k)
 		eachShard(t, cs, func(c *Cluster) (err error) {
 			defer recoverExchange(&err)
@@ -128,9 +130,16 @@ func TestHookApplyBitwiseIdentical(t *testing.T) {
 				}
 			}
 		}
+		if sent1, _ := WireBytes(); sent1 <= sent0 {
+			t.Fatalf("k=%d: no wire traffic (sent %d -> %d bytes)", k, sent0, sent1)
+		}
 		for _, c := range cs {
-			if s := c.Stats(); s.StaleHits != 0 {
+			s := c.Stats()
+			if s.StaleHits != 0 {
 				t.Fatalf("sync-mode run recorded %d stale hits", s.StaleHits)
+			}
+			if s.Rounds == 0 {
+				t.Fatalf("k=%d shard %d: no exchange round completed", k, c.Shard())
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,10 +53,11 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 // max(endpoint)+1 and the graph is undirected.
 //
 // Malformed input fails with a positional error rather than loading a
-// silently wrong graph: negative or overflowing node ids, ids outside the
-// header's declared range, and a final line cut off without its newline
-// (the signature of a truncated download or torn copy — WriteEdgeList
-// always terminates the file with one) are all rejected.
+// silently wrong graph: negative node ids, ids or a declared node count
+// that do not fit the CSR's int32 targets, ids outside the header's
+// declared range, NaN or infinite weights, and a final line cut off without
+// its newline (the signature of a truncated download or torn copy —
+// WriteEdgeList always terminates the file with one) are all rejected.
 func ReadEdgeList(r io.Reader) (*CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	n := -1
@@ -87,10 +89,15 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 			if strings.HasPrefix(line, "# nodes ") {
 				var d bool
 				var nn int
-				if _, err := fmt.Sscanf(line, "# nodes %d directed %t", &nn, &d); err == nil {
-					if nn < 0 {
-						return nil, fmt.Errorf("graph: line %d: header declares negative node count %d", lineNo, nn)
-					}
+				// The count is checked as soon as it parses, so a header cut
+				// short after it cannot pass an absurd count off as a comment.
+				k, _ := fmt.Sscanf(line, "# nodes %d directed %t", &nn, &d)
+				switch {
+				case k >= 1 && nn < 0:
+					return nil, fmt.Errorf("graph: line %d: header declares negative node count %d", lineNo, nn)
+				case k >= 1 && nn > math.MaxInt32:
+					return nil, fmt.Errorf("graph: line %d: header declares %d nodes, more than int32 node ids can address", lineNo, nn)
+				case k == 2:
 					n, directed = nn, d
 				}
 			}
@@ -111,6 +118,11 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative node id in edge (%d,%d)", lineNo, u, v)
 		}
+		// CSR.Adj is []int32: a larger id must fail here, not wrap (or size
+		// an allocation) in Build.
+		if u > math.MaxInt32 || v > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: line %d: node id past int32 in edge (%d,%d)", lineNo, u, v)
+		}
 		if n >= 0 && (u >= n || v >= n) {
 			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) outside declared range [0,%d)", lineNo, u, v, n)
 		}
@@ -119,6 +131,9 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %w", lineNo, err)
+			}
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: line %d: non-finite weight %q", lineNo, fields[2])
 			}
 		}
 		if u > maxID {

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,6 +108,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"overflowing id", "0 99999999999999999999999999\n", "bad target"},
 		{"id outside declared range", "# nodes 3 directed false\n0 1\n1 5\n", "outside declared range [0,3)"},
 		{"negative header count", "# nodes -4 directed false\n0 1\n", "negative node count"},
+		{"id past int32", "2147483648 0\n", "line 1: node id past int32"},
+		{"header count past int32", "# nodes 99999999999\n", "line 1: header declares 99999999999 nodes"},
+		{"NaN weight", "0 1 NaN\n", "line 1: non-finite weight"},
+		{"infinite weight", "0 1\n0 2 -Inf\n", "line 2: non-finite weight"},
 		{"truncated final line", "0 1\n1 2", "truncated final line"},
 		{"truncated after weight", "0 1 0.5\n2 3 0.", "truncated final line"},
 	}
@@ -128,4 +135,80 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if g.N != 1000000 {
 		t.Errorf("inferred n = %d", g.N)
 	}
+}
+
+// FuzzReadEdgeList: the reader never panics on arbitrary bytes, and a graph
+// it accepts comes back unchanged from WriteEdgeList -> ReadEdgeList.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"# scalegnn edgelist v1\n# nodes 4 directed false\n0 1\n1 2 0.5\n2 3\n",
+		"0 1\n# nodes 3 directed true\n1 2\n", // header after edges
+		"0 1\n1 2",                            // truncated last line
+		"2147483648 0\n",
+		"# nodes 99999999999\n",
+		"0 1 NaN\n",
+		// Parallel edges that cancel: Build sums them to w(0,1)=15, w(1,0)=12.
+		"0 1 3\n0 1 3\n0 1 3\n0 1 3\n0 1 -1e16\n0 1 1e16\n0 1 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if namesHugeGraph(data) {
+			t.Skip()
+		}
+		g, err := ReadEdgeList(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, w := range g.Weights {
+			if math.IsInf(w, 0) {
+				// Parallel edges are merged by summing, which can overflow;
+				// the reader rejects the infinity the writer would emit.
+				t.Skip()
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("re-reading the written graph: %v", err)
+		}
+		// Weights are compared on the arcs the writer emits (u <= v when
+		// undirected), not slice against slice: Builder sums parallel edges
+		// in sort order, which can differ between (u,v) and (v,u), so the
+		// two arcs of a many-times-repeated edge may disagree in g (last
+		// seed) and cannot in g2.
+		written := (*CSR).Edges
+		if g.Undirected() {
+			written = (*CSR).UndirectedEdges
+		}
+		if g2.N != g.N || g2.Undirected() != g.Undirected() || !slices.Equal(g2.Offsets, g.Offsets) ||
+			!slices.Equal(g2.Adj, g.Adj) || !slices.Equal(written(g2), written(g)) {
+			t.Fatalf("round trip changed the graph\n in: %+v\nout: %+v", g, g2)
+		}
+	})
+}
+
+// namesHugeGraph reports whether data holds a number the reader would accept
+// as a node id or count and size its offsets array by: a digit run valued in
+// (1<<20, MaxInt32]. Larger numbers are rejected before anything is
+// allocated, so those inputs stay in.
+func namesHugeGraph(data []byte) bool {
+	for i := 0; i < len(data); {
+		j := i
+		for j < len(data) && '0' <= data[j] && data[j] <= '9' {
+			j++
+		}
+		if j == i {
+			i++
+			continue
+		}
+		if v, err := strconv.ParseUint(string(data[i:j]), 10, 64); err == nil && v > 1<<20 && v <= math.MaxInt32 {
+			return true
+		}
+		i = j
+	}
+	return false
 }

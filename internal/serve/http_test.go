@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -254,7 +253,7 @@ func TestHTTPSwap(t *testing.T) {
 }
 
 // TestLoadGen runs the closed-loop generator against a live server and
-// checks the BENCH_serve.json it feeds.
+// checks the result is plausible.
 func TestLoadGen(t *testing.T) {
 	e := NewEngine(Config{Window: 100 * time.Microsecond, CacheSize: 256})
 	defer e.Close()
@@ -281,25 +280,6 @@ func TestLoadGen(t *testing.T) {
 	}
 	if !res.SLOMet {
 		t.Logf("warning: p99 %.2fms over the %.0fms test SLO (loaded CI machine?)", res.P99Ms, res.SLOMs)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := WriteBenchJSON(path, []*LoadResult{res}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 {
-		t.Fatal("empty BENCH_serve.json")
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bench != "serve" || len(rep.Results) != 1 || rep.Results[0].Requests != res.Requests {
-		t.Fatalf("report = %+v", rep)
 	}
 
 	// Misconfiguration errors.

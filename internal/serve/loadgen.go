@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -32,29 +31,19 @@ type LoadConfig struct {
 	Seed uint64
 }
 
-// LoadResult is one load-generation run, shaped for BENCH_serve.json.
-// Label, WindowMicros, MaxBatch, CacheSize, and CacheHitRate describe the
-// engine configuration under test and are filled by the caller.
+// LoadResult is one load-generation run. CacheHitRate describes the engine
+// under test and is filled by the caller.
 type LoadResult struct {
-	Label        string  `json:"label,omitempty"`
-	Model        string  `json:"model,omitempty"`
-	Nodes        int     `json:"nodes"`
-	Concurrency  int     `json:"concurrency"`
-	BatchPerReq  int     `json:"batch_per_request"`
-	WindowMicros float64 `json:"window_us"`
-	MaxBatch     int     `json:"max_batch"`
-	CacheSize    int     `json:"cache_size"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	DurationSec  float64 `json:"duration_sec"`
-	Requests     int64   `json:"requests"`
-	Errors       int64   `json:"errors"`
-	QPS          float64 `json:"qps"`
-	P50Ms        float64 `json:"p50_ms"`
-	P90Ms        float64 `json:"p90_ms"`
-	P99Ms        float64 `json:"p99_ms"`
-	MaxMs        float64 `json:"max_ms"`
-	SLOMs        float64 `json:"slo_ms"`
-	SLOMet       bool    `json:"slo_met"`
+	Model        string
+	CacheHitRate float64
+	Requests     int64
+	Errors       int64
+	QPS          float64
+	P50Ms        float64
+	P99Ms        float64
+	MaxMs        float64
+	SLOMs        float64
+	SLOMet       bool
 }
 
 // RunLoad hammers cfg.BaseURL/predict with uniformly random node ids and
@@ -148,19 +137,14 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 	sort.Float64s(lats)
 	res := &LoadResult{
-		Model:       model,
-		Nodes:       cfg.Nodes,
-		Concurrency: workers,
-		BatchPerReq: batch,
-		DurationSec: elapsed.Seconds(),
-		Requests:    int64(len(lats)),
-		Errors:      errs,
-		QPS:         float64(len(lats)) / elapsed.Seconds(),
-		P50Ms:       quantileSorted(lats, 0.50),
-		P90Ms:       quantileSorted(lats, 0.90),
-		P99Ms:       quantileSorted(lats, 0.99),
-		MaxMs:       lats[len(lats)-1],
-		SLOMs:       float64(cfg.SLO.Nanoseconds()) / 1e6,
+		Model:    model,
+		Requests: int64(len(lats)),
+		Errors:   errs,
+		QPS:      float64(len(lats)) / elapsed.Seconds(),
+		P50Ms:    quantileSorted(lats, 0.50),
+		P99Ms:    quantileSorted(lats, 0.99),
+		MaxMs:    lats[len(lats)-1],
+		SLOMs:    float64(cfg.SLO.Nanoseconds()) / 1e6,
 	}
 	res.SLOMet = cfg.SLO <= 0 || res.P99Ms <= res.SLOMs
 	return res, nil
@@ -216,23 +200,4 @@ func quantileSorted(sorted []float64, q float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// BenchReport is the BENCH_serve.json document.
-type BenchReport struct {
-	Bench   string        `json:"bench"`
-	Results []*LoadResult `json:"results"`
-}
-
-// WriteBenchJSON writes the machine-readable serving benchmark report.
-func WriteBenchJSON(path string, results []*LoadResult) error {
-	data, err := json.MarshalIndent(BenchReport{Bench: "serve", Results: results}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: bench report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("serve: bench report: %w", err)
-	}
-	return nil
 }

@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One scratch root for everything the smoke steps write (binary, sockets,
+# trace, scrape), removed however the script exits.
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
+
 # Tracked-file size gate: a built binary committed by accident (a 10.8 MB
 # gnntrain ELF once was) fails here instead of riding along in every clone.
 echo "== tracked files <= 1 MB"
@@ -42,10 +47,12 @@ if grep -nE '^[[:space:]]*VFN?M(ADD|SUB)[A-Z0-9]*[PS]D[[:space:]]' internal/tens
   echo "float64 kernels must not fuse multiply and add"; exit 1
 fi
 
-# The benchmark is its own module, so ./... above does not reach it.
-echo "== go test -C benchmark ./... && go vet -C benchmark ./..."
+# The benchmark is its own module, so ./... above and the gnnlint run
+# below do not reach it.
+echo "== benchmark module: go test, go vet, gnnlint"
 go test -C benchmark ./...
 go vet -C benchmark ./...
+(cd benchmark && go run scalegnn/cmd/gnnlint ./...)
 
 echo "== gnnlint ./..."
 go run ./cmd/gnnlint ./...
@@ -76,7 +83,6 @@ RACE_PKGS=(
   ./internal/distsim
   ./internal/distnet
   ./internal/serve
-  ./internal/bench
 )
 # Race-list sync gate: any internal/ package that spawns goroutines
 # directly carries a //lint:ignore naked-go suppression per allowed site;
@@ -114,25 +120,23 @@ go test -race -count=1 -run 'TestCrash' ./cmd/gnntrain
 # must produce prediction fingerprints bitwise identical to the
 # single-process run, with zero stale substitutions (strict sync mode).
 echo "== distributed smoke (2-shard gnntrain vs single-process fingerprint)"
-DIST_TMP=$(mktemp -d)
-trap 'rm -rf "$DIST_TMP"' EXIT
-go build -o "$DIST_TMP/gnntrain" ./cmd/gnntrain
+go build -o "$SCRATCH/gnntrain" ./cmd/gnntrain
 DIST_ARGS=(-model gcn -nodes 300 -epochs 4 -patience 0 -seed 9 -fingerprint)
-"$DIST_TMP/gnntrain" "${DIST_ARGS[@]}" 2>/dev/null > "$DIST_TMP/single.out"
-PEERS="unix:$DIST_TMP/s0.sock,unix:$DIST_TMP/s1.sock"
-"$DIST_TMP/gnntrain" "${DIST_ARGS[@]}" -shard 0/2 -peers "$PEERS" \
-  2>/dev/null > "$DIST_TMP/shard0.out" &
+"$SCRATCH/gnntrain" "${DIST_ARGS[@]}" 2>/dev/null > "$SCRATCH/single.out"
+PEERS="unix:$SCRATCH/s0.sock,unix:$SCRATCH/s1.sock"
+"$SCRATCH/gnntrain" "${DIST_ARGS[@]}" -shard 0/2 -peers "$PEERS" \
+  2>/dev/null > "$SCRATCH/shard0.out" &
 DIST_PID=$!
-"$DIST_TMP/gnntrain" "${DIST_ARGS[@]}" -shard 1/2 -peers "$PEERS" \
-  2>/dev/null > "$DIST_TMP/shard1.out"
+"$SCRATCH/gnntrain" "${DIST_ARGS[@]}" -shard 1/2 -peers "$PEERS" \
+  2>/dev/null > "$SCRATCH/shard1.out"
 wait "$DIST_PID"
-FP_SINGLE=$(grep -o 'fingerprint=[0-9a-f]*' "$DIST_TMP/single.out")
-FP_S0=$(grep -o 'fingerprint=[0-9a-f]*' "$DIST_TMP/shard0.out")
-FP_S1=$(grep -o 'fingerprint=[0-9a-f]*' "$DIST_TMP/shard1.out")
+FP_SINGLE=$(grep -o 'fingerprint=[0-9a-f]*' "$SCRATCH/single.out")
+FP_S0=$(grep -o 'fingerprint=[0-9a-f]*' "$SCRATCH/shard0.out")
+FP_S1=$(grep -o 'fingerprint=[0-9a-f]*' "$SCRATCH/shard1.out")
 [ -n "$FP_SINGLE" ] && [ "$FP_S0" = "$FP_SINGLE" ] && [ "$FP_S1" = "$FP_SINGLE" ] || {
   echo "distributed smoke failed: fingerprints diverge"
   echo "  single: $FP_SINGLE  shard0: $FP_S0  shard1: $FP_S1"; exit 1; }
-grep -q 'stale_hits=0' "$DIST_TMP/shard0.out" && grep -q 'stale_hits=0' "$DIST_TMP/shard1.out" || {
+grep -q 'stale_hits=0' "$SCRATCH/shard0.out" && grep -q 'stale_hits=0' "$SCRATCH/shard1.out" || {
   echo "distributed smoke failed: sync mode reported stale substitutions"; exit 1; }
 echo "   fingerprints match: $FP_SINGLE (2 shards, sync, 0 stale)"
 
@@ -140,55 +144,20 @@ echo "   fingerprints match: $FP_SINGLE (2 shards, sync, 0 stale)"
 # verifies the served path answers byte-equal to offline Predict, hot-swaps
 # once, scrapes and validates /metrics, round-trips an inbound traceparent,
 # verifies request-span/batch-span links, degrades /healthz under injected
-# latency, and load-tests over real HTTP. The report must land non-empty —
-# a served-prediction mismatch or any request error fails the run — and the
-# trace timeline and Prometheus scrape must carry the request-scoped fields.
+# latency, and load-tests over real HTTP. A served-prediction mismatch or
+# any request error fails the run, and the trace timeline and Prometheus
+# scrape must carry the request-scoped fields.
 echo "== serve smoke (gnnserve -selftest)"
-SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$DIST_TMP" "$SERVE_TMP"' EXIT
 go run ./cmd/gnnserve -selftest -nodes 2000 -epochs 5 -duration 500ms \
-  -bench-out "$SERVE_TMP/BENCH_serve.json" \
-  -trace-out "$SERVE_TMP/trace.jsonl" \
-  -metrics-out "$SERVE_TMP/metrics.prom"
-[ -s "$SERVE_TMP/BENCH_serve.json" ] || {
-  echo "serve smoke failed: BENCH_serve.json missing or empty"; exit 1; }
-grep -q '"trace_id"' "$SERVE_TMP/trace.jsonl" || {
+  -trace-out "$SCRATCH/trace.jsonl" \
+  -metrics-out "$SCRATCH/metrics.prom"
+grep -q '"trace_id"' "$SCRATCH/trace.jsonl" || {
   echo "serve smoke failed: trace.jsonl has no trace_id fields"; exit 1; }
-grep -q '"links"' "$SERVE_TMP/trace.jsonl" || {
+grep -q '"links"' "$SCRATCH/trace.jsonl" || {
   echo "serve smoke failed: trace.jsonl has no span links"; exit 1; }
-grep -q 'serve.batch_forward' "$SERVE_TMP/trace.jsonl" || {
+grep -q 'serve.batch_forward' "$SCRATCH/trace.jsonl" || {
   echo "serve smoke failed: trace.jsonl has no batch-forward spans"; exit 1; }
-grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SERVE_TMP/metrics.prom" || {
+grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SCRATCH/metrics.prom" || {
   echo "serve smoke failed: metrics.prom missing request latency histogram"; exit 1; }
-
-# Kernel perf-regression gate: run the kernel microbench suite at quick
-# scale and compare allocs/op against the checked-in baseline. The *Into
-# kernels are pool-backed — a pooling regression (per-row buffer, FromSlice
-# in the hot loop) shows up as tens-to-thousands of allocs/op and fails
-# here; ns/op is machine-dependent and intentionally not gated.
-echo "== kernel perf gate (gnnbench -kernels-out + gnnperfgate)"
-KERNELS_TMP=$(mktemp -d)
-trap 'rm -rf "$DIST_TMP" "$SERVE_TMP" "$KERNELS_TMP"' EXIT
-# GOMAXPROCS=1: the baseline counts pooling, and a parallel par.Range adds
-# ~5 allocs per kernel call for its goroutines on any host with 2+ CPUs.
-GOMAXPROCS=1 go run ./cmd/gnnbench -quick -kernels-out "$KERNELS_TMP/kernels.json" > /dev/null
-go run ./cmd/gnnperfgate -report "$KERNELS_TMP/kernels.json" \
-  -baseline scripts/kernel_allocs_baseline.json
-
-# Trace-overhead guard: the disabled tracer's fast path must stay free of
-# allocations (DESIGN.md "Observability", overhead contract). Any allocation
-# on a disabled span or unbound counter ref means every instrumentation
-# point in the hot path pays it — fail loudly.
-echo "== trace-overhead guard (BenchmarkSpanDisabled*, BenchmarkRequestSpanDisabled, BenchmarkCounterRefDisabled)"
-BENCH_OUT=$(go test ./internal/obs -run '^$' \
-  -bench 'BenchmarkSpanDisabled|BenchmarkCounterRefDisabled|BenchmarkRequestSpanDisabled' -benchmem -benchtime 100000x)
-echo "$BENCH_OUT"
-echo "$BENCH_OUT" | awk '
-  /^Benchmark/ {
-    allocs = $(NF-1)
-    if (allocs + 0 != 0) { bad = 1; print "FAIL: " $1 " allocates (" allocs " allocs/op)" }
-  }
-  END { exit bad }
-' || { echo "trace-overhead guard failed: disabled observability must be allocation-free"; exit 1; }
 
 echo "All checks passed."
