@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scalegnn/internal/dataset"
-	"scalegnn/internal/distsim"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/models"
 	"scalegnn/internal/partition"
@@ -27,7 +26,7 @@ func runE19(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcfg := distsim.DefaultConfig(64)
+	dcfg := partition.DefaultCostConfig(64)
 	t := &Table{
 		ID: "E19", Title: fmt.Sprintf("Simulated synchronous data-parallel epoch (SBM n=%d, 64-dim features, 100 GbE model)", n),
 		Claim:  "partition quality decides whether adding workers helps: low-cut partitions keep communication off the critical path; hash partitions saturate on the network (§3.1.4/§3.4.3)",
@@ -51,11 +50,11 @@ func runE19(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s k=%d: %w", m.name, k, err)
 			}
-			rep, err := distsim.Simulate(g, a, dcfg)
+			rep, err := partition.Simulate(g, a, dcfg)
 			if err != nil {
 				return nil, err
 			}
-			sp, err := distsim.Speedup(g, a, dcfg)
+			sp, err := partition.Speedup(g, a, dcfg)
 			if err != nil {
 				return nil, err
 			}

@@ -65,13 +65,13 @@ func TestFloat32BlockRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeV1 serializes a float64-only snapshot in the pre-dtype version-1
-// layout: identical to version 2 except the per-block header has no dtype
-// byte and every payload is float64.
-func encodeV1(s *Snapshot) []byte {
+// encodeLegacy serializes a float64-only snapshot in one of the two layouts
+// Encode no longer writes: version 2 is version 3 without the auxiliary
+// blob; version 1 additionally has no per-block dtype byte.
+func encodeLegacy(s *Snapshot, version uint32) []byte {
 	var buf []byte
 	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, versionV1)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Fingerprint)
 	for _, v := range [...]int{s.Epoch, s.Batch, s.OptStep, s.BestEpoch, s.PatienceAnchor} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
@@ -83,6 +83,9 @@ func encodeV1(s *Snapshot) []byte {
 	for _, b := range s.Blocks {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Name)))
 		buf = append(buf, b.Name...)
+		if version >= versionV2 {
+			buf = append(buf, byte(Float64))
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Rows))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Cols))
 		for _, v := range b.Data {
@@ -98,7 +101,7 @@ func encodeV1(s *Snapshot) []byte {
 // Float64 and payloads intact.
 func TestDecodeV1PreDtypeSnapshot(t *testing.T) {
 	want := sampleSnapshot(0xfeedface)
-	got, err := Decode(encodeV1(want))
+	got, err := Decode(encodeLegacy(want, versionV1))
 	if err != nil {
 		t.Fatalf("v1 decode: %v", err)
 	}

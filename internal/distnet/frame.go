@@ -262,8 +262,10 @@ func decodeRows(f frame) (*rowsMsg, error) {
 	if dtype == 1 {
 		elem = 4
 	}
-	if len(p) != rows*(4+cols*elem) {
-		return nil, fmt.Errorf("%w: rows body %d bytes, want %d", errCorrupt, len(p), rows*(4+cols*elem))
+	// rows is bounded by the body first: the product alone can wrap to
+	// len(p) for a row count the body cannot hold.
+	if rows > len(p)/4 || len(p) != rows*(4+cols*elem) {
+		return nil, fmt.Errorf("%w: rows body %d bytes for %d rows of %d columns", errCorrupt, len(p), rows, cols)
 	}
 	b := &RowBlock{Cols: cols, IDs: make([]int32, rows)}
 	if dtype == 1 {

@@ -11,7 +11,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -154,70 +156,85 @@ func (b *Builder) AddWeightedEdge(u, v int, w float64) {
 	b.edges = append(b.edges, Edge{U: u, V: v, W: w})
 }
 
-// NumPending returns the number of edges recorded so far (before dedup).
-func (b *Builder) NumPending() int { return len(b.edges) }
-
 // Build validates and finalizes the CSR. Endpoints must lie in [0, N).
-// Parallel edges are merged by summing weights; the result is unweighted
-// (nil Weights) only if every merged weight is exactly 1.
+// Parallel edges are merged by summing weights in insertion order; the
+// result is unweighted (nil Weights) only if every merged weight is
+// exactly 1.
 func (b *Builder) Build() (*CSR, error) {
 	for _, e := range b.edges {
 		if e.U < 0 || e.U >= b.N || e.V < 0 || e.V >= b.N {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, b.N)
 		}
 	}
-	// Materialize arcs: undirected graphs get both directions.
-	arcs := make([]Edge, 0, len(b.edges)*2)
-	for _, e := range b.edges {
+	// One record per input edge. An undirected edge is keyed by its
+	// canonical (min,max) endpoints and summed once, in insertion order, so
+	// its two arcs carry the same weight whichever way round its parallel
+	// copies were written.
+	type keyed struct {
+		Edge
+		at int // insertion index: the tie-break that fixes the summation order
+	}
+	es := make([]keyed, 0, len(b.edges))
+	for i, e := range b.edges {
 		if e.U == e.V && !b.KeepSelfLoops {
 			continue
 		}
-		arcs = append(arcs, e)
-		if !b.Directed && e.U != e.V {
-			arcs = append(arcs, Edge{U: e.V, V: e.U, W: e.W})
+		if !b.Directed && e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
+		es = append(es, keyed{e, i})
 	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].U != arcs[j].U {
-			return arcs[i].U < arcs[j].U
+	slices.SortFunc(es, func(x, y keyed) int {
+		if c := cmp.Compare(x.U, y.U); c != 0 {
+			return c
 		}
-		return arcs[i].V < arcs[j].V
+		if c := cmp.Compare(x.V, y.V); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.at, y.at)
 	})
-	// Merge duplicates.
-	merged := arcs[:0]
-	for _, a := range arcs {
-		if n := len(merged); n > 0 && merged[n-1].U == a.U && merged[n-1].V == a.V {
-			merged[n-1].W += a.W
+	merged := es[:0]
+	for _, e := range es {
+		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
+			merged[n-1].W += e.W
 			continue
 		}
-		merged = append(merged, a)
+		merged = append(merged, e)
 	}
 
-	g := &CSR{
-		N:          b.N,
-		Offsets:    make([]int64, b.N+1),
-		Adj:        make([]int32, len(merged)),
-		undirected: !b.Directed,
-	}
+	g := &CSR{N: b.N, Offsets: make([]int64, b.N+1), undirected: !b.Directed}
+	mirrored := func(e keyed) bool { return !b.Directed && e.U != e.V }
 	weighted := false
-	for _, a := range merged {
-		if a.W != 1 {
-			weighted = true
-			break
+	for _, e := range merged {
+		g.Offsets[e.U+1]++
+		if mirrored(e) {
+			g.Offsets[e.V+1]++
 		}
-	}
-	if weighted {
-		g.Weights = make([]float64, len(merged))
-	}
-	for i, a := range merged {
-		g.Offsets[a.U+1]++
-		g.Adj[i] = int32(a.V)
-		if weighted {
-			g.Weights[i] = a.W
-		}
+		weighted = weighted || e.W != 1
 	}
 	for u := 0; u < b.N; u++ {
 		g.Offsets[u+1] += g.Offsets[u]
+	}
+	g.Adj = make([]int32, g.Offsets[b.N])
+	if weighted {
+		g.Weights = make([]float64, len(g.Adj))
+	}
+	// merged is sorted by (U,V) with U <= V on mirrored edges, so row x
+	// receives its smaller neighbours (as V, while the groups U < x pass)
+	// before its larger ones (as U, in V order): every row comes out sorted.
+	next := slices.Clone(g.Offsets[:b.N])
+	put := func(u, v int, w float64) {
+		g.Adj[next[u]] = int32(v)
+		if weighted {
+			g.Weights[next[u]] = w
+		}
+		next[u]++
+	}
+	for _, e := range merged {
+		put(e.U, e.V, e.W)
+		if mirrored(e) {
+			put(e.V, e.U, e.W)
+		}
 	}
 	return g, nil
 }

@@ -64,6 +64,21 @@ func TestBuilderDedupAndSelfLoops(t *testing.T) {
 	}
 }
 
+// Parallel copies of an undirected edge are summed once, in insertion order
+// whichever way round each was written, and both arcs carry that sum. These
+// weights cancel, so any other order gives a different answer (summing the
+// two directions separately once gave 15 and 12).
+func TestBuilderSumsParallelEdgesOnce(t *testing.T) {
+	b := NewBuilder(2)
+	for i, w := range []float64{3, 3, 3, 3, -1e16, 1e16, 1} {
+		b.AddWeightedEdge(i%2, 1-i%2, w)
+	}
+	g := b.MustBuild()
+	if w01, w10 := g.Weights[0], g.Weights[1]; w01 != 13 || w10 != 13 {
+		t.Fatalf("w(0,1) = %v, w(1,0) = %v, want 13 both", w01, w10)
+	}
+}
+
 func TestDirectedBuilder(t *testing.T) {
 	b := NewBuilder(3)
 	b.Directed = true

@@ -154,9 +154,6 @@ func (ix *Index) Query(s, t int) (int, error) {
 	return ix.mergeQuery(ix.labels[s], ix.labels[t]), nil
 }
 
-// LabelSize returns the number of label entries of node u.
-func (ix *Index) LabelSize(u int) int { return len(ix.labels[u]) }
-
 // TotalEntries returns the total label entries across all nodes — the index
 // size measure reported in the E7 experiment.
 func (ix *Index) TotalEntries() int {

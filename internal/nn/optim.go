@@ -30,9 +30,6 @@ type SGD = SGDOf[float64]
 // NewSGD constructs a float64 SGD optimizer.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
-// NewSGDOf constructs an SGD optimizer for any element type.
-func NewSGDOf[T tensor.Elem](lr float64) *SGDOf[T] { return &SGDOf[T]{LR: lr} }
-
 // Step applies one descent update and zeroes gradients.
 func (o *SGDOf[T]) Step(params []*ParamOf[T]) {
 	for _, p := range params {

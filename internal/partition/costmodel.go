@@ -1,9 +1,17 @@
-// Package distsim simulates synchronous distributed GNN training costs —
-// the §3.4.3 "scalable training schemes and systems" direction, reproduced
-// per DESIGN.md's substitution rule: no cluster is available, so the
-// per-epoch makespan of data-parallel full-graph training is modeled from
-// the partition's measurable properties, the way ADGNN/G3/SANCUS-style
-// systems reason about placement.
+package partition
+
+import (
+	"fmt"
+
+	"scalegnn/internal/graph"
+)
+
+// The synchronous distributed-training cost model of experiment E19 — the
+// §3.4.3 "scalable training schemes and systems" direction, reproduced per
+// DESIGN.md's substitution rule: no cluster is available, so the per-epoch
+// makespan of data-parallel full-graph training is modeled from the
+// partition's measurable properties, the way ADGNN/G3/SANCUS-style systems
+// reason about placement.
 //
 // Model (per epoch, per layer): every worker aggregates over its local
 // arcs, applies the dense transform to its local nodes, and exchanges
@@ -15,17 +23,9 @@
 //
 // The absolute constants are arbitrary; the claims under test are the
 // *ratios* between partitioners and worker counts.
-package distsim
 
-import (
-	"fmt"
-
-	"scalegnn/internal/graph"
-	"scalegnn/internal/partition"
-)
-
-// Config sets the cost-model constants.
-type Config struct {
+// CostConfig sets the cost-model constants.
+type CostConfig struct {
 	FeatureDim  int     // feature width exchanged per boundary node
 	WorkerGFLO  float64 // worker compute throughput, GFLOP/s
 	BandwidthGB float64 // interconnect bandwidth per worker, GB/s
@@ -34,9 +34,9 @@ type Config struct {
 	Layers      int
 }
 
-// DefaultConfig models a modest CPU cluster on a 100 GbE interconnect.
-func DefaultConfig(featureDim int) Config {
-	return Config{
+// DefaultCostConfig models a modest CPU cluster on a 100 GbE interconnect.
+func DefaultCostConfig(featureDim int) CostConfig {
+	return CostConfig{
 		FeatureDim:  featureDim,
 		WorkerGFLO:  50,
 		BandwidthGB: 12.5, // 100 Gbit/s
@@ -46,15 +46,15 @@ func DefaultConfig(featureDim int) Config {
 	}
 }
 
-func (c Config) validate() error {
+func (c CostConfig) validate() error {
 	if c.FeatureDim < 1 || c.WorkerGFLO <= 0 || c.BandwidthGB <= 0 || c.Layers < 1 || c.FlopPerNode < 0 {
-		return fmt.Errorf("distsim: invalid config %+v", c)
+		return fmt.Errorf("partition: invalid cost config %+v", c)
 	}
 	return nil
 }
 
-// Report is the simulated per-epoch outcome.
-type Report struct {
+// CostReport is the simulated per-epoch outcome.
+type CostReport struct {
 	// MakespanSec is the synchronous per-epoch time (max over workers).
 	MakespanSec float64
 	// ComputeSec / CommSec decompose the critical worker's time.
@@ -68,12 +68,12 @@ type Report struct {
 }
 
 // Simulate evaluates the cost model for a partition assignment.
-func Simulate(g *graph.CSR, a *partition.Assignment, cfg Config) (*Report, error) {
+func Simulate(g *graph.CSR, a *Assignment, cfg CostConfig) (*CostReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(a.Parts) != g.N {
-		return nil, fmt.Errorf("distsim: assignment covers %d of %d nodes", len(a.Parts), g.N)
+		return nil, fmt.Errorf("partition: assignment covers %d of %d nodes", len(a.Parts), g.N)
 	}
 	localArcs := make([]float64, a.K)
 	localNodes := make([]float64, a.K)
@@ -123,7 +123,7 @@ func Simulate(g *graph.CSR, a *partition.Assignment, cfg Config) (*Report, error
 			worstComm = comm
 		}
 	}
-	rep := &Report{
+	rep := &CostReport{
 		MakespanSec:   worst,
 		ComputeSec:    worstCompute,
 		CommSec:       worstComm,
@@ -138,7 +138,7 @@ func Simulate(g *graph.CSR, a *partition.Assignment, cfg Config) (*Report, error
 
 // Speedup returns the simulated speedup of partitioning over a single
 // worker running the whole graph (no communication).
-func Speedup(g *graph.CSR, a *partition.Assignment, cfg Config) (float64, error) {
+func Speedup(g *graph.CSR, a *Assignment, cfg CostConfig) (float64, error) {
 	rep, err := Simulate(g, a, cfg)
 	if err != nil {
 		return 0, err

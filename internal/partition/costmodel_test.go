@@ -1,14 +1,13 @@
-package distsim
+package partition
 
 import (
 	"testing"
 
 	"scalegnn/internal/graph"
-	"scalegnn/internal/partition"
 	"scalegnn/internal/tensor"
 )
 
-func modularGraph(t *testing.T) *graph.CSR {
+func costGraph(t *testing.T) *graph.CSR {
 	t.Helper()
 	g, _, err := graph.SBM(graph.SBMConfig{
 		Nodes: 4000, Blocks: 8, AvgDegree: 12, Homophily: 0.9,
@@ -20,12 +19,12 @@ func modularGraph(t *testing.T) *graph.CSR {
 }
 
 func TestSimulateBasics(t *testing.T) {
-	g := modularGraph(t)
-	a, err := partition.Fennel(g, 8, tensor.NewRand(2))
+	g := costGraph(t)
+	a, err := Fennel(g, 8, tensor.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(g, a, DefaultConfig(64))
+	rep, err := Simulate(g, a, DefaultCostConfig(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +43,19 @@ func TestSimulateBasics(t *testing.T) {
 }
 
 func TestSinglePartitionNoComm(t *testing.T) {
-	g := modularGraph(t)
-	a, err := partition.Hash(g, 1, tensor.NewRand(3))
+	g := costGraph(t)
+	a, err := Hash(g, 1, tensor.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(g, a, DefaultConfig(32))
+	rep, err := Simulate(g, a, DefaultCostConfig(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CommSec != 0 || rep.BoundaryNodes != 0 {
 		t.Errorf("single worker should have zero communication: %+v", rep)
 	}
-	sp, err := Speedup(g, a, DefaultConfig(32))
+	sp, err := Speedup(g, a, DefaultCostConfig(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +68,13 @@ func TestBetterPartitionBetterMakespan(t *testing.T) {
 	// On a modular graph, a structure-aware partition must beat hash in
 	// simulated makespan at equal worker count — the §3.1.4 claim that
 	// partition quality drives distributed training cost.
-	g := modularGraph(t)
-	cfg := DefaultConfig(64)
-	hash, err := partition.Hash(g, 8, tensor.NewRand(4))
+	g := costGraph(t)
+	cfg := DefaultCostConfig(64)
+	hash, err := Hash(g, 8, tensor.NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fennel, err := partition.Fennel(g, 8, tensor.NewRand(4))
+	fennel, err := Fennel(g, 8, tensor.NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +95,11 @@ func TestBetterPartitionBetterMakespan(t *testing.T) {
 }
 
 func TestMoreWorkersLessComputeMoreComm(t *testing.T) {
-	g := modularGraph(t)
-	cfg := DefaultConfig(64)
+	g := costGraph(t)
+	cfg := DefaultCostConfig(64)
 	var prevCompute float64
 	for i, k := range []int{2, 8, 32} {
-		a, err := partition.Fennel(g, k, tensor.NewRand(5))
+		a, err := Fennel(g, k, tensor.NewRand(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,14 +115,14 @@ func TestMoreWorkersLessComputeMoreComm(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	g := modularGraph(t)
-	a, _ := partition.Hash(g, 4, tensor.NewRand(6))
-	bad := DefaultConfig(0)
+	g := costGraph(t)
+	a, _ := Hash(g, 4, tensor.NewRand(6))
+	bad := DefaultCostConfig(0)
 	if _, err := Simulate(g, a, bad); err == nil {
 		t.Error("zero feature dim should error")
 	}
-	short := &partition.Assignment{Parts: []int{0}, K: 1}
-	if _, err := Simulate(g, short, DefaultConfig(16)); err == nil {
+	short := &Assignment{Parts: []int{0}, K: 1}
+	if _, err := Simulate(g, short, DefaultCostConfig(16)); err == nil {
 		t.Error("short assignment should error")
 	}
 }

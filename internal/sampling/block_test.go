@@ -98,6 +98,12 @@ func TestBlockDigests(t *testing.T) {
 			if len(b.Neigh[i]) != len(b.Weight[i]) {
 				t.Fatalf("%s: dst %d has %d neighbours, %d weights", key, i, len(b.Neigh[i]), len(b.Weight[i]))
 			}
+			// A consumer appending to one destination's slice must not
+			// write into the next destination's.
+			if cap(b.Neigh[i]) != len(b.Neigh[i]) || cap(b.Weight[i]) != len(b.Weight[i]) {
+				t.Fatalf("%s: dst %d slices have spare capacity (%d/%d, %d/%d)", key, i,
+					len(b.Neigh[i]), cap(b.Neigh[i]), len(b.Weight[i]), cap(b.Weight[i]))
+			}
 			for _, s := range b.Neigh[i] {
 				if s < 0 || int(s) >= len(b.Srcs) {
 					t.Fatalf("%s: dst %d index %d outside %d srcs", key, i, s, len(b.Srcs))

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"scalegnn/internal/graph"
-	"scalegnn/internal/tensor"
 )
 
 // FastGCNSampler implements layer-level importance sampling: each layer
@@ -19,8 +18,7 @@ type FastGCNSampler struct {
 	G      *graph.CSR
 	Budget int // source nodes per layer
 
-	probs []float64 // q(v), degree-proportional
-	alias aliasTable
+	alias aliasTable // q(v) = deg(v) / arcs
 }
 
 // NewFastGCNSampler precomputes the importance distribution.
@@ -36,46 +34,38 @@ func NewFastGCNSampler(g *graph.CSR, budget int) (*FastGCNSampler, error) {
 	for v := 0; v < g.N; v++ {
 		probs[v] = float64(g.Degree(v)) / total
 	}
-	return &FastGCNSampler{G: g, Budget: budget, probs: probs, alias: newAliasTable(probs)}, nil
+	return &FastGCNSampler{G: g, Budget: budget, alias: newAliasTable(probs)}, nil
 }
 
 // SampleBlock draws `Budget` sources i.i.d. from q (with replacement, as in
-// FastGCN) and wires every destination to its sampled neighbors with
-// Horvitz-Thompson weights 1/(deg(u) · t · q(v)) per draw.
+// FastGCN) and wires every destination to its sampled neighbors.
 func (s *FastGCNSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
 	// Draw the layer-wide sample and count multiplicity.
 	mult := make(map[int32]int, s.Budget)
 	for i := 0; i < s.Budget; i++ {
 		mult[int32(s.alias.draw(rng))]++
 	}
-	t := float64(s.Budget)
-	for i, d := range dsts {
-		ns := s.G.Neighbors(int(d))
-		deg := float64(len(ns))
-		if deg == 0 {
-			continue
-		}
-		for _, v := range ns {
-			m, ok := mult[v]
-			if !ok {
-				continue
-			}
-			w := float64(m) / (deg * t * s.probs[v])
-			b.Neigh[i] = append(b.Neigh[i], um.add(v))
-			b.Weight[i] = append(b.Weight[i], w)
-		}
-	}
-	b.Srcs = um.srcs
-	return b
+	return wireDrawn(s.G, dsts, mult, s.Budget, float64(s.G.NumEdges()))
 }
 
 var _ BlockSampler = (*FastGCNSampler)(nil)
+
+// wireDrawn connects every destination u to those of its neighbours v that
+// the layer-wide draw hit, with the Horvitz-Thompson weight
+// m(v) / (deg(u) · t · q(v)) for t draws of which m(v) landed on v. Both
+// layer-wise samplers draw degree-proportionally, q(v) = deg(v)/qTotal;
+// they differ in the candidate set and hence in qTotal.
+func wireDrawn(g *graph.CSR, dsts []int32, mult map[int32]int, budget int, qTotal float64) *Block {
+	t := float64(budget)
+	return buildBlock(g, dsts, 0, func(bb *blockBuilder, ns []int32) {
+		deg := float64(len(ns))
+		for _, v := range ns {
+			if m, ok := mult[v]; ok {
+				bb.add(v, float64(m)/(deg*t*(float64(g.Degree(int(v)))/qTotal)))
+			}
+		}
+	})
+}
 
 // aliasTable supports O(1) sampling from a discrete distribution
 // (Vose's alias method) — the data structure behind every
@@ -132,20 +122,6 @@ func (t aliasTable) draw(rng *rand.Rand) int {
 	return t.alias[i]
 }
 
-// DegreeDistribution exposes the normalized degree-proportional
-// probabilities used by the layer-wise samplers (also used by sparsifiers).
-func DegreeDistribution(g *graph.CSR) []float64 {
-	total := float64(g.NumEdges())
-	probs := make([]float64, g.N)
-	if total == 0 {
-		return probs
-	}
-	for v := 0; v < g.N; v++ {
-		probs[v] = float64(g.Degree(v)) / total
-	}
-	return probs
-}
-
 // ReceptiveField returns the number of distinct nodes reachable within L
 // hops of the batch — the exact size of the computation graph a full
 // (unsampled) L-layer GNN must materialize for this batch. E1's
@@ -180,22 +156,6 @@ func SampledFieldSize(s *NeighborSampler, batch []int32, layers int, rng *rand.R
 	return blocks[len(blocks)-1].NumUniqueSrcs()
 }
 
-// EstimateAggregationError runs the sampler and reports the relative
-// Frobenius error of its aggregation estimate against the exact operator —
-// convenience wrapper over MeasureVariance used in benchmarks.
-func EstimateAggregationError(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int32, rng *rand.Rand) float64 {
-	blk := s.SampleBlock(dsts, rng)
-	est := blk.Aggregate(selectRows(x, blk.Srcs))
-	exactBlk := ExactBlock(g, dsts)
-	exact := exactBlk.Aggregate(selectRows(x, exactBlk.Srcs))
-	est.Sub(exact)
-	denom := exact.FrobeniusNorm()
-	if denom == 0 {
-		return 0
-	}
-	return est.FrobeniusNorm() / denom
-}
-
 // LadiesSampler is the layer-dependent variant of importance sampling:
 // like FastGCN it draws a fixed per-layer budget, but candidates are
 // restricted to the union of the destinations' neighborhoods, so no draw
@@ -217,12 +177,6 @@ func NewLadiesSampler(g *graph.CSR, budget int) (*LadiesSampler, error) {
 // probability proportional to degree (restricted), wiring edges with
 // Horvitz-Thompson weights.
 func (s *LadiesSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
 	// Candidate set: union of neighborhoods.
 	candSet := make(map[int32]struct{})
 	for _, d := range dsts {
@@ -231,8 +185,7 @@ func (s *LadiesSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 		}
 	}
 	if len(candSet) == 0 {
-		b.Srcs = um.srcs
-		return b
+		return wireDrawn(s.G, dsts, nil, s.Budget, 0)
 	}
 	cands := make([]int32, 0, len(candSet))
 	for v := range candSet {
@@ -245,35 +198,15 @@ func (s *LadiesSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 		probs[i] = float64(s.G.Degree(int(v)))
 		total += probs[i]
 	}
-	q := make(map[int32]float64, len(cands))
 	for i := range probs {
 		probs[i] /= total
-		q[cands[i]] = probs[i]
 	}
 	at := newAliasTable(probs)
 	mult := make(map[int32]int, s.Budget)
 	for i := 0; i < s.Budget; i++ {
 		mult[cands[at.draw(rng)]]++
 	}
-	t := float64(s.Budget)
-	for i, d := range dsts {
-		ns := s.G.Neighbors(int(d))
-		deg := float64(len(ns))
-		if deg == 0 {
-			continue
-		}
-		for _, v := range ns {
-			m, ok := mult[v]
-			if !ok {
-				continue
-			}
-			w := float64(m) / (deg * t * q[v])
-			b.Neigh[i] = append(b.Neigh[i], um.add(v))
-			b.Weight[i] = append(b.Weight[i], w)
-		}
-	}
-	b.Srcs = um.srcs
-	return b
+	return wireDrawn(s.G, dsts, mult, s.Budget, total)
 }
 
 var _ BlockSampler = (*LadiesSampler)(nil)

@@ -17,8 +17,8 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
-	"sort"
 
 	"scalegnn/internal/graph"
 	"scalegnn/internal/obs"
@@ -60,29 +60,81 @@ func (b *Block) Aggregate(srcFeats *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// uniqueMap builds the Srcs slice: dsts first, then newly discovered nodes
-// in first-seen order, returning the global->local index map.
-type uniqueMap struct {
+// blockBuilder is the one place a Block is assembled. It owns what every
+// sampler's output has in common — sources deduplicated Dsts-first in
+// first-seen order, and all destinations' neighbour indices and weights in
+// two flat arrays — so a sampler is only its selection rule.
+type blockBuilder struct {
+	dsts  []int32
 	srcs  []int32
-	index map[int32]int32
+	local map[int32]int32 // global id -> position in srcs
+	idx   []int32         // sampled edges of all destinations, as positions in srcs
+	w     []float64       // parallel importance weights
+	ends  []int           // ends[i] = len(idx) once destination i is done
 }
 
-func newUniqueMap(dsts []int32) *uniqueMap {
-	m := &uniqueMap{index: make(map[int32]int32, len(dsts)*4)}
+// buildBlock runs sel once per destination that has neighbours; sel keeps
+// an edge by calling add. perDst, the number of edges sel expects to keep
+// per destination, only sizes the flat arrays: they grow past it.
+func buildBlock(g *graph.CSR, dsts []int32, perDst int, sel func(bb *blockBuilder, ns []int32)) *Block {
+	edges := 0
 	for _, d := range dsts {
-		m.add(d)
+		edges += min(perDst, g.Degree(int(d)))
 	}
-	return m
+	bb := &blockBuilder{
+		dsts:  dsts,
+		srcs:  make([]int32, 0, len(dsts)+edges),
+		local: make(map[int32]int32, len(dsts)*4),
+		idx:   make([]int32, 0, edges),
+		w:     make([]float64, 0, edges),
+		ends:  make([]int, len(dsts)),
+	}
+	for _, d := range dsts {
+		bb.localID(d)
+	}
+	for i, d := range dsts {
+		if ns := g.Neighbors(int(d)); len(ns) > 0 {
+			sel(bb, ns)
+		}
+		bb.ends[i] = len(bb.idx)
+	}
+	return bb.finish()
 }
 
-func (m *uniqueMap) add(v int32) int32 {
-	if i, ok := m.index[v]; ok {
+func (bb *blockBuilder) localID(v int32) int32 {
+	if i, ok := bb.local[v]; ok {
 		return i
 	}
-	i := int32(len(m.srcs))
-	m.srcs = append(m.srcs, v)
-	m.index[v] = i
+	i := int32(len(bb.srcs))
+	bb.srcs = append(bb.srcs, v)
+	bb.local[v] = i
 	return i
+}
+
+// add keeps the edge from source v, with weight w, for the destination
+// being built.
+func (bb *blockBuilder) add(v int32, w float64) {
+	bb.idx = append(bb.idx, bb.localID(v))
+	bb.w = append(bb.w, w)
+}
+
+// finish carves the flat arrays into per-destination slices whose capacity
+// ends where the next destination begins, so a consumer's append copies
+// instead of overwriting a neighbour's edges.
+func (bb *blockBuilder) finish() *Block {
+	b := &Block{
+		Dsts:   bb.dsts,
+		Srcs:   bb.srcs,
+		Neigh:  make([][]int32, len(bb.dsts)),
+		Weight: make([][]float64, len(bb.dsts)),
+	}
+	lo := 0
+	for i, hi := range bb.ends {
+		b.Neigh[i] = bb.idx[lo:hi:hi]
+		b.Weight[i] = bb.w[lo:hi:hi]
+		lo = hi
+	}
+	return b
 }
 
 // NeighborSampler is the node-level (GraphSAGE) strategy: every target node
@@ -102,29 +154,16 @@ func NewNeighborSampler(g *graph.CSR, fanout int) (*NeighborSampler, error) {
 
 // SampleBlock draws one block for the given destination nodes.
 func (s *NeighborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
 	var scratch []int32
-	for i, d := range dsts {
-		ns := s.G.Neighbors(int(d))
-		deg := len(ns)
-		if deg == 0 {
-			continue
-		}
-		k := s.Fanout
+	return buildBlock(s.G, dsts, s.Fanout, func(bb *blockBuilder, ns []int32) {
+		deg, k := len(ns), s.Fanout
 		if k >= deg {
 			// Take all neighbors exactly: zero sampling variance.
-			b.Neigh[i] = make([]int32, deg)
-			b.Weight[i] = make([]float64, deg)
-			for j, v := range ns {
-				b.Neigh[i][j] = um.add(v)
-				b.Weight[i][j] = 1 / float64(deg)
+			w := 1 / float64(deg)
+			for _, v := range ns {
+				bb.add(v, w)
 			}
-			continue
+			return
 		}
 		// Partial Fisher-Yates for k draws without replacement.
 		if cap(scratch) < deg {
@@ -132,17 +171,13 @@ func (s *NeighborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 		}
 		scratch = scratch[:deg]
 		copy(scratch, ns)
-		b.Neigh[i] = make([]int32, k)
-		b.Weight[i] = make([]float64, k)
+		w := 1 / float64(k)
 		for j := 0; j < k; j++ {
 			pick := j + rng.IntN(deg-j)
 			scratch[j], scratch[pick] = scratch[pick], scratch[j]
-			b.Neigh[i][j] = um.add(scratch[j])
-			b.Weight[i][j] = 1 / float64(k)
+			bb.add(scratch[j], w)
 		}
-	}
-	b.Srcs = um.srcs
-	return b
+	})
 }
 
 // SampleLayers draws a multi-layer computation graph for a batch: blocks[0]
@@ -186,43 +221,34 @@ func NewLaborSampler(g *graph.CSR, fanout int) (*LaborSampler, error) {
 
 // SampleBlock draws one dependent-sampled block for the destinations.
 func (s *LaborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
 	// Shared variates, drawn lazily per source node.
 	variates := make(map[int32]float64)
-	rOf := func(v int32) float64 {
-		if r, ok := variates[v]; ok {
-			return r
+	return inclusionBlock(s.G, dsts, s.Fanout, func(v int32) float64 {
+		r, ok := variates[v]
+		if !ok {
+			r = rng.Float64()
+			variates[v] = r
 		}
-		r := rng.Float64()
-		variates[v] = r
 		return r
-	}
-	for i, d := range dsts {
-		ns := s.G.Neighbors(int(d))
-		deg := len(ns)
-		if deg == 0 {
-			continue
-		}
-		pi := float64(s.Fanout) / float64(deg)
-		if pi > 1 {
-			pi = 1
-		}
-		invDeg := 1 / float64(deg)
+	})
+}
+
+// inclusionBlock is Poisson sampling with budget k: destination u keeps
+// neighbour v iff variate(v) ≤ π = min(1, k/deg u), with the
+// Horvitz-Thompson weight (1/deg)·(1/π). Where the variate comes from —
+// shared per source or fresh per edge — is all that separates LABOR from
+// its independent baseline.
+func inclusionBlock(g *graph.CSR, dsts []int32, fanout int, variate func(v int32) float64) *Block {
+	return buildBlock(g, dsts, fanout, func(bb *blockBuilder, ns []int32) {
+		deg := float64(len(ns))
+		pi := min(1, float64(fanout)/deg)
+		w := (1 / deg) / pi
 		for _, v := range ns {
-			if rOf(v) <= pi {
-				b.Neigh[i] = append(b.Neigh[i], um.add(v))
-				// Horvitz-Thompson weight: (1/deg)·(1/π).
-				b.Weight[i] = append(b.Weight[i], invDeg/pi)
+			if variate(v) <= pi {
+				bb.add(v, w)
 			}
 		}
-	}
-	b.Srcs = um.srcs
-	return b
+	})
 }
 
 // PoissonSampler is the independent-variate baseline for LaborSampler: the
@@ -244,32 +270,7 @@ func NewPoissonSampler(g *graph.CSR, fanout int) (*PoissonSampler, error) {
 
 // SampleBlock draws one independently-sampled block.
 func (s *PoissonSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
-	for i, d := range dsts {
-		ns := s.G.Neighbors(int(d))
-		deg := len(ns)
-		if deg == 0 {
-			continue
-		}
-		pi := float64(s.Fanout) / float64(deg)
-		if pi > 1 {
-			pi = 1
-		}
-		invDeg := 1 / float64(deg)
-		for _, v := range ns {
-			if rng.Float64() <= pi {
-				b.Neigh[i] = append(b.Neigh[i], um.add(v))
-				b.Weight[i] = append(b.Weight[i], invDeg/pi)
-			}
-		}
-	}
-	b.Srcs = um.srcs
-	return b
+	return inclusionBlock(s.G, dsts, s.Fanout, func(int32) float64 { return rng.Float64() })
 }
 
 // BlockSampler is implemented by all per-layer samplers in this package.
@@ -284,29 +285,11 @@ var (
 )
 
 // ExactBlock returns the no-sampling block (all neighbors, exact weights) —
-// the full-graph baseline against which estimator variance is measured.
+// the full-graph baseline against which estimator variance is measured. It
+// is the node-level sampler with a fan-out no degree reaches, which draws
+// no variates.
 func ExactBlock(g *graph.CSR, dsts []int32) *Block {
-	um := newUniqueMap(dsts)
-	b := &Block{
-		Dsts:   dsts,
-		Neigh:  make([][]int32, len(dsts)),
-		Weight: make([][]float64, len(dsts)),
-	}
-	for i, d := range dsts {
-		ns := g.Neighbors(int(d))
-		if len(ns) == 0 {
-			continue
-		}
-		w := 1 / float64(len(ns))
-		b.Neigh[i] = make([]int32, len(ns))
-		b.Weight[i] = make([]float64, len(ns))
-		for j, v := range ns {
-			b.Neigh[i][j] = um.add(v)
-			b.Weight[i][j] = w
-		}
-	}
-	b.Srcs = um.srcs
-	return b
+	return (&NeighborSampler{G: g, Fanout: math.MaxInt}).SampleBlock(dsts, nil)
 }
 
 // VarianceReport summarizes an estimator-quality measurement.
@@ -320,13 +303,19 @@ type VarianceReport struct {
 // the destination set and compares the estimated aggregation of features x
 // against the exact mean aggregation.
 func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int32, trials int, rng *rand.Rand) VarianceReport {
-	exactBlk := ExactBlock(g, dsts)
-	exact := exactBlk.Aggregate(selectRows(x, exactBlk.Srcs))
+	aggregate := func(b *Block) *tensor.Matrix {
+		idx := make([]int, len(b.Srcs))
+		for i, v := range b.Srcs {
+			idx[i] = int(v)
+		}
+		return b.Aggregate(x.SelectRows(idx))
+	}
+	exact := aggregate(ExactBlock(g, dsts))
 	var sse, bias, uniq float64
 	count := 0
 	for t := 0; t < trials; t++ {
 		blk := s.SampleBlock(dsts, rng)
-		est := blk.Aggregate(selectRows(x, blk.Srcs))
+		est := aggregate(blk)
 		uniq += float64(blk.NumUniqueSrcs())
 		for i := 0; i < est.Rows; i++ {
 			for j := 0; j < est.Cols; j++ {
@@ -342,22 +331,6 @@ func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int3
 		MeanBias:         bias / float64(count),
 		AvgUniqueSrcs:    uniq / float64(trials),
 	}
-}
-
-func selectRows(x *tensor.Matrix, ids []int32) *tensor.Matrix {
-	idx := make([]int, len(ids))
-	for i, v := range ids {
-		idx[i] = int(v)
-	}
-	return x.SelectRows(idx)
-}
-
-// SortedCopy returns a sorted copy of node IDs; helper shared by tests and
-// subgraph extraction.
-func SortedCopy(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // AggregateBackward is the adjoint of Aggregate: given ∂L/∂(aggregated

@@ -316,17 +316,6 @@ func TestEdgeSamplerValidation(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []int32{5, 1, 3}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[1] != 3 || out[2] != 5 {
-		t.Errorf("SortedCopy = %v", out)
-	}
-	if in[0] != 5 {
-		t.Error("input mutated")
-	}
-}
-
 func BenchmarkNeighborSampler(b *testing.B) {
 	rng := tensor.NewRand(1)
 	g := graph.BarabasiAlbert(50000, 8, rng)

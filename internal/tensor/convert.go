@@ -21,20 +21,6 @@ func FromFloat64[T Elem](src *Matrix) *Mat[T] {
 	return out
 }
 
-// ToFloat64 views a Mat[T] as a float64 matrix. For T = float64 it returns
-// src itself (zero copy, shared storage); for float32 it returns a freshly
-// widened copy.
-func ToFloat64[T Elem](src *Mat[T]) *Matrix {
-	if m, ok := any(src).(*Matrix); ok {
-		return m
-	}
-	out := New(src.Rows, src.Cols)
-	for i, v := range src.Data {
-		out.Data[i] = float64(v)
-	}
-	return out
-}
-
 // WidenInto widens src into the float64 dst (same shape). For T = float64
 // this is a plain copy.
 func WidenInto[T Elem](src *Mat[T], dst *Matrix) {
@@ -75,17 +61,4 @@ func NarrowInto[T Elem](src *Matrix, dst *Mat[T]) {
 	for i, v := range src.Data {
 		dst.Data[i] = T(v)
 	}
-}
-
-// Float64Slice widens a []T to []float64; for T = float64 it returns x
-// itself.
-func Float64Slice[T Elem](x []T) []float64 {
-	if s, ok := any(x).([]float64); ok {
-		return s
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
 }

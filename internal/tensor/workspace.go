@@ -161,10 +161,6 @@ type Buf = BufOf[float64]
 // workspace).
 func NewBuf(ws *Workspace) Buf { return Buf{ws: ws} }
 
-// NewBufOf returns a BufOf[T] drawing from ws (nil means the default pool
-// for T).
-func NewBufOf[T Elem](ws *Pool[T]) BufOf[T] { return BufOf[T]{ws: ws} }
-
 func (b *BufOf[T]) workspace() *Pool[T] {
 	if b.ws == nil {
 		return DefaultPool[T]()

@@ -80,7 +80,6 @@ RACE_PKGS=(
   ./internal/obs
   ./internal/ckpt
   ./internal/fault
-  ./internal/distsim
   ./internal/distnet
   ./internal/serve
 )
@@ -159,5 +158,11 @@ grep -q 'serve.batch_forward' "$SCRATCH/trace.jsonl" || {
   echo "serve smoke failed: trace.jsonl has no batch-forward spans"; exit 1; }
 grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SCRATCH/metrics.prom" || {
   echo "serve smoke failed: metrics.prom missing request latency histogram"; exit 1; }
+
+# Size report (no threshold): the one way this repo counts "non-test Go
+# lines", so every PR quotes the same number.
+echo "== non-test Go lines"
+echo "   root module: $(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' | xargs cat | wc -l)"
+echo "   benchmark/:  $(find benchmark -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
 
 echo "All checks passed."
