@@ -99,23 +99,20 @@ func TestCrashDistShardKill9Resume(t *testing.T) {
 	shardArgs := func(shard int, ckptDir string) []string {
 		return append(append([]string(nil), base...),
 			"-shard", fmt.Sprintf("%d/2", shard), "-peers", peers,
-			"-checkpoint-dir", ckptDir, "-checkpoint-every", "1",
+			"-checkpoint-dir", ckptDir, "-checkpoint-every", "2",
 			"-peer-timeout", "120s",
 		)
 	}
 	wait0 := asyncRun(t, gnntrainBin, os.Environ(), shardArgs(0, dir0)...)
-	// Shard 1 parks inside its 4th batch step (mid-epoch, after several
-	// durable snapshots) and dies there by kill -9.
+	// Shard 1 parks at its 4th batch step and dies there by kill -9. Its
+	// newest durable snapshot is one whole epoch old (snapshots follow
+	// epochs 2 and 4), so the rounds of epoch 3 — which it consumed, hence
+	// the survivor certainly sent — are rounds it needs again: the replay
+	// assertion below does not hang on who reached the next round first.
 	killAtMarker(t, gnntrainBin, faultEnv("train.batch=sleep:60000@4"), shardArgs(1, dir1)...)
 	if bins, _ := snapshotFiles(t, dir1); len(bins) == 0 {
 		t.Fatal("killed shard left no durable snapshot to resume from")
 	}
-	// Hold the outage open long enough for the survivor to reach its next
-	// exchange round and transmit it into the dead connection: those are
-	// the frames the rejoining shard's resumeAt must rewind and re-send,
-	// which is what the replay assertion below counts. An instant restart
-	// can win the race to the round and make replay legitimately a no-op.
-	time.Sleep(750 * time.Millisecond)
 	out1 := runToCompletion(t, gnntrainBin, os.Environ(), append(shardArgs(1, dir1), "-resume")...)
 	out0 := wait0()
 
@@ -128,7 +125,8 @@ func TestCrashDistShardKill9Resume(t *testing.T) {
 		}
 	}
 	// The survivor must have seen the churn: the dead shard's connection
-	// was re-established and the missing rounds re-sent from its log.
+	// was re-established and the rounds after the resumed shard's handshake
+	// cursor re-sent from its log.
 	if rec := distStat(t, out0, "reconnects"); rec < 1 {
 		t.Error("surviving shard recorded no reconnect for the killed peer")
 	}

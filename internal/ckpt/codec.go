@@ -164,7 +164,7 @@ type Snapshot struct {
 	Blocks []Block
 }
 
-// Encode serializes the snapshot to the version-2 binary format,
+// Encode serializes the snapshot to the version-3 binary format,
 // including the trailing checksum.
 func (s *Snapshot) Encode() []byte {
 	n := len(magic) + 4 + 8 + 5*8 + 8 +
@@ -207,7 +207,7 @@ func (s *Snapshot) Encode() []byte {
 	return buf
 }
 
-// Decode parses a version-1 or version-2 snapshot, verifying magic,
+// Decode parses a version-1, -2 or -3 snapshot, verifying magic,
 // version, and checksum. It does not check the fingerprint; callers compare
 // Snapshot.Fingerprint themselves (Manager.Latest does).
 func Decode(data []byte) (*Snapshot, error) {

@@ -269,8 +269,8 @@ func TestTornFrameRecovery(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	cs := startClusters(t, 2, nil)
 	// Let the mesh settle so the handshake is never the torn write; then
-	// arm: the 3rd send after arming is a live heartbeat, resumeAt, or
-	// rows frame from one of the shards.
+	// arm: the 3rd send after arming is a live heartbeat or rows frame from
+	// one of the shards.
 	time.Sleep(200 * time.Millisecond)
 	if err := fault.Set("distnet.send", "partial@3"); err != nil {
 		t.Fatal(err)
@@ -308,10 +308,84 @@ func TestTornFrameRecovery(t *testing.T) {
 	}
 }
 
+// waitFor polls cond (a read of peer state under its lock) until it holds;
+// the bound only turns a hang into a failure.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestReconnectAtEveryRound: tear the connection once at each round index
+// of a short run — the next frame either shard writes after the arming
+// shard enters that round is half-written and its connection severed, be
+// it rows, a heartbeat, or a hello — and require every round's exact
+// values on both shards. Whatever was in flight when the link died is
+// re-sent from the cursors the next handshake carries.
+func TestReconnectAtEveryRound(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	const rounds = 4
+	for tear := 1; tear <= rounds; tear++ {
+		t.Run(fmt.Sprintf("round%d", tear), func(t *testing.T) {
+			cs := startClusters(t, 2, nil)
+			vals := make([][]float64, 2)
+			eachShard(t, cs, func(c *Cluster) error {
+				for r := 1; r <= rounds; r++ {
+					if r == tear && c.Shard() == tear%2 {
+						if err := fault.Set("distnet.send", "partial@1"); err != nil {
+							return err
+						}
+					}
+					got, err := c.Exchange("s", allPeers(c, oneRowBlock(float64(10*c.Shard()+r))))
+					if err != nil {
+						return fmt.Errorf("round %d: %w", r, err)
+					}
+					vals[c.Shard()] = append(vals[c.Shard()], got[1-c.Shard()].F64[0])
+				}
+				return nil
+			})
+			for shard, got := range vals {
+				for r := 1; r <= rounds; r++ {
+					if want := float64(10*(1-shard) + r); got[r-1] != want {
+						t.Fatalf("shard %d round %d: got %v, want %v", shard, r, got[r-1], want)
+					}
+				}
+			}
+			if fault.Hits("distnet.send") < 1 {
+				t.Fatal("partial-write failpoint never fired")
+			}
+			fault.Reset()
+			total := int64(0)
+			for _, c := range cs {
+				s := c.Stats()
+				total += s.FramesCorrupt + s.Reconnects + s.DialRetries
+				if s.StaleHits != 0 {
+					t.Fatalf("shard %d substituted %d stale rounds in sync mode", c.Shard(), s.StaleHits)
+				}
+			}
+			if total == 0 {
+				t.Fatal("torn frame left no trace in the fault counters")
+			}
+		})
+	}
+}
+
 // TestResumeReplayAfterRestart: a shard that dies mid-sequence and comes
 // back with its checkpointed cursor must be able to finish the rounds the
-// surviving shard is blocked on, fed by the peer's send-log replay.
+// surviving shard is blocked on, fed by the peer's send-log replay — whether
+// it is the dialling or the accepting side that restarts. Either way the
+// survivor's reconnect loop may reach the new process before UnmarshalBinary
+// has run; no handshake may answer it with a fresh start's cursor.
 func TestResumeReplayAfterRestart(t *testing.T) {
+	t.Run("dialer restarts", func(t *testing.T) { resumeReplay(t, 1) })
+	t.Run("acceptor restarts", func(t *testing.T) { resumeReplay(t, 0) })
+}
+
+func resumeReplay(t *testing.T, crash int) {
+	live := 1 - crash
 	addrs := sockAddrs(t, 2)
 	mk := func(shard int) *Cluster {
 		c, err := Open(Config{
@@ -323,61 +397,78 @@ func TestResumeReplayAfterRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { _ = c.Close() })
 		return c
 	}
-	c0 := mk(0)
-	defer c0.Close()
-	c1 := mk(1)
+	val := func(shard, r int) float64 { return float64(100*shard + r) }
+	round := func(c *Cluster, r int) error {
+		got, err := c.Exchange("s", allPeers(c, oneRowBlock(val(c.Shard(), r))))
+		if err != nil {
+			return fmt.Errorf("round %d: %w", r, err)
+		}
+		if peer := 1 - c.Shard(); got[peer].F64[0] != val(peer, r) {
+			return fmt.Errorf("round %d: got %v, want %v", r, got[peer].F64[0], val(peer, r))
+		}
+		return nil
+	}
+	survivor, dying := mk(live), mk(crash)
 
-	results := make(chan error, 2)
+	results := make(chan error, 1)
 	//lint:ignore naked-go simulates the surviving shard process, joined via results
 	go func() {
 		for r := 1; r <= 5; r++ {
-			got, err := c0.Exchange("s", allPeers(c0, oneRowBlock(float64(r))))
-			if err != nil {
-				results <- fmt.Errorf("round %d: %w", r, err)
-				return
-			}
-			if v := got[1].F64[0]; v != float64(100+r) {
-				results <- fmt.Errorf("round %d: got %v, want %v", r, v, float64(100+r))
+			if err := round(survivor, r); err != nil {
+				results <- err
 				return
 			}
 		}
 		results <- nil
 	}()
-	// Shard 1 completes three rounds, then "crashes".
+	// The other shard completes three rounds and "crashes" once the
+	// survivor's round 4 has reached it: of the two rounds it still needs,
+	// one has been transmitted before and one has not.
 	for r := 1; r <= 3; r++ {
-		if _, err := c1.Exchange("s", allPeers(c1, oneRowBlock(float64(100+r)))); err != nil {
-			t.Fatalf("pre-crash round %d: %v", r, err)
+		if err := round(dying, r); err != nil {
+			t.Fatalf("pre-crash %v", err)
 		}
 	}
-	cursor, err := c1.MarshalBinary()
+	waitFor(t, "the survivor's round 4", func() bool {
+		p := dying.peer[live]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.inbox[4] != nil
+	})
+	cursor, err := dying.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = c1.Close()
+	_ = dying.Close()
 
-	// Restart shard 1 from the checkpointed cursor; its next rounds are 4
-	// and 5, and shard 0's send log replays what it missed.
-	c1b := mk(1)
-	defer c1b.Close()
-	if err := c1b.UnmarshalBinary(cursor); err != nil {
+	// Restart it from the checkpointed cursor; its next rounds are 4 and 5.
+	resumed := mk(crash)
+	if err := resumed.UnmarshalBinary(cursor); err != nil {
 		t.Fatal(err)
 	}
 	for r := 4; r <= 5; r++ {
-		got, err := c1b.Exchange("s", allPeers(c1b, oneRowBlock(float64(100+r))))
-		if err != nil {
-			t.Fatalf("post-resume round %d: %v", r, err)
-		}
-		if v := got[0].F64[0]; v != float64(r) {
-			t.Fatalf("post-resume round %d: got %v, want %v", r, v, float64(r))
+		if err := round(resumed, r); err != nil {
+			t.Fatalf("post-resume %v", err)
 		}
 	}
 	if err := <-results; err != nil {
 		t.Fatalf("surviving shard: %v", err)
 	}
-	if s := c0.Stats(); s.Reconnects == 0 {
+	s := survivor.Stats()
+	if s.Reconnects == 0 {
 		t.Fatal("surviving shard never recorded the reconnect")
+	}
+	// The resumed shard needed rounds 4 and 5; only 4 had been sent before.
+	// The handshake carried the restored cursor, so exactly that one is
+	// replayed — not everything the survivor retains.
+	if s.Replays != 1 {
+		t.Fatalf("survivor replayed %d rounds, want exactly round 4", s.Replays)
+	}
+	if r := resumed.Stats().Replays; r != 0 {
+		t.Fatalf("resumed shard re-sent %d rounds its peer had consumed", r)
 	}
 }
 
@@ -441,12 +532,24 @@ func TestHandshakeRejectsWrongFingerprint(t *testing.T) {
 		return c
 	}
 	c0 := open(0, 0xaaaa)
-	open(1, 0xbbbb) // imposter: same addresses, different run
+	imposter := open(1, 0xbbbb) // same addresses, different run
+	failed := make(chan error, 1)
+	//lint:ignore naked-go simulates the imposter process, joined via failed
+	go func() {
+		_, err := imposter.Exchange("s", allPeers(imposter, oneRowBlock(2)))
+		failed <- err
+	}()
 	_, err := c0.Exchange("s", allPeers(c0, oneRowBlock(1)))
-	if err == nil {
+	if err == nil || <-failed == nil {
 		t.Fatal("round completed against a shard from a different run")
 	}
-	if s := c0.Stats(); s.Rounds != 0 {
+	s := c0.Stats()
+	if s.Rounds != 0 {
 		t.Fatal("foreign rows were consumed")
+	}
+	// The round must have failed because the imposter's hello was turned
+	// away, not because nobody connected.
+	if s.FramesCorrupt == 0 {
+		t.Fatal("no hello was rejected at the handshake")
 	}
 }

@@ -7,13 +7,16 @@
 // of every pair dials the lower — and advance through a totally ordered
 // sequence of exchange rounds. Each round, every shard appends its outgoing
 // rows to a per-peer send log and waits for the matching round from every
-// peer. Senders are demand-gated: a shard streams to a peer only after
-// receiving that peer's resumeAt{seq} control frame, so a process that was
-// SIGKILLed and resumed from a checkpoint simply asks each peer to replay
-// from the round its snapshot recorded, while its peers' requests prevent
-// it from re-sending rounds they already consumed. The send log is retained
-// by epoch (Config.RetainEpochs) so replay always covers a resume from the
-// newest checkpoint boundary.
+// peer. The cursor rides in the handshake: each side's hello names the
+// first round it still needs, and the other side streams its log from
+// there. So a process that was SIGKILLed and resumed from a checkpoint is
+// replayed the rounds after the one its snapshot recorded, and does not
+// re-send rounds its peers already consumed. A reconnect is a new
+// connection with a new cursor; the connection it displaces is drained to
+// EOF, not closed, because a peer that died may have written a round
+// nobody will send again. The send log is retained by epoch
+// (Config.RetainEpochs) so replay always covers a resume from the newest
+// checkpoint boundary.
 //
 // Synchronous mode (MaxStaleness == 0) waits up to PeerTimeout for every
 // round and fails loudly after that — rows are never substituted, so the
@@ -166,12 +169,17 @@ type Cluster struct {
 	seq     uint64 // last assigned round seq
 	epoch   int64  // current training epoch (SetEpoch)
 	siteIdx int64  // per-epoch exchange-site counter (nextSite)
-	started bool   // first Exchange has run
 
 	root    obs.Span
 	done    chan struct{}
 	closing atomic.Bool
 	wg      sync.WaitGroup
+	links   sync.Once // startLinks, at the first Exchange
+
+	// conns is every connection with a running reader — each peer's link
+	// and any displaced one still draining — so Close can sever them all.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 
 	stats clusterStats
 }
@@ -194,7 +202,7 @@ type Stats struct {
 	Reconnects    int64 // connections lost and re-established
 	DialRetries   int64 // failed dial attempts (each backed off)
 	FramesCorrupt int64 // frames rejected by CRC/format validation
-	Replays       int64 // log entries re-sent after a resumeAt rewind
+	Replays       int64 // log entries re-sent to a reconnected peer
 }
 
 // Stats returns the current counter values.
@@ -230,10 +238,11 @@ func splitAddr(addr string) (network, address string) {
 }
 
 // Open starts shard cfg.Shard of an N-process cluster: it binds this
-// shard's listen address, starts dialing every lower-numbered shard (with
-// bounded exponential backoff, forever), and accepts connections from
-// higher-numbered ones. It returns immediately; connections come up in the
-// background and the first Exchange waits for them.
+// shard's listen address and returns. The mesh forms at the first Exchange
+// — dialing every lower-numbered shard (with bounded exponential backoff,
+// forever), accepting connections from higher-numbered ones — because a
+// handshake carries the cursor, and a resumed shard learns its cursor only
+// in UnmarshalBinary.
 func Open(cfg Config) (*Cluster, error) {
 	cfg.fillDefaults()
 	if cfg.N < 1 {
@@ -245,7 +254,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if len(cfg.Addrs) != cfg.N {
 		return nil, fmt.Errorf("distnet: %d addresses for %d shards", len(cfg.Addrs), cfg.N)
 	}
-	c := &Cluster{cfg: cfg, done: make(chan struct{})}
+	c := &Cluster{cfg: cfg, done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	c.root = obs.Start("distnet.cluster")
 	c.root.SetLabel(fmt.Sprintf("shard%d/%d", cfg.Shard, cfg.N))
 	if cfg.N > 1 {
@@ -272,7 +281,14 @@ func Open(cfg Config) (*Cluster, error) {
 		c.wg.Add(1)
 		//lint:ignore naked-go per-peer sender is a long-lived connection actor joined by Close via wg
 		go p.sendLoop()
-		if p.dials {
+	}
+	return c, nil
+}
+
+// startLinks launches the goroutines that make connections.
+func (c *Cluster) startLinks() {
+	for id, p := range c.peer {
+		if p != nil && id < c.cfg.Shard { // the higher-numbered shard of a pair dials
 			c.wg.Add(1)
 			//lint:ignore naked-go per-peer dial/read supervisor is a long-lived connection actor joined by Close via wg
 			go p.dialLoop()
@@ -283,7 +299,6 @@ func Open(cfg Config) (*Cluster, error) {
 		//lint:ignore naked-go accept loop is a long-lived listener actor joined by Close via wg
 		go c.acceptLoop()
 	}
-	return c, nil
 }
 
 // Close tears the cluster down: it stops every background goroutine,
@@ -305,11 +320,12 @@ func (c *Cluster) Close() error {
 	if c.ln != nil {
 		err = c.ln.Close()
 	}
-	for _, p := range c.peer {
-		if p != nil {
-			p.shutdown()
-		}
+	c.connMu.Lock()
+	for conn := range c.conns {
+		_ = conn.Close()
 	}
+	c.connMu.Unlock()
+	c.links.Do(func() {}) // no first Exchange may start them now
 	c.wg.Wait()
 	c.root.End()
 	return err
@@ -338,33 +354,29 @@ func (c *Cluster) acceptLoop() {
 	}
 }
 
-// serveInbound validates an inbound connection's hello, answers with ours,
-// installs the connection on the peer, and runs its read loop.
+// serveInbound runs one inbound connection.
 func (c *Cluster) serveInbound(conn net.Conn) {
 	defer c.wg.Done()
-	f, err := readFrame(conn, c.cfg.FailAfter)
-	if err != nil {
-		_ = conn.Close()
-		return
+	_ = c.connect(conn, nil) // a dialer that fails the handshake backs off and retries
+}
+
+// track registers a connection whose reader is about to start, so Close can
+// sever it — live link or displaced one still draining; it refuses once the
+// cluster is closing.
+func (c *Cluster) track(conn net.Conn) bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.closing.Load() {
+		return false
 	}
-	n, fp, err := decodeHello(f)
-	if err != nil || n != c.cfg.N || fp != c.cfg.Fingerprint ||
-		f.from <= c.cfg.Shard || f.from >= c.cfg.N {
-		// A peer from a different run (or a malformed dialer) must not
-		// exchange rows with us; it will back off and retry, and keeps
-		// failing until the operator fixes the mismatch.
-		c.stats.framesCorrupt.Add(1)
-		framesCorruptC.Add(1)
-		_ = conn.Close()
-		return
-	}
-	if err := writeFrame(conn, c.cfg.WriteTimeout, encodeHello(c.cfg.Shard, c.cfg.N, c.cfg.Fingerprint)); err != nil {
-		_ = conn.Close()
-		return
-	}
-	p := c.peer[f.from]
-	p.install(conn)
-	p.readLoop(conn)
+	c.conns[conn] = struct{}{}
+	return true
+}
+
+func (c *Cluster) untrack(conn net.Conn) {
+	c.connMu.Lock()
+	delete(c.conns, conn)
+	c.connMu.Unlock()
 }
 
 // nextSite returns the next deterministic exchange-site name within the
@@ -399,8 +411,10 @@ func (c *Cluster) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary restores the exchange cursor from a checkpoint Aux blob.
-// Must run before the first Exchange (train resume does).
+// UnmarshalBinary restores the exchange cursor from a checkpoint Aux blob:
+// the rounds up to it were consumed from every peer before the crash. Must
+// run before the first Exchange (train resume does), whose handshakes then
+// ask for exactly the rounds after it.
 func (c *Cluster) UnmarshalBinary(data []byte) error {
 	if len(data) != 24 {
 		return fmt.Errorf("distnet: aux state is %d bytes, want 24", len(data))
@@ -408,6 +422,13 @@ func (c *Cluster) UnmarshalBinary(data []byte) error {
 	c.seq = binary.LittleEndian.Uint64(data)
 	c.epoch = int64(binary.LittleEndian.Uint64(data[8:]))
 	c.siteIdx = int64(binary.LittleEndian.Uint64(data[16:]))
+	for _, p := range c.peer {
+		if p != nil {
+			p.mu.Lock()
+			p.consumed = c.seq
+			p.mu.Unlock()
+		}
+	}
 	return nil
 }
 
@@ -425,10 +446,10 @@ func (c *Cluster) Exchange(site string, outgoing map[int]*RowBlock) (map[int]*Ro
 	if c.cfg.N == 1 {
 		return map[int]*RowBlock{}, nil
 	}
+	c.links.Do(c.startLinks)
 	c.seq++
 	seq := c.seq
 	epoch := c.epoch
-	c.started = true
 
 	sp := obs.Start("distnet.exchange")
 	sp.SetLabel(site)
@@ -521,7 +542,7 @@ var (
 //	distnet.reconnects      counter  connections lost and re-established
 //	distnet.dial_retries    counter  failed dial attempts
 //	distnet.frames_corrupt  counter  frames rejected by CRC/format checks
-//	distnet.replays         counter  log entries re-sent after a rewind
+//	distnet.replays         counter  log entries re-sent to a reconnected peer
 //	distnet.bytes_sent      counter  wire bytes written
 //	distnet.bytes_recv      counter  wire bytes read (validated frames)
 //

@@ -27,7 +27,7 @@ func WireBytes() (sent, recv int64) { return wireSent.Load(), wireRecv.Load() }
 //
 //	offset  size  field
 //	0       4     magic "SGNX"
-//	4       1     protocol version (1)
+//	4       1     protocol version (2)
 //	5       1     frame type
 //	6       2     sender shard (uint16)
 //	8       4     payload length (uint32)
@@ -39,7 +39,7 @@ func WireBytes() (sent, recv int64) { return wireSent.Load(), wireRecv.Load() }
 // replay protocol re-deliver, rather than trusting a half-written round.
 const (
 	frameMagic   = "SGNX"
-	protoVersion = 1
+	protoVersion = 2
 	headerLen    = 12
 	// maxPayload bounds a frame's claimed payload so a corrupt length field
 	// cannot drive an allocation or a multi-gigabyte read.
@@ -48,10 +48,9 @@ const (
 
 // Frame types.
 const (
-	typeHello     = 1 // handshake: cluster shape + run fingerprint
+	typeHello     = 1 // handshake: cluster shape, run fingerprint, cursor
 	typeRows      = 2 // one shard's rows for one exchange round
 	typeHeartbeat = 3 // liveness; carries no payload
-	typeResumeAt  = 4 // receiver asks the sender to (re)send from a round
 )
 
 // Typed frame errors. errCorrupt covers torn frames, checksum mismatches,
@@ -160,35 +159,29 @@ func readFrame(conn net.Conn, timeout time.Duration) (frame, error) {
 	}, nil
 }
 
-// Hello payload: cluster size (uint16) + run fingerprint (uint64). A
-// mismatch on either side means the processes disagree about the run and
-// must not exchange rows.
-func encodeHello(from, n int, fingerprint uint64) []byte {
-	p := make([]byte, 0, 10)
+// Hello payload: cluster size (uint16) + run fingerprint (uint64) + want
+// (uint64), the first round seq the sender still needs from the receiver
+// (its consumed+1, so never 0): the receiver streams its send log from
+// there. A mismatch of size or fingerprint on either side means the
+// processes disagree about the run and must not exchange rows.
+func encodeHello(from, n int, fingerprint, want uint64) []byte {
+	p := make([]byte, 0, 18)
 	p = binary.LittleEndian.AppendUint16(p, uint16(n))
 	p = binary.LittleEndian.AppendUint64(p, fingerprint)
+	p = binary.LittleEndian.AppendUint64(p, want)
 	return encodeFrame(typeHello, from, p)
 }
 
-func decodeHello(f frame) (n int, fingerprint uint64, err error) {
-	if f.typ != typeHello || len(f.payload) != 10 {
-		return 0, 0, fmt.Errorf("%w: hello payload %d bytes", errCorrupt, len(f.payload))
+func decodeHello(f frame) (n int, fingerprint, want uint64, err error) {
+	if f.typ != typeHello || len(f.payload) != 18 {
+		return 0, 0, 0, fmt.Errorf("%w: hello payload %d bytes", errCorrupt, len(f.payload))
 	}
-	return int(binary.LittleEndian.Uint16(f.payload)),
-		binary.LittleEndian.Uint64(f.payload[2:]), nil
-}
-
-// ResumeAt payload: the first round seq the receiver still needs.
-func encodeResumeAt(from int, want uint64) []byte {
-	p := binary.LittleEndian.AppendUint64(make([]byte, 0, 8), want)
-	return encodeFrame(typeResumeAt, from, p)
-}
-
-func decodeResumeAt(f frame) (uint64, error) {
-	if len(f.payload) != 8 {
-		return 0, fmt.Errorf("%w: resumeAt payload %d bytes", errCorrupt, len(f.payload))
+	n = int(binary.LittleEndian.Uint16(f.payload))
+	fingerprint = binary.LittleEndian.Uint64(f.payload[2:])
+	if want = binary.LittleEndian.Uint64(f.payload[10:]); want == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: hello wants round 0", errCorrupt)
 	}
-	return binary.LittleEndian.Uint64(f.payload), nil
+	return n, fingerprint, want, nil
 }
 
 // Rows payload:

@@ -114,13 +114,21 @@ func TestFrameCorruptionRejected(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	f, err := pipeRead(t, encodeHello(2, 4, 0xdeadbeefcafe))
+	f, err := pipeRead(t, encodeHello(2, 4, 0xdeadbeefcafe, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, fp, err := decodeHello(f)
-	if err != nil || f.from != 2 || n != 4 || fp != 0xdeadbeefcafe {
-		t.Fatalf("hello: from=%d n=%d fp=%x err=%v", f.from, n, fp, err)
+	n, fp, want, err := decodeHello(f)
+	if err != nil || f.from != 2 || n != 4 || fp != 0xdeadbeefcafe || want != 18 {
+		t.Fatalf("hello: from=%d n=%d fp=%x want=%d err=%v", f.from, n, fp, want, err)
+	}
+	// want is consumed+1: a hello asking for round 0 has no link to build.
+	f, err = pipeRead(t, encodeHello(2, 4, 0xdeadbeefcafe, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := decodeHello(f); !errors.Is(err, errCorrupt) {
+		t.Fatalf("hello wanting round 0: error %v is not errCorrupt", err)
 	}
 }
 

@@ -24,8 +24,9 @@ func FuzzReadFrame(f *testing.F) {
 	for _, seed := range [][]byte{
 		rows,
 		encodeRows(0, 1, 0, "s", &RowBlock{IDs: []int32{0}, Cols: 3, F32: []float32{1.5, -0.25, 7}}),
-		encodeHello(2, 4, 0xfeedface),
-		encodeResumeAt(1, 17),
+		encodeHello(2, 4, 0xfeedface, 1),  // fresh start
+		encodeHello(1, 2, 0xfeedface, 18), // resumed past round 17
+		encodeHello(1, 2, 0xfeedface, 0),  // no such cursor: rejected
 		encodeFrame(typeHeartbeat, 0, nil),
 		encodeFrame(typeRows, 0, wrap),
 		rows[:len(rows)/2], // torn body
@@ -66,14 +67,9 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func fuzzPayload(t *testing.T, p []byte) {
-	if n, fp, err := decodeHello(frame{typ: typeHello, payload: p}); err == nil {
-		if got := encodeHello(0, n, fp); !bytes.Equal(got[headerLen:len(got)-4], p) {
-			t.Fatalf("hello payload %x re-encodes as %x", p, got[headerLen:len(got)-4])
-		}
-	}
-	if want, err := decodeResumeAt(frame{payload: p}); err == nil {
-		if got := encodeResumeAt(0, want); !bytes.Equal(got[headerLen:len(got)-4], p) {
-			t.Fatalf("resumeAt payload %x re-encodes as %x", p, got[headerLen:len(got)-4])
+	if n, fp, want, err := decodeHello(frame{typ: typeHello, payload: p}); err == nil {
+		if got := encodeHello(0, n, fp, want); want == 0 || !bytes.Equal(got[headerLen:len(got)-4], p) {
+			t.Fatalf("hello payload %x (want=%d) re-encodes as %x", p, want, got[headerLen:len(got)-4])
 		}
 	}
 	if m, err := decodeRows(frame{typ: typeRows, payload: p}); err == nil {

@@ -18,38 +18,43 @@ type logEntry struct {
 	buf   []byte
 }
 
-// peer is the state machine for one remote shard: the live connection (if
-// any), the demand-gated send log, the per-round inbox, and the stale
-// cache. One sender goroutine owns all post-handshake writes; exactly one
-// read loop runs per live connection.
-type peer struct {
-	c     *Cluster
-	id    int
-	dials bool // we dial (our shard id is higher); otherwise we accept
+// link is one established connection to a peer: the socket, and the
+// highest round seq written to it. sent starts at the cursor the peer's
+// hello carried minus one, so the sender streams exactly the rounds the
+// peer has not consumed. A link is never reset; a reconnect is a new link.
+type link struct {
+	conn net.Conn
+	sent uint64
+}
 
-	mu        sync.Mutex
-	conn      net.Conn
-	hadConn   bool   // a connection has been installed at least once
-	sendFrom  uint64 // replay gate: first seq the peer wants; 0 = paused
-	sent      uint64 // highest seq transmitted since the last rewind
-	maxSent   uint64 // highest seq ever transmitted (replay accounting)
-	requested bool   // our resumeAt has been issued on the current conn
-	resumeAt  uint64 // pending resumeAt want-seq to send; 0 = none
-	log       []logEntry
-	inbox     map[uint64]*rowsMsg
-	consumed  uint64 // highest round seq consumed from this peer
-	cache     map[string]*rowsMsg
+// peer is the state machine for one remote shard: the live link (if any),
+// the send log, the per-round inbox, and the stale cache. One sender
+// goroutine owns all post-handshake writes; exactly one reader runs per
+// connection, and it is the reader that closes it — a link displaced by a
+// newer one is only unhooked, so the frames its peer wrote before dialling
+// again are still delivered.
+type peer struct {
+	c  *Cluster
+	id int
+
+	mu       sync.Mutex
+	link     *link  // assigned by install and lose only
+	hadConn  bool   // a link has been installed at least once
+	maxSent  uint64 // highest seq ever transmitted (replay accounting)
+	log      []logEntry
+	inbox    map[uint64]*rowsMsg
+	consumed uint64 // highest round seq consumed from this peer
+	cache    map[string]*rowsMsg
 
 	wake       chan struct{} // sender kick
-	note       chan struct{} // waiter kick (inbox insert / connection change)
+	note       chan struct{} // waiter kick (inbox insert)
 	senderDone chan struct{} // closed when sendLoop exits (after its final drain)
 }
 
 func newPeer(c *Cluster, id int) *peer {
 	return &peer{
-		c:     c,
-		id:    id,
-		dials: c.cfg.Shard > id,
+		c:          c,
+		id:         id,
 		inbox:      make(map[uint64]*rowsMsg),
 		cache:      make(map[string]*rowsMsg),
 		wake:       make(chan struct{}, 1),
@@ -66,62 +71,44 @@ func kick(ch chan struct{}) {
 	}
 }
 
-// install makes conn the peer's live connection, displacing (and closing)
-// any previous one. The sender stays paused until the peer's resumeAt
-// arrives; our own resumeAt request is reset so the next await re-issues it
-// on the new connection.
-func (p *peer) install(conn net.Conn) {
+// install makes l the peer's live link. A previous link gets no more writes
+// but is not closed: its reader runs on to EOF (or its FailAfter deadline).
+func (p *peer) install(l *link) {
 	p.mu.Lock()
-	old := p.conn
-	p.conn = conn
-	p.sendFrom = 0
-	p.sent = 0
-	p.requested = false
-	p.resumeAt = 0
+	p.link = l
 	if p.hadConn {
 		p.c.stats.reconnects.Add(1)
 		reconnectsC.Add(1)
 	}
 	p.hadConn = true
 	p.mu.Unlock()
-	if old != nil {
-		_ = old.Close()
-	}
 	kick(p.wake)
-	kick(p.note)
 }
 
-// lose retires conn if it is still the live connection (a stale loser of an
-// install race is just closed). The waiter is kicked so it can notice the
-// outage and re-request once a new connection lands.
-func (p *peer) lose(conn net.Conn) {
+// lose unhooks l if it is still the live link. It does not close the
+// connection: unread rounds may sit behind a failed write, and l's reader
+// closes it once they are drained.
+func (p *peer) lose(l *link) {
 	p.mu.Lock()
-	if p.conn == conn {
-		p.conn = nil
-		p.sendFrom = 0
-		p.requested = false
-		p.resumeAt = 0
+	if p.link == l {
+		p.link = nil
 	}
 	p.mu.Unlock()
-	_ = conn.Close()
-	kick(p.note)
 }
 
-// shutdown severs the live connection during Close so blocked reads and
-// writes fail immediately.
-func (p *peer) shutdown() {
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
+// consume moves the cursor to seq and drops the buffered rounds at or below
+// it. The caller holds p.mu.
+func (p *peer) consume(seq uint64) {
+	p.consumed = seq
+	for s := range p.inbox {
+		if s <= seq {
+			delete(p.inbox, s)
+		}
 	}
 }
 
-// enqueue appends one round's encoded frame to the send log, prunes entries
-// older than the retention window, and (on the first round after start or
-// resume) schedules our resumeAt request telling the peer which round we
-// need next.
+// enqueue appends one round's encoded frame to the send log and prunes
+// entries older than the retention window.
 func (p *peer) enqueue(seq uint64, epoch int64, buf []byte) {
 	p.mu.Lock()
 	p.log = append(p.log, logEntry{seq: seq, epoch: epoch, buf: buf})
@@ -133,17 +120,13 @@ func (p *peer) enqueue(seq uint64, epoch int64, buf []byte) {
 	if cut > 0 {
 		p.log = append(p.log[:0:0], p.log[cut:]...)
 	}
-	if !p.requested {
-		p.resumeAt = seq
-		p.requested = true
-	}
 	p.mu.Unlock()
 	kick(p.wake)
 }
 
-// sendLoop is the peer's single writer: it drains the pending resumeAt and
-// every unsent log entry at or past the peer's replay gate, and heartbeats
-// on idle ticks so the remote failure detector sees a live connection.
+// sendLoop is the peer's single writer: it streams every log entry the
+// live link has not carried yet, and heartbeats on idle ticks so the remote
+// failure detector sees a live connection.
 func (p *peer) sendLoop() {
 	defer p.c.wg.Done()
 	defer close(p.senderDone)
@@ -163,40 +146,34 @@ func (p *peer) sendLoop() {
 			p.flush()
 			return
 		}
-		conn := p.flush()
-		if beat && conn != nil {
-			if err := writeFrame(conn, p.c.cfg.WriteTimeout, heartbeat); err != nil {
-				p.lose(conn)
+		l := p.flush()
+		if beat && l != nil {
+			if err := writeFrame(l.conn, p.c.cfg.WriteTimeout, heartbeat); err != nil {
+				p.lose(l)
 			}
 		}
 	}
 }
 
 // flush writes everything currently sendable, looping until the log is
-// drained or the connection dies. It returns the live connection (nil if
-// down) for the caller's heartbeat. Frames are staged under the lock and
-// written outside it, so a slow write never blocks the read loop's routing.
-func (p *peer) flush() net.Conn {
+// drained or the link dies. It returns the live link (nil if down) for the
+// caller's heartbeat. Frames are staged under the lock and written outside
+// it, so a slow write never blocks the read loop's routing.
+func (p *peer) flush() *link {
 	for {
 		p.mu.Lock()
-		conn := p.conn
+		l := p.link
 		var bufs [][]byte
 		replayed := int64(0)
-		if conn != nil {
-			if p.resumeAt != 0 {
-				bufs = append(bufs, encodeResumeAt(p.c.cfg.Shard, p.resumeAt))
-				p.resumeAt = 0
-			}
-			if p.sendFrom != 0 {
-				for _, e := range p.log {
-					if e.seq >= p.sendFrom && e.seq > p.sent {
-						bufs = append(bufs, e.buf)
-						p.sent = e.seq
-						if e.seq <= p.maxSent {
-							replayed++
-						} else {
-							p.maxSent = e.seq
-						}
+		if l != nil {
+			for _, e := range p.log {
+				if e.seq > l.sent {
+					bufs = append(bufs, e.buf)
+					l.sent = e.seq
+					if e.seq <= p.maxSent {
+						replayed++
+					} else {
+						p.maxSent = e.seq
 					}
 				}
 			}
@@ -206,69 +183,52 @@ func (p *peer) flush() net.Conn {
 			p.c.stats.replays.Add(replayed)
 			replaysC.Add(replayed)
 		}
-		if conn == nil || len(bufs) == 0 {
-			return conn
+		if len(bufs) == 0 {
+			return l
 		}
 		for _, b := range bufs {
-			if err := writeFrame(conn, p.c.cfg.WriteTimeout, b); err != nil {
-				p.lose(conn)
+			if err := writeFrame(l.conn, p.c.cfg.WriteTimeout, b); err != nil {
+				p.lose(l)
 				return nil
 			}
 		}
 	}
 }
 
-// readLoop consumes frames from conn until it dies: heartbeats refresh the
-// failure detector implicitly (the next read re-arms the deadline),
-// resumeAt rewinds the send gate, and rows land in the inbox and stale
-// cache. Any corruption severs the connection — replay re-delivers.
-func (p *peer) readLoop(conn net.Conn) {
+// readLoop consumes frames from l until it dies: heartbeats refresh the
+// failure detector implicitly (the next read re-arms the deadline), and
+// rows land in the inbox and stale cache — also when l is no longer the
+// live link. Any corruption ends the connection — replay re-delivers.
+func (p *peer) readLoop(l *link) {
 	for {
-		f, err := readFrame(conn, p.c.cfg.FailAfter)
+		f, err := readFrame(l.conn, p.c.cfg.FailAfter)
 		if err != nil {
 			if errors.Is(err, errCorrupt) || errors.Is(err, fault.ErrPartial) {
 				p.c.stats.framesCorrupt.Add(1)
 				framesCorruptC.Add(1)
 			}
-			p.lose(conn)
 			return
 		}
-		switch f.typ {
-		case typeHeartbeat:
-			// Liveness only; the read deadline was already re-armed.
-		case typeResumeAt:
-			want, err := decodeResumeAt(f)
-			if err != nil {
-				p.c.stats.framesCorrupt.Add(1)
-				framesCorruptC.Add(1)
-				p.lose(conn)
-				return
-			}
-			p.mu.Lock()
-			p.sendFrom = want
-			p.sent = want - 1
-			p.mu.Unlock()
-			kick(p.wake)
-		case typeRows:
-			m, err := decodeRows(f)
-			if err != nil {
-				p.c.stats.framesCorrupt.Add(1)
-				framesCorruptC.Add(1)
-				p.lose(conn)
-				return
-			}
-			p.mu.Lock()
-			if m.seq > p.consumed && len(p.inbox) < maxInbox {
-				p.inbox[m.seq] = m
-			}
-			// Even a duplicate or late round refreshes the stale cache:
-			// newest epoch per site wins.
-			if cur := p.cache[m.site]; cur == nil || m.epoch >= cur.epoch {
-				p.cache[m.site] = m
-			}
-			p.mu.Unlock()
-			kick(p.note)
+		if f.typ != typeRows {
+			continue // heartbeat: liveness only, the deadline was re-armed
 		}
+		m, err := decodeRows(f)
+		if err != nil {
+			p.c.stats.framesCorrupt.Add(1)
+			framesCorruptC.Add(1)
+			return
+		}
+		p.mu.Lock()
+		if m.seq > p.consumed && len(p.inbox) < maxInbox {
+			p.inbox[m.seq] = m
+		}
+		// Even a duplicate or late round refreshes the stale cache:
+		// newest epoch per site wins.
+		if cur := p.cache[m.site]; cur == nil || m.epoch >= cur.epoch {
+			p.cache[m.site] = m
+		}
+		p.mu.Unlock()
+		kick(p.note)
 	}
 }
 
@@ -280,32 +240,15 @@ func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt tim
 	for {
 		p.mu.Lock()
 		if m, ok := p.inbox[seq]; ok {
-			for s := range p.inbox {
-				if s <= seq {
-					delete(p.inbox, s)
-				}
-			}
-			p.consumed = seq
+			p.consume(seq)
 			p.mu.Unlock()
 			return m.block, false, time.Since(start), nil
-		}
-		// If the connection churned since our last resumeAt, re-issue it
-		// for exactly the round we are stuck on.
-		if p.conn != nil && !p.requested {
-			p.resumeAt = seq
-			p.requested = true
-			kick(p.wake)
 		}
 		var sub *rowsMsg
 		if !staleAt.IsZero() && time.Now().After(staleAt) {
 			if cm := p.cache[site]; cm != nil && epoch-cm.epoch <= int64(p.c.cfg.MaxStaleness) {
 				sub = cm
-				p.consumed = seq
-				for s := range p.inbox {
-					if s <= seq {
-						delete(p.inbox, s)
-					}
-				}
+				p.consume(seq)
 			}
 		}
 		p.mu.Unlock()
@@ -331,8 +274,8 @@ func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt tim
 }
 
 // dialLoop maintains the outbound connection to a lower-numbered shard:
-// dial, handshake, install, and run the read loop; on any failure, back off
-// exponentially (bounded) and try again until the cluster closes.
+// dial and run the connection until it dies; when none came up, back off
+// exponentially (bounded) before the next attempt, until the cluster closes.
 //
 // Failpoint "distnet.dial" is evaluated before every attempt; any injected
 // error counts as a failed dial.
@@ -345,8 +288,7 @@ func (p *peer) dialLoop() {
 			return
 		default:
 		}
-		conn, err := p.dialOnce()
-		if err != nil {
+		if err := p.dialOnce(); err != nil {
 			p.c.stats.dialRetries.Add(1)
 			dialRetriesC.Add(1)
 			select {
@@ -361,38 +303,71 @@ func (p *peer) dialLoop() {
 			continue
 		}
 		backoff = p.c.cfg.DialBackoff
-		p.install(conn)
-		p.readLoop(conn) // returns when the connection dies
 	}
 }
 
-// dialOnce performs one dial + handshake attempt.
-func (p *peer) dialOnce() (net.Conn, error) {
+// dialOnce dials the peer and runs the connection; it returns an error if
+// no link came up, and nil once one has lived and died.
+func (p *peer) dialOnce() error {
 	if err := fault.Inject("distnet.dial"); err != nil {
-		return nil, err
+		return err
 	}
 	network, address := splitAddr(p.c.cfg.Addrs[p.id])
 	conn, err := net.DialTimeout(network, address, p.c.cfg.FailAfter)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cfg := &p.c.cfg
-	if err := writeFrame(conn, cfg.WriteTimeout, encodeHello(cfg.Shard, cfg.N, cfg.Fingerprint)); err != nil {
-		_ = conn.Close()
-		return nil, err
+	return p.c.connect(conn, p)
+}
+
+// connect is the life of one connection: exchange hellos, install the link
+// on its peer, read it until it fails, unhook it, close it. The dialer
+// names its peer and speaks first; the acceptor passes nil and learns the
+// peer from the hello, because the cursor it answers with is that peer's. A
+// hello from another run, another cluster shape, or a shard that has no
+// business on this end of the connection is rejected — it must not exchange
+// rows with us — and keeps being rejected until the operator fixes the
+// mismatch. The error is non-nil when no link came up.
+func (c *Cluster) connect(conn net.Conn, p *peer) error {
+	defer func() { _ = conn.Close() }()
+	hello := func(p *peer) error {
+		p.mu.Lock()
+		want := p.consumed + 1 // the first round we still need from p
+		p.mu.Unlock()
+		return writeFrame(conn, c.cfg.WriteTimeout, encodeHello(c.cfg.Shard, c.cfg.N, c.cfg.Fingerprint, want))
 	}
-	f, err := readFrame(conn, cfg.FailAfter)
+	if p != nil {
+		if err := hello(p); err != nil {
+			return err
+		}
+	}
+	f, err := readFrame(conn, c.cfg.FailAfter)
 	if err != nil {
-		_ = conn.Close()
-		return nil, err
+		return err
 	}
-	n, fp, err := decodeHello(f)
-	if err != nil || f.from != p.id || n != cfg.N || fp != cfg.Fingerprint {
-		p.c.stats.framesCorrupt.Add(1)
+	n, fp, want, err := decodeHello(f)
+	expected := f.from > c.cfg.Shard && f.from < c.cfg.N // inbound: a shard that dials us
+	if p != nil {
+		expected = f.from == p.id
+	}
+	if err != nil || n != c.cfg.N || fp != c.cfg.Fingerprint || !expected {
+		c.stats.framesCorrupt.Add(1)
 		framesCorruptC.Add(1)
-		_ = conn.Close()
-		return nil, fmt.Errorf("distnet: handshake with shard %d rejected (cluster %d fingerprint %016x, want %d/%016x)",
-			p.id, n, fp, cfg.N, cfg.Fingerprint)
+		return fmt.Errorf("%w: hello from shard %d rejected", errCorrupt, f.from)
 	}
-	return conn, nil
+	if p == nil {
+		p = c.peer[f.from]
+		if err := hello(p); err != nil {
+			return err
+		}
+	}
+	if !c.track(conn) {
+		return nil
+	}
+	defer c.untrack(conn)
+	l := &link{conn: conn, sent: want - 1}
+	p.install(l)
+	p.readLoop(l)
+	p.lose(l)
+	return nil
 }

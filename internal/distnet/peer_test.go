@@ -37,7 +37,7 @@ func connPair(t *testing.T) (a, b net.Conn) {
 // is complete and its writer closed before install, and await is given a
 // deadline that has already passed.
 func TestDisplacedConnectionIsDrained(t *testing.T) {
-	c := &Cluster{cfg: Config{Shard: 0, N: 2}, done: make(chan struct{})}
+	c := &Cluster{cfg: Config{Shard: 0, N: 2}}
 	c.cfg.fillDefaults()
 	p := newPeer(c, 1)
 
@@ -46,12 +46,13 @@ func TestDisplacedConnectionIsDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = remote.Close()
-	p.install(x)
+	old := &link{conn: x}
+	p.install(old)
 
 	y, _ := connPair(t)
-	p.install(y)
+	p.install(&link{conn: y})
 
-	p.readLoop(x) // returns at the EOF behind the frame
+	p.readLoop(old) // returns at the EOF behind the frame
 	blk, stale, _, err := p.await(1, "s", 0, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatalf("round 1 was lost with its connection: %v", err)

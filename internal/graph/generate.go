@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // This file contains synthetic graph generators. The tutorial's evaluation
@@ -67,16 +68,19 @@ func BarabasiAlbert(n, k int, rng *rand.Rand) *CSR {
 			repeated = append(repeated, int32(u), int32(v))
 		}
 	}
-	targets := make(map[int32]struct{}, k)
+	// Targets are kept in draw order (k is tiny, so a scan finds duplicates):
+	// the order they enter repeated decides every later draw, and the graph
+	// must be a function of the seed.
+	targets := make([]int32, 0, k)
 	for u := k + 1; u < n; u++ {
-		clear(targets)
+		targets = targets[:0]
 		for len(targets) < k {
 			t := repeated[rng.IntN(len(repeated))]
-			if int(t) != u {
-				targets[t] = struct{}{}
+			if int(t) != u && !slices.Contains(targets, t) {
+				targets = append(targets, t)
 			}
 		}
-		for t := range targets {
+		for _, t := range targets {
 			b.AddEdge(u, int(t))
 			repeated = append(repeated, int32(u), t)
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -185,6 +186,17 @@ func TestBFSDistances(t *testing.T) {
 	d2 := g2.BFSDistances(0)
 	if d2[2] != -1 {
 		t.Error("unreachable node should have distance -1")
+	}
+}
+
+// TestBarabasiAlbertIsAFunctionOfItsSeed: two builds from the same seed are
+// the same CSR. Each new node's targets used to pass through a map, whose
+// range order changed the graph from run to run.
+func TestBarabasiAlbertIsAFunctionOfItsSeed(t *testing.T) {
+	a := BarabasiAlbert(400, 5, tensor.NewRand(7))
+	b := BarabasiAlbert(400, 5, tensor.NewRand(7))
+	if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Adj, b.Adj) {
+		t.Fatal("same seed, different graphs")
 	}
 }
 

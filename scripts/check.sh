@@ -10,9 +10,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # One scratch root for everything the smoke steps write (binary, sockets,
-# trace, scrape), removed however the script exits.
+# trace, scrape), removed however the script exits — as are the busy loops
+# of the contention step, should it fail before it reaps them.
 SCRATCH=$(mktemp -d)
-trap 'rm -rf "$SCRATCH"' EXIT
+HOGS=()
+trap 'kill "${HOGS[@]}" 2>/dev/null || true; rm -rf "$SCRATCH"' EXIT
 
 # Tracked-file size gate: a built binary committed by accident (a 10.8 MB
 # gnntrain ELF once was) fails here instead of riding along in every clone.
@@ -106,14 +108,43 @@ done
 echo "== go test -race -short ${RACE_PKGS[*]}"
 go test -race -short "${RACE_PKGS[@]}"
 
+# Contention gate: the reconnect and resume paths of the exchange protocol
+# must not depend on who gets the CPU. (They did: a reconnect used to close a
+# connection whose last round was still unread, and only a starved reader
+# showed it.) One -race test binary, 2 x nproc copies of it side by side,
+# 4 x nproc busy loops beside them; any failing copy fails the gate.
+NPROC=$(nproc)
+echo "== distnet under contention ($((2 * NPROC)) copies x -count=5, $((4 * NPROC)) busy loops)"
+go test -race -c -o "$SCRATCH/distnet.test" ./internal/distnet
+for _ in $(seq $((4 * NPROC))); do
+  (while :; do :; done) &
+  HOGS+=($!)
+done
+COPIES=()
+for i in $(seq $((2 * NPROC))); do
+  "$SCRATCH/distnet.test" -test.count=5 \
+    -test.run 'TestResumeReplay|TestReconnectAtEveryRound|TestTornFrameRecovery' \
+    > "$SCRATCH/contention.$i.log" 2>&1 &
+  COPIES[$i]=$!
+done
+FAILED=0
+for i in "${!COPIES[@]}"; do
+  wait "${COPIES[$i]}" || { FAILED=1; grep -v '^fault: ' "$SCRATCH/contention.$i.log" | tail -n 20; }
+done
+kill "${HOGS[@]}"
+wait "${HOGS[@]}" 2>/dev/null || true
+HOGS=()
+[ "$FAILED" -eq 0 ] || { echo "distnet lost a round under contention"; exit 1; }
+
 # Crash-recovery gate: SIGKILL a real training subprocess in the middle of
 # a checkpoint write and require a clean, bitwise-identical resume (torn
 # temps ignored, corrupt snapshots rejected, previous snapshot used). Runs
 # under -race per the fault-tolerance acceptance contract. TestCrashDist*
 # additionally SIGKILLs one shard of a two-process cluster mid-epoch and
 # requires the -resume rejoin to reach the same final fingerprint.
-echo "== crash recovery (go test -race -run 'TestCrash' ./cmd/gnntrain)"
-go test -race -count=1 -run 'TestCrash' ./cmd/gnntrain
+echo "== crash recovery (go test -race -run 'TestCrash' ./cmd/gnntrain; TestCrashDist x3)"
+go test -race -count=1 -run 'TestCrash' -skip 'TestCrashDist' ./cmd/gnntrain
+go test -race -count=3 -run 'TestCrashDist' ./cmd/gnntrain
 
 # Distributed smoke gate: two real gnntrain processes over unix sockets
 # must produce prediction fingerprints bitwise identical to the
