@@ -1,15 +1,14 @@
 // Command gnnlint is scalegnn's project-specific static analyzer. It
-// enforces the kernel, concurrency, and determinism invariants the
-// zero-allocation training hot path depends on — see DESIGN.md "Enforced
-// invariants" for the full list and internal/lint for the implementation.
+// enforces the nine resource-lifetime, concurrency, durability and
+// determinism invariants the training and serving stack depends on — see
+// DESIGN.md "Enforced invariants" for the list and internal/lint for the
+// implementation.
 //
 // Usage:
 //
 //	gnnlint ./...                      # run every check over the module
 //	gnnlint ./internal/tensor          # one package
 //	gnnlint -checks naked-go,global-rand ./...
-//	gnnlint -tags nofault ./...        # analyze under a custom build-tag set
-//	gnnlint -json ./...                # one JSON object per finding, per line
 //	gnnlint -list                      # describe the checks
 //
 // Exit status is 1 when findings are reported, 2 on usage or load errors.
@@ -18,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,10 +27,8 @@ import (
 
 func main() {
 	var (
-		checks  = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list    = flag.Bool("list", false, "list available checks and exit")
-		tags    = flag.String("tags", "", "comma-separated build tags (as with go build -tags)")
-		jsonOut = flag.Bool("json", false, "emit findings as one JSON object per line")
+		checks = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		list   = flag.Bool("list", false, "list available checks and exit")
 	)
 	flag.Parse()
 
@@ -44,16 +40,6 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	if *tags != "" {
-		var ts []string
-		for _, tag := range strings.Split(*tags, ",") {
-			if tag = strings.TrimSpace(tag); tag != "" {
-				ts = append(ts, tag)
-			}
-		}
-		loader.SetTags(ts...)
-	}
-
 	if *list {
 		for _, c := range lint.Checks(loader.ModPath) {
 			fmt.Printf("%-16s %s\n", c.Name, c.Doc)
@@ -84,17 +70,8 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
-			if err := enc.Encode(d); err != nil {
-				fatal("%v", err)
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "gnnlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -604,7 +604,6 @@ type slowModel struct {
 }
 
 // Score delays, then delegates to the wrapped model.
-// lint:confine score-path
 func (s slowModel) Score(idx []int, out *tensor.Matrix) error {
 	time.Sleep(s.delay)
 	return s.Model.Score(idx, out)

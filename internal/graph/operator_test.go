@@ -200,16 +200,44 @@ func BenchmarkOperatorApply(b *testing.B) {
 	}
 }
 
+// mustPanic runs each named case and fails the ones that return normally.
+func mustPanic(t *testing.T, cases map[string]func()) {
+	t.Helper()
+	for name, f := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestApplyIntoRejectsAliasing(t *testing.T) {
 	g := triangle(t)
 	op := NewOperator(g, NormSymmetric, true)
 	x := tensor.New(3, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ApplyInto(x, x) should panic")
-		}
-	}()
-	op.ApplyInto(x, x)
+	v := make([]float64, 3)
+	mustPanic(t, map[string]func(){
+		"ApplyInto(x, x)":          func() { op.ApplyInto(x, x) },
+		"ApplyRowsInto(x, x, {0})": func() { op.ApplyRowsInto(x, x, []int32{0}) },
+		"ApplyVecInto(v, v)":       func() { op.ApplyVecInto(v, v) },
+	})
+}
+
+// TestApplyIntoRejectsShapeMismatch: each dst is larger than P*X, so only
+// the shape guard — not an index out of range — can reject it.
+func TestApplyIntoRejectsShapeMismatch(t *testing.T) {
+	g := triangle(t)
+	op := NewOperator(g, NormSymmetric, true)
+	x := tensor.New(3, 2)
+	mustPanic(t, map[string]func(){
+		"ApplyInto wrong dst":     func() { op.ApplyInto(x, tensor.New(4, 2)) },
+		"ApplyRowsInto wrong dst": func() { op.ApplyRowsInto(x, tensor.New(4, 2), []int32{0}) },
+		"ApplyVecInto wrong dst":  func() { op.ApplyVecInto(make([]float64, 3), make([]float64, 4)) },
+	})
 }
 
 func TestApplyIntoRejectsOverlappingViews(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 
 // cfg.go builds a basic-block control-flow graph over a go/ast function
 // body. The graph is the substrate for the dataflow passes in dataflow.go:
-// path-sensitive checks (buf-flow, state-bind) and reaching-definitions
-// style analyses (ctx-flow) all run over it. The builder stays on the
+// the typestate engine (buf-flow, obs-span-end, conn-deadline) and the
+// reaching-definitions style ctx-flow both run over it. The builder stays on the
 // stdlib go/ast only — no ssa, no x/tools — matching the loader's
 // zero-dependency contract.
 //
@@ -37,8 +37,8 @@ type Block struct {
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
-	Entry *Block
-	Exit  *Block // synthetic; holds no nodes
+	Entry  *Block
+	Exit   *Block // synthetic; holds no nodes
 	Blocks []*Block
 }
 
@@ -61,8 +61,8 @@ func FuncCFG(body *ast.BlockStmt) *CFG {
 }
 
 type loopFrame struct {
-	label          string
-	brk, cont      *Block
+	label     string
+	brk, cont *Block
 }
 
 type cfgBuilder struct {

@@ -36,25 +36,6 @@ func isCtxType(t types.Type) bool {
 	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
 }
 
-// isCtxPkgFunc reports whether call invokes one of the named functions of
-// package context.
-func isCtxPkgFunc(p *Package, call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // calleeSig resolves the signature a call invokes, or nil for conversions
 // and builtins.
 func calleeSig(p *Package, call *ast.CallExpr) *types.Signature {
@@ -69,7 +50,7 @@ func calleeSig(p *Package, call *ast.CallExpr) *types.Signature {
 	return sig
 }
 
-func runCtxFlow(prog *Program, p *Package, r *Reporter) {
+func runCtxFlow(_ *Program, p *Package, r *Reporter) {
 	for _, f := range p.Files {
 		// Rule 1 at package scope: no root contexts in var initializers.
 		for _, decl := range f.Decls {
@@ -100,11 +81,12 @@ func runCtxFlow(prog *Program, p *Package, r *Reporter) {
 func reportRootCtxCalls(p *Package, r *Reporter, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isCtxPkgFunc(p, call, "Background", "TODO") {
+		if !ok {
 			return true
 		}
-		sel := call.Fun.(*ast.SelectorExpr)
-		r.Report(call.Pos(), "context.%s() outside func main detaches this code from cancellation; accept a ctx parameter instead", sel.Sel.Name)
+		if fn := p.calleeFunc(call); isFunc(fn, "context", "Background", "TODO") {
+			r.Report(call.Pos(), "context.%s() outside func main detaches this code from cancellation; accept a ctx parameter instead", fn.Name())
+		}
 		return true
 	})
 }
@@ -195,7 +177,7 @@ func (c *ctxAnalysis) classify(e ast.Expr, fact flowFact) flowState {
 		}
 		return ctxForeign
 	case *ast.CallExpr:
-		if isCtxPkgFunc(c.p, e, "Background", "TODO") {
+		if isFunc(c.p.calleeFunc(e), "context", "Background", "TODO") {
 			return ctxDerived // rule 1 owns the placement complaint
 		}
 		// A call that itself takes a context inherits the derivedness of

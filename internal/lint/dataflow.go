@@ -7,9 +7,8 @@ import (
 
 // dataflow.go is the generic engine the path-sensitive checks run on top
 // of the CFG: a forward union-merge (may) analysis in the style of
-// reaching definitions, plus a backward liveness pass. Facts are per
-// types.Object bitmask state sets, merged by union, so any monotone
-// pointwise transfer converges.
+// reaching definitions. Facts are per types.Object bitmask state sets,
+// merged by union, so any monotone pointwise transfer converges.
 
 // flowState is a small set of per-object abstract states (check-specific
 // bit meanings). The zero value means "no information yet" and is distinct
@@ -88,106 +87,5 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 			return false
 		}
 		return fn(m)
-	})
-}
-
-// liveVars is the backward pass: for every block, the set of objects that
-// may be read on some path from the block's entry. defUse resolves idents
-// through the type info; writes through `=`/`:=` kill, everything else
-// (selector bases, index bases, call args, conditions) counts as a use.
-func liveVars(c *CFG, info *types.Info) map[*Block]map[types.Object]bool {
-	liveIn := make(map[*Block]map[types.Object]bool, len(c.Blocks))
-	for _, b := range c.Blocks {
-		liveIn[b] = make(map[types.Object]bool)
-	}
-	changed := true
-	for changed {
-		changed = false
-		// Reverse block order is a decent schedule for a backward pass on a
-		// mostly structured CFG; the outer loop handles the rest.
-		for i := len(c.Blocks) - 1; i >= 0; i-- {
-			b := c.Blocks[i]
-			live := make(map[types.Object]bool)
-			for _, succ := range b.Succs {
-				for o := range liveIn[succ] {
-					live[o] = true
-				}
-			}
-			for j := len(b.Nodes) - 1; j >= 0; j-- {
-				applyNodeLiveness(b.Nodes[j], info, live)
-			}
-			for o := range live {
-				if !liveIn[b][o] {
-					liveIn[b][o] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return liveIn
-}
-
-// liveAfter recomputes liveness just past nodeIdx inside blk, from the
-// block's successors' fixpoint. Used to ask "is this definition dead?".
-func liveAfter(c *CFG, info *types.Info, liveIn map[*Block]map[types.Object]bool, blk *Block, nodeIdx int) map[types.Object]bool {
-	live := make(map[types.Object]bool)
-	for _, succ := range blk.Succs {
-		for o := range liveIn[succ] {
-			live[o] = true
-		}
-	}
-	for j := len(blk.Nodes) - 1; j > nodeIdx; j-- {
-		applyNodeLiveness(blk.Nodes[j], info, live)
-	}
-	return live
-}
-
-// applyNodeLiveness updates live with one node's kills then uses,
-// processed backward (kill before use so `x = x+1` keeps x live).
-func applyNodeLiveness(n ast.Node, info *types.Info, live map[types.Object]bool) {
-	// Kills: identifiers written by assignment or declaration.
-	kills := func(id *ast.Ident) {
-		if id == nil || id.Name == "_" {
-			return
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if obj != nil {
-			delete(live, obj)
-		}
-	}
-	killed := make(map[*ast.Ident]bool)
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				kills(id)
-				killed[id] = true
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						kills(id)
-						killed[id] = true
-					}
-				}
-			}
-		}
-	}
-	// Uses: every other identifier that resolves to a variable.
-	inspectShallow(n, func(m ast.Node) bool {
-		id, ok := m.(*ast.Ident)
-		if !ok || killed[id] {
-			return true
-		}
-		if obj, ok := info.Uses[id].(*types.Var); ok {
-			live[obj] = true
-		}
-		return true
 	})
 }

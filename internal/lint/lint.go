@@ -4,8 +4,6 @@
 //
 //   - naked-go: goroutines are spawned only by internal/par, so every
 //     parallel kernel chunks work through the one race-tested partitioner.
-//   - into-guard: exported *Into kernels validate shapes and reject
-//     aliasing (tensor.Overlaps) before writing.
 //   - buf-flow: path-sensitive workspace-buffer lifetimes — no
 //     use-after-release, no double-release, no leak on early returns or
 //     error paths; ownership handoff to callees is resolved through
@@ -16,28 +14,26 @@
 //     statement in internal/ and cmd/.
 //   - epoch-loop: no hand-rolled `for epoch := ...` training loops outside
 //     internal/train; models drive schedules through train.Run.
-//   - obs-span-end: tracing spans (internal/obs) acquired in a function are
-//     ended in that function or visibly handed off, so traced timelines
-//     never silently lose sections.
+//   - obs-span-end: tracing spans (internal/obs) are ended on every path
+//     through the acquiring function, or visibly handed off, so traced
+//     timelines never silently lose sections.
 //   - durable-write: the ckpt package never opens a final path for writing
 //     directly; checkpoint bytes reach disk only through the crash-safe
 //     temp+rename helper (ckpt.WriteFileDurable).
-//   - goroutine-confine: functions marked `lint:confine <label>` stay
-//     reachable from at most one goroutine-spawning site per label (the
-//     serve scoring path's pooled buffers depend on it).
 //   - ctx-flow: context.Background/TODO only in func main; a ctx parameter
 //     must flow to every callee that accepts one.
-//   - state-bind: serve request paths Load the hot-swap state pointer at
-//     most once, so responses never mix generations.
 //   - conn-deadline: in internal/distnet, every net.Conn Read/Write is
 //     preceded on its dataflow path by a SetRead/WriteDeadline on the same
 //     connection — the deadline is the peer-failure detector.
 //
 // The analyzer is built only on the stdlib go/parser, go/ast, go/types, and
 // go/token packages — the repo has no external dependencies and the linter
-// keeps it that way. Dataflow checks run on a basic-block CFG (cfg.go) with
-// a union-merge worklist engine (dataflow.go) and a module-wide call graph
-// (callgraph.go). Findings are suppressed per site with
+// keeps it that way. buf-flow, obs-span-end and conn-deadline are three
+// resource descriptions (resources.go) run by one typestate engine
+// (typestate.go, summary.go); ctx-flow shares its basic-block CFG (cfg.go)
+// and union-merge worklist (dataflow.go). naked-go, epoch-loop,
+// durable-write and global-rand are rows of one syntactic pass
+// (syntactic.go). Findings are suppressed per site with
 //
 //	//lint:ignore <check> <reason>
 //
@@ -46,7 +42,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -66,70 +61,41 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// MarshalJSON emits the flat shape the -json mode and the CI problem
-// matcher consume: one object per finding.
-func (d Diagnostic) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		Check   string `json:"check"`
-		Message string `json:"message"`
-	}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message})
-}
-
-// Check is one named analyzer. Per-package checks set Run; whole-module
-// checks (which reason over the call graph across packages) set RunModule
-// and are invoked once per RunChecks call.
+// Check is one named analyzer: a per-package Run, or rows of the shared
+// syntactic pass.
 type Check struct {
 	Name string
 	Doc  string
 	// Applies filters by import path; nil means every package.
-	Applies   func(pkgPath string) bool
-	Run       func(prog *Program, p *Package, r *Reporter)
-	RunModule func(prog *Program, r *Reporter)
-}
-
-// pkgCheck adapts the single-package checks that need no whole-module
-// context.
-func pkgCheck(f func(p *Package, r *Reporter)) func(*Program, *Package, *Reporter) {
-	return func(_ *Program, p *Package, r *Reporter) { f(p, r) }
-}
-
-// internalOrCmd scopes a check to the packages whose invariants the
-// training/serving stack depends on (examples stay demo-grade).
-func internalOrCmd(modPath string) func(string) bool {
-	return func(pkgPath string) bool {
-		return strings.HasPrefix(pkgPath, modPath+"/internal/") ||
-			strings.HasPrefix(pkgPath, modPath+"/cmd/")
-	}
+	Applies func(pkgPath string) bool
+	Run     func(prog *Program, p *Package, r *Reporter)
+	Rules   []rule
 }
 
 // Checks returns the full suite for a module, in stable order.
 func Checks(modPath string) []*Check {
-	inScope := internalOrCmd(modPath)
+	inScope := func(pkgPath string) bool {
+		// The training/serving stack; examples stay demo-grade.
+		return strings.HasPrefix(pkgPath, modPath+"/internal/") ||
+			strings.HasPrefix(pkgPath, modPath+"/cmd/")
+	}
 	return []*Check{
 		{
 			Name:    "naked-go",
 			Doc:     "go statements are allowed only inside internal/par (and an explicit allowlist)",
 			Applies: func(pkgPath string) bool { return pkgPath != modPath+"/internal/par" },
-			Run:     pkgCheck(runNakedGo),
-		},
-		{
-			Name: "into-guard",
-			Doc:  "exported *Into kernels must validate shapes and check aliasing (tensor.Overlaps) before writing",
-			Run:  pkgCheck(runIntoGuard),
+			Rules:   nakedGo,
 		},
 		{
 			Name: "buf-flow",
 			Doc:  "workspace buffers: no use-after-release, no double-release, no leak on any path; handoff via call-graph summaries",
-			Run:  runBufFlow,
+			Run:  bufFlow.run,
 		},
 		{
 			Name:    "global-rand",
 			Doc:     "no package-level RNG state, math/rand v1, or time-based seeding; inject *rand.Rand",
 			Applies: inScope,
-			Run:     pkgCheck(runGlobalRand),
+			Rules:   globalRand,
 		},
 		{
 			Name: "epoch-loop",
@@ -137,18 +103,18 @@ func Checks(modPath string) []*Check {
 			Applies: func(pkgPath string) bool {
 				return inScope(pkgPath) && pkgPath != modPath+"/internal/train"
 			},
-			Run: pkgCheck(runEpochLoop),
+			Rules: epochLoop,
 		},
 		{
 			Name:    "unchecked-error",
 			Doc:     "no error return dropped as a bare call statement",
 			Applies: inScope,
-			Run:     pkgCheck(runUncheckedError),
+			Run:     runUncheckedError,
 		},
 		{
 			Name: "obs-span-end",
-			Doc:  "tracing spans acquired in a function must be ended (End, deferred or on every path) in that function or handed off",
-			Run:  pkgCheck(runSpanEnd),
+			Doc:  "tracing spans: ended exactly once on every path through the acquiring function, or handed off",
+			Run:  obsSpanEnd.run,
 		},
 		{
 			Name: "durable-write",
@@ -156,12 +122,7 @@ func Checks(modPath string) []*Check {
 			Applies: func(pkgPath string) bool {
 				return strings.HasSuffix(pkgPath, "/ckpt")
 			},
-			Run: pkgCheck(runDurableWrite),
-		},
-		{
-			Name:      "goroutine-confine",
-			Doc:       "lint:confine-marked functions are reachable from at most one goroutine-spawning site per label; implementations of confined interface methods carry the marker",
-			RunModule: runConfine,
+			Rules: durableWrite,
 		},
 		{
 			Name:    "ctx-flow",
@@ -170,20 +131,12 @@ func Checks(modPath string) []*Check {
 			Run:     runCtxFlow,
 		},
 		{
-			Name: "state-bind",
-			Doc:  "serve request paths Load the hot-swap atomic.Pointer at most once (transitively), and never bind a dead snapshot",
-			Applies: func(pkgPath string) bool {
-				return strings.HasSuffix(pkgPath, "/serve")
-			},
-			Run: runStateBind,
-		},
-		{
 			Name: "conn-deadline",
 			Doc:  "distnet net.Conn Read/Write must be preceded by SetRead/WriteDeadline on every path; the deadline is the failure detector",
 			Applies: func(pkgPath string) bool {
 				return strings.HasSuffix(pkgPath, "/distnet")
 			},
-			Run: runConnDeadline,
+			Run: connDeadline.run,
 		},
 	}
 }
@@ -261,31 +214,24 @@ func RunChecks(l *Loader, pkgs []*Package, names []string) ([]Diagnostic, error)
 		}
 		suite = sel
 	}
-	prog := newProgram(l, pkgs)
+	prog := &Program{Loader: l}
 	var diags []Diagnostic
-	merged := make(map[string]map[int]map[string]bool)
 	for _, p := range pkgs {
 		ignores := collectIgnores(l.Fset, p.AllFiles())
-		for file, lines := range ignores {
-			merged[file] = lines
-		}
+		var rows []boundRule
 		for _, c := range suite {
-			if c.Run == nil {
-				continue
-			}
 			if c.Applies != nil && !c.Applies(p.Path) {
 				continue
 			}
-			c.Run(prog, p, &Reporter{fset: l.Fset, check: c.Name, diags: &diags, ignores: ignores})
+			r := &Reporter{fset: l.Fset, check: c.Name, diags: &diags, ignores: ignores}
+			if c.Run != nil {
+				c.Run(prog, p, r)
+			}
+			for _, row := range c.Rules {
+				rows = append(rows, boundRule{row, r})
+			}
 		}
-	}
-	// Module-wide checks run once, anchored to requested packages, with
-	// every requested package's suppressions in scope.
-	for _, c := range suite {
-		if c.RunModule == nil {
-			continue
-		}
-		c.RunModule(prog, &Reporter{fset: l.Fset, check: c.Name, diags: &diags, ignores: merged})
+		runRules(p, rows)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -99,48 +99,14 @@ func runFixture(t *testing.T, dir, check string) {
 }
 
 func TestNakedGoFixture(t *testing.T)        { runFixture(t, "nakedgo", "naked-go") }
-func TestIntoGuardFixture(t *testing.T)      { runFixture(t, "intoguard", "into-guard") }
 func TestBufFlowFixture(t *testing.T)        { runFixture(t, "bufflow", "buf-flow") }
 func TestGlobalRandFixture(t *testing.T)     { runFixture(t, "globalrand", "global-rand") }
 func TestEpochLoopFixture(t *testing.T)      { runFixture(t, "epochloop", "epoch-loop") }
 func TestUncheckedErrorFixture(t *testing.T) { runFixture(t, "uncheckederr", "unchecked-error") }
 func TestSpanEndFixture(t *testing.T)        { runFixture(t, "spanend", "obs-span-end") }
 func TestDurableWriteFixture(t *testing.T)   { runFixture(t, "ckpt", "durable-write") }
-func TestConfineFixture(t *testing.T)        { runFixture(t, "confine", "goroutine-confine") }
 func TestCtxFlowFixture(t *testing.T)        { runFixture(t, "ctxflow", "ctx-flow") }
-func TestStateBindFixture(t *testing.T)      { runFixture(t, "serve", "state-bind") }
 func TestConnDeadlineFixture(t *testing.T)   { runFixture(t, "distnet", "conn-deadline") }
-
-// TestServeScorePathConfined pins the confinement contract of the serving
-// hot path at its source: both Score interface contracts (serve.Model and
-// models.NodeScorer) must carry `lint:confine score-path`. Deleting the
-// marker from an implementation trips goroutine-confine rule A in
-// TestRepoIsClean; deleting it from the interfaces themselves would unpin
-// the whole group — this test catches that directly, and TestRepoIsClean
-// catches any second goroutine-spawning site reaching the label.
-func TestServeScorePathConfined(t *testing.T) {
-	l := newTestLoader(t)
-	var pkgs []*Package
-	for _, rel := range []string{"internal/serve", "internal/models"} {
-		p, err := l.LoadDir(filepath.Join(l.ModDir, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	prog := newProgram(l, pkgs)
-	found := make(map[string]bool)
-	for n, label := range confinedFuncs(prog) {
-		if label == "score-path" && n.IsIfaceMethod() && n.Fn.Name() == "Score" {
-			found[n.Fn.Pkg().Path()] = true
-		}
-	}
-	for _, p := range pkgs {
-		if !found[p.Path] {
-			t.Errorf("%s: Score interface method lost its lint:confine score-path marker; the single-dispatcher contract is no longer machine-checked", p.Path)
-		}
-	}
-}
 
 // TestRepoIsClean is the self-hosting gate: the full suite must run clean
 // over the real repository. A regression anywhere in internal/ or cmd/

@@ -49,14 +49,6 @@ type Loader struct {
 	buildCtx build.Context
 }
 
-// SetTags sets the custom build tags (as with `go build -tags`) consulted
-// when deciding which files belong to a package. It must be called before
-// the first load: packages are memoized by import path, so a tag change
-// after loading would silently serve the old file set.
-func (l *Loader) SetTags(tags ...string) {
-	l.buildCtx.BuildTags = append([]string(nil), tags...)
-}
-
 // NewLoader locates the enclosing module of dir and returns a loader for it.
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)

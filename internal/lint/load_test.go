@@ -45,11 +45,12 @@ func TestLoadDirDefaultTags(t *testing.T) {
 	}
 }
 
-// TestLoadDirNofaultTag: SetTags("nofault") flips the file set to the
-// stubbed registry, matching `go build -tags nofault`.
+// TestLoadDirNofaultTag: under the nofault tag the file set flips to the
+// stubbed registry, matching `go build -tags nofault` — the constraint,
+// not the file name, decides, for test files too.
 func TestLoadDirNofaultTag(t *testing.T) {
 	l := newTestLoader(t)
-	l.SetTags("nofault")
+	l.buildCtx.BuildTags = []string{"nofault"}
 	p, err := l.LoadDir(filepath.Join(l.ModDir, "internal", "fault"))
 	if err != nil {
 		t.Fatal(err)

@@ -88,3 +88,40 @@ func channelHandoff(ch chan obs.Span) {
 	sp := obs.StartRequest("req", obs.TraceContext{})
 	ch <- sp
 }
+
+// childOnly uses the parent only to start a child: the parent is never
+// ended, however the child fares.
+func childOnly() {
+	sp := obs.Start("outer") // want "never ended"
+	c := sp.Child("inner")
+	c.End()
+}
+
+// idOnly reads the span's id and drops the span.
+func idOnly() uint64 {
+	sp := obs.Start("work")
+	id := sp.SpanID()
+	return id // want "never ended on this return path"
+}
+
+// endOneBranch ends the span on one branch only.
+func endOneBranch(ok bool) {
+	sp := obs.Start("work") // want "never ended"
+	if ok {
+		sp.End()
+	}
+}
+
+// doubleEnd records the section twice.
+func doubleEnd() {
+	sp := obs.Start("work")
+	defer sp.End()
+	sp.End() // want "ended twice"
+}
+
+// countAfterEnd annotates a section that is already recorded.
+func countAfterEnd() {
+	sp := obs.Start("work")
+	sp.End()
+	sp.SetCount(1) // want "after it was ended"
+}

@@ -12,7 +12,7 @@ import (
 // not flagged. Writes that cannot fail are excluded: fmt.Print* to stdout,
 // fmt.Fprint* to os.Stdout/os.Stderr, and writes to in-memory sinks
 // (*strings.Builder, *bytes.Buffer).
-func runUncheckedError(p *Package, r *Reporter) {
+func runUncheckedError(_ *Program, p *Package, r *Reporter) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var call *ast.CallExpr

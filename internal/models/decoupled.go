@@ -94,7 +94,6 @@ func (m *SGC) Classes() int { return m.classes }
 
 // Score implements NodeScorer: batched per-node logits via one pooled
 // gather + head forward.
-// lint:confine score-path
 func (m *SGC) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // SIGN precomputes the multi-hop embedding [X | ÂX | Â²X | … | Â^K X] and
@@ -159,7 +158,6 @@ func (m *SIGN) Nodes() int { return m.nodes() }
 func (m *SIGN) Classes() int { return m.classes }
 
 // Score implements NodeScorer.
-// lint:confine score-path
 func (m *SIGN) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // APPNP is predict-then-propagate: an MLP produces per-node logits, which
@@ -339,7 +337,6 @@ func (m *APPNP) Classes() int { return m.classes }
 
 // Score implements NodeScorer by reading rows of the cached diffused
 // logits.
-// lint:confine score-path
 func (m *APPNP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // GAMLP is SIGN with learnable hop attention: per-hop embeddings are
@@ -545,7 +542,6 @@ func (m *GAMLP) Classes() int { return m.classes }
 
 // Score implements NodeScorer: attention-combine the requested rows, then
 // one pooled head forward.
-// lint:confine score-path
 func (m *GAMLP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // HopAttention exposes the learned softmax hop weights (for the ablation
@@ -651,5 +647,4 @@ func (m *LD2) Nodes() int { return m.nodes() }
 func (m *LD2) Classes() int { return m.classes }
 
 // Score implements NodeScorer.
-// lint:confine score-path
 func (m *LD2) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }

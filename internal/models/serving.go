@@ -32,7 +32,6 @@ type NodeScorer interface {
 	Classes() int
 	// Score writes class logits for the given nodes into out, which must be
 	// len(idx) x Classes() and must not alias model-held storage.
-	// lint:confine score-path
 	Score(idx []int, out *tensor.Matrix) error
 }
 

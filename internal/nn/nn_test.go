@@ -168,6 +168,25 @@ func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	}
 }
 
+func TestSoftmaxCrossEntropyIntoRejectsBadGrad(t *testing.T) {
+	logits := tensor.New(2, 4)
+	labels := []int{0, 3}
+	for name, grad := range map[string]*tensor.Matrix{
+		"grad aliases logits": logits,
+		// Larger than logits, so only the shape guard can reject it.
+		"grad wrong shape": tensor.New(3, 4),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SoftmaxCrossEntropyInto %s should panic", name)
+				}
+			}()
+			SoftmaxCrossEntropyInto(logits, labels, grad)
+		}()
+	}
+}
+
 func TestSoftmaxCrossEntropyGradFiniteDiff(t *testing.T) {
 	rng := tensor.NewRand(7)
 	logits := tensor.RandNormal(6, 5, 1, rng)

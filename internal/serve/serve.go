@@ -35,8 +35,8 @@ type Model interface {
 	Name() string
 	Nodes() int
 	Classes() int
-	// Score reuses pooled scratch buffers with no per-buffer locking.
-	// lint:confine score-path
+	// Score reuses pooled scratch buffers with no per-buffer locking, which
+	// is sound only while one goroutine — the engine's dispatcher — calls it.
 	Score(idx []int, out *tensor.Matrix) error
 }
 
@@ -434,7 +434,6 @@ func (e *Engine) runBatch(batch []*request) {
 // span has one parent), so the correlation is bidirectional links — the
 // batch span links every request span it served, and each request struct
 // carries the batch span id back so Predict can link the other direction.
-// lint:confine score-path
 func (e *Engine) scoreGroup(st *state, group []*request) {
 	total := 0
 	for _, r := range group {

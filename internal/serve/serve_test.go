@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"scalegnn/internal/dataset"
+	"scalegnn/internal/models"
+	"scalegnn/internal/par"
 	"scalegnn/internal/tensor"
 )
 
@@ -315,6 +318,69 @@ func TestHotSwapConsistency(t *testing.T) {
 	if st := e.Stats(); st.Swaps != 51 {
 		t.Fatalf("swap counter = %d, want 51", st.Swaps)
 	}
+}
+
+// TestEngineScoresRealModelConcurrently holds the single-dispatcher
+// invariant with a real model, whose Score reuses pooled scratch buffers
+// with no locking: eight clients call Predict at once through a cache too
+// small to hide misses, and every logit must equal offline Score
+// bitwise. Scoring from a second goroutine (a second dispatcher, or
+// Predict scoring on the request goroutine) races on that scratch, which
+// the -race pass reports. It stays on under -short for that pass.
+func TestEngineScoresRealModelConcurrently(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{
+		Nodes: 200, Classes: 3, AvgDegree: 6, Homophily: 0.8,
+		FeatureDim: 10, NoiseStd: 1.0, TrainFrac: 0.5, ValFrac: 0.2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := models.DefaultTrainConfig()
+	cfg.Epochs, cfg.Patience, cfg.BatchSize, cfg.Hidden, cfg.Seed = 5, 0, 64, 8, 7
+	m, err := models.NewSGC(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Fit(ds, cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := ds.G.N
+	want := tensor.New(n, ds.NumClasses)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	if err := m.Score(all, want); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(Config{CacheSize: 1})
+	defer e.Close()
+	e.Swap(m, SwapInfo{Source: "fit"})
+	// One par worker per client: eight goroutines whatever GOMAXPROCS is.
+	const clients, calls = 8, 200
+	prev := par.SetMaxWorkers(clients)
+	defer par.SetMaxWorkers(prev)
+	par.Range(clients, 1, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			for i := 0; i < calls; i++ {
+				nodes := []int{(c*calls + i) % n, (c*calls + 7*i + 1) % n}
+				p, err := e.Predict(context.Background(), nodes)
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				for j, v := range nodes {
+					for k, got := range p.Logits[j] {
+						if got != want.At(v, k) {
+							t.Errorf("client %d node %d class %d: logit %v, offline %v", c, v, k, got, want.At(v, k))
+							return
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestEngineScoreError proves a model failure reaches every request in

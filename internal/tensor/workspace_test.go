@@ -184,6 +184,15 @@ func TestIntoKernelsRejectAliasing(t *testing.T) {
 		view := FromSlice(2, 4, a.Data[:8])
 		a.SelectRowsInto([]int{0, 1}, view)
 	})
+	mustPanic("MatVecInto dst=x", func() {
+		x := make([]float64, 4)
+		MatVecInto(a, x, x)
+	})
+	// Overlapping (not identical) views: dst == src is a no-op copy.
+	backing := make([]float64, 10)
+	src, dst := FromSlice(2, 4, backing[:8]), FromSlice(2, 4, backing[2:])
+	mustPanic("WidenInto dst overlaps src", func() { WidenInto(src, dst) })
+	mustPanic("NarrowInto dst overlaps src", func() { NarrowInto(src, dst) })
 }
 
 func TestIntoKernelsRejectShapeMismatch(t *testing.T) {
@@ -201,4 +210,10 @@ func TestIntoKernelsRejectShapeMismatch(t *testing.T) {
 	mustPanic("MatMulInto wrong dst", func() { MatMulInto(a, b, New(4, 4)) })
 	mustPanic("MatVecInto wrong dst", func() { MatVecInto(a, make([]float64, 3), make([]float64, 3)) })
 	mustPanic("SelectRowsInto wrong dst", func() { a.SelectRowsInto([]int{0}, New(2, 3)) })
+	// Each dst below is larger than the result, so only the shape guard —
+	// not an index out of range — can reject it.
+	mustPanic("MatMulTInto wrong dst", func() { MatMulTInto(a, New(5, 3), New(5, 5)) })
+	mustPanic("TMatMulInto wrong dst", func() { TMatMulInto(a, New(4, 5), New(4, 5)) })
+	mustPanic("WidenInto wrong dst", func() { WidenInto(NewOf[float32](2, 3), New(3, 3)) })
+	mustPanic("NarrowInto wrong dst", func() { NarrowInto(New(2, 3), NewOf[float32](3, 3)) })
 }

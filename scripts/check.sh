@@ -195,5 +195,6 @@ grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SCRATCH/metrics.prom" || {
 echo "== non-test Go lines"
 echo "   root module: $(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' | xargs cat | wc -l)"
 echo "   benchmark/:  $(find benchmark -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
+echo "   internal/lint: $(find internal/lint -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
 
 echo "All checks passed."
