@@ -30,7 +30,7 @@ func main() {
 		list        = flag.Bool("list", false, "list experiments and exit")
 		seed        = flag.Uint64("seed", 42, "base random seed")
 		traceOut    = flag.String("trace-out", "", "write the span timeline to this file as JSONL")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar metrics, /metrics (Prometheus), and pprof on this address (e.g. localhost:6060)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and pprof on this address (e.g. localhost:6060)")
 		pprofOut    = flag.String("pprof", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -60,7 +60,7 @@ func main() {
 		train.EnableMetrics(sess.Registry)
 	}
 	if addr := sess.Addr(); addr != "" {
-		fmt.Printf("metrics: http://%s/metrics  expvar: http://%s/debug/vars  pprof: http://%s/debug/pprof/\n", addr, addr, addr)
+		fmt.Printf("metrics: http://%s/metrics  pprof: http://%s/debug/pprof/\n", addr, addr)
 	}
 
 	var selected []bench.Experiment

@@ -6,7 +6,6 @@
 //
 //	GET/POST /predict     — predictions (and logits) for node ids
 //	GET      /healthz     — served model, generation, SLO burn status
-//	GET      /stats       — QPS counters and latency quantiles
 //	GET      /metrics     — Prometheus text exposition
 //	POST     /admin/swap  — hot-swap to a new snapshot, zero downtime
 //
@@ -17,8 +16,6 @@
 //	curl 'localhost:8080/predict?nodes=17,42'
 //	curl -X POST -d '{"source":"ckpts"}' localhost:8080/admin/swap
 //
-//	gnnserve -selftest   # train, snapshot, restore, verify parity, load-test in-process
-//
 // Requests are traced end-to-end when -trace-out is set: /predict ingests
 // W3C traceparent headers, every request span links to the batch-forward
 // span that scored it, and the JSONL timeline lands on disk at shutdown
@@ -28,15 +25,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -46,7 +39,6 @@ import (
 	"scalegnn/internal/obs"
 	"scalegnn/internal/serve"
 	"scalegnn/internal/tensor"
-	"scalegnn/internal/train"
 )
 
 // logger is the process-wide structured logger, installed in main before
@@ -80,30 +72,25 @@ func main() {
 		window      = flag.Duration("window", 0, "fixed request-coalescing window; 0 (default) drains queued requests per batch without waiting, which E21 measures as the best closed-loop policy")
 		maxBatch    = flag.Int("max-batch", 256, "max node rows per coalesced forward")
 		cacheSize   = flag.Int("cache", 4096, "hot-node logit LRU size (0 disables)")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar metrics, /metrics, and pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and pprof on this address")
 		traceOut    = flag.String("trace-out", "", "write the request/batch span timeline as JSONL here on exit")
 		cpuProfile  = flag.String("pprof", "", "write a CPU profile of the run here")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 		accessLog   = flag.Bool("access-log", false, "log one structured line per /predict request, correlated by trace_id")
 
-		slo           = flag.Duration("slo", 25*time.Millisecond, "per-request latency SLO target; drives the /healthz burn-rate degradation and the selftest load report")
+		slo           = flag.Duration("slo", 25*time.Millisecond, "per-request latency SLO target; drives the /healthz burn-rate degradation")
 		sloObjective  = flag.Float64("slo-objective", 0.99, "fraction of requests that must meet -slo (error budget = 1 - objective)")
 		sloWindow     = flag.Duration("slo-window", 60*time.Second, "rolling window the SLO burn rate is computed over")
 		sloBurn       = flag.Float64("slo-burn-threshold", 1.0, "burn rate at or above which /healthz reports degraded")
-		selftest      = flag.Bool("selftest", false, "train, snapshot, restore, verify parity, then load-test in-process")
-		metricsOut    = flag.String("metrics-out", "", "selftest: scrape /metrics after the load run and write the exposition here")
-		duration      = flag.Duration("duration", 2*time.Second, "selftest: load-generation duration")
-		concurrency   = flag.Int("concurrency", 8, "selftest: closed-loop load workers")
-		epochs        = flag.Int("epochs", 20, "selftest: training epochs")
 		listenAddrStr = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	)
 	flag.Parse()
 	logger = obs.NewLogger(os.Stderr, *logJSON, nil)
 
 	// The root context is signal-bound from the start so that shutdown
-	// during warm-up (selftest probes included) cancels cleanly; the same
-	// cancellation path unwinds main, which is what flushes the obs session
-	// (trace JSONL + CPU profile) on SIGTERM.
+	// during warm-up cancels cleanly; the same cancellation path unwinds
+	// main, which is what flushes the obs session (trace JSONL + CPU
+	// profile) on SIGTERM.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -147,27 +134,7 @@ func main() {
 	cfg.Hidden = *hidden
 	cfg.BatchSize = *batch
 	cfg.Seed = *seed
-	cfg.Epochs = *epochs
 	cfg.DType = *dtype
-
-	engCfg := serve.Config{
-		Window: *window, MaxBatch: *maxBatch, CacheSize: *cacheSize, Registry: reg,
-		SLO: serve.SLOConfig{
-			Target: *slo, Objective: *sloObjective,
-			Window: *sloWindow, BurnThreshold: *sloBurn,
-		},
-	}
-
-	if *selftest {
-		opts := selftestOpts{
-			metricsOut: *metricsOut,
-			duration:   *duration, concurrency: *concurrency, slo: *slo,
-		}
-		if err := runSelftest(ctx, ds, *model, *hops, cfg, engCfg, opts); err != nil {
-			fatal("selftest: %v", err)
-		}
-		return
-	}
 
 	if (*ckptDir == "") == (*snapshot == "") {
 		fatal("need exactly one of -checkpoint-dir or -snapshot")
@@ -182,7 +149,13 @@ func main() {
 		fatal("%v", err)
 	}
 
-	eng := serve.NewEngine(engCfg)
+	eng := serve.NewEngine(serve.Config{
+		Window: *window, MaxBatch: *maxBatch, CacheSize: *cacheSize, Registry: reg,
+		SLO: serve.SLOConfig{
+			Target: *slo, Objective: *sloObjective,
+			Window: *sloWindow, BurnThreshold: *sloBurn,
+		},
+	})
 	defer eng.Close()
 	eng.Swap(m, info)
 	srv := serve.NewServer(eng, loader)
@@ -210,10 +183,9 @@ func main() {
 	logger.Info("shutting down", "reason", "signal")
 }
 
-// servable is what serving needs from a model family: trainable (for
-// -selftest), restorable from a snapshot, and batch-scorable.
+// servable is what serving needs from a model family: restorable from a
+// snapshot, and batch-scorable.
 type servable interface {
-	models.Trainer
 	models.NodeScorer
 	models.Restorer
 }
@@ -261,7 +233,9 @@ func snapshotLoader(ds *dataset.Dataset, name string, hops int, cfg models.Train
 }
 
 // readSnapshot loads a snapshot from a file path or, for a directory, the
-// newest snapshot matching the run fingerprint.
+// newest snapshot matching the run fingerprint. A directory holding no
+// snapshot is as missing as a path that does not exist: both wrap
+// os.ErrNotExist, which /admin/swap answers with 404.
 func readSnapshot(source, name string, ds *dataset.Dataset, cfg models.TrainConfig) (*ckpt.Snapshot, error) {
 	fi, err := os.Stat(source)
 	if err != nil {
@@ -277,7 +251,7 @@ func readSnapshot(source, name string, ds *dataset.Dataset, cfg models.TrainConf
 			return nil, err
 		}
 		if snap == nil {
-			return nil, fmt.Errorf("gnnserve: no snapshots in %s", source)
+			return nil, fmt.Errorf("gnnserve: no snapshots in %s: %w", source, os.ErrNotExist)
 		}
 		logger.Info("loading snapshot", "path", path)
 		return snap, nil
@@ -294,346 +268,6 @@ func readSnapshot(source, name string, ds *dataset.Dataset, cfg models.TrainConf
 func warm(m models.NodeScorer) error {
 	out := tensor.New(1, m.Classes())
 	return m.Score([]int{0}, out)
-}
-
-// selftestOpts bundles the selftest-only knobs.
-type selftestOpts struct {
-	metricsOut  string
-	duration    time.Duration
-	concurrency int
-	slo         time.Duration
-}
-
-// runSelftest is the offline gate behind scripts/check.sh's serve smoke
-// test: train → snapshot → restore → verify the served path is byte-equal
-// to offline Predict → serve over HTTP → load-test → hot-swap once. It
-// then exercises the telemetry surface:
-// /metrics must parse as strict Prometheus text with serve.request_seconds
-// buckets, an inbound traceparent must be honored end-to-end, the span
-// timeline must carry trace ids and request↔batch links (when tracing is
-// on), and /healthz must flip to degraded under injected latency. It fails
-// on any correctness violation or request errors; missing the latency SLO
-// in the load run is reported, not fatal.
-func runSelftest(ctx context.Context, ds *dataset.Dataset, model string, hops int, cfg models.TrainConfig, engCfg serve.Config,
-	opts selftestOpts) error {
-	dir, err := os.MkdirTemp("", "gnnserve-selftest-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := os.RemoveAll(dir); err != nil {
-			logger.Error("selftest cleanup", "err", err)
-		}
-	}()
-
-	cfg.Checkpoint = train.CheckpointConfig{Dir: dir, Every: 1, KeepLast: 2}
-	trained, err := makeModel(model, hops)
-	if err != nil {
-		return err
-	}
-	logger.Info("selftest: training", "model", trained.Name(), "nodes", ds.G.N)
-	if _, err := trained.Fit(ds, cfg); err != nil {
-		return fmt.Errorf("fit: %w", err)
-	}
-	want, err := trained.Predict(ds)
-	if err != nil {
-		return err
-	}
-
-	loader := snapshotLoader(ds, model, hops, cfg)
-	m, info, err := loader(dir)
-	if err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-
-	// Byte-equal parity: the restored, served model must score every node
-	// to the same class as the offline Predict of the model just trained.
-	got := make([]int, 0, ds.G.N)
-	out := tensor.New(ds.G.N, ds.NumClasses)
-	idx := make([]int, ds.G.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	if err := m.Score(idx, out); err != nil {
-		return err
-	}
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		got = append(got, best)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("parity: node %d served class %d, offline Predict %d", i, got[i], want[i])
-		}
-	}
-	logger.Info("selftest: parity verified", "nodes", ds.G.N)
-
-	eng := serve.NewEngine(engCfg)
-	defer eng.Close()
-	eng.Swap(m, info)
-	srv := serve.NewServer(eng, loader)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer func() {
-		if err := srv.Close(); err != nil {
-			logger.Error("server close", "err", err)
-		}
-	}()
-	base := "http://" + srv.Addr()
-
-	res, err := serve.RunLoad(serve.LoadConfig{
-		BaseURL:     base,
-		Nodes:       ds.G.N,
-		Concurrency: opts.concurrency,
-		Duration:    opts.duration,
-		SLO:         opts.slo,
-		Seed:        cfg.Seed,
-	})
-	if err != nil {
-		return fmt.Errorf("loadgen: %w", err)
-	}
-	st := eng.Stats()
-	if st.CacheHits+st.CacheMisses > 0 {
-		res.CacheHitRate = float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
-	}
-	if res.Errors > 0 {
-		return fmt.Errorf("loadgen: %d request errors", res.Errors)
-	}
-
-	// Exercise the swap path end-to-end: reload the same snapshot; the
-	// generation must advance and serving must continue.
-	m2, info2, err := loader(dir)
-	if err != nil {
-		return fmt.Errorf("swap restore: %w", err)
-	}
-	if gen := eng.Swap(m2, info2); gen != 2 {
-		return fmt.Errorf("swap generation = %d, want 2", gen)
-	}
-	probe, err := eng.Predict(ctx, []int{0})
-	if err != nil || probe.Predictions[0] != want[0] {
-		return fmt.Errorf("post-swap probe: pred=%v err=%v", probe, err)
-	}
-	logger.Info("selftest: hot swap verified", "generation", 2)
-
-	if err := checkMetricsExposition(ctx, base, opts.metricsOut); err != nil {
-		return err
-	}
-	if err := checkTraceparentEcho(ctx, base); err != nil {
-		return err
-	}
-	if err := checkSpanLinks(); err != nil {
-		return err
-	}
-	if err := checkSLODegradation(ctx, m2, info2); err != nil {
-		return err
-	}
-
-	verdict := "met"
-	if !res.SLOMet {
-		verdict = "MISSED (informational)"
-	}
-	logger.Info("selftest: load run",
-		"requests", res.Requests, "qps", fmt.Sprintf("%.0f", res.QPS),
-		"p50_ms", fmt.Sprintf("%.2f", res.P50Ms), "p99_ms", fmt.Sprintf("%.2f", res.P99Ms),
-		"slo_ms", fmt.Sprintf("%.0f", res.SLOMs), "slo", verdict,
-		"cache_hit_rate", fmt.Sprintf("%.0f%%", res.CacheHitRate*100),
-	)
-	return nil
-}
-
-// checkMetricsExposition scrapes /metrics, validates it with the strict
-// hand-rolled Prometheus parser, requires the serve.request_seconds
-// cumulative buckets, and optionally writes the exposition to disk.
-func checkMetricsExposition(ctx context.Context, base, metricsOut string) error {
-	body, _, err := httpGet(ctx, base+"/metrics", "")
-	if err != nil {
-		return fmt.Errorf("metrics scrape: %w", err)
-	}
-	if err := obs.ValidateExposition(body); err != nil {
-		return fmt.Errorf("metrics exposition: %w", err)
-	}
-	for _, needle := range []string{
-		`serve_request_seconds_bucket{le="+Inf"}`,
-		"serve_request_seconds_sum",
-		"serve_request_seconds_count",
-		"serve_requests_total",
-	} {
-		if !strings.Contains(string(body), needle) {
-			return fmt.Errorf("metrics exposition missing %q", needle)
-		}
-	}
-	if metricsOut != "" {
-		if err := os.WriteFile(metricsOut, body, 0o644); err != nil {
-			return fmt.Errorf("metrics out: %w", err)
-		}
-	}
-	logger.Info("selftest: /metrics exposition valid", "bytes", len(body))
-	return nil
-}
-
-// checkTraceparentEcho sends a /predict with a fixed inbound traceparent
-// and requires the response header to continue the same trace (when
-// tracing is enabled; with no tracer the header is absent by design).
-func checkTraceparentEcho(ctx context.Context, base string) error {
-	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	_, hdr, err := httpGet(ctx, base+"/predict?nodes=0", inbound)
-	if err != nil {
-		return fmt.Errorf("traceparent probe: %w", err)
-	}
-	echo := hdr.Get("Traceparent")
-	if !obs.Enabled() {
-		if echo != "" {
-			return fmt.Errorf("traceparent echoed %q with tracing off", echo)
-		}
-		return nil
-	}
-	tc, ok := obs.ParseTraceparent(echo)
-	if !ok {
-		return fmt.Errorf("response traceparent %q does not parse", echo)
-	}
-	want, _ := obs.ParseTraceparent(inbound)
-	if tc.Trace != want.Trace {
-		return fmt.Errorf("response trace id %s, want %s (inbound not honored)", tc.Trace, want.Trace)
-	}
-	logger.Info("selftest: inbound traceparent honored", "trace_id", tc.Trace.String())
-	return nil
-}
-
-// checkSpanLinks verifies the live tracer's timeline: every serve.request
-// span carries a trace id, at least one links into a serve.batch_forward
-// span, and every link from a request span targets a batch span. No-op
-// when tracing is off.
-func checkSpanLinks() error {
-	t := obs.ActiveTracer()
-	if t == nil {
-		return nil
-	}
-	snap := t.Snapshot()
-	batchIDs := make(map[uint64]bool)
-	for _, r := range snap {
-		if r.Name == "serve.batch_forward" {
-			batchIDs[r.ID] = true
-		}
-	}
-	var reqSpans, linked int
-	for _, r := range snap {
-		if r.Name != "serve.request" {
-			continue
-		}
-		reqSpans++
-		if r.Trace == "" {
-			return fmt.Errorf("trace check: request span %d has no trace_id", r.ID)
-		}
-		for _, l := range r.Links {
-			if !batchIDs[l] {
-				return fmt.Errorf("trace check: request span %d links %d, which is not a batch-forward span", r.ID, l)
-			}
-			linked++
-		}
-	}
-	if reqSpans == 0 {
-		return fmt.Errorf("trace check: no serve.request spans recorded")
-	}
-	if linked == 0 {
-		return fmt.Errorf("trace check: no request span links a batch-forward span")
-	}
-	logger.Info("selftest: span links verified", "request_spans", reqSpans, "batch_links", linked)
-	return nil
-}
-
-// checkSLODegradation stands up a second engine around the same model with
-// artificial scoring latency and an aggressive SLO target, then requires
-// /healthz over real HTTP to report degraded once the burn rate crosses
-// threshold.
-func checkSLODegradation(ctx context.Context, m serve.Model, info serve.SwapInfo) error {
-	slow := slowModel{Model: m, delay: 2 * time.Millisecond}
-	eng := serve.NewEngine(serve.Config{
-		CacheSize: 0, // every request must reach the (slow) scorer
-		SLO: serve.SLOConfig{
-			Target: 100 * time.Microsecond, Objective: 0.99,
-			Window: 10 * time.Second, BurnThreshold: 1.0,
-		},
-	})
-	defer eng.Close()
-	eng.Swap(slow, info)
-	srv := serve.NewServer(eng, nil)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer func() {
-		if err := srv.Close(); err != nil {
-			logger.Error("slo drill server close", "err", err)
-		}
-	}()
-	base := "http://" + srv.Addr()
-	for i := 0; i < 10; i++ {
-		if _, _, err := httpGet(ctx, fmt.Sprintf("%s/predict?nodes=%d", base, i), ""); err != nil {
-			return fmt.Errorf("slo drill request: %w", err)
-		}
-	}
-	body, _, err := httpGet(ctx, base+"/healthz", "")
-	if err != nil {
-		return fmt.Errorf("slo drill healthz: %w", err)
-	}
-	var health struct {
-		Status string `json:"status"`
-		SLO    *serve.SLOStatus
-	}
-	if err := json.Unmarshal(body, &health); err != nil {
-		return fmt.Errorf("slo drill healthz decode: %w", err)
-	}
-	if health.Status != "degraded" {
-		return fmt.Errorf("slo drill: healthz status %q, want degraded (%s)", health.Status, body)
-	}
-	logger.Info("selftest: healthz degraded under injected latency", "status", health.Status)
-	return nil
-}
-
-// slowModel injects fixed latency ahead of every Score — the selftest's
-// SLO-degradation stand-in for an overloaded model.
-type slowModel struct {
-	serve.Model
-	delay time.Duration
-}
-
-// Score delays, then delegates to the wrapped model.
-func (s slowModel) Score(idx []int, out *tensor.Matrix) error {
-	time.Sleep(s.delay)
-	return s.Model.Score(idx, out)
-}
-
-// httpGet issues one GET with the request bound to ctx, optionally setting
-// an inbound traceparent, and returns the body and response headers.
-func httpGet(ctx context.Context, url, traceparent string) ([]byte, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if traceparent != "" {
-		req.Header.Set("Traceparent", traceparent)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("GET %s: status %d (%s)", url, resp.StatusCode, body)
-	}
-	return body, resp.Header, nil
 }
 
 func fatal(format string, args ...any) {

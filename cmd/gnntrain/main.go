@@ -60,7 +60,7 @@ func main() {
 		ckptKeep    = flag.Int("checkpoint-keep", 2, "retain the newest N snapshots")
 		resume      = flag.Bool("resume", false, "resume from the newest usable snapshot in -checkpoint-dir")
 		traceOut    = flag.String("trace-out", "", "write the span timeline to this file as JSONL")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar metrics, /metrics, and pprof on this address (e.g. localhost:6060)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and pprof on this address (e.g. localhost:6060)")
 		pprofOut    = flag.String("pprof", "", "write a CPU profile of the run to this file")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 	)

@@ -57,12 +57,12 @@ func runE21(cfg Config) (*Table, error) {
 	}
 	var qpsDrain, qpsWindowed, p99Drain float64
 	for _, c := range configs {
-		res, rqPerBatch, health, err := serveOnce(m, n, c.window, c.cache, workers, dur, slo, cfg.Seed)
+		res, hitRate, rqPerBatch, health, err := serveOnce(m, n, c.window, c.cache, workers, dur, slo, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.label, err)
 		}
 		met := "yes"
-		if !res.SLOMet {
+		if res.P99Ms > float64(slo)/float64(time.Millisecond) {
 			met = "NO"
 		}
 		t.AddRow(c.label,
@@ -71,7 +71,7 @@ func runE21(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.2fms", res.P50Ms),
 			fmt.Sprintf("%.2fms", res.P99Ms),
 			fmt.Sprintf("%.2fms", res.MaxMs),
-			fmt.Sprintf("%.0f", res.CacheHitRate*100),
+			fmt.Sprintf("%.0f", hitRate*100),
 			met, health)
 		switch c.label {
 		case "drain coalescing":
@@ -89,12 +89,13 @@ func runE21(cfg Config) (*Table, error) {
 }
 
 // serveOnce runs one engine configuration behind a real HTTP listener,
-// load-generates against it, and reports the result, the mean dispatcher
-// batch size (cache-missing requests per scored batch), and the engine's
-// SLO-aware health verdict after the run — "ok" unless the rolling-window
-// burn rate says the p99 budget is being spent faster than sustainable.
+// load-generates against it, and reports the result, the logit-cache hit
+// rate, the mean dispatcher batch size (cache-missing requests per scored
+// batch), and the engine's SLO-aware health verdict after the run — "ok"
+// unless the rolling-window burn rate says the p99 budget is being spent
+// faster than sustainable. Any request error fails the run.
 func serveOnce(m serve.Model, n int, window time.Duration, cache, workers int,
-	dur, slo time.Duration, seed uint64) (*serve.LoadResult, float64, string, error) {
+	dur, slo time.Duration, seed uint64) (res *loadResult, hitRate, rqPerBatch float64, health string, err error) {
 	eng := serve.NewEngine(serve.Config{
 		Window: window, MaxBatch: 256, CacheSize: cache,
 		SLO: serve.SLOConfig{Target: slo, Objective: 0.99, Window: dur},
@@ -103,33 +104,31 @@ func serveOnce(m serve.Model, n int, window time.Duration, cache, workers int,
 	eng.Swap(m, serve.SwapInfo{Source: "fit"})
 	srv := serve.NewServer(eng, nil)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	defer func() {
 		//lint:ignore unchecked-error benchmark teardown; the listener dies with the process anyway
 		srv.Close()
 	}()
-	res, err := serve.RunLoad(serve.LoadConfig{
+	res, err = runLoad(loadConfig{
 		BaseURL:     "http://" + srv.Addr(),
 		Nodes:       n,
 		Concurrency: workers,
 		Duration:    dur,
-		SLO:         slo,
 		Seed:        seed,
 	})
 	if err != nil {
-		return nil, 0, "", err
+		return nil, 0, 0, "", err
 	}
 	if res.Errors > 0 {
-		return nil, 0, "", fmt.Errorf("load run saw %d request errors", res.Errors)
+		return nil, 0, 0, "", fmt.Errorf("load run saw %d request errors", res.Errors)
 	}
 	st := eng.Stats()
 	if st.CacheHits+st.CacheMisses > 0 {
-		res.CacheHitRate = float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
+		hitRate = float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
 	}
-	var rqPerBatch float64
 	if st.Batches > 0 {
 		rqPerBatch = float64(st.CacheMisses) / float64(st.Batches)
 	}
-	return res, rqPerBatch, eng.Health().Status, nil
+	return res, hitRate, rqPerBatch, eng.Health().Status, nil
 }

@@ -287,11 +287,10 @@ func TestEnableMetricsCounts(t *testing.T) {
 	if _, err := m.Save(sampleSnapshot(3)); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap["ckpt.snapshots_saved"] != 1 {
-		t.Fatalf("snapshots_saved = %v, want 1", snap["ckpt.snapshots_saved"])
+	if n := reg.Counter("ckpt.snapshots_saved").Value(); n != 1 {
+		t.Fatalf("snapshots_saved = %d, want 1", n)
 	}
-	if snap["ckpt.bytes_written"] <= 0 {
-		t.Fatalf("bytes_written = %v, want > 0", snap["ckpt.bytes_written"])
+	if n := reg.Counter("ckpt.bytes_written").Value(); n <= 0 {
+		t.Fatalf("bytes_written = %d, want > 0", n)
 	}
 }

@@ -246,8 +246,8 @@ func TestWorkspacePoolHitRateSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := reg.Snapshot()
-	hits, misses := snap["tensor.pool_hits"], snap["tensor.pool_misses"]
+	hits := float64(reg.Counter("tensor.pool_hits").Value())
+	misses := float64(reg.Counter("tensor.pool_misses").Value())
 	if hits <= 0 {
 		t.Fatalf("no pool hits recorded (misses=%v) — counters not wired or pool never reused", misses)
 	}

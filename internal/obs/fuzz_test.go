@@ -42,8 +42,8 @@ func FuzzParseTraceparent(f *testing.F) {
 }
 
 // FuzzValidateExposition: the validator reads scrapes taken over HTTP
-// (gnnserve -selftest, the benchmark's probe). It never panics, and its
-// verdict does not depend on a trailing newline.
+// (the /metrics tests of obs and serve). It never panics, and its verdict
+// does not depend on a trailing newline.
 func FuzzValidateExposition(f *testing.F) {
 	reg := obs.NewRegistry()
 	reg.Counter("serve.requests").Add(42)

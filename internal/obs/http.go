@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,9 +9,6 @@ import (
 	runtimepprof "runtime/pprof"
 	"time"
 )
-
-// ExpvarName is the expvar slot the debug server publishes registries under.
-const ExpvarName = "scalegnn"
 
 // DebugServer is a running metrics/profiling HTTP listener.
 type DebugServer struct {
@@ -30,21 +26,16 @@ func (s *DebugServer) Close() error { return s.srv.Close() }
 // profiler:
 //
 //	/metrics       — Prometheus text exposition of the registry (prom.go)
-//	/debug/vars    — expvar JSON, including the registry under "scalegnn"
 //	/debug/pprof/  — net/http/pprof index (profile, heap, goroutine, ...)
 //
 // The registry may be nil (pprof only, no /metrics). The server runs until
 // Close; it is the CLI's -metrics-addr listener, deliberately not wired
 // into any training code path — observation stays out-of-band.
 func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	if reg != nil {
-		reg.Publish(ExpvarName)
-	}
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", MetricsHandler(reg))
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -227,90 +224,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.gen.Add(1)
 	}
 	return h
-}
-
-// Snapshot returns the current value of every metric, keyed by name.
-// Histograms contribute <name>.count, <name>.sum, <name>.p50, <name>.p99.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+4*len(r.histograms))
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		out[name+".count"] = float64(h.Count())
-		out[name+".sum"] = h.Sum()
-		out[name+".p50"] = h.Quantile(0.5)
-		out[name+".p99"] = h.Quantile(0.99)
-	}
-	return out
-}
-
-// String renders the snapshot as a JSON object with sorted keys,
-// implementing expvar.Var so a registry can be published wholesale.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, name := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		v := snap[name]
-		b.WriteString(fmt.Sprintf("%q: ", name))
-		switch {
-		case math.IsInf(v, 1):
-			b.WriteString(`"+Inf"`)
-		case math.IsInf(v, -1):
-			b.WriteString(`"-Inf"`)
-		case math.IsNaN(v):
-			b.WriteString(`"NaN"`)
-		default:
-			b.WriteString(fmt.Sprintf("%g", v))
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-var _ expvar.Var = (*Registry)(nil)
-
-// Publish exposes the registry under the given expvar name. Safe to call
-// more than once for the same name (expvar.Publish panics on duplicates;
-// Publish swaps instead, so tests and repeated CLI runs in one process
-// behave).
-func (r *Registry) Publish(name string) {
-	if v := expvar.Get(name); v != nil {
-		if holder, ok := v.(*registryVar); ok {
-			holder.p.Store(r)
-			return
-		}
-		// Name taken by a foreign Var: nothing safe to do.
-		return
-	}
-	holder := &registryVar{}
-	holder.p.Store(r)
-	expvar.Publish(name, holder)
-}
-
-// registryVar is the swappable expvar slot backing Publish.
-type registryVar struct{ p atomic.Pointer[Registry] }
-
-func (v *registryVar) String() string {
-	r := v.p.Load()
-	if r == nil {
-		return "{}"
-	}
-	return r.String()
 }
 
 // CounterRef gates hot-path counting behind one atomic pointer load:

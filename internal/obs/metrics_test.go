@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -93,36 +92,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndString(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("a").Add(2)
-	reg.Gauge("b").Set(0.5)
-	reg.Histogram("h", []float64{1}).Observe(0.25)
-
-	snap := reg.Snapshot()
-	if snap["a"] != 2 || snap["b"] != 0.5 || snap["h.count"] != 1 {
-		t.Errorf("unexpected snapshot %v", snap)
-	}
-
-	// String must be valid JSON (it feeds expvar /debug/vars).
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(reg.String()), &decoded); err != nil {
-		t.Fatalf("Registry.String not valid JSON: %v\n%s", err, reg.String())
-	}
-	if decoded["a"].(float64) != 2 {
-		t.Errorf("decoded a = %v, want 2", decoded["a"])
-	}
-}
-
-func TestPublishIsIdempotent(t *testing.T) {
-	r1, r2 := obs.NewRegistry(), obs.NewRegistry()
-	r1.Counter("only.in.one").Add(1)
-	r1.Publish("obs-test-slot")
-	r1.Publish("obs-test-slot") // second publish of same registry: no panic
-	r2.Counter("only.in.two").Add(2)
-	r2.Publish("obs-test-slot") // swaps to r2
-}
-
 func TestCounterRefGating(t *testing.T) {
 	var ref obs.CounterRef
 	ref.Add(5) // unbound: dropped
@@ -159,22 +128,21 @@ func TestTrainHook(t *testing.T) {
 	h.OnBatch(obs.BatchEnd{Epoch: 1, Batch: 0, Size: 32})
 	h.OnEpoch(obs.EpochEnd{Epoch: 1, ValAcc: 0.7, Best: 0.8, Elapsed: 20 * time.Millisecond})
 
-	snap := reg.Snapshot()
-	checks := map[string]float64{
-		"train.batches":             5,
-		"train.epochs":              2,
-		"train.batch_nodes":         160,
-		"train.val_acc":             0.7,
-		"train.best_val_acc":        0.8,
-		"train.epoch_seconds.count": 2,
+	for name, want := range map[string]int64{"train.batches": 5, "train.epochs": 2, "train.batch_nodes": 160} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	for name, want := range checks {
-		if got := snap[name]; got != want {
+	for name, want := range map[string]float64{"train.val_acc": 0.7, "train.best_val_acc": 0.8} {
+		if got := reg.Gauge(name).Value(); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	if snap["train.batches_per_s"] <= 0 {
-		t.Errorf("batches_per_s = %v, want > 0", snap["train.batches_per_s"])
+	if n := reg.Histogram("train.epoch_seconds", nil).Count(); n != 2 {
+		t.Errorf("train.epoch_seconds count = %d, want 2", n)
+	}
+	if r := reg.Gauge("train.batches_per_s").Value(); r <= 0 {
+		t.Errorf("batches_per_s = %v, want > 0", r)
 	}
 }
 
@@ -191,13 +159,12 @@ func TestServeDebug(t *testing.T) {
 		}
 	}()
 
-	body := httpGet(t, fmt.Sprintf("http://%s/debug/vars", srv.Addr()))
-	if !strings.Contains(body, obs.ExpvarName) || !strings.Contains(body, "served.metric") {
-		t.Errorf("/debug/vars missing registry: %s", body)
+	body := httpGet(t, fmt.Sprintf("http://%s/metrics", srv.Addr()))
+	if err := obs.ValidateExposition([]byte(body)); err != nil {
+		t.Fatalf("/metrics invalid: %v\n%s", err, body)
 	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(body), &decoded); err != nil {
-		t.Fatalf("/debug/vars not valid JSON: %v", err)
+	if !strings.Contains(body, "served_metric_total 11") {
+		t.Errorf("/metrics missing registry counter: %s", body)
 	}
 
 	if body := httpGet(t, fmt.Sprintf("http://%s/debug/pprof/", srv.Addr())); !strings.Contains(body, "profile") {

@@ -13,9 +13,9 @@
 //   - Metrics (metrics.go): a Registry of counters, gauges, and fixed-bucket
 //     histograms; CounterRef/GaugeRef gate hot-path instrumentation behind a
 //     single atomic pointer load so disabled metrics cost nothing.
-//   - Profiling (http.go): ServeDebug exposes the registry via expvar next
-//     to net/http/pprof on an opt-in listener; StartCPUProfile wraps the
-//     file-based runtime/pprof hooks.
+//   - Profiling (http.go): ServeDebug exposes the registry as Prometheus
+//     text (prom.go) next to net/http/pprof on an opt-in listener;
+//     StartCPUProfile wraps the file-based runtime/pprof hooks.
 //
 // Overhead contract: with no tracer installed, Start/StartTimed/Child/End
 // are a single atomic load plus a nil check — zero allocations, no clock

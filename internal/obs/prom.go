@@ -12,8 +12,8 @@ import (
 )
 
 // prom.go renders a Registry in the Prometheus text exposition format
-// (version 0.0.4), so any standard scraper can collect the same metrics
-// expvar publishes as JSON. Rendering discipline:
+// (version 0.0.4) — the registry's one exposition, so any standard scraper
+// can collect it. Rendering discipline:
 //
 //   - metric names are sanitized once (dots → underscores) and cached per
 //     registration generation, together with preformatted bucket `le`
@@ -25,9 +25,9 @@ import (
 //     produced the `+Inf` bucket, so the two can never disagree even while
 //     observations land concurrently.
 //
-// ValidateExposition is the matching strict hand-rolled parser: the
-// selftest gate and the tests use it to prove a scrape is well-formed
-// without importing any Prometheus client library.
+// ValidateExposition is the matching strict hand-rolled parser: the tests
+// use it to prove a scrape is well-formed without importing any Prometheus
+// client library.
 
 // PrometheusContentType is the Content-Type of the text exposition format.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"

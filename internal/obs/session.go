@@ -13,7 +13,7 @@ type Options struct {
 	// TraceOut, when non-empty, installs a process-wide tracer and writes
 	// the completed span timeline to this path as JSONL on Close.
 	TraceOut string
-	// MetricsAddr, when non-empty, serves the registry via expvar and the
+	// MetricsAddr, when non-empty, serves the registry as /metrics and the
 	// pprof handlers on this address (e.g. "localhost:6060").
 	MetricsAddr string
 	// CPUProfile, when non-empty, captures a CPU profile of the run into

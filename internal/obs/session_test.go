@@ -87,9 +87,12 @@ func TestSessionMetricsListener(t *testing.T) {
 		t.Fatal("listener has no bound address")
 	}
 	sess.Registry.Counter("session.metric").Add(1)
-	body := httpGet(t, "http://"+sess.Addr()+"/debug/vars")
-	if !strings.Contains(body, "session.metric") {
-		t.Errorf("/debug/vars missing session metric: %.200s", body)
+	body := httpGet(t, "http://"+sess.Addr()+"/metrics")
+	if err := obs.ValidateExposition([]byte(body)); err != nil {
+		t.Fatalf("/metrics invalid: %v\n%s", err, body)
+	}
+	if !strings.Contains(body, "session_metric_total 1") {
+		t.Errorf("/metrics missing session metric: %.200s", body)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)

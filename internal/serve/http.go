@@ -28,7 +28,6 @@ type Loader func(source string) (Model, SwapInfo, error)
 //
 //	GET/POST /predict     — class predictions (and logits) for node ids
 //	GET      /healthz     — serving health: model info + SLO burn status
-//	GET      /stats       — engine counters and latency quantiles
 //	GET      /metrics     — Prometheus text exposition of the registry
 //	POST     /admin/swap  — hot-swap the model from a new snapshot
 //
@@ -54,7 +53,6 @@ func NewServer(eng *Engine, loader Loader) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", methods(s.handlePredict, http.MethodGet, http.MethodPost))
 	mux.HandleFunc("/healthz", methods(s.handleHealth, http.MethodGet))
-	mux.HandleFunc("/stats", methods(s.handleStats, http.MethodGet))
 	mux.HandleFunc("/metrics", methods(obs.MetricsHandler(eng.Registry()).ServeHTTP, http.MethodGet))
 	mux.HandleFunc("/admin/swap", methods(s.handleSwap, http.MethodPost))
 	s.srv = &http.Server{
@@ -251,25 +249,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// Stats is the /stats payload: model info plus engine counters and
-// request-latency quantiles in milliseconds.
+// Stats is the engine's counters and request-latency quantiles (in
+// milliseconds) for in-process readers; /metrics is their wire form.
 type Stats struct {
-	Info        *Info   `json:"info,omitempty"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"request_errors"`
-	Failed      int64   `json:"requests_failed"`
-	Batches     int64   `json:"batches"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	Swaps       int64   `json:"swaps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	MaxMs       float64 `json:"max_ms"`
+	Requests    int64
+	Errors      int64
+	Failed      int64
+	Batches     int64
+	CacheHits   int64
+	CacheMisses int64
+	Swaps       int64
+	P50Ms       float64
+	P99Ms       float64
+	MaxMs       float64
 }
 
 // Stats snapshots the engine's counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Requests:    e.mRequests.Value(),
 		Errors:      e.mErrors.Value(),
 		Failed:      e.mFailed.Value(),
@@ -281,14 +278,6 @@ func (e *Engine) Stats() Stats {
 		P99Ms:       e.hLatency.Quantile(0.99) * 1e3,
 		MaxMs:       e.hLatency.Max() * 1e3,
 	}
-	if info, ok := e.Current(); ok {
-		st.Info = &info
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.Stats())
 }
 
 // swapRequest is the POST /admin/swap body.

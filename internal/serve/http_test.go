@@ -175,11 +175,7 @@ func TestHTTPServesOfflinePredictions(t *testing.T) {
 		t.Fatalf("missing nodes: status %d, want 400", code)
 	}
 
-	var st Stats
-	if code := getJSON(t, base+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.Requests == 0 || st.CacheHits == 0 || st.Info == nil {
+	if st := e.Stats(); st.Requests == 0 || st.CacheHits == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -249,44 +245,5 @@ func TestHTTPSwap(t *testing.T) {
 	s2 := startServer(t, e2, nil)
 	if code := postJSON(t, "http://"+s2.Addr()+"/admin/swap", swapRequest{Source: "b"}, nil); code != http.StatusNotImplemented {
 		t.Fatal("swap without loader should 501")
-	}
-}
-
-// TestLoadGen runs the closed-loop generator against a live server and
-// checks the result is plausible.
-func TestLoadGen(t *testing.T) {
-	e := NewEngine(Config{Window: 100 * time.Microsecond, CacheSize: 256})
-	defer e.Close()
-	e.Swap(newFake("A", 0), SwapInfo{Source: "test"})
-	s := startServer(t, e, nil)
-
-	res, err := RunLoad(LoadConfig{
-		BaseURL:     "http://" + s.Addr(),
-		Nodes:       1000,
-		Batch:       2,
-		Concurrency: 4,
-		Duration:    150 * time.Millisecond,
-		SLO:         250 * time.Millisecond,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 || res.Errors != 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	if res.Model != "A" || res.QPS <= 0 || res.P99Ms < res.P50Ms || res.MaxMs < res.P99Ms {
-		t.Fatalf("implausible result = %+v", res)
-	}
-	if !res.SLOMet {
-		t.Logf("warning: p99 %.2fms over the %.0fms test SLO (loaded CI machine?)", res.P99Ms, res.SLOMs)
-	}
-
-	// Misconfiguration errors.
-	if _, err := RunLoad(LoadConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := RunLoad(LoadConfig{BaseURL: "http://127.0.0.1:1", Nodes: 10, Duration: time.Millisecond}); err == nil {
-		t.Fatal("unreachable server accepted")
 	}
 }

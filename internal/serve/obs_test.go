@@ -211,7 +211,6 @@ func TestMethodNotAllowed(t *testing.T) {
 		{http.MethodPut, "/predict", "GET, POST"},
 		{http.MethodPost, "/healthz", "GET"},
 		{http.MethodDelete, "/healthz", "GET"},
-		{http.MethodPost, "/stats", "GET"},
 		{http.MethodPost, "/metrics", "GET"},
 		{http.MethodGet, "/admin/swap", "POST"},
 		{http.MethodDelete, "/admin/swap", "POST"},

@@ -64,7 +64,8 @@ type Config struct {
 	CacheSize int
 	// Registry receives the engine's metrics (request latency histogram,
 	// batch sizes, cache hit counters). Nil allocates a private registry;
-	// pass an obs session registry to expose them via expvar.
+	// either way the server's /metrics exposes it. Pass an obs session
+	// registry to put them on the session's debug listener too.
 	Registry *obs.Registry
 	// SLO configures the rolling-window latency SLO tracker (slo.go). The
 	// zero value disables it; Health then never reports "degraded".
@@ -182,7 +183,7 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Registry returns the engine's metrics registry (for /stats and expvar).
+// Registry returns the engine's metrics registry (served as /metrics).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // Swap atomically installs a new model with a fresh (cold) cache and
@@ -229,8 +230,8 @@ func (e *Engine) Current() (Info, bool) {
 }
 
 // Health is the engine's operational status, served by /healthz. Info is
-// embedded flat so consumers that only understand the model description
-// (the load generator's serverModel) keep decoding it unchanged.
+// embedded flat, so a client that only wants the model description decodes
+// /healthz as an Info.
 type Health struct {
 	// Status is "ok", "degraded" (the SLO burn rate crossed its threshold),
 	// or "unavailable" (no model loaded).

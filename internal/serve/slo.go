@@ -39,7 +39,7 @@ type SLOConfig struct {
 }
 
 // SLOStatus is the tracker's externally visible state, embedded in
-// /healthz and /stats responses.
+// /healthz responses.
 type SLOStatus struct {
 	TargetMS      float64 `json:"target_ms"`
 	Objective     float64 `json:"objective"`

@@ -9,8 +9,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One scratch root for everything the smoke steps write (binary, sockets,
-# trace, scrape), removed however the script exits — as are the busy loops
+# One scratch root for everything the smoke steps write (binaries, sockets,
+# logs), removed however the script exits — as are the busy loops
 # of the contention step, should it fail before it reaps them.
 SCRATCH=$(mktemp -d)
 HOGS=()
@@ -84,6 +84,7 @@ RACE_PKGS=(
   ./internal/fault
   ./internal/distnet
   ./internal/serve
+  ./internal/bench
 )
 # Race-list sync gate: any internal/ package that spawns goroutines
 # directly carries a //lint:ignore naked-go suppression per allowed site;
@@ -169,26 +170,6 @@ FP_S1=$(grep -o 'fingerprint=[0-9a-f]*' "$SCRATCH/shard1.out")
 grep -q 'stale_hits=0' "$SCRATCH/shard0.out" && grep -q 'stale_hits=0' "$SCRATCH/shard1.out" || {
   echo "distributed smoke failed: sync mode reported stale substitutions"; exit 1; }
 echo "   fingerprints match: $FP_SINGLE (2 shards, sync, 0 stale)"
-
-# Serving smoke gate: gnnserve -selftest trains, snapshots, restores,
-# verifies the served path answers byte-equal to offline Predict, hot-swaps
-# once, scrapes and validates /metrics, round-trips an inbound traceparent,
-# verifies request-span/batch-span links, degrades /healthz under injected
-# latency, and load-tests over real HTTP. A served-prediction mismatch or
-# any request error fails the run, and the trace timeline and Prometheus
-# scrape must carry the request-scoped fields.
-echo "== serve smoke (gnnserve -selftest)"
-go run ./cmd/gnnserve -selftest -nodes 2000 -epochs 5 -duration 500ms \
-  -trace-out "$SCRATCH/trace.jsonl" \
-  -metrics-out "$SCRATCH/metrics.prom"
-grep -q '"trace_id"' "$SCRATCH/trace.jsonl" || {
-  echo "serve smoke failed: trace.jsonl has no trace_id fields"; exit 1; }
-grep -q '"links"' "$SCRATCH/trace.jsonl" || {
-  echo "serve smoke failed: trace.jsonl has no span links"; exit 1; }
-grep -q 'serve.batch_forward' "$SCRATCH/trace.jsonl" || {
-  echo "serve smoke failed: trace.jsonl has no batch-forward spans"; exit 1; }
-grep -q 'serve_request_seconds_bucket{le="+Inf"}' "$SCRATCH/metrics.prom" || {
-  echo "serve smoke failed: metrics.prom missing request latency histogram"; exit 1; }
 
 # Size report (no threshold): the one way this repo counts "non-test Go
 # lines", so every PR quotes the same number.
