@@ -1,8 +1,10 @@
 // Command gnnserve serves per-node predictions from a trained decoupled
-// model (sgc | sign | appnp | gamlp | ld2) over HTTP. It rebuilds the
-// dataset and the graph-side precompute from the same flags the model was
-// trained with, loads the head weights from a checkpoint snapshot (the
-// fingerprint guards against mismatched flags), and serves:
+// model (sgc | sign | appnp | gamlp | ld2) over HTTP. A snapshot names the
+// run that wrote it, so the snapshot alone is the input: gnnserve rebuilds
+// the dataset, the model and its config from the snapshot's run spec,
+// reruns the graph-side precompute, loads the head weights (the run
+// fingerprint, which hashes the dataset's content, refuses a dataset that
+// changed since training), and serves:
 //
 //	GET/POST /predict     — predictions (and logits) for node ids
 //	GET      /healthz     — served model, generation, SLO burn status
@@ -12,7 +14,7 @@
 // Usage:
 //
 //	gnntrain -model sgc -nodes 20000 -checkpoint-dir ckpts
-//	gnnserve -model sgc -nodes 20000 -checkpoint-dir ckpts -addr :8080
+//	gnnserve -checkpoint-dir ckpts -addr :8080
 //	curl 'localhost:8080/predict?nodes=17,42'
 //	curl -X POST -d '{"source":"ckpts"}' localhost:8080/admin/swap
 //
@@ -47,26 +49,7 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
 	var (
-		model     = flag.String("model", "sgc", "decoupled model name: sgc | sign | appnp | gamlp | ld2")
-		hops      = flag.Int("hops", 2, "propagation hops")
-		nodes     = flag.Int("nodes", 5000, "synthetic node count")
-		classes   = flag.Int("classes", 5, "class count")
-		degree    = flag.Float64("deg", 10, "average degree")
-		homophily = flag.Float64("homophily", 0.8, "edge homophily")
-		noise     = flag.Float64("noise", 1.2, "feature noise std")
-		dim       = flag.Int("dim", 32, "feature dimension")
-		graphPath = flag.String("graph", "", "optional edge-list file (overrides synthetic graph)")
-		labelPath = flag.String("labels", "", "optional label file (one class per line)")
-		seed      = flag.Uint64("seed", 42, "random seed (must match training)")
-		dtype     = flag.String("dtype", "float64", "numeric tier used in training: float64 | float32")
-
-		lr          = flag.Float64("lr", 0.01, "learning rate used in training")
-		weightDecay = flag.Float64("weight-decay", 5e-4, "L2 weight decay used in training")
-		dropout     = flag.Float64("dropout", 0.5, "dropout used in training")
-		hidden      = flag.Int("hidden", 64, "hidden width used in training")
-		batch       = flag.Int("batch", 512, "mini-batch size used in training")
-
-		ckptDir  = flag.String("checkpoint-dir", "", "serve the newest matching snapshot from this directory")
+		ckptDir  = flag.String("checkpoint-dir", "", "serve the newest snapshot in this directory")
 		snapshot = flag.String("snapshot", "", "serve this one snapshot file")
 
 		window      = flag.Duration("window", 0, "fixed request-coalescing window; 0 (default) drains queued requests per batch without waiting, which E21 measures as the best closed-loop policy")
@@ -119,23 +102,6 @@ func main() {
 		logger.Info("debug listener up", "metrics", "http://"+a+"/metrics", "pprof", "http://"+a+"/debug/pprof/")
 	}
 
-	ds, err := dataset.Load(*graphPath, *labelPath, dataset.Config{
-		Nodes: *nodes, Classes: *classes, AvgDegree: *degree, Homophily: *homophily,
-		FeatureDim: *dim, NoiseStd: *noise, TrainFrac: 0.5, ValFrac: 0.2, Seed: *seed,
-	})
-	if err != nil {
-		fatal("dataset: %v", err)
-	}
-
-	cfg := models.DefaultTrainConfig()
-	cfg.LR = *lr
-	cfg.WeightDecay = *weightDecay
-	cfg.Dropout = *dropout
-	cfg.Hidden = *hidden
-	cfg.BatchSize = *batch
-	cfg.Seed = *seed
-	cfg.DType = *dtype
-
 	if (*ckptDir == "") == (*snapshot == "") {
 		fatal("need exactly one of -checkpoint-dir or -snapshot")
 	}
@@ -143,7 +109,10 @@ func main() {
 	if source == "" {
 		source = *snapshot
 	}
-	loader := snapshotLoader(ds, *model, *hops, cfg)
+	loader, err := newLoader(source)
+	if err != nil {
+		fatal("%v", err)
+	}
 	m, info, err := loader(source)
 	if err != nil {
 		fatal("%v", err)
@@ -190,77 +159,77 @@ type servable interface {
 	models.Restorer
 }
 
-func makeModel(name string, hops int) (servable, error) {
-	switch name {
-	case "sgc":
-		return models.NewSGC(hops)
-	case "sign":
-		return models.NewSIGN(hops)
-	case "appnp":
-		return models.NewAPPNP(10, 0.15)
-	case "gamlp":
-		return models.NewGAMLP(hops)
-	case "ld2":
-		return models.NewLD2(hops)
-	default:
-		return nil, fmt.Errorf("gnnserve: model %q is not a servable decoupled family", name)
+// newLoader rebuilds the dataset source's run spec names — the one dataset
+// this server serves — and returns the loader startup and /admin/swap use.
+// Each load builds a fresh model of the family and config its snapshot's
+// spec names; Restore's run fingerprint hashes the dataset's content, so a
+// snapshot trained on any other dataset fails with ckpt.ErrFingerprint.
+func newLoader(source string) (serve.Loader, error) {
+	_, spec, err := readSnapshot(source)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// snapshotLoader builds the serve.Loader used both at startup and by
-// /admin/swap: every load constructs a fresh model instance, so a swap
-// never mutates the one currently serving.
-func snapshotLoader(ds *dataset.Dataset, name string, hops int, cfg models.TrainConfig) serve.Loader {
+	ds, err := dataset.Load(spec.Graph, spec.Labels, spec.Data)
+	if err != nil {
+		return nil, fmt.Errorf("gnnserve: dataset: %w", err)
+	}
 	return func(source string) (serve.Model, serve.SwapInfo, error) {
-		m, err := makeModel(name, hops)
+		snap, spec, err := readSnapshot(source)
 		if err != nil {
 			return nil, serve.SwapInfo{}, err
 		}
-		// The fingerprint hashes the model's own Name() ("SGC-K2"), not the
-		// CLI flag spelling ("sgc").
-		snap, err := readSnapshot(source, m.Name(), ds, cfg)
+		t, err := models.New(spec.Family, spec.Hops)
 		if err != nil {
 			return nil, serve.SwapInfo{}, err
 		}
-		if err := m.Restore(ds, cfg, snap); err != nil {
+		m, ok := t.(servable)
+		if !ok {
+			return nil, serve.SwapInfo{}, fmt.Errorf("gnnserve: model %q is not a servable decoupled family", spec.Family)
+		}
+		if err := m.Restore(ds, spec.Train, snap); err != nil {
 			return nil, serve.SwapInfo{}, err
 		}
 		if err := warm(m); err != nil {
 			return nil, serve.SwapInfo{}, err
 		}
 		return m, serve.SwapInfo{Fingerprint: snap.Fingerprint, Source: source}, nil
-	}
+	}, nil
 }
 
 // readSnapshot loads a snapshot from a file path or, for a directory, the
-// newest snapshot matching the run fingerprint. A directory holding no
-// snapshot is as missing as a path that does not exist: both wrap
+// newest one that decodes, and decodes its run spec. A directory holding
+// no snapshot is as missing as a path that does not exist: both wrap
 // os.ErrNotExist, which /admin/swap answers with 404.
-func readSnapshot(source, name string, ds *dataset.Dataset, cfg models.TrainConfig) (*ckpt.Snapshot, error) {
+func readSnapshot(source string) (*ckpt.Snapshot, models.RunSpec, error) {
 	fi, err := os.Stat(source)
 	if err != nil {
-		return nil, err
+		return nil, models.RunSpec{}, err
 	}
+	var snap *ckpt.Snapshot
 	if fi.IsDir() {
 		mgr, err := ckpt.NewManager(source, 0)
 		if err != nil {
-			return nil, err
+			return nil, models.RunSpec{}, err
 		}
-		snap, path, err := mgr.Latest(models.RunFingerprint(name, ds, cfg))
-		if err != nil {
-			return nil, err
+		var path string
+		if snap, path, err = mgr.Newest(); err != nil {
+			return nil, models.RunSpec{}, err
 		}
 		if snap == nil {
-			return nil, fmt.Errorf("gnnserve: no snapshots in %s: %w", source, os.ErrNotExist)
+			return nil, models.RunSpec{}, fmt.Errorf("gnnserve: no snapshots in %s: %w", source, os.ErrNotExist)
 		}
 		logger.Info("loading snapshot", "path", path)
-		return snap, nil
+	} else {
+		data, err := os.ReadFile(source)
+		if err != nil {
+			return nil, models.RunSpec{}, err
+		}
+		if snap, err = ckpt.Decode(data); err != nil {
+			return nil, models.RunSpec{}, err
+		}
 	}
-	data, err := os.ReadFile(source)
-	if err != nil {
-		return nil, err
-	}
-	return ckpt.Decode(data)
+	spec, err := models.DecodeRunSpec(snap.Run)
+	return snap, spec, err
 }
 
 // warm forces any lazy per-model caches (APPNP's diffused logits, the

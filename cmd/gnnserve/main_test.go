@@ -4,24 +4,38 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
+	"scalegnn/internal/graph"
 	"scalegnn/internal/models"
 	"scalegnn/internal/serve"
+	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
 )
 
-// trainInto fits an SGC-K2 that snapshots into dir and returns its offline
+// trainInto fits the run spec names, snapshotting into dir with the spec in
+// every snapshot as gnntrain writes it, and returns the run's offline
 // predictions and the path of its newest snapshot file.
-func trainInto(t *testing.T, ds *dataset.Dataset, cfg models.TrainConfig, dir string) ([]int, string) {
+func trainInto(t *testing.T, spec models.RunSpec, dir string) ([]int, string) {
 	t.Helper()
-	cfg.Checkpoint = train.CheckpointConfig{Dir: dir, Every: 1, KeepLast: 2}
-	m, err := models.NewSGC(2)
+	ds, err := dataset.Load(spec.Graph, spec.Labels, spec.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := models.New(spec.Family, spec.Hops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Train
+	cfg.Checkpoint = train.CheckpointConfig{Dir: dir, Every: 1, KeepLast: 2, Run: run}
 	if _, err := m.Fit(ds, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +47,7 @@ func trainInto(t *testing.T, ds *dataset.Dataset, cfg models.TrainConfig, dir st
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, path, err := mgr.Latest(models.RunFingerprint(m.Name(), ds, cfg))
+	_, path, err := mgr.Newest()
 	if err != nil || path == "" {
 		t.Fatalf("no snapshot written: path=%q err=%v", path, err)
 	}
@@ -60,38 +74,71 @@ func post(t *testing.T, url string, body, out any) int {
 }
 
 // TestServedSnapshotMatchesOfflinePredict drives the CLI's own loader —
-// makeModel → snapshotLoader → readSnapshot → Restore → warm — on
-// snapshots the training code wrote, behind a real HTTP server: every
-// node must be served the class offline Predict gives it, from a
-// checkpoint directory and from a single snapshot file alike. /admin/swap
-// through the same loader must refuse a snapshot of another run (409) and
-// an empty directory (404) without disturbing the served generation.
+// newLoader → readSnapshot → models.New → Restore → warm — on snapshots
+// the training code wrote, given nothing but the snapshot's path, behind a
+// real HTTP server: every node must be served the class offline Predict
+// gives it, from a checkpoint directory and from a single snapshot file
+// alike. /admin/swap through the same loader must refuse a snapshot
+// trained on a graph of the same shape (409), one of a family it cannot
+// serve (422) and an empty directory (404) without disturbing the served
+// generation, and then install a retrained snapshot of the same dataset.
 func TestServedSnapshotMatchesOfflinePredict(t *testing.T) {
-	ds, err := dataset.Generate(dataset.Config{
-		Nodes: 300, Classes: 3, AvgDegree: 6, Homophily: 0.8,
-		FeatureDim: 10, NoiseStd: 1.0, TrainFrac: 0.5, ValFrac: 0.2, Seed: 7,
-	})
+	cfg := models.DefaultTrainConfig()
+	cfg.Epochs, cfg.Patience, cfg.BatchSize, cfg.Hidden, cfg.Seed = 4, 0, 64, 8, 7
+	spec := models.RunSpec{
+		Family: "sgc", Hops: 2,
+		Data: dataset.Config{
+			Nodes: 300, Classes: 3, AvgDegree: 6, Homophily: 0.8,
+			FeatureDim: 10, NoiseStd: 1.0, TrainFrac: 0.5, ValFrac: 0.2, Seed: 7,
+		},
+		Train: cfg,
+	}
+	dir := t.TempDir()
+	want, file := trainInto(t, spec, dir)
+
+	retrained := spec
+	retrained.Train.LR *= 2
+	retrainedDir := t.TempDir()
+	wantRetrained, _ := trainInto(t, retrained, retrainedDir)
+
+	// A different graph with the served one's N and edge count, so the
+	// feature width, class count and split sizes match too.
+	ds, err := dataset.Load("", "", spec.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := models.DefaultTrainConfig()
-	cfg.Epochs, cfg.Patience, cfg.BatchSize, cfg.Hidden, cfg.Seed = 4, 0, 64, 8, 7
-	dir := t.TempDir()
-	want, file := trainInto(t, ds, cfg, dir)
+	foreign := spec
+	foreign.Graph = filepath.Join(t.TempDir(), "er.el")
+	er := graph.ErdosRenyi(ds.G.N, ds.G.NumEdges()/2, tensor.NewRand(3))
+	if er.NumEdges() != ds.G.NumEdges() {
+		t.Fatalf("foreign graph has %d arcs, want %d", er.NumEdges(), ds.G.NumEdges())
+	}
+	var el bytes.Buffer
+	if err := graph.WriteEdgeList(&el, er); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(foreign.Graph, el.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreignDir := t.TempDir()
+	trainInto(t, foreign, foreignDir)
 
-	other := cfg
-	other.LR *= 2
-	otherDir := t.TempDir()
-	trainInto(t, ds, other, otherDir)
+	gcn := spec
+	gcn.Family = "gcn"
+	gcnDir := t.TempDir()
+	trainInto(t, gcn, gcnDir)
 	emptyDir := t.TempDir()
 
 	all := make([]int, ds.G.N)
 	for i := range all {
 		all[i] = i
 	}
-	loader := snapshotLoader(ds, "sgc", 2, cfg)
 	for kind, source := range map[string]string{"directory": dir, "file": file} {
 		t.Run(kind, func(t *testing.T) {
+			loader, err := newLoader(source)
+			if err != nil {
+				t.Fatal(err)
+			}
 			m, info, err := loader(source)
 			if err != nil {
 				t.Fatal(err)
@@ -110,13 +157,13 @@ func TestServedSnapshotMatchesOfflinePredict(t *testing.T) {
 				Generation  uint64 `json:"generation"`
 				Predictions []int  `json:"predictions"`
 			}
-			servesOffline := func(when string) {
+			servesOffline := func(when string, gen uint64, want []int) {
 				t.Helper()
 				if code := post(t, base+"/predict", map[string]any{"nodes": all}, &pred); code != http.StatusOK {
 					t.Fatalf("%s: /predict status %d", when, code)
 				}
-				if pred.Generation != 1 {
-					t.Fatalf("%s: served generation %d, want 1", when, pred.Generation)
+				if pred.Generation != gen {
+					t.Fatalf("%s: served generation %d, want %d", when, pred.Generation, gen)
 				}
 				for i, c := range pred.Predictions {
 					if c != want[i] {
@@ -124,7 +171,7 @@ func TestServedSnapshotMatchesOfflinePredict(t *testing.T) {
 					}
 				}
 			}
-			servesOffline("after load")
+			servesOffline("after load", 1, want)
 
 			var failure struct {
 				Error string `json:"error"`
@@ -133,29 +180,20 @@ func TestServedSnapshotMatchesOfflinePredict(t *testing.T) {
 				source string
 				status int
 			}{
-				{otherDir, http.StatusConflict},
+				{foreignDir, http.StatusConflict},
+				{gcnDir, http.StatusUnprocessableEntity},
 				{emptyDir, http.StatusNotFound},
 			} {
 				if code := post(t, base+"/admin/swap", map[string]string{"source": c.source}, &failure); code != c.status {
 					t.Errorf("swap to %s: status %d (%s), want %d", c.source, code, failure.Error, c.status)
 				}
 			}
-			servesOffline("after rejected swaps")
-		})
-	}
-}
+			servesOffline("after rejected swaps", 1, want)
 
-// TestMakeModelRejectsUnknownFamily: only the decoupled families can be
-// served, and a typo names itself rather than serving something else.
-func TestMakeModelRejectsUnknownFamily(t *testing.T) {
-	for _, name := range []string{"sgc", "sign", "appnp", "gamlp", "ld2"} {
-		if _, err := makeModel(name, 2); err != nil {
-			t.Errorf("makeModel(%q): %v", name, err)
-		}
-	}
-	for _, name := range []string{"gcn", "SGC", ""} {
-		if _, err := makeModel(name, 2); err == nil {
-			t.Errorf("makeModel(%q) accepted a family it cannot serve", name)
-		}
+			if code := post(t, base+"/admin/swap", map[string]string{"source": retrainedDir}, &failure); code != http.StatusOK {
+				t.Fatalf("swap to the retrained run: status %d (%s)", code, failure.Error)
+			}
+			servesOffline("after swap", 2, wantRetrained)
+		})
 	}
 }

@@ -49,7 +49,7 @@ var distFlags = struct {
 // dataset's CSR, and registers the epoch hook that advances the staleness
 // clock. The cluster's cursor rides inside training checkpoints via
 // Checkpoint.Aux, so a SIGKILLed shard resumes mid-sequence.
-func setupDist(ctx context.Context, ds *dataset.Dataset, cfg *models.TrainConfig, model string, hops, ckptEvery int) (*distnet.Cluster, error) {
+func setupDist(ctx context.Context, ds *dataset.Dataset, cfg *models.TrainConfig, m models.Trainer, ckptEvery int) (*distnet.Cluster, error) {
 	shard, n, err := parseShard(*distFlags.shard)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func setupDist(ctx context.Context, ds *dataset.Dataset, cfg *models.TrainConfig
 	if err != nil {
 		return nil, err
 	}
-	runFP := runFingerprint(model, ds, *cfg, hops, n, *distFlags.maxStale, *distFlags.part)
+	runFP := runFingerprint(m.Name(), ds, *cfg, n, *distFlags.maxStale, *distFlags.part)
 	retain := *distFlags.retain
 	if retain <= 0 {
 		retain = ckptEvery + 1
@@ -127,15 +127,14 @@ func buildPartition(ds *dataset.Dataset, name string, k int, seed uint64) (*part
 	}
 }
 
-// runFingerprint hashes every shard-invariant setting that must agree
-// across the cluster (and across a resume). It doubles as the checkpoint
-// run identity's distributed extension: a shard from a different command
-// line is rejected at the handshake instead of corrupting the run.
-func runFingerprint(model string, ds *dataset.Dataset, cfg models.TrainConfig, hops, n, maxStale int, partitioner string) uint64 {
+// runFingerprint extends the checkpoint run identity (models.RunFingerprint:
+// model, dataset content, hyperparameters) with the settings only a
+// cluster has. Every shard must agree on it, and so must a resume: a shard
+// from a different command line, or on a different graph of the same
+// shape, is rejected at the handshake instead of corrupting the run.
+func runFingerprint(model string, ds *dataset.Dataset, cfg models.TrainConfig, n, maxStale int, partitioner string) uint64 {
 	return ckpt.NewFingerprint().
-		String("gnntrain.dist").String(model).String(cfg.DType).String(partitioner).
-		U64(uint64(ds.G.N)).U64(uint64(ds.G.NumEdges())).U64(uint64(ds.NumClasses)).
-		U64(cfg.Seed).U64(uint64(hops)).U64(uint64(cfg.Hidden)).U64(uint64(cfg.BatchSize)).
+		String("gnntrain.dist").U64(models.RunFingerprint(model, ds, cfg)).String(partitioner).
 		U64(uint64(n)).U64(uint64(maxStale)).
 		Sum()
 }

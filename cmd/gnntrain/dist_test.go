@@ -14,6 +14,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scalegnn/internal/dataset"
+	"scalegnn/internal/graph"
+	"scalegnn/internal/models"
+	"scalegnn/internal/tensor"
 )
 
 // fingerprintLine extracts the "fingerprint=%016x" value from a run's
@@ -174,5 +179,27 @@ func TestCrashDistStaleModeStillCompletes(t *testing.T) {
 	}
 	if stale := distStat(t, out0, "stale_hits"); stale < 1 {
 		t.Error("surviving shard never used the stale cache during the outage")
+	}
+}
+
+// TestDistFingerprintSeparatesSameShapeGraphs: the handshake's run identity
+// hashes graph content, so shards started on two graphs with the same node
+// and edge count but different edges refuse each other.
+func TestDistFingerprintSeparatesSameShapeGraphs(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{
+		Nodes: 200, Classes: 3, AvgDegree: 6, Homophily: 0.8,
+		FeatureDim: 8, NoiseStd: 1, TrainFrac: 0.5, ValFrac: 0.2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewired := *ds
+	rewired.G = graph.ErdosRenyi(ds.G.N, ds.G.NumEdges()/2, tensor.NewRand(1))
+	if rewired.G.NumEdges() != ds.G.NumEdges() {
+		t.Fatalf("rewired graph has %d arcs, want %d", rewired.G.NumEdges(), ds.G.NumEdges())
+	}
+	cfg := models.DefaultTrainConfig()
+	if runFingerprint("GCN-2L", ds, cfg, 2, 0, "ldg") == runFingerprint("GCN-2L", &rewired, cfg, 2, 0, "ldg") {
+		t.Fatal("two same-shape graphs share a distributed run fingerprint")
 	}
 }

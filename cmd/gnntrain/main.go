@@ -88,10 +88,18 @@ func main() {
 		logger.Info("debug listener up", "metrics", "http://"+addr+"/metrics", "pprof", "http://"+addr+"/debug/pprof/")
 	}
 
-	ds, err := dataset.Load(*graphPath, *labelPath, dataset.Config{
-		Nodes: *nodes, Classes: *classes, AvgDegree: *degree, Homophily: *homophily,
-		FeatureDim: *dim, NoiseStd: *noise, TrainFrac: 0.5, ValFrac: 0.2, Seed: *seed,
-	})
+	spec := models.RunSpec{
+		Family: *model, Hops: *hops, Graph: *graphPath, Labels: *labelPath,
+		Data: dataset.Config{
+			Nodes: *nodes, Classes: *classes, AvgDegree: *degree, Homophily: *homophily,
+			FeatureDim: *dim, NoiseStd: *noise, TrainFrac: 0.5, ValFrac: 0.2, Seed: *seed,
+		},
+		Train: models.TrainConfig{
+			Epochs: *epochs, LR: *lr, WeightDecay: *weightDecay, Dropout: *dropout, Hidden: *hidden,
+			BatchSize: *batch, Seed: *seed, DType: *dtype, Patience: *patience, RestoreBest: *restoreBest,
+		},
+	}
+	ds, err := dataset.Load(spec.Graph, spec.Labels, spec.Data)
 	if err != nil {
 		fatal("dataset: %v", err)
 	}
@@ -99,27 +107,21 @@ func main() {
 		"n", ds.G.N, "arcs", ds.G.NumEdges(), "classes", ds.NumClasses,
 		"homophily", fmt.Sprintf("%.3f", dataset.EdgeHomophily(ds.G, ds.Labels)))
 
-	m, err := makeModel(*model, *hops)
+	m, err := models.New(spec.Family, spec.Hops)
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg := models.DefaultTrainConfig()
-	cfg.Epochs = *epochs
-	cfg.LR = *lr
-	cfg.WeightDecay = *weightDecay
-	cfg.Dropout = *dropout
-	cfg.Hidden = *hidden
-	cfg.BatchSize = *batch
-	cfg.Seed = *seed
-	cfg.Patience = *patience
-	cfg.RestoreBest = *restoreBest
-	cfg.DType = *dtype
+	cfg := spec.Train
 	if *resume && *ckptDir == "" {
 		fatal("-resume needs -checkpoint-dir")
 	}
 	if *ckptDir != "" {
+		run, err := spec.Encode()
+		if err != nil {
+			fatal("%v", err)
+		}
 		cfg.Checkpoint = train.CheckpointConfig{
-			Dir: *ckptDir, Every: *ckptEvery, KeepLast: *ckptKeep, Resume: *resume,
+			Dir: *ckptDir, Every: *ckptEvery, KeepLast: *ckptKeep, Resume: *resume, Run: run,
 		}
 	}
 
@@ -142,7 +144,7 @@ func main() {
 		if sess.Registry != nil {
 			distnet.EnableMetrics(sess.Registry)
 		}
-		cluster, err = setupDist(ctx, ds, &cfg, *model, *hops, *ckptEvery)
+		cluster, err = setupDist(ctx, ds, &cfg, m, *ckptEvery)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -194,33 +196,6 @@ func (epochLogger) OnEpoch(e train.EpochEnd) {
 		slog.Duration("elapsed", e.Elapsed.Round(1e6)),
 		obs.TraceAttr(obs.TraceContext{Trace: e.Trace}),
 	)
-}
-
-func makeModel(name string, hops int) (models.Trainer, error) {
-	switch name {
-	case "gcn":
-		return models.NewGCN(hops)
-	case "sage":
-		return models.NewGraphSAGE(hops, 5)
-	case "clustergcn":
-		return models.NewClusterGCN(hops, 16)
-	case "sgc":
-		return models.NewSGC(hops)
-	case "appnp":
-		return models.NewAPPNP(10, 0.15)
-	case "sign":
-		return models.NewSIGN(hops)
-	case "gamlp":
-		return models.NewGAMLP(hops)
-	case "ld2":
-		return models.NewLD2(hops)
-	case "implicit":
-		return models.NewImplicitNet(0.8, nil)
-	case "transformer":
-		return models.NewGraphTransformer(6)
-	default:
-		return nil, fmt.Errorf("gnntrain: unknown model %q", name)
-	}
 }
 
 func fatal(format string, args ...any) {

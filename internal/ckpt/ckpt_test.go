@@ -22,6 +22,7 @@ func sampleSnapshot(fp uint64) *Snapshot {
 		BestVal:        0.8125,
 		RNG:            []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		RNGEpoch:       []byte{11, 12, 13, 14},
+		Run:            []byte(`{"family":"sign"}`),
 		Blocks: []Block{
 			{Name: "param.0", Rows: 2, Cols: 3, Data: []float64{1, -2, 3.5, 0, 1e-9, -7}},
 			{Name: "adam.m.0", Rows: 2, Cols: 3, Data: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}},
@@ -44,6 +45,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if string(got.RNG) != string(want.RNG) || string(got.RNGEpoch) != string(want.RNGEpoch) {
 		t.Fatal("rng state mismatch")
+	}
+	if string(got.Run) != string(want.Run) {
+		t.Fatalf("run blob: got %q want %q", got.Run, want.Run)
 	}
 	if len(got.Blocks) != len(want.Blocks) {
 		t.Fatalf("got %d blocks, want %d", len(got.Blocks), len(want.Blocks))
@@ -221,7 +225,7 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 }
 
 // A snapshot from a different run must not be resumed, and must not be
-// silently ignored either.
+// silently ignored either; Newest, which names no run, returns it.
 func TestLatestFingerprintMismatch(t *testing.T) {
 	m, err := NewManager(t.TempDir(), 2)
 	if err != nil {
@@ -233,6 +237,9 @@ func TestLatestFingerprintMismatch(t *testing.T) {
 	_, _, err = m.Latest(222)
 	if !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("got %v, want ErrFingerprint", err)
+	}
+	if s, _, err := m.Newest(); err != nil || s == nil || s.Fingerprint != 111 {
+		t.Fatalf("Newest = (%v, %v), want the fingerprint-111 snapshot", s, err)
 	}
 }
 

@@ -5,7 +5,7 @@
 // a keep-last-N Manager that falls back past torn or corrupt files on
 // resume.
 //
-// Snapshot layout (little-endian, version 3):
+// Snapshot layout (little-endian, version 4):
 //
 //	offset  size  field
 //	0       8     magic "SGNNCKPT"
@@ -16,18 +16,19 @@
 //	...           RNG state        (uint32 length + bytes)
 //	...           epoch RNG state  (uint32 length + bytes)
 //	...           auxiliary state  (uint32 length + bytes)
+//	...           run description  (uint32 length + bytes)
 //	...           block count (uint32), then per block:
 //	                name (uint16 length + bytes), dtype (uint8),
 //	                rows (uint32), cols (uint32), rows*cols values
 //	                (8 bytes each for Float64 blocks, 4 for Float32)
 //	end-4   4     CRC32 (IEEE) over every preceding byte
 //
-// Version 2 lacks the auxiliary-state blob (it decodes as empty); version 1
-// additionally has no per-block dtype byte (every payload float64). Decode
-// reads all three; Encode always writes version 3. The auxiliary blob is
-// opaque to this package — the training engine uses it to carry subsystem
-// state that must travel with the cursor (e.g. the distributed runtime's
-// exchange-round counter).
+// Decode reads version 4 only; any other version fails with ErrVersion.
+// The auxiliary and run blobs are opaque to this package: the training
+// engine uses the first to carry subsystem state that must travel with the
+// cursor (e.g. the distributed runtime's exchange-round counter), and the
+// second to name the run that wrote the snapshot, so a server can rebuild
+// it from the file alone.
 //
 // The trailing checksum makes truncation and bit flips indistinguishable
 // from "not a checkpoint" at read time; the fingerprint rejects resuming
@@ -45,17 +46,11 @@ import (
 // Format constants.
 const (
 	magic   = "SGNNCKPT"
-	Version = 3
-	// versionV2 is the pre-aux format: no auxiliary-state blob. Still
-	// readable (Aux decodes as nil).
-	versionV2 = 2
-	// versionV1 is the pre-dtype format: no per-block dtype byte, all
-	// payloads float64. Still readable.
-	versionV1 = 1
+	Version = 4
 )
 
-// Dtype tags a block's element type. The zero value is Float64, so v1
-// snapshots (and zero-valued Blocks) decode as the reference dtype.
+// Dtype tags a block's element type. The zero value is Float64, so
+// zero-valued Blocks are the reference dtype.
 type Dtype uint8
 
 // Block element types.
@@ -160,15 +155,16 @@ type Snapshot struct {
 	RNG      []byte // serialized PCG state at the cursor
 	RNGEpoch []byte // serialized PCG state just before this epoch's shuffle
 	Aux      []byte // opaque subsystem state riding with the cursor (may be nil)
+	Run      []byte // opaque description of the run that wrote it (may be nil)
 
 	Blocks []Block
 }
 
-// Encode serializes the snapshot to the version-3 binary format,
+// Encode serializes the snapshot to the version-4 binary format,
 // including the trailing checksum.
 func (s *Snapshot) Encode() []byte {
 	n := len(magic) + 4 + 8 + 5*8 + 8 +
-		4 + len(s.RNG) + 4 + len(s.RNGEpoch) + 4 + len(s.Aux) + 4
+		4 + len(s.RNG) + 4 + len(s.RNGEpoch) + 4 + len(s.Aux) + 4 + len(s.Run) + 4
 	for _, b := range s.Blocks {
 		n += 2 + len(b.Name) + 1 + 4 + 4 + b.Dtype.elemSize()*b.Len()
 	}
@@ -185,6 +181,7 @@ func (s *Snapshot) Encode() []byte {
 	buf = appendBytes(buf, s.RNG)
 	buf = appendBytes(buf, s.RNGEpoch)
 	buf = appendBytes(buf, s.Aux)
+	buf = appendBytes(buf, s.Run)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Blocks)))
 	for _, b := range s.Blocks {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Name)))
@@ -207,8 +204,8 @@ func (s *Snapshot) Encode() []byte {
 	return buf
 }
 
-// Decode parses a version-1, -2 or -3 snapshot, verifying magic,
-// version, and checksum. It does not check the fingerprint; callers compare
+// Decode parses a version-4 snapshot, verifying magic, version, and
+// checksum. It does not check the fingerprint; callers compare
 // Snapshot.Fingerprint themselves (Manager.Latest does).
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 {
@@ -217,9 +214,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	if string(data[:len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	version := binary.LittleEndian.Uint32(data[len(magic):])
-	if version != Version && version != versionV2 && version != versionV1 {
-		return nil, fmt.Errorf("%w: got %d, want <= %d", ErrVersion, version, Version)
+	if version := binary.LittleEndian.Uint32(data[len(magic):]); version != Version {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, version, Version)
 	}
 	// Verify the trailing checksum before trusting any length field.
 	if len(data) < len(magic)+4+4 {
@@ -241,9 +237,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.BestVal = math.Float64frombits(r.u64())
 	s.RNG = r.bytes()
 	s.RNGEpoch = r.bytes()
-	if version >= Version {
-		s.Aux = r.bytes()
-	}
+	s.Aux = r.bytes()
+	s.Run = r.bytes()
 	nblocks := int(r.u32())
 	if r.err == nil && nblocks >= 0 && nblocks <= (len(body)-r.off)/10 {
 		s.Blocks = make([]Block, 0, nblocks)
@@ -251,9 +246,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	for i := 0; i < nblocks && r.err == nil; i++ {
 		var b Block
 		b.Name = string(r.short())
-		if version >= versionV2 {
-			b.Dtype = Dtype(r.u8())
-		}
+		b.Dtype = Dtype(r.u8())
 		b.Rows = int(r.u32())
 		b.Cols = int(r.u32())
 		if r.err != nil {

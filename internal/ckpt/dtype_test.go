@@ -1,13 +1,11 @@
 package ckpt
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"testing"
 )
 
-// TestFloat32BlockRoundTrip proves the version-2 format carries mixed-dtype
+// TestFloat32BlockRoundTrip proves the format carries mixed-dtype
 // blocks losslessly: float32 payloads keep their exact bits, float64 blocks
 // are unaffected, and the widening/narrowing accessors convert.
 func TestFloat32BlockRoundTrip(t *testing.T) {
@@ -61,68 +59,6 @@ func TestFloat32BlockRoundTrip(t *testing.T) {
 	for i, v := range b64.Data {
 		if narrow[i] != float32(v) {
 			t.Fatalf("Float32()[%d] = %v, want %v", i, narrow[i], float32(v))
-		}
-	}
-}
-
-// encodeLegacy serializes a float64-only snapshot in one of the two layouts
-// Encode no longer writes: version 2 is version 3 without the auxiliary
-// blob; version 1 additionally has no per-block dtype byte.
-func encodeLegacy(s *Snapshot, version uint32) []byte {
-	var buf []byte
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Fingerprint)
-	for _, v := range [...]int{s.Epoch, s.Batch, s.OptStep, s.BestEpoch, s.PatienceAnchor} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.BestVal))
-	buf = appendBytes(buf, s.RNG)
-	buf = appendBytes(buf, s.RNGEpoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Blocks)))
-	for _, b := range s.Blocks {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Name)))
-		buf = append(buf, b.Name...)
-		if version >= versionV2 {
-			buf = append(buf, byte(Float64))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Rows))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Cols))
-		for _, v := range b.Data {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
-}
-
-// TestDecodeV1PreDtypeSnapshot proves backward compatibility: a snapshot
-// written before the dtype tag existed decodes with every block tagged
-// Float64 and payloads intact.
-func TestDecodeV1PreDtypeSnapshot(t *testing.T) {
-	want := sampleSnapshot(0xfeedface)
-	got, err := Decode(encodeLegacy(want, versionV1))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if got.Fingerprint != want.Fingerprint || got.Epoch != want.Epoch ||
-		got.BestVal != want.BestVal {
-		t.Fatalf("v1 header mismatch: got %+v", got)
-	}
-	if len(got.Blocks) != len(want.Blocks) {
-		t.Fatalf("got %d blocks, want %d", len(got.Blocks), len(want.Blocks))
-	}
-	for i, b := range got.Blocks {
-		if b.Dtype != Float64 {
-			t.Fatalf("v1 block %q decoded with dtype %d, want Float64", b.Name, b.Dtype)
-		}
-		if b.Name != want.Blocks[i].Name || b.Rows != want.Blocks[i].Rows || b.Cols != want.Blocks[i].Cols {
-			t.Fatalf("v1 block %d header mismatch: %+v", i, b)
-		}
-		for j, v := range want.Blocks[i].Data {
-			if b.Data[j] != v {
-				t.Fatalf("v1 block %q payload[%d] = %v, want %v", b.Name, j, b.Data[j], v)
-			}
 		}
 	}
 }

@@ -110,6 +110,15 @@ func (m *Manager) prune() error {
 // it returns ErrFingerprint — resuming someone else's run must not
 // silently start over.
 func (m *Manager) Latest(fingerprint uint64) (*Snapshot, string, error) {
+	return m.newest(&fingerprint)
+}
+
+// Newest is Latest for a reader that does not know the run yet: it returns
+// the newest loadable snapshot whatever its fingerprint.
+func (m *Manager) Newest() (*Snapshot, string, error) { return m.newest(nil) }
+
+// newest is Latest's walk; a nil fingerprint matches every snapshot.
+func (m *Manager) newest(fingerprint *uint64) (*Snapshot, string, error) {
 	names, err := m.list()
 	if err != nil {
 		return nil, "", err
@@ -132,9 +141,9 @@ func (m *Manager) Latest(fingerprint uint64) (*Snapshot, string, error) {
 			fallbacks.Add(1)
 			continue
 		}
-		if s.Fingerprint != fingerprint {
+		if fingerprint != nil && s.Fingerprint != *fingerprint {
 			lastErr = fmt.Errorf("%s: %w: snapshot %016x, run %016x",
-				names[i], ErrFingerprint, s.Fingerprint, fingerprint)
+				names[i], ErrFingerprint, s.Fingerprint, *fingerprint)
 			fallbacks.Add(1)
 			continue
 		}

@@ -29,8 +29,8 @@ func EnableMetrics(reg *obs.Registry) {
 		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}))
 }
 
-// Fingerprint hashes a run identity (model name, graph shape, config
-// fields) with FNV-1a so mismatched resumes are rejected. Callers feed
+// Fingerprint hashes a run identity (model name, dataset content key,
+// config fields) with FNV-1a so mismatched resumes are rejected. Callers feed
 // it the values that must match for a snapshot to be resumable.
 type Fingerprint struct{ h uint64 }
 

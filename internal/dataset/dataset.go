@@ -10,6 +10,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"scalegnn/internal/graph"
@@ -24,6 +25,39 @@ type Dataset struct {
 	NumClasses int
 
 	TrainIdx, ValIdx, TestIdx []int
+}
+
+// ContentKey hashes everything a trained model depends on — the CSR arrays,
+// the feature bits, the labels and the three splits — so datasets of equal
+// shape but different content get different keys: FNV-1a, one multiply per
+// 64-bit word, each array's length first (len(X.Data)/N is the width).
+func (d *Dataset) ContentKey() uint64 {
+	h := foldWords(14695981039346656037, d.G.Offsets)
+	h = foldWords(h, d.G.Adj)
+	h = foldFloats(h, d.G.Weights)
+	h = foldFloats(h, d.X.Data)
+	for _, s := range [][]int{d.Labels, d.TrainIdx, d.ValIdx, d.TestIdx} {
+		h = foldWords(h, s)
+	}
+	return h
+}
+
+const fnvPrime64 = 1099511628211
+
+func foldWords[T int | int32 | int64](h uint64, ws []T) uint64 {
+	h = (h ^ uint64(len(ws))) * fnvPrime64
+	for _, w := range ws {
+		h = (h ^ uint64(w)) * fnvPrime64
+	}
+	return h
+}
+
+func foldFloats(h uint64, fs []float64) uint64 {
+	h = (h ^ uint64(len(fs))) * fnvPrime64
+	for _, f := range fs {
+		h = (h ^ math.Float64bits(f)) * fnvPrime64
+	}
+	return h
 }
 
 // Config controls generation.

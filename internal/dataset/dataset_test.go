@@ -74,6 +74,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !a.X.Equal(b.X, 0) {
 		t.Error("same seed produced different features")
 	}
+	if a.ContentKey() != b.ContentKey() {
+		t.Error("same seed produced different content keys")
+	}
 }
 
 func TestGenerateValidation(t *testing.T) {

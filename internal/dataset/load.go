@@ -12,10 +12,10 @@ import (
 
 // Load builds a dataset from an edge-list file (plus an optional label
 // file, one class id per line) with synthetic class-conditional features,
-// or generates a fully synthetic task when graphPath is empty. It is the
-// shared dataset path of the CLIs: gnntrain and gnnserve must construct
-// bit-identical datasets from the same flags, or the training-run
-// fingerprint that guards snapshot restore would never match.
+// or generates a fully synthetic task when graphPath is empty. A snapshot's
+// run spec (models.RunSpec) names these three arguments, and gnnserve
+// rebuilds the training dataset from them; the run fingerprint folds in the
+// dataset's ContentKey, so a file edited since training is refused.
 func Load(graphPath, labelPath string, cfg Config) (*Dataset, error) {
 	if graphPath == "" {
 		return Generate(cfg)

@@ -183,8 +183,9 @@ func NewAPPNP(k int, alpha float64) (*APPNP, error) {
 	return &APPNP{K: k, Alpha: alpha}, nil
 }
 
-// Name implements Trainer.
-func (m *APPNP) Name() string { return fmt.Sprintf("APPNP-K%d", m.K) }
+// Name implements Trainer. α is part of it because the name is what the run
+// fingerprint hashes: a snapshot must not restore under another α.
+func (m *APPNP) Name() string { return fmt.Sprintf("APPNP-K%d-a%g", m.K, m.Alpha) }
 
 // appnpState is APPNP's trained state at one tier: the MLP, the diffusion
 // operator and the features the model was fit on (the diffusion input).

@@ -71,15 +71,15 @@ type TrainConfig struct {
 	RestoreBest bool
 	// Ctx cancels training between batches (deadline or cancellation); nil
 	// means never.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 	// Hooks observe the engine's per-batch/per-epoch progress.
-	Hooks []train.Hook
+	Hooks []train.Hook `json:"-"`
 	// Checkpoint enables durable snapshot/resume. Callers set Dir, Every,
-	// Resume, and KeepLast; the model fills RNG and Fingerprint itself (the
-	// fingerprint hashes model name + graph shape + config, so resuming
-	// against a different run is rejected). Epochs and Patience are
-	// deliberately not fingerprinted: extending a run is the point.
-	Checkpoint train.CheckpointConfig
+	// Resume, KeepLast and Run; the model fills RNG and Fingerprint itself
+	// (the fingerprint hashes model name + dataset content + config, so
+	// resuming against a different run is rejected). Epochs and Patience
+	// are deliberately not fingerprinted: extending a run is the point.
+	Checkpoint train.CheckpointConfig `json:"-"`
 }
 
 // DefaultTrainConfig returns the settings used across the benchmarks.
@@ -247,17 +247,15 @@ func newRunRNG(seed uint64) (*rand.PCG, *rand.Rand) {
 }
 
 // runFingerprint hashes the run identity a snapshot must match to be
-// resumable: the model family, the dataset's shape and splits, and every
-// config field that shapes weights or the training trajectory. Epochs and
-// Patience are excluded so a run can be extended or re-stopped. The dtype
-// is folded in only for the float32 tier, so every snapshot written before
-// dtypes existed still matches its (float64) run.
+// resumable: the model name, the dataset's content (graph, features,
+// labels, splits — not just their sizes), and every config field that
+// shapes weights or the training trajectory. Epochs and Patience are
+// excluded so a run can be extended or re-stopped. The dtype is folded in
+// only for the float32 tier.
 func runFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 	f := ckpt.NewFingerprint().
 		String(model).
-		U64(uint64(ds.G.N)).U64(uint64(ds.G.NumEdges())).
-		U64(uint64(ds.X.Cols)).U64(uint64(ds.NumClasses)).
-		U64(uint64(len(ds.TrainIdx))).U64(uint64(len(ds.ValIdx))).U64(uint64(len(ds.TestIdx))).
+		U64(ds.ContentKey()).U64(uint64(ds.NumClasses)).
 		U64(math.Float64bits(cfg.LR)).U64(math.Float64bits(cfg.WeightDecay)).
 		U64(math.Float64bits(cfg.Dropout)).
 		U64(uint64(cfg.Hidden)).U64(uint64(int64(cfg.BatchSize))).

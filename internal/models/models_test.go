@@ -348,6 +348,21 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownFamily: New builds every family by its command-line
+// name, and a typo names itself rather than building something else.
+func TestNewRejectsUnknownFamily(t *testing.T) {
+	for _, name := range []string{"gcn", "sage", "clustergcn", "sgc", "appnp", "sign", "gamlp", "ld2", "implicit", "transformer"} {
+		if _, err := New(name, 2); err != nil {
+			t.Errorf("New(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"SGC", "", "gcnn"} {
+		if _, err := New(name, 2); err == nil {
+			t.Errorf("New(%q) accepted an unknown family", name)
+		}
+	}
+}
+
 func TestPredictBeforeFitErrors(t *testing.T) {
 	ds := smallTask(t)
 	for _, m := range []Trainer{

@@ -184,8 +184,8 @@ func checkSnapshotFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig,
 }
 
 // blockValues returns a block's payload as []T, converting when the block
-// was written at a different precision (e.g. a pre-dtype v1 snapshot read
-// into a float64 run comes back uncopied).
+// was written at a different precision (a block already at T's precision
+// comes back uncopied).
 func blockValues[T tensor.Elem](b ckpt.Block) []T {
 	var z T
 	if _, ok := any(z).(float32); ok {

@@ -6,6 +6,7 @@ import (
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
+	"scalegnn/internal/graph"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
 )
@@ -140,37 +141,70 @@ func TestRestoreMatchesOfflinePredict(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsFingerprintMismatch proves a snapshot from a different
-// run configuration cannot be swapped in: Restore surfaces
-// ckpt.ErrFingerprint.
+// TestRestoreRejectsFingerprintMismatch proves a snapshot cannot be
+// restored against a run that differs from the one that wrote it, in the
+// config, in the model's own parameters, or in the dataset's content at
+// identical shape: Restore surfaces ckpt.ErrFingerprint. Each change
+// replaces what it edits, so ds itself is never written.
 func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	ds := servingDataset(t)
 	cfg := servingConfig()
-	cfg.Checkpoint = train.CheckpointConfig{Dir: t.TempDir(), Every: 1}
-	m, err := NewSIGN(2)
-	if err != nil {
-		t.Fatal(err)
+	sign := func() servableTrainer { m, _ := NewSIGN(2); return m }
+	appnp := func(alpha float64) func() servableTrainer {
+		return func() servableTrainer { m, _ := NewAPPNP(6, alpha); return m }
 	}
-	if _, err := m.Fit(ds, cfg); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := ckpt.NewManager(cfg.Checkpoint.Dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := mgr.Latest(RunFingerprint(m.Name(), ds, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	other := cfg
-	other.Hidden = cfg.Hidden * 2
-	r, err := NewSIGN(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(ds, other, snap); !errors.Is(err, ckpt.ErrFingerprint) {
-		t.Fatalf("restore with changed config: err = %v, want ckpt.ErrFingerprint", err)
+	for _, c := range []struct {
+		name              string
+		trained, restored func() servableTrainer
+		change            func(ds *dataset.Dataset, cfg *TrainConfig)
+	}{
+		{"hidden x2", sign, sign, func(_ *dataset.Dataset, cfg *TrainConfig) { cfg.Hidden *= 2 }},
+		{"edges rewired, same N and m", sign, sign, func(ds *dataset.Dataset, _ *TrainConfig) {
+			ds.G = graph.ErdosRenyi(ds.G.N, ds.G.NumEdges()/2, tensor.NewRand(5))
+		}},
+		{"one feature value changed", sign, sign, func(ds *dataset.Dataset, _ *TrainConfig) {
+			ds.X = ds.X.Clone()
+			ds.X.Data[7] += 0.5
+		}},
+		{"two labels swapped", sign, sign, func(ds *dataset.Dataset, _ *TrainConfig) {
+			ds.Labels = append([]int(nil), ds.Labels...)
+			j := 1
+			for ds.Labels[j] == ds.Labels[0] {
+				j++
+			}
+			ds.Labels[0], ds.Labels[j] = ds.Labels[j], ds.Labels[0]
+		}},
+		{"train/val split permuted", sign, sign, func(ds *dataset.Dataset, _ *TrainConfig) {
+			ds.TrainIdx = append([]int(nil), ds.TrainIdx...)
+			ds.ValIdx = append([]int(nil), ds.ValIdx...)
+			ds.TrainIdx[0], ds.ValIdx[0] = ds.ValIdx[0], ds.TrainIdx[0]
+		}},
+		{"APPNP alpha 0.1 restored as 0.15", appnp(0.1), appnp(0.15), func(*dataset.Dataset, *TrainConfig) {}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := cfg
+			run.Checkpoint = train.CheckpointConfig{Dir: t.TempDir(), Every: 1}
+			if _, err := c.trained().Fit(ds, run); err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := ckpt.NewManager(run.Checkpoint.Dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := mgr.Newest()
+			if err != nil || snap == nil {
+				t.Fatalf("no snapshot: %v", err)
+			}
+			other, otherCfg := *ds, cfg
+			c.change(&other, &otherCfg)
+			if other.G.N != ds.G.N || other.G.NumEdges() != ds.G.NumEdges() {
+				t.Fatalf("changed graph is %d nodes / %d arcs, want %d / %d",
+					other.G.N, other.G.NumEdges(), ds.G.N, ds.G.NumEdges())
+			}
+			if err := c.restored().Restore(&other, otherCfg, snap); !errors.Is(err, ckpt.ErrFingerprint) {
+				t.Fatalf("restore: err = %v, want ckpt.ErrFingerprint", err)
+			}
+		})
 	}
 }
 

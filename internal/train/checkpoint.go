@@ -44,6 +44,9 @@ type CheckpointConfig struct {
 	// snapshot written without auxiliary state is an error — the subsystem
 	// would silently restart from its zero state while the cursor moved.
 	Aux AuxState
+	// Run is written verbatim into every snapshot (ckpt.Snapshot.Run): the
+	// caller's description of the run, e.g. an encoded models.RunSpec.
+	Run []byte
 }
 
 // AuxState is the serializable auxiliary state a snapshot can carry on
@@ -87,8 +90,8 @@ func blockOf[T tensor.Elem](name string, rows, cols int, data []T) ckpt.Block {
 }
 
 // blockData returns a block's payload as []T, converting across dtypes when
-// the snapshot was written at a different precision (e.g. a pre-dtype v1
-// snapshot read back into a float64 run returns its payload uncopied).
+// the snapshot was written at a different precision (a block already at
+// T's precision returns its payload uncopied).
 func blockData[T tensor.Elem](b ckpt.Block) []T {
 	var z T
 	switch any(z).(type) {
@@ -108,6 +111,7 @@ type ckptRunner[T tensor.Elem] struct {
 	spec     *SpecOf[T]
 	rng      RNGState
 	aux      AuxState
+	run      []byte
 	fp       uint64
 	every    int
 	epochRNG []byte // RNG state captured just before the current epoch's shuffle
@@ -133,7 +137,7 @@ func newCkptRunner[T tensor.Elem](cfg *Config, spec *SpecOf[T]) (*ckptRunner[T],
 	if err != nil {
 		return nil, err
 	}
-	return &ckptRunner[T]{mgr: mgr, spec: spec, rng: c.RNG, aux: c.Aux, fp: c.Fingerprint, every: every}, nil
+	return &ckptRunner[T]{mgr: mgr, spec: spec, rng: c.RNG, aux: c.Aux, run: c.Run, fp: c.Fingerprint, every: every}, nil
 }
 
 // beginEpoch records the RNG state before the epoch's shuffle consumes it.
@@ -179,6 +183,7 @@ func (c *ckptRunner[T]) save(epoch, batch int, stopper *earlyStop, rep *Report, 
 		RNG:            rngState,
 		RNGEpoch:       c.epochRNG,
 		Aux:            auxState,
+		Run:            c.run,
 	}
 	nb := 2*len(c.spec.Params) + len(moments)/2 + len(best)
 	s.Blocks = make([]ckpt.Block, 0, nb)

@@ -172,10 +172,15 @@ grep -q 'stale_hits=0' "$SCRATCH/shard0.out" && grep -q 'stale_hits=0' "$SCRATCH
 echo "   fingerprints match: $FP_SINGLE (2 shards, sync, 0 stale)"
 
 # Size report (no threshold): the one way this repo counts "non-test Go
-# lines", so every PR quotes the same number.
+# lines" and command-line options, so every PR quotes the same numbers.
 echo "== non-test Go lines"
 echo "   root module: $(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' | xargs cat | wc -l)"
 echo "   benchmark/:  $(find benchmark -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
 echo "   internal/lint: $(find internal/lint -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
+echo "== flags per command (-h lines starting with '  -')"
+go build -o "$SCRATCH/cmds/" ./cmd/...
+for bin in "$SCRATCH"/cmds/*; do
+  echo "   $(basename "$bin"): $("$bin" -h 2>&1 | grep -c '^  -' || true)"
+done
 
 echo "All checks passed."
