@@ -163,7 +163,7 @@ func runE9(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "E9", Title: fmt.Sprintf("Uniform + top-k sparsification before SGC (SBM n=%d)", nodes),
-		Claim:  "accuracy degrades gracefully down to ~20-30%% kept edges while propagation cost falls linearly (Unifews/SCARA)",
+		Claim:  "accuracy degrades gracefully down to ~20-30%% kept edges while propagation cost falls linearly",
 		Header: []string{"scheme", "kept frac", "prop speedup", "spectral err", "test acc"},
 	}
 	run := func(name string, g2 *graph.CSR) error {

@@ -36,9 +36,6 @@ func NewManager(dir string, keep int) (*Manager, error) {
 	return &Manager{dir: dir, keep: keep}, nil
 }
 
-// Dir returns the managed directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // fileName encodes the cursor so that lexical order is recency order.
 // A boundary snapshot (batch -1, "about to start epoch E") precedes every
 // mid-epoch snapshot of epoch E, so batch is stored shifted by one:

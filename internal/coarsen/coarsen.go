@@ -7,9 +7,7 @@
 // The package provides multilevel matching-based coarsening with three
 // matching strategies (random, heavy-edge, normalized heavy-edge — the
 // structure-/spectral-based split of the tutorial), feature/label
-// projection and prediction lifting operators, and the SEIGNN-style
-// supernode augmentation that keeps inter-subgraph propagation alive during
-// mini-batch training of implicit GNNs.
+// projection, and lifting of coarse predictions back to the original nodes.
 package coarsen
 
 import (
@@ -18,7 +16,6 @@ import (
 	"math/rand/v2"
 
 	"scalegnn/internal/graph"
-	"scalegnn/internal/spectral"
 	"scalegnn/internal/tensor"
 )
 
@@ -60,14 +57,6 @@ type Result struct {
 	Levels int
 	// ClusterSize[c] is the number of original nodes inside coarse node c.
 	ClusterSize []int
-}
-
-// Ratio returns n_original / n_coarse.
-func (r *Result) Ratio() float64 {
-	if r.Coarse.N == 0 {
-		return 0
-	}
-	return float64(len(r.Assign)) / float64(r.Coarse.N)
 }
 
 // Coarsen contracts g until it has at most targetNodes nodes (or no further
@@ -236,16 +225,6 @@ func ProjectLabels(labels []int, assign []int, nCoarse, numClasses int) []int {
 	return out
 }
 
-// Lift broadcasts coarse predictions (rows = coarse nodes) back to the
-// original nodes.
-func Lift(coarse *tensor.Matrix, assign []int) *tensor.Matrix {
-	out := tensor.New(len(assign), coarse.Cols)
-	for u, c := range assign {
-		copy(out.Row(u), coarse.Row(c))
-	}
-	return out
-}
-
 // LiftLabels broadcasts coarse integer predictions back to fine nodes.
 func LiftLabels(coarse []int, assign []int) []int {
 	out := make([]int, len(assign))
@@ -253,121 +232,4 @@ func LiftLabels(coarse []int, assign []int) []int {
 		out[u] = coarse[c]
 	}
 	return out
-}
-
-// AugmentWithSupernodes implements the SEIGNN construction: given a node
-// partition (assign: node → part, nParts parts), build a graph of
-// n + nParts nodes where the original edges are kept, each original node
-// links to its part's supernode, and supernodes of parts joined by an
-// original edge are linked. Mini-batches drawn from one part plus the
-// supernode layer retain a path for inter-part propagation.
-//
-// Returned supernode IDs are n .. n+nParts-1.
-func AugmentWithSupernodes(g *graph.CSR, assign []int, nParts int) (*graph.CSR, error) {
-	if len(assign) != g.N {
-		return nil, fmt.Errorf("coarsen: assign length %d != n %d", len(assign), g.N)
-	}
-	for u, p := range assign {
-		if p < 0 || p >= nParts {
-			return nil, fmt.Errorf("coarsen: node %d assigned to invalid part %d", u, p)
-		}
-	}
-	b := graph.NewBuilder(g.N + nParts)
-	for _, e := range g.UndirectedEdges() {
-		b.AddWeightedEdge(e.U, e.V, e.W)
-		pu, pv := assign[e.U], assign[e.V]
-		if pu != pv {
-			b.AddWeightedEdge(g.N+pu, g.N+pv, e.W)
-		}
-	}
-	for u, p := range assign {
-		b.AddEdge(u, g.N+p)
-	}
-	return b.Build()
-}
-
-// LiftedQuadraticError verifies the contraction invariant: for any coarse
-// vector x_c and its lift x_f, x_cᵀ L_c x_c must equal x_fᵀ L_f x_f exactly,
-// because coarse edge weights accumulate inter-cluster fine weights and
-// intra-cluster edges vanish on lifted (cluster-constant) vectors. A
-// nonzero return indicates a contraction bug.
-func LiftedQuadraticError(g *graph.CSR, r *Result, trials int, rng *rand.Rand) float64 {
-	var worst float64
-	for t := 0; t < trials; t++ {
-		xc := make([]float64, r.Coarse.N)
-		for i := range xc {
-			xc[i] = rng.NormFloat64()
-		}
-		xf := make([]float64, g.N)
-		for u, c := range r.Assign {
-			xf[u] = xc[c]
-		}
-		qc := quadratic(r.Coarse, xc)
-		qf := quadratic(g, xf)
-		if qf == 0 {
-			continue
-		}
-		if e := math.Abs(qc-qf) / qf; e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
-func quadratic(g *graph.CSR, x []float64) float64 {
-	var s float64
-	for _, e := range g.UndirectedEdges() {
-		d := x[e.U] - x[e.V]
-		s += e.W * d * d
-	}
-	return s
-}
-
-// EigenvalueError measures spectral preservation: the mean relative error
-// between the k smallest nonzero combinatorial-Laplacian eigenvalues of the
-// fine and coarse graphs. The spectral-aware matching strategies aim to
-// keep this small (the GDEM/GC-SNTK objective, §3.3.4). O(n³) — use on
-// graphs small enough to diagonalize densely.
-func EigenvalueError(g *graph.CSR, r *Result, k int) float64 {
-	fine := laplacianEigenvalues(g)
-	coarse := laplacianEigenvalues(r.Coarse)
-	fi := firstNonzero(fine)
-	ci := firstNonzero(coarse)
-	var sum float64
-	count := 0
-	for i := 0; i < k && fi+i < len(fine) && ci+i < len(coarse); i++ {
-		f, c := fine[fi+i], coarse[ci+i]
-		if f == 0 {
-			continue
-		}
-		sum += math.Abs(f-c) / f
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}
-
-func firstNonzero(vals []float64) int {
-	for i, v := range vals {
-		if v > 1e-9 {
-			return i
-		}
-	}
-	return len(vals)
-}
-
-// laplacianEigenvalues densely diagonalizes the combinatorial Laplacian.
-func laplacianEigenvalues(g *graph.CSR) []float64 {
-	n := g.N
-	l := tensor.New(n, n)
-	for _, e := range g.UndirectedEdges() {
-		l.Set(e.U, e.U, l.At(e.U, e.U)+e.W)
-		l.Set(e.V, e.V, l.At(e.V, e.V)+e.W)
-		l.Set(e.U, e.V, l.At(e.U, e.V)-e.W)
-		l.Set(e.V, e.U, l.At(e.V, e.U)-e.W)
-	}
-	vals, _ := spectral.JacobiEigen(l, 100)
-	return vals
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scalegnn/internal/graph"
+	"scalegnn/internal/spectral"
 	"scalegnn/internal/tensor"
 )
 
@@ -27,8 +28,8 @@ func TestCoarsenReachesTarget(t *testing.T) {
 		if r.Levels == 0 {
 			t.Errorf("%v: no levels performed", s)
 		}
-		if r.Ratio() < 3 {
-			t.Errorf("%v: ratio = %v", s, r.Ratio())
+		if ratio := float64(g.N) / float64(r.Coarse.N); ratio < 3 {
+			t.Errorf("%v: ratio = %v", s, ratio)
 		}
 	}
 }
@@ -60,18 +61,39 @@ func TestAssignConsistency(t *testing.T) {
 	}
 }
 
-// TestLiftedQuadraticInvariant checks the exact contraction invariant:
-// quadratic forms of lifted vectors are preserved to machine precision.
+// TestLiftedQuadraticInvariant checks the exact contraction invariant: for
+// any coarse vector x_c and its lift x_f, x_cᵀ L_c x_c equals x_fᵀ L_f x_f,
+// because coarse edge weights accumulate inter-cluster fine weights and
+// intra-cluster edges vanish on cluster-constant vectors.
 func TestLiftedQuadraticInvariant(t *testing.T) {
 	g := testGraph(t, 5)
 	rng := tensor.NewRand(6)
+	quadratic := func(g *graph.CSR, x []float64) float64 {
+		var s float64
+		for _, e := range g.UndirectedEdges() {
+			d := x[e.U] - x[e.V]
+			s += e.W * d * d
+		}
+		return s
+	}
 	for _, s := range []Strategy{RandomMatching, HeavyEdge, NormalizedHeavyEdge} {
 		r, err := Coarsen(g, 30, s, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := LiftedQuadraticError(g, r, 10, rng); e > 1e-10 {
-			t.Errorf("%v: lifted quadratic error %v (contraction weights wrong)", s, e)
+		for trial := 0; trial < 10; trial++ {
+			xc := make([]float64, r.Coarse.N)
+			for i := range xc {
+				xc[i] = rng.NormFloat64()
+			}
+			xf := make([]float64, g.N)
+			for u, c := range r.Assign {
+				xf[u] = xc[c]
+			}
+			qc, qf := quadratic(r.Coarse, xc), quadratic(g, xf)
+			if e := math.Abs(qc-qf) / qf; e > 1e-10 {
+				t.Errorf("%v: lifted quadratic error %v (contraction weights wrong)", s, e)
+			}
 		}
 	}
 }
@@ -147,62 +169,46 @@ func TestProjectLabelsMajority(t *testing.T) {
 }
 
 func TestLiftRoundTrip(t *testing.T) {
-	coarse := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
-	assign := []int{1, 0, 1}
-	out := Lift(coarse, assign)
-	if out.At(0, 0) != 3 || out.At(1, 0) != 1 || out.At(2, 1) != 4 {
-		t.Errorf("lift = %v", out.Data)
-	}
-	lbl := LiftLabels([]int{7, 9}, assign)
+	lbl := LiftLabels([]int{7, 9}, []int{1, 0, 1})
 	if lbl[0] != 9 || lbl[1] != 7 || lbl[2] != 9 {
 		t.Errorf("lift labels = %v", lbl)
 	}
 }
 
-func TestAugmentWithSupernodes(t *testing.T) {
-	g := testGraph(t, 12)
-	rng := tensor.NewRand(13)
-	r, err := Coarsen(g, 10, HeavyEdge, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug, err := AugmentWithSupernodes(g, r.Assign, r.Coarse.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aug.N != g.N+r.Coarse.N {
-		t.Fatalf("augmented n = %d, want %d", aug.N, g.N+r.Coarse.N)
-	}
-	// Every original node is linked to its supernode.
-	for u, p := range r.Assign {
-		if !aug.HasEdge(u, g.N+p) {
-			t.Fatalf("node %d missing supernode link", u)
-		}
-	}
-	// Original edges intact.
+// laplacianEigenvalues densely diagonalizes the combinatorial Laplacian and
+// returns its nonzero eigenvalues, ascending.
+func laplacianEigenvalues(g *graph.CSR) []float64 {
+	l := tensor.New(g.N, g.N)
 	for _, e := range g.UndirectedEdges() {
-		if !aug.HasEdge(e.U, e.V) {
-			t.Fatal("original edge lost in augmentation")
+		l.Set(e.U, e.U, l.At(e.U, e.U)+e.W)
+		l.Set(e.V, e.V, l.At(e.V, e.V)+e.W)
+		l.Set(e.U, e.V, l.At(e.U, e.V)-e.W)
+		l.Set(e.V, e.U, l.At(e.V, e.U)-e.W)
+	}
+	vals, _ := spectral.JacobiEigen(l, 100)
+	for i, v := range vals {
+		if v > 1e-9 {
+			return vals[i:]
 		}
 	}
+	return nil
 }
 
-func TestAugmentValidation(t *testing.T) {
-	g := testGraph(t, 14)
-	if _, err := AugmentWithSupernodes(g, []int{0}, 1); err == nil {
-		t.Error("wrong assign length should error")
-	}
-	bad := make([]int, g.N)
-	bad[0] = 99
-	if _, err := AugmentWithSupernodes(g, bad, 2); err == nil {
-		t.Error("out-of-range part should error")
-	}
-}
-
+// TestEigenvalueErrorSpectralAwareBeatsRandomOnAverage: spectral-aware
+// matching preserves the k smallest nonzero Laplacian eigenvalues (the
+// GDEM/GC-SNTK objective) at least as well as random matching on a modular
+// graph. Averaging over seeds keeps the test stable.
 func TestEigenvalueErrorSpectralAwareBeatsRandomOnAverage(t *testing.T) {
-	// Average over seeds: spectral-aware matching should preserve the low
-	// Laplacian spectrum at least as well as random matching on a modular
-	// graph. Averaging keeps the test stable.
+	eigenvalueError := func(g *graph.CSR, r *Result, k int) float64 {
+		fine, coarse := laplacianEigenvalues(g), laplacianEigenvalues(r.Coarse)
+		var sum float64
+		count := 0
+		for i := 0; i < k && i < len(fine) && i < len(coarse); i++ {
+			sum += math.Abs(fine[i]-coarse[i]) / fine[i]
+			count++
+		}
+		return sum / float64(count)
+	}
 	var randErr, spectErr float64
 	const reps = 5
 	for seed := uint64(0); seed < reps; seed++ {
@@ -219,8 +225,8 @@ func TestEigenvalueErrorSpectralAwareBeatsRandomOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		randErr += EigenvalueError(g, rr, 5)
-		spectErr += EigenvalueError(g, rs, 5)
+		randErr += eigenvalueError(g, rr, 5)
+		spectErr += eigenvalueError(g, rs, 5)
 	}
 	if math.IsNaN(randErr) || math.IsNaN(spectErr) {
 		t.Fatal("NaN eigenvalue error")

@@ -64,14 +64,6 @@ type Result struct {
 	EigenValues []float64
 }
 
-// Ratio returns n_original / n_condensed.
-func (r *Result) Ratio() float64 {
-	if r.Condensed.N == 0 {
-		return 0
-	}
-	return float64(len(r.Assign)) / float64(r.Condensed.N)
-}
-
 // Condense synthesizes the condensed graph.
 func Condense(g *graph.CSR, cfg Config, rng *rand.Rand) (*Result, error) {
 	cfg.fillDefaults()
@@ -221,33 +213,4 @@ func dist2(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// SpectralMatchError measures how well the condensed graph preserves the
-// original's top-k operator eigenvalues (descending, relative error
-// averaged over comparable pairs) — the eigenbasis-matching objective's
-// observable.
-func SpectralMatchError(g *graph.CSR, r *Result, k int, rng *rand.Rand) (float64, error) {
-	if k > r.Condensed.N {
-		k = r.Condensed.N
-	}
-	opC := graph.NewOperator(r.Condensed, graph.NormSymmetric, true)
-	valsC, _, err := spectral.SubspaceIteration(opC, k, 150, rng)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	count := 0
-	for i := 0; i < k && i < len(r.EigenValues); i++ {
-		ref := r.EigenValues[i]
-		if math.Abs(ref) < 1e-9 {
-			continue
-		}
-		sum += math.Abs(ref-valsC[i]) / math.Abs(ref)
-		count++
-	}
-	if count == 0 {
-		return 0, nil
-	}
-	return sum / float64(count), nil
 }

@@ -75,14 +75,6 @@ type Config struct {
 	Seed               uint64
 }
 
-// DefaultConfig returns a mid-sized homophilous task.
-func DefaultConfig() Config {
-	return Config{
-		Nodes: 3000, Classes: 5, AvgDegree: 10, Homophily: 0.8,
-		FeatureDim: 32, NoiseStd: 1.0, TrainFrac: 0.5, ValFrac: 0.2, Seed: 42,
-	}
-}
-
 // Generate builds the graph, features, labels, and splits.
 func Generate(cfg Config) (*Dataset, error) {
 	if cfg.Classes < 2 {

@@ -7,8 +7,16 @@ import (
 	"scalegnn/internal/tensor"
 )
 
+// defaultConfig is a mid-sized homophilous task.
+func defaultConfig() Config {
+	return Config{
+		Nodes: 3000, Classes: 5, AvgDegree: 10, Homophily: 0.8,
+		FeatureDim: 32, NoiseStd: 1.0, TrainFrac: 0.5, ValFrac: 0.2, Seed: 42,
+	}
+}
+
 func TestGenerateBasics(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Nodes = 500
 	ds, err := Generate(cfg)
 	if err != nil {
@@ -43,7 +51,7 @@ func TestGenerateBasics(t *testing.T) {
 
 func TestGenerateHomophilyControl(t *testing.T) {
 	for _, h := range []float64{0.1, 0.9} {
-		cfg := DefaultConfig()
+		cfg := defaultConfig()
 		cfg.Nodes = 2000
 		cfg.Homophily = h
 		ds, err := Generate(cfg)
@@ -58,7 +66,7 @@ func TestGenerateHomophilyControl(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Nodes = 300
 	a, err := Generate(cfg)
 	if err != nil {
@@ -80,17 +88,17 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Classes = 1
 	if _, err := Generate(cfg); err == nil {
 		t.Error("1 class should error")
 	}
-	cfg = DefaultConfig()
+	cfg = defaultConfig()
 	cfg.FeatureDim = 0
 	if _, err := Generate(cfg); err == nil {
 		t.Error("0 features should error")
 	}
-	cfg = DefaultConfig()
+	cfg = defaultConfig()
 	cfg.TrainFrac = 0.8
 	cfg.ValFrac = 0.5
 	if _, err := Generate(cfg); err == nil {
@@ -101,7 +109,7 @@ func TestGenerateValidation(t *testing.T) {
 func TestFeaturesClassSeparated(t *testing.T) {
 	// With low noise, per-class feature means must be far apart relative to
 	// within-class scatter.
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Nodes = 1000
 	cfg.NoiseStd = 0.1
 	ds, err := Generate(cfg)

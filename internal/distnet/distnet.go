@@ -397,9 +397,6 @@ func (c *Cluster) SetEpoch(epoch int) {
 	c.siteIdx = 0
 }
 
-// Epoch returns the current staleness-clock epoch.
-func (c *Cluster) Epoch() int { return int(c.epoch) }
-
 // MarshalBinary serializes the exchange cursor (round seq, epoch, site
 // counter) for the checkpoint Aux blob, so a resumed shard rejoins the
 // round sequence exactly where its snapshot left it.

@@ -73,7 +73,7 @@ func TestClearDisarms(t *testing.T) {
 	if err := Set("s", "error"); err != nil {
 		t.Fatal(err)
 	}
-	Clear("s")
+	Reset()
 	if err := Inject("s"); err != nil {
 		t.Fatalf("cleared site fired: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestClearDisarms(t *testing.T) {
 
 func TestSetFromEnv(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := SetFromEnv("x=error; y=drop@2 ;;"); err != nil {
+	if err := setFromEnv("x=error; y=drop@2 ;;"); err != nil {
 		t.Fatal(err)
 	}
 	if err := Inject("x"); !errors.Is(err, ErrInjected) {
@@ -102,7 +102,7 @@ func TestBadSpecsRejected(t *testing.T) {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
-	if err := SetFromEnv("justasite"); err == nil {
+	if err := setFromEnv("justasite"); err == nil {
 		t.Error("binding without = accepted")
 	}
 	if err := Set("", "error"); err == nil {

@@ -12,9 +12,6 @@ import (
 	"time"
 )
 
-// Enabled reports whether failpoint support is compiled into this binary.
-func Enabled() bool { return true }
-
 type action int
 
 const (
@@ -42,7 +39,7 @@ var (
 
 func init() {
 	if env := os.Getenv(EnvVar); env != "" {
-		if err := SetFromEnv(env); err != nil {
+		if err := setFromEnv(env); err != nil {
 			// Arming failpoints is always deliberate; a typo silently
 			// disabling them would defeat the test that set the variable.
 			fmt.Fprintf(os.Stderr, "fault: bad %s: %v\n", EnvVar, err)
@@ -51,9 +48,9 @@ func init() {
 	}
 }
 
-// SetFromEnv parses a semicolon-separated list of site=spec bindings (the
+// setFromEnv parses a semicolon-separated list of site=spec bindings (the
 // SCALEGNN_FAILPOINTS format) and arms each one.
-func SetFromEnv(env string) error {
+func setFromEnv(env string) error {
 	for _, binding := range strings.Split(env, ";") {
 		binding = strings.TrimSpace(binding)
 		if binding == "" {
@@ -117,14 +114,6 @@ func Set(site, spec string) error {
 	armed.Store(true)
 	mu.Unlock()
 	return nil
-}
-
-// Clear disarms a single site.
-func Clear(site string) {
-	mu.Lock()
-	delete(points, site)
-	armed.Store(len(points) > 0)
-	mu.Unlock()
 }
 
 // Reset disarms every site. Tests call it in cleanup.

@@ -4,9 +4,6 @@ package fault
 
 import "errors"
 
-// Enabled reports whether failpoint support is compiled into this binary.
-func Enabled() bool { return false }
-
 // Inject is a no-op in nofault builds; the inliner erases call sites.
 func Inject(string) error { return nil }
 
@@ -15,17 +12,6 @@ func Inject(string) error { return nil }
 func Set(string, string) error {
 	return errors.New("fault: failpoints compiled out (built with -tags nofault)")
 }
-
-// SetFromEnv rejects any non-empty binding list, mirroring Set.
-func SetFromEnv(env string) error {
-	if env == "" {
-		return nil
-	}
-	return errors.New("fault: failpoints compiled out (built with -tags nofault)")
-}
-
-// Clear is a no-op in nofault builds.
-func Clear(string) {}
 
 // Reset is a no-op in nofault builds.
 func Reset() {}

@@ -210,87 +210,11 @@ func Star(n int) *CSR {
 	return b.MustBuild()
 }
 
-// Complete generates the complete graph K_n. Tests only.
-func Complete(n int) *CSR {
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.MustBuild()
-}
-
 // Cycle generates the n-cycle.
 func Cycle(n int) *CSR {
 	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
-	}
-	return b.MustBuild()
-}
-
-// WattsStrogatz generates a small-world graph: a ring lattice where every
-// node connects to its k nearest neighbors (k even), with each edge
-// rewired to a uniform random endpoint with probability beta. Small-world
-// graphs combine high clustering with low diameter — the regime between
-// the grid and the BA graph used by the subgraph and similarity tests.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *CSR {
-	if k%2 != 0 {
-		k++
-	}
-	if k >= n {
-		k = n - 1 - (n-1)%2
-	}
-	if beta < 0 {
-		beta = 0
-	}
-	if beta > 1 {
-		beta = 1
-	}
-	type pair struct{ u, v int }
-	seen := make(map[pair]struct{}, n*k/2)
-	has := func(u, v int) bool {
-		if u > v {
-			u, v = v, u
-		}
-		_, ok := seen[pair{u, v}]
-		return ok
-	}
-	add := func(u, v int) {
-		if u > v {
-			u, v = v, u
-		}
-		seen[pair{u, v}] = struct{}{}
-	}
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			add(u, (u+j)%n)
-		}
-	}
-	// Rewire.
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			v := (u + j) % n
-			if !has(u, v) {
-				continue // already rewired away
-			}
-			if rng.Float64() < beta {
-				// Pick a fresh endpoint.
-				for attempts := 0; attempts < 100; attempts++ {
-					w := rng.IntN(n)
-					if w != u && !has(u, w) {
-						delete(seen, pair{min(u, v), max(u, v)})
-						add(u, w)
-						break
-					}
-				}
-			}
-		}
-	}
-	for p := range seen {
-		b.AddEdge(p.u, p.v)
 	}
 	return b.MustBuild()
 }

@@ -120,14 +120,6 @@ func (g *CSR) MaxDegree() int {
 	return max
 }
 
-// AvgDegree returns the mean out-degree.
-func (g *CSR) AvgDegree() float64 {
-	if g.N == 0 {
-		return 0
-	}
-	return float64(len(g.Adj)) / float64(g.N)
-}
-
 // Edge is a weighted arc used by builders and serialization.
 type Edge struct {
 	U, V int
@@ -305,20 +297,6 @@ func (g *CSR) UndirectedEdges() []Edge {
 		}
 	}
 	return out
-}
-
-// Reverse returns the transpose graph (all arcs flipped). For an undirected
-// graph the transpose is structurally identical.
-func (g *CSR) Reverse() *CSR {
-	b := NewBuilder(g.N)
-	b.Directed = true
-	b.KeepSelfLoops = true
-	for _, e := range g.Edges() {
-		b.AddWeightedEdge(e.V, e.U, e.W)
-	}
-	r := b.MustBuild()
-	r.undirected = g.undirected
-	return r
 }
 
 // InducedSubgraph returns the subgraph induced by nodes (which need not be

@@ -92,10 +92,6 @@ func TestDirectedBuilder(t *testing.T) {
 	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
 		t.Error("directed edges should be one-way")
 	}
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || r.HasEdge(0, 1) {
-		t.Error("Reverse should flip arcs")
-	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
@@ -217,8 +213,8 @@ func TestGenerators(t *testing.T) {
 		t.Errorf("BA components = %d, want 1", k)
 	}
 	// Power-law: max degree should far exceed average.
-	if float64(ba.MaxDegree()) < 2*ba.AvgDegree() {
-		t.Errorf("BA max degree %d not skewed vs avg %.1f", ba.MaxDegree(), ba.AvgDegree())
+	if avg := float64(ba.NumEdges()) / float64(ba.N); float64(ba.MaxDegree()) < 2*avg {
+		t.Errorf("BA max degree %d not skewed vs avg %.1f", ba.MaxDegree(), avg)
 	}
 
 	grid := Grid(4, 5)
@@ -236,11 +232,6 @@ func TestGenerators(t *testing.T) {
 		if cyc.Degree(u) != 2 {
 			t.Fatal("cycle degree != 2")
 		}
-	}
-
-	k5 := Complete(5)
-	if k5.NumEdges() != 20 {
-		t.Errorf("K5 arcs = %d, want 20", k5.NumEdges())
 	}
 }
 
@@ -277,47 +268,6 @@ func TestSBMValidation(t *testing.T) {
 	if _, _, err := SBM(SBMConfig{Nodes: 10, Blocks: 2, AvgDegree: 4, Homophily: 0.5, Assignment: []int{0}}, rng); err == nil {
 		t.Error("wrong assignment length should error")
 	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	rng := tensor.NewRand(61)
-	// beta=0: pure ring lattice, every node has degree k.
-	ring := WattsStrogatz(100, 4, 0, rng)
-	for u := 0; u < ring.N; u++ {
-		if ring.Degree(u) != 4 {
-			t.Fatalf("lattice degree(%d) = %d, want 4", u, ring.Degree(u))
-		}
-	}
-	// beta=0.2: same edge count, degrees redistributed, still connected
-	// with overwhelming probability at k=6.
-	sw := WattsStrogatz(500, 6, 0.2, rng)
-	if sw.NumEdges() != 500*6 {
-		t.Errorf("small-world arcs = %d, want %d", sw.NumEdges(), 500*6)
-	}
-	if _, k := sw.ConnectedComponents(); k != 1 {
-		t.Errorf("small-world graph has %d components", k)
-	}
-	// Rewiring shrinks the diameter relative to the lattice.
-	dLattice := maxDist(WattsStrogatz(300, 4, 0, rng), 0)
-	dSW := maxDist(WattsStrogatz(300, 4, 0.3, rng), 0)
-	if dSW >= dLattice {
-		t.Errorf("small-world eccentricity %d not below lattice %d", dSW, dLattice)
-	}
-	// Odd k rounds up; k >= n clamps.
-	odd := WattsStrogatz(20, 3, 0, rng)
-	if odd.Degree(0) != 4 {
-		t.Errorf("odd k: degree = %d, want 4", odd.Degree(0))
-	}
-}
-
-func maxDist(g *CSR, src int) int {
-	worst := 0
-	for _, d := range g.BFSDistances(src) {
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 func TestUndirectedEdgesIncludeSelfLoops(t *testing.T) {

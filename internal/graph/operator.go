@@ -131,25 +131,6 @@ func NewOperatorOf[T tensor.Elem](g *CSR, norm Normalization, addSelfLoops bool)
 // HasSelfLoops reports whether the operator includes the A+I self-loop term.
 func (op *OperatorOf[T]) HasSelfLoops() bool { return op.loopCo != nil }
 
-// NNZ returns the number of nonzero coefficients in the operator, counting
-// self-loops.
-func (op *OperatorOf[T]) NNZ() int {
-	n := 0
-	for _, c := range op.Coef {
-		if c != 0 {
-			n++
-		}
-	}
-	if op.loopCo != nil {
-		for _, c := range op.loopCo {
-			if c != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // ApplyHook intercepts ApplyInto on every operator derived from a graph it
 // is attached to (see CSR.SetApplyHook). The distributed runtime installs
 // one to partition the SpMM across processes: the hook computes its shard's
@@ -348,25 +329,6 @@ func (op *OperatorOf[T]) PowerApply(x *tensor.Mat[T], k int) *tensor.Mat[T] {
 	return cur
 }
 
-// RowSums returns the row sums of the operator matrix; for NormRandomWalk
-// with self-loops these are all 1 on nodes with nonzero degree.
-func (op *OperatorOf[T]) RowSums() []T {
-	g := op.G
-	out := make([]T, g.N)
-	for u := 0; u < g.N; u++ {
-		var s T
-		if op.loopCo != nil {
-			s = op.loopCo[u]
-		}
-		a, b := g.Offsets[u], g.Offsets[u+1]
-		for k := a; k < b; k++ {
-			s += op.Coef[k]
-		}
-		out[u] = s
-	}
-	return out
-}
-
 // Dense materializes the operator as a dense N x N matrix. Intended for
 // tests and tiny graphs only — every production path goes through the
 // SpMM ApplyInto.
@@ -384,13 +346,4 @@ func (op *OperatorOf[T]) Dense() *tensor.Mat[T] {
 		}
 	}
 	return m
-}
-
-// Laplacian returns the normalized Laplacian operator L = I - P applied as a
-// closure over this operator: y = x - P x. It is used by spectral filters.
-func (op *OperatorOf[T]) Laplacian(x *tensor.Mat[T]) *tensor.Mat[T] {
-	px := op.Apply(x)
-	out := x.Clone()
-	out.Sub(px)
-	return out
 }

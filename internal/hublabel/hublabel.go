@@ -172,28 +172,6 @@ func (ix *Index) AvgLabelSize() float64 {
 	return float64(ix.TotalEntries()) / float64(ix.n)
 }
 
-// CoreNodes returns the nodes whose label size is at most the given
-// quantile q of all label sizes — small labels mean the node is itself a
-// well-placed hub. This is the core/fringe split CFGNN derives from hub
-// labels: hubs ("core") get distinctive treatment, the rest ("fringe")
-// follow standard convolution. A node is core if its rank in the landmark
-// order falls in the first q fraction.
-func (ix *Index) CoreNodes(q float64) []int {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	k := int(q * float64(ix.n))
-	core := make([]int, 0, k)
-	for rank := 0; rank < k; rank++ {
-		core = append(core, int(ix.order[rank]))
-	}
-	sort.Ints(core)
-	return core
-}
-
 // DistanceMatrix materializes pairwise distances among the given nodes
 // (DHIL-GT's SPD bias for a Transformer attention block over a node batch).
 // Entry (i, j) is the hop distance between nodes[i] and nodes[j], or

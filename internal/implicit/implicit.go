@@ -17,9 +17,9 @@
 //   - Eigen-decoupled solve (EIGNN): diagonalize a symmetric W = QΛQᵀ and
 //     solve each transformed column (I − γλ_j P) z = b independently with
 //     conjugate gradients — no joint iteration, better conditioning.
-//   - Multiscale operators (MGNNI): replace P by P^s at several scales s and
-//     combine equilibria, expanding the effective receptive field without
-//     extra solver cost per scale.
+//   - Multiscale operators (MGNNI): a Solver's Scale replaces P by P^s, and
+//     models.ImplicitNet combines the equilibria of several scales, expanding
+//     the effective receptive field without extra solver cost per scale.
 //
 // Training uses exact implicit differentiation: gradients of the
 // equilibrium are themselves fixed points of the adjoint equation, solved
@@ -204,38 +204,9 @@ func (s *Solver) cgSolve(rhs []float64, mu float64) ([]float64, int, error) {
 	return x, s.MaxIter, nil
 }
 
-// MultiscaleSolve computes equilibria at each scale (MGNNI): scale s uses
-// operator P^s with its own weight matrix ws[i], and the results are
-// averaged. Returns the combined embedding and the per-scale Picard
-// iteration counts.
-func MultiscaleSolve(op *graph.Operator, gamma float64, b *tensor.Matrix, scales []int, ws []*tensor.Matrix) (*tensor.Matrix, []int, error) {
-	if len(scales) == 0 || len(scales) != len(ws) {
-		return nil, nil, fmt.Errorf("implicit: %d scales but %d weight matrices", len(scales), len(ws))
-	}
-	out := tensor.New(b.Rows, b.Cols)
-	iters := make([]int, len(scales))
-	for i, sc := range scales {
-		if sc < 1 {
-			return nil, nil, fmt.Errorf("implicit: scale %d < 1", sc)
-		}
-		solver, err := NewSolver(op, gamma)
-		if err != nil {
-			return nil, nil, err
-		}
-		solver.Scale = sc
-		z, it, err := solver.Solve(b, ws[i])
-		if err != nil {
-			return nil, nil, fmt.Errorf("implicit: scale %d: %w", sc, err)
-		}
-		iters[i] = it
-		out.AddScaled(1/float64(len(scales)), z)
-	}
-	return out, iters, nil
-}
-
-// SpectralNorm estimates ‖W‖₂ by power iteration — used to project the
+// spectralNorm estimates ‖W‖₂ by power iteration — used to project the
 // learnable W back inside the contraction region after optimizer steps.
-func SpectralNorm(w *tensor.Matrix, iters int) float64 {
+func spectralNorm(w *tensor.Matrix, iters int) float64 {
 	if w.Rows == 0 || w.Cols == 0 {
 		return 0
 	}
@@ -271,7 +242,7 @@ func SpectralNorm(w *tensor.Matrix, iters int) float64 {
 // pre-projection norm. The projected-gradient step that keeps implicit GNN
 // training inside the well-posed (contractive) region.
 func ProjectSpectralNorm(w *tensor.Matrix, maxNorm float64) float64 {
-	sigma := SpectralNorm(w, 30)
+	sigma := spectralNorm(w, 30)
 	if sigma > maxNorm && sigma > 0 {
 		w.Scale(maxNorm / sigma)
 	}

@@ -201,44 +201,6 @@ func TestLongRangePropagation(t *testing.T) {
 	}
 }
 
-func TestMultiscaleSolve(t *testing.T) {
-	op, b, w := setup(t, 25)
-	w2 := w.Clone()
-	w2.Scale(0.5)
-	out, iters, err := MultiscaleSolve(op, 0.7, b, []int{1, 2}, []*tensor.Matrix{w, w2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) != 2 || iters[0] == 0 || iters[1] == 0 {
-		t.Errorf("iters = %v", iters)
-	}
-	if out.Rows != b.Rows || out.Cols != b.Cols {
-		t.Error("shape mismatch")
-	}
-	// Must equal the average of the two single-scale solutions.
-	s1, _ := NewSolver(op, 0.7)
-	z1, _, _ := s1.Solve(b, w)
-	s2, _ := NewSolver(op, 0.7)
-	s2.Scale = 2
-	z2, _, _ := s2.Solve(b, w2)
-	want := tensor.New(b.Rows, b.Cols)
-	want.AddScaled(0.5, z1)
-	want.AddScaled(0.5, z2)
-	if !out.Equal(want, 1e-9) {
-		t.Error("multiscale output != average of per-scale equilibria")
-	}
-}
-
-func TestMultiscaleValidation(t *testing.T) {
-	op, b, w := setup(t, 10)
-	if _, _, err := MultiscaleSolve(op, 0.7, b, nil, nil); err == nil {
-		t.Error("empty scales should error")
-	}
-	if _, _, err := MultiscaleSolve(op, 0.7, b, []int{0}, []*tensor.Matrix{w}); err == nil {
-		t.Error("scale 0 should error")
-	}
-}
-
 func TestNewSolverValidation(t *testing.T) {
 	op, _, _ := setup(t, 5)
 	if _, err := NewSolver(op, 0); err == nil {
@@ -255,10 +217,10 @@ func TestSpectralNorm(t *testing.T) {
 	w.Set(0, 0, 2)
 	w.Set(1, 1, -5)
 	w.Set(2, 2, 1)
-	if got := SpectralNorm(w, 50); math.Abs(got-5) > 1e-6 {
+	if got := spectralNorm(w, 50); math.Abs(got-5) > 1e-6 {
 		t.Errorf("σ = %v, want 5", got)
 	}
-	if SpectralNorm(tensor.New(0, 0), 5) != 0 {
+	if spectralNorm(tensor.New(0, 0), 5) != 0 {
 		t.Error("empty matrix norm should be 0")
 	}
 }
@@ -270,7 +232,7 @@ func TestProjectSpectralNorm(t *testing.T) {
 	if pre <= 0.5 {
 		t.Skip("random matrix unexpectedly small")
 	}
-	post := SpectralNorm(w, 50)
+	post := spectralNorm(w, 50)
 	if post > 0.5+1e-6 {
 		t.Errorf("post-projection σ = %v > 0.5", post)
 	}

@@ -19,7 +19,7 @@ import (
 // select) never appear as nodes themselves, so a transfer function can
 // walk each node's subtree without re-entering control flow. Function
 // literals are *not* descended into — each literal gets its own CFG via
-// FuncCFG.
+// funcCFG.
 
 // Block is one basic block.
 type Block struct {
@@ -42,10 +42,10 @@ type CFG struct {
 	Blocks []*Block
 }
 
-// FuncCFG builds the CFG for a function body. The body may belong to an
+// funcCFG builds the CFG for a function body. The body may belong to an
 // *ast.FuncDecl or an *ast.FuncLit; literals nested inside are treated as
 // opaque values (build their CFGs separately).
-func FuncCFG(body *ast.BlockStmt) *CFG {
+func funcCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{cfg: &CFG{}}
 	b.cfg.Entry = b.newBlock()
 	b.cfg.Exit = &Block{Index: -1}

@@ -56,7 +56,7 @@ func f(c bool) int {
 	}
 	return n
 }`, "f")
-	c := FuncCFG(body)
+	c := funcCFG(body)
 	// Both arms flow into the merge block that holds the return.
 	var retBlk *Block
 	for _, b := range c.Blocks {
@@ -97,7 +97,7 @@ func f(k int) int {
 	}
 	return t
 }`, "f")
-	c := FuncCFG(body)
+	c := funcCFG(body)
 	// Some block must have a successor with a lower (earlier) index: the
 	// back edge from the post block to the loop head.
 	back := false
@@ -124,7 +124,7 @@ func f(c bool) int {
 	}
 	return 1
 }`, "f")
-	c := FuncCFG(body)
+	c := funcCFG(body)
 	var panicBlk *Block
 	for _, b := range c.Blocks {
 		if b.Terminates {
@@ -155,7 +155,7 @@ func f(c bool) {
 	}
 	_ = n
 }`, "f")
-	c := FuncCFG(body)
+	c := funcCFG(body)
 	probe := types.NewVar(token.NoPos, nil, "probe", types.Typ[types.Int])
 	const (
 		sawAssign flowState = 1 << iota
@@ -200,7 +200,7 @@ func f(k int) {
 		_ = i
 	}
 }`, "f")
-	c := FuncCFG(body)
+	c := funcCFG(body)
 	probe := types.NewVar(token.NoPos, nil, "probe", types.Typ[types.Int])
 	transfer := func(n ast.Node, fact flowFact) {
 		if as, ok := n.(*ast.AssignStmt); ok {

@@ -113,7 +113,7 @@ func analyzeCtxFunc(p *Package, r *Reporter, ftype *ast.FuncType, body *ast.Bloc
 		return // no ctx parameter: rule 2 out of scope
 	}
 	c := &ctxAnalysis{p: p}
-	cfg := FuncCFG(body)
+	cfg := funcCFG(body)
 	in := forwardFlow(cfg, entry, func(n ast.Node, fact flowFact) {
 		c.transfer(n, fact)
 	})

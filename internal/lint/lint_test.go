@@ -3,12 +3,20 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
+	pathpkg "path"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"scalegnn/internal/core"
 )
 
 // newTestLoader returns a loader rooted at the real module (two levels up).
@@ -108,26 +116,52 @@ func TestDurableWriteFixture(t *testing.T)   { runFixture(t, "ckpt", "durable-wr
 func TestCtxFlowFixture(t *testing.T)        { runFixture(t, "ctxflow", "ctx-flow") }
 func TestConnDeadlineFixture(t *testing.T)   { runFixture(t, "distnet", "conn-deadline") }
 
+var repo struct {
+	once sync.Once
+	l    *Loader
+	pkgs []*Package
+	err  error
+}
+
+// loadRepo type-checks every package of the real module once per test
+// binary; the repo-wide tests below share the result.
+func loadRepo(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	repo.once.Do(func() {
+		l, err := NewLoader(".")
+		if err != nil {
+			repo.err = err
+			return
+		}
+		dirs, err := l.ExpandPatterns([]string{l.ModDir + "/..."})
+		if err != nil {
+			repo.err = err
+			return
+		}
+		for _, dir := range dirs {
+			p, err := l.LoadDir(dir)
+			if err != nil {
+				repo.err = fmt.Errorf("loading %s: %w", dir, err)
+				return
+			}
+			repo.pkgs = append(repo.pkgs, p)
+		}
+		repo.l = l
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	if len(repo.pkgs) < 10 {
+		t.Fatalf("expected to load the whole repo, got %d packages", len(repo.pkgs))
+	}
+	return repo.l, repo.pkgs
+}
+
 // TestRepoIsClean is the self-hosting gate: the full suite must run clean
 // over the real repository. A regression anywhere in internal/ or cmd/
 // fails this test before it ever reaches CI's gnnlint step.
 func TestRepoIsClean(t *testing.T) {
-	l := newTestLoader(t)
-	dirs, err := l.ExpandPatterns([]string{l.ModDir + "/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("expected to load the whole repo, got %d packages", len(pkgs))
-	}
+	l, pkgs := loadRepo(t)
 	diags, err := RunChecks(l, pkgs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +169,140 @@ func TestRepoIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
+}
+
+// TestEveryExportIsClaimed: every exported package-level function declared
+// in a non-test file under internal/ is referenced from outside its own
+// package — by non-test code of the module, by the benchmark module, or by
+// another package's tests. An unclaimed one is reported "delete" when its
+// own package's non-test code does not use it either, else "unexport".
+func TestEveryExportIsClaimed(t *testing.T) {
+	l, pkgs := loadRepo(t)
+	type key struct{ pkg, name string }
+	claimed := map[key]bool{}
+	usedInside := map[*types.Func]bool{}
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			f, ok := obj.(*types.Func)
+			if !ok || f.Pkg() == nil {
+				continue
+			}
+			f = f.Origin()
+			if f.Pkg() == p.Types {
+				usedInside[f] = true
+			} else {
+				claimed[key{f.Pkg().Path(), f.Name()}] = true
+			}
+		}
+	}
+	// Test files and the benchmark module are not type-checked here;
+	// resolve their qualified identifiers through each file's imports.
+	claimSyntax := func(from string, f *ast.File) {
+		names := map[string]string{}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if path == from {
+				continue
+			}
+			name := pathpkg.Base(path)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			names[name] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] != "" {
+					claimed[key{names[x.Name], sel.Sel.Name}] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range pkgs {
+		for _, f := range p.TestFiles {
+			claimSyntax(p.Path, f)
+		}
+	}
+	benchDir := filepath.Join(l.ModDir, "benchmark")
+	err := filepath.WalkDir(benchDir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			claimSyntax("", f)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, l.ModPath+"/internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() || claimed[key{p.Path, fd.Name.Name}] {
+					continue
+				}
+				verdict := "delete"
+				if usedInside[p.Info.Defs[fd.Name].(*types.Func)] {
+					verdict = "unexport"
+				}
+				t.Errorf("%s: %s.%s has no caller outside its package: %s",
+					l.Fset.Position(fd.Pos()), p.Types.Name(), fd.Name.Name, verdict)
+			}
+		}
+	}
+}
+
+// TestRegistrySymbolsResolve: every symbol the Figure 1 registry credits
+// names a declared func, type or method. "Name" is looked up in the leaf's
+// package, "pkg.Name" in the sibling package pkg, "Type.Method" as a method,
+// and a parenthesised annotation is ignored.
+func TestRegistrySymbolsResolve(t *testing.T) {
+	l, pkgs := loadRepo(t)
+	byPath := map[string]*types.Package{}
+	for _, p := range pkgs {
+		byPath[p.Path] = p.Types
+	}
+	for _, tech := range core.Registry() {
+		for _, sym := range tech.Symbols {
+			name, _, _ := strings.Cut(sym, "(")
+			path := l.ModPath + "/" + tech.Package
+			parts := strings.Split(name, ".")
+			if !ast.IsExported(parts[0]) {
+				path, parts = pathpkg.Dir(path)+"/"+parts[0], parts[1:]
+			}
+			if !resolves(byPath[path], parts) {
+				t.Errorf("%s: symbol %q does not resolve in %s", tech.Leaf, sym, path)
+			}
+		}
+	}
+}
+
+// resolves reports whether parts ("Name" or "Type.Method") names a func,
+// type or method declared in pkg.
+func resolves(pkg *types.Package, parts []string) bool {
+	if pkg == nil || len(parts) == 0 || len(parts) > 2 {
+		return false
+	}
+	switch obj := pkg.Scope().Lookup(parts[0]).(type) {
+	case *types.Func:
+		return len(parts) == 1
+	case *types.TypeName:
+		if len(parts) == 1 {
+			return true
+		}
+		m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, parts[1])
+		_, ok := m.(*types.Func)
+		return ok
+	}
+	return false
 }
 
 // TestExpandPatternsSkipsTestdata ensures fixtures with deliberate

@@ -9,8 +9,8 @@ import (
 // resources.go holds the three descriptions the typestate engine runs.
 
 // bufFlow: pooled workspace buffers (tensor.GetBuf/GetZeroBuf,
-// Workspace.Get/GetZero, tensor.NewBuf handles) go back to the pool
-// exactly once (Put/PutBuf/ws.Put/Release), on every path, and are not
+// Workspace.Get/GetZero, and `var b tensor.Buf` handles) go back to the
+// pool exactly once (Put/PutBuf/ws.Put/Release), on every path, and are not
 // read after. A dropped buffer silently reintroduces the per-epoch
 // allocations pooling exists to remove; a double-released one corrupts
 // the pool for two unrelated callers.
@@ -20,8 +20,9 @@ var bufFlow = &resource{
 	param: isBufType,
 	entry: stLive,
 	acquire: func(p *Package, call *ast.CallExpr) bool {
-		return isFunc(p.calleeFunc(call), "internal/tensor", "Get", "GetZero", "GetBuf", "GetZeroBuf", "NewBuf")
+		return isFunc(p.calleeFunc(call), "internal/tensor", "Get", "GetZero", "GetBuf", "GetZeroBuf")
 	},
+	zero: isBufHandle,
 	release: func(p *Package, call *ast.CallExpr) []ast.Expr {
 		switch fn := p.calleeFunc(call); {
 		case isFunc(fn, "internal/tensor", "Put", "PutBuf"):
@@ -33,7 +34,7 @@ var bufFlow = &resource{
 	},
 }
 
-// obsSpanEnd: a tracing span (obs.Start/StartTimed/StartRequest,
+// obsSpanEnd: a tracing span (obs.Start/StartRequest,
 // Tracer.Start, Span.Child) is ended exactly once on every path, or
 // visibly handed off (returned, stored, sent), and not touched after End.
 // A span that is started and dropped never reaches the tracer buffer, so
@@ -45,7 +46,7 @@ var obsSpanEnd = &resource{
 	param: isSpanType,
 	entry: stLive,
 	acquire: func(p *Package, call *ast.CallExpr) bool {
-		return isFunc(p.calleeFunc(call), "internal/obs", "Start", "StartTimed", "StartRequest", "Child")
+		return isFunc(p.calleeFunc(call), "internal/obs", "Start", "StartRequest", "Child")
 	},
 	release: func(p *Package, call *ast.CallExpr) []ast.Expr {
 		if isFunc(p.calleeFunc(call), "internal/obs", "End") {
@@ -142,6 +143,12 @@ func isBufType(t types.Type) bool {
 		return true
 	}
 	return false
+}
+
+// isBufHandle reports whether t is a tensor.BufOf handle value.
+func isBufHandle(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && named.Obj().Name() == "BufOf" && pathIs(named.Obj().Pkg().Path(), "internal/tensor")
 }
 
 // isSpanType reports whether t is obs.Span or *obs.Span.

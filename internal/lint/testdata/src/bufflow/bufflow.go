@@ -146,9 +146,11 @@ func pingPong(n, iters int) {
 	tensor.PutBuf(next)
 }
 
-// handleDoubleRelease double-releases a Buf handle.
-func handleDoubleRelease(ws *tensor.Workspace) {
-	b := tensor.NewBuf(ws)
+// handleDoubleRelease double-releases a zero-value Buf handle, the way
+// layers and training loops hold their recycled outputs.
+func handleDoubleRelease(n int) {
+	var b tensor.Buf
+	b.Next(n, n).Zero()
 	b.Release()
 	b.Release() // want "released twice"
 }

@@ -22,7 +22,7 @@ func deferredEnd() {
 
 // explicitEnd ends on the straight-line path.
 func explicitEnd() int {
-	sp := obs.StartTimed("work")
+	sp := obs.Start("work")
 	n := 1 + 1
 	sp.End()
 	return n

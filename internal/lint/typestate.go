@@ -14,7 +14,8 @@ import (
 // (resources.go).
 //
 // An owned resource (workspace buffers, spans) carries an obligation. A
-// variable bound from an acquiring call moves
+// variable bound from an acquiring call, or declared as a zero-value handle
+// that acquires on use (`var b tensor.Buf`), moves
 //
 //	Live → Released        (a release call, or a callee whose summary
 //	                        releases that parameter on every normal exit)
@@ -49,6 +50,10 @@ type resource struct {
 	// acquire matches the calls whose bound result must be released; nil
 	// for a resource with no obligation.
 	acquire func(p *Package, call *ast.CallExpr) bool
+	// zero reports the handle types whose zero value, declared with
+	// `var x T`, is itself acquired: it must be released like a call's
+	// result. Nil when no type qualifies.
+	zero func(types.Type) bool
 	// release returns the operands a call releases.
 	release func(p *Package, call *ast.CallExpr) []ast.Expr
 	// steps returns the operand a call tests and the step it takes.
@@ -149,6 +154,11 @@ func (res *resource) analyze(prog *Program, p *Package, r *Reporter, ftype *ast.
 					}
 				}
 			}
+			for _, id := range a.zeroDecls(n) {
+				obj := p.Info.Defs[id]
+				a.acquired[obj] = id
+				a.tracked[obj] = true
+			}
 			return true
 		})
 		if len(a.tracked) == 0 {
@@ -173,7 +183,7 @@ func (res *resource) analyze(prog *Program, p *Package, r *Reporter, ftype *ast.
 // reachable block once from its fixpoint fact — reporting through r when
 // it is set — and hands each normal exit's fact to exit.
 func (a *typestate) walk(body *ast.BlockStmt, entry flowFact, r *Reporter, exit func(*Block, flowFact)) {
-	cfg := FuncCFG(body)
+	cfg := funcCFG(body)
 	in := forwardFlow(cfg, entry, func(n ast.Node, fact flowFact) {
 		a.transfer(n, fact, nil)
 	})
@@ -250,6 +260,9 @@ func (a *typestate) transfer(n ast.Node, fact flowFact, r *Reporter) {
 		for i, id := range names {
 			a.bind(id, values[i], fact, r)
 		}
+		for _, id := range a.zeroDecls(s) {
+			fact[a.p.Info.Defs[id]] = stLive
+		}
 	case *ast.DeferStmt:
 		a.transferDefer(s, fact, r)
 	case *ast.GoStmt:
@@ -280,6 +293,26 @@ func (a *typestate) transfer(n ast.Node, fact flowFact, r *Reporter) {
 	case ast.Expr:
 		a.evalExpr(s, fact, r, false)
 	}
+}
+
+// zeroDecls returns the identifiers n declares with `var` and no value
+// whose type the resource's zero matches.
+func (a *typestate) zeroDecls(n ast.Node) []*ast.Ident {
+	ds, ok := n.(*ast.DeclStmt)
+	if !ok || a.res.zero == nil {
+		return nil
+	}
+	var ids []*ast.Ident
+	for _, spec := range ds.Decl.(*ast.GenDecl).Specs {
+		if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) == 0 {
+			for _, id := range vs.Names {
+				if obj := a.p.Info.Defs[id]; obj != nil && a.res.zero(obj.Type()) {
+					ids = append(ids, id)
+				}
+			}
+		}
+	}
+	return ids
 }
 
 // transferAssign handles acquisitions, the swap idiom, escapes through

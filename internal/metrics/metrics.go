@@ -1,16 +1,11 @@
-// Package metrics provides the evaluation harness shared by every
-// experiment: classification quality metrics, wall-clock timing sections,
-// and the resident-float accounting that substitutes for GPU memory
-// measurement (see DESIGN.md "Substitutions").
+// Package metrics provides the evaluation metrics shared by every
+// experiment: classification accuracy and macro-F1, sample quantiles, and
+// ROC AUC.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"time"
-
-	"scalegnn/internal/obs"
 )
 
 // Accuracy returns the fraction of predictions equal to the labels.
@@ -30,10 +25,10 @@ func Accuracy(pred, labels []int) float64 {
 	return float64(correct) / float64(len(pred))
 }
 
-// Confusion builds the numClasses x numClasses confusion matrix
+// confusion builds the numClasses x numClasses confusion matrix
 // (rows = true class, cols = predicted class). Out-of-range entries are
 // ignored.
-func Confusion(pred, labels []int, numClasses int) [][]int {
+func confusion(pred, labels []int, numClasses int) [][]int {
 	m := make([][]int, numClasses)
 	for i := range m {
 		m[i] = make([]int, numClasses)
@@ -53,7 +48,7 @@ func MacroF1(pred, labels []int, numClasses int) float64 {
 	if numClasses == 0 {
 		return 0
 	}
-	cm := Confusion(pred, labels, numClasses)
+	cm := confusion(pred, labels, numClasses)
 	var sum float64
 	for c := 0; c < numClasses; c++ {
 		tp := cm[c][c]
@@ -73,96 +68,6 @@ func MacroF1(pred, labels []int, numClasses int) float64 {
 	}
 	return sum / float64(numClasses)
 }
-
-// Timer accumulates named wall-clock sections; every experiment reports
-// through one so that "propagation time" vs "training time" splits (the
-// decoupled-GNN measurement of §3.1.3) are consistent.
-type Timer struct {
-	sections map[string]time.Duration
-	order    []string
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer {
-	return &Timer{sections: make(map[string]time.Duration)}
-}
-
-// Section times fn under the given name, accumulating across calls. The
-// stopwatch is obs.Section, the repo's single timing substrate: when a
-// tracer is installed the section also lands in the trace timeline under
-// the same name, so timer totals and span durations can never disagree.
-func (t *Timer) Section(name string, fn func()) {
-	t.Add(name, obs.Section(name, fn))
-}
-
-// Add accumulates an externally measured duration.
-func (t *Timer) Add(name string, d time.Duration) {
-	if _, ok := t.sections[name]; !ok {
-		t.order = append(t.order, name)
-	}
-	t.sections[name] += d
-}
-
-// Get returns the accumulated duration of a section (0 if absent).
-func (t *Timer) Get(name string) time.Duration { return t.sections[name] }
-
-// Names returns section names in first-use order.
-func (t *Timer) Names() []string { return append([]string(nil), t.order...) }
-
-// Total returns the sum over all sections.
-func (t *Timer) Total() time.Duration {
-	var total time.Duration
-	for _, d := range t.sections {
-		total += d
-	}
-	return total
-}
-
-// String formats all sections.
-func (t *Timer) String() string {
-	out := ""
-	for i, name := range t.order {
-		if i > 0 {
-			out += "  "
-		}
-		out += fmt.Sprintf("%s=%v", name, t.sections[name].Round(time.Microsecond))
-	}
-	return out
-}
-
-// FloatTracker is the resident-float accountant: models report the peak
-// number of float64 values simultaneously held during one training step.
-// This is the CPU-world proxy for the GPU-memory bottleneck of §3.1.3 —
-// full-batch models hold O(n·d·L) floats, mini-batch models O(batch·d·L).
-type FloatTracker struct {
-	current int
-	peak    int
-}
-
-// Alloc records acquiring n resident floats.
-func (ft *FloatTracker) Alloc(n int) {
-	ft.current += n
-	if ft.current > ft.peak {
-		ft.peak = ft.current
-	}
-}
-
-// Free records releasing n resident floats.
-func (ft *FloatTracker) Free(n int) {
-	ft.current -= n
-	if ft.current < 0 {
-		ft.current = 0
-	}
-}
-
-// Peak returns the high-water mark.
-func (ft *FloatTracker) Peak() int { return ft.peak }
-
-// Current returns the currently tracked count.
-func (ft *FloatTracker) Current() int { return ft.current }
-
-// Reset clears both counters.
-func (ft *FloatTracker) Reset() { ft.current, ft.peak = 0, 0 }
 
 // Quantiles returns the requested quantiles (e.g. 0.5, 0.99) of a sample
 // slice, by sorting a copy. Used for per-node accuracy breakdowns.
@@ -184,23 +89,6 @@ func Quantiles(samples []float64, qs ...float64) []float64 {
 		out[i] = s[idx]
 	}
 	return out
-}
-
-// MeanStd returns the mean and (population) standard deviation.
-func MeanStd(samples []float64) (mean, std float64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	for _, v := range samples {
-		mean += v
-	}
-	mean /= float64(len(samples))
-	for _, v := range samples {
-		d := v - mean
-		std += d * d
-	}
-	std /= float64(len(samples))
-	return mean, math.Sqrt(std)
 }
 
 // AUC computes the area under the ROC curve for binary labels (1 =

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestAccuracy(t *testing.T) {
@@ -25,12 +24,12 @@ func TestAccuracyPanicsOnMismatch(t *testing.T) {
 }
 
 func TestConfusion(t *testing.T) {
-	cm := Confusion([]int{0, 1, 1, 0}, []int{0, 1, 0, 1}, 2)
+	cm := confusion([]int{0, 1, 1, 0}, []int{0, 1, 0, 1}, 2)
 	if cm[0][0] != 1 || cm[1][1] != 1 || cm[0][1] != 1 || cm[1][0] != 1 {
 		t.Errorf("confusion = %v", cm)
 	}
 	// Out-of-range ignored.
-	cm = Confusion([]int{5}, []int{0}, 2)
+	cm = confusion([]int{5}, []int{0}, 2)
 	if cm[0][0] != 0 {
 		t.Error("out-of-range prediction should be ignored")
 	}
@@ -60,50 +59,6 @@ func TestMacroF1EmptyClasses(t *testing.T) {
 	}
 }
 
-func TestTimerSections(t *testing.T) {
-	tm := NewTimer()
-	tm.Section("a", func() { time.Sleep(time.Millisecond) })
-	tm.Add("b", 5*time.Millisecond)
-	tm.Add("a", 2*time.Millisecond)
-	if tm.Get("a") < 3*time.Millisecond {
-		t.Errorf("section a = %v", tm.Get("a"))
-	}
-	if tm.Get("b") != 5*time.Millisecond {
-		t.Errorf("section b = %v", tm.Get("b"))
-	}
-	names := tm.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
-	}
-	if tm.Total() < 8*time.Millisecond {
-		t.Errorf("total = %v", tm.Total())
-	}
-	if tm.String() == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestFloatTracker(t *testing.T) {
-	var ft FloatTracker
-	ft.Alloc(100)
-	ft.Alloc(50)
-	if ft.Peak() != 150 || ft.Current() != 150 {
-		t.Errorf("peak=%d current=%d", ft.Peak(), ft.Current())
-	}
-	ft.Free(120)
-	if ft.Current() != 30 || ft.Peak() != 150 {
-		t.Errorf("after free: peak=%d current=%d", ft.Peak(), ft.Current())
-	}
-	ft.Free(1000)
-	if ft.Current() != 0 {
-		t.Error("current should clamp at 0")
-	}
-	ft.Reset()
-	if ft.Peak() != 0 {
-		t.Error("reset should clear peak")
-	}
-}
-
 func TestQuantiles(t *testing.T) {
 	s := []float64{5, 1, 3, 2, 4}
 	qs := Quantiles(s, 0, 0.5, 1)
@@ -117,16 +72,6 @@ func TestQuantiles(t *testing.T) {
 	}
 	if got := Quantiles(nil, 0.5); got[0] != 0 {
 		t.Error("empty quantiles should be 0")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(mean-5) > 1e-12 || math.Abs(std-2) > 1e-12 {
-		t.Errorf("mean=%v std=%v, want 5, 2", mean, std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Error("empty MeanStd should be 0, 0")
 	}
 }
 

@@ -545,15 +545,6 @@ func (m *GAMLP) Classes() int { return m.classes }
 // one pooled head forward.
 func (m *GAMLP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
-// HopAttention exposes the learned softmax hop weights (for the ablation
-// benchmarks); nil before Fit.
-func (m *GAMLP) HopAttention() []float64 {
-	if a, ok := m.st.(interface{ attention() []float64 }); ok {
-		return a.attention()
-	}
-	return nil
-}
-
 // LD2 is the multi-filter heterophilous decoupled model: precompute
 // identity, low-pass, and high-pass spectral channels of the features,
 // concatenate, and train an MLP mini-batch. The high-pass channel carries

@@ -114,7 +114,7 @@ func TestGAMLPLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	fitAndCheck(t, m, ds, 0.7)
-	att := m.HopAttention()
+	att := m.st.(interface{ attention() []float64 }).attention()
 	var sum float64
 	for _, a := range att {
 		if a < 0 {

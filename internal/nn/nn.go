@@ -4,7 +4,7 @@
 // model to MLP-class transformations (the graph part is handled by
 // dedicated data-management algorithms), so this package provides exactly
 // that: Linear / ReLU / Dropout layers composed into Sequential networks,
-// softmax cross-entropy, and SGD/Adam.
+// softmax cross-entropy, and Adam.
 //
 // Every module is generic over tensor.Elem: the float64 instantiations
 // (exposed under the historical names Param, Layer, Linear, ...) are the
@@ -473,131 +473,3 @@ func Argmax[T tensor.Elem](m *tensor.Mat[T]) []int {
 	}
 	return out
 }
-
-// LayerNormOf normalizes each row to zero mean and unit variance, then
-// applies learnable per-feature gain and bias — the normalization used by
-// Transformer-style graph models to keep attention activations in range.
-// Row statistics accumulate in float64 for every element type.
-type LayerNormOf[T tensor.Elem] struct {
-	Gain *ParamOf[T]
-	Bias *ParamOf[T]
-	Eps  float64
-
-	lastX    *tensor.Mat[T]
-	lastNorm *tensor.Mat[T] // normalized (pre-gain) activations
-	invStd   []float64
-
-	y, norm, gx tensor.BufOf[T] // pooled buffers, recycled per pass
-}
-
-// LayerNorm is the float64 instantiation of LayerNormOf.
-type LayerNorm = LayerNormOf[float64]
-
-// NewLayerNorm constructs a float64 LayerNorm over dim features.
-func NewLayerNorm(dim int) *LayerNorm { return NewLayerNormOf[float64](dim) }
-
-// NewLayerNormOf constructs a LayerNorm for any element type.
-func NewLayerNormOf[T tensor.Elem](dim int) *LayerNormOf[T] {
-	gain := tensor.NewOf[T](1, dim)
-	gain.Fill(1)
-	return &LayerNormOf[T]{
-		Gain: NewParam(fmt.Sprintf("layernorm_%d.gain", dim), gain),
-		Bias: NewParam(fmt.Sprintf("layernorm_%d.bias", dim), tensor.NewOf[T](1, dim)),
-		Eps:  1e-5,
-	}
-}
-
-// Forward normalizes rows and applies gain/bias.
-func (l *LayerNormOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
-	d := float64(x.Cols)
-	y := l.y.Next(x.Rows, x.Cols)
-	grow := l.Gain.Value.Row(0)
-	brow := l.Bias.Value.Row(0)
-	// Training retains the normalized activations and inverse stddevs for
-	// Backward; inference computes the output directly so it never touches
-	// (or recycles) the retained training state.
-	var norm *tensor.Mat[T]
-	var invStd []float64
-	if training {
-		norm = l.norm.Next(x.Rows, x.Cols)
-		if cap(l.invStd) < x.Rows {
-			l.invStd = make([]float64, x.Rows)
-		}
-		invStd = l.invStd[:x.Rows]
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= d
-		var varSum float64
-		for _, v := range row {
-			dv := float64(v) - mean
-			varSum += dv * dv
-		}
-		inv := 1 / math.Sqrt(varSum/d+l.Eps)
-		yrow := y.Row(i)
-		if training {
-			invStd[i] = inv
-			nrow := norm.Row(i)
-			for j, v := range row {
-				nrow[j] = T((float64(v) - mean) * inv)
-				yrow[j] = nrow[j]*grow[j] + brow[j]
-			}
-		} else {
-			for j, v := range row {
-				yrow[j] = T((float64(v)-mean)*inv)*grow[j] + brow[j]
-			}
-		}
-	}
-	if training {
-		l.lastX = x
-		l.lastNorm = norm
-		l.invStd = invStd
-	}
-	return y
-}
-
-// Backward accumulates gain/bias gradients and returns ∂L/∂x using the
-// standard layer-norm backward formula.
-func (l *LayerNormOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
-	if l.lastNorm == nil {
-		panic("nn: LayerNorm.Backward before Forward(training=true)")
-	}
-	d := float64(gradOut.Cols)
-	gx := l.gx.Next(gradOut.Rows, gradOut.Cols)
-	grow := l.Gain.Value.Row(0)
-	ggain := l.Gain.Grad.Row(0)
-	gbias := l.Bias.Grad.Row(0)
-	for i := 0; i < gradOut.Rows; i++ {
-		gout := gradOut.Row(i)
-		nrow := l.lastNorm.Row(i)
-		// Parameter gradients.
-		for j, g := range gout {
-			ggain[j] += g * nrow[j]
-			gbias[j] += g
-		}
-		// dL/dnorm = gout * gain; then the norm backward:
-		// dx = invStd * (dnorm - mean(dnorm) - norm * mean(dnorm*norm)).
-		var meanDn, meanDnN float64
-		for j, g := range gout {
-			dn := float64(g) * float64(grow[j])
-			meanDn += dn
-			meanDnN += dn * float64(nrow[j])
-		}
-		meanDn /= d
-		meanDnN /= d
-		gxrow := gx.Row(i)
-		inv := l.invStd[i]
-		for j, g := range gout {
-			dn := float64(g) * float64(grow[j])
-			gxrow[j] = T(inv * (dn - meanDn - float64(nrow[j])*meanDnN))
-		}
-	}
-	return gx
-}
-
-// Params returns the gain and bias.
-func (l *LayerNormOf[T]) Params() []*ParamOf[T] { return []*ParamOf[T]{l.Gain, l.Bias} }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,6 +15,31 @@ func sumSquares(y *tensor.Matrix) (float64, *tensor.Matrix) {
 		l += 0.5 * v * v
 	}
 	return l, y.Clone()
+}
+
+// gradCheck compares a layer's analytic input gradient against central
+// finite differences of the scalar loss, a deterministic function of the
+// layer output. Returns the max absolute element-wise error in ∂L/∂x.
+func gradCheck(layer Layer, x *tensor.Matrix, loss func(y *tensor.Matrix) (float64, *tensor.Matrix), eps float64) (float64, error) {
+	y := layer.Forward(x, true)
+	_, gy := loss(y)
+	gx := layer.Backward(gy)
+	if !gx.SameShape(x) {
+		return 0, fmt.Errorf("gradient shape %dx%d != input %dx%d", gx.Rows, gx.Cols, x.Rows, x.Cols)
+	}
+	var maxErr float64
+	for i := range x.Data {
+		orig := x.Data[i]
+		x.Data[i] = orig + eps
+		lp, _ := loss(layer.Forward(x, false))
+		x.Data[i] = orig - eps
+		lm, _ := loss(layer.Forward(x, false))
+		x.Data[i] = orig
+		if e := math.Abs((lp-lm)/(2*eps) - gx.Data[i]); e > maxErr {
+			maxErr = e
+		}
+	}
+	return maxErr, nil
 }
 
 func TestLinearForward(t *testing.T) {
@@ -35,7 +61,7 @@ func TestLinearGradCheck(t *testing.T) {
 	rng := tensor.NewRand(2)
 	l := NewLinear(4, 3, true, rng)
 	x := tensor.RandNormal(5, 4, 1, rng)
-	maxErr, err := GradCheck(l, x, sumSquares, 1e-6)
+	maxErr, err := gradCheck(l, x, sumSquares, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +109,7 @@ func TestReLUGradCheck(t *testing.T) {
 			x.Data[i] = 0.1
 		}
 	}
-	maxErr, err := GradCheck(r, x, sumSquares, 1e-6)
+	maxErr, err := gradCheck(r, x, sumSquares, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +122,7 @@ func TestMLPGradCheck(t *testing.T) {
 	rng := tensor.NewRand(5)
 	mlp := NewMLP(MLPConfig{In: 4, Hidden: []int{8}, Out: 3, Bias: true}, rng)
 	x := tensor.RandNormal(5, 4, 1, rng)
-	maxErr, err := GradCheck(mlp, x, sumSquares, 1e-6)
+	maxErr, err := gradCheck(mlp, x, sumSquares, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +274,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice(1, 2, []float64{1, 2}))
-	p.Grad.Data[0], p.Grad.Data[1] = 0.5, -0.5
-	NewSGD(0.1).Step([]*Param{p})
-	if math.Abs(p.Value.Data[0]-0.95) > 1e-12 || math.Abs(p.Value.Data[1]-2.05) > 1e-12 {
-		t.Errorf("after SGD: %v", p.Value.Data)
-	}
-	if p.Grad.Data[0] != 0 {
-		t.Error("Step must zero gradients")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(w) = Σ (w - target)².
 	target := []float64{3, -2, 0.5}
@@ -331,96 +345,6 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
-func TestLayerNormForward(t *testing.T) {
-	ln := NewLayerNorm(4)
-	x := tensor.FromRows([][]float64{{1, 2, 3, 4}, {10, 10, 10, 10}})
-	y := ln.Forward(x, false)
-	// Row 0: zero mean, unit variance (default gain 1, bias 0).
-	var mean, varSum float64
-	for _, v := range y.Row(0) {
-		mean += v
-	}
-	mean /= 4
-	for _, v := range y.Row(0) {
-		varSum += (v - mean) * (v - mean)
-	}
-	if math.Abs(mean) > 1e-10 || math.Abs(varSum/4-1) > 1e-3 {
-		t.Errorf("normalized row mean=%v var=%v", mean, varSum/4)
-	}
-	// Constant row: normalized to ~0 (eps guards the division).
-	for _, v := range y.Row(1) {
-		if math.Abs(v) > 1e-3 {
-			t.Errorf("constant row output %v, want ~0", v)
-		}
-	}
-}
-
-func TestLayerNormGradCheck(t *testing.T) {
-	rng := tensor.NewRand(83)
-	ln := NewLayerNorm(5)
-	// Random gain/bias so gradients are nontrivial.
-	ln.Gain.Value = tensor.RandUniform(1, 5, 0.5, 1.5, rng)
-	ln.Bias.Value = tensor.RandNormal(1, 5, 0.2, rng)
-	x := tensor.RandNormal(4, 5, 1, rng)
-	maxErr, err := GradCheck(ln, x, sumSquares, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxErr > 1e-4 {
-		t.Errorf("LayerNorm input grad error %v", maxErr)
-	}
-}
-
-func TestLayerNormParamGradFiniteDiff(t *testing.T) {
-	rng := tensor.NewRand(89)
-	ln := NewLayerNorm(3)
-	ln.Gain.Value = tensor.RandUniform(1, 3, 0.5, 1.5, rng)
-	x := tensor.RandNormal(5, 3, 1, rng)
-	y := ln.Forward(x, true)
-	_, gy := sumSquares(y)
-	ln.Backward(gy)
-	lossAt := func() float64 {
-		v, _ := sumSquares(ln.Forward(x, false))
-		return v
-	}
-	const eps = 1e-6
-	for _, p := range ln.Params() {
-		for i := range p.Value.Data {
-			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
-			lp := lossAt()
-			p.Value.Data[i] = orig - eps
-			lm := lossAt()
-			p.Value.Data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-p.Grad.Data[i]) > 1e-4 {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", p.Name, i, p.Grad.Data[i], numeric)
-			}
-		}
-	}
-}
-
-func TestLayerNormInSequential(t *testing.T) {
-	rng := tensor.NewRand(97)
-	net := NewSequential(
-		NewLinear(4, 8, true, rng),
-		NewLayerNorm(8),
-		NewReLU(),
-		NewLinear(8, 2, true, rng),
-	)
-	x := tensor.RandNormal(6, 4, 1, rng)
-	maxErr, err := GradCheck(net, x, sumSquares, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxErr > 1e-4 {
-		t.Errorf("Sequential-with-LayerNorm grad error %v", maxErr)
-	}
-	if len(net.Params()) != 6 {
-		t.Errorf("params = %d, want 6", len(net.Params()))
-	}
-}
-
 func TestAdamResetClearsState(t *testing.T) {
 	opt := NewAdam(0.1)
 	p := NewParam("w", tensor.New(2, 2))
@@ -449,26 +373,6 @@ func TestAdamResetClearsState(t *testing.T) {
 			t.Fatalf("post-Reset step differs from fresh optimizer at %d: %v vs %v",
 				i, q.Value.Data[i], r.Value.Data[i])
 		}
-	}
-}
-
-func TestAdamPruneKeepsSurvivors(t *testing.T) {
-	opt := NewAdam(0.1)
-	keep := NewParam("keep", tensor.New(1, 2))
-	dead := NewParam("dead", tensor.New(1, 2))
-	keep.Grad.Fill(1)
-	dead.Grad.Fill(1)
-	opt.Step([]*Param{keep, dead})
-	mKeep := opt.m[keep]
-	opt.Prune([]*Param{keep})
-	if _, ok := opt.m[dead]; ok {
-		t.Fatal("Prune left state for dropped param")
-	}
-	if opt.m[keep] != mKeep {
-		t.Fatal("Prune must not disturb surviving state")
-	}
-	if opt.t != 1 {
-		t.Fatalf("Prune must keep the step counter, got t=%d", opt.t)
 	}
 }
 

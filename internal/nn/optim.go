@@ -18,32 +18,6 @@ type OptimizerOf[T tensor.Elem] interface {
 // Optimizer is the float64 instantiation of OptimizerOf.
 type Optimizer = OptimizerOf[float64]
 
-// SGDOf is stochastic gradient descent with optional L2 weight decay.
-type SGDOf[T tensor.Elem] struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// SGD is the float64 instantiation of SGDOf.
-type SGD = SGDOf[float64]
-
-// NewSGD constructs a float64 SGD optimizer.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies one descent update and zeroes gradients.
-func (o *SGDOf[T]) Step(params []*ParamOf[T]) {
-	for _, p := range params {
-		for i, g := range p.Grad.Data {
-			g64 := float64(g)
-			if o.WeightDecay != 0 {
-				g64 += o.WeightDecay * float64(p.Value.Data[i])
-			}
-			p.Value.Data[i] -= T(o.LR * g64)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // AdamOf implements the Adam optimizer (Kingma & Ba) with bias correction and
 // optional decoupled L2 weight decay, the default trainer for every model in
 // this library. Moment state is stored in T (halving optimizer memory on the
@@ -173,29 +147,6 @@ func (o *AdamOf[T]) Reset() {
 	o.t = 0
 }
 
-// Prune drops moment state for any parameter not in keep, releasing the
-// buffers to the shared workspace. Use it instead of Reset when only part
-// of the model was rebuilt and the surviving parameters should keep their
-// moments (and the step counter should keep its bias correction).
-func (o *AdamOf[T]) Prune(keep []*ParamOf[T]) {
-	live := make(map[*ParamOf[T]]bool, len(keep))
-	for _, p := range keep {
-		live[p] = true
-	}
-	for p, m := range o.m {
-		if !live[p] {
-			tensor.PutBufOf(m)
-			delete(o.m, p)
-		}
-	}
-	for p, v := range o.v {
-		if !live[p] {
-			tensor.PutBufOf(v)
-			delete(o.v, p)
-		}
-	}
-}
-
 // ClipGradNorm rescales all gradients so their global L2 norm is at most
 // maxNorm, returning the pre-clip norm. It guards the implicit-GNN training
 // loops where fixed-point gradients can spike. The norm accumulates in
@@ -215,33 +166,4 @@ func ClipGradNorm[T tensor.Elem](params []*ParamOf[T], maxNorm float64) float64 
 		}
 	}
 	return norm
-}
-
-// GradCheck compares a layer's analytic input gradient against central
-// finite differences of a scalar loss. Used by tests; exported so model
-// packages can reuse it on composite modules.
-//
-// loss must be a deterministic function of the layer output. Returns the
-// max absolute element-wise error between analytic and numeric ∂L/∂x.
-func GradCheck[T tensor.Elem](layer LayerOf[T], x *tensor.Mat[T], loss func(y *tensor.Mat[T]) (float64, *tensor.Mat[T]), eps float64) (float64, error) {
-	y := layer.Forward(x, true)
-	_, gy := loss(y)
-	gx := layer.Backward(gy)
-	if !gx.SameShape(x) {
-		return 0, fmt.Errorf("nn: GradCheck gradient shape %dx%d != input %dx%d", gx.Rows, gx.Cols, x.Rows, x.Cols)
-	}
-	var maxErr float64
-	for i := range x.Data {
-		orig := float64(x.Data[i])
-		x.Data[i] = T(orig + eps)
-		lp, _ := loss(layer.Forward(x, false))
-		x.Data[i] = T(orig - eps)
-		lm, _ := loss(layer.Forward(x, false))
-		x.Data[i] = T(orig)
-		numeric := (lp - lm) / (2 * eps)
-		if e := math.Abs(numeric - float64(gx.Data[i])); e > maxErr {
-			maxErr = e
-		}
-	}
-	return maxErr, nil
 }

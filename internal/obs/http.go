@@ -10,19 +10,19 @@ import (
 	"time"
 )
 
-// DebugServer is a running metrics/profiling HTTP listener.
-type DebugServer struct {
+// debugServer is a running metrics/profiling HTTP listener.
+type debugServer struct {
 	srv *http.Server
 	ln  net.Listener
 }
 
 // Addr returns the bound listen address (useful with ":0" in tests).
-func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
+func (s *debugServer) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the listener down.
-func (s *DebugServer) Close() error { return s.srv.Close() }
+func (s *debugServer) Close() error { return s.srv.Close() }
 
-// ServeDebug starts an HTTP listener exposing the registry and the runtime
+// serveDebug starts an HTTP listener exposing the registry and the runtime
 // profiler:
 //
 //	/metrics       — Prometheus text exposition of the registry (prom.go)
@@ -31,7 +31,7 @@ func (s *DebugServer) Close() error { return s.srv.Close() }
 // The registry may be nil (pprof only, no /metrics). The server runs until
 // Close; it is the CLI's -metrics-addr listener, deliberately not wired
 // into any training code path — observation stays out-of-band.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
+func serveDebug(addr string, reg *Registry) (*debugServer, error) {
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", MetricsHandler(reg))
@@ -66,13 +66,13 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 			fmt.Fprintf(os.Stderr, "obs: metrics server: %v\n", err)
 		}
 	}()
-	return &DebugServer{srv: srv, ln: ln}, nil
+	return &debugServer{srv: srv, ln: ln}, nil
 }
 
-// StartCPUProfile begins a runtime/pprof CPU profile into path, returning a
+// startCPUProfile begins a runtime/pprof CPU profile into path, returning a
 // stop function that finishes the profile and closes the file — the
 // file-based profiling hook behind the CLIs' -pprof flag.
-func StartCPUProfile(path string) (stop func() error, err error) {
+func startCPUProfile(path string) (stop func() error, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: cpu profile: %w", err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -147,9 +148,7 @@ func TestTrainHook(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("served.metric").Add(11)
-	srv, err := obs.ServeDebug("127.0.0.1:0", reg)
+	srv, err := obs.StartSession(obs.Options{MetricsAddr: "127.0.0.1:0", RuntimeEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +157,7 @@ func TestServeDebug(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
+	srv.Registry.Counter("served.metric").Add(11)
 
 	body := httpGet(t, fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	if err := obs.ValidateExposition([]byte(body)); err != nil {
@@ -195,7 +195,7 @@ func httpGet(t *testing.T, url string) string {
 
 func TestStartCPUProfile(t *testing.T) {
 	path := t.TempDir() + "/cpu.pprof"
-	stop, err := obs.StartCPUProfile(path)
+	sess, err := obs.StartSession(obs.Options{CPUProfile: path, RuntimeEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,10 @@ func TestStartCPUProfile(t *testing.T) {
 		x += math.Sqrt(float64(i))
 	}
 	_ = x
-	if err := stop(); err != nil {
+	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
 	}
 }

@@ -13,11 +13,11 @@
 //   - Metrics (metrics.go): a Registry of counters, gauges, and fixed-bucket
 //     histograms; CounterRef/GaugeRef gate hot-path instrumentation behind a
 //     single atomic pointer load so disabled metrics cost nothing.
-//   - Profiling (http.go): ServeDebug exposes the registry as Prometheus
-//     text (prom.go) next to net/http/pprof on an opt-in listener;
-//     StartCPUProfile wraps the file-based runtime/pprof hooks.
+//   - Profiling (http.go, opened by StartSession): an opt-in listener serves
+//     the registry as Prometheus text (prom.go) next to net/http/pprof, and
+//     a CPU profile can be captured to a file with runtime/pprof.
 //
-// Overhead contract: with no tracer installed, Start/StartTimed/Child/End
+// Overhead contract: with no tracer installed, Start/Child/End
 // are a single atomic load plus a nil check — zero allocations, no clock
 // reads (verified by BenchmarkSpanDisabled and the check.sh guard). With a
 // tracer installed, a span costs two clock reads and one mutex-guarded
@@ -94,7 +94,7 @@ type Span struct {
 	remote uint64
 	links  []uint64
 	wait   time.Duration
-	// on marks a live (traced or timed) span; the zero Span is off. A plain
+	// on marks a live (traced) span; the zero Span is off. A plain
 	// bool keeps the End/Child/Active guards within the inlining budget,
 	// which is what makes the disabled fast path a few nanoseconds.
 	on bool
@@ -121,11 +121,8 @@ func (s *Span) Child(name string) Span {
 // Children inherit the parent's trace id, so every span under a request (or
 // a traced training run) can be grouped by one trace_id.
 func (s *Span) child(name string) Span {
-	return Span{tr: s.tr, id: s.tr.ids.Add(1), parent: s.id, name: name, start: s.tr.now(), trace: s.trace, on: true}
+	return Span{tr: s.tr, id: s.tr.ids.Add(1), parent: s.id, name: name, start: time.Now(), trace: s.trace, on: true}
 }
-
-// now is a clock read; split out so timed-but-untraced spans share it.
-func (t *Tracer) now() time.Time { return time.Now() }
 
 // Active reports whether the span records anything. Call sites that would
 // allocate to build a label (fmt.Sprintf and friends) must guard on it.
@@ -184,11 +181,10 @@ func (s *Span) SetWait(d time.Duration) {
 	}
 }
 
-// End completes the span, returning its wall-clock duration. On a tracer
-// span the record is appended to the tracer's buffer; on a timed-only span
-// (StartTimed with no tracer installed) only the duration is returned; on a
-// disabled span End returns 0 without reading the clock. End must be called
-// exactly once; a second call records a duplicate span.
+// End completes the span, returning its wall-clock duration, and appends
+// its record to the tracer's buffer; on a disabled span End returns 0
+// without reading the clock. End must be called exactly once; a second
+// call records a duplicate span.
 func (s *Span) End() time.Duration {
 	if !s.on {
 		return 0
@@ -196,25 +192,25 @@ func (s *Span) End() time.Duration {
 	return s.end()
 }
 
-// end is the timed slow path of End, outlined so the disabled guard inlines.
+// end is the traced slow path of End, outlined so the disabled guard
+// inlines.
 func (s *Span) end() time.Duration {
 	d := time.Since(s.start)
-	if t := s.tr; t != nil {
-		rec := SpanRecord{
-			ID: s.id, Parent: s.parent, Name: s.name, Label: s.label,
-			Start: s.start.Sub(t.epoch), Dur: d, Count: s.count,
-			Links: s.links, Wait: s.wait,
-		}
-		if !s.trace.IsZero() {
-			rec.Trace = s.trace.String()
-		}
-		if s.remote != 0 {
-			rec.Remote = hexUint64(s.remote)
-		}
-		t.mu.Lock()
-		t.spans = append(t.spans, rec)
-		t.mu.Unlock()
+	t := s.tr
+	rec := SpanRecord{
+		ID: s.id, Parent: s.parent, Name: s.name, Label: s.label,
+		Start: s.start.Sub(t.epoch), Dur: d, Count: s.count,
+		Links: s.links, Wait: s.wait,
 	}
+	if !s.trace.IsZero() {
+		rec.Trace = s.trace.String()
+	}
+	if s.remote != 0 {
+		rec.Remote = hexUint64(s.remote)
+	}
+	t.mu.Lock()
+	t.spans = append(t.spans, rec)
+	t.mu.Unlock()
 	return d
 }
 
@@ -249,12 +245,6 @@ func SetTracer(t *Tracer) *Tracer {
 	return active.Swap(t)
 }
 
-// ActiveTracer returns the installed tracer (nil when tracing is off).
-func ActiveTracer() *Tracer { return active.Load() }
-
-// Enabled reports whether a process-wide tracer is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Start begins a root span on the process-wide tracer. With no tracer
 // installed it returns the disabled span without reading the clock.
 func Start(name string) Span {
@@ -263,24 +253,4 @@ func Start(name string) Span {
 		return Span{}
 	}
 	return t.Start(name)
-}
-
-// StartTimed begins a span that measures wall-clock time even when tracing
-// is off: End always returns the section's duration. This is the one
-// stopwatch in the repo — metrics.Timer sections delegate here — so "timing
-// a section" and "emitting its span" can never disagree.
-func StartTimed(name string) Span {
-	t := active.Load()
-	if t == nil {
-		return Span{name: name, start: time.Now(), on: true}
-	}
-	return t.Start(name)
-}
-
-// Section times fn as a named section (and records a span when tracing is
-// on), returning its duration.
-func Section(name string, fn func()) time.Duration {
-	sp := StartTimed(name)
-	fn()
-	return sp.End()
 }

@@ -50,8 +50,16 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// tracerInstalled reports whether a process-wide tracer is installed,
+// leaving it in place.
+func tracerInstalled() bool {
+	prev := obs.SetTracer(nil)
+	obs.SetTracer(prev)
+	return prev != nil
+}
+
 func TestDisabledSpanIsInert(t *testing.T) {
-	if obs.Enabled() {
+	if tracerInstalled() {
 		t.Fatal("tracer unexpectedly installed")
 	}
 	sp := obs.Start("anything")
@@ -69,31 +77,6 @@ func TestDisabledSpanIsInert(t *testing.T) {
 	}
 }
 
-func TestStartTimedWorksWithoutTracer(t *testing.T) {
-	sp := obs.StartTimed("section")
-	if !sp.Active() {
-		t.Error("timed span should be active without a tracer")
-	}
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d < time.Millisecond {
-		t.Errorf("timed span measured %v, want >= 1ms", d)
-	}
-}
-
-func TestSectionRecordsWhenTracingOn(t *testing.T) {
-	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
-	d := obs.Section("work", func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Errorf("section duration %v, want >= 1ms", d)
-	}
-	spans := tr.Snapshot()
-	if len(spans) != 1 || spans[0].Name != "work" {
-		t.Fatalf("got spans %v, want one named %q", spans, "work")
-	}
-}
-
 func TestSetTracerSwap(t *testing.T) {
 	a, b := obs.NewTracer(), obs.NewTracer()
 	if prev := obs.SetTracer(a); prev != nil {
@@ -102,11 +85,10 @@ func TestSetTracerSwap(t *testing.T) {
 	if prev := obs.SetTracer(b); prev != a {
 		t.Error("swap did not return the previous tracer")
 	}
-	if obs.ActiveTracer() != b {
+	if prev := obs.SetTracer(nil); prev != b {
 		t.Error("active tracer not the installed one")
 	}
-	obs.SetTracer(nil)
-	if obs.Enabled() {
+	if tracerInstalled() {
 		t.Error("tracer still enabled after SetTracer(nil)")
 	}
 }

@@ -36,7 +36,7 @@ type Session struct {
 	Registry *Registry
 
 	traceFile   *os.File
-	srv         *DebugServer
+	srv         *debugServer
 	stopProf    func() error
 	stopRuntime func()
 }
@@ -63,7 +63,7 @@ func StartSession(opt Options) (*Session, error) {
 		SetTracer(s.Tracer)
 	}
 	if opt.MetricsAddr != "" {
-		srv, err := ServeDebug(opt.MetricsAddr, s.Registry)
+		srv, err := serveDebug(opt.MetricsAddr, s.Registry)
 		if err != nil {
 			_ = s.teardown() // the listener error is the one worth reporting
 			return nil, fmt.Errorf("obs: metrics listener: %w", err)
@@ -71,7 +71,7 @@ func StartSession(opt Options) (*Session, error) {
 		s.srv = srv
 	}
 	if opt.CPUProfile != "" {
-		stop, err := StartCPUProfile(opt.CPUProfile)
+		stop, err := startCPUProfile(opt.CPUProfile)
 		if err != nil {
 			_ = s.teardown() // the profile error is the one worth reporting
 			return nil, fmt.Errorf("obs: cpu profile: %w", err)

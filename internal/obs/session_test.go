@@ -17,7 +17,7 @@ func TestSessionZeroOptionsIsInert(t *testing.T) {
 	if sess.Tracer != nil || sess.Registry != nil || sess.Addr() != "" {
 		t.Errorf("zero-option session allocated state: %+v", sess)
 	}
-	if obs.Enabled() {
+	if tracerInstalled() {
 		t.Error("zero-option session installed a tracer")
 	}
 	if err := sess.Close(); err != nil {
@@ -31,7 +31,7 @@ func TestSessionWritesTraceOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !obs.Enabled() {
+	if !tracerInstalled() {
 		t.Fatal("session did not install the tracer")
 	}
 	sp := obs.Start("session.work")
@@ -39,7 +39,7 @@ func TestSessionWritesTraceOnClose(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Enabled() {
+	if tracerInstalled() {
 		t.Error("tracer still installed after Close")
 	}
 
@@ -70,7 +70,7 @@ func TestSessionBadTracePathFailsFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("StartSession accepted an unwritable trace path")
 	}
-	if obs.Enabled() {
+	if tracerInstalled() {
 		t.Error("failed StartSession left a tracer installed")
 	}
 }

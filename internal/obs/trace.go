@@ -45,10 +45,10 @@ type TraceContext struct {
 // Valid reports whether the context names an actual trace.
 func (tc TraceContext) Valid() bool { return !tc.Trace.IsZero() }
 
-// NewTraceContext mints a fresh 128-bit trace id. IDs come from
+// newTraceContext mints a fresh 128-bit trace id. IDs come from
 // crypto/rand (never from the seeded experiment RNGs: trace identity must
 // not consume — or be predictable from — model randomness).
-func NewTraceContext() TraceContext {
+func newTraceContext() TraceContext {
 	var tc TraceContext
 	// crypto/rand.Read cannot fail on the platforms this repo targets
 	// (getrandom / urandom); on the impossible failure the id stays zero
@@ -134,7 +134,7 @@ func StartRequest(name string, tc TraceContext) Span {
 		return Span{}
 	}
 	if tc.Trace.IsZero() {
-		tc = NewTraceContext()
+		tc = newTraceContext()
 	}
 	sp := t.Start(name)
 	sp.trace = tc.Trace

@@ -67,16 +67,18 @@ func TestFormatTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestNewTraceContextMintsDistinctIDs(t *testing.T) {
+	tr := obs.NewTracer()
+	obs.SetTracer(tr)
+	defer obs.SetTracer(nil)
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		tc := obs.NewTraceContext()
-		if tc.Trace.IsZero() {
+		sp := obs.StartRequest("req", obs.TraceContext{})
+		trace := sp.TraceID()
+		sp.End()
+		if trace.IsZero() {
 			t.Fatal("minted a zero trace id")
 		}
-		if tc.Parent != 0 {
-			t.Fatalf("minted context has remote parent %x", tc.Parent)
-		}
-		id := tc.Trace.String()
+		id := trace.String()
 		if seen[id] {
 			t.Fatalf("duplicate trace id %s after %d mints", id, i)
 		}

@@ -18,8 +18,8 @@ import (
 // inline. Kernels with cheaper per-row work should pass a larger minChunk.
 const DefaultMinChunk = 64
 
-// maxWorkers caps the number of concurrent workers; 0 means GOMAXPROCS.
-var maxWorkers atomic.Int64
+// workerCap caps the number of concurrent workers; 0 means GOMAXPROCS.
+var workerCap atomic.Int64
 
 // SetMaxWorkers caps the worker count used by Range and returns the
 // previous cap. n <= 0 restores the default (GOMAXPROCS at call time).
@@ -28,12 +28,12 @@ func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0
 	}
-	return int(maxWorkers.Swap(int64(n)))
+	return int(workerCap.Swap(int64(n)))
 }
 
-// MaxWorkers returns the current worker cap (GOMAXPROCS if unset).
-func MaxWorkers() int {
-	if n := int(maxWorkers.Load()); n > 0 {
+// maxWorkers returns the current worker cap (GOMAXPROCS if unset).
+func maxWorkers() int {
+	if n := int(workerCap.Load()); n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
@@ -46,7 +46,7 @@ func Workers(n, minChunk int) int {
 	if minChunk < 1 {
 		minChunk = 1
 	}
-	w := MaxWorkers()
+	w := maxWorkers()
 	if w > n/minChunk {
 		w = n / minChunk
 	}

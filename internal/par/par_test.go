@@ -58,8 +58,8 @@ func TestRangeDeterministicSplit(t *testing.T) {
 func TestSetMaxWorkers(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	if got := MaxWorkers(); got != 1 {
-		t.Fatalf("MaxWorkers() = %d after SetMaxWorkers(1)", got)
+	if got := maxWorkers(); got != 1 {
+		t.Fatalf("maxWorkers() = %d after SetMaxWorkers(1)", got)
 	}
 	if got := Workers(1_000_000, 1); got != 1 {
 		t.Fatalf("Workers = %d with cap 1", got)
@@ -70,7 +70,7 @@ func TestSetMaxWorkers(t *testing.T) {
 		t.Fatalf("expected 1 inline call with cap 1, got %d", calls)
 	}
 	SetMaxWorkers(0)
-	if MaxWorkers() < 1 {
-		t.Fatalf("MaxWorkers() < 1 after reset")
+	if maxWorkers() < 1 {
+		t.Fatalf("maxWorkers() < 1 after reset")
 	}
 }

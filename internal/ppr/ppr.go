@@ -18,12 +18,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync/atomic"
 
 	"scalegnn/internal/graph"
 	"scalegnn/internal/obs"
-	"scalegnn/internal/par"
-	"scalegnn/internal/tensor"
 )
 
 // Config holds common PPR parameters.
@@ -37,12 +34,6 @@ type Config struct {
 	MaxIter int
 	// Tol is the L1 convergence tolerance for power iteration.
 	Tol float64
-}
-
-// DefaultConfig returns the parameters used throughout the benchmarks:
-// α = 0.15 (the APPNP default), ε = 1e-6, 100 iterations max.
-func DefaultConfig() Config {
-	return Config{Alpha: 0.15, Epsilon: 1e-6, MaxIter: 100, Tol: 1e-9}
 }
 
 func (c Config) validate() error {
@@ -242,207 +233,4 @@ func TopK(scores []float64, k int) []Entry {
 		k = len(entries)
 	}
 	return entries[:k]
-}
-
-// PushMatrix computes approximate PPR vectors for every node in sources and
-// returns them as rows of a sparse map representation: result[i] maps node
-// -> score for sources[i]. This is the precomputation step of
-// SCARA/PPR-based decoupled propagation.
-// Each source's push is independent, so the loop is chunked over
-// internal/par: workers write disjoint out[i] slots and accumulate pushes
-// into an atomic counter (integer addition is order-exact), keeping the
-// result bitwise identical to the sequential loop.
-func PushMatrix(g *graph.CSR, sources []int, cfg Config) ([]map[int32]float64, int, error) {
-	rootSp := obs.Start("ppr.push_matrix")
-	rootSp.SetCount(int64(len(sources)))
-	defer rootSp.End()
-	out := make([]map[int32]float64, len(sources))
-	errs := make([]error, len(sources))
-	var totalPushes atomic.Int64
-	par.Range(len(sources), 1, func(lo, hi int) {
-		// One child span per worker chunk: spans End concurrently from the
-		// par.Range goroutines (the tracer buffer is goroutine-safe) and
-		// carry the chunk's push count as its work measure.
-		chunkSp := rootSp.Child("ppr.push_chunk")
-		for i := lo; i < hi; i++ {
-			res, err := ForwardPush(g, sources[i], cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("ppr: source %d: %w", sources[i], err)
-				continue
-			}
-			totalPushes.Add(int64(res.Pushes))
-			chunkSp.AddCount(int64(res.Pushes))
-			row := make(map[int32]float64)
-			for v, sc := range res.Estimate {
-				if sc > 0 {
-					row[int32(v)] = sc
-				}
-			}
-			out[i] = row
-		}
-		chunkSp.End()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, int(totalPushes.Load()), nil
-}
-
-// PushVector generalizes forward push to an arbitrary (possibly signed)
-// seed vector: it computes an approximation of
-//
-//	pi = α Σ_k (1−α)^k (A·D^{-1})^k seed
-//
-// (the mass-flow / column-normalized convention all push algorithms use:
-// node u forwards r(u)/deg(u) to each neighbor) with per-node residual
-// guarantee |r(v)| < eps·deg(v) at termination.
-// This is the SCARA primitive: running push per FEATURE column (seed = a
-// feature vector) instead of per node makes decoupled propagation
-// complexity depend on the feature count, not on the number of query
-// nodes.
-func PushVector(g *graph.CSR, seed []float64, cfg Config) (*PushResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(seed) != g.N {
-		return nil, fmt.Errorf("ppr: seed length %d != n %d", len(seed), g.N)
-	}
-	if cfg.Epsilon == 0 {
-		return nil, fmt.Errorf("ppr: push requires epsilon > 0")
-	}
-	p := make([]float64, g.N)
-	r := append([]float64(nil), seed...)
-	inQueue := make([]bool, g.N)
-	queue := make([]int32, 0, g.N)
-	above := func(u int) bool {
-		d := g.Degree(u)
-		if d == 0 {
-			return r[u] != 0
-		}
-		return r[u] >= cfg.Epsilon*float64(d) || -r[u] >= cfg.Epsilon*float64(d)
-	}
-	for u := 0; u < g.N; u++ {
-		if above(u) {
-			inQueue[u] = true
-			queue = append(queue, int32(u))
-		}
-	}
-	pushes := 0
-	for len(queue) > 0 {
-		u := int(queue[0])
-		queue = queue[1:]
-		inQueue[u] = false
-		if !above(u) {
-			continue
-		}
-		ru := r[u]
-		d := g.Degree(u)
-		if d == 0 {
-			p[u] += ru
-			r[u] = 0
-			continue
-		}
-		pushes++
-		p[u] += cfg.Alpha * ru
-		share := (1 - cfg.Alpha) * ru / float64(d)
-		r[u] = 0
-		for _, v := range g.Neighbors(u) {
-			r[v] += share
-			if !inQueue[v] && above(int(v)) {
-				inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return &PushResult{Estimate: p, Residual: r, Pushes: pushes}, nil
-}
-
-// DiffusionEmbedding computes the SCARA feature-oriented diffusion
-// Z ≈ α Σ_k (1−α)^k (A·D^{-1})^k X column by column with PushVector — the
-// decoupled precompute whose cost scales with the number of feature
-// columns rather than graph queries. SCARA's re-normalization trick
-// converts this to the symmetric Â diffusion by scaling features by
-// D^{1/2} before and D^{-1/2} after. Returns the embedding and total
-// pushes.
-func DiffusionEmbedding(g *graph.CSR, x *tensor.Matrix, cfg Config) (*tensor.Matrix, int, error) {
-	if x.Rows != g.N {
-		return nil, 0, fmt.Errorf("ppr: features have %d rows for n=%d", x.Rows, g.N)
-	}
-	if cfg.Epsilon == 0 {
-		// Exact mode: no residual threshold means push degenerates to
-		// touching every node, so route the whole feature matrix through the
-		// CSR×dense SpMM path instead of per-column scalar pushes.
-		return diffusionExact(g, x, cfg)
-	}
-	// Columns diffuse independently: chunk them over internal/par with a
-	// per-chunk scratch column. Workers write disjoint output columns and
-	// the push counter is an order-exact integer sum, so the embedding is
-	// bitwise identical to the sequential loop.
-	rootSp := obs.Start("ppr.diffusion")
-	rootSp.SetCount(int64(x.Cols))
-	defer rootSp.End()
-	out := tensor.New(x.Rows, x.Cols)
-	errs := make([]error, x.Cols)
-	var totalPushes atomic.Int64
-	par.Range(x.Cols, 1, func(lo, hi int) {
-		chunkSp := rootSp.Child("ppr.diffusion_chunk")
-		col := make([]float64, g.N)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < g.N; i++ {
-				col[i] = x.At(i, j)
-			}
-			res, err := PushVector(g, col, cfg)
-			if err != nil {
-				errs[j] = fmt.Errorf("ppr: column %d: %w", j, err)
-				continue
-			}
-			totalPushes.Add(int64(res.Pushes))
-			chunkSp.AddCount(int64(res.Pushes))
-			for i := 0; i < g.N; i++ {
-				out.Set(i, j, res.Estimate[i])
-			}
-		}
-		chunkSp.End()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, int(totalPushes.Load()), nil
-}
-
-// diffusionExact computes the truncated diffusion
-// Z = α Σ_{k=0..MaxIter} (1−α)^k (A·D^{-1})^k X with the CSR SpMM operator,
-// ping-ponging two dense matrices through Operator.ApplyInto — never
-// materializing the dense adjacency and never running per-edge scalar
-// loops. The geometric tail below cfg.Tol is truncated. Returns zero pushes
-// (the SpMM path has no push-work measure).
-func diffusionExact(g *graph.CSR, x *tensor.Matrix, cfg Config) (*tensor.Matrix, int, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, 0, err
-	}
-	sp := obs.Start("ppr.diffusion_exact")
-	defer sp.End()
-	op := graph.NewOperator(g, graph.NormColumn, false)
-	out := x.Clone()
-	out.Scale(cfg.Alpha)
-	cur := x.Clone()
-	next := tensor.New(x.Rows, x.Cols)
-	w := cfg.Alpha
-	hops := 0
-	for k := 1; k <= cfg.MaxIter; k++ {
-		w *= 1 - cfg.Alpha
-		if w < cfg.Tol {
-			break
-		}
-		op.ApplyInto(cur, next)
-		cur, next = next, cur
-		out.AddScaled(w, cur)
-		hops++
-	}
-	sp.SetCount(int64(hops))
-	return out, 0, nil
 }

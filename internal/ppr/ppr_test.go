@@ -9,6 +9,12 @@ import (
 	"scalegnn/internal/tensor"
 )
 
+// defaultConfig is α = 0.15 (the APPNP default), ε = 1e-6, at most 100
+// power-iteration rounds.
+func defaultConfig() Config {
+	return Config{Alpha: 0.15, Epsilon: 1e-6, MaxIter: 100, Tol: 1e-9}
+}
+
 func sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
@@ -20,7 +26,7 @@ func sum(xs []float64) float64 {
 func TestPowerIterationSumsToOne(t *testing.T) {
 	rng := tensor.NewRand(1)
 	g := graph.BarabasiAlbert(200, 3, rng)
-	p, iters, converged, err := PowerIteration(g, 0, DefaultConfig())
+	p, iters, converged, err := PowerIteration(g, 0, defaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func TestPowerIterationStarExact(t *testing.T) {
 
 func TestPowerIterationValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, _, err := PowerIteration(g, -1, DefaultConfig()); err == nil {
+	if _, _, _, err := PowerIteration(g, -1, defaultConfig()); err == nil {
 		t.Error("negative source should error")
 	}
 	if _, _, _, err := PowerIteration(g, 0, Config{Alpha: 0, MaxIter: 10}); err == nil {
@@ -263,27 +269,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestPushMatrix(t *testing.T) {
-	rng := tensor.NewRand(7)
-	g := graph.ErdosRenyi(60, 150, rng)
-	rows, pushes, err := PushMatrix(g, []int{0, 5, 10}, Config{Alpha: 0.15, Epsilon: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || pushes == 0 {
-		t.Fatalf("rows=%d pushes=%d", len(rows), pushes)
-	}
-	for i, row := range rows {
-		var mass float64
-		for _, v := range row {
-			mass += v
-		}
-		if mass <= 0 || mass > 1+1e-9 {
-			t.Errorf("row %d mass = %v", i, mass)
-		}
-	}
-}
-
 // Property: on any connected graph, the source has the largest PPR score
 // for reasonable alpha (locality of personalized PageRank).
 func TestSourceDominatesProperty(t *testing.T) {
@@ -310,7 +295,7 @@ func TestSourceDominatesProperty(t *testing.T) {
 func BenchmarkPowerIteration(b *testing.B) {
 	rng := tensor.NewRand(1)
 	g := graph.BarabasiAlbert(10000, 5, rng)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := PowerIteration(g, i%g.N, cfg); err != nil {
@@ -328,153 +313,5 @@ func BenchmarkForwardPush(b *testing.B) {
 		if _, err := ForwardPush(g, i%g.N, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestPushVectorMatchesSingleSource(t *testing.T) {
-	// With a one-hot seed, PushVector must coincide with ForwardPush.
-	rng := tensor.NewRand(51)
-	g := graph.BarabasiAlbert(200, 4, rng)
-	cfg := Config{Alpha: 0.2, Epsilon: 1e-6}
-	seed := make([]float64, g.N)
-	seed[7] = 1
-	rv, err := PushVector(g, seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := ForwardPush(g, 7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range rv.Estimate {
-		if math.Abs(rv.Estimate[v]-rs.Estimate[v]) > 1e-9 {
-			t.Fatalf("node %d: vector push %v vs source push %v", v, rv.Estimate[v], rs.Estimate[v])
-		}
-	}
-}
-
-func TestPushVectorSignedSeed(t *testing.T) {
-	// Linearity: push(a - b) ≈ push(a) - push(b) within the ε bounds.
-	rng := tensor.NewRand(52)
-	g := graph.ErdosRenyi(100, 300, rng)
-	cfg := Config{Alpha: 0.2, Epsilon: 1e-8}
-	a := make([]float64, g.N)
-	b := make([]float64, g.N)
-	for i := range a {
-		a[i] = rng.Float64()
-		b[i] = rng.Float64()
-	}
-	diff := make([]float64, g.N)
-	for i := range diff {
-		diff[i] = a[i] - b[i]
-	}
-	ra, err := PushVector(g, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := PushVector(g, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := PushVector(g, diff, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N; v++ {
-		want := ra.Estimate[v] - rb.Estimate[v]
-		bound := 3 * cfg.Epsilon * float64(g.Degree(v)+1) * 10
-		if math.Abs(rd.Estimate[v]-want) > bound+1e-6 {
-			t.Fatalf("linearity violated at %d: %v vs %v", v, rd.Estimate[v], want)
-		}
-	}
-}
-
-func TestDiffusionEmbeddingMatchesDense(t *testing.T) {
-	// Feature-push must approximate the dense diffusion
-	// Z = α Σ_k (1-α)^k (D^{-1}A)^k X.
-	rng := tensor.NewRand(53)
-	g := graph.BarabasiAlbert(150, 3, rng)
-	x := tensor.RandUniform(g.N, 4, 0, 1, rng)
-	cfg := Config{Alpha: 0.2, Epsilon: 1e-7}
-	z, pushes, err := DiffusionEmbedding(g, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pushes == 0 {
-		t.Fatal("no pushes")
-	}
-	// Dense reference via K rounds of the column-normalized (mass-flow)
-	// operator A·D^{-1}, the convention push implements.
-	op := graph.NewOperator(g, graph.NormColumn, false)
-	want := x.Clone()
-	want.Scale(cfg.Alpha)
-	cur := x
-	w := cfg.Alpha
-	for k := 1; k <= 200; k++ {
-		cur = op.Apply(cur)
-		w *= 1 - cfg.Alpha
-		want.AddScaled(w, cur)
-	}
-	diff := z.Clone()
-	diff.Sub(want)
-	if diff.MaxAbs() > 1e-3 {
-		t.Errorf("feature diffusion max error %v", diff.MaxAbs())
-	}
-}
-
-func TestPushVectorValidation(t *testing.T) {
-	g := graph.Path(4)
-	if _, err := PushVector(g, []float64{1, 0}, Config{Alpha: 0.2, Epsilon: 1e-5}); err == nil {
-		t.Error("wrong seed length should error")
-	}
-	if _, err := PushVector(g, make([]float64, 4), Config{Alpha: 0.2}); err == nil {
-		t.Error("epsilon 0 should error")
-	}
-	x := tensor.New(2, 2)
-	if _, _, err := DiffusionEmbedding(g, x, Config{Alpha: 0.2, Epsilon: 1e-5}); err == nil {
-		t.Error("row mismatch should error")
-	}
-}
-
-func TestDiffusionExactMatchesPush(t *testing.T) {
-	// Epsilon == 0 selects the SpMM-backed exact diffusion; it must agree
-	// with a tight push-based run and with the dense geometric series.
-	rng := tensor.NewRand(59)
-	g := graph.BarabasiAlbert(120, 3, rng)
-	x := tensor.RandUniform(g.N, 4, 0, 1, rng)
-
-	exact, pushes, err := DiffusionEmbedding(g, x, Config{Alpha: 0.2, Tol: 1e-10, MaxIter: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pushes != 0 {
-		t.Fatalf("exact path reported %d pushes, want 0", pushes)
-	}
-
-	push, _, err := DiffusionEmbedding(g, x, Config{Alpha: 0.2, Epsilon: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := exact.Clone()
-	diff.Sub(push)
-	if diff.MaxAbs() > 1e-3 {
-		t.Errorf("exact vs push max error %v", diff.MaxAbs())
-	}
-
-	// Dense reference: Z = α Σ_k (1-α)^k (A D^{-1})^k X.
-	op := graph.NewOperator(g, graph.NormColumn, false)
-	want := x.Clone()
-	want.Scale(0.2)
-	cur := x
-	w := 0.2
-	for k := 1; k <= 400; k++ {
-		cur = op.Apply(cur)
-		w *= 0.8
-		want.AddScaled(w, cur)
-	}
-	diff = exact.Clone()
-	diff.Sub(want)
-	if diff.MaxAbs() > 1e-6 {
-		t.Errorf("exact vs dense series max error %v", diff.MaxAbs())
 	}
 }

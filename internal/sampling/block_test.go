@@ -124,13 +124,13 @@ func TestBlockDigests(t *testing.T) {
 			}
 			check(t, fx.name+"/"+sm.name, s.SampleBlock(fx.dsts, tensor.NewRand(101)))
 		}
-		exact := ExactBlock(fx.g, fx.dsts)
+		exact := exactBlock(fx.g, fx.dsts)
 		check(t, fx.name+"/exact", exact)
-		// ExactBlock is the node-level sampler with nothing left to drop; it
+		// exactBlock is the node-level sampler with nothing left to drop; it
 		// draws no variates, so a nil RNG must do.
 		full := (&NeighborSampler{G: fx.g, Fanout: fx.g.MaxDegree()}).SampleBlock(fx.dsts, nil)
 		if blockDigest(full) != blockDigest(exact) {
-			t.Errorf("%s: ExactBlock differs from NeighborSampler at fanout = max degree", fx.name)
+			t.Errorf("%s: exactBlock differs from NeighborSampler at fanout = max degree", fx.name)
 		}
 	}
 }

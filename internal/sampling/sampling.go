@@ -7,8 +7,6 @@
 //     per layer, and LABOR-style dependent sampling that couples the random
 //     choices of overlapping neighborhoods to cut the number of unique
 //     sampled nodes at equal per-node variance.
-//   - Subgraph-level: GraphSAINT-style random-walk and edge samplers that
-//     extract a training subgraph per batch.
 //
 // Every estimator targets the mean-aggregation operator
 // (P_rw X)_u = (1/deg u) Σ_{v∈N(u)} X_v and is unbiased; the package also
@@ -284,11 +282,11 @@ var (
 	_ BlockSampler = (*PoissonSampler)(nil)
 )
 
-// ExactBlock returns the no-sampling block (all neighbors, exact weights) —
+// exactBlock returns the no-sampling block (all neighbors, exact weights) —
 // the full-graph baseline against which estimator variance is measured. It
 // is the node-level sampler with a fan-out no degree reaches, which draws
 // no variates.
-func ExactBlock(g *graph.CSR, dsts []int32) *Block {
+func exactBlock(g *graph.CSR, dsts []int32) *Block {
 	return (&NeighborSampler{G: g, Fanout: math.MaxInt}).SampleBlock(dsts, nil)
 }
 
@@ -310,7 +308,7 @@ func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int3
 		}
 		return b.Aggregate(x.SelectRows(idx))
 	}
-	exact := aggregate(ExactBlock(g, dsts))
+	exact := aggregate(exactBlock(g, dsts))
 	var sse, bias, uniq float64
 	count := 0
 	for t := 0; t < trials; t++ {

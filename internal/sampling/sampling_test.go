@@ -29,7 +29,7 @@ func TestExactBlockMatchesOperator(t *testing.T) {
 	op := graph.NewOperator(g, graph.NormRandomWalk, false)
 	full := op.Apply(x)
 	dsts := batchOf(g.N, 10)
-	blk := ExactBlock(g, dsts)
+	blk := exactBlock(g, dsts)
 	est := blk.Aggregate(x.SelectRows(toInts(blk.Srcs)))
 	for i, d := range dsts {
 		for j := 0; j < 4; j++ {
@@ -243,79 +243,6 @@ func TestReceptiveFieldGrowth(t *testing.T) {
 	}
 }
 
-func TestRandomWalkSamplerBasics(t *testing.T) {
-	g := testGraph(t, 500, 4)
-	rng := tensor.NewRand(11)
-	s, err := NewRandomWalkSampler(g, 20, 4, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := s.Sample(rng)
-	if sub.Sub.N == 0 || sub.Sub.N > 20*5 {
-		t.Fatalf("subgraph size %d out of range", sub.Sub.N)
-	}
-	if len(sub.NodeIDs) != sub.Sub.N || len(sub.NodeWeight) != sub.Sub.N {
-		t.Fatal("parallel slices inconsistent")
-	}
-	// Every edge of the sample must exist in the original graph.
-	for _, e := range sub.Sub.UndirectedEdges() {
-		if !g.HasEdge(sub.NodeIDs[e.U], sub.NodeIDs[e.V]) {
-			t.Fatal("subgraph contains a non-edge")
-		}
-	}
-	// Frequent nodes get smaller weights.
-	for i, w := range sub.NodeWeight {
-		if w <= 0 {
-			t.Fatalf("node %d weight %v", i, w)
-		}
-	}
-}
-
-func TestRandomWalkSamplerValidation(t *testing.T) {
-	g := testGraph(t, 50, 2)
-	rng := tensor.NewRand(12)
-	if _, err := NewRandomWalkSampler(g, 0, 3, 0, rng); err == nil {
-		t.Error("roots 0 should error")
-	}
-	if _, err := NewRandomWalkSampler(g, 5, -1, 0, rng); err == nil {
-		t.Error("negative walk length should error")
-	}
-}
-
-func TestEdgeSamplerBasics(t *testing.T) {
-	g := testGraph(t, 300, 4)
-	rng := tensor.NewRand(13)
-	s, err := NewEdgeSampler(g, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := s.Sample(rng)
-	if sub.Sub.N == 0 || sub.Sub.N > 100 {
-		t.Fatalf("edge-induced subgraph size %d", sub.Sub.N)
-	}
-	// Node set must equal endpoints of sampled edges (all have degree >= 1
-	// within the subgraph, since the inducing edge is present).
-	for i := 0; i < sub.Sub.N; i++ {
-		if sub.Sub.Degree(i) == 0 {
-			t.Fatalf("isolated node %d in edge-induced subgraph", i)
-		}
-	}
-}
-
-func TestEdgeSamplerValidation(t *testing.T) {
-	g := testGraph(t, 30, 2)
-	if _, err := NewEdgeSampler(g, 0); err == nil {
-		t.Error("budget 0 should error")
-	}
-	b := graph.NewBuilder(3)
-	b.Directed = true
-	b.AddEdge(0, 1)
-	dg := b.MustBuild()
-	if _, err := NewEdgeSampler(dg, 5); err == nil {
-		t.Error("directed graph should error")
-	}
-}
-
 func BenchmarkNeighborSampler(b *testing.B) {
 	rng := tensor.NewRand(1)
 	g := graph.BarabasiAlbert(50000, 8, rng)
@@ -324,19 +251,6 @@ func BenchmarkNeighborSampler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SampleLayers(batch, 2, rng)
-	}
-}
-
-func BenchmarkRandomWalkSampler(b *testing.B) {
-	rng := tensor.NewRand(1)
-	g := graph.BarabasiAlbert(50000, 8, rng)
-	s, err := NewRandomWalkSampler(g, 200, 4, 0, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample(rng)
 	}
 }
 

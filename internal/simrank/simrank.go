@@ -207,35 +207,6 @@ func (ix *Index) SingleSource(a int) ([]float64, error) {
 	return scores, nil
 }
 
-// Pair estimates s(a, b) from the index.
-func (ix *Index) Pair(a, b int) (float64, error) {
-	if a < 0 || a >= ix.g.N || b < 0 || b >= ix.g.N {
-		return 0, fmt.Errorf("simrank: pair (%d,%d) out of range", a, b)
-	}
-	if a == b {
-		return 1, nil
-	}
-	var hits float64
-	n := ix.g.N
-	for rw := 0; rw < ix.r; rw++ {
-		for t := 1; t <= ix.l; t++ {
-			pa := ix.walks[(rw*(ix.l+1)+t)*n+a]
-			if pa < 0 {
-				break
-			}
-			pb := ix.walks[(rw*(ix.l+1)+t)*n+b]
-			if pb < 0 {
-				break
-			}
-			if pa == pb {
-				hits++
-				break // first meeting only
-			}
-		}
-	}
-	return hits / float64(ix.r), nil
-}
-
 // Entry is a scored node.
 type Entry struct {
 	Node  int

@@ -107,28 +107,6 @@ func TestIndexMatchesExact(t *testing.T) {
 	}
 }
 
-func TestIndexPairConsistentWithSingleSource(t *testing.T) {
-	rng := tensor.NewRand(3)
-	g := graph.BarabasiAlbert(50, 3, rng)
-	ix, err := BuildIndex(g, IndexConfig{C: 0.6, Walks: 200, Length: 5}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := ix.SingleSource(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < g.N; b += 5 {
-		p, err := ix.Pair(7, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(p-scores[b]) > 1e-12 {
-			t.Fatalf("Pair(7,%d)=%v != SingleSource %v", b, p, scores[b])
-		}
-	}
-}
-
 func TestIndexSelfSimilarityOne(t *testing.T) {
 	rng := tensor.NewRand(4)
 	g := graph.Cycle(10)
@@ -136,13 +114,9 @@ func TestIndexSelfSimilarityOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ix.Pair(3, 3)
-	if err != nil || s != 1 {
-		t.Errorf("self similarity = %v, err %v", s, err)
-	}
-	ss, _ := ix.SingleSource(3)
-	if ss[3] != 1 {
-		t.Errorf("SingleSource self = %v", ss[3])
+	ss, err := ix.SingleSource(3)
+	if err != nil || ss[3] != 1 {
+		t.Errorf("SingleSource self = %v, err %v", ss[3], err)
 	}
 }
 
@@ -185,9 +159,6 @@ func TestIndexValidation(t *testing.T) {
 	}
 	if _, err := ix.SingleSource(-1); err == nil {
 		t.Error("bad source should error")
-	}
-	if _, err := ix.Pair(0, 99); err == nil {
-		t.Error("bad pair should error")
 	}
 }
 

@@ -1,31 +1,24 @@
 // Package sparsify implements graph sparsification — tutorial §3.3.1. It
-// removes edges (or individual propagation-matrix entries) while preserving
-// the properties GNN propagation depends on, trading a controlled amount of
-// accuracy for proportionally less propagation work.
+// removes edges while preserving the properties GNN propagation depends on,
+// trading a controlled amount of accuracy for proportionally less
+// propagation work.
 //
 // Implemented schemes, from coarse to fine:
 //
 //   - Uniform: keep each edge with probability p, reweighting survivors by
 //     1/p (unbiased in expectation; the baseline).
-//   - EffectiveResistance: spectral sparsification by importance-sampling
-//     edges with probability proportional to (approximate) effective
-//     resistance w_e·(1/deg u + 1/deg v), the Spielman-Srivastava recipe
-//     with the standard degree proxy. Preserves the Laplacian quadratic
-//     form, hence every polynomial spectral filter.
 //   - TopKPerNode: rank-based pruning keeping each node's k strongest
 //     incident edges (the fine-grained, node-personalized maneuver of
 //     ATP/NIGCN-style methods).
-//   - PruneOperator: Unifews-style entry-wise thresholding applied directly
-//     to a propagation operator's coefficients.
 package sparsify
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
 	"scalegnn/internal/graph"
-	"scalegnn/internal/tensor"
 )
 
 // Uniform keeps each undirected edge independently with probability keep,
@@ -46,60 +39,6 @@ func Uniform(g *graph.CSR, keep float64, rng *rand.Rand) (*graph.CSR, error) {
 		}
 	}
 	return b.Build()
-}
-
-// EffectiveResistance sparsifies by drawing q samples from the distribution
-// p_e ∝ w_e·(1/deg u + 1/deg v) with replacement and accumulating
-// w_e/(q·p_e) per draw, the unbiased Spielman-Srivastava estimator of the
-// Laplacian. Typical q ≈ C·n·log n / ε² controls the spectral error ε.
-func EffectiveResistance(g *graph.CSR, q int, rng *rand.Rand) (*graph.CSR, error) {
-	if q < 1 {
-		return nil, fmt.Errorf("sparsify: sample count %d < 1", q)
-	}
-	if !g.Undirected() {
-		return nil, fmt.Errorf("sparsify: EffectiveResistance requires an undirected graph")
-	}
-	edges := g.UndirectedEdges()
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("sparsify: empty graph")
-	}
-	probs := make([]float64, len(edges))
-	var total float64
-	for i, e := range edges {
-		r := e.W * (1/float64(g.Degree(e.U)) + 1/float64(g.Degree(e.V)))
-		probs[i] = r
-		total += r
-	}
-	for i := range probs {
-		probs[i] /= total
-	}
-	// Accumulate sampled weight per edge index.
-	acc := make(map[int]float64, q)
-	cum := cumulative(probs)
-	for s := 0; s < q; s++ {
-		i := searchCum(cum, rng.Float64())
-		acc[i] += edges[i].W / (float64(q) * probs[i])
-	}
-	b := graph.NewBuilder(g.N)
-	for i, w := range acc {
-		b.AddWeightedEdge(edges[i].U, edges[i].V, w)
-	}
-	return b.Build()
-}
-
-func cumulative(probs []float64) []float64 {
-	cum := make([]float64, len(probs))
-	var run float64
-	for i, p := range probs {
-		run += p
-		cum[i] = run
-	}
-	cum[len(cum)-1] = 1 // guard rounding
-	return cum
-}
-
-func searchCum(cum []float64, x float64) int {
-	return sort.SearchFloat64s(cum, x)
 }
 
 // TopKPerNode keeps, for every node, its k incident edges with the largest
@@ -158,58 +97,6 @@ func TopKPerNode(g *graph.CSR, k int) (*graph.CSR, error) {
 	return b.Build()
 }
 
-// PruneStats reports the effect of operator-entry pruning.
-type PruneStats struct {
-	Kept        int     // surviving coefficients
-	Dropped     int     // zeroed coefficients
-	DroppedMass float64 // total absolute coefficient mass removed
-}
-
-// PruneOperator zeroes every propagation coefficient with |c| < threshold
-// (Unifews-style entry-wise sparsification), returning a pruned copy of the
-// operator and statistics. Self-loop coefficients are preserved — dropping
-// a node's own signal is never useful.
-func PruneOperator(op *graph.Operator, threshold float64) (*graph.Operator, PruneStats, error) {
-	if threshold < 0 {
-		return nil, PruneStats{}, fmt.Errorf("sparsify: negative threshold %v", threshold)
-	}
-	out := &graph.Operator{
-		G:    op.G,
-		Norm: op.Norm,
-		Coef: append([]float64(nil), op.Coef...),
-	}
-	var st PruneStats
-	for i, c := range out.Coef {
-		if c == 0 {
-			continue
-		}
-		if abs(c) < threshold {
-			st.Dropped++
-			st.DroppedMass += abs(c)
-			out.Coef[i] = 0
-		} else {
-			st.Kept++
-		}
-	}
-	// Copy loop coefficients untouched via re-derivation: graph.Operator
-	// does not expose them, so rebuild from a self-looped operator when
-	// present. We detect presence by comparing Apply on a basis vector.
-	if op.HasSelfLoops() {
-		rebuilt := graph.NewOperator(op.G, op.Norm, true)
-		// Use rebuilt loop coefficients with our pruned arc coefficients.
-		rebuilt.Coef = out.Coef
-		out = rebuilt
-	}
-	return out, st, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // QuadraticFormError measures the relative error of the sparsifier H
 // against the original G on Laplacian quadratic forms xᵀLx over `trials`
 // random Gaussian vectors — the spectral-sparsification quality metric
@@ -229,7 +116,7 @@ func QuadraticFormError(g, h *graph.CSR, trials int, rng *rand.Rand) float64 {
 		if qg == 0 {
 			continue
 		}
-		if e := abs(qg-qh) / qg; e > worst {
+		if e := math.Abs(qg-qh) / qg; e > worst {
 			worst = e
 		}
 	}
@@ -254,19 +141,4 @@ func PropagationSpeedup(g, h *graph.CSR) float64 {
 		return 0
 	}
 	return float64(g.NumEdges()) / float64(h.NumEdges())
-}
-
-// FeatureSmoothnessError measures the relative propagation error
-// ‖P_G X − P_H X‖_F / ‖P_G X‖_F for random features — the quantity that
-// bounds downstream decoupled-GNN accuracy loss (Unifews' analysis).
-func FeatureSmoothnessError(g, h *graph.CSR, cols int, rng *rand.Rand) float64 {
-	x := tensor.RandNormal(g.N, cols, 1, rng)
-	pg := graph.NewOperator(g, graph.NormSymmetric, true).Apply(x)
-	ph := graph.NewOperator(h, graph.NormSymmetric, true).Apply(x)
-	ph.Sub(pg)
-	denom := pg.FrobeniusNorm()
-	if denom == 0 {
-		return 0
-	}
-	return ph.FrobeniusNorm() / denom
 }

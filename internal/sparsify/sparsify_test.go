@@ -60,61 +60,6 @@ func TestUniformValidation(t *testing.T) {
 	}
 }
 
-func TestEffectiveResistancePreservesQuadraticForm(t *testing.T) {
-	g := testGraph(t, 7)
-	rng := tensor.NewRand(8)
-	// Generous sample budget: q = 8·n·log n.
-	q := int(8 * float64(g.N) * math.Log(float64(g.N)))
-	h, err := EffectiveResistance(g, q, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumEdges() >= g.NumEdges() {
-		t.Skip("sampled sparsifier not smaller; increase graph size")
-	}
-	eps := QuadraticFormError(g, h, 20, rng)
-	if eps > 0.35 {
-		t.Errorf("spectral error %v too large", eps)
-	}
-}
-
-func TestEffectiveResistanceUnbiasedTotalWeight(t *testing.T) {
-	g := testGraph(t, 9)
-	rng := tensor.NewRand(10)
-	var totalG float64
-	for _, e := range g.UndirectedEdges() {
-		totalG += e.W
-	}
-	// Average total weight over several sparsifiers should approach totalG.
-	var avg float64
-	const reps = 30
-	for r := 0; r < reps; r++ {
-		h, err := EffectiveResistance(g, 2000, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range h.UndirectedEdges() {
-			avg += e.W
-		}
-	}
-	avg /= reps
-	if math.Abs(avg-totalG)/totalG > 0.1 {
-		t.Errorf("mean total weight %v vs original %v", avg, totalG)
-	}
-}
-
-func TestEffectiveResistanceValidation(t *testing.T) {
-	g := testGraph(t, 11)
-	rng := tensor.NewRand(12)
-	if _, err := EffectiveResistance(g, 0, rng); err == nil {
-		t.Error("q=0 should error")
-	}
-	empty, _ := graph.FromEdges(5, nil)
-	if _, err := EffectiveResistance(empty, 10, rng); err == nil {
-		t.Error("empty graph should error")
-	}
-}
-
 func TestTopKPerNodeDegreeCap(t *testing.T) {
 	g := testGraph(t, 13)
 	h, err := TopKPerNode(g, 3)
@@ -149,58 +94,6 @@ func TestTopKValidation(t *testing.T) {
 	}
 }
 
-func TestPruneOperatorThreshold(t *testing.T) {
-	g := testGraph(t, 16)
-	op := graph.NewOperator(g, graph.NormSymmetric, true)
-	pruned, st, err := PruneOperator(op, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Kept+st.Dropped == 0 {
-		t.Fatal("no coefficients processed")
-	}
-	if st.Dropped == 0 {
-		t.Skip("threshold dropped nothing; graph too uniform")
-	}
-	for _, c := range pruned.Coef {
-		if c != 0 && math.Abs(c) < 0.05 {
-			t.Fatalf("surviving coefficient %v below threshold", c)
-		}
-	}
-	// Self-loops preserved: propagation of a one-hot stays nonzero at the node.
-	x := tensor.New(g.N, 1)
-	x.Set(0, 0, 1)
-	y := pruned.Apply(x)
-	if y.At(0, 0) == 0 {
-		t.Error("self-loop lost in pruning")
-	}
-}
-
-func TestPruneOperatorZeroThresholdKeepsAll(t *testing.T) {
-	g := testGraph(t, 17)
-	op := graph.NewOperator(g, graph.NormSymmetric, false)
-	pruned, st, err := PruneOperator(op, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Dropped != 0 {
-		t.Errorf("threshold 0 dropped %d", st.Dropped)
-	}
-	rng := tensor.NewRand(18)
-	x := tensor.RandNormal(g.N, 2, 1, rng)
-	if !pruned.Apply(x).Equal(op.Apply(x), 1e-12) {
-		t.Error("zero-threshold prune changed the operator")
-	}
-}
-
-func TestPruneOperatorValidation(t *testing.T) {
-	g := testGraph(t, 19)
-	op := graph.NewOperator(g, graph.NormSymmetric, false)
-	if _, _, err := PruneOperator(op, -1); err == nil {
-		t.Error("negative threshold should error")
-	}
-}
-
 func TestPropagationSpeedup(t *testing.T) {
 	g := testGraph(t, 20)
 	h, err := TopKPerNode(g, 2)
@@ -214,36 +107,5 @@ func TestPropagationSpeedup(t *testing.T) {
 	empty, _ := graph.FromEdges(g.N, nil)
 	if PropagationSpeedup(g, empty) != 0 {
 		t.Error("empty sparsifier should report 0")
-	}
-}
-
-func TestFeatureSmoothnessErrorOrdering(t *testing.T) {
-	// More aggressive pruning must not give lower propagation error.
-	g := testGraph(t, 21)
-	rng := tensor.NewRand(22)
-	mild, err := Uniform(g, 0.9, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	harsh, err := Uniform(g, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eMild := FeatureSmoothnessError(g, mild, 8, tensor.NewRand(23))
-	eHarsh := FeatureSmoothnessError(g, harsh, 8, tensor.NewRand(23))
-	if eMild >= eHarsh {
-		t.Errorf("mild prune error %v >= harsh %v", eMild, eHarsh)
-	}
-}
-
-func BenchmarkEffectiveResistance(b *testing.B) {
-	g := graph.BarabasiAlbert(10000, 6, tensor.NewRand(1))
-	rng := tensor.NewRand(2)
-	q := 4 * g.N
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EffectiveResistance(g, q, rng); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -7,65 +7,6 @@ import (
 	"scalegnn/internal/tensor"
 )
 
-// BasisEmbeddings precomputes the basis-polynomial embeddings
-// H_k = B_k(L)·X for k = 0..degree, where B_k is the k-th basis polynomial
-// (λ^k or T_k). This is the decoupled precomputation step of
-// AdaptKry/UniFilter-style adaptive filters: the expensive graph work is
-// done once, after which learning a filter reduces to learning the K+1
-// scalar combination weights — mini-batchable with no graph access.
-func BasisEmbeddings(op *graph.Operator, x *tensor.Matrix, degree int, basis Basis) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, 0, degree+1)
-	out = append(out, x.Clone())
-	if degree == 0 {
-		return out
-	}
-	switch basis {
-	case Monomial:
-		cur := x
-		for k := 1; k <= degree; k++ {
-			cur = lap(op, cur)
-			out = append(out, cur.Clone())
-		}
-	case Chebyshev:
-		ltilde := func(m *tensor.Matrix) *tensor.Matrix {
-			pm := op.Apply(m)
-			pm.Scale(-1)
-			return pm
-		}
-		tPrev := x.Clone()
-		tCur := ltilde(x)
-		out = append(out, tCur.Clone())
-		for k := 2; k <= degree; k++ {
-			tNext := ltilde(tCur)
-			tNext.Scale(2)
-			tNext.Sub(tPrev)
-			out = append(out, tNext.Clone())
-			tPrev, tCur = tCur, tNext
-		}
-	default:
-		panic(fmt.Sprintf("spectral: unknown basis %d", int(basis)))
-	}
-	return out
-}
-
-// Combine evaluates Σ_k coeffs[k]·embeddings[k]. Together with
-// BasisEmbeddings it factors Filter.Apply into precompute + cheap combine.
-func Combine(embeddings []*tensor.Matrix, coeffs []float64) *tensor.Matrix {
-	if len(embeddings) == 0 {
-		panic("spectral: Combine with no embeddings")
-	}
-	if len(coeffs) != len(embeddings) {
-		panic(fmt.Sprintf("spectral: %d coeffs for %d embeddings", len(coeffs), len(embeddings)))
-	}
-	out := tensor.New(embeddings[0].Rows, embeddings[0].Cols)
-	for k, h := range embeddings {
-		if coeffs[k] != 0 {
-			out.AddScaled(coeffs[k], h)
-		}
-	}
-	return out
-}
-
 // ChannelKind names one channel of a multi-filter embedding.
 type ChannelKind int
 
@@ -126,20 +67,20 @@ func MultiFilter(op *graph.Operator, x *tensor.Matrix, channels []ChannelSpec) (
 		var f *Filter
 		switch ch.Kind {
 		case ChannelIdentity:
-			f = Identity()
+			f = identity()
 		case ChannelLowPass:
-			f = LowPass(ch.Hops)
+			f = lowPass(ch.Hops)
 		case ChannelHighPass:
-			f = HighPass(ch.Hops)
+			f = highPass(ch.Hops)
 		case ChannelPPR:
 			if ch.Alpha <= 0 || ch.Alpha > 1 {
 				return nil, fmt.Errorf("spectral: channel %d: ppr alpha %v outside (0,1]", i, ch.Alpha)
 			}
-			f = PPRFilter(ch.Alpha, ch.Hops)
+			f = pprFilter(ch.Alpha, ch.Hops)
 		case ChannelAdjPower:
-			f = AdjacencyPower(ch.Hops)
+			f = adjacencyPower(ch.Hops)
 		case ChannelLapPower:
-			f = LaplacianPower(ch.Hops)
+			f = laplacianPower(ch.Hops)
 		default:
 			return nil, fmt.Errorf("spectral: channel %d: unknown kind %d", i, int(ch.Kind))
 		}

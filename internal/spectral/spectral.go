@@ -1,7 +1,7 @@
 // Package spectral implements graph spectral filtering: polynomial filters
-// over the normalized Laplacian, eigenvalue estimation via the Lanczos
-// process, and the multi-filter embedding pipelines used by scalable
-// spectral GNNs (tutorial §3.2.1 — LD2, UniFilter, AdaptKry).
+// over the normalized Laplacian, small dense and subspace eigensolvers, and
+// the multi-filter embedding used by scalable spectral GNNs (tutorial
+// §3.2.1 — LD2).
 //
 // A spectral filter h(λ) is applied to node features X as h(L)·X where
 // L = I − D^{-1/2} A D^{-1/2} is the symmetric normalized Laplacian, whose
@@ -47,9 +47,6 @@ type Filter struct {
 	Basis  Basis
 	Coeffs []float64 // Coeffs[k] multiplies the k-th basis polynomial
 }
-
-// Degree returns the polynomial degree of the filter.
-func (f *Filter) Degree() int { return len(f.Coeffs) - 1 }
 
 // Apply computes h(L)·X where L is the normalized Laplacian derived from
 // op (op must be the NormSymmetric adjacency operator; L·x = x − op·x).
@@ -151,9 +148,9 @@ func (f *Filter) EvalScalar(lambda float64) float64 {
 	}
 }
 
-// LowPass returns the (1 − λ/2)^K monomial filter: the smoothing operator
+// lowPass returns the (1 − λ/2)^K monomial filter: the smoothing operator
 // implicit in K rounds of GCN-style propagation. Strong at λ=0, zero at λ=2.
-func LowPass(k int) *Filter {
+func lowPass(k int) *Filter {
 	// (1 - λ/2)^K expanded into monomial coefficients via binomial theorem.
 	coeffs := make([]float64, k+1)
 	for j := 0; j <= k; j++ {
@@ -162,19 +159,19 @@ func LowPass(k int) *Filter {
 	return &Filter{Basis: Monomial, Coeffs: coeffs}
 }
 
-// HighPass returns the (λ/2)^K monomial filter: passes the high-frequency
+// highPass returns the (λ/2)^K monomial filter: passes the high-frequency
 // (heterophilous) end of the spectrum, zero at λ=0.
-func HighPass(k int) *Filter {
+func highPass(k int) *Filter {
 	coeffs := make([]float64, k+1)
 	coeffs[k] = math.Pow(0.5, float64(k))
 	return &Filter{Basis: Monomial, Coeffs: coeffs}
 }
 
-// AdjacencyPower returns the h(λ) = (1−λ)^K monomial filter. On an
+// adjacencyPower returns the h(λ) = (1−λ)^K monomial filter. On an
 // operator built with self-loops this is exactly Â^K — the SGC smoothing —
 // expressed as a spectral polynomial, with the self signal diluted by
 // degree normalization rather than kept at constant weight.
-func AdjacencyPower(k int) *Filter {
+func adjacencyPower(k int) *Filter {
 	coeffs := make([]float64, k+1)
 	for j := 0; j <= k; j++ {
 		coeffs[j] = binom(k, j) * math.Pow(-1, float64(j))
@@ -182,23 +179,23 @@ func AdjacencyPower(k int) *Filter {
 	return &Filter{Basis: Monomial, Coeffs: coeffs}
 }
 
-// LaplacianPower returns the h(λ) = λ^K monomial filter — the complementary
-// high-pass to AdjacencyPower, amplifying neighbor disagreement.
-func LaplacianPower(k int) *Filter {
+// laplacianPower returns the h(λ) = λ^K monomial filter — the complementary
+// high-pass to adjacencyPower, amplifying neighbor disagreement.
+func laplacianPower(k int) *Filter {
 	coeffs := make([]float64, k+1)
 	coeffs[k] = 1
 	return &Filter{Basis: Monomial, Coeffs: coeffs}
 }
 
-// Identity returns the all-pass filter h(λ) = 1.
-func Identity() *Filter {
+// identity returns the all-pass filter h(λ) = 1.
+func identity() *Filter {
 	return &Filter{Basis: Monomial, Coeffs: []float64{1}}
 }
 
-// PPRFilter returns the degree-K truncated personalized-PageRank filter
+// pprFilter returns the degree-K truncated personalized-PageRank filter
 // h(λ) = α Σ_{k≤K} (1−α)^k (1−λ)^k — the APPNP propagation expressed as a
 // spectral polynomial (here 1−λ is the symmetric adjacency eigenvalue).
-func PPRFilter(alpha float64, k int) *Filter {
+func pprFilter(alpha float64, k int) *Filter {
 	// Σ_j c_j λ^j where the (1-λ)^k terms are expanded.
 	coeffs := make([]float64, k+1)
 	for kk := 0; kk <= k; kk++ {
@@ -219,26 +216,4 @@ func binom(n, k int) float64 {
 		res = res * float64(n-i) / float64(i+1)
 	}
 	return res
-}
-
-// ChebyshevFit fits a degree-k Chebyshev filter to a target response
-// h: [0,2] → R by Chebyshev-Gauss quadrature on the rescaled domain —
-// how UniFilter-style universal bases project an arbitrary desired response
-// onto an efficiently applicable polynomial.
-func ChebyshevFit(target func(lambda float64) float64, degree int) *Filter {
-	n := degree + 1
-	coeffs := make([]float64, n)
-	// Chebyshev nodes x_j = cos(π(j+0.5)/N) on [−1,1]; λ = x + 1.
-	const quadN = 256
-	for k := 0; k < n; k++ {
-		var s float64
-		for j := 0; j < quadN; j++ {
-			theta := math.Pi * (float64(j) + 0.5) / quadN
-			x := math.Cos(theta)
-			s += target(x+1) * math.Cos(float64(k)*theta)
-		}
-		coeffs[k] = 2 * s / quadN
-	}
-	coeffs[0] /= 2
-	return &Filter{Basis: Chebyshev, Coeffs: coeffs}
 }

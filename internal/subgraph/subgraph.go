@@ -149,21 +149,6 @@ func (ws *WalkStore) Preprocess(seeds []int, rng *rand.Rand) error {
 	return nil
 }
 
-// Has reports whether a seed's walk set is stored.
-func (ws *WalkStore) Has(seed int) bool {
-	_, ok := ws.walks[int32(seed)]
-	return ok
-}
-
-// NodeSet returns the stored deduplicated node set of a seed (sorted).
-func (ws *WalkStore) NodeSet(seed int) ([]int32, error) {
-	ns, ok := ws.nodeSet[int32(seed)]
-	if !ok {
-		return nil, fmt.Errorf("subgraph: seed %d not preprocessed", seed)
-	}
-	return ns, nil
-}
-
 // StorageBytes estimates resident index size: walk matrices plus node sets
 // plus RPE profiles.
 func (ws *WalkStore) StorageBytes() int {
@@ -251,17 +236,6 @@ func mergeSorted(a, b []int32) []int32 {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// InducedQuerySubgraph materializes the induced subgraph over a join's
-// node union — for models that also need the edges, not just the RPE
-// features.
-func (ws *WalkStore) InducedQuerySubgraph(jr *JoinResult) (*graph.CSR, []int) {
-	nodes := make([]int, len(jr.Nodes))
-	for i, v := range jr.Nodes {
-		nodes[i] = int(v)
-	}
-	return ws.g.InducedSubgraph(nodes)
 }
 
 // ReuseRatio reports, for a batch of preprocessed pair queries, the

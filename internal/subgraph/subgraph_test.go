@@ -75,13 +75,10 @@ func TestWalkStorePreprocessAndNodeSets(t *testing.T) {
 	if err := ws.Preprocess([]int{0, 1, 2}, rng); err != nil {
 		t.Fatal(err)
 	}
-	if !ws.Has(0) || ws.Has(99) {
-		t.Error("Has wrong")
+	if _, ok := ws.walks[99]; ok {
+		t.Error("unrequested seed stored")
 	}
-	ns, err := ws.NodeSet(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ns := ws.nodeSet[0]
 	if len(ns) == 0 {
 		t.Fatal("empty node set")
 	}
@@ -117,12 +114,12 @@ func TestWalkStoreIncrementalPreprocess(t *testing.T) {
 	if err := ws.Preprocess([]int{0}, rng); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := ws.NodeSet(0)
+	before := ws.nodeSet[0]
 	// Re-preprocessing the same seed must be a no-op (stored set reused).
 	if err := ws.Preprocess([]int{0, 5}, rng); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := ws.NodeSet(0)
+	after := ws.nodeSet[0]
 	if len(before) != len(after) {
 		t.Error("stored set was recomputed")
 	}
@@ -178,28 +175,6 @@ func TestJoinRequiresPreprocess(t *testing.T) {
 	}
 }
 
-func TestInducedQuerySubgraph(t *testing.T) {
-	g := testGraph(t, 11)
-	rng := tensor.NewRand(12)
-	ws, _ := NewWalkStore(g, WalkStoreConfig{Walks: 15, Length: 3})
-	if err := ws.Preprocess([]int{3, 4}, rng); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := ws.Join(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, ids := ws.InducedQuerySubgraph(jr)
-	if sub.N != len(jr.Nodes) {
-		t.Fatalf("induced n %d != union %d", sub.N, len(jr.Nodes))
-	}
-	for _, e := range sub.UndirectedEdges() {
-		if !g.HasEdge(ids[e.U], ids[e.V]) {
-			t.Fatal("induced subgraph has a non-edge")
-		}
-	}
-}
-
 func TestStorageBytesGrowsWithSeeds(t *testing.T) {
 	g := testGraph(t, 13)
 	rng := tensor.NewRand(14)
@@ -224,9 +199,6 @@ func TestWalkStoreValidation(t *testing.T) {
 	ws, _ := NewWalkStore(g, WalkStoreConfig{Walks: 2, Length: 2})
 	if err := ws.Preprocess([]int{-1}, tensor.NewRand(1)); err == nil {
 		t.Error("bad seed should error")
-	}
-	if _, err := ws.NodeSet(42); err == nil {
-		t.Error("unpreprocessed NodeSet should error")
 	}
 }
 

@@ -41,24 +41,3 @@ func WidenInto[T Elem](src *Mat[T], dst *Matrix) {
 		dst.Data[i] = float64(v)
 	}
 }
-
-// NarrowInto narrows the float64 src into dst (same shape). For T = float64
-// this is a plain copy.
-func NarrowInto[T Elem](src *Matrix, dst *Mat[T]) {
-	if src.Rows != dst.Rows || src.Cols != dst.Cols {
-		panic("tensor: NarrowInto shape mismatch")
-	}
-	if m, ok := any(dst).(*Matrix); ok {
-		if m == src {
-			return
-		}
-		if Overlaps(m.Data, src.Data) {
-			panic("tensor: NarrowInto dst aliases src")
-		}
-		copy(m.Data, src.Data)
-		return
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = T(v)
-	}
-}

@@ -37,9 +37,9 @@ func RandNormal(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	return RandNormalOf[float64](rows, cols, std, rng)
 }
 
-// RandUniformOf fills a new rows x cols matrix of element type T with
+// randUniformOf fills a new rows x cols matrix of element type T with
 // Uniform[lo, hi) entries, drawing in float64 (see RandNormalOf).
-func RandUniformOf[T Elem](rows, cols int, lo, hi float64, rng *rand.Rand) *Mat[T] {
+func randUniformOf[T Elem](rows, cols int, lo, hi float64, rng *rand.Rand) *Mat[T] {
 	m := NewOf[T](rows, cols)
 	for i := range m.Data {
 		m.Data[i] = T(lo + rng.Float64()*(hi-lo))
@@ -47,18 +47,12 @@ func RandUniformOf[T Elem](rows, cols int, lo, hi float64, rng *rand.Rand) *Mat[
 	return m
 }
 
-// RandUniform fills a new float64 rows x cols matrix with Uniform[lo, hi)
-// entries.
-func RandUniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
-	return RandUniformOf[float64](rows, cols, lo, hi, rng)
-}
-
 // GlorotUniformOf returns a rows x cols matrix of element type T
 // initialized with the Glorot (Xavier) uniform scheme, the standard
 // initializer for GNN weight matrices.
 func GlorotUniformOf[T Elem](rows, cols int, rng *rand.Rand) *Mat[T] {
 	limit := math.Sqrt(6.0 / float64(rows+cols))
-	return RandUniformOf[T](rows, cols, -limit, limit, rng)
+	return randUniformOf[T](rows, cols, -limit, limit, rng)
 }
 
 // GlorotUniform returns a float64 Glorot-initialized rows x cols matrix.

@@ -96,9 +96,6 @@ func (m *Mat[T]) Clone() *Mat[T] {
 	return out
 }
 
-// Shape returns (rows, cols).
-func (m *Mat[T]) Shape() (int, int) { return m.Rows, m.Cols }
-
 // SameShape reports whether m and other have identical dimensions.
 func (m *Mat[T]) SameShape(other *Mat[T]) bool {
 	return m.Rows == other.Rows && m.Cols == other.Cols
@@ -116,12 +113,6 @@ func (m *Mat[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
-}
-
-// Copy copies src into m. Shapes must match.
-func (m *Mat[T]) Copy(src *Mat[T]) {
-	mustSameShape("Copy", m, src)
-	copy(m.Data, src.Data)
 }
 
 // T returns the transpose of m as a new matrix.
@@ -149,14 +140,6 @@ func (m *Mat[T]) Sub(other *Mat[T]) {
 	mustSameShape("Sub", m, other)
 	for i, v := range other.Data {
 		m.Data[i] -= v
-	}
-}
-
-// Mul computes m *= other element-wise (Hadamard product).
-func (m *Mat[T]) Mul(other *Mat[T]) {
-	mustSameShape("Mul", m, other)
-	for i, v := range other.Data {
-		m.Data[i] *= v
 	}
 }
 
@@ -513,21 +496,21 @@ func axpyUnrolled[T Elem](a T, x, y []T) {
 // MatVec returns a*x for a vector x of length a.Cols.
 func MatVec[T Elem](a *Mat[T], x []T) []T {
 	out := make([]T, a.Rows)
-	MatVecInto(a, x, out)
+	matVecInto(a, x, out)
 	return out
 }
 
-// MatVecInto computes a*x into dst (length a.Rows), overwriting it. dst must
+// matVecInto computes a*x into dst (length a.Rows), overwriting it. dst must
 // not alias x.
-func MatVecInto[T Elem](a *Mat[T], x, dst []T) {
+func matVecInto[T Elem](a *Mat[T], x, dst []T) {
 	if a.Cols != len(x) {
 		panic(fmt.Sprintf("tensor: MatVec dim mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
 	}
 	if len(dst) != a.Rows {
-		panic(fmt.Sprintf("tensor: MatVecInto dst len %d, want %d", len(dst), a.Rows))
+		panic(fmt.Sprintf("tensor: matVecInto dst len %d, want %d", len(dst), a.Rows))
 	}
 	if Overlaps(dst, x) || Overlaps(dst, a.Data) {
-		panic("tensor: MatVecInto dst aliases an operand")
+		panic("tensor: matVecInto dst aliases an operand")
 	}
 	if simdOn {
 		if fa, ok := any(a).(*Mat[float32]); ok {
@@ -577,18 +560,6 @@ func ScaleVec[T Elem](a T, x []T) {
 	for i := range x {
 		x[i] *= a
 	}
-}
-
-// L1Norm returns the sum of absolute values of x.
-func L1Norm[T Elem](x []T) T {
-	var s T
-	for _, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		s += v
-	}
-	return s
 }
 
 // Normalize scales x to unit Euclidean norm in place and returns its original

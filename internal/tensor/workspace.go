@@ -27,22 +27,19 @@ type Workspace = Pool[float64]
 
 type shapeKey struct{ rows, cols int }
 
-// NewWorkspace returns an empty float64 workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // Default is the process-wide float64 workspace used by the package-level
 // GetBuf/GetZeroBuf/PutBuf helpers and, through them, by the nn layers and
 // model training loops.
-var Default = NewWorkspace()
+var Default = &Workspace{}
 
 // Default32 is the process-wide float32 workspace backing the raw-speed
 // tier's pooled buffers.
 var Default32 = &Pool[float32]{}
 
-// DefaultPool returns the process-wide pool for the element type T —
+// defaultPool returns the process-wide pool for the element type T —
 // Default for float64, Default32 for float32 — so generic layers and
 // kernels share pooled buffers with every other user of that dtype.
-func DefaultPool[T Elem]() *Pool[T] {
+func defaultPool[T Elem]() *Pool[T] {
 	var z T
 	var p any
 	switch any(z).(type) {
@@ -130,14 +127,14 @@ func PutBuf(m *Matrix) { Default.Put(m) }
 
 // GetBufOf returns a matrix of element type T from that type's default pool
 // (contents unspecified).
-func GetBufOf[T Elem](rows, cols int) *Mat[T] { return DefaultPool[T]().Get(rows, cols) }
+func GetBufOf[T Elem](rows, cols int) *Mat[T] { return defaultPool[T]().Get(rows, cols) }
 
 // GetZeroBufOf returns a zeroed matrix of element type T from that type's
 // default pool.
-func GetZeroBufOf[T Elem](rows, cols int) *Mat[T] { return DefaultPool[T]().GetZero(rows, cols) }
+func GetZeroBufOf[T Elem](rows, cols int) *Mat[T] { return defaultPool[T]().GetZero(rows, cols) }
 
 // PutBufOf returns a matrix to its element type's default pool.
-func PutBufOf[T Elem](m *Mat[T]) { DefaultPool[T]().Put(m) }
+func PutBufOf[T Elem](m *Mat[T]) { defaultPool[T]().Put(m) }
 
 // BufOf is a single-slot recycling handle for the canonical layer-output
 // pattern: each call to Next recycles the buffer handed out by the previous
@@ -150,28 +147,16 @@ func PutBufOf[T Elem](m *Mat[T]) { DefaultPool[T]().Put(m) }
 // Buf will observe it being overwritten — clone anything that must outlive
 // the next pass.
 type BufOf[T Elem] struct {
-	ws  *Pool[T] // nil means the default pool for T
 	cur *Mat[T]
 }
 
 // Buf is the float64 instantiation of BufOf.
 type Buf = BufOf[float64]
 
-// NewBuf returns a float64 Buf drawing from ws (nil means the Default
-// workspace).
-func NewBuf(ws *Workspace) Buf { return Buf{ws: ws} }
-
-func (b *BufOf[T]) workspace() *Pool[T] {
-	if b.ws == nil {
-		return DefaultPool[T]()
-	}
-	return b.ws
-}
-
 // Next recycles the previously returned buffer and hands out a rows x cols
 // matrix with unspecified contents.
 func (b *BufOf[T]) Next(rows, cols int) *Mat[T] {
-	ws := b.workspace()
+	ws := defaultPool[T]()
 	if b.cur != nil {
 		ws.Put(b.cur)
 	}
@@ -189,7 +174,7 @@ func (b *BufOf[T]) NextZero(rows, cols int) *Mat[T] {
 // Release returns the current buffer (if any) to the workspace.
 func (b *BufOf[T]) Release() {
 	if b.cur != nil {
-		b.workspace().Put(b.cur)
+		defaultPool[T]().Put(b.cur)
 		b.cur = nil
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestWorkspaceGetPutReuse(t *testing.T) {
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	a := ws.Get(4, 3)
 	if a.Rows != 4 || a.Cols != 3 || len(a.Data) != 12 {
 		t.Fatalf("Get(4,3) gave %dx%d len %d", a.Rows, a.Cols, len(a.Data))
@@ -31,20 +31,18 @@ func TestWorkspaceGetPutReuse(t *testing.T) {
 }
 
 func TestWorkspacePutNilAndEmpty(t *testing.T) {
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	ws.Put(nil)       // must not panic
 	ws.Put(New(0, 5)) // empty matrices are not pooled
 	ws.Put(New(5, 0)) // must not panic
 }
 
 func TestBufNextRecycles(t *testing.T) {
-	ws := NewWorkspace()
-	b := Buf{}
-	b.ws = ws
+	var b Buf
 	m1 := b.Next(2, 2)
 	m1.Data[0] = 42
-	// Next returns the previous buffer to the pool before acquiring; with a
-	// single-threaded workspace the same allocation comes straight back.
+	// Next returns the previous buffer to the pool before acquiring; on a
+	// single goroutine the same allocation comes straight back.
 	// Under the race detector sync.Pool deliberately drops a fraction of
 	// Puts, so allow a few rounds before declaring recycling broken.
 	recycled := false
@@ -150,11 +148,11 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	for i := range out {
 		out[i] = math.NaN()
 	}
-	MatVecInto(a, x, out)
+	matVecInto(a, x, out)
 	want := MatVec(a, x)
 	for i := range want {
 		if math.Abs(want[i]-out[i]) > 1e-12 {
-			t.Fatalf("MatVecInto mismatch at %d", i)
+			t.Fatalf("matVecInto mismatch at %d", i)
 		}
 	}
 
@@ -184,15 +182,14 @@ func TestIntoKernelsRejectAliasing(t *testing.T) {
 		view := FromSlice(2, 4, a.Data[:8])
 		a.SelectRowsInto([]int{0, 1}, view)
 	})
-	mustPanic("MatVecInto dst=x", func() {
+	mustPanic("matVecInto dst=x", func() {
 		x := make([]float64, 4)
-		MatVecInto(a, x, x)
+		matVecInto(a, x, x)
 	})
 	// Overlapping (not identical) views: dst == src is a no-op copy.
 	backing := make([]float64, 10)
 	src, dst := FromSlice(2, 4, backing[:8]), FromSlice(2, 4, backing[2:])
 	mustPanic("WidenInto dst overlaps src", func() { WidenInto(src, dst) })
-	mustPanic("NarrowInto dst overlaps src", func() { NarrowInto(src, dst) })
 }
 
 func TestIntoKernelsRejectShapeMismatch(t *testing.T) {
@@ -208,12 +205,11 @@ func TestIntoKernelsRejectShapeMismatch(t *testing.T) {
 		f()
 	}
 	mustPanic("MatMulInto wrong dst", func() { MatMulInto(a, b, New(4, 4)) })
-	mustPanic("MatVecInto wrong dst", func() { MatVecInto(a, make([]float64, 3), make([]float64, 3)) })
+	mustPanic("matVecInto wrong dst", func() { matVecInto(a, make([]float64, 3), make([]float64, 3)) })
 	mustPanic("SelectRowsInto wrong dst", func() { a.SelectRowsInto([]int{0}, New(2, 3)) })
 	// Each dst below is larger than the result, so only the shape guard —
 	// not an index out of range — can reject it.
 	mustPanic("MatMulTInto wrong dst", func() { MatMulTInto(a, New(5, 3), New(5, 5)) })
 	mustPanic("TMatMulInto wrong dst", func() { TMatMulInto(a, New(4, 5), New(4, 5)) })
 	mustPanic("WidenInto wrong dst", func() { WidenInto(NewOf[float32](2, 3), New(3, 3)) })
-	mustPanic("NarrowInto wrong dst", func() { NarrowInto(New(2, 3), NewOf[float32](3, 3)) })
 }

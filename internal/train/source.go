@@ -137,13 +137,7 @@ type ClusterBatchesOf[T tensor.Elem] struct {
 	perm []int
 }
 
-// ClusterBatches is the float64 instantiation of ClusterBatchesOf.
-type ClusterBatches = ClusterBatchesOf[float64]
-
-// NewClusterBatches builds a float64 source over n clusters.
-func NewClusterBatches(n int) *ClusterBatches { return NewClusterBatchesOf[float64](n) }
-
-// NewClusterBatchesOf is NewClusterBatches for any element type.
+// NewClusterBatchesOf builds a source over n clusters.
 func NewClusterBatchesOf[T tensor.Elem](n int) *ClusterBatchesOf[T] {
 	return &ClusterBatchesOf[T]{n: n}
 }

@@ -69,7 +69,7 @@ func TestFullBatchIsRNGFree(t *testing.T) {
 }
 
 func TestClusterBatchesPermute(t *testing.T) {
-	s := NewClusterBatches(5)
+	s := NewClusterBatchesOf[float64](5)
 	s.Shuffle(tensor.NewRand(11))
 	seen := map[int]bool{}
 	for i := 0; i < s.Len(); i++ {

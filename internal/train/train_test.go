@@ -121,7 +121,7 @@ func TestRunIndexBatchesCoverTrainingSet(t *testing.T) {
 func TestRunClusterBatchesVisitEveryCluster(t *testing.T) {
 	f := newFakeModel(0.5)
 	rng := tensor.NewRand(5)
-	_, err := Run(Config{Epochs: 1, RNG: rng}, f.spec(NewClusterBatches(4)))
+	_, err := Run(Config{Epochs: 1, RNG: rng}, f.spec(NewClusterBatchesOf[float64](4)))
 	if err != nil {
 		t.Fatal(err)
 	}
