@@ -32,6 +32,7 @@ var allocCeilings = []struct {
 	{"matmul_t_into/float32", 1},
 	{"t_matmul_into/float64", 1},
 	{"t_matmul_into/float32", 1},
+	{"t_matmul_into_narrow/float64", 1},
 	{"spmm_apply_into/float64", 1},
 	{"spmm_apply_into/float32", 1},
 	{"gcn_epoch/float64", 16},
@@ -79,7 +80,9 @@ func TestAllocCeilings(t *testing.T) {
 
 // addF64KernelCases adds the two float64 vector kernels on their own, at the
 // shape one GCN destination row has (25 arcs over 64 columns). They run once
-// per row or per arc, so nothing at all may allocate.
+// per row or per arc, so nothing at all may allocate. It also adds the
+// weight gradient of SAGE's 64→5 output layer over a 512-row batch, whose
+// gathered columns of x must stay on the kernel's stack.
 func addF64KernelCases(cases map[string]func()) {
 	const terms, rows, cols = 25, 512, 64
 	rng := rand.New(rand.NewPCG(42, 43))
@@ -96,6 +99,12 @@ func addF64KernelCases(cases map[string]func()) {
 	acc := make([]float64, cols)
 	cases["f64_axpy/float64"] = func() { tensor.F64Axpy(1e-9, x[:cols], acc) }
 	cases["f64_accum_rows/float64"] = func() { tensor.F64AccumRows(coef, idx, x, rows, cols, acc) }
+
+	const classes = 5
+	xm := tensor.FromSlice(rows, cols, x)
+	g := tensor.FromSlice(rows, classes, x[:rows*classes])
+	wg := tensor.New(cols, classes)
+	cases["t_matmul_into_narrow/float64"] = func() { tensor.TMatMulInto(xm, g, wg) }
 }
 
 // addTierCases adds, at tier T, the three dense *Into kernels on

@@ -14,20 +14,34 @@ var simdOn = cpuHasAVX2FMA() && os.Getenv("SCALEGNN_NOSIMD") == ""
 // cpuHasAVX2FMA reports CPU+OS support for the AVX2/FMA kernels.
 func cpuHasAVX2FMA() bool
 
+// The kernels below keep no pointer past their return, so they are marked
+// noescape: a caller's stack scratch (TMatMulInto's gathered columns)
+// stays on the stack.
+
 // f32AxpyAVX computes y += a*x. Caller guarantees len(x) == len(y).
+//
+//go:noescape
 func f32AxpyAVX(a float32, x, y []float32)
 
 // f32DotAVX returns dot(x, y). Caller guarantees len(x) == len(y).
+//
+//go:noescape
 func f32DotAVX(x, y []float32) float32
 
 // f32GemmTileAVX adds sum_k a[k]*b[k*stride:k*stride+8] into acc[0:8].
+//
+//go:noescape
 func f32GemmTileAVX(a, b, acc []float32, stride int)
 
 // f64AxpyAVX computes y += a*x, multiply rounded before the add. Caller
 // guarantees len(x) == len(y).
+//
+//go:noescape
 func f64AxpyAVX(a float64, x, y []float64)
 
 // f64AccumRowsAVX adds sum_k coef[k]*x[idx[k]*stride:][:len(acc)] into acc,
 // k increasing, zero coefficients skipped; false if an idx[k] is not in
 // [0, nrows). See F64AccumRows for the caller's side of the contract.
+//
+//go:noescape
 func f64AccumRowsAVX(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) bool

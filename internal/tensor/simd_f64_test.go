@@ -2,9 +2,12 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"scalegnn/internal/par"
 )
 
 // The float64 vector kernels promise the bits of the scalar loops. These
@@ -155,35 +158,123 @@ func TestF64AccumRowsRejectsBadRows(t *testing.T) {
 	}
 }
 
+// mixedMat returns an r×c matrix whose entries are one of f64Specials with
+// probability special, else zero with probability zero, else normal draws.
+// A sum over hundreds of terms with specials among them ends in NaN or Inf,
+// where bit comparison proves little, so long sums keep special small.
+func mixedMat(rng *rand.Rand, r, c int, special, zero float64) *Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		switch p := rng.Float64(); {
+		case p < special:
+			m.Data[i] = f64Specials[rng.IntN(len(f64Specials))]
+		case p < special+zero:
+			m.Data[i] = 0
+		default:
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// requireMostlyFinite fails when more than a quarter of vals are NaN or
+// Inf: a comparison of such values would pass whatever the sum order.
+func requireMostlyFinite(t testing.TB, what string, vals []float64) {
+	t.Helper()
+	bad := 0
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			bad++
+		}
+	}
+	if 4*bad > len(vals) {
+		t.Fatalf("%s: %d of %d reference values are NaN or Inf", what, bad, len(vals))
+	}
+}
+
 // TestF64DenseKernelsGateOnOff runs the float64 kernels that pick a vector
 // inner loop with the gate on and off. Shapes cover the 32/4/1 column
-// blocks, a k range longer than one mmBlockK tile, and rows full of zeros
-// (ReLU outputs) and specials.
+// blocks, a k range longer than one mmBlockK tile, rows full of zeros (ReLU
+// outputs) and specials, and the two weight-gradient shapes of a 64-wide
+// hidden layer: TMatMul of 700×64 and 600×64 activations against 64- and
+// 5-wide gradients, k over three mmBlockK tiles, specials rare enough that
+// most sums stay finite.
 func TestF64DenseKernelsGateOnOff(t *testing.T) {
 	requireVectorKernels(t)
 	rng := rand.New(rand.NewPCG(59, 61))
-	mat := func(r, c int, zeroFrac float64) *Matrix {
-		m := FromSlice(r, c, mixedVals(rng, r*c))
-		for i := range m.Data {
-			if rng.Float64() < zeroFrac {
-				m.Data[i] = 0
-			}
-		}
-		return m
-	}
-	for _, c := range []struct{ m, k, n int }{{3, 5, 2}, {70, 64, 5}, {9, 300, 64}, {130, 33, 67}, {1, 1, 1}} {
-		a, b, w := mat(c.m, c.k, 0.4), mat(c.k, c.n, 0), mat(c.m, c.n, 0.2)
+	const dense, sparse = 1.0 / 3, 1.0 / 4096
+	for _, c := range []struct {
+		m, k, n int
+		special float64
+	}{{3, 5, 2, dense}, {70, 64, 5, dense}, {9, 300, 64, dense}, {130, 33, 67, dense}, {1, 1, 1, dense}, {700, 64, 64, sparse}, {600, 64, 5, sparse}} {
+		a, b, w := mixedMat(rng, c.m, c.k, c.special, 0.4), mixedMat(rng, c.k, c.n, c.special, 0), mixedMat(rng, c.m, c.n, c.special, 0.2)
 		var mmS, tmS, addS *Matrix
 		scalarOnly(func() {
 			mmS, tmS = MatMul(a, b), TMatMul(a, w)
 			addS = w.Clone()
 			addS.AddScaled(-1.5, w)
 		})
+		if c.special == sparse {
+			requireMostlyFinite(t, "TMatMul", tmS.Data)
+		}
 		add := w.Clone()
 		add.AddScaled(-1.5, w)
 		requireSameBits(t, "MatMul", MatMul(a, b).Data, mmS.Data)
 		requireSameBits(t, "TMatMul", TMatMul(a, w).Data, tmS.Data)
 		requireSameBits(t, "AddScaled", add.Data, addS.Data)
+	}
+}
+
+// TestTMatMulBitsIndependentOfWorkers: TMatMulInto splits its output rows
+// among workers by work, so a 70-row output fans out to every worker. The
+// bits must be those of the naive loop at every worker count, gate on and
+// off. Every seventh row of a is ±0 and the same row of b holds ±Inf, NaN,
+// −0 and a denormal: the skip, not 0·b, decides those terms. The other
+// rows are finite, so a change of sum order shows in the bits.
+func TestTMatMulBitsIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(67, 71))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+	gates := []bool{false}
+	if simdOn {
+		gates = append(gates, true)
+	}
+	defer func(on bool) { simdOn = on }(simdOn)
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	const rows, outRows = 600, 70
+	for _, n := range []int{5, 33, 67} {
+		a, b := mixedMat(rng, rows, outRows, 0, 0.3), mixedMat(rng, rows, n, 0, 0)
+		for k := 0; k < rows; k += 7 {
+			arow, brow := a.Row(k), b.Row(k)
+			for i := range arow {
+				arow[i] = math.Copysign(0, float64(i%2*2-1))
+			}
+			for j := range brow {
+				brow[j] = specials[(k+j)%len(specials)]
+			}
+		}
+		want := New(outRows, n)
+		for i := 0; i < outRows; i++ {
+			for j := 0; j < n; j++ {
+				var s float64
+				for k := 0; k < rows; k++ {
+					if av := a.At(k, i); av != 0 {
+						s += float64(av * b.At(k, j)) // the conversion forbids fusing
+					}
+				}
+				want.Set(i, j, s)
+			}
+		}
+		requireMostlyFinite(t, "naive aᵀ·b", want.Data)
+		for _, on := range gates {
+			simdOn = on
+			for w := 1; w <= 4; w++ {
+				par.SetMaxWorkers(w)
+				got := New(outRows, n)
+				got.Fill(math.NaN()) // the kernel must overwrite, not add
+				TMatMulInto(a, b, got)
+				requireSameBits(t, fmt.Sprintf("TMatMulInto n=%d gate=%v workers=%d", n, on, w), got.Data, want.Data)
+			}
+		}
 	}
 }
 

@@ -433,7 +433,7 @@ func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 	})
 }
 
-// TMatMul returns aᵀ * b, parallelized over columns of the output.
+// TMatMul returns aᵀ * b, parallelized over rows of the output.
 func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 	out := NewOf[T](a.Cols, b.Cols)
 	TMatMulInto(a, b, out)
@@ -443,12 +443,12 @@ func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 // TMatMulInto computes aᵀ * b into dst (shape a.Cols x b.Cols), overwriting
 // it. dst must not alias a or b.
 //
-// k runs outermost in increasing order (so each dst element accumulates in
-// k order, preserving float64 bitwise stability); within a k step the
-// update of each output row is an axpy, vectorized on both tiers when the
-// kernels are on (elements are independent, and the float64 axpy rounds
-// the product before the add like the scalar loop). Work is partitioned
-// over output rows (columns of a) to stay deterministic and race-free.
+// Output row i is column i of a times b. On float64 (tMatMulIntoF64) it
+// runs on MatMulInto's k-tile, and workers split the output rows by work,
+// so a 64×5 weight gradient over thousands of rows still uses every core.
+// Each element sums over k in increasing order with one accumulator, so
+// the bits are the naive loop's at any worker count. On float32 k runs
+// outermost and each output row takes an axpy per k, split by rows.
 func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dim mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -457,6 +457,10 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: TMatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("TMatMulInto", dst, a, b)
+	if fa, ok := any(a).(*Matrix); ok {
+		tMatMulIntoF64(fa, any(b).(*Matrix), any(dst).(*Matrix))
+		return
+	}
 	axpy := axpyOf[T]()
 	dst.Zero()
 	par.Range(a.Cols, minChunkDense, func(lo, hi int) {
@@ -469,6 +473,57 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 					continue
 				}
 				axpy(av, brow, dst.Row(i))
+			}
+		}
+	})
+}
+
+// minWorkTMatMul is the least work, in multiply-adds, TMatMulInto hands one
+// worker. Its output is a weight gradient, often 64 rows or fewer over a
+// k of thousands, so a minimum in rows would leave it on one core.
+const minWorkTMatMul = 1 << 16
+
+// tmBlockI is how many columns of a tMatMulIntoF64 gathers from one k-tile
+// at a time: eight float64s, one cache line of each row of a.
+const tmBlockI = 8
+
+// tmTileFloats bounds the k-tile of b that tMatMulIntoF64 rereads for every
+// output row: 2 048 float64s, 16 KiB, so it stays in the L1 data cache.
+const tmTileFloats = 2048
+
+// tMatMulIntoF64 is the float64 aᵀ·b kernel. Per k-tile, tmBlockI columns of
+// a are gathered into stack scratch, and each is handed with the tile of b
+// to MatMulInto's tile kernel, which adds Σ_k a[k][i]·b[k][:] into output
+// row i in increasing k, skipping zero a[k][i]. Workers split the output
+// rows by work, at least minWorkTMatMul each.
+func tMatMulIntoF64(a, b, dst *Matrix) {
+	n := b.Cols
+	kt := min(mmBlockK, max(tmTileFloats/max(n, 1), 1))
+	rowWork := max(a.Rows*n, 1)
+	par.Range(a.Cols, (minWorkTMatMul+rowWork-1)/rowWork, func(lo, hi int) {
+		var cols [tmBlockI][mmBlockK]float64
+		for i := lo; i < hi; i++ {
+			clear(dst.Row(i))
+		}
+		for kb := 0; kb < a.Rows; kb += kt {
+			kn := min(kt, a.Rows-kb)
+			bblk := b.Data[kb*n : (kb+kn)*n]
+			for i0 := lo; i0 < hi; i0 += tmBlockI {
+				w := min(tmBlockI, hi-i0)
+				for k := 0; k < kn; k++ {
+					for c, v := range a.Data[(kb+k)*a.Cols+i0:][:w] {
+						cols[c][k] = v
+					}
+				}
+				for c := 0; c < w; c++ {
+					// Static calls: through matMulTileOf's func value
+					// cols would escape to the heap.
+					if simdOn {
+						matMulTileF64(cols[c][:kn], bblk, dst.Row(i0+c), n)
+					} else {
+						matMulTile(cols[c][:kn], bblk, dst.Row(i0+c), n)
+					}
+				}
 			}
 		}
 	})

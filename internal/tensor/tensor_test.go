@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -377,6 +378,26 @@ func BenchmarkMatMul512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
+	}
+}
+
+// BenchmarkTMatMulInto times the float64 weight gradient xᵀ·g of a Linear
+// layer: rows activations of width in against rows gradients of width out.
+// The shapes are the hidden layer of a GraphSAGE batch (512 seeds, fan-out
+// 5: 3 072 rows) and the two layers of a 20 000-node full-batch GCN.
+// Compare worker counts with -cpu.
+func BenchmarkTMatMulInto(b *testing.B) {
+	for _, s := range []struct{ rows, in, out int }{{3072, 64, 64}, {20000, 64, 64}, {20000, 64, 5}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.rows, s.in, s.out), func(b *testing.B) {
+			rng := NewRand(1)
+			x := RandNormal(s.rows, s.in, 1, rng)
+			g := RandNormal(s.rows, s.out, 1, rng)
+			dst := New(s.in, s.out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				TMatMulInto(x, g, dst)
+			}
+		})
 	}
 }
 

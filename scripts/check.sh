@@ -62,6 +62,12 @@ go run ./cmd/gnnlint ./...
 echo "== go test ./..."
 go test ./...
 
+# TMatMulInto splits its output among as many workers as its work allows;
+# its bits must not depend on how many that is. Run the float64 kernel
+# tests at several GOMAXPROCS, not only at this host's core count.
+echo "== go test -cpu 1,2,4 (float64 kernels at several worker counts)"
+go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
+
 # Second pass with the vector kernels off: the golden fingerprints and the
 # kernel tests must hold on the scalar fallback too — it is what every
 # non-AVX2 host runs and what the vector kernels are compared against.
