@@ -2,6 +2,7 @@ package models
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,14 +151,29 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 // TestFitInstallsStateOnlyOnSuccess: a cancelled or failed Fit must leave
 // the model answering from whatever it held before — nothing on a fresh
 // model, the previous run's weights on a refit — never from the
-// half-trained network of the run that failed.
+// half-trained network of the run that failed. It holds for all ten
+// families, because all ten fit through atTier.
 func TestFitInstallsStateOnlyOnSuccess(t *testing.T) {
 	ds := servingDataset(t)
 	cases := map[string]func() (Trainer, error){
-		"gcn":   func() (Trainer, error) { return NewGCN(2) },
-		"sgc":   func() (Trainer, error) { return NewSGC(2) },
-		"appnp": func() (Trainer, error) { return NewAPPNP(6, 0.15) },
-		"gamlp": func() (Trainer, error) { return NewGAMLP(2) },
+		"gcn":         func() (Trainer, error) { return NewGCN(2) },
+		"sage":        func() (Trainer, error) { return NewGraphSAGE(2, 5) },
+		"clustergcn":  func() (Trainer, error) { return NewClusterGCN(2, 4) },
+		"sgc":         func() (Trainer, error) { return NewSGC(2) },
+		"sign":        func() (Trainer, error) { return NewSIGN(2) },
+		"appnp":       func() (Trainer, error) { return NewAPPNP(6, 0.15) },
+		"gamlp":       func() (Trainer, error) { return NewGAMLP(2) },
+		"ld2":         func() (Trainer, error) { return NewLD2(2) },
+		"implicit":    func() (Trainer, error) { return NewImplicitNet(0.8, nil) },
+		"transformer": func() (Trainer, error) { return NewGraphTransformer(4) },
+	}
+	// spdBias is the transformer's learned bias, which a cancelled refit
+	// must not touch either; nil for the other families.
+	spdBias := func(m Trainer) []float64 {
+		if gt, ok := m.(*GraphTransformer); ok {
+			return gt.SPDBias()
+		}
+		return nil
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -190,7 +206,7 @@ func TestFitInstallsStateOnlyOnSuccess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := PredictionFingerprint(first)
+			want, wantBias := PredictionFingerprint(first), spdBias(m)
 
 			cancelledFit()
 			after, err := m.Predict(ds)
@@ -199,6 +215,9 @@ func TestFitInstallsStateOnlyOnSuccess(t *testing.T) {
 			}
 			if got := PredictionFingerprint(after); got != want {
 				t.Fatalf("cancelled refit changed predictions: %016x, want the first fit's %016x", got, want)
+			}
+			if got := spdBias(m); !slices.Equal(got, wantBias) {
+				t.Fatalf("cancelled refit changed the SPD bias: %v, want %v", got, wantBias)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
+	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/partition"
 	"scalegnn/internal/tensor"
@@ -22,8 +23,7 @@ type ClusterGCN struct {
 	Layers   int
 	Clusters int
 
-	// trained state
-	lastPred []int // full-graph predictions cached by Fit
+	lastPred []int // full-graph predictions cached by Fit; nil before Fit
 }
 
 // NewClusterGCN constructs the trainer.
@@ -40,18 +40,16 @@ func NewClusterGCN(layers, clusters int) (*ClusterGCN, error) {
 // Name implements Trainer.
 func (m *ClusterGCN) Name() string { return fmt.Sprintf("ClusterGCN-%dL-c%d", m.Layers, m.Clusters) }
 
-// clusterBatch holds one cluster's precomputed training context, including
-// its persistent activation modules and workspace-pooled propagation
-// buffers so repeated visits to the cluster reallocate nothing.
+// clusterBatch is one cluster's training context: its features, labels
+// and training positions, and its own GCN over the cluster's induced
+// subgraph — every cluster's stack runs on the same shared Linears, and
+// keeps its own ReLUs and propagation scratch across epochs.
 type clusterBatch[T tensor.Elem] struct {
-	op       *graph.OperatorOf[T]
+	net      *nn.SequentialOf[T]
 	x        *tensor.Mat[T]
 	labels   []int
 	ids      []int // original node ID per cluster-local index
 	trainIdx []int // positions within the cluster that are training nodes
-
-	relus  []*nn.ReLUOf[T]   // one per hidden layer, reused across epochs
-	px, gx []tensor.BufOf[T] // per-layer forward/backward propagation scratch
 }
 
 // Fit partitions the graph and cycles clusters as mini-batches, at the tier
@@ -74,6 +72,9 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 	for _, v := range ds.TrainIdx {
 		isTrain[v] = true
 	}
+	// Shared weights across clusters (the whole point): one Linear per
+	// layer applied inside whichever cluster is active.
+	lins := gcnLinears[T](m.Layers, ds, cfg, rng)
 	x := tensor.FromFloat64[T](ds.X)
 	batches := make([]*clusterBatch[T], 0, m.Clusters)
 	maxCluster := 0
@@ -82,16 +83,10 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 			continue
 		}
 		cb := &clusterBatch[T]{
-			op:     graph.NewOperatorOf[T](subs[p], graph.NormSymmetric, true),
+			net:    gcnStack(graph.NewOperatorOf[T](subs[p], graph.NormSymmetric, true), lins, 0, nil),
 			x:      x.SelectRows(ids[p]),
 			labels: dataset.LabelsAt(ds.Labels, ids[p]),
 			ids:    ids[p],
-			relus:  make([]*nn.ReLUOf[T], m.Layers-1),
-			px:     make([]tensor.BufOf[T], m.Layers),
-			gx:     make([]tensor.BufOf[T], m.Layers),
-		}
-		for l := range cb.relus {
-			cb.relus[l] = nn.NewReLUOf[T]()
 		}
 		for i, orig := range ids[p] {
 			if isTrain[orig] {
@@ -105,19 +100,6 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 	}
 	rep.Precompute = time.Since(preStart)
 
-	// Shared weights across clusters (the whole point): one Linear per
-	// layer applied inside whichever cluster is active.
-	lins := make([]*nn.LinearOf[T], m.Layers)
-	in := ds.X.Cols
-	for l := 0; l < m.Layers; l++ {
-		out := cfg.Hidden
-		if l == m.Layers-1 {
-			out = ds.NumClasses
-		}
-		lins[l] = nn.NewLinearOf[T](in, out, true, rng)
-		in = out
-	}
-	lins[0].NoInputGrad = true // layer 0's input is the cluster's features
 	var params []*nn.ParamOf[T]
 	for _, l := range lins {
 		params = append(params, l.Params()...)
@@ -125,19 +107,7 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	forward := func(cb *clusterBatch[T], training bool) (*tensor.Mat[T], []*nn.ReLUOf[T]) {
-		h := cb.x
-		for l := 0; l < m.Layers; l++ {
-			p := cb.px[l].Next(h.Rows, h.Cols)
-			cb.op.ApplyInto(h, p)
-			h = lins[l].Forward(p, training)
-			if l != m.Layers-1 {
-				h = cb.relus[l].Forward(h, training)
-			}
-		}
-		return h, cb.relus
-	}
-
+	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
 	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
 		Source: train.NewClusterBatchesOf[T](len(batches)),
@@ -146,27 +116,14 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 			if len(cb.trainIdx) == 0 {
 				return nil
 			}
-			logits, relus := forward(cb, true)
-			_, lossGrad := maskedLoss(logits, cb.labels, cb.trainIdx)
-			grad := lossGrad
-			for l := m.Layers - 1; l >= 0; l-- {
-				if l != m.Layers-1 {
-					grad = relus[l].Backward(grad)
-				}
-				g := lins[l].Backward(grad)
-				if g == nil {
-					break // layer 0: nobody reads ∂L/∂X, so no SpMM for it
-				}
-				gx := cb.gx[l].Next(g.Rows, g.Cols)
-				cb.op.ApplyInto(g, gx)
-				grad = gx
-			}
-			tensor.PutBufOf(lossGrad)
+			_, grad := maskedLoss(cb.net.Forward(cb.x, true), cb.labels, cb.trainIdx)
+			cb.net.Backward(grad) // nil: layer 0 reads no ∂L/∂X, so no SpMM for it
+			tensor.PutBufOf(grad)
 			opt.Step(params)
 			return nil
 		},
 		Validate: func() (float64, error) {
-			return clusterValAccuracy(batches, ds, forward), nil
+			return metrics.Accuracy(dataset.LabelsAt(clusterPredictAll(batches, ds.G.N), ds.ValIdx), valLabels), nil
 		},
 		Params:    params,
 		Optimizer: opt,
@@ -182,39 +139,19 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 		return nil, err
 	}
 
-	pred := clusterPredictAll(batches, ds, forward)
+	pred := clusterPredictAll(batches, ds.G.N)
 	fillAccuracies(func(idx []int) []int {
-		out := make([]int, len(idx))
-		for i, v := range idx {
-			out[i] = pred[v]
-		}
-		return out
+		return dataset.LabelsAt(pred, idx)
 	}, ds, rep)
 	return pred, nil
 }
 
-func clusterValAccuracy[T tensor.Elem](batches []*clusterBatch[T], ds *dataset.Dataset, forward func(*clusterBatch[T], bool) (*tensor.Mat[T], []*nn.ReLUOf[T])) float64 {
-	pred := clusterPredictAll(batches, ds, forward)
-	correct, total := 0, 0
-	for _, v := range ds.ValIdx {
-		total++
-		if pred[v] == ds.Labels[v] {
-			correct++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // clusterPredictAll runs cluster-wise inference, mapping back to original
 // IDs.
-func clusterPredictAll[T tensor.Elem](batches []*clusterBatch[T], ds *dataset.Dataset, forward func(*clusterBatch[T], bool) (*tensor.Mat[T], []*nn.ReLUOf[T])) []int {
-	pred := make([]int, ds.G.N)
+func clusterPredictAll[T tensor.Elem](batches []*clusterBatch[T], n int) []int {
+	pred := make([]int, n)
 	for _, cb := range batches {
-		logits, _ := forward(cb, false)
-		p := nn.Argmax(logits)
+		p := nn.Argmax(cb.net.Forward(cb.x, false))
 		for i, orig := range cb.ids {
 			pred[orig] = p[i]
 		}

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"time"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
+	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/spectral"
 	"scalegnn/internal/tensor"
@@ -19,11 +21,11 @@ import (
 // in their embedding function and hidden widths: precompute the embedding,
 // construct the head, then train it (snap == nil) or load its weights.
 func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report,
-	embed func(*dataset.Dataset) (*tensor.Mat[T], error)) (served, error) {
+	embed func(*dataset.Dataset) (*tensor.Mat[T], error)) (tierState, error) {
 	start := time.Now()
 	emb, err := embed(ds)
 	if err != nil {
-		return served{}, err
+		return nil, err
 	}
 	rep.Precompute = time.Since(start)
 
@@ -35,9 +37,19 @@ func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg Tr
 		err = trainHead(m.Name(), emb, net, pcg, rng, ds, cfg, rep)
 	}
 	if err != nil {
-		return served{}, err
+		return nil, err
 	}
-	return served{&headState[T]{emb: emb, net: net}, ds.NumClasses}, nil
+	return newHeadState(emb, net, ds, snap, rep), nil
+}
+
+// newHeadState is the trained state of an embedding+head family; after a
+// Fit (snap == nil) it also fills the report's accuracies from it.
+func newHeadState[T tensor.Elem](emb *tensor.Mat[T], net *nn.SequentialOf[T], ds *dataset.Dataset, snap *ckpt.Snapshot, rep *Report) *headState[T] {
+	st := &headState[T]{emb: emb, net: net, classes: ds.NumClasses}
+	if snap == nil {
+		fillAccuracies(st.predict, ds, rep)
+	}
+	return st
 }
 
 // SGC is Simple Graph Convolution: precompute Â^K X once, then train a
@@ -55,7 +67,7 @@ func NewSGC(k int) (*SGC, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("models: SGC needs K >= 1, got %d", k)
 	}
-	return &SGC{K: k}, nil
+	return &SGC{K: k, served: served{family: "SGC"}}, nil
 }
 
 // Name implements Trainer.
@@ -64,37 +76,22 @@ func (m *SGC) Name() string { return fmt.Sprintf("SGC-K%d", m.K) }
 // Fit precomputes the smoothed features and trains the head at the tier
 // selected by cfg.DType.
 func (m *SGC) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	return atTier(m, &m.served, ds, cfg, nil, buildSGC[float64], buildSGC[float32])
+	return atTier(m, &m.st, ds, cfg, nil, buildSGC[float64], buildSGC[float32])
 }
 
 // Restore implements Restorer: rerun the Â^K X precompute, rebuild the
 // linear head, and load its weights from the snapshot.
 func (m *SGC) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	return restoreAtTier(m, &m.served, ds, cfg, snap, buildSGC[float64], buildSGC[float32])
+	return restoreAtTier(m, &m.st, ds, cfg, snap, buildSGC[float64], buildSGC[float32])
 }
 
-func buildSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+func buildSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	// Linear head: no hidden layer.
 	return buildHead(m, nil, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 		return op.PowerApply(tensor.FromFloat64[T](ds.X), m.K), nil
 	})
 }
-
-// Predict implements Trainer. Predictions come from the logits cached on
-// first use after Fit/Restore: the head no longer reruns over every node on
-// every call.
-func (m *SGC) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
-
-// Nodes implements NodeScorer.
-func (m *SGC) Nodes() int { return m.nodes() }
-
-// Classes implements NodeScorer.
-func (m *SGC) Classes() int { return m.classes }
-
-// Score implements NodeScorer: batched per-node logits via one pooled
-// gather + head forward.
-func (m *SGC) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // SIGN precomputes the multi-hop embedding [X | ÂX | Â²X | … | Â^K X] and
 // trains an MLP on the concatenation — multi-scale information without
@@ -110,7 +107,7 @@ func NewSIGN(k int) (*SIGN, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("models: SIGN needs K >= 1, got %d", k)
 	}
-	return &SIGN{K: k}, nil
+	return &SIGN{K: k, served: served{family: "SIGN"}}, nil
 }
 
 // Name implements Trainer.
@@ -133,32 +130,19 @@ func hopEmbeddings[T tensor.Elem](ds *dataset.Dataset, k int) []*tensor.Mat[T] {
 // Fit precomputes hop embeddings and trains the MLP head at the tier
 // selected by cfg.DType.
 func (m *SIGN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	return atTier(m, &m.served, ds, cfg, nil, buildSIGN[float64], buildSIGN[float32])
+	return atTier(m, &m.st, ds, cfg, nil, buildSIGN[float64], buildSIGN[float32])
 }
 
 // Restore implements Restorer for SIGN.
 func (m *SIGN) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	return restoreAtTier(m, &m.served, ds, cfg, snap, buildSIGN[float64], buildSIGN[float32])
+	return restoreAtTier(m, &m.st, ds, cfg, snap, buildSIGN[float64], buildSIGN[float32])
 }
 
-func buildSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+func buildSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		return spectral.ConcatColumns(hopEmbeddings[T](ds, m.K)), nil
 	})
 }
-
-// Predict implements Trainer. Predictions come from the logits cached on
-// first use after Fit/Restore.
-func (m *SIGN) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
-
-// Nodes implements NodeScorer.
-func (m *SIGN) Nodes() int { return m.nodes() }
-
-// Classes implements NodeScorer.
-func (m *SIGN) Classes() int { return m.classes }
-
-// Score implements NodeScorer.
-func (m *SIGN) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // APPNP is predict-then-propagate: an MLP produces per-node logits, which
 // are then smoothed by a K-step truncated personalized-PageRank
@@ -180,22 +164,21 @@ func NewAPPNP(k int, alpha float64) (*APPNP, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("models: APPNP alpha %v outside (0,1]", alpha)
 	}
-	return &APPNP{K: k, Alpha: alpha}, nil
+	return &APPNP{K: k, Alpha: alpha, served: served{family: "APPNP"}}, nil
 }
 
 // Name implements Trainer. α is part of it because the name is what the run
 // fingerprint hashes: a snapshot must not restore under another α.
 func (m *APPNP) Name() string { return fmt.Sprintf("APPNP-K%d-a%g", m.K, m.Alpha) }
 
-// appnpState is APPNP's trained state at one tier: the MLP, the diffusion
-// operator and the features the model was fit on (the diffusion input).
+// appnpState is APPNP's trained state at one tier: an MLP head over the
+// features the model was fit on (the embedding), and the diffusion its
+// logits go through.
 type appnpState[T tensor.Elem] struct {
-	net   *nn.SequentialOf[T]
+	headState[T]
 	op    *graph.OperatorOf[T]
-	x     *tensor.Mat[T]
 	alpha float64
 	k     int
-	cache *tensor.Matrix
 }
 
 // propagate applies the truncated PPR diffusion to h. Hops ping-pong
@@ -232,10 +215,8 @@ func (s *appnpState[T]) propagate(h *tensor.Mat[T]) *tensor.Mat[T] {
 // diffused returns the propagated full-graph logits in a pooled matrix the
 // caller releases with tensor.PutBufOf.
 func (s *appnpState[T]) diffused(training bool) *tensor.Mat[T] {
-	return s.propagate(s.net.Forward(s.x, training))
+	return s.propagate(s.net.Forward(s.emb, training))
 }
-
-func (s *appnpState[T]) nodes() int { return s.x.Rows }
 
 // fullLogits caches the diffused logits: recomputing them per call would
 // make serving pay the whole-graph K-hop cost per request.
@@ -262,27 +243,29 @@ func (s *appnpState[T]) score(idx []int, out *tensor.Matrix) error {
 // Fit trains the MLP with propagation in the loss path, at the tier
 // selected by cfg.DType.
 func (m *APPNP) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	return atTier(m, &m.served, ds, cfg, nil, buildAPPNP[float64], buildAPPNP[float32])
+	return atTier(m, &m.st, ds, cfg, nil, buildAPPNP[float64], buildAPPNP[float32])
 }
 
 // Restore implements Restorer for APPNP. The MLP weights come from the
 // snapshot; the diffused logits cache repopulates on first use.
 func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	return restoreAtTier(m, &m.served, ds, cfg, snap, buildAPPNP[float64], buildAPPNP[float32])
+	return restoreAtTier(m, &m.st, ds, cfg, snap, buildAPPNP[float64], buildAPPNP[float32])
 }
 
-func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	st := &appnpState[T]{
-		net:   noInputGrad(newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)),
+		headState: headState[T]{
+			emb:     tensor.FromFloat64[T](ds.X),
+			net:     noInputGrad(newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)),
+			classes: ds.NumClasses,
+		},
 		op:    graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true),
-		x:     tensor.FromFloat64[T](ds.X),
 		alpha: m.Alpha,
 		k:     m.K,
 	}
-	out := served{st, ds.NumClasses}
 	if snap != nil {
-		return out, restoreParams(m.Name(), st.net.Params(), snap)
+		return st, restoreParams(m.Name(), st.net.Params(), snap)
 	}
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
@@ -315,30 +298,14 @@ func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, s
 		},
 	})
 	if err != nil {
-		return served{}, err
+		return nil, err
 	}
 
-	logits := st.diffused(false)
 	fillAccuracies(func(idx []int) []int {
-		return nn.Argmax(logits.SelectRows(idx))
+		return nn.Argmax(st.fullLogits().SelectRows(idx))
 	}, ds, rep)
-	tensor.PutBufOf(logits)
-	return out, nil
+	return st, nil
 }
-
-// Predict implements Trainer, from the diffused logits cached on first use
-// after Fit/Restore.
-func (m *APPNP) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
-
-// Nodes implements NodeScorer.
-func (m *APPNP) Nodes() int { return m.nodes() }
-
-// Classes implements NodeScorer.
-func (m *APPNP) Classes() int { return m.classes }
-
-// Score implements NodeScorer by reading rows of the cached diffused
-// logits.
-func (m *APPNP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // GAMLP is SIGN with learnable hop attention: per-hop embeddings are
 // combined with softmax-normalized learnable scalars before the MLP head,
@@ -355,24 +322,16 @@ func NewGAMLP(k int) (*GAMLP, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("models: GAMLP needs K >= 1, got %d", k)
 	}
-	return &GAMLP{K: k}, nil
+	return &GAMLP{K: k, served: served{family: "GAMLP"}}, nil
 }
 
 // Name implements Trainer.
 func (m *GAMLP) Name() string { return fmt.Sprintf("GAMLP-K%d", m.K) }
 
-// gamlpState is GAMLP's trained state at one tier: the hop embeddings, the
-// raw attention logits θ (1 x (K+1)) and the MLP head.
-type gamlpState[T tensor.Elem] struct {
-	hops  []*tensor.Mat[T]
-	theta *nn.ParamOf[T]
-	net   *nn.SequentialOf[T]
-	cache *tensor.Matrix
-}
-
-// attention returns softmax(θ), accumulated in float64 at every tier.
-func (s *gamlpState[T]) attention() []float64 {
-	raw := s.theta.Value.Row(0)
+// attention returns softmax(θ) for the raw attention logits θ (1 x (K+1)),
+// accumulated in float64 at every tier.
+func attention[T tensor.Elem](theta *nn.ParamOf[T]) []float64 {
+	raw := theta.Value.Row(0)
 	out := make([]float64, len(raw))
 	max := float64(raw[0])
 	for _, v := range raw[1:] {
@@ -394,10 +353,10 @@ func (s *gamlpState[T]) attention() []float64 {
 // combine produces Σ_k a_k H_k restricted to the given rows. The result
 // comes from the shared tensor workspace; callers release it with
 // tensor.PutBufOf after the last use.
-func (s *gamlpState[T]) combine(att []float64, idx []int) *tensor.Mat[T] {
-	out := tensor.GetZeroBufOf[T](len(idx), s.hops[0].Cols)
-	sel := tensor.GetBufOf[T](len(idx), s.hops[0].Cols)
-	for k, h := range s.hops {
+func combine[T tensor.Elem](hops []*tensor.Mat[T], att []float64, idx []int) *tensor.Mat[T] {
+	out := tensor.GetZeroBufOf[T](len(idx), hops[0].Cols)
+	sel := tensor.GetBufOf[T](len(idx), hops[0].Cols)
+	for k, h := range hops {
 		h.SelectRowsInto(idx, sel)
 		out.AddScaled(T(att[k]), sel)
 	}
@@ -405,62 +364,52 @@ func (s *gamlpState[T]) combine(att []float64, idx []int) *tensor.Mat[T] {
 	return out
 }
 
-func (s *gamlpState[T]) nodes() int { return s.hops[0].Rows }
-
-// fullLogits caches the full-graph logits under the learned hop attention,
-// so Predict does not recombine every hop embedding and rerun the head over
-// the whole graph on every call.
-func (s *gamlpState[T]) fullLogits() *tensor.Matrix {
-	if s.cache == nil {
-		x := s.combine(s.attention(), rangeIdx(s.nodes()))
-		s.cache = widened(s.net.Forward(x, false))
-		tensor.PutBufOf(x)
-	}
-	return s.cache
-}
-
-func (s *gamlpState[T]) score(idx []int, out *tensor.Matrix) error {
-	for _, h := range s.hops {
-		if aliases(out, h) {
-			return errors.New("dst aliases a hop embedding")
-		}
-	}
-	x := s.combine(s.attention(), idx)
-	tensor.WidenInto(s.net.Forward(x, false), out)
-	tensor.PutBufOf(x)
-	return nil
-}
-
 // Fit precomputes hop embeddings and trains attention + MLP jointly, at the
 // tier selected by cfg.DType.
 func (m *GAMLP) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	return atTier(m, &m.served, ds, cfg, nil, buildGAMLP[float64], buildGAMLP[float32])
+	return atTier(m, &m.st, ds, cfg, nil, buildGAMLP[float64], buildGAMLP[float32])
 }
 
 // Restore implements Restorer for GAMLP. The snapshot's parameter order is
 // the MLP weights followed by the hop-attention logits θ, matching Fit.
 func (m *GAMLP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	return restoreAtTier(m, &m.served, ds, cfg, snap, buildGAMLP[float64], buildGAMLP[float32])
+	return restoreAtTier(m, &m.st, ds, cfg, snap, buildGAMLP[float64], buildGAMLP[float32])
 }
 
-func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+// buildGAMLP trains (or restores) the hop attention and the head together;
+// its trained state is a headState whose embedding is Σ_k a_k H_k under the
+// final attention, combined once.
+func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	start := time.Now()
 	hops := hopEmbeddings[T](ds, m.K)
 	rep.Precompute = time.Since(start)
 
 	pcg, rng := newRunRNG(cfg.Seed)
-	st := &gamlpState[T]{
-		hops:  hops,
-		theta: nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1)),
-		// No noInputGrad: the attention gradient is read off net.Backward.
-		net: newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng),
-	}
-	theta, net := st.theta, st.net
+	theta := nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1))
+	// No noInputGrad: the attention gradient is read off net.Backward.
+	net := newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)
 	params := append(net.Params(), theta)
-	out := served{st, ds.NumClasses}
+	var err error
 	if snap != nil {
-		return out, restoreParams(m.Name(), params, snap)
+		err = restoreParams(m.Name(), params, snap)
+	} else {
+		err = trainGAMLP(m, hops, theta, net, params, pcg, rng, ds, cfg, rep)
 	}
+	if err != nil {
+		return nil, err
+	}
+	att := attention(theta)
+	emb := tensor.NewOf[T](ds.G.N, hops[0].Cols)
+	for k, h := range hops {
+		emb.AddScaled(T(att[k]), h)
+	}
+	return newHeadState(emb, net, ds, snap, rep), nil
+}
+
+// trainGAMLP is GAMLP's mini-batch loop: each batch combines its rows under
+// the current attention, and the loss gradient flows to both the head and θ.
+func trainGAMLP[T tensor.Elem](m *GAMLP, hops []*tensor.Mat[T], theta *nn.ParamOf[T], net *nn.SequentialOf[T], params []*nn.ParamOf[T],
+	pcg *rand.PCG, rng *rand.Rand, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -470,14 +419,13 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 	// them.
 	ga := make([]float64, m.K+1)
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
-	valIota := rangeIdx(len(ds.ValIdx))
 	defer opt.Reset()
-	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
+	return runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
 		Source: src,
 		Step: func(b train.BatchOf[T]) error {
 			bIdx := b.Indices
-			att := st.attention()
-			x := st.combine(att, bIdx)
+			att := attention(theta)
+			x := combine(hops, att, bIdx)
 			logits := net.Forward(x, true)
 			gLogits := tensor.GetBufOf[T](logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(logits, dataset.LabelsAt(ds.Labels, bIdx), gLogits)
@@ -507,10 +455,10 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 			return nil
 		},
 		Validate: func() (float64, error) {
-			valX := st.combine(st.attention(), ds.ValIdx)
-			valLogits := net.Forward(valX, false)
+			valX := combine(hops, attention(theta), ds.ValIdx)
+			valPred := nn.Argmax(net.Forward(valX, false))
 			tensor.PutBufOf(valX)
-			return accuracyAt(valLogits, valLabels, valIota), nil
+			return metrics.Accuracy(valPred, valLabels), nil
 		},
 		Params:    params,
 		Optimizer: opt,
@@ -518,32 +466,7 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 			return src.BatchSize()*(ds.X.Cols*(m.K+2)+cfg.Hidden+ds.NumClasses) + net.NumParams()*3
 		},
 	})
-	if err != nil {
-		return served{}, err
-	}
-
-	fillAccuracies(func(idx []int) []int {
-		x := st.combine(st.attention(), idx)
-		pred := nn.Argmax(net.Forward(x, false))
-		tensor.PutBufOf(x)
-		return pred
-	}, ds, rep)
-	return out, nil
 }
-
-// Predict implements Trainer, from the attention-combined logits cached on
-// first use after Fit/Restore.
-func (m *GAMLP) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
-
-// Nodes implements NodeScorer.
-func (m *GAMLP) Nodes() int { return m.nodes() }
-
-// Classes implements NodeScorer.
-func (m *GAMLP) Classes() int { return m.classes }
-
-// Score implements NodeScorer: attention-combine the requested rows, then
-// one pooled head forward.
-func (m *GAMLP) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }
 
 // LD2 is the multi-filter heterophilous decoupled model: precompute
 // identity, low-pass, and high-pass spectral channels of the features,
@@ -560,7 +483,7 @@ func NewLD2(hops int) (*LD2, error) {
 	if hops < 1 {
 		return nil, fmt.Errorf("models: LD2 needs hops >= 1, got %d", hops)
 	}
-	return &LD2{Hops: hops}, nil
+	return &LD2{Hops: hops, served: served{family: "LD2"}}, nil
 }
 
 // Name implements Trainer.
@@ -593,15 +516,15 @@ func (m *LD2) embed(ds *dataset.Dataset) (*tensor.Matrix, error) {
 // Fit precomputes the multi-filter embedding and trains the head at the
 // tier selected by cfg.DType.
 func (m *LD2) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	return atTier(m, &m.served, ds, cfg, nil, buildLD2[float64], buildLD2[float32])
+	return atTier(m, &m.st, ds, cfg, nil, buildLD2[float64], buildLD2[float32])
 }
 
 // Restore implements Restorer for LD2.
 func (m *LD2) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	return restoreAtTier(m, &m.served, ds, cfg, snap, buildLD2[float64], buildLD2[float32])
+	return restoreAtTier(m, &m.st, ds, cfg, snap, buildLD2[float64], buildLD2[float32])
 }
 
-func buildLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (served, error) {
+func buildLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		emb, err := m.embed(ds)
 		if err != nil {
@@ -627,16 +550,3 @@ func normalizeChannel(m *tensor.Matrix) {
 		m.Scale(1 / mean)
 	}
 }
-
-// Predict implements Trainer. Predictions come from the logits cached on
-// first use after Fit/Restore.
-func (m *LD2) Predict(ds *dataset.Dataset) ([]int, error) { return m.predict(m) }
-
-// Nodes implements NodeScorer.
-func (m *LD2) Nodes() int { return m.nodes() }
-
-// Classes implements NodeScorer.
-func (m *LD2) Classes() int { return m.classes }
-
-// Score implements NodeScorer.
-func (m *LD2) Score(idx []int, out *tensor.Matrix) error { return m.score(m, idx, out) }

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
@@ -108,25 +109,7 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 	x := tensor.FromFloat64[T](ds.X)
 
-	var layers []nn.LayerOf[T]
-	in := ds.X.Cols
-	for l := 0; l < m.Layers; l++ {
-		out := cfg.Hidden
-		if l == m.Layers-1 {
-			out = ds.NumClasses
-		}
-		if cfg.Dropout > 0 {
-			layers = append(layers, nn.NewDropoutOf[T](cfg.Dropout, rng))
-		}
-		lin := nn.NewLinearOf[T](in, out, true, rng)
-		lin.NoInputGrad = l == 0 // ∂L/∂X: one SpMM and one matmul nobody reads
-		layers = append(layers, &GCNConvOf[T]{Op: op, Lin: lin})
-		if l != m.Layers-1 {
-			layers = append(layers, nn.NewReLUOf[T]())
-		}
-		in = out
-	}
-	net := nn.NewSequentialOf(layers...)
+	net := gcnStack(op, gcnLinears[T](m.Layers, ds, cfg, rng), cfg.Dropout, rng)
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -162,6 +145,40 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
 	return &gcnState[T]{net: net, src: ds.X, x: x}, nil
+}
+
+// gcnLinears returns the dense transforms of a layers-deep GCN: in →
+// hidden… → classes. The first carries NoInputGrad — its input is the
+// feature matrix, and ∂L/∂X is one SpMM and one matmul nobody reads.
+func gcnLinears[T tensor.Elem](layers int, ds *dataset.Dataset, cfg TrainConfig, rng *rand.Rand) []*nn.LinearOf[T] {
+	lins := make([]*nn.LinearOf[T], layers)
+	in := ds.X.Cols
+	for l := range lins {
+		out := cfg.Hidden
+		if l == layers-1 {
+			out = ds.NumClasses
+		}
+		lins[l] = nn.NewLinearOf[T](in, out, true, rng)
+		in = out
+	}
+	lins[0].NoInputGrad = true
+	return lins
+}
+
+// gcnStack is the network GCN and ClusterGCN train: a GCNConvOf over op per
+// Linear, ReLU between them, and dropout before each when dropout > 0.
+func gcnStack[T tensor.Elem](op *graph.OperatorOf[T], lins []*nn.LinearOf[T], dropout float64, rng *rand.Rand) *nn.SequentialOf[T] {
+	var layers []nn.LayerOf[T]
+	for l, lin := range lins {
+		if dropout > 0 {
+			layers = append(layers, nn.NewDropoutOf[T](dropout, rng))
+		}
+		layers = append(layers, &GCNConvOf[T]{Op: op, Lin: lin})
+		if l != len(lins)-1 {
+			layers = append(layers, nn.NewReLUOf[T]())
+		}
+	}
+	return nn.NewSequentialOf(layers...)
 }
 
 // Predict implements Trainer.

@@ -2,7 +2,9 @@ package models
 
 import (
 	"fmt"
+	"slices"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/implicit"
@@ -21,11 +23,18 @@ type ImplicitNet struct {
 	// Scales lists the propagation scales (MGNNI); nil means single-scale {1}.
 	Scales []int
 
+	st *implicitState // nil before Fit
+}
+
+// implicitState is ImplicitNet's trained state: the input, implicit and
+// output weights, with the γ and scales they were trained at.
+type implicitState struct {
+	gamma  float64
+	scales []int
 	win    *nn.Param
 	wimp   []*nn.Param // one per scale
 	wout   *nn.Param
 	bout   *nn.Param
-	ds     *dataset.Dataset
 	hidden int
 
 	// pooled forward scratch, recycled on the next forward call
@@ -58,89 +67,88 @@ func (m *ImplicitNet) Name() string {
 
 // forward computes per-scale equilibria and the averaged logits. The logits
 // live in a pooled buffer recycled on the next forward call.
-func (m *ImplicitNet) forward(op *graph.Operator, x *tensor.Matrix) (zs []*tensor.Matrix, logits *tensor.Matrix, err error) {
-	b := m.fb.Next(x.Rows, m.win.Value.Cols)
-	tensor.MatMulInto(x, m.win.Value, b)
-	zs = make([]*tensor.Matrix, len(m.Scales))
-	mean := m.fmean.NextZero(x.Rows, m.hidden)
-	for i, sc := range m.Scales {
-		solver, serr := implicit.NewSolver(op, m.Gamma)
+func (s *implicitState) forward(op *graph.Operator, x *tensor.Matrix) (zs []*tensor.Matrix, logits *tensor.Matrix, err error) {
+	b := s.fb.Next(x.Rows, s.win.Value.Cols)
+	tensor.MatMulInto(x, s.win.Value, b)
+	zs = make([]*tensor.Matrix, len(s.scales))
+	mean := s.fmean.NextZero(x.Rows, s.hidden)
+	for i, sc := range s.scales {
+		solver, serr := implicit.NewSolver(op, s.gamma)
 		if serr != nil {
 			return nil, nil, serr
 		}
 		solver.Scale = sc
 		solver.Tol = 1e-7
-		z, _, serr := solver.Solve(b, m.wimp[i].Value)
+		z, _, serr := solver.Solve(b, s.wimp[i].Value)
 		if serr != nil {
 			return nil, nil, serr
 		}
 		zs[i] = z
-		mean.AddScaled(1/float64(len(m.Scales)), z)
+		mean.AddScaled(1/float64(len(s.scales)), z)
 	}
-	logits = m.flogits.Next(x.Rows, m.wout.Value.Cols)
-	tensor.MatMulInto(mean, m.wout.Value, logits)
-	logits.AddRowVector(m.bout.Value.Row(0))
+	logits = s.flogits.Next(x.Rows, s.wout.Value.Cols)
+	tensor.MatMulInto(mean, s.wout.Value, logits)
+	logits.AddRowVector(s.bout.Value.Row(0))
 	return zs, logits, nil
 }
 
 // Fit trains full-batch with implicit differentiation.
 func (m *ImplicitNet) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
-		return nil, err
-	}
-	m.ds = ds
-	m.hidden = cfg.Hidden
+	return atTier(m, &m.st, ds, cfg, nil, fitImplicit, nil)
+}
+
+func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*implicitState, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
 
-	m.win = nn.NewParam("implicit.win", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
-	m.wout = nn.NewParam("implicit.wout", tensor.GlorotUniform(cfg.Hidden, ds.NumClasses, rng))
-	m.bout = nn.NewParam("implicit.bout", tensor.New(1, ds.NumClasses))
-	m.wimp = make([]*nn.Param, len(m.Scales))
-	maxNorm := 0.95 / m.Gamma
-	for i := range m.Scales {
+	st := &implicitState{gamma: m.Gamma, scales: slices.Clone(m.Scales), hidden: cfg.Hidden}
+	st.win = nn.NewParam("implicit.win", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
+	st.wout = nn.NewParam("implicit.wout", tensor.GlorotUniform(cfg.Hidden, ds.NumClasses, rng))
+	st.bout = nn.NewParam("implicit.bout", tensor.New(1, ds.NumClasses))
+	st.wimp = make([]*nn.Param, len(st.scales))
+	maxNorm := 0.95 / st.gamma
+	for i := range st.scales {
 		w := tensor.RandNormal(cfg.Hidden, cfg.Hidden, 0.1, rng)
 		implicit.ProjectSpectralNorm(w, maxNorm*0.5)
-		m.wimp[i] = nn.NewParam(fmt.Sprintf("implicit.w%d", i), w)
+		st.wimp[i] = nn.NewParam(fmt.Sprintf("implicit.w%d", i), w)
 	}
-	params := append([]*nn.Param{m.win, m.wout, m.bout}, m.wimp...)
+	params := append([]*nn.Param{st.win, st.wout, st.bout}, st.wimp...)
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	rep := &Report{Model: m.Name()}
 	defer opt.Reset()
 	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
 		Source: train.FullBatch{},
 		Step: func(train.Batch) error {
-			zs, logits, err := m.forward(op, ds.X)
+			zs, logits, err := st.forward(op, ds.X)
 			if err != nil {
 				return fmt.Errorf("models: implicit forward: %w", err)
 			}
 			_, gLogits := maskedLoss(logits, ds.Labels, ds.TrainIdx)
 			// Head gradients. mean = (1/S)Σ z_i.
-			mean := tensor.GetZeroBuf(ds.G.N, m.hidden)
+			mean := tensor.GetZeroBuf(ds.G.N, st.hidden)
 			for _, z := range zs {
-				mean.AddScaled(1/float64(len(m.Scales)), z)
+				mean.AddScaled(1/float64(len(st.scales)), z)
 			}
-			wg := tensor.GetBuf(m.hidden, ds.NumClasses)
+			wg := tensor.GetBuf(st.hidden, ds.NumClasses)
 			tensor.TMatMulInto(mean, gLogits, wg)
-			m.wout.Grad.Add(wg)
+			st.wout.Grad.Add(wg)
 			tensor.PutBuf(wg)
 			tensor.PutBuf(mean)
-			bg := m.bout.Grad.Row(0)
+			bg := st.bout.Grad.Row(0)
 			for i := 0; i < gLogits.Rows; i++ {
 				for j, v := range gLogits.Row(i) {
 					bg[j] += v
 				}
 			}
-			gZ := tensor.GetBuf(ds.G.N, m.hidden)
-			tensor.MatMulTInto(gLogits, m.wout.Value, gZ)
+			gZ := tensor.GetBuf(ds.G.N, st.hidden)
+			tensor.MatMulTInto(gLogits, st.wout.Value, gZ)
 			tensor.PutBuf(gLogits)
-			gZ.Scale(1 / float64(len(m.Scales)))
+			gZ.Scale(1 / float64(len(st.scales)))
 			// Per-scale adjoint solves.
-			gB := tensor.GetZeroBuf(ds.G.N, m.hidden)
-			for i, sc := range m.Scales {
-				solver, err := implicit.NewSolver(op, m.Gamma)
+			gB := tensor.GetZeroBuf(ds.G.N, st.hidden)
+			for i, sc := range st.scales {
+				solver, err := implicit.NewSolver(op, st.gamma)
 				if err != nil {
 					tensor.PutBuf(gZ)
 					tensor.PutBuf(gB)
@@ -148,30 +156,30 @@ func (m *ImplicitNet) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error)
 				}
 				solver.Scale = sc
 				solver.Tol = 1e-7
-				u, _, err := solver.SolveAdjoint(gZ, m.wimp[i].Value)
+				u, _, err := solver.SolveAdjoint(gZ, st.wimp[i].Value)
 				if err != nil {
 					tensor.PutBuf(gZ)
 					tensor.PutBuf(gB)
 					return fmt.Errorf("models: implicit adjoint: %w", err)
 				}
-				m.wimp[i].Grad.Add(solver.GradW(zs[i], u))
+				st.wimp[i].Grad.Add(solver.GradW(zs[i], u))
 				gB.Add(u)
 			}
 			tensor.PutBuf(gZ)
-			ig := tensor.GetBuf(ds.X.Cols, m.hidden)
+			ig := tensor.GetBuf(ds.X.Cols, st.hidden)
 			tensor.TMatMulInto(ds.X, gB, ig)
-			m.win.Grad.Add(ig)
+			st.win.Grad.Add(ig)
 			tensor.PutBuf(ig)
 			tensor.PutBuf(gB)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
-			for i := range m.wimp {
-				implicit.ProjectSpectralNorm(m.wimp[i].Value, maxNorm)
+			for i := range st.wimp {
+				implicit.ProjectSpectralNorm(st.wimp[i].Value, maxNorm)
 			}
 			return nil
 		},
 		Validate: func() (float64, error) {
-			_, valLogits, err := m.forward(op, ds.X)
+			_, valLogits, err := st.forward(op, ds.X)
 			if err != nil {
 				return 0, err
 			}
@@ -180,30 +188,30 @@ func (m *ImplicitNet) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error)
 		Params:    params,
 		Optimizer: opt,
 		PeakFloats: func() int {
-			return ds.G.N*cfg.Hidden*(2+2*len(m.Scales)) + ds.G.N*ds.NumClasses
+			return ds.G.N*cfg.Hidden*(2+2*len(st.scales)) + ds.G.N*ds.NumClasses
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	_, logits, err := m.forward(op, ds.X)
+	_, logits, err := st.forward(op, ds.X)
 	if err != nil {
 		return nil, err
 	}
 	fillAccuracies(func(idx []int) []int {
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
-	return rep, nil
+	return st, nil
 }
 
 // Predict implements Trainer.
 func (m *ImplicitNet) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.win == nil {
+	if m.st == nil {
 		return nil, fmt.Errorf("models: ImplicitNet.Predict before Fit")
 	}
 	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
-	_, logits, err := m.forward(op, ds.X)
+	_, logits, err := m.st.forward(op, ds.X)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,13 @@
 //     for heterophilous graphs, mini-batch trainable.
 //   - ImplicitNet: EIGNN-style equilibrium model with exact implicit
 //     differentiation.
+//   - GraphTransformer: DHIL-GT-style attention with a hub-label
+//     shortest-path-distance bias.
 //
-// All models share TrainConfig/Report so the benchmark harness can compare
-// accuracy, epoch time, propagation/precompute time, and peak resident
-// floats (the GPU-memory proxy) across families.
+// All ten fit through one seam, atTier, and share TrainConfig/Report so the
+// benchmark harness can compare accuracy, epoch time, propagation/
+// precompute time, and peak resident floats (the GPU-memory proxy) across
+// families.
 package models
 
 import (
@@ -116,33 +119,6 @@ func (c TrainConfig) dtype() string {
 	return c.DType
 }
 
-// errFloat32Unsupported is the uniform rejection for models without a
-// float32 training path.
-func errFloat32Unsupported(name string) error {
-	return fmt.Errorf("models: %s has no float32 tier (iterative sampling/equilibrium/attention models stay float64); drop DType or use float64", name)
-}
-
-// float32Run is the preamble of every Fit and Restore and the one place the
-// package reads a numeric tier out of a config: it validates cfg, checks
-// the snapshot (Restore only; nil for Fit) against the run fingerprint, and
-// reports whether the run is on the float32 tier — an error for a family
-// that has none.
-func float32Run(name string, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, has32 bool) (bool, error) {
-	if err := cfg.validate(); err != nil {
-		return false, err
-	}
-	if snap != nil {
-		if err := checkSnapshotFingerprint(name, ds, cfg, snap); err != nil {
-			return false, err
-		}
-	}
-	f32 := cfg.dtype() == DTypeFloat32
-	if f32 && !has32 {
-		return false, errFloat32Unsupported(name)
-	}
-	return f32, nil
-}
-
 // namer is the part of Trainer the shared helpers need: the family name,
 // for error messages and run fingerprints.
 type namer interface{ Name() string }
@@ -153,17 +129,27 @@ type namer interface{ Name() string }
 // from snap. It returns the family's trained state and leaves m untouched.
 type tierFunc[M, S any] func(m M, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (S, error)
 
-// atTier runs a float32-capable family's Fit (snap == nil) or Restore at
-// the tier cfg selects, and installs the resulting state in *dst only on
+// atTier is every family's Fit (snap == nil) and Restore, and the one place
+// the package reads a numeric tier out of a config: it validates cfg,
+// checks a snapshot against the run fingerprint, runs the build function
+// of the tier cfg selects — f32 is nil for the families without a float32
+// tier, which reject it — and installs the resulting state in *dst only on
 // success: a cancelled or failed run leaves the model answering from
 // whatever it held before.
 func atTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, f64, f32 tierFunc[M, S]) (*Report, error) {
-	is32, err := float32Run(m.Name(), ds, cfg, snap, true)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if snap != nil {
+		if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
+			return nil, err
+		}
+	}
 	build := f64
-	if is32 {
+	if cfg.dtype() == DTypeFloat32 {
+		if f32 == nil {
+			return nil, fmt.Errorf("models: %s has no float32 tier (iterative sampling/equilibrium/attention models stay float64); drop DType or use float64", m.Name())
+		}
 		build = f32
 	}
 	rep := &Report{Model: m.Name()}
@@ -246,13 +232,14 @@ func newRunRNG(seed uint64) (*rand.PCG, *rand.Rand) {
 	return pcg, rand.New(pcg)
 }
 
-// runFingerprint hashes the run identity a snapshot must match to be
+// RunFingerprint hashes the run identity a snapshot must match to be
 // resumable: the model name, the dataset's content (graph, features,
 // labels, splits — not just their sizes), and every config field that
 // shapes weights or the training trajectory. Epochs and Patience are
 // excluded so a run can be extended or re-stopped. The dtype is folded in
-// only for the float32 tier.
-func runFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
+// only for the float32 tier. ckpt.Manager.Latest takes it to pick the
+// right snapshot before a model instance exists.
+func RunFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 	f := ckpt.NewFingerprint().
 		String(model).
 		U64(ds.ContentKey()).U64(uint64(ds.NumClasses)).
@@ -276,7 +263,7 @@ func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, 
 	ck := cfg.Checkpoint
 	if ck.Dir != "" {
 		ck.RNG = pcg
-		ck.Fingerprint = runFingerprint(model, ds, cfg)
+		ck.Fingerprint = RunFingerprint(model, ds, cfg)
 	}
 	tr, err := train.Run(train.Config{
 		Epochs: cfg.Epochs, Patience: cfg.Patience, RestoreBest: cfg.RestoreBest,
@@ -318,9 +305,9 @@ func noInputGrad[T tensor.Elem](net *nn.SequentialOf[T]) *nn.SequentialOf[T] {
 // trainHead trains mlp on fixed per-node embeddings with mini-batch SGD —
 // the shared training path of every embedding+head model (SGC, SIGN, LD2
 // all reduce to this after their precompute step), driven by the engine's
-// precomputed-embedding batch source. It fills the timing/accuracy parts of
-// the report. The element type follows emb: float32 embeddings train a
-// float32 head end to end.
+// precomputed-embedding batch source. It fills the timing parts of the
+// report. The element type follows emb: float32 embeddings train a float32
+// head end to end.
 func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.SequentialOf[T], pcg *rand.PCG, rng *rand.Rand, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
@@ -332,9 +319,8 @@ func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.Sequenti
 	var vb tensor.BufOf[T]
 	defer vb.Release()
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
-	valIota := rangeIdx(len(ds.ValIdx))
 	defer opt.Reset()
-	err := runLoop(model, ds, cfg, pcg, rng, rep, train.SpecOf[T]{
+	return runLoop(model, ds, cfg, pcg, rng, rep, train.SpecOf[T]{
 		Source: src,
 		Step: func(b train.BatchOf[T]) error {
 			logits := mlp.Forward(b.X, true)
@@ -348,7 +334,7 @@ func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.Sequenti
 		Validate: func() (float64, error) {
 			valX := vb.Next(len(ds.ValIdx), emb.Cols)
 			emb.SelectRowsInto(ds.ValIdx, valX)
-			return accuracyAt(mlp.Forward(valX, false), valLabels, valIota), nil
+			return metrics.Accuracy(nn.Argmax(mlp.Forward(valX, false)), valLabels), nil
 		},
 		Params:    mlp.Params(),
 		Optimizer: opt,
@@ -357,14 +343,6 @@ func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.Sequenti
 			return src.BatchSize()*(emb.Cols+2*cfg.Hidden+ds.NumClasses) + mlp.NumParams()*3
 		},
 	})
-	if err != nil {
-		return err
-	}
-
-	fillAccuracies(func(idx []int) []int {
-		return nn.Argmax(mlp.Forward(emb.SelectRows(idx), false))
-	}, ds, rep)
-	return nil
 }
 
 // rangeIdx returns [0, 1, ..., n-1].

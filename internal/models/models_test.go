@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalegnn/internal/dataset"
+	"scalegnn/internal/nn"
 	"scalegnn/internal/obs"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
@@ -114,7 +115,9 @@ func TestGAMLPLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	fitAndCheck(t, m, ds, 0.7)
-	att := m.st.(interface{ attention() []float64 }).attention()
+	// The trained state keeps the combined embedding Σ_k a_k H_k, not θ, so
+	// the hop softmax is checked on raw logits far apart.
+	att := attention(nn.NewParam("theta", tensor.FromSlice(1, 4, []float64{-3, 0, 2.5, 40})))
 	var sum float64
 	for _, a := range att {
 		if a < 0 {

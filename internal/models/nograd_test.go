@@ -68,9 +68,9 @@ func TestNoInputGradSAGEParamsBitEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(skip bool) (*GraphSAGE, []*nn.Param) {
+	build := func(skip bool) (*sageState, []*nn.Param) {
 		rng := tensor.NewRand(3)
-		m := &GraphSAGE{Layers: 2, Fanout: 4}
+		m := &sageState{fanout: 4}
 		m.layers = []*sageLayer{
 			newSageLayer(ds.X.Cols, 8, true, rng),
 			newSageLayer(8, ds.NumClasses, false, rng),
@@ -92,7 +92,7 @@ func TestNoInputGradSAGEParamsBitEqual(t *testing.T) {
 			labels[i] = ds.Labels[dsts[i]]
 		}
 		blocks := sampler.SampleLayers(dsts, 2, rng)
-		for _, m := range []*GraphSAGE{ref, skip} {
+		for _, m := range []*sageState{ref, skip} {
 			_, g := nn.SoftmaxCrossEntropy(m.forwardBlocks(blocks, ds.X, true), labels)
 			m.backwardBlocks(blocks, g)
 		}
@@ -129,7 +129,7 @@ func TestTrainersOptIntoNoInputGrad(t *testing.T) {
 	if _, err := m.Fit(ds, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if first(m.served.st.(*gamlpState[float64]).net).NoInputGrad {
+	if first(m.served.st.(*headState[float64]).net).NoInputGrad {
 		t.Error("GAMLP's head must keep its input gradient: the attention gradient is read from it")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
+	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/par"
 	"scalegnn/internal/sampling"
@@ -118,9 +120,16 @@ type GraphSAGE struct {
 	Layers int
 	Fanout int
 
-	layers []*sageLayer
+	st *sageState // nil before Fit
+}
 
-	// pooled/reused scratch for gathering the deepest sources' features
+// sageState is GraphSAGE's trained state: its layers, the fan-out they
+// were trained at, and the scratch that gathers the deepest sources'
+// features, reused across batches.
+type sageState struct {
+	layers []*sageLayer
+	fanout int
+
 	srcIdx []int
 	xBuf   tensor.Buf
 }
@@ -141,71 +150,72 @@ func (m *GraphSAGE) Name() string { return fmt.Sprintf("SAGE-%dL-f%d", m.Layers,
 
 // forwardBlocks runs all layers over a sampled computation graph. blocks[0]
 // is the outermost layer; features start at the deepest sources.
-func (m *GraphSAGE) forwardBlocks(blocks []*sampling.Block, x *tensor.Matrix, training bool) *tensor.Matrix {
+func (s *sageState) forwardBlocks(blocks []*sampling.Block, x *tensor.Matrix, training bool) *tensor.Matrix {
 	deepest := blocks[len(blocks)-1]
-	h := m.gatherSrcFeats(x, deepest.Srcs)
+	h := s.gatherSrcFeats(x, deepest.Srcs)
 	for l := len(blocks) - 1; l >= 0; l-- {
-		h = m.layers[len(blocks)-1-l].forward(blocks[l], h, training)
+		h = s.layers[len(blocks)-1-l].forward(blocks[l], h, training)
 	}
 	return h
 }
 
 // backwardBlocks backpropagates through all layers.
-func (m *GraphSAGE) backwardBlocks(blocks []*sampling.Block, grad *tensor.Matrix) {
+func (s *sageState) backwardBlocks(blocks []*sampling.Block, grad *tensor.Matrix) {
 	for l := 0; l < len(blocks); l++ {
-		grad = m.layers[len(blocks)-1-l].backward(grad)
+		grad = s.layers[len(blocks)-1-l].backward(grad)
 	}
 }
 
 // gatherSrcFeats copies the rows of x indexed by ids into a pooled matrix
 // recycled on the next batch (by which point every layer has consumed it).
-func (m *GraphSAGE) gatherSrcFeats(x *tensor.Matrix, ids []int32) *tensor.Matrix {
-	if cap(m.srcIdx) < len(ids) {
-		m.srcIdx = make([]int, len(ids))
+func (s *sageState) gatherSrcFeats(x *tensor.Matrix, ids []int32) *tensor.Matrix {
+	if cap(s.srcIdx) < len(ids) {
+		s.srcIdx = make([]int, len(ids))
 	}
-	idx := m.srcIdx[:len(ids)]
+	idx := s.srcIdx[:len(ids)]
 	for i, v := range ids {
 		idx[i] = int(v)
 	}
-	h := m.xBuf.Next(len(idx), x.Cols)
+	h := s.xBuf.Next(len(idx), x.Cols)
 	x.SelectRowsInto(idx, h)
 	return h
 }
 
 // Fit trains with sampled mini-batches.
 func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
-		return nil, err
-	}
+	return atTier(m, &m.st, ds, cfg, nil, fitSAGE, nil)
+}
+
+func fitSAGE(m *GraphSAGE, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*sageState, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	sampler, err := sampling.NewNeighborSampler(ds.G, m.Fanout)
 	if err != nil {
 		return nil, err
 	}
-	m.layers = nil
+	st := &sageState{fanout: m.Fanout}
 	in := ds.X.Cols
 	for l := 0; l < m.Layers; l++ {
 		out := cfg.Hidden
 		if l == m.Layers-1 {
 			out = ds.NumClasses
 		}
-		m.layers = append(m.layers, newSageLayer(in, out, l != m.Layers-1, rng))
+		st.layers = append(st.layers, newSageLayer(in, out, l != m.Layers-1, rng))
 		in = out
 	}
 	// The innermost layer's sources are rows of ds.X: no gradient for them.
-	m.layers[0].self.NoInputGrad, m.layers[0].neigh.NoInputGrad = true, true
+	st.layers[0].self.NoInputGrad, st.layers[0].neigh.NoInputGrad = true, true
 	var params []*nn.Param
-	for _, l := range m.layers {
+	for _, l := range st.layers {
 		params = append(params, l.params()...)
 	}
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
 	src := train.NewIndexBatches(ds.TrainIdx, cfg.BatchSize)
-	rep := &Report{Model: m.Name()}
 	peakSrcs := 0
 	dsts := make([]int32, src.BatchSize())
 	labels := make([]int, src.BatchSize())
+	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
 	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
 		Source: src,
@@ -218,20 +228,20 @@ func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 			if s := blocks[len(blocks)-1].NumUniqueSrcs(); s > peakSrcs {
 				peakSrcs = s
 			}
-			logits := m.forwardBlocks(blocks, ds.X, true)
+			logits := st.forwardBlocks(blocks, ds.X, true)
 			bLabels := labels[:len(bDsts)]
 			for i, d := range bDsts {
 				bLabels[i] = ds.Labels[d]
 			}
 			grad := tensor.GetBuf(logits.Rows, logits.Cols)
 			nn.SoftmaxCrossEntropyInto(logits, bLabels, grad)
-			m.backwardBlocks(blocks, grad)
+			st.backwardBlocks(blocks, grad)
 			tensor.PutBuf(grad)
 			opt.Step(params)
 			return nil
 		},
 		Validate: func() (float64, error) {
-			return m.evalAccuracy(ds, ds.ValIdx, rng), nil
+			return metrics.Accuracy(st.predictIdx(ds, ds.ValIdx, rng), valLabels), nil
 		},
 		Params:    params,
 		Optimizer: opt,
@@ -251,43 +261,27 @@ func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 
 	evalRng := tensor.NewRand(cfg.Seed + 999)
 	fillAccuracies(func(idx []int) []int {
-		return m.predictIdx(ds, idx, evalRng)
+		return st.predictIdx(ds, idx, evalRng)
 	}, ds, rep)
-	return rep, nil
+	return st, nil
 }
 
 // predictIdx runs sampled inference on the given nodes (full fan-out would
 // be exact; we use the training fan-out for consistency with SAGE practice).
-func (m *GraphSAGE) predictIdx(ds *dataset.Dataset, idx []int, rng *rand.Rand) []int {
-	sampler, _ := sampling.NewNeighborSampler(ds.G, m.Fanout*4) // wider at eval
+func (s *sageState) predictIdx(ds *dataset.Dataset, idx []int, rng *rand.Rand) []int {
+	sampler, _ := sampling.NewNeighborSampler(ds.G, s.fanout*4) // wider at eval
 	dsts := make([]int32, len(idx))
 	for i, v := range idx {
 		dsts[i] = int32(v)
 	}
-	blocks := sampler.SampleLayers(dsts, m.Layers, rng)
-	logits := m.forwardBlocks(blocks, ds.X, false)
-	return nn.Argmax(logits)
-}
-
-func (m *GraphSAGE) evalAccuracy(ds *dataset.Dataset, idx []int, rng *rand.Rand) float64 {
-	pred := m.predictIdx(ds, idx, rng)
-	correct := 0
-	for i, v := range idx {
-		if pred[i] == ds.Labels[v] {
-			correct++
-		}
-	}
-	if len(idx) == 0 {
-		return 0
-	}
-	return float64(correct) / float64(len(idx))
+	blocks := sampler.SampleLayers(dsts, len(s.layers), rng)
+	return nn.Argmax(s.forwardBlocks(blocks, ds.X, false))
 }
 
 // Predict implements Trainer.
 func (m *GraphSAGE) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.layers == nil {
+	if m.st == nil {
 		return nil, fmt.Errorf("models: GraphSAGE.Predict before Fit")
 	}
-	rng := tensor.NewRand(12345)
-	return m.predictIdx(ds, rangeIdx(ds.G.N), rng), nil
+	return m.st.predictIdx(ds, rangeIdx(ds.G.N), tensor.NewRand(12345)), nil
 }

@@ -61,66 +61,75 @@ var (
 	_ Restorer = (*LD2)(nil)
 )
 
-// RunFingerprint exposes the snapshot-compatibility hash for a model name,
-// dataset, and config — what ckpt.Manager.Latest needs to pick the right
-// snapshot before a model instance exists.
-func RunFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
-	return runFingerprint(name, ds, cfg)
-}
-
 // tierState is a servable family's trained state at one numeric tier, seen
 // tier-blind. The implementations are generic structs (headState[T],
-// appnpState[T], gamlpState[T]); everything above this interface is
-// non-generic, and logits cross it as float64.
+// appnpState[T]); everything above this interface is non-generic, and
+// logits cross it as float64.
 type tierState interface {
-	// nodes returns the number of servable node ids.
-	nodes() int
+	// shape returns the number of servable node ids and the logit width.
+	shape() (nodes, classes int)
 	// fullLogits returns the full-graph logits, computed at the model's tier
 	// on first use, widened once, and cached until the state is replaced.
 	fullLogits() *tensor.Matrix
-	// score writes the logits of idx into out; served.score has already
+	// score writes the logits of idx into out; served.Score has already
 	// validated the ids and out's shape.
 	score(idx []int, out *tensor.Matrix) error
 }
 
-// served is what a servable family holds after a successful Fit or Restore:
-// its trained state and the logit width. The zero value means "before Fit".
+// served is what the five decoupled families share: the trained state
+// atTier installs after a successful Fit or Restore, and the Trainer and
+// NodeScorer methods, written once here and promoted to each family.
 type served struct {
-	st      tierState
-	classes int
+	family string    // names the family in errors; set by its constructor
+	st     tierState // nil before Fit or Restore
 }
 
-// predict returns the argmax of the cached full-graph logits.
-func (s served) predict(m namer) ([]int, error) {
+// Predict implements Trainer. Predictions come from the logits cached on
+// first use after Fit/Restore: the model does not rerun over every node on
+// every call.
+func (s served) Predict(*dataset.Dataset) ([]int, error) {
 	if s.st == nil {
-		return nil, fmt.Errorf("models: %s.Predict before Fit", m.Name())
+		return nil, fmt.Errorf("models: %s.Predict before Fit", s.family)
 	}
 	return nn.Argmax(s.st.fullLogits()), nil
 }
 
-func (s served) nodes() int {
+func (s served) shape() (nodes, classes int) {
 	if s.st == nil {
-		return 0
+		return 0, 0
 	}
-	return s.st.nodes()
+	return s.st.shape()
 }
 
-// score validates a NodeScorer.Score call and hands it to the trained state.
-func (s served) score(m namer, idx []int, out *tensor.Matrix) error {
+// Nodes implements NodeScorer.
+func (s served) Nodes() int {
+	n, _ := s.shape()
+	return n
+}
+
+// Classes implements NodeScorer.
+func (s served) Classes() int {
+	_, c := s.shape()
+	return c
+}
+
+// Score implements NodeScorer: batched per-node logits in one pooled gather
+// and head forward (a row read of the cached logits for APPNP).
+func (s served) Score(idx []int, out *tensor.Matrix) error {
 	if s.st == nil {
-		return fmt.Errorf("models: %s.Score before Fit or Restore", m.Name())
+		return fmt.Errorf("models: %s.Score before Fit or Restore", s.family)
 	}
-	if out.Rows != len(idx) || out.Cols != s.classes {
-		return fmt.Errorf("models: %s.Score dst %dx%d, want %dx%d", m.Name(), out.Rows, out.Cols, len(idx), s.classes)
+	n, c := s.st.shape()
+	if out.Rows != len(idx) || out.Cols != c {
+		return fmt.Errorf("models: %s.Score dst %dx%d, want %dx%d", s.family, out.Rows, out.Cols, len(idx), c)
 	}
-	n := s.st.nodes()
 	for _, v := range idx {
 		if v < 0 || v >= n {
-			return fmt.Errorf("models: %s.Score node %d outside [0,%d)", m.Name(), v, n)
+			return fmt.Errorf("models: %s.Score node %d outside [0,%d)", s.family, v, n)
 		}
 	}
 	if err := s.st.score(idx, out); err != nil {
-		return fmt.Errorf("models: %s.Score %w", m.Name(), err)
+		return fmt.Errorf("models: %s.Score %w", s.family, err)
 	}
 	return nil
 }
@@ -141,20 +150,26 @@ func aliases[T tensor.Elem](out *tensor.Matrix, m *tensor.Mat[T]) bool {
 }
 
 // headState is the trained state of the embedding+head families (SGC, SIGN,
-// LD2): a precomputed embedding and an MLP head at one tier.
+// LD2, GAMLP): a per-node embedding and an MLP head at one tier.
 type headState[T tensor.Elem] struct {
-	emb   *tensor.Mat[T]
-	net   *nn.SequentialOf[T]
-	cache *tensor.Matrix
+	emb     *tensor.Mat[T]
+	net     *nn.SequentialOf[T]
+	classes int
+	cache   *tensor.Matrix
 }
 
-func (s *headState[T]) nodes() int { return s.emb.Rows }
+func (s *headState[T]) shape() (int, int) { return s.emb.Rows, s.classes }
 
 func (s *headState[T]) fullLogits() *tensor.Matrix {
 	if s.cache == nil {
 		s.cache = widened(s.net.Forward(s.emb, false))
 	}
 	return s.cache
+}
+
+// predict classifies the rows idx: the report's train/val/test predictions.
+func (s *headState[T]) predict(idx []int) []int {
+	return nn.Argmax(s.net.Forward(s.emb.SelectRows(idx), false))
 }
 
 // score gathers the embedding rows of idx and runs them through the head —
@@ -175,7 +190,7 @@ func (s *headState[T]) score(idx []int, out *tensor.Matrix) error {
 // checkSnapshotFingerprint rejects restoring a snapshot produced by a
 // different model, dataset, hyperparameter set, or numeric tier.
 func checkSnapshotFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	want := runFingerprint(name, ds, cfg)
+	want := RunFingerprint(name, ds, cfg)
 	if snap.Fingerprint != want {
 		return fmt.Errorf("models: restore %s: %w: snapshot %016x, run %016x",
 			name, ckpt.ErrFingerprint, snap.Fingerprint, want)

@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"scalegnn/internal/ckpt"
@@ -138,6 +139,31 @@ func TestRestoreMatchesOfflinePredict(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestScoreBeforeFitNamesFamily: a NodeScorer that holds no trained state
+// serves nothing — Score and Predict error, naming the family, and Nodes
+// and Classes are 0.
+func TestScoreBeforeFitNamesFamily(t *testing.T) {
+	ds := servingDataset(t)
+	for name, make := range servableFamilies() {
+		t.Run(name, func(t *testing.T) {
+			m := make()
+			family, _, _ := strings.Cut(m.Name(), "-")
+			named := func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), family) && strings.Contains(err.Error(), "before Fit")
+			}
+			if err := m.Score([]int{0}, tensor.New(1, ds.NumClasses)); !named(err) {
+				t.Errorf("Score before Fit: err = %v, want \"before Fit\" naming %s", err, family)
+			}
+			if _, err := m.Predict(ds); !named(err) {
+				t.Errorf("Predict before Fit: err = %v, want \"before Fit\" naming %s", err, family)
+			}
+			if m.Nodes() != 0 || m.Classes() != 0 {
+				t.Errorf("Nodes/Classes before Fit = %d/%d, want 0/0", m.Nodes(), m.Classes())
+			}
+		})
 	}
 }
 

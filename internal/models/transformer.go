@@ -5,8 +5,10 @@ import (
 	"math"
 	"time"
 
+	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/hublabel"
+	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
@@ -27,12 +29,19 @@ type GraphTransformer struct {
 	// disconnected pairs share the last bucket).
 	Buckets int
 
-	wq, wk, wv, wo *nn.Param
-	ws             *nn.Param // residual self-projection d -> h
-	bias           *nn.Param // 1 x Buckets learnable SPD bias
+	st *gtState // nil before Fit
+}
+
+// gtState is GraphTransformer's trained state: the hub-label index, the
+// attention weights, and the full-graph predictions Fit caches.
+type gtState struct {
+	buckets        int
 	index          *hublabel.Index
 	hidden         int
-	lastPred       []int
+	wq, wk, wv, wo *nn.Param
+	ws             *nn.Param // residual self-projection d -> h
+	bias           *nn.Param // 1 x buckets learnable SPD bias
+	pred           []int
 }
 
 // NewGraphTransformer constructs the model.
@@ -47,14 +56,14 @@ func NewGraphTransformer(buckets int) (*GraphTransformer, error) {
 func (m *GraphTransformer) Name() string { return fmt.Sprintf("GraphTransformer-b%d", m.Buckets) }
 
 // bucketOf maps an SPD to its bias bucket.
-func (m *GraphTransformer) bucketOf(d int) int {
-	if d < 0 || d >= m.Buckets {
-		return m.Buckets - 1
+func (s *gtState) bucketOf(d int) int {
+	if d < 0 || d >= s.buckets {
+		return s.buckets - 1
 	}
 	return d
 }
 
-// attentionForward computes one batch's logits and retains intermediates.
+// attnState is one batch's forward intermediates, retained for backward.
 type attnState struct {
 	x       *tensor.Matrix // batch features (b x d)
 	q, k, v *tensor.Matrix // projections (b x h)
@@ -63,44 +72,44 @@ type attnState struct {
 	ctx     *tensor.Matrix // attention output (b x h)
 }
 
-func (m *GraphTransformer) forwardBatch(x *tensor.Matrix, buckets [][]int) (*attnState, *tensor.Matrix) {
-	st := &attnState{x: x, buckets: buckets}
-	st.q = tensor.MatMul(x, m.wq.Value)
-	st.k = tensor.MatMul(x, m.wk.Value)
-	st.v = tensor.MatMul(x, m.wv.Value)
+func (s *gtState) forwardBatch(x *tensor.Matrix, buckets [][]int) (*attnState, *tensor.Matrix) {
+	a := &attnState{x: x, buckets: buckets}
+	a.q = tensor.MatMul(x, s.wq.Value)
+	a.k = tensor.MatMul(x, s.wk.Value)
+	a.v = tensor.MatMul(x, s.wv.Value)
 	b := x.Rows
-	scale := 1 / math.Sqrt(float64(m.hidden))
-	raw := tensor.MatMulT(st.q, st.k)
+	scale := 1 / math.Sqrt(float64(s.hidden))
+	raw := tensor.MatMulT(a.q, a.k)
 	for i := 0; i < b; i++ {
 		row := raw.Row(i)
 		for j := range row {
-			row[j] = row[j]*scale + m.bias.Value.At(0, buckets[i][j])
+			row[j] = row[j]*scale + s.bias.Value.At(0, buckets[i][j])
 		}
 	}
-	st.scores = nn.Softmax(raw)
-	st.ctx = tensor.MatMul(st.scores, st.v)
+	a.scores = nn.Softmax(raw)
+	a.ctx = tensor.MatMul(a.scores, a.v)
 	// Residual self path: a node always keeps its own projected features,
 	// independent of what attention mixes in.
-	st.ctx.Add(tensor.MatMul(x, m.ws.Value))
-	logits := tensor.MatMul(st.ctx, m.wo.Value)
-	return st, logits
+	a.ctx.Add(tensor.MatMul(x, s.ws.Value))
+	logits := tensor.MatMul(a.ctx, s.wo.Value)
+	return a, logits
 }
 
 // backwardBatch accumulates parameter gradients from ∂L/∂logits.
-func (m *GraphTransformer) backwardBatch(st *attnState, gLogits *tensor.Matrix) {
+func (s *gtState) backwardBatch(a *attnState, gLogits *tensor.Matrix) {
 	// Head.
-	m.wo.Grad.Add(tensor.TMatMul(st.ctx, gLogits))
-	gCtx := tensor.MatMulT(gLogits, m.wo.Value)
+	s.wo.Grad.Add(tensor.TMatMul(a.ctx, gLogits))
+	gCtx := tensor.MatMulT(gLogits, s.wo.Value)
 	// Residual self path.
-	m.ws.Grad.Add(tensor.TMatMul(st.x, gCtx))
+	s.ws.Grad.Add(tensor.TMatMul(a.x, gCtx))
 	// ctx = scores · v (+ x·ws).
-	gScores := tensor.MatMulT(gCtx, st.v)
-	gV := tensor.TMatMul(st.scores, gCtx)
+	gScores := tensor.MatMulT(gCtx, a.v)
+	gV := tensor.TMatMul(a.scores, gCtx)
 	// Softmax backward row-wise: gRaw = s ∘ (gScores − <gScores, s>).
-	b := st.x.Rows
+	b := a.x.Rows
 	gRaw := tensor.New(b, b)
 	for i := 0; i < b; i++ {
-		srow := st.scores.Row(i)
+		srow := a.scores.Row(i)
 		grow := gScores.Row(i)
 		var inner float64
 		for j := range srow {
@@ -115,47 +124,46 @@ func (m *GraphTransformer) backwardBatch(st *attnState, gLogits *tensor.Matrix) 
 	for i := 0; i < b; i++ {
 		row := gRaw.Row(i)
 		for j, g := range row {
-			m.bias.Grad.Data[st.buckets[i][j]] += g
+			s.bias.Grad.Data[a.buckets[i][j]] += g
 		}
 	}
 	// raw = scale·q kᵀ (+bias).
-	scale := 1 / math.Sqrt(float64(m.hidden))
-	gQ := tensor.MatMul(gRaw, st.k)
+	scale := 1 / math.Sqrt(float64(s.hidden))
+	gQ := tensor.MatMul(gRaw, a.k)
 	gQ.Scale(scale)
-	gK := tensor.TMatMul(gRaw, st.q)
+	gK := tensor.TMatMul(gRaw, a.q)
 	gK.Scale(scale)
-	m.wq.Grad.Add(tensor.TMatMul(st.x, gQ))
-	m.wk.Grad.Add(tensor.TMatMul(st.x, gK))
-	m.wv.Grad.Add(tensor.TMatMul(st.x, gV))
+	s.wq.Grad.Add(tensor.TMatMul(a.x, gQ))
+	s.wk.Grad.Add(tensor.TMatMul(a.x, gK))
+	s.wv.Grad.Add(tensor.TMatMul(a.x, gV))
 }
 
-func (m *GraphTransformer) params() []*nn.Param {
-	return []*nn.Param{m.wq, m.wk, m.wv, m.ws, m.wo, m.bias}
+func (s *gtState) params() []*nn.Param {
+	return []*nn.Param{s.wq, s.wk, s.wv, s.ws, s.wo, s.bias}
 }
 
 // Fit builds the hub-label index once, then trains on SPD-biased attention
 // batches.
 func (m *GraphTransformer) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
-	if _, err := float32Run(m.Name(), ds, cfg, nil, false); err != nil {
-		return nil, err
-	}
-	rep := &Report{Model: m.Name()}
+	return atTier(m, &m.st, ds, cfg, nil, fitTransformer, nil)
+}
+
+func fitTransformer(m *GraphTransformer, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*gtState, error) {
 	preStart := time.Now()
 	ix, err := hublabel.Build(ds.G)
 	if err != nil {
 		return nil, fmt.Errorf("models: transformer hub labels: %w", err)
 	}
-	m.index = ix
 	rep.Precompute = time.Since(preStart)
 
 	pcg, rng := newRunRNG(cfg.Seed)
-	m.hidden = cfg.Hidden
-	m.wq = nn.NewParam("gt.wq", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
-	m.wk = nn.NewParam("gt.wk", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
-	m.wv = nn.NewParam("gt.wv", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
-	m.ws = nn.NewParam("gt.ws", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
-	m.wo = nn.NewParam("gt.wo", tensor.GlorotUniform(cfg.Hidden, ds.NumClasses, rng))
-	m.bias = nn.NewParam("gt.bias", tensor.New(1, m.Buckets))
+	st := &gtState{buckets: m.Buckets, index: ix, hidden: cfg.Hidden}
+	st.wq = nn.NewParam("gt.wq", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
+	st.wk = nn.NewParam("gt.wk", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
+	st.wv = nn.NewParam("gt.wv", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
+	st.ws = nn.NewParam("gt.ws", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
+	st.wo = nn.NewParam("gt.wo", tensor.GlorotUniform(cfg.Hidden, ds.NumClasses, rng))
+	st.bias = nn.NewParam("gt.bias", tensor.New(1, m.Buckets))
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -167,36 +175,31 @@ func (m *GraphTransformer) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, e
 		batch = 256 // attention is O(b²); keep batches transformer-sized
 	}
 	src := train.NewIndexBatches(ds.TrainIdx, batch)
+	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
 	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
 		Source: src,
 		Step: func(b train.Batch) error {
-			st, logits, err := m.batchForward(ds, b.Indices)
+			as, logits, err := st.batchForward(ds, b.Indices)
 			if err != nil {
 				return err
 			}
 			_, gLogits := nn.SoftmaxCrossEntropy(logits, dataset.LabelsAt(ds.Labels, b.Indices))
-			m.backwardBatch(st, gLogits)
-			opt.Step(m.params())
+			st.backwardBatch(as, gLogits)
+			opt.Step(st.params())
 			return nil
 		},
 		Validate: func() (float64, error) {
-			valPred, err := m.predictIdx(ds, ds.ValIdx)
+			valPred, err := st.predictIdx(ds, ds.ValIdx)
 			if err != nil {
 				return 0, err
 			}
-			correct := 0
-			for i, v := range ds.ValIdx {
-				if valPred[i] == ds.Labels[v] {
-					correct++
-				}
-			}
-			return float64(correct) / float64(max(1, len(ds.ValIdx))), nil
+			return metrics.Accuracy(valPred, valLabels), nil
 		},
-		Params:    m.params(),
+		Params:    st.params(),
 		Optimizer: opt,
 		PeakFloats: func() int {
-			return batch*batch*2 + 4*batch*(ds.X.Cols+cfg.Hidden) + 3*(m.wq.NumValues()+m.wk.NumValues()+m.wv.NumValues()+m.wo.NumValues())
+			return batch*batch*2 + 4*batch*(ds.X.Cols+cfg.Hidden) + 3*(st.wq.NumValues()+st.wk.NumValues()+st.wv.NumValues()+st.wo.NumValues())
 		},
 	})
 	if err != nil {
@@ -204,24 +207,22 @@ func (m *GraphTransformer) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, e
 	}
 
 	fillAccuracies(func(idx []int) []int {
-		pred, err := m.predictIdx(ds, idx)
+		pred, err := st.predictIdx(ds, idx)
 		if err != nil {
 			return make([]int, len(idx))
 		}
 		return pred
 	}, ds, rep)
-	pred, err := m.predictIdx(ds, rangeIdx(ds.G.N))
-	if err != nil {
+	if st.pred, err = st.predictIdx(ds, rangeIdx(ds.G.N)); err != nil {
 		return nil, err
 	}
-	m.lastPred = pred
-	return rep, nil
+	return st, nil
 }
 
 // batchForward assembles the SPD bias (via hub-label queries) and runs the
 // attention layer.
-func (m *GraphTransformer) batchForward(ds *dataset.Dataset, idx []int) (*attnState, *tensor.Matrix, error) {
-	spd, err := m.index.DistanceMatrix(idx)
+func (s *gtState) batchForward(ds *dataset.Dataset, idx []int) (*attnState, *tensor.Matrix, error) {
+	spd, err := s.index.DistanceMatrix(idx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,21 +230,21 @@ func (m *GraphTransformer) batchForward(ds *dataset.Dataset, idx []int) (*attnSt
 	for i := range spd {
 		buckets[i] = make([]int, len(idx))
 		for j, d := range spd[i] {
-			buckets[i][j] = m.bucketOf(d)
+			buckets[i][j] = s.bucketOf(d)
 		}
 	}
 	x := ds.X.SelectRows(idx)
-	st, logits := m.forwardBatch(x, buckets)
-	return st, logits, nil
+	a, logits := s.forwardBatch(x, buckets)
+	return a, logits, nil
 }
 
 // predictIdx classifies nodes in attention batches of 256.
-func (m *GraphTransformer) predictIdx(ds *dataset.Dataset, idx []int) ([]int, error) {
+func (s *gtState) predictIdx(ds *dataset.Dataset, idx []int) ([]int, error) {
 	out := make([]int, len(idx))
 	const b = 256
 	for off := 0; off < len(idx); off += b {
 		end := min(off+b, len(idx))
-		_, logits, err := m.batchForward(ds, idx[off:end])
+		_, logits, err := s.batchForward(ds, idx[off:end])
 		if err != nil {
 			return nil, err
 		}
@@ -254,16 +255,16 @@ func (m *GraphTransformer) predictIdx(ds *dataset.Dataset, idx []int) ([]int, er
 
 // Predict implements Trainer.
 func (m *GraphTransformer) Predict(ds *dataset.Dataset) ([]int, error) {
-	if m.lastPred == nil {
+	if m.st == nil {
 		return nil, fmt.Errorf("models: GraphTransformer.Predict before Fit")
 	}
-	return m.lastPred, nil
+	return m.st.pred, nil
 }
 
 // SPDBias exposes the learned per-bucket attention bias (ablation probes).
 func (m *GraphTransformer) SPDBias() []float64 {
-	if m.bias == nil {
+	if m.st == nil {
 		return nil
 	}
-	return append([]float64(nil), m.bias.Value.Row(0)...)
+	return append([]float64(nil), m.st.bias.Value.Row(0)...)
 }

@@ -63,12 +63,12 @@ func TestAttentionGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewGraphTransformer(4)
+	g, err := NewGraphTransformer(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRand(17)
-	m.hidden = 6
+	m := &gtState{buckets: g.Buckets, hidden: 6}
 	m.wq = nn.NewParam("wq", tensor.GlorotUniform(5, 6, rng))
 	m.wk = nn.NewParam("wk", tensor.GlorotUniform(5, 6, rng))
 	m.wv = nn.NewParam("wv", tensor.GlorotUniform(5, 6, rng))
@@ -116,7 +116,7 @@ func TestAttentionGradients(t *testing.T) {
 }
 
 func TestBucketOf(t *testing.T) {
-	m, _ := NewGraphTransformer(4)
+	m := &gtState{buckets: 4}
 	cases := map[int]int{0: 0, 1: 1, 3: 3, 4: 3, 100: 3, -1: 3, hublabel.Infinity: 3}
 	for d, want := range cases {
 		if got := m.bucketOf(d); got != want {

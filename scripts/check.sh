@@ -183,6 +183,7 @@ echo "== non-test Go lines"
 echo "   root module: $(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' | xargs cat | wc -l)"
 echo "   benchmark/:  $(find benchmark -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
 echo "   internal/lint: $(find internal/lint -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
+echo "   internal/models: $(find internal/models -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)"
 echo "== flags per command (-h lines starting with '  -')"
 go build -o "$SCRATCH/cmds/" ./cmd/...
 for bin in "$SCRATCH"/cmds/*; do
