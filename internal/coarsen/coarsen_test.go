@@ -142,7 +142,7 @@ func TestCoarsenStopsOnDisconnected(t *testing.T) {
 }
 
 func TestProjectFeaturesMeanPooling(t *testing.T) {
-	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}, {10, 20}})
+	x := tensor.FromSlice(3, 2, []float64{1, 2, 3, 4, 10, 20})
 	assign := []int{0, 0, 1}
 	out := ProjectFeatures(x, assign, 2)
 	if out.At(0, 0) != 2 || out.At(0, 1) != 3 {

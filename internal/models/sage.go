@@ -8,7 +8,6 @@ import (
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
-	"scalegnn/internal/par"
 	"scalegnn/internal/sampling"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
@@ -25,7 +24,7 @@ type sageLayer struct {
 
 	// retained for backward
 	block *sampling.Block
-	mask  []bool
+	mask  []uint8
 
 	// reused scratch: the view of the destination rows of the source
 	// features, and the ReLU-masked gradient copy.
@@ -54,25 +53,16 @@ func (l *sageLayer) forward(block *sampling.Block, srcFeats *tensor.Matrix, trai
 	y := l.self.Forward(selfFeats, training)
 	y.Add(l.neigh.Forward(agg, training))
 	if l.relu {
+		// In place: a separate activation buffer would be retained per layer.
+		var keep []uint8
 		if training {
 			if cap(l.mask) < len(y.Data) {
-				l.mask = make([]bool, len(y.Data))
+				l.mask = make([]uint8, len(y.Data))
 			}
 			l.mask = l.mask[:len(y.Data)]
+			keep = l.mask
 		}
-		// Element-wise ReLU + mask capture: disjoint writes per element,
-		// chunked over internal/par (bitwise-identical to the plain loop).
-		par.Range(len(y.Data), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pos := y.Data[i] > 0
-				if !pos {
-					y.Data[i] = 0
-				}
-				if training {
-					l.mask[i] = pos
-				}
-			}
-		})
+		tensor.ReLUInto(y.Data, y.Data, keep)
 	}
 	return y
 }
@@ -85,16 +75,7 @@ func (l *sageLayer) backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	g := gradOut
 	if l.relu {
 		g = l.gradBuf.Next(gradOut.Rows, gradOut.Cols)
-		copy(g.Data, gradOut.Data)
-		// Element-wise mask application — same chunking as the forward pass.
-		gd := g.Data
-		par.Range(len(gd), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !l.mask[i] {
-					gd[i] = 0
-				}
-			}
-		})
+		tensor.GateInto(g.Data, gradOut.Data, l.mask)
 	}
 	gSelf := l.self.Backward(g)
 	gAgg := l.neigh.Backward(g)

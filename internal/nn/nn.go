@@ -172,7 +172,7 @@ func (l *LinearOf[T]) Params() []*ParamOf[T] {
 // ReLUOf is the rectified-linear activation. Outputs live in pooled buffers
 // recycled on the next call, like Linear's.
 type ReLUOf[T tensor.Elem] struct {
-	mask []bool
+	mask []uint8 // keep bits of the last training Forward
 	y, g tensor.BufOf[T]
 }
 
@@ -185,42 +185,47 @@ func NewReLU() *ReLU { return &ReLU{} }
 // NewReLUOf returns a ReLU layer for any element type.
 func NewReLUOf[T tensor.Elem]() *ReLUOf[T] { return &ReLUOf[T]{} }
 
-// Forward zeroes negative entries.
+// Forward zeroes entries that are not positive (NaN included).
 func (r *ReLUOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
 	y := r.y.Next(x.Rows, x.Cols)
-	copy(y.Data, x.Data)
+	var keep []uint8
 	if training {
-		if cap(r.mask) < len(y.Data) {
-			r.mask = make([]bool, len(y.Data))
-		}
-		r.mask = r.mask[:len(y.Data)]
+		r.mask = growMask(r.mask, len(y.Data))
+		keep = r.mask
 	}
-	for i, v := range y.Data {
-		pos := v > 0
-		if !pos {
-			y.Data[i] = 0
-		}
-		if training {
-			r.mask[i] = pos
-		}
-	}
+	tensor.ReLUInto(y.Data, x.Data, keep)
 	return y
 }
 
-// Backward zeroes the gradient where the input was negative.
+// Backward zeroes the gradient where the input was not positive.
 func (r *ReLUOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
+	checkMask("ReLU", r.mask, len(gradOut.Data))
 	g := r.g.Next(gradOut.Rows, gradOut.Cols)
-	copy(g.Data, gradOut.Data)
-	for i := range g.Data {
-		if !r.mask[i] {
-			g.Data[i] = 0
-		}
-	}
+	tensor.GateInto(g.Data, gradOut.Data, r.mask)
 	return g
 }
 
 // Params returns nil; ReLU has no learnables.
 func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
+
+// growMask returns m resized to n keep bits, reallocating only to grow.
+func growMask(m []uint8, n int) []uint8 {
+	if m == nil || cap(m) < n {
+		return make([]uint8, n)
+	}
+	return m[:n]
+}
+
+// checkMask panics unless a training Forward recorded a mask for exactly
+// the n values a Backward is handed.
+func checkMask(layer string, mask []uint8, n int) {
+	if mask == nil {
+		panic("nn: " + layer + ".Backward before Forward(training=true)")
+	}
+	if len(mask) != n {
+		panic(fmt.Sprintf("nn: %s.Backward gradient has %d values, the last Forward(training=true) had %d", layer, n, len(mask)))
+	}
+}
 
 // DropoutOf randomly zeroes entries during training with probability P,
 // scaling survivors by 1/(1-P) (inverted dropout). At inference it is the
@@ -228,7 +233,7 @@ func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
 type DropoutOf[T tensor.Elem] struct {
 	P    float64
 	rng  *rand.Rand
-	keep []bool
+	keep []uint8 // keep bits of the last training Forward
 	y, g tensor.BufOf[T]
 }
 
@@ -240,8 +245,11 @@ func NewDropout(p float64, rng *rand.Rand) *Dropout {
 	return NewDropoutOf[float64](p, rng)
 }
 
-// NewDropoutOf constructs a dropout layer for any element type. Mask draws
-// happen in float64 so the RNG stream is dtype-independent.
+// NewDropoutOf constructs a dropout layer for any element type. Forward
+// draws one rng.Uint64 per element, whatever T, and keeps the element iff
+// the draw's low 53 bits are at least ⌈p·2⁵³⌉ — exactly rng.Float64() >= p,
+// since Float64 is those bits over 2⁵³ and p·2⁵³ is exact — so the stream
+// and the mask do not depend on T. A dropped entry is +0.
 func NewDropoutOf[T tensor.Elem](p float64, rng *rand.Rand) *DropoutOf[T] {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("nn: dropout p=%v outside [0,1)", p))
@@ -255,20 +263,17 @@ func (d *DropoutOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
 		return x
 	}
 	y := d.y.Next(x.Rows, x.Cols)
-	copy(y.Data, x.Data)
-	if cap(d.keep) < len(y.Data) {
-		d.keep = make([]bool, len(y.Data))
-	}
-	d.keep = d.keep[:len(y.Data)]
+	d.keep = growMask(d.keep, len(x.Data))
+	in := x.Data
+	keep, out := d.keep[:len(in)], y.Data[:len(in)]
 	scale := T(1 / (1 - d.P))
-	for i := range y.Data {
-		if d.rng.Float64() < d.P {
-			y.Data[i] = 0
-			d.keep[i] = false
-		} else {
-			y.Data[i] *= scale
-			d.keep[i] = true
-		}
+	// keep = low53 >= thr, as the borrow of low53 − thr: both are below
+	// 2⁵³, so the difference wraps (sets bit 63) iff low53 < thr.
+	thr := uint64(math.Ceil(d.P * (1 << 53)))
+	for i, v := range in {
+		k := uint8(1 ^ (d.rng.Uint64()&(1<<53-1)-thr)>>63)
+		out[i] = tensor.Gate(v*scale, k)
+		keep[i] = k
 	}
 	return y
 }
@@ -278,15 +283,13 @@ func (d *DropoutOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 	if d.P == 0 {
 		return gradOut
 	}
+	checkMask("Dropout", d.keep, len(gradOut.Data))
 	g := d.g.Next(gradOut.Rows, gradOut.Cols)
-	copy(g.Data, gradOut.Data)
+	in := gradOut.Data
+	keep, out := d.keep[:len(in)], g.Data[:len(in)]
 	scale := T(1 / (1 - d.P))
-	for i := range g.Data {
-		if d.keep[i] {
-			g.Data[i] *= scale
-		} else {
-			g.Data[i] = 0
-		}
+	for i, v := range in {
+		out[i] = tensor.Gate(v*scale, keep[i])
 	}
 	return g
 }

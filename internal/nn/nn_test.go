@@ -294,7 +294,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := tensor.NewRand(9)
-	x := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	x := tensor.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	labels := []int{0, 1, 1, 0}
 	mlp := NewMLP(MLPConfig{In: 2, Hidden: []int{16}, Out: 2, Bias: true}, rng)
 	opt := NewAdam(0.01)

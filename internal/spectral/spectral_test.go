@@ -163,7 +163,7 @@ func TestJacobiEigenOrthonormal(t *testing.T) {
 		for r := 0; r < 8; r++ {
 			v[r] = vecs.At(r, i)
 		}
-		av := tensor.MatVec(a, v)
+		av := tensor.MatMul(a, tensor.FromSlice(8, 1, v)).Data
 		for r := 0; r < 8; r++ {
 			if math.Abs(av[r]-vals[i]*v[r]) > 1e-7 {
 				t.Fatalf("eigenpair %d violated at row %d", i, r)

@@ -161,12 +161,3 @@ func matMulTIntoF32(a, b, dst *Mat[float32]) {
 		}
 	})
 }
-
-// matVecIntoF32 is the float32 matrix-vector kernel.
-func matVecIntoF32(a *Mat[float32], x, dst []float32) {
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f32DotAVX(a.Row(i), x)
-		}
-	})
-}

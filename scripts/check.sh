@@ -62,6 +62,12 @@ go run ./cmd/gnnlint ./...
 echo "== go test ./..."
 go test ./...
 
+# go test does not run benchmarks; one iteration of the element-wise gate
+# benchmarks (ns per element at the SIGN and GCN shapes) keeps them from
+# rotting.
+echo "== go test -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn (smoke)"
+go test -run '^$' -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn
+
 # TMatMulInto splits its output among as many workers as its work allows;
 # its bits must not depend on how many that is. Run the float64 kernel
 # tests at several GOMAXPROCS, not only at this host's core count.
