@@ -128,9 +128,6 @@ func NewOperatorOf[T tensor.Elem](g *CSR, norm Normalization, addSelfLoops bool)
 	return op
 }
 
-// HasSelfLoops reports whether the operator includes the A+I self-loop term.
-func (op *OperatorOf[T]) HasSelfLoops() bool { return op.loopCo != nil }
-
 // ApplyHook intercepts ApplyInto on every operator derived from a graph it
 // is attached to (see CSR.SetApplyHook). The distributed runtime installs
 // one to partition the SpMM across processes: the hook computes its shard's

@@ -259,8 +259,7 @@ func (m *WalkFeatureModel) Fit(t *Task, cfg Config) (float64, error) {
 	// Fixed-epoch full-batch schedule driven by the shared engine; the task
 	// has no validation split, so Validate is a constant and Patience stays 0.
 	_, err = train.Run(train.Config{Epochs: cfg.Epochs}, train.Spec{
-		Source: train.FullBatch{},
-		Step: func(train.Batch) error {
+		Step: func([]int) error {
 			logits := m.net.Forward(x, true)
 			_, grad := nn.SoftmaxCrossEntropy(logits, t.TrainLabels)
 			m.net.Backward(grad)

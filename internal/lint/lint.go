@@ -13,7 +13,7 @@
 //   - unchecked-error: no error return silently dropped as a bare call
 //     statement in internal/ and cmd/.
 //   - epoch-loop: no hand-rolled `for epoch := ...` training loops outside
-//     internal/train; models drive schedules through train.Run.
+//     internal/train; models use train.Run and train.Batches.
 //   - obs-span-end: tracing spans (internal/obs) are ended on every path
 //     through the acquiring function, or visibly handed off, so traced
 //     timelines never silently lose sections.
@@ -99,7 +99,7 @@ func Checks(modPath string) []*Check {
 		},
 		{
 			Name: "epoch-loop",
-			Doc:  "no hand-rolled `for epoch := ...` training loops outside internal/train; use train.Run",
+			Doc:  "no hand-rolled `for epoch := ...` training loops outside internal/train; use train.Run and train.Batches",
 			Applies: func(pkgPath string) bool {
 				return inScope(pkgPath) && pkgPath != modPath+"/internal/train"
 			},

@@ -79,7 +79,7 @@ var epochLoop = []rule{
 			}
 			return nil, false
 		},
-		msg: "hand-rolled epoch loop over %q; drive the schedule through internal/train (train.Run + BatchSource)",
+		msg: "hand-rolled epoch loop over %q; drive the schedule through internal/train (train.Run + train.Batches)",
 	},
 	{
 		tests: true,
@@ -97,7 +97,7 @@ var epochLoop = []rule{
 			})
 			return nil, found
 		},
-		msg: "loop bounded by .Epochs; drive the schedule through internal/train (train.Run + BatchSource)",
+		msg: "loop bounded by .Epochs; drive the schedule through internal/train (train.Run + train.Batches)",
 	},
 }
 

@@ -109,10 +109,10 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
-	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
-		Source: train.NewClusterBatchesOf[T](len(batches)),
-		Step: func(b train.BatchOf[T]) error {
-			cb := batches[b.Cluster]
+	err = runLoop(m.Name(), ds, cfg, pcg, rep, train.SpecOf[T]{
+		Source: train.NewBatches(rangeIdx(len(batches)), 1), // one cluster per batch
+		Step: func(ids []int) error {
+			cb := batches[ids[0]]
 			if len(cb.trainIdx) == 0 {
 				return nil
 			}

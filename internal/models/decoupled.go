@@ -34,7 +34,7 @@ func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg Tr
 	if snap != nil {
 		err = restoreParams(m.Name(), net.Params(), snap)
 	} else {
-		err = trainHead(m.Name(), emb, net, pcg, rng, ds, cfg, rep)
+		err = trainHead(m.Name(), emb, net, pcg, ds, cfg, rep)
 	}
 	if err != nil {
 		return nil, err
@@ -271,9 +271,8 @@ func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, s
 	opt.WeightDecay = cfg.WeightDecay
 
 	defer opt.Reset()
-	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
-		Source: train.FullBatchOf[T]{},
-		Step: func(train.BatchOf[T]) error {
+	err := runLoop(m.Name(), ds, cfg, pcg, rep, train.SpecOf[T]{
+		Step: func([]int) error {
 			z := st.diffused(true)
 			_, gz := maskedLoss(z, ds.Labels, ds.TrainIdx)
 			tensor.PutBufOf(z)
@@ -393,7 +392,7 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 	if snap != nil {
 		err = restoreParams(m.Name(), params, snap)
 	} else {
-		err = trainGAMLP(m, hops, theta, net, params, pcg, rng, ds, cfg, rep)
+		err = trainGAMLP(m, hops, theta, net, params, pcg, ds, cfg, rep)
 	}
 	if err != nil {
 		return nil, err
@@ -409,21 +408,20 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 // trainGAMLP is GAMLP's mini-batch loop: each batch combines its rows under
 // the current attention, and the loss gradient flows to both the head and θ.
 func trainGAMLP[T tensor.Elem](m *GAMLP, hops []*tensor.Mat[T], theta *nn.ParamOf[T], net *nn.SequentialOf[T], params []*nn.ParamOf[T],
-	pcg *rand.PCG, rng *rand.Rand, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
+	pcg *rand.PCG, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	src := train.NewIndexBatchesOf[T](ds.TrainIdx, cfg.BatchSize)
+	src := train.NewBatches(ds.TrainIdx, cfg.BatchSize)
 	// Batch scratch reused across the run (attention-gradient accumulator);
 	// pooled matrices are released as soon as the backward pass has consumed
 	// them.
 	ga := make([]float64, m.K+1)
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
-	return runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
+	return runLoop(m.Name(), ds, cfg, pcg, rep, train.SpecOf[T]{
 		Source: src,
-		Step: func(b train.BatchOf[T]) error {
-			bIdx := b.Indices
+		Step: func(bIdx []int) error {
 			att := attention(theta)
 			x := combine(hops, att, bIdx)
 			logits := net.Forward(x, true)

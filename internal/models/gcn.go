@@ -114,9 +114,8 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 	opt.WeightDecay = cfg.WeightDecay
 
 	defer opt.Reset()
-	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.SpecOf[T]{
-		Source: train.FullBatchOf[T]{},
-		Step: func(train.BatchOf[T]) error {
+	err := runLoop(m.Name(), ds, cfg, pcg, rep, train.SpecOf[T]{
+		Step: func([]int) error {
 			logits := net.Forward(x, true)
 			_, grad := maskedLoss(logits, ds.Labels, ds.TrainIdx)
 			net.Backward(grad)

@@ -117,9 +117,8 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 	opt.WeightDecay = cfg.WeightDecay
 
 	defer opt.Reset()
-	err := runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
-		Source: train.FullBatch{},
-		Step: func(train.Batch) error {
+	err := runLoop(m.Name(), ds, cfg, pcg, rep, train.Spec{
+		Step: func([]int) error {
 			zs, logits, err := st.forward(op, ds.X)
 			if err != nil {
 				return fmt.Errorf("models: implicit forward: %w", err)

@@ -78,7 +78,7 @@ type TrainConfig struct {
 	// Hooks observe the engine's per-batch/per-epoch progress.
 	Hooks []train.Hook `json:"-"`
 	// Checkpoint enables durable snapshot/resume. Callers set Dir, Every,
-	// Resume, KeepLast and Run; the model fills RNG and Fingerprint itself
+	// Resume, KeepLast and Run; the model fills Fingerprint itself
 	// (the fingerprint hashes model name + dataset content + config, so
 	// resuming against a different run is rejected). Epochs and Patience
 	// are deliberately not fingerprinted: extending a run is the point.
@@ -225,8 +225,9 @@ func accuracyAt[T tensor.Elem](logits *tensor.Mat[T], labels []int, idx []int) f
 
 // newRunRNG returns the run's serializable RNG source alongside its
 // rand.Rand view. Models hold both: the view feeds every stochastic layer
-// (same stream as tensor.NewRand(seed)), while the concrete PCG is what a
-// checkpoint serializes — restoring it restores all views at once.
+// (same stream as tensor.NewRand(seed)), while the concrete PCG is what
+// the engine shuffles through and a checkpoint serializes — restoring it
+// restores all views at once.
 func newRunRNG(seed uint64) (*rand.PCG, *rand.Rand) {
 	pcg := tensor.NewPCG(seed)
 	return pcg, rand.New(pcg)
@@ -256,18 +257,17 @@ func RunFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 // runLoop adapts the model-level TrainConfig to the shared training engine
 // and copies the engine's accounting (epochs, wall-clock, peak floats, best
 // validation) into the model report. On cancellation the partial engine
-// accounting is still recorded before the error propagates. When
-// cfg.Checkpoint is enabled, the engine-level config is completed here
-// with the run fingerprint and the serializable RNG source.
-func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, pcg *rand.PCG, rng *rand.Rand, rep *Report, spec train.SpecOf[T]) error {
+// accounting is still recorded before the error propagates. pcg is the
+// run's RNG source (newRunRNG); when cfg.Checkpoint is enabled, the
+// engine-level config is completed here with the run fingerprint.
+func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, pcg *rand.PCG, rep *Report, spec train.SpecOf[T]) error {
 	ck := cfg.Checkpoint
 	if ck.Dir != "" {
-		ck.RNG = pcg
 		ck.Fingerprint = RunFingerprint(model, ds, cfg)
 	}
 	tr, err := train.Run(train.Config{
 		Epochs: cfg.Epochs, Patience: cfg.Patience, RestoreBest: cfg.RestoreBest,
-		RNG: rng, Ctx: cfg.Ctx, Hooks: cfg.Hooks, Checkpoint: ck,
+		RNG: pcg, Ctx: cfg.Ctx, Hooks: cfg.Hooks, Checkpoint: ck,
 	}, spec)
 	if tr != nil {
 		rep.Epochs = tr.Epochs
@@ -304,28 +304,28 @@ func noInputGrad[T tensor.Elem](net *nn.SequentialOf[T]) *nn.SequentialOf[T] {
 
 // trainHead trains mlp on fixed per-node embeddings with mini-batch SGD —
 // the shared training path of every embedding+head model (SGC, SIGN, LD2
-// all reduce to this after their precompute step), driven by the engine's
-// precomputed-embedding batch source. It fills the timing parts of the
-// report. The element type follows emb: float32 embeddings train a float32
-// head end to end.
-func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.SequentialOf[T], pcg *rand.PCG, rng *rand.Rand, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
+// all reduce to this after their precompute step): each step gathers its
+// batch's embedding rows (train.Gather) and trains on them. It fills the
+// timing parts of the report. The element type follows emb: float32
+// embeddings train a float32 head end to end.
+func trainHead[T tensor.Elem](model string, emb *tensor.Mat[T], mlp *nn.SequentialOf[T], pcg *rand.PCG, ds *dataset.Dataset, cfg TrainConfig, rep *Report) error {
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	// The source owns the batch-index and gathered-feature scratch; vb holds
-	// the validation selection. All recycled across the run.
-	src := train.NewEmbeddingBatches(emb, ds.TrainIdx, cfg.BatchSize)
-	defer src.Release()
-	var vb tensor.BufOf[T]
+	// xb holds the gathered batch features, vb the validation selection;
+	// both recycled across the run.
+	src := train.NewBatches(ds.TrainIdx, cfg.BatchSize)
+	var xb, vb tensor.BufOf[T]
+	defer xb.Release()
 	defer vb.Release()
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
-	return runLoop(model, ds, cfg, pcg, rng, rep, train.SpecOf[T]{
+	return runLoop(model, ds, cfg, pcg, rep, train.SpecOf[T]{
 		Source: src,
-		Step: func(b train.BatchOf[T]) error {
-			logits := mlp.Forward(b.X, true)
+		Step: func(ids []int) error {
+			logits := mlp.Forward(train.Gather(emb, ids, &xb), true)
 			grad := tensor.GetBufOf[T](logits.Rows, logits.Cols)
-			nn.SoftmaxCrossEntropyInto(logits, dataset.LabelsAt(ds.Labels, b.Indices), grad)
+			nn.SoftmaxCrossEntropyInto(logits, dataset.LabelsAt(ds.Labels, ids), grad)
 			mlp.Backward(grad)
 			tensor.PutBufOf(grad)
 			opt.Step(mlp.Params())

@@ -192,17 +192,17 @@ func fitSAGE(m *GraphSAGE, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapsho
 	opt := nn.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
-	src := train.NewIndexBatches(ds.TrainIdx, cfg.BatchSize)
+	src := train.NewBatches(ds.TrainIdx, cfg.BatchSize)
 	peakSrcs := 0
 	dsts := make([]int32, src.BatchSize())
 	labels := make([]int, src.BatchSize())
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
-	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
+	err = runLoop(m.Name(), ds, cfg, pcg, rep, train.Spec{
 		Source: src,
-		Step: func(b train.Batch) error {
-			bDsts := dsts[:len(b.Indices)]
-			for i, v := range b.Indices {
+		Step: func(ids []int) error {
+			bDsts := dsts[:len(ids)]
+			for i, v := range ids {
 				bDsts[i] = int32(v)
 			}
 			blocks := sampler.SampleLayers(bDsts, m.Layers, rng)

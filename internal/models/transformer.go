@@ -174,17 +174,16 @@ func fitTransformer(m *GraphTransformer, ds *dataset.Dataset, cfg TrainConfig, _
 	if batch > 256 {
 		batch = 256 // attention is O(b²); keep batches transformer-sized
 	}
-	src := train.NewIndexBatches(ds.TrainIdx, batch)
 	valLabels := dataset.LabelsAt(ds.Labels, ds.ValIdx)
 	defer opt.Reset()
-	err = runLoop(m.Name(), ds, cfg, pcg, rng, rep, train.Spec{
-		Source: src,
-		Step: func(b train.Batch) error {
-			as, logits, err := st.batchForward(ds, b.Indices)
+	err = runLoop(m.Name(), ds, cfg, pcg, rep, train.Spec{
+		Source: train.NewBatches(ds.TrainIdx, batch),
+		Step: func(ids []int) error {
+			as, logits, err := st.batchForward(ds, ids)
 			if err != nil {
 				return err
 			}
-			_, gLogits := nn.SoftmaxCrossEntropy(logits, dataset.LabelsAt(ds.Labels, b.Indices))
+			_, gLogits := nn.SoftmaxCrossEntropy(logits, dataset.LabelsAt(ds.Labels, ids))
 			st.backwardBatch(as, gLogits)
 			opt.Step(st.params())
 			return nil

@@ -36,7 +36,8 @@ type EpochEnd struct {
 //
 //	train.batches        counter  batches completed
 //	train.epochs         counter  epochs completed
-//	train.batch_nodes    counter  nodes stepped through mini-batches
+//	train.batch_nodes    counter  batch ids stepped (0 per full batch,
+//	                              1 per ClusterGCN cluster)
 //	train.batches_per_s  gauge    completed batches / elapsed seconds
 //	train.val_acc        gauge    last validation accuracy
 //	train.best_val_acc   gauge    best validation accuracy so far

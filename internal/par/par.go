@@ -14,10 +14,6 @@ import (
 	"scalegnn/internal/obs"
 )
 
-// DefaultMinChunk is the minimum rows-per-worker below which Range runs
-// inline. Kernels with cheaper per-row work should pass a larger minChunk.
-const DefaultMinChunk = 64
-
 // workerCap caps the number of concurrent workers; 0 means GOMAXPROCS.
 var workerCap atomic.Int64
 

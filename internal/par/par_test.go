@@ -11,7 +11,7 @@ func TestRangeCoversAll(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 1000, 4096, 100001} {
 		seen := make([]int32, n)
 		var mu sync.Mutex
-		Range(n, DefaultMinChunk, func(lo, hi int) {
+		Range(n, 64, func(lo, hi int) {
 			mu.Lock()
 			defer mu.Unlock()
 			for i := lo; i < hi; i++ {

@@ -3,9 +3,9 @@ package train
 import (
 	"encoding"
 	"fmt"
+	"math/rand/v2"
 
 	"scalegnn/internal/ckpt"
-	"scalegnn/internal/nn"
 	"scalegnn/internal/obs"
 	"scalegnn/internal/tensor"
 )
@@ -32,11 +32,6 @@ type CheckpointConfig struct {
 	// Fingerprint identifies the run (model + graph + config hash, see
 	// ckpt.Fingerprint). Resume rejects snapshots from a different run.
 	Fingerprint uint64
-	// RNG is the concrete serializable source behind Config.RNG (e.g.
-	// *rand.PCG from tensor.NewPCG). Required: Config.RNG alone cannot be
-	// marshaled, and restoring the source restores every rand.Rand view
-	// of it at once.
-	RNG RNGState
 	// Aux, when non-nil, is subsystem state that must travel with the
 	// training cursor: it is marshaled into every snapshot and restored on
 	// resume before training continues (the distributed runtime uses it to
@@ -50,30 +45,11 @@ type CheckpointConfig struct {
 }
 
 // AuxState is the serializable auxiliary state a snapshot can carry on
-// behalf of a subsystem riding along with the run (same contract as
-// RNGState).
+// behalf of a subsystem riding along with the run.
 type AuxState interface {
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
 }
-
-// RNGState is the serializable random source a checkpointed run must
-// expose; *math/rand/v2.PCG satisfies it.
-type RNGState interface {
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
-
-// OptimizerStateOf is the optimizer-side contract for checkpointing: export
-// and restore the per-parameter moment state and step counter.
-// *nn.AdamOf[T] implements it.
-type OptimizerStateOf[T tensor.Elem] interface {
-	ExportMoments(params []*nn.ParamOf[T]) (step int, moments []*tensor.Mat[T])
-	ImportMoments(params []*nn.ParamOf[T], step int, moments []*tensor.Mat[T]) error
-}
-
-// OptimizerState is the float64 instantiation of OptimizerStateOf.
-type OptimizerState = OptimizerStateOf[float64]
 
 // blockOf wraps a tensor's backing slice as a dtype-tagged checkpoint
 // block without copying: float64 data becomes a Float64 block, float32 a
@@ -104,12 +80,12 @@ func blockData[T tensor.Elem](b ckpt.Block) []T {
 
 // ckptRunner glues a run to its ckpt.Manager: it captures the pre-shuffle
 // RNG state each epoch (so a mid-epoch snapshot can re-derive the
-// permutation by replaying Shuffle), assembles Snapshots from the live
+// permutation by replaying the shuffle), assembles Snapshots from the live
 // Spec, and restores them on resume.
 type ckptRunner[T tensor.Elem] struct {
 	mgr      *ckpt.Manager
 	spec     *SpecOf[T]
-	rng      RNGState
+	rng      *rand.PCG
 	aux      AuxState
 	run      []byte
 	fp       uint64
@@ -120,15 +96,6 @@ type ckptRunner[T tensor.Elem] struct {
 
 func newCkptRunner[T tensor.Elem](cfg *Config, spec *SpecOf[T]) (*ckptRunner[T], error) {
 	c := cfg.Checkpoint
-	if len(spec.Params) == 0 {
-		return nil, fmt.Errorf("train: checkpointing needs Spec.Params")
-	}
-	if spec.Optimizer == nil {
-		return nil, fmt.Errorf("train: checkpointing needs Spec.Optimizer")
-	}
-	if c.RNG == nil {
-		return nil, fmt.Errorf("train: checkpointing needs Checkpoint.RNG (the serializable source behind Config.RNG)")
-	}
 	every := c.Every
 	if every <= 0 {
 		every = 1
@@ -137,7 +104,7 @@ func newCkptRunner[T tensor.Elem](cfg *Config, spec *SpecOf[T]) (*ckptRunner[T],
 	if err != nil {
 		return nil, err
 	}
-	return &ckptRunner[T]{mgr: mgr, spec: spec, rng: c.RNG, aux: c.Aux, run: c.Run, fp: c.Fingerprint, every: every}, nil
+	return &ckptRunner[T]{mgr: mgr, spec: spec, rng: cfg.RNG, aux: c.Aux, run: c.Run, fp: c.Fingerprint, every: every}, nil
 }
 
 // beginEpoch records the RNG state before the epoch's shuffle consumes it.
@@ -212,7 +179,7 @@ func (c *ckptRunner[T]) save(epoch, batch int, stopper *earlyStop, rep *Report, 
 // snapshot (nil for a fresh start) plus the restored best-weights copy.
 // RNG restoration is left to Run: a boundary snapshot restores s.RNG
 // directly, a mid-epoch one (s.Batch >= 0) restores s.RNGEpoch, replays
-// Shuffle to re-derive the permutation, then restores s.RNG via
+// the shuffle to re-derive the permutation, then restores s.RNG via
 // replayedShuffle.
 func (c *ckptRunner[T]) resume(stopper *earlyStop, rep *Report) (*ckpt.Snapshot, snapshotOf[T], error) {
 	s, path, err := c.mgr.Latest(c.fp)

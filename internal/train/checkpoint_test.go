@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ type ckptModel struct {
 	param   *nn.Param
 	opt     *nn.Adam
 	rng     *rand.Rand
-	batches []Batch
+	batches []step
 }
 
 func newCkptModel(rng *rand.Rand) *ckptModel {
@@ -31,13 +32,11 @@ func newCkptModel(rng *rand.Rand) *ckptModel {
 	}
 }
 
-func (m *ckptModel) spec(src BatchSource) Spec {
+func (m *ckptModel) spec(src *Batches) Spec {
 	return Spec{
 		Source: src,
-		Step: func(b Batch) error {
-			c := b
-			c.Indices = append([]int(nil), b.Indices...)
-			m.batches = append(m.batches, c)
+		Step: func(ids []int) error {
+			m.batches = append(m.batches, step{ids: slices.Clone(ids)})
 			for i := range m.param.Grad.Data {
 				m.param.Grad.Data[i] = m.rng.NormFloat64()
 			}
@@ -50,6 +49,14 @@ func (m *ckptModel) spec(src BatchSource) Spec {
 	}
 }
 
+// OnBatch records where in the run the batch just stepped came: the
+// engine's cursor, so a resumed run is compared on the same epochs.
+func (m *ckptModel) OnBatch(e BatchEnd) {
+	b := &m.batches[len(m.batches)-1]
+	b.epoch, b.index = e.Epoch, e.Batch
+}
+func (m *ckptModel) OnEpoch(EpochEnd) {}
+
 // run builds a fresh model+RNG from seed and trains it, optionally with
 // checkpointing, cancelling after cancelAfter batch steps (0 = never).
 func ckptRun(t *testing.T, seed uint64, epochs int, ckCfg CheckpointConfig, cancelAfter int) (*ckptModel, *Report, error) {
@@ -57,17 +64,14 @@ func ckptRun(t *testing.T, seed uint64, epochs int, ckCfg CheckpointConfig, canc
 	pcg := tensor.NewPCG(seed)
 	rng := rand.New(pcg)
 	m := newCkptModel(rng)
-	if ckCfg.Dir != "" {
-		ckCfg.RNG = pcg
-	}
-	cfg := Config{Epochs: epochs, RNG: rng, Checkpoint: ckCfg}
+	cfg := Config{Epochs: epochs, RNG: pcg, Checkpoint: ckCfg, Hooks: []Hook{m}}
 	if cancelAfter > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		cfg.Ctx = ctx
 		cfg.Hooks = append(cfg.Hooks, &cancelAfterBatches{n: cancelAfter, cancel: cancel})
 	}
-	rep, err := Run(cfg, m.spec(NewIndexBatches([]int{0, 1, 2, 3, 4, 5, 6}, 3)))
+	rep, err := Run(cfg, m.spec(NewBatches([]int{0, 1, 2, 3, 4, 5, 6}, 3)))
 	return m, rep, err
 }
 
@@ -84,20 +88,20 @@ func (c *cancelAfterBatches) OnBatch(BatchEnd) {
 }
 func (c *cancelAfterBatches) OnEpoch(EpochEnd) {}
 
-func sameBatches(t *testing.T, got, want []Batch) {
+func sameBatches(t *testing.T, got, want []step) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("batch count %d, want %d", len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Epoch != w.Epoch || g.Index != w.Index || len(g.Indices) != len(w.Indices) {
+		if g.epoch != w.epoch || g.index != w.index || len(g.ids) != len(w.ids) {
 			t.Fatalf("batch %d: got %+v want %+v", i, g, w)
 		}
-		for j := range g.Indices {
-			if g.Indices[j] != w.Indices[j] {
+		for j := range g.ids {
+			if g.ids[j] != w.ids[j] {
 				t.Fatalf("batch %d index %d: got %d want %d (permutation replay diverged)",
-					i, j, g.Indices[j], w.Indices[j])
+					i, j, g.ids[j], w.ids[j])
 			}
 		}
 	}
@@ -174,7 +178,7 @@ func TestResumeMidEpochBitwiseIdentical(t *testing.T) {
 	if rep.Epochs != 5 {
 		t.Fatalf("resumed report epochs %d, want 5", rep.Epochs)
 	}
-	sameBatches(t, append(append([]Batch(nil), interrupted.batches...), resumed.batches...), full.batches)
+	sameBatches(t, append(append([]step(nil), interrupted.batches...), resumed.batches...), full.batches)
 	sameParams(t, resumed, full)
 }
 
@@ -187,11 +191,8 @@ func TestResumeRestoresEarlyStopState(t *testing.T) {
 		pcg := tensor.NewPCG(seed)
 		rng := rand.New(pcg)
 		m := newCkptModel(rng)
-		if ck.Dir != "" {
-			ck.RNG = pcg
-		}
-		return Run(Config{Epochs: maxEpochs, Patience: patience, RNG: rng, Checkpoint: ck},
-			m.spec(NewIndexBatches([]int{0, 1, 2, 3}, 2)))
+		return Run(Config{Epochs: maxEpochs, Patience: patience, RNG: pcg, Checkpoint: ck},
+			m.spec(NewBatches([]int{0, 1, 2, 3}, 2)))
 	}
 	fullRep, err := pcgRun(CheckpointConfig{}, epochs)
 	if err != nil {
@@ -228,11 +229,8 @@ func TestResumeAfterEarlyStopIsNoop(t *testing.T) {
 		pcg := tensor.NewPCG(seed)
 		rng := rand.New(pcg)
 		m := newCkptModel(rng)
-		if ck.Dir != "" {
-			ck.RNG = pcg
-		}
-		rep, err := Run(Config{Epochs: epochs, Patience: patience, RNG: rng, Checkpoint: ck},
-			m.spec(NewIndexBatches([]int{0, 1, 2, 3}, 2)))
+		rep, err := Run(Config{Epochs: epochs, Patience: patience, RNG: pcg, Checkpoint: ck},
+			m.spec(NewBatches([]int{0, 1, 2, 3}, 2)))
 		return m, rep, err
 	}
 	cc := CheckpointConfig{Dir: t.TempDir(), Fingerprint: fp}
@@ -264,11 +262,8 @@ func TestResumeRestoreBestWeights(t *testing.T) {
 		pcg := tensor.NewPCG(seed)
 		rng := rand.New(pcg)
 		m := newCkptModel(rng)
-		if ck.Dir != "" {
-			ck.RNG = pcg
-		}
-		rep, err := Run(Config{Epochs: epochs, RestoreBest: true, RNG: rng, Checkpoint: ck},
-			m.spec(NewIndexBatches([]int{0, 1, 2}, 2)))
+		rep, err := Run(Config{Epochs: epochs, RestoreBest: true, RNG: pcg, Checkpoint: ck},
+			m.spec(NewBatches([]int{0, 1, 2}, 2)))
 		return m, rep, err
 	}
 	full, fullRep, err := run(CheckpointConfig{}, 8)
@@ -352,8 +347,8 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	pcg := tensor.NewPCG(1)
 	rng := rand.New(pcg)
 	m := newCkptModel(rng)
-	good := m.spec(FullBatch{})
-	dir := t.TempDir()
+	good := m.spec(nil)
+	ck := CheckpointConfig{Dir: t.TempDir()}
 
 	noParams := good
 	noParams.Params = nil
@@ -361,13 +356,13 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	noOpt.Optimizer = nil
 	for name, tc := range map[string]struct {
 		spec Spec
-		ck   CheckpointConfig
+		cfg  Config
 	}{
-		"no params":    {noParams, CheckpointConfig{Dir: dir, RNG: pcg}},
-		"no optimizer": {noOpt, CheckpointConfig{Dir: dir, RNG: pcg}},
-		"no rng":       {good, CheckpointConfig{Dir: dir}},
+		"no params":    {noParams, Config{Epochs: 1, RNG: pcg, Checkpoint: ck}},
+		"no optimizer": {noOpt, Config{Epochs: 1, RNG: pcg, Checkpoint: ck}},
+		"no rng":       {good, Config{Epochs: 1, Checkpoint: ck}},
 	} {
-		if _, err := Run(Config{Epochs: 1, RNG: rng, Checkpoint: tc.ck}, tc.spec); err == nil {
+		if _, err := Run(tc.cfg, tc.spec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -1,23 +1,23 @@
 // Package train is the unified training engine behind every model family
 // in internal/models. The tutorial's survey of scalable-GNN systems (§3.1.2)
-// shows that the families differ along exactly one axis — how an epoch is
-// sliced into batches (full-batch iterative, sampled index mini-batch,
-// partition batch, precomputed-embedding mini-batch) — while everything
-// around that axis is shared scaffolding: permutation draws, early stopping,
-// validation cadence, timing, and memory accounting. This package owns the
-// scaffolding once:
+// shows that the families differ in what a training step does with a batch,
+// while how an epoch is sliced is the same for all of them — one shuffled
+// list of ids, cut into chunks — and so is everything around it: early
+// stopping, validation cadence, timing, and memory accounting. This package
+// owns the shared part once:
 //
-//   - BatchSource abstracts the batching axis (source.go);
-//   - Loop (Run) drives the epoch loop with RNG-seeded shuffling, early
-//     stopping with optional best-validation weight restoration,
-//     context.Context cancellation/deadline, and wall-clock plus
-//     peak-resident-float accounting;
+//   - Batches is the one batch source (source.go); a nil source is one full
+//     batch per epoch;
+//   - Run drives the epoch loop with PCG-seeded shuffling, early stopping
+//     with optional best-validation weight restoration, context.Context
+//     cancellation/deadline, and wall-clock plus peak-resident-float
+//     accounting;
 //   - Hook receives OnBatch/OnEpoch callbacks for metrics, tracing, and
 //     progress layers without touching the hot path.
 //
-// Determinism contract: with the same Config, Spec, and *rand.Rand stream,
-// Run consumes randomness in exactly the order of the hand-rolled loops it
-// replaced (one Shuffle per epoch, then the step's own draws batch by
+// Determinism contract: with the same Config, Spec, and PCG state, Run
+// consumes randomness in exactly the order of the hand-rolled loops it
+// replaced (one permutation per epoch, then the step's own draws batch by
 // batch), so migrated models produce bitwise-identical parameters and
 // predictions. RestoreBest is off by default because restoring changes
 // final weights relative to those legacy loops.
@@ -46,9 +46,11 @@ type Config struct {
 	// Spec.Params) when training ends. Off by default: legacy loops kept
 	// the final weights, and fingerprint comparisons rely on that.
 	RestoreBest bool
-	// RNG drives the per-epoch shuffle and is shared with the model's own
-	// stochastic layers; required when the source shuffles.
-	RNG *rand.Rand
+	// RNG is the run's random source, shared with the model's own
+	// stochastic layers: the engine draws each epoch's permutation through
+	// rand.New(RNG), and checkpointing marshals it. Required when
+	// Spec.Source is set or checkpointing is on.
+	RNG *rand.PCG
 	// Ctx cancels training between batches; nil means never.
 	Ctx context.Context
 	// Hooks observe the run. Hook errors are not possible by construction;
@@ -59,22 +61,23 @@ type Config struct {
 	Checkpoint CheckpointConfig
 }
 
-// SpecOf is what a model brings to the engine: its batch axis and the three
-// model-specific operations of one training run, generic over the element
-// type its parameters and features are stored in.
+// SpecOf is what a model brings to the engine: its batch source and the
+// three model-specific operations of one training run, generic over the
+// element type its parameters and features are stored in.
 type SpecOf[T tensor.Elem] struct {
-	// Source yields each epoch's batches. Required.
-	Source BatchSourceOf[T]
-	// Step runs forward/backward/optimizer-update for one batch. Required.
-	Step func(b BatchOf[T]) error
+	// Source yields each epoch's batches; nil is one full batch per epoch.
+	Source *Batches
+	// Step runs forward/backward/optimizer-update for one batch of ids
+	// (nil on a full batch; valid only until Step returns). Required.
+	Step func(ids []int) error
 	// Validate returns the epoch's validation accuracy. Required.
 	Validate func() (float64, error)
 	// Params are the learnables snapshotted for Config.RestoreBest and
 	// serialized by checkpointing; may be nil when both are off.
 	Params []*nn.ParamOf[T]
-	// Optimizer exposes moment state for checkpointing; required when
-	// Config.Checkpoint is enabled, ignored otherwise.
-	Optimizer OptimizerStateOf[T]
+	// Optimizer's moment state is serialized by checkpointing; required
+	// when Config.Checkpoint is enabled, ignored otherwise.
+	Optimizer *nn.AdamOf[T]
 	// PeakFloats, when set, is called once after training to fill
 	// Report.PeakFloats (the resident-float peak of one step — the
 	// GPU-memory proxy reported by every family).
@@ -174,16 +177,10 @@ func (s snapshotOf[T]) restore(params []*nn.ParamOf[T]) {
 // is inferred from the Spec: float64 specs run the bitwise-reproducible
 // reference path, float32 specs the raw-speed tier.
 func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
-	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("train: epochs %d < 1", cfg.Epochs)
+	if err := check(&cfg, &spec); err != nil {
+		return nil, err
 	}
-	if spec.Source == nil || spec.Step == nil || spec.Validate == nil {
-		return nil, fmt.Errorf("train: spec needs Source, Step, and Validate")
-	}
-	if cfg.RestoreBest && len(spec.Params) == 0 {
-		return nil, fmt.Errorf("train: RestoreBest needs Spec.Params")
-	}
-
+	rng := rand.New(cfg.RNG)
 	var ck *ckptRunner[T]
 	if cfg.Checkpoint.Dir != "" {
 		var err error
@@ -261,7 +258,7 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 			}
 		}
 		shSp := epSp.Child("train.shuffle")
-		spec.Source.Shuffle(cfg.RNG)
+		spec.Source.shuffle(rng)
 		shSp.End()
 		firstBatch := 0
 		if midResume {
@@ -272,7 +269,7 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 			firstBatch = resumeBatch
 			resumeBatch = -1
 		}
-		n := spec.Source.Len()
+		n := spec.Source.count()
 		for i := firstBatch; i < n; i++ {
 			if err := ctxErr(cfg.Ctx); err != nil {
 				err = fmt.Errorf("train: cancelled at epoch %d batch %d: %w", epoch, i, err)
@@ -289,18 +286,17 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 				epSp.End()
 				return nil, fmt.Errorf("train: batch failpoint (epoch %d batch %d): %w", epoch, i, err)
 			}
-			b := spec.Source.Batch(i)
-			b.Epoch, b.Index = epoch, i
+			ids := spec.Source.batch(i)
 			bSp := epSp.Child("train.batch")
-			bSp.SetCount(int64(b.Size()))
-			err := spec.Step(b)
+			bSp.SetCount(int64(len(ids)))
+			err := spec.Step(ids)
 			bSp.End()
 			if err != nil {
 				epSp.End()
 				return nil, fmt.Errorf("train: step (epoch %d batch %d): %w", epoch, i, err)
 			}
 			for _, h := range cfg.Hooks {
-				h.OnBatch(BatchEnd{Epoch: epoch, Batch: i, Size: b.Size(), Trace: runSp.TraceID()})
+				h.OnBatch(BatchEnd{Epoch: epoch, Batch: i, Size: len(ids), Trace: runSp.TraceID()})
 			}
 		}
 		vSp := epSp.Child("train.validate")
@@ -338,6 +334,28 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 	return rep, nil
 }
 
+// check rejects a run the engine cannot drive.
+func check[T tensor.Elem](cfg *Config, spec *SpecOf[T]) error {
+	ck := cfg.Checkpoint.Dir != ""
+	switch {
+	case cfg.Epochs < 1:
+		return fmt.Errorf("train: epochs %d < 1", cfg.Epochs)
+	case spec.Step == nil || spec.Validate == nil:
+		return fmt.Errorf("train: spec needs Step and Validate")
+	case cfg.RestoreBest && len(spec.Params) == 0:
+		return fmt.Errorf("train: RestoreBest needs Spec.Params")
+	case ck && len(spec.Params) == 0:
+		return fmt.Errorf("train: checkpointing needs Spec.Params")
+	case ck && spec.Optimizer == nil:
+		return fmt.Errorf("train: checkpointing needs Spec.Optimizer")
+	case ck && cfg.RNG == nil:
+		return fmt.Errorf("train: checkpointing needs Config.RNG")
+	case spec.Source != nil && cfg.RNG == nil:
+		return fmt.Errorf("train: Spec.Source shuffles and needs Config.RNG")
+	}
+	return nil
+}
+
 // Engine-level metric refs, disabled (one atomic load, no work) until
 // EnableMetrics binds them to a registry.
 var (
@@ -348,7 +366,7 @@ var (
 // EnableMetrics binds the engine's metrics to reg (see DESIGN.md
 // "Observability" for the name registry):
 //
-//	train.rows_gathered  counter  feature rows gathered by embedding sources
+//	train.rows_gathered  counter  feature rows gathered by Gather
 //	train.peak_floats    gauge    Report.PeakFloats of the latest run
 //
 // Call once at process start (the CLIs do, behind -metrics-addr); pass nil

@@ -4,12 +4,20 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"scalegnn/internal/nn"
 	"scalegnn/internal/tensor"
 )
+
+// step is one Step call as a test model saw it: where in the run it came
+// and a copy of its ids.
+type step struct {
+	epoch, index int
+	ids          []int
+}
 
 // fakeModel is a deterministic one-parameter model: each Step adds the batch
 // size (or 1 for full-batch work) to a counter parameter, and validation
@@ -18,8 +26,8 @@ import (
 type fakeModel struct {
 	param   *nn.Param
 	valSeq  []float64 // validation accuracy per epoch (last repeats)
-	epoch   int
-	batches []Batch // copies with Indices cloned
+	epoch   int       // Validate calls so far: the epoch being stepped
+	batches []step
 	stepErr error
 }
 
@@ -30,17 +38,19 @@ func newFakeModel(valSeq ...float64) *fakeModel {
 	}
 }
 
-func (f *fakeModel) spec(src BatchSource) Spec {
+func (f *fakeModel) spec(src *Batches) Spec {
 	return Spec{
 		Source: src,
-		Step: func(b Batch) error {
+		Step: func(ids []int) error {
 			if f.stepErr != nil {
 				return f.stepErr
 			}
-			c := b
-			c.Indices = append([]int(nil), b.Indices...)
-			f.batches = append(f.batches, c)
-			n := float64(b.Size())
+			index := 0
+			if k := len(f.batches); k > 0 && f.batches[k-1].epoch == f.epoch {
+				index = f.batches[k-1].index + 1
+			}
+			f.batches = append(f.batches, step{f.epoch, index, slices.Clone(ids)})
+			n := float64(len(ids))
 			if n == 0 {
 				n = 1
 			}
@@ -59,7 +69,7 @@ func (f *fakeModel) spec(src BatchSource) Spec {
 
 func TestRunFullBatch(t *testing.T) {
 	f := newFakeModel(0.5, 0.6, 0.7)
-	rep, err := Run(Config{Epochs: 3}, f.spec(FullBatch{}))
+	rep, err := Run(Config{Epochs: 3}, f.spec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestRunFullBatch(t *testing.T) {
 		t.Fatalf("full batch should run once per epoch, got %d steps", len(f.batches))
 	}
 	for i, b := range f.batches {
-		if b.Epoch != i || b.Index != 0 || b.Indices != nil || b.Cluster != -1 {
+		if b.epoch != i || b.index != 0 || b.ids != nil {
 			t.Errorf("batch %d: %+v", i, b)
 		}
 	}
@@ -88,8 +98,7 @@ func TestRunFullBatch(t *testing.T) {
 func TestRunIndexBatchesCoverTrainingSet(t *testing.T) {
 	idx := []int{10, 11, 12, 13, 14, 15, 16}
 	f := newFakeModel(0.5)
-	rng := tensor.NewRand(3)
-	rep, err := Run(Config{Epochs: 2, RNG: rng}, f.spec(NewIndexBatches(idx, 3)))
+	rep, err := Run(Config{Epochs: 2, RNG: tensor.NewPCG(3)}, f.spec(NewBatches(idx, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +112,10 @@ func TestRunIndexBatchesCoverTrainingSet(t *testing.T) {
 	for ep := 0; ep < 2; ep++ {
 		seen := map[int]int{}
 		for _, b := range f.batches[ep*3 : ep*3+3] {
-			if b.Epoch != ep {
-				t.Errorf("batch tagged epoch %d want %d", b.Epoch, ep)
+			if b.epoch != ep {
+				t.Errorf("batch stepped in epoch %d want %d", b.epoch, ep)
 			}
-			for _, v := range b.Indices {
+			for _, v := range b.ids {
 				seen[v]++
 			}
 		}
@@ -119,54 +128,22 @@ func TestRunIndexBatchesCoverTrainingSet(t *testing.T) {
 }
 
 func TestRunClusterBatchesVisitEveryCluster(t *testing.T) {
+	// ClusterGCN steps batches of one cluster id over [0, 4).
 	f := newFakeModel(0.5)
-	rng := tensor.NewRand(5)
-	_, err := Run(Config{Epochs: 1, RNG: rng}, f.spec(NewClusterBatchesOf[float64](4)))
+	_, err := Run(Config{Epochs: 1, RNG: tensor.NewPCG(5)}, f.spec(NewBatches([]int{0, 1, 2, 3}, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]int{}
 	for _, b := range f.batches {
-		seen[b.Cluster]++
+		if len(b.ids) != 1 {
+			t.Fatalf("batch %+v holds %d clusters, want 1", b, len(b.ids))
+		}
+		seen[b.ids[0]]++
 	}
 	for c := 0; c < 4; c++ {
 		if seen[c] != 1 {
 			t.Errorf("cluster %d visited %d times", c, seen[c])
-		}
-	}
-}
-
-func TestRunEmbeddingBatchesGatherRows(t *testing.T) {
-	emb := tensor.New(6, 2)
-	for i := 0; i < 6; i++ {
-		emb.Row(i)[0] = float64(i)
-		emb.Row(i)[1] = float64(10 * i)
-	}
-	src := NewEmbeddingBatches(emb, []int{1, 3, 5}, 2)
-	defer src.Release()
-	var got [][]float64
-	spec := Spec{
-		Source: src,
-		Step: func(b Batch) error {
-			if b.X == nil || b.X.Rows != len(b.Indices) || b.X.Cols != 2 {
-				t.Fatalf("bad gather: %+v", b)
-			}
-			for i, v := range b.Indices {
-				got = append(got, []float64{float64(v), b.X.Row(i)[0], b.X.Row(i)[1]})
-			}
-			return nil
-		},
-		Validate: func() (float64, error) { return 0, nil },
-	}
-	if _, err := Run(Config{Epochs: 1, RNG: tensor.NewRand(1)}, spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("gathered %d rows", len(got))
-	}
-	for _, row := range got {
-		if row[1] != row[0] || row[2] != 10*row[0] {
-			t.Errorf("row for node %v gathered %v, %v", row[0], row[1], row[2])
 		}
 	}
 }
@@ -178,13 +155,13 @@ func TestSeedStability(t *testing.T) {
 	}
 	order := func(seed uint64) []int {
 		f := newFakeModel(0.5)
-		_, err := Run(Config{Epochs: 3, RNG: tensor.NewRand(seed)}, f.spec(NewIndexBatches(idx, 8)))
+		_, err := Run(Config{Epochs: 3, RNG: tensor.NewPCG(seed)}, f.spec(NewBatches(idx, 8)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var flat []int
 		for _, b := range f.batches {
-			flat = append(flat, b.Indices...)
+			flat = append(flat, b.ids...)
 		}
 		return flat
 	}
@@ -213,7 +190,7 @@ func TestSeedStability(t *testing.T) {
 func TestEarlyStopAndPatience(t *testing.T) {
 	// Improves at epochs 0,1 then plateaus; patience 3 → stop at epoch 4.
 	f := newFakeModel(0.5, 0.6, 0.55, 0.55, 0.55, 0.55, 0.55)
-	rep, err := Run(Config{Epochs: 50, Patience: 3}, f.spec(FullBatch{}))
+	rep, err := Run(Config{Epochs: 50, Patience: 3}, f.spec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +206,7 @@ func TestEarlyStopAndPatience(t *testing.T) {
 
 	// Patience 0 disables early stopping even under a worsening sequence.
 	f0 := newFakeModel(0.9, 0.1)
-	rep0, err := Run(Config{Epochs: 10, Patience: 0}, f0.spec(FullBatch{}))
+	rep0, err := Run(Config{Epochs: 10, Patience: 0}, f0.spec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +219,7 @@ func TestRestoreBestSnapshotsParameters(t *testing.T) {
 	// Validation peaks at epoch 1; the counter parameter keeps growing each
 	// step, so restoration must rewind it to its epoch-1 value.
 	f := newFakeModel(0.5, 0.9, 0.4, 0.4, 0.4)
-	rep, err := Run(Config{Epochs: 5, RestoreBest: true}, f.spec(FullBatch{}))
+	rep, err := Run(Config{Epochs: 5, RestoreBest: true}, f.spec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +233,7 @@ func TestRestoreBestSnapshotsParameters(t *testing.T) {
 
 	// Without restoration the final value stands.
 	f2 := newFakeModel(0.5, 0.9, 0.4, 0.4, 0.4)
-	if _, err := Run(Config{Epochs: 5}, f2.spec(FullBatch{})); err != nil {
+	if _, err := Run(Config{Epochs: 5}, f2.spec(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got := f2.param.Value.Data[0]; got != 5 {
@@ -272,17 +249,17 @@ func TestCancellationMidEpochReturnsPartialReport(t *testing.T) {
 		idx[i] = i
 	}
 	f := newFakeModel(0.5)
-	spec := f.spec(NewIndexBatches(idx, 10))
+	spec := f.spec(NewBatches(idx, 10))
 	steps := 0
 	inner := spec.Step
-	spec.Step = func(b Batch) error {
+	spec.Step = func(b []int) error {
 		steps++
 		if steps == 6 { // cancel mid-second-epoch (4 batches per epoch)
 			cancel()
 		}
 		return inner(b)
 	}
-	rep, err := Run(Config{Epochs: 100, RNG: tensor.NewRand(2), Ctx: ctx}, spec)
+	rep, err := Run(Config{Epochs: 100, RNG: tensor.NewPCG(2), Ctx: ctx}, spec)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -316,7 +293,7 @@ func TestAlreadyExpiredDeadline(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond)
 	f := newFakeModel(0.5)
-	rep, err := Run(Config{Epochs: 3, Ctx: ctx}, f.spec(FullBatch{}))
+	rep, err := Run(Config{Epochs: 3, Ctx: ctx}, f.spec(nil))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap DeadlineExceeded", err)
 	}
@@ -338,8 +315,8 @@ func TestHooksObserveRun(t *testing.T) {
 	h := &countingHook{}
 	idx := []int{0, 1, 2, 3, 4}
 	f := newFakeModel(0.5, 0.7, 0.6)
-	_, err := Run(Config{Epochs: 3, RNG: tensor.NewRand(1), Hooks: []Hook{h}},
-		f.spec(NewIndexBatches(idx, 2)))
+	_, err := Run(Config{Epochs: 3, RNG: tensor.NewPCG(1), Hooks: []Hook{h}},
+		f.spec(NewBatches(idx, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,23 +336,33 @@ func TestHooksObserveRun(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	f := newFakeModel(0.5)
-	if _, err := Run(Config{Epochs: 0}, f.spec(FullBatch{})); err == nil {
+	if _, err := Run(Config{Epochs: 0}, f.spec(nil)); err == nil {
 		t.Error("epochs=0 must error")
 	}
 	if _, err := Run(Config{Epochs: 1}, Spec{}); err == nil {
 		t.Error("empty spec must error")
 	}
-	spec := f.spec(FullBatch{})
+	spec := f.spec(nil)
 	spec.Params = nil
 	if _, err := Run(Config{Epochs: 1, RestoreBest: true}, spec); err == nil {
 		t.Error("RestoreBest without params must error")
 	}
 }
 
+// TestShufflingSourceNeedsRNG: a source with no RNG to shuffle with is a
+// config error, not a nil dereference at the first epoch.
+func TestShufflingSourceNeedsRNG(t *testing.T) {
+	f := newFakeModel(0.5)
+	rep, err := Run(Config{Epochs: 1}, f.spec(NewBatches([]int{0, 1, 2}, 2)))
+	if err == nil || rep != nil || len(f.batches) != 0 {
+		t.Errorf("got rep=%v err=%v after %d steps, want a config error before any step", rep, err, len(f.batches))
+	}
+}
+
 func TestStepErrorAborts(t *testing.T) {
 	f := newFakeModel(0.5)
 	f.stepErr = errors.New("boom")
-	rep, err := Run(Config{Epochs: 3}, f.spec(FullBatch{}))
+	rep, err := Run(Config{Epochs: 3}, f.spec(nil))
 	if err == nil || rep != nil {
 		t.Errorf("step error must abort with nil report, got rep=%v err=%v", rep, err)
 	}
