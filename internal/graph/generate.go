@@ -199,22 +199,3 @@ func Path(n int) *CSR {
 	}
 	return b.MustBuild()
 }
-
-// Star generates a star with one hub (node 0) and n-1 leaves — the extreme
-// degree-skew topology.
-func Star(n int) *CSR {
-	b := NewBuilder(n)
-	for i := 1; i < n; i++ {
-		b.AddEdge(0, i)
-	}
-	return b.MustBuild()
-}
-
-// Cycle generates the n-cycle.
-func Cycle(n int) *CSR {
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-	}
-	return b.MustBuild()
-}

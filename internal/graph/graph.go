@@ -11,9 +11,7 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -158,33 +156,26 @@ func (b *Builder) Build() (*CSR, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, b.N)
 		}
 	}
-	// One record per input edge. An undirected edge is keyed by its
+	// One record per kept edge. An undirected edge is keyed by its
 	// canonical (min,max) endpoints and summed once, in insertion order, so
 	// its two arcs carry the same weight whichever way round its parallel
 	// copies were written.
-	type keyed struct {
-		Edge
-		at int // insertion index: the tie-break that fixes the summation order
-	}
-	es := make([]keyed, 0, len(b.edges))
-	for i, e := range b.edges {
+	es := make([]Edge, 0, len(b.edges))
+	for _, e := range b.edges {
 		if e.U == e.V && !b.KeepSelfLoops {
 			continue
 		}
 		if !b.Directed && e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		es = append(es, keyed{e, i})
+		es = append(es, e)
 	}
-	slices.SortFunc(es, func(x, y keyed) int {
-		if c := cmp.Compare(x.U, y.U); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.V, y.V); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.at, y.at)
-	})
+	// Two stable counting passes, by V and then by U, leave es in (U, V,
+	// insertion) order: the order that fixes each parallel-edge sum.
+	pos := make([]int64, b.N+1)
+	tmp := make([]Edge, len(es))
+	sortByEndpoint(tmp, es, pos, false)
+	sortByEndpoint(es, tmp, pos, true)
 	merged := es[:0]
 	for _, e := range es {
 		if n := len(merged); n > 0 && merged[n-1].U == e.U && merged[n-1].V == e.V {
@@ -195,7 +186,7 @@ func (b *Builder) Build() (*CSR, error) {
 	}
 
 	g := &CSR{N: b.N, Offsets: make([]int64, b.N+1), undirected: !b.Directed}
-	mirrored := func(e keyed) bool { return !b.Directed && e.U != e.V }
+	mirrored := func(e Edge) bool { return !b.Directed && e.U != e.V }
 	weighted := false
 	for _, e := range merged {
 		g.Offsets[e.U+1]++
@@ -214,7 +205,8 @@ func (b *Builder) Build() (*CSR, error) {
 	// merged is sorted by (U,V) with U <= V on mirrored edges, so row x
 	// receives its smaller neighbours (as V, while the groups U < x pass)
 	// before its larger ones (as U, in V order): every row comes out sorted.
-	next := slices.Clone(g.Offsets[:b.N])
+	next := pos[:b.N]
+	copy(next, g.Offsets)
 	put := func(u, v int, w float64) {
 		g.Adj[next[u]] = int32(v)
 		if weighted {
@@ -229,6 +221,29 @@ func (b *Builder) Build() (*CSR, error) {
 		}
 	}
 	return g, nil
+}
+
+// sortByEndpoint moves src into dst stably ordered by U (byU) or by V, one
+// counting pass; pos is scratch of length N+1.
+func sortByEndpoint(dst, src []Edge, pos []int64, byU bool) {
+	key := func(e Edge) int {
+		if byU {
+			return e.U
+		}
+		return e.V
+	}
+	clear(pos)
+	for _, e := range src {
+		pos[key(e)+1]++
+	}
+	for k := 1; k < len(pos); k++ {
+		pos[k] += pos[k-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[pos[k]] = e
+		pos[k]++
+	}
 }
 
 // MustBuild is Build but panics on error; intended for tests and generators

@@ -222,12 +222,18 @@ func TestGenerators(t *testing.T) {
 		t.Errorf("grid: n=%d arcs=%d", grid.N, grid.NumEdges())
 	}
 
-	star := Star(10)
+	star, err := FromEdges(10, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}, {0, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if star.Degree(0) != 9 || star.Degree(1) != 1 {
 		t.Error("star degrees wrong")
 	}
 
-	cyc := Cycle(6)
+	cyc, err := FromEdges(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < 6; u++ {
 		if cyc.Degree(u) != 2 {
 			t.Fatal("cycle degree != 2")

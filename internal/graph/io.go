@@ -2,11 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // WriteEdgeList serializes g in a plain-text edge-list format:
@@ -61,57 +61,66 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 func ReadEdgeList(r io.Reader) (*CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	n := -1
-	directed := false
-	var edges []Edge
+	b := &Builder{} // edges go straight into its slice; N is known only at the end
 	maxID := -1
 	lineNo := 0
+	var long []byte // a line longer than br's buffer, reassembled
 	for {
-		line, err := br.ReadString('\n')
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = br.ReadSlice('\n')
+				long = append(long, raw...)
+			}
+			raw = long
+		}
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("graph: read: %w", err)
 		}
 		atEOF := err == io.EOF
-		if line == "" && atEOF {
+		if len(raw) == 0 && atEOF {
 			break
 		}
 		lineNo++
-		if atEOF && strings.TrimSpace(line) != "" {
-			return nil, fmt.Errorf("graph: line %d: truncated final line (missing newline): %q", lineNo, line)
+		line := bytes.TrimSpace(raw)
+		if atEOF && len(line) != 0 {
+			return nil, fmt.Errorf("graph: line %d: truncated final line (missing newline): %q", lineNo, raw)
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if len(line) == 0 {
 			if atEOF {
 				break
 			}
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			if strings.HasPrefix(line, "# nodes ") {
+		if line[0] == '#' {
+			if bytes.HasPrefix(line, []byte("# nodes ")) {
 				var d bool
 				var nn int
 				// The count is checked as soon as it parses, so a header cut
 				// short after it cannot pass an absurd count off as a comment.
-				k, _ := fmt.Sscanf(line, "# nodes %d directed %t", &nn, &d)
+				k, _ := fmt.Sscanf(string(line), "# nodes %d directed %t", &nn, &d)
 				switch {
 				case k >= 1 && nn < 0:
 					return nil, fmt.Errorf("graph: line %d: header declares negative node count %d", lineNo, nn)
 				case k >= 1 && nn > math.MaxInt32:
 					return nil, fmt.Errorf("graph: line %d: header declares %d nodes, more than int32 node ids can address", lineNo, nn)
 				case k == 2:
-					n, directed = nn, d
+					n, b.Directed = nn, d
 				}
 			}
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 || len(fields) > 3 {
+		var fields [3][]byte
+		nf, ok := splitFields(line, &fields)
+		if !ok || nf < 2 {
 			return nil, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, line)
 		}
-		u, err := strconv.Atoi(fields[0])
+		u, err := strconv.Atoi(string(fields[0]))
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad source: %w", lineNo, err)
 		}
-		v, err := strconv.Atoi(fields[1])
+		v, err := strconv.Atoi(string(fields[1]))
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target: %w", lineNo, err)
 		}
@@ -127,8 +136,8 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) outside declared range [0,%d)", lineNo, u, v, n)
 		}
 		w := 1.0
-		if len(fields) == 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
+		if nf == 3 {
+			w, err = strconv.ParseFloat(string(fields[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %w", lineNo, err)
 			}
@@ -142,19 +151,60 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 		if v > maxID {
 			maxID = v
 		}
-		edges = append(edges, Edge{U: u, V: v, W: w})
+		b.AddWeightedEdge(u, v, w)
 	}
 	if n < 0 {
 		n = maxID + 1
 	}
-	b := NewBuilder(n)
-	b.Directed = directed
-	for _, e := range edges {
-		b.AddWeightedEdge(e.U, e.V, e.W)
-	}
+	b.N = n
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("graph: build from edge list: %w", err)
 	}
 	return g, nil
+}
+
+// splitFields splits a trimmed line on white space into at most three
+// fields, as bytes.Fields would; ok is false when there are more. A line
+// with any non-ASCII byte goes through bytes.Fields itself, so Unicode
+// separators such as U+00A0 split it too.
+func splitFields(line []byte, fields *[3][]byte) (nf int, ok bool) {
+	if !isASCII(line) {
+		fs := bytes.Fields(line)
+		if len(fs) > len(fields) {
+			return 0, false
+		}
+		return copy(fields[:], fs), true
+	}
+	for i := 0; i < len(line); {
+		if asciiSpace(line[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && !asciiSpace(line[j]) {
+			j++
+		}
+		if nf == len(fields) {
+			return 0, false
+		}
+		fields[nf] = line[i:j]
+		nf++
+		i = j
+	}
+	return nf, true
+}
+
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// asciiSpace is unicode.IsSpace restricted to ASCII.
+func asciiSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
 }

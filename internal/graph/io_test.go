@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"strings"
@@ -137,8 +139,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-// FuzzReadEdgeList: the reader never panics on arbitrary bytes, and a graph
-// it accepts comes back unchanged from WriteEdgeList -> ReadEdgeList.
+// FuzzReadEdgeList: the reader never panics on arbitrary bytes, it gives
+// the oracle's CSR bit for bit or fails with the oracle's error text, and a
+// graph it accepts comes back unchanged from WriteEdgeList -> ReadEdgeList.
 func FuzzReadEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"# scalegnn edgelist v1\n# nodes 4 directed false\n0 1\n1 2 0.5\n2 3\n",
@@ -150,6 +153,12 @@ func FuzzReadEdgeList(f *testing.F) {
 		// Parallel edges that cancel: summed per direction in sort order they
 		// once gave w(0,1)=15 and w(1,0)=12.
 		"0 1 3\n0 1 3\n0 1 3\n0 1 3\n0 1 -1e16\n0 1 1e16\n0 1 1\n",
+		"+1 2\n",                        // signed id: strconv's value
+		"-0 1\n",                        // minus zero is node 0
+		"9223372036854775808 0\n",       // 19 digits: one past MaxInt64
+		"0\t1\r\n1\v2\f0.5\n\t2 3 \r\n", // every ASCII separator
+		"0\u00a01\n1 2\u00a03\n",        // U+00A0 splits as white space
+		" 0 1\n" + strings.Repeat(" ", 70000) + "1 2\n# " + strings.Repeat("x", 70000) + "\n2 3\n", // lines past the 64 KiB buffer
 	} {
 		f.Add([]byte(seed))
 	}
@@ -158,8 +167,15 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Skip()
 		}
 		g, err := ReadEdgeList(bytes.NewReader(data))
+		want, werr := readEdgeListOracle(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("error %v, oracle %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameCSR(g, want) {
+			t.Fatalf("reader and oracle differ\n got: %+v\nwant: %+v", g, want)
 		}
 		for _, w := range g.Weights {
 			if math.IsInf(w, 0) {
@@ -206,4 +222,47 @@ func namesHugeGraph(data []byte) bool {
 		i = j
 	}
 	return false
+}
+
+// edgeListText is an undirected edge list in WriteEdgeList's format with
+// uniformly random endpoints: nodes and edges as given, self-loops allowed.
+func edgeListText(nodes, edges int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	buf := fmt.Appendf(nil, "# scalegnn edgelist v1\n# nodes %d directed false\n", nodes)
+	for range edges {
+		buf = strconv.AppendInt(buf, int64(rng.IntN(nodes)), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(rng.IntN(nodes)), 10)
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// TestReadEdgeListAllocs: parsing allocates nothing per line, only the
+// Builder's growing edge slice and the CSR itself (strings.Fields and
+// strconv once made about two allocations a line).
+func TestReadEdgeListAllocs(t *testing.T) {
+	data := edgeListText(20000, 200000, 1)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("ReadEdgeList of 200 000 lines made %.0f allocations, want <= 100", allocs)
+	}
+}
+
+// BenchmarkReadEdgeList parses and builds an edge list the size of the
+// fullbatch_gcn benchmark input: 20 000 nodes, 250 000 undirected edges.
+func BenchmarkReadEdgeList(b *testing.B) {
+	data := edgeListText(20000, 250000, 42)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

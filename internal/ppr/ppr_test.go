@@ -88,7 +88,10 @@ func TestPowerIterationStarExact(t *testing.T) {
 	// pi(hub) = α + (1-α)² pi(hub) => pi(hub) = α / (1 - (1-α)²) · (α + ...)
 	// Derive directly: from hub, walk is at hub at even steps, uniform leaf
 	// at odd steps. pi(hub) = α Σ (1-α)^{2k} = α / (1-(1-α)²).
-	g := graph.Star(5)
+	g, err := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	alpha := 0.2
 	cfg := Config{Alpha: alpha, MaxIter: 500, Tol: 1e-14}
 	p, _, _, err := PowerIteration(g, 0, cfg)

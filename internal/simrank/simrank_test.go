@@ -34,7 +34,10 @@ func TestAllPairsBasicProperties(t *testing.T) {
 func TestAllPairsStarClosedForm(t *testing.T) {
 	// In a star, two leaves both have the hub as their only neighbor, so
 	// s(leaf_i, leaf_j) = c · s(hub, hub) = c.
-	g := graph.Star(5)
+	g, err := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := 0.6
 	s, err := AllPairs(g, c, 15)
 	if err != nil {
@@ -109,7 +112,10 @@ func TestIndexMatchesExact(t *testing.T) {
 
 func TestIndexSelfSimilarityOne(t *testing.T) {
 	rng := tensor.NewRand(4)
-	g := graph.Cycle(10)
+	g, err := graph.FromEdges(10, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ix, err := BuildIndex(g, DefaultIndexConfig(), rng)
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,10 @@ func TestLaplacianSpectrumRange(t *testing.T) {
 
 func TestBipartiteLambdaMaxIsTwo(t *testing.T) {
 	// Even cycles are bipartite: λ_max = 2 exactly.
-	g := graph.Cycle(8)
+	g, err := graph.FromEdges(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	op := symOp(t, g)
 	vals, _ := laplacianEigen(op)
 	if math.Abs(vals[len(vals)-1]-2) > 1e-8 {

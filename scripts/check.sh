@@ -67,6 +67,15 @@ go test ./...
 # rotting.
 echo "== go test -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn (smoke)"
 go test -run '^$' -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn
+echo "== go test -bench ReadEdgeList -benchtime 1x ./internal/graph (smoke)"
+go test -run '^$' -bench ReadEdgeList -benchtime 1x ./internal/graph
+
+# Ten seconds of the edge-list fuzzer: ReadEdgeList must match the oracle
+# reader (same CSR bits or the same error) on inputs nobody wrote down.
+# Minimizing a new input is capped at 1 s so a 140 KB seed's mutants
+# cannot spend the whole budget being shrunk.
+echo "== go test -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph (smoke)"
+go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 
 # TMatMulInto splits its output among as many workers as its work allows;
 # its bits must not depend on how many that is. Run the float64 kernel
