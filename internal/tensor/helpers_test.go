@@ -45,12 +45,6 @@ func matVecInto[T Elem](a *Mat[T], x, dst []T) {
 	if Overlaps(dst, x) || Overlaps(dst, a.Data) {
 		panic("tensor: matVecInto dst aliases an operand")
 	}
-	if simdOn {
-		if fa, ok := any(a).(*Mat[float32]); ok {
-			matVecIntoF32(fa, any(x).([]float32), any(dst).([]float32))
-			return
-		}
-	}
 	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a.Row(i)
@@ -59,15 +53,6 @@ func matVecInto[T Elem](a *Mat[T], x, dst []T) {
 				s += v * x[j]
 			}
 			dst[i] = s
-		}
-	})
-}
-
-// matVecIntoF32 is the float32 matrix-vector kernel.
-func matVecIntoF32(a *Mat[float32], x, dst []float32) {
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f32DotAVX(a.Row(i), x)
 		}
 	})
 }

@@ -15,7 +15,7 @@ var simdOn = cpuHasAVX2FMA() && os.Getenv("SCALEGNN_NOSIMD") == ""
 func cpuHasAVX2FMA() bool
 
 // The kernels below keep no pointer past their return, so they are marked
-// noescape: a caller's stack scratch (TMatMulInto's gathered columns)
+// noescape: a caller's stack scratch (gathered columns, packed panels)
 // stays on the stack.
 
 // f32AxpyAVX computes y += a*x. Caller guarantees len(x) == len(y).
@@ -23,15 +23,13 @@ func cpuHasAVX2FMA() bool
 //go:noescape
 func f32AxpyAVX(a float32, x, y []float32)
 
-// f32DotAVX returns dot(x, y). Caller guarantees len(x) == len(y).
+// f32Gemm4x16AVX adds a[4×k]·b[k×16] into c[4×16], one FMA chain per
+// element over k in increasing order; element (r, kk) of a is
+// a[r*lda+kk*ka]. Caller guarantees the block lies inside a, b and c (see
+// f32Gemm4x16).
 //
 //go:noescape
-func f32DotAVX(x, y []float32) float32
-
-// f32GemmTileAVX adds sum_k a[k]*b[k*stride:k*stride+8] into acc[0:8].
-//
-//go:noescape
-func f32GemmTileAVX(a, b, acc []float32, stride int)
+func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int)
 
 // f64AxpyAVX computes y += a*x, multiply rounded before the add. Caller
 // guarantees len(x) == len(y).

@@ -1,9 +1,12 @@
 // AVX2 kernels for both numeric tiers, behind the one simdOn gate.
 //
-// float32 (raw-speed tier): FMA, and the gemm tile and dot kernels keep four
-// independent partial accumulators to hide FMA latency; that reassociates
-// the k-sum, which the float32 tier explicitly permits (parity with float64
-// is tolerance-based).
+// float32 (raw-speed tier): fused multiply-add. The one matmul kernel,
+// f32Gemm4x16AVX, keeps one accumulator per output element and runs it
+// over k in increasing order, with no zero skip: every element of a
+// product is one FMA chain from 0, so its bits do not depend on how the
+// caller blocks rows, columns or k, or on how many workers split the rows.
+// Parity with float64 (and with the scalar loops, which do not fuse) is
+// tolerance-based.
 //
 // float64 (reference tier): every kernel is element-wise identical to the
 // scalar Go loop it replaces — a separate multiply (VMULPD) and add (VADDPD)
@@ -94,111 +97,70 @@ done:
 	VZEROUPPER
 	RET
 
-// func f32DotAVX(x, y []float32) float32
+// func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int)
 //
-// Returns dot(x, y) over len(x) elements (caller guarantees equal lengths).
-// Four YMM partial accumulators, reduced at the end.
-TEXT ·f32DotAVX(SB), NOSPLIT, $0-52
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	MOVQ y_base+24(FP), DI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, BX
-	ANDQ $-32, BX
-	XORQ AX, AX
-loop32:
-	CMPQ AX, BX
-	JGE  head8
-	VMOVUPS (SI)(AX*4), Y4
-	VFMADD231PS (DI)(AX*4), Y4, Y0
-	VMOVUPS 32(SI)(AX*4), Y5
-	VFMADD231PS 32(DI)(AX*4), Y5, Y1
-	VMOVUPS 64(SI)(AX*4), Y6
-	VFMADD231PS 64(DI)(AX*4), Y6, Y2
-	VMOVUPS 96(SI)(AX*4), Y7
-	VFMADD231PS 96(DI)(AX*4), Y7, Y3
-	ADDQ $32, AX
-	JMP  loop32
-head8:
-	MOVQ CX, BX
-	ANDQ $-8, BX
-loop8:
-	CMPQ AX, BX
-	JGE  reduce
-	VMOVUPS (SI)(AX*4), Y4
-	VFMADD231PS (DI)(AX*4), Y4, Y0
-	ADDQ $8, AX
-	JMP  loop8
-reduce:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-scalar:
-	CMPQ AX, CX
-	JGE  done
-	VMOVSS (SI)(AX*4), X1
-	VFMADD231SS (DI)(AX*4), X1, X0
-	INCQ AX
-	JMP  scalar
-done:
-	VMOVSS X0, ret+48(FP)
-	VZEROUPPER
-	RET
-
-// func f32GemmTileAVX(a, b, acc []float32, stride int)
-//
-// acc[0:8] += sum_k a[k] * b[k*stride : k*stride+8] — one 8-column output
-// tile of the register-blocked matmul. Four k-strided partial accumulators
-// hide FMA latency; they are summed into acc at the end.
-TEXT ·f32GemmTileAVX(SB), NOSPLIT, $0-80
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DX
-	MOVQ acc_base+48(FP), DI
-	MOVQ stride+72(FP), R9
-	SHLQ $2, R9          // stride in bytes
+// c[r*ldc+j] += sum over kk < k, in increasing kk, of
+// a[r*lda+kk*ka] * b[kk*ldb+j], for the 4 rows r and 16 columns j of one
+// output block. The block's 64 partial sums live in Y0-Y7 across all k,
+// loaded from c at the start and stored at the end; per k, two loads of b
+// and four broadcasts of a feed eight FMAs. Each output element is
+// therefore one FMA chain over k in increasing order, continued from the
+// value c held, whatever the caller's blocking. The two strides of a let
+// the caller pass a (ka = 1) or aᵀ (lda = 1) in place. Caller guarantees
+// the elements it names lie inside a, b and c (strides in elements).
+TEXT ·f32Gemm4x16AVX(SB), NOSPLIT, $0-112
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), SI
+	MOVQ lda+32(FP), R8
+	SHLQ $2, R8              // lda in bytes
+	LEAQ (R8)(R8*2), R11     // 3*lda in bytes
+	MOVQ ka+40(FP), R12
+	SHLQ $2, R12             // ka in bytes
+	MOVQ b_base+48(FP), DX
+	MOVQ ldb+72(FP), R9
+	SHLQ $2, R9              // ldb in bytes
+	MOVQ c_base+80(FP), DI
+	MOVQ ldc+104(FP), R10
+	SHLQ $2, R10             // ldc in bytes
+	LEAQ (DI)(R10*2), BX     // c row 2
 	VMOVUPS (DI), Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, BX
-	ANDQ $-4, BX
-	XORQ AX, AX
-loop4:
-	CMPQ AX, BX
-	JGE  tail
-	VBROADCASTSS (SI)(AX*4), Y4
-	VFMADD231PS (DX), Y4, Y0
-	VBROADCASTSS 4(SI)(AX*4), Y5
-	VFMADD231PS (DX)(R9*1), Y5, Y1
-	LEAQ (DX)(R9*2), R10
-	VBROADCASTSS 8(SI)(AX*4), Y6
-	VFMADD231PS (R10), Y6, Y2
-	VBROADCASTSS 12(SI)(AX*4), Y7
-	VFMADD231PS (R10)(R9*1), Y7, Y3
-	LEAQ (R10)(R9*2), DX
-	ADDQ $4, AX
-	JMP  loop4
-tail:
-	CMPQ AX, CX
-	JGE  sum
-	VBROADCASTSS (SI)(AX*4), Y4
-	VFMADD231PS (DX), Y4, Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R10*1), Y2
+	VMOVUPS 32(DI)(R10*1), Y3
+	VMOVUPS (BX), Y4
+	VMOVUPS 32(BX), Y5
+	VMOVUPS (BX)(R10*1), Y6
+	VMOVUPS 32(BX)(R10*1), Y7
+	TESTQ CX, CX
+	JEQ  store
+loop:
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (SI)(R8*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (SI)(R8*2), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (SI)(R11*1), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
 	ADDQ R9, DX
-	INCQ AX
-	JMP  tail
-sum:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
+	ADDQ R12, SI
+	DECQ CX
+	JNZ  loop
+store:
 	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R10*1)
+	VMOVUPS Y3, 32(DI)(R10*1)
+	VMOVUPS Y4, (BX)
+	VMOVUPS Y5, 32(BX)
+	VMOVUPS Y6, (BX)(R10*1)
+	VMOVUPS Y7, 32(BX)(R10*1)
 	VZEROUPPER
 	RET
 

@@ -8,8 +8,7 @@ package tensor
 var simdOn = false
 
 func f32AxpyAVX(a float32, x, y []float32) { panic("tensor: no SIMD on this arch") }
-func f32DotAVX(x, y []float32) float32     { panic("tensor: no SIMD on this arch") }
-func f32GemmTileAVX(a, b, acc []float32, stride int) {
+func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int) {
 	panic("tensor: no SIMD on this arch")
 }
 func f64AxpyAVX(a float64, x, y []float64) { panic("tensor: no SIMD on this arch") }

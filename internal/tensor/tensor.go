@@ -137,7 +137,12 @@ func (m *Mat[T]) Scale(s T) {
 // AddScaled computes m += s*other element-wise.
 func (m *Mat[T]) AddScaled(s T, other *Mat[T]) {
 	mustSameShape("AddScaled", m, other)
-	axpyOf[T]()(s, other.Data, m.Data)
+	switch m := any(m).(type) {
+	case *Mat[float32]:
+		F32Axpy(float32(s), any(other).(*Mat[float32]).Data, m.Data)
+	case *Matrix:
+		F64Axpy(float64(s), any(other).(*Matrix).Data, m.Data)
+	}
 }
 
 // AddRowVector adds vector v (length Cols) to every row of m.
@@ -284,10 +289,12 @@ func MatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 //
 // The kernel is register-blocked: each output row is produced in column
 // tiles (8 scalar accumulators, or 32 columns in YMM registers when the
-// vector kernels are on) while k streams through a tile of b, so the inner
-// loop has no load/store of dst. Per output element the sum still runs over
-// k in increasing order with one accumulator and a separately rounded
-// product — on float64 bitwise-equal to the naive ikj loop, vector or not.
+// float64 vector kernels are on) while k streams through a tile of b, so
+// the inner loop has no load/store of dst. Per output element the sum
+// still runs over k in increasing order with one accumulator and a
+// separately rounded product — on float64 bitwise-equal to the naive ikj
+// loop, vector or not. With the gate on, float32 runs on the 4×16 FMA
+// block kernel instead (f32MatMul).
 func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -296,21 +303,43 @@ func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulInto", dst, a, b)
+	if simdOn {
+		switch a := any(a).(type) {
+		case *Mat[float32]:
+			f32MatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]), false)
+			return
+		case *Matrix:
+			matMulIntoF64(a, any(b).(*Matrix), any(dst).(*Matrix))
+			return
+		}
+	}
 	n := b.Cols
-	tile := matMulTileOf[T]()
 	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := dst.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
+			clear(orow)
 			for kb := 0; kb < len(arow); kb += mmBlockK {
-				kend := kb + mmBlockK
-				if kend > len(arow) {
-					kend = len(arow)
-				}
-				tile(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
+				kend := min(kb+mmBlockK, len(arow))
+				matMulTile(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
+			}
+		}
+	})
+}
+
+// matMulIntoF64 is MatMulInto's float64 vector path: the same traversal on
+// the float64 tile kernel, called statically so the closure captures no
+// func value.
+func matMulIntoF64(a, b, dst *Matrix) {
+	n := b.Cols
+	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			orow := dst.Row(i)
+			clear(orow)
+			for kb := 0; kb < len(arow); kb += mmBlockK {
+				kend := min(kb+mmBlockK, len(arow))
+				matMulTileF64(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
 			}
 		}
 	})
@@ -374,7 +403,8 @@ func MatMulT[T Elem](a, b *Mat[T]) *Mat[T] {
 // single accumulator running over k in increasing order, so float64 results
 // are bitwise-equal to the naive per-column loop. float64 has no vector
 // kernel here: a dot product vectorizes only by splitting its k-sum, which
-// the float64 tier forbids.
+// the float64 tier forbids. With the gate on, float32 runs on the 4×16
+// FMA block kernel over packed panels of bᵀ (f32MatMul).
 func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -385,7 +415,7 @@ func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 	mustNotAlias("MatMulTInto", dst, a, b)
 	if simdOn {
 		if fa, ok := any(a).(*Mat[float32]); ok {
-			matMulTIntoF32(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
+			f32MatMul(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]), true)
 			return
 		}
 	}
@@ -431,8 +461,10 @@ func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 // runs on MatMulInto's k-tile, and workers split the output rows by work,
 // so a 64×5 weight gradient over thousands of rows still uses every core.
 // Each element sums over k in increasing order with one accumulator, so
-// the bits are the naive loop's at any worker count. On float32 k runs
-// outermost and each output row takes an axpy per k, split by rows.
+// the bits are the naive loop's at any worker count. On float32 with the
+// gate on it runs on the 4×16 FMA block kernel, split the same way
+// (f32TMatMul); with the gate off k runs outermost and each output row
+// takes an axpy per k, split by rows.
 func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dim mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -445,7 +477,10 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 		tMatMulIntoF64(fa, any(b).(*Matrix), any(dst).(*Matrix))
 		return
 	}
-	axpy := axpyOf[T]()
+	if simdOn {
+		f32TMatMul(any(a).(*Mat[float32]), any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
+		return
+	}
 	dst.Zero()
 	par.Range(a.Cols, minChunkDense, func(lo, hi int) {
 		for k := 0; k < a.Rows; k++ {
@@ -456,7 +491,7 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 				if av == 0 {
 					continue
 				}
-				axpy(av, brow, dst.Row(i))
+				axpyUnrolled(av, brow, dst.Row(i))
 			}
 		}
 	})
@@ -500,8 +535,8 @@ func tMatMulIntoF64(a, b, dst *Matrix) {
 					}
 				}
 				for c := 0; c < w; c++ {
-					// Static calls: through matMulTileOf's func value
-					// cols would escape to the heap.
+					// Static calls: through a func value cols would
+					// escape to the heap.
 					if simdOn {
 						matMulTileF64(cols[c][:kn], bblk, dst.Row(i0+c), n)
 					} else {

@@ -63,12 +63,15 @@ echo "== go test ./..."
 go test ./...
 
 # go test does not run benchmarks; one iteration of the element-wise gate
-# benchmarks (ns per element at the SIGN and GCN shapes) keeps them from
-# rotting.
+# benchmarks (ns per element at the SIGN and GCN shapes), the edge-list
+# load and the float32 dense products (GFMA/s at the SIGN head shapes)
+# keeps them from rotting.
 echo "== go test -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn (smoke)"
 go test -run '^$' -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn
 echo "== go test -bench ReadEdgeList -benchtime 1x ./internal/graph (smoke)"
 go test -run '^$' -bench ReadEdgeList -benchtime 1x ./internal/graph
+echo "== go test -bench F32Dense -benchtime 1x ./internal/tensor (smoke)"
+go test -run '^$' -bench F32Dense -benchtime 1x ./internal/tensor
 
 # Ten seconds of the edge-list fuzzer: ReadEdgeList must match the oracle
 # reader (same CSR bits or the same error) on inputs nobody wrote down.
@@ -83,14 +86,16 @@ go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -fuzzminimizetime 1s 
 echo "== go test -cpu 1,2,4 (float64 kernels at several worker counts)"
 go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 
-# Second pass with the vector kernels off: the golden fingerprints and the
-# kernel tests must hold on the scalar fallback too — it is what every
-# non-AVX2 host runs and what the vector kernels are compared against.
+# Second pass with the vector kernels off: the golden fingerprints, the
+# kernel tests and the allocation ceilings must hold on the scalar
+# fallback too — it is what every non-AVX2 host runs and what the vector
+# kernels are compared against.
 # -count=1 because the gate is read at package init, where the test cache
 # does not see the environment.
-echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints)"
+echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints + alloc ceilings)"
 SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph
 SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints' ./internal/models
+SCALEGNN_NOSIMD=1 go test -count=1 -run TestAllocCeilings ./internal/models
 
 RACE_PKGS=(
   ./internal/tensor
