@@ -29,8 +29,8 @@ func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg Tr
 	}
 	rep.Precompute = time.Since(start)
 
-	pcg, rng := newRunRNG(cfg.Seed)
-	net := noInputGrad(newHead[T](emb.Cols, hidden, ds, cfg, rng))
+	pcg := tensor.NewPCG(cfg.Seed)
+	net := noInputGrad(newHead[T](emb.Cols, hidden, ds, cfg, pcg))
 	if snap != nil {
 		err = restoreParams(m.Name(), net.Params(), snap)
 	} else {
@@ -253,11 +253,11 @@ func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapsho
 }
 
 func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
-	pcg, rng := newRunRNG(cfg.Seed)
+	pcg := tensor.NewPCG(cfg.Seed)
 	st := &appnpState[T]{
 		headState: headState[T]{
 			emb:     tensor.FromFloat64[T](ds.X),
-			net:     noInputGrad(newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)),
+			net:     noInputGrad(newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, pcg)),
 			classes: ds.NumClasses,
 		},
 		op:    graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true),
@@ -383,10 +383,10 @@ func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, s
 	hops := hopEmbeddings[T](ds, m.K)
 	rep.Precompute = time.Since(start)
 
-	pcg, rng := newRunRNG(cfg.Seed)
+	pcg := tensor.NewPCG(cfg.Seed)
 	theta := nn.NewParam("gamlp.theta", tensor.NewOf[T](1, m.K+1))
 	// No noInputGrad: the attention gradient is read off net.Backward.
-	net := newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, rng)
+	net := newHead[T](ds.X.Cols, []int{cfg.Hidden}, ds, cfg, pcg)
 	params := append(net.Params(), theta)
 	var err error
 	if snap != nil {

@@ -109,7 +109,7 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 	x := tensor.FromFloat64[T](ds.X)
 
-	net := gcnStack(op, gcnLinears[T](m.Layers, ds, cfg, rng), cfg.Dropout, rng)
+	net := gcnStack(op, gcnLinears[T](m.Layers, ds, cfg, rng), cfg.Dropout, pcg)
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -165,12 +165,13 @@ func gcnLinears[T tensor.Elem](layers int, ds *dataset.Dataset, cfg TrainConfig,
 }
 
 // gcnStack is the network GCN and ClusterGCN train: a GCNConvOf over op per
-// Linear, ReLU between them, and dropout before each when dropout > 0.
-func gcnStack[T tensor.Elem](op *graph.OperatorOf[T], lins []*nn.LinearOf[T], dropout float64, rng *rand.Rand) *nn.SequentialOf[T] {
+// Linear, ReLU between them, and dropout before each, drawing from src,
+// when dropout > 0.
+func gcnStack[T tensor.Elem](op *graph.OperatorOf[T], lins []*nn.LinearOf[T], dropout float64, src rand.Source) *nn.SequentialOf[T] {
 	var layers []nn.LayerOf[T]
 	for l, lin := range lins {
 		if dropout > 0 {
-			layers = append(layers, nn.NewDropoutOf[T](dropout, rng))
+			layers = append(layers, nn.NewDropoutOf[T](dropout, src))
 		}
 		layers = append(layers, &GCNConvOf[T]{Op: op, Lin: lin})
 		if l != len(lins)-1 {

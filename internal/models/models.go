@@ -97,8 +97,11 @@ func (c TrainConfig) validate() error {
 	if c.Epochs < 1 {
 		return fmt.Errorf("models: epochs %d < 1", c.Epochs)
 	}
-	if c.LR <= 0 {
-		return fmt.Errorf("models: learning rate %v <= 0", c.LR)
+	if !(c.LR > 0) {
+		return fmt.Errorf("models: learning rate %v is not positive", c.LR)
+	}
+	if !(c.Dropout >= 0 && c.Dropout < 1) {
+		return fmt.Errorf("models: dropout %v outside [0, 1)", c.Dropout)
 	}
 	if c.Hidden < 1 {
 		return fmt.Errorf("models: hidden width %d < 1", c.Hidden)
@@ -224,10 +227,12 @@ func accuracyAt[T tensor.Elem](logits *tensor.Mat[T], labels []int, idx []int) f
 }
 
 // newRunRNG returns the run's serializable RNG source alongside its
-// rand.Rand view. Models hold both: the view feeds every stochastic layer
-// (same stream as tensor.NewRand(seed)), while the concrete PCG is what
-// the engine shuffles through and a checkpoint serializes — restoring it
-// restores all views at once.
+// rand.Rand view. The view feeds initialisers and samplers (same stream as
+// tensor.NewRand(seed)); the concrete PCG is what the engine shuffles
+// through, what dropout layers draw their masks from (so they can fill
+// them on every core) and what a checkpoint serializes — restoring it
+// restores all views at once. Families whose only stochastic layer is the
+// head (newHead) take tensor.NewPCG(seed) alone.
 func newRunRNG(seed uint64) (*rand.PCG, *rand.Rand) {
 	pcg := tensor.NewPCG(seed)
 	return pcg, rand.New(pcg)
@@ -281,12 +286,13 @@ func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, 
 }
 
 // newHead builds the MLP classifier of a decoupled family: in → hidden… →
-// classes with the run's dropout. Fit and Restore both construct the head
-// here, so a restored network cannot drift from the trained one.
-func newHead[T tensor.Elem](in int, hidden []int, ds *dataset.Dataset, cfg TrainConfig, rng *rand.Rand) *nn.SequentialOf[T] {
+// classes with the run's dropout, drawing from the run's source src. Fit
+// and Restore both construct the head here, so a restored network cannot
+// drift from the trained one.
+func newHead[T tensor.Elem](in int, hidden []int, ds *dataset.Dataset, cfg TrainConfig, src rand.Source) *nn.SequentialOf[T] {
 	return nn.NewMLPOf[T](nn.MLPConfig{
 		In: in, Hidden: hidden, Out: ds.NumClasses, Dropout: cfg.Dropout, Bias: true,
-	}, rng)
+	}, src)
 }
 
 // noInputGrad tells net's first Linear that its input is fixed data

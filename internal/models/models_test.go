@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 
 	"scalegnn/internal/dataset"
@@ -422,6 +423,62 @@ func TestTrainConfigValidation(t *testing.T) {
 	gcn, _ := NewGCN(1)
 	if _, err := gcn.Fit(ds, bad); err == nil {
 		t.Error("hidden=0 should error")
+	}
+}
+
+// countBatches is a train.Hook that counts the batches a run trains.
+type countBatches struct{ n int }
+
+func (c *countBatches) OnBatch(train.BatchEnd) { c.n++ }
+func (c *countBatches) OnEpoch(train.EpochEnd) {}
+
+// TestTrainConfigRejectsDropoutAndLR: a dropout outside [0, 1) or a
+// learning rate that is not positive, NaN included, is a config error
+// before any batch trains. Dropout 1 used to panic inside Fit; NaN and
+// negative dropout trained silently with none, and NaN passed the
+// learning-rate check.
+func TestTrainConfigRejectsDropoutAndLR(t *testing.T) {
+	ds := smallTask(t)
+	cases := []struct {
+		name string
+		edit func(*TrainConfig)
+		ok   bool
+	}{
+		{"defaults", func(*TrainConfig) {}, true},
+		{"dropout=0", func(c *TrainConfig) { c.Dropout = 0 }, true},
+		{"dropout=1", func(c *TrainConfig) { c.Dropout = 1 }, false},
+		{"dropout=1.5", func(c *TrainConfig) { c.Dropout = 1.5 }, false},
+		{"dropout=-0.3", func(c *TrainConfig) { c.Dropout = -0.3 }, false},
+		{"dropout=NaN", func(c *TrainConfig) { c.Dropout = math.NaN() }, false},
+		{"lr=NaN", func(c *TrainConfig) { c.LR = math.NaN() }, false},
+		{"lr=0", func(c *TrainConfig) { c.LR = 0 }, false},
+	}
+	families := []func() Trainer{
+		func() Trainer { return mustTrainer(NewSIGN(2)) },
+		func() Trainer { return mustTrainer(NewGCN(2)) },
+	}
+	for _, tc := range cases {
+		for _, build := range families {
+			m := build()
+			t.Run(tc.name+"/"+m.Name(), func(t *testing.T) {
+				hook := &countBatches{}
+				cfg := DefaultTrainConfig()
+				cfg.Epochs = 1
+				cfg.Hooks = []train.Hook{hook}
+				tc.edit(&cfg)
+				rep, err := m.Fit(ds, cfg)
+				switch {
+				case tc.ok && err != nil:
+					t.Fatalf("Fit: %v", err)
+				case tc.ok && hook.n == 0:
+					t.Fatal("Fit accepted the config but trained no batch")
+				case !tc.ok && err == nil:
+					t.Fatal("Fit accepted the config")
+				case !tc.ok && (rep != nil || hook.n != 0):
+					t.Fatalf("Fit rejected the config after training %d batches", hook.n)
+				}
+			})
+		}
 	}
 }
 

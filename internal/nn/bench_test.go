@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"scalegnn/internal/tensor"
@@ -12,6 +13,9 @@ import (
 // element; run with
 //
 //	go test -run '^$' -bench 'Dropout|ReLU' -cpu 1 ./internal/nn
+//
+// (Dropout's "pcg" case fills on every core the -cpu list allows; compare
+// -cpu 1 with -cpu 2.)
 
 var gateShapes = []struct {
 	name       string
@@ -57,15 +61,29 @@ func reportPerElem(b *testing.B, elems int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
 }
 
+// benchDropoutForward times the layer on a *rand.PCG, the source models
+// pass and the one the parallel fill takes, and, as "serial", on a
+// rand.Rand view of it, which runs the reference loop.
 func benchDropoutForward[T tensor.Elem](b *testing.B, rows, cols int) {
 	x := gateBenchInput[T](rows, cols)
-	d := NewDropoutOf[T](0.5, tensor.NewRand(2))
-	d.Forward(x, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Forward(x, true)
+	sources := []struct {
+		name string
+		src  rand.Source
+	}{
+		{"pcg", tensor.NewPCG(2)},
+		{"serial", rand.New(tensor.NewPCG(2))},
 	}
-	reportPerElem(b, len(x.Data))
+	for _, s := range sources {
+		b.Run(s.name, func(b *testing.B) {
+			d := NewDropoutOf[T](0.5, s.src)
+			d.Forward(x, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Forward(x, true)
+			}
+			reportPerElem(b, len(x.Data))
+		})
+	}
 }
 
 func benchReLU[T tensor.Elem](b *testing.B, rows, cols int) {

@@ -1,11 +1,14 @@
 package nn
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"scalegnn/internal/par"
 	"scalegnn/internal/tensor"
 )
 
@@ -238,6 +241,49 @@ func TestGateBackwardChecksMask(t *testing.T) {
 		mustPanic("larger gradient", "has 9 values", func() { l.Backward(tensor.New(3, 3)) })
 		if g := l.Backward(tensor.New(3, 2)); len(g.Data) != 6 {
 			t.Errorf("%s: Backward of a same-size gradient returned %d values", name, len(g.Data))
+		}
+	}
+}
+
+// TestDropoutPCGMatchesSerial: a layer on a *rand.PCG fills its mask on
+// every core by jumping the PCG to each worker's first element; a layer on
+// a rand.Rand view of the same PCG runs the serial loop. Forward output,
+// keep bits, Backward gradient and the shared source's next draw must be
+// bitwise equal at any worker count, over lengths around the kernel's
+// split points.
+func TestDropoutPCGMatchesSerial(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { testDropoutPCG[float64](t) })
+	t.Run("float32", func(t *testing.T) { testDropoutPCG[float32](t) })
+}
+
+func testDropoutPCG[T tensor.Elem](t *testing.T) {
+	const c = tensor.DropoutMinChunk
+	shapes := [][2]int{{1, 0}, {1, 1}, {1, c - 1}, {1, c}, {1, c + 1}, {1, 2*c + 1}, {512, 256}}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	for _, workers := range []int{1, 2, 3} {
+		par.SetMaxWorkers(workers)
+		for _, p := range []float64{0.3, 0.5} {
+			for k, sh := range shapes {
+				n := sh[0] * sh[1]
+				data := tensor.NewRand(uint64(10 + k))
+				x := tensor.FromSlice(sh[0], sh[1], gateInputs[T](n, data))
+				gradOut := tensor.FromSlice(sh[0], sh[1], gateInputs[T](n, data))
+				seed := uint64(200 + k)
+				kernelSrc, serialSrc := tensor.NewPCG(seed), rand.New(tensor.NewPCG(seed))
+				kernel, serial := NewDropoutOf[T](p, kernelSrc), NewDropoutOf[T](p, serialSrc)
+				// Two batches: the second starts where the first left the source.
+				for batch := range 2 {
+					what := fmt.Sprintf("workers=%d p=%v n=%d batch %d", workers, p, n, batch)
+					requireSameBits(t, what+" forward", kernel.Forward(x, true).Data, serial.Forward(x, true).Data)
+					if !bytes.Equal(kernel.keep, serial.keep) {
+						t.Fatalf("%s: keep bits differ", what)
+					}
+					requireSameBits(t, what+" backward", kernel.Backward(gradOut).Data, serial.Backward(gradOut).Data)
+				}
+				if a, b := kernelSrc.Uint64(), serialSrc.Uint64(); a != b {
+					t.Fatalf("workers=%d p=%v n=%d: next draw %#x after the kernel, %#x after the serial loop", workers, p, n, a, b)
+				}
+			}
 		}
 	}
 }

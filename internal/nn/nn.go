@@ -232,7 +232,7 @@ func checkMask(layer string, mask []uint8, n int) {
 // identity.
 type DropoutOf[T tensor.Elem] struct {
 	P    float64
-	rng  *rand.Rand
+	src  rand.Source
 	keep []uint8 // keep bits of the last training Forward
 	y, g tensor.BufOf[T]
 }
@@ -241,20 +241,21 @@ type DropoutOf[T tensor.Elem] struct {
 type Dropout = DropoutOf[float64]
 
 // NewDropout constructs a float64 dropout layer with drop probability p.
-func NewDropout(p float64, rng *rand.Rand) *Dropout {
-	return NewDropoutOf[float64](p, rng)
+func NewDropout(p float64, src rand.Source) *Dropout {
+	return NewDropoutOf[float64](p, src)
 }
 
 // NewDropoutOf constructs a dropout layer for any element type. Forward
-// draws one rng.Uint64 per element, whatever T, and keeps the element iff
-// the draw's low 53 bits are at least ⌈p·2⁵³⌉ — exactly rng.Float64() >= p,
-// since Float64 is those bits over 2⁵³ and p·2⁵³ is exact — so the stream
-// and the mask do not depend on T. A dropped entry is +0.
-func NewDropoutOf[T tensor.Elem](p float64, rng *rand.Rand) *DropoutOf[T] {
-	if p < 0 || p >= 1 {
+// draws its mask from src as tensor.DropoutInto defines: one src.Uint64
+// per element whatever T, so the stream and the mask do not depend on T. A
+// *rand.PCG source, which the model families pass, fills the mask on every
+// core with the same draws; a dropped entry is +0. p must be in [0, 1);
+// NaN panics too.
+func NewDropoutOf[T tensor.Elem](p float64, src rand.Source) *DropoutOf[T] {
+	if !(p >= 0 && p < 1) {
 		panic(fmt.Sprintf("nn: dropout p=%v outside [0,1)", p))
 	}
-	return &DropoutOf[T]{P: p, rng: rng}
+	return &DropoutOf[T]{P: p, src: src}
 }
 
 // Forward applies inverted dropout when training.
@@ -264,17 +265,7 @@ func (d *DropoutOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
 	}
 	y := d.y.Next(x.Rows, x.Cols)
 	d.keep = growMask(d.keep, len(x.Data))
-	in := x.Data
-	keep, out := d.keep[:len(in)], y.Data[:len(in)]
-	scale := T(1 / (1 - d.P))
-	// keep = low53 >= thr, as the borrow of low53 − thr: both are below
-	// 2⁵³, so the difference wraps (sets bit 63) iff low53 < thr.
-	thr := uint64(math.Ceil(d.P * (1 << 53)))
-	for i, v := range in {
-		k := uint8(1 ^ (d.rng.Uint64()&(1<<53-1)-thr)>>63)
-		out[i] = tensor.Gate(v*scale, k)
-		keep[i] = k
-	}
+	tensor.DropoutInto(y.Data, x.Data, d.keep, d.P, d.src)
 	return y
 }
 
@@ -360,19 +351,22 @@ type MLPConfig struct {
 // NewMLP builds a float64 In -> Hidden... -> Out network with ReLU between
 // layers and dropout before each linear layer (the standard decoupled-GNN
 // classifier shape).
-func NewMLP(cfg MLPConfig, rng *rand.Rand) *Sequential {
-	return NewMLPOf[float64](cfg, rng)
+func NewMLP(cfg MLPConfig, src rand.Source) *Sequential {
+	return NewMLPOf[float64](cfg, src)
 }
 
-// NewMLPOf is NewMLP for any element type; layer construction consumes rng
-// identically across dtypes.
-func NewMLPOf[T tensor.Elem](cfg MLPConfig, rng *rand.Rand) *SequentialOf[T] {
+// NewMLPOf is NewMLP for any element type; layer construction consumes src
+// identically across dtypes. The Linear initialisers draw through a
+// rand.Rand view of src, which holds no state of its own, and the dropout
+// layers take src itself.
+func NewMLPOf[T tensor.Elem](cfg MLPConfig, src rand.Source) *SequentialOf[T] {
+	rng := rand.New(src)
 	var layers []LayerOf[T]
 	dims := append([]int{cfg.In}, cfg.Hidden...)
 	dims = append(dims, cfg.Out)
 	for i := 0; i+1 < len(dims); i++ {
 		if cfg.Dropout > 0 {
-			layers = append(layers, NewDropoutOf[T](cfg.Dropout, rng))
+			layers = append(layers, NewDropoutOf[T](cfg.Dropout, src))
 		}
 		layers = append(layers, NewLinearOf[T](dims[i], dims[i+1], cfg.Bias, rng))
 		if i+2 < len(dims) {

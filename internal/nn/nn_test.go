@@ -171,12 +171,16 @@ func TestDropoutTrainVsEval(t *testing.T) {
 }
 
 func TestDropoutPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDropout(1.0) should panic")
-		}
-	}()
-	NewDropout(1.0, tensor.NewRand(1))
+	for _, p := range []float64{1.0, 1.5, -0.3, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDropout(%v) should panic", p)
+				}
+			}()
+			NewDropout(p, tensor.NewRand(1))
+		}()
+	}
 }
 
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {

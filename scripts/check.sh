@@ -86,6 +86,14 @@ go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -fuzzminimizetime 1s 
 echo "== go test -cpu 1,2,4 (float64 kernels at several worker counts)"
 go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 
+# Dropout splits its mask fill among as many workers as the length allows,
+# each jumping the run's PCG to its first element; the masks, the RNG
+# stream after them and everything trained on them must not depend on how
+# many workers that is. Run the goldens, the block digests and the
+# dropout/PCG tests at one worker and at three.
+echo "== go test -cpu 1,3 (dropout fill, goldens and block digests at several worker counts)"
+go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestDropout|TestPCG' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor
+
 # Second pass with the vector kernels off: the golden fingerprints, the
 # kernel tests and the allocation ceilings must hold on the scalar
 # fallback too — it is what every non-AVX2 host runs and what the vector
