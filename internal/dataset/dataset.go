@@ -83,8 +83,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	if cfg.FeatureDim < 1 {
 		return nil, fmt.Errorf("dataset: need >= 1 feature dim, got %d", cfg.FeatureDim)
 	}
-	if cfg.TrainFrac < 0 || cfg.ValFrac < 0 || cfg.TrainFrac+cfg.ValFrac > 1 {
-		return nil, fmt.Errorf("dataset: bad split fractions %v/%v", cfg.TrainFrac, cfg.ValFrac)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	rng := tensor.NewRand(cfg.Seed)
 	g, labels, err := graph.SBM(graph.SBMConfig{
@@ -98,6 +98,19 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds := &Dataset{G: g, X: x, Labels: labels, NumClasses: cfg.Classes}
 	ds.TrainIdx, ds.ValIdx, ds.TestIdx = Split(cfg.Nodes, cfg.TrainFrac, cfg.ValFrac, rng)
 	return ds, nil
+}
+
+// check holds what Generate and Load both read of cfg: split fractions
+// that are >= 0 and sum to at most 1, and a finite noise std >= 0. Each
+// test is written so that NaN fails it.
+func (cfg Config) check() error {
+	if !(cfg.TrainFrac >= 0 && cfg.ValFrac >= 0 && cfg.TrainFrac+cfg.ValFrac <= 1) {
+		return fmt.Errorf("dataset: bad split fractions %v/%v", cfg.TrainFrac, cfg.ValFrac)
+	}
+	if !(cfg.NoiseStd >= 0 && cfg.NoiseStd <= math.MaxFloat64) {
+		return fmt.Errorf("dataset: noise std %v is not a finite number >= 0", cfg.NoiseStd)
+	}
+	return nil
 }
 
 // classFeatures draws per-class unit-norm random means and adds N(0, std²)

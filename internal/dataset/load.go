@@ -17,6 +17,9 @@ import (
 // rebuilds the training dataset from them; the run fingerprint folds in the
 // dataset's ContentKey, so a file edited since training is refused.
 func Load(graphPath, labelPath string, cfg Config) (*Dataset, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if graphPath == "" {
 		return Generate(cfg)
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -96,4 +97,45 @@ func writeFile(t *testing.T, body string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestConfigCheck holds Generate and Load (from a file and without one) to
+// the same split and noise checks, NaN included: a negative TrainFrac used
+// to panic inside Split, and a NaN noise trained on NaN features.
+func TestConfigCheck(t *testing.T) {
+	graphPath, labelPath := writeSBMFiles(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name            string
+		train, val, std float64
+		ok              bool
+	}{
+		{"train -0.1", -0.1, 0.2, 1, false},
+		{"val -0.1", 0.5, -0.1, 1, false},
+		{"train NaN", nan, 0.2, 1, false},
+		{"val NaN", 0.5, nan, 1, false},
+		{"train +Inf", inf, 0.2, 1, false},
+		{"sum 1.1", 0.6, 0.5, 1, false},
+		{"noise NaN", 0.5, 0.2, nan, false},
+		{"noise -1", 0.5, 0.2, -1, false},
+		{"noise +Inf", 0.5, 0.2, inf, false},
+		{"noise 0", 0.5, 0.2, 0, true},
+		{"sum 1", 0.7, 0.3, 1, true},
+		{"no train", 0, 0, 1, true},
+	} {
+		cfg := defaultConfig()
+		cfg.TrainFrac, cfg.ValFrac, cfg.NoiseStd = c.train, c.val, c.std
+		for _, load := range []struct {
+			name string
+			run  func() (*Dataset, error)
+		}{
+			{"Generate", func() (*Dataset, error) { return Generate(cfg) }},
+			{"Load(generated)", func() (*Dataset, error) { return Load("", "", cfg) }},
+			{"Load(file)", func() (*Dataset, error) { return Load(graphPath, labelPath, cfg) }},
+		} {
+			if _, err := load.run(); (err == nil) != c.ok {
+				t.Errorf("%s: %s err = %v, want ok=%v", c.name, load.name, err, c.ok)
+			}
+		}
+	}
 }

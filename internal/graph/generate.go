@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 )
@@ -106,8 +107,12 @@ func SBM(cfg SBMConfig, rng *rand.Rand) (*CSR, []int, error) {
 	if cfg.Nodes <= 0 || cfg.Blocks <= 0 {
 		return nil, nil, fmt.Errorf("graph: SBM needs positive Nodes and Blocks, got %d/%d", cfg.Nodes, cfg.Blocks)
 	}
-	if cfg.Homophily < 0 || cfg.Homophily > 1 {
+	// Written so that NaN fails both checks.
+	if !(cfg.Homophily >= 0 && cfg.Homophily <= 1) {
 		return nil, nil, fmt.Errorf("graph: SBM homophily %v outside [0,1]", cfg.Homophily)
+	}
+	if !(cfg.AvgDegree >= 0 && cfg.AvgDegree <= math.MaxFloat64) {
+		return nil, nil, fmt.Errorf("graph: SBM average degree %v is not a finite number >= 0", cfg.AvgDegree)
 	}
 	n, kb := cfg.Nodes, cfg.Blocks
 	labels := cfg.Assignment

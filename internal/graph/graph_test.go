@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -273,6 +274,35 @@ func TestSBMValidation(t *testing.T) {
 	}
 	if _, _, err := SBM(SBMConfig{Nodes: 10, Blocks: 2, AvgDegree: 4, Homophily: 0.5, Assignment: []int{0}}, rng); err == nil {
 		t.Error("wrong assignment length should error")
+	}
+}
+
+// TestSBMRejectsNonFiniteInputs holds SBM to its ranges with NaN and the
+// infinities among the inputs: each used to pass the checks and build a
+// graph (an empty one, for a NaN or negative degree).
+func TestSBMRejectsNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		h, deg float64
+		ok     bool
+	}{
+		{"homophily NaN", nan, 4, false},
+		{"homophily -0.1", -0.1, 4, false},
+		{"homophily 1.5", 1.5, 4, false},
+		{"homophily +Inf", inf, 4, false},
+		{"degree NaN", 0.5, nan, false},
+		{"degree -3", 0.5, -3, false},
+		{"degree +Inf", 0.5, inf, false},
+		{"degree -Inf", 0.5, -inf, false},
+		{"homophily 0", 0, 4, true},
+		{"homophily 1", 1, 4, true},
+		{"degree 0", 0.5, 0, true},
+	} {
+		_, _, err := SBM(SBMConfig{Nodes: 20, Blocks: 2, AvgDegree: c.deg, Homophily: c.h}, tensor.NewRand(1))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package models
 
 import (
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/par"
+	"scalegnn/internal/sampling"
 	"scalegnn/internal/tensor"
 )
 
@@ -37,6 +40,7 @@ var allocCeilings = []struct {
 	{"spmm_apply_into/float32", 1},
 	{"gcn_epoch/float64", 16},
 	{"gcn_epoch/float32", 16},
+	{"sage_step/float64", 49},
 }
 
 // TestAllocCeilings holds every family in allocCeilings to its ceiling and
@@ -61,6 +65,7 @@ func TestAllocCeilings(t *testing.T) {
 	addF64KernelCases(cases)
 	addTierCases[float64](cases, "float64", ds)
 	addTierCases[float32](cases, "float32", ds)
+	cases["sage_step/float64"] = sageStep(ds)
 
 	for _, c := range allocCeilings {
 		body, ok := cases[c.name]
@@ -146,4 +151,82 @@ func addTierCases[T tensor.Elem](cases map[string]func(), dt string, ds *dataset
 		tensor.PutBufOf(grad)
 		opt.Step(net.Params())
 	}
+}
+
+// sageStep returns one GraphSAGE training step as fitSAGE runs it on the
+// next 512 training nodes of ds: sample two layers at fan-out 5, forward,
+// loss, backward and an Adam step.
+func sageStep(ds *dataset.Dataset) func() {
+	const batch, hidden, fanout = 512, 32, 5
+	rng := rand.New(rand.NewPCG(42, 43))
+	sampler, err := sampling.NewNeighborSampler(ds.G, fanout)
+	if err != nil {
+		panic(err)
+	}
+	st := &sageState{fanout: fanout, layers: []*sageLayer{
+		newSageLayer(ds.X.Cols, hidden, true, rng),
+		newSageLayer(hidden, ds.NumClasses, false, rng),
+	}}
+	st.layers[0].self.NoInputGrad, st.layers[0].neigh.NoInputGrad = true, true
+	params := append(st.layers[0].params(), st.layers[1].params()...)
+	opt := nn.NewAdam(0.01)
+	dsts, labels := make([]int32, batch), make([]int, batch)
+	next := 0
+	return func() {
+		for i := range dsts {
+			dsts[i] = int32(ds.TrainIdx[(next+i)%len(ds.TrainIdx)])
+			labels[i] = ds.Labels[dsts[i]]
+		}
+		next += batch
+		blocks := sampler.SampleLayers(dsts, 2, rng)
+		logits := st.forwardBlocks(blocks, ds.X, true)
+		grad := tensor.GetBuf(logits.Rows, logits.Cols)
+		nn.SoftmaxCrossEntropyInto(logits, labels, grad)
+		st.backwardBlocks(blocks, grad)
+		tensor.PutBuf(grad)
+		opt.Step(params)
+	}
+}
+
+// TestSAGEStepBytesFlatInWidth holds the bytes one steady-state SAGE step
+// allocates at feature width 128 to within 10 % of those at width 32:
+// what a step allocates is block metadata, sized by the sample, and no
+// matrix sized by the features.
+func TestSAGEStepBytesFlatInWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sync.Pool drops puts under the race detector, which the -short pass runs with")
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	bytesPerStep := func(width int) float64 {
+		ds, err := dataset.Generate(dataset.Config{
+			Nodes: 3000, Classes: 5, AvgDegree: 10, Homophily: 0.8,
+			FeatureDim: width, NoiseStd: 1.2, TrainFrac: 0.5, ValFrac: 0.2, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := sageStep(ds)
+		for i := 0; i < 10; i++ {
+			step()
+		}
+		// A batch whose sample is the largest yet grows the reused
+		// buffers once; the least of five windows leaves that out.
+		const steps = 10
+		least := math.Inf(1)
+		for w := 0; w < 5; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/steps)
+		}
+		return least
+	}
+	narrow, wide := bytesPerStep(32), bytesPerStep(128)
+	if wide > 1.1*narrow {
+		t.Errorf("a step allocates %.0f B at width 128, %.0f B at width 32: more than 10 %% apart", wide, narrow)
+	}
+	t.Logf("bytes per step: %.0f at width 32, %.0f at width 128", narrow, wide)
 }

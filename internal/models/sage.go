@@ -8,6 +8,7 @@ import (
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/metrics"
 	"scalegnn/internal/nn"
+	"scalegnn/internal/par"
 	"scalegnn/internal/sampling"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
@@ -27,8 +28,11 @@ type sageLayer struct {
 	mask  []uint8
 
 	// reused scratch: the view of the destination rows of the source
-	// features, and the ReLU-masked gradient copy.
+	// features, the aggregation, the source gradient and the ReLU-masked
+	// gradient copy.
 	selfView tensor.Matrix
+	agg      tensor.Buf
+	gSrc     tensor.Buf
 	gradBuf  tensor.Buf
 }
 
@@ -49,7 +53,8 @@ func (l *sageLayer) forward(block *sampling.Block, srcFeats *tensor.Matrix, trai
 	nd := len(block.Dsts)
 	l.selfView = tensor.Matrix{Rows: nd, Cols: srcFeats.Cols, Data: srcFeats.Data[:nd*srcFeats.Cols]}
 	selfFeats := &l.selfView
-	agg := block.Aggregate(srcFeats)
+	agg := l.agg.Next(nd, srcFeats.Cols)
+	block.AggregateInto(srcFeats, agg)
 	y := l.self.Forward(selfFeats, training)
 	y.Add(l.neigh.Forward(agg, training))
 	if l.relu {
@@ -79,10 +84,13 @@ func (l *sageLayer) backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	gSelf := l.self.Backward(g)
 	gAgg := l.neigh.Backward(g)
+	block := l.block
+	l.block = nil
 	if gAgg == nil {
 		return nil
 	}
-	gSrc := l.block.AggregateBackward(gAgg)
+	gSrc := l.gSrc.Next(len(block.Srcs), gAgg.Cols)
+	block.AggregateBackwardInto(gAgg, gSrc)
 	// Self path: dsts are the first rows of srcs.
 	for i, v := range gSelf.Data {
 		gSrc.Data[i] += v
@@ -111,8 +119,18 @@ type sageState struct {
 	layers []*sageLayer
 	fanout int
 
-	srcIdx []int
-	xBuf   tensor.Buf
+	xBuf tensor.Buf
+}
+
+// release returns the sampled path's buffers to the pool, as Fit and
+// Predict return: nothing sized by their largest pass outlives them.
+func (s *sageState) release() {
+	s.xBuf.Release()
+	for _, l := range s.layers {
+		l.agg.Release()
+		l.gSrc.Release()
+		l.gradBuf.Release()
+	}
 }
 
 // NewGraphSAGE constructs a SAGE model.
@@ -150,17 +168,16 @@ func (s *sageState) backwardBlocks(blocks []*sampling.Block, grad *tensor.Matrix
 // gatherSrcFeats copies the rows of x indexed by ids into a pooled matrix
 // recycled on the next batch (by which point every layer has consumed it).
 func (s *sageState) gatherSrcFeats(x *tensor.Matrix, ids []int32) *tensor.Matrix {
-	if cap(s.srcIdx) < len(ids) {
-		s.srcIdx = make([]int, len(ids))
-	}
-	idx := s.srcIdx[:len(ids)]
-	for i, v := range ids {
-		idx[i] = int(v)
-	}
-	h := s.xBuf.Next(len(idx), x.Cols)
-	x.SelectRowsInto(idx, h)
+	h := s.xBuf.Next(len(ids), x.Cols)
+	par.Range(len(ids), gatherChunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(h.Row(i), x.Row(int(ids[i])))
+		}
+	})
 	return h
 }
+
+const gatherChunk = 256 // least rows one worker gathers
 
 // Fit trains with sampled mini-batches.
 func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
@@ -174,6 +191,7 @@ func fitSAGE(m *GraphSAGE, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapsho
 		return nil, err
 	}
 	st := &sageState{fanout: m.Fanout}
+	defer st.release()
 	in := ds.X.Cols
 	for l := 0; l < m.Layers; l++ {
 		out := cfg.Hidden
@@ -264,5 +282,6 @@ func (m *GraphSAGE) Predict(ds *dataset.Dataset) ([]int, error) {
 	if m.st == nil {
 		return nil, fmt.Errorf("models: GraphSAGE.Predict before Fit")
 	}
+	defer m.st.release()
 	return m.st.predictIdx(ds, rangeIdx(ds.G.N), tensor.NewRand(12345)), nil
 }

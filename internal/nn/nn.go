@@ -144,6 +144,7 @@ func (l *LinearOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 	}
 	wg := l.wg.Next(l.InF, l.OutF)
 	tensor.TMatMulInto(l.lastX, gradOut, wg)
+	l.lastX = nil // pins the caller's buffer otherwise
 	l.W.Grad.Add(wg)
 	if l.hasB {
 		brow := l.B.Grad.Row(0)

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"scalegnn/internal/tensor"
@@ -181,6 +182,24 @@ func TestDropoutPanicsOnBadP(t *testing.T) {
 			NewDropout(p, tensor.NewRand(1))
 		}()
 	}
+}
+
+// TestLinearBackwardConsumesInput pins that Backward lets go of the input
+// Forward retained: a second Backward with no Forward in between panics
+// instead of reading a buffer its owner may have reused.
+func TestLinearBackwardConsumesInput(t *testing.T) {
+	rng := tensor.NewRand(1)
+	l := NewLinear(3, 2, true, rng)
+	g := tensor.RandNormal(4, 2, 1, rng)
+	l.Forward(tensor.RandNormal(4, 3, 1, rng), true)
+	l.Backward(g)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Backward before Forward") {
+			t.Errorf("second Backward: recovered %q, want the Backward-before-Forward panic", msg)
+		}
+	}()
+	l.Backward(g)
 }
 
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {

@@ -30,7 +30,7 @@ func blockDigest(b *Block) uint64 {
 		for _, s := range b.Neigh[i] {
 			put32(uint32(s))
 		}
-		for _, w := range b.Weight[i] {
+		for _, w := range b.Weight(i) {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
 			h.Write(buf[:])
 		}
@@ -85,8 +85,9 @@ func TestBlockDigests(t *testing.T) {
 
 	check := func(t *testing.T, key string, b *Block) {
 		t.Helper()
-		if len(b.Neigh) != len(b.Dsts) || len(b.Weight) != len(b.Dsts) {
-			t.Fatalf("%s: %d dsts, %d Neigh, %d Weight", key, len(b.Dsts), len(b.Neigh), len(b.Weight))
+		if len(b.Neigh) != len(b.Dsts) || len(b.Offsets) != len(b.Dsts)+1 || b.Offsets[0] != 0 ||
+			b.Offsets[len(b.Dsts)] != int64(len(b.Idx)) || len(b.W) != len(b.Idx) {
+			t.Fatalf("%s: %d dsts, %d Neigh, %d Offsets, %d Idx, %d W", key, len(b.Dsts), len(b.Neigh), len(b.Offsets), len(b.Idx), len(b.W))
 		}
 		if len(b.Srcs) < len(b.Dsts) {
 			t.Fatalf("%s: %d srcs < %d dsts", key, len(b.Srcs), len(b.Dsts))
@@ -95,14 +96,21 @@ func TestBlockDigests(t *testing.T) {
 			if b.Srcs[i] != d {
 				t.Fatalf("%s: Srcs[%d] = %d, want dst %d", key, i, b.Srcs[i], d)
 			}
-			if len(b.Neigh[i]) != len(b.Weight[i]) {
-				t.Fatalf("%s: dst %d has %d neighbours, %d weights", key, i, len(b.Neigh[i]), len(b.Weight[i]))
+			lo, hi := b.Offsets[i], b.Offsets[i+1]
+			if lo > hi || len(b.Neigh[i]) != int(hi-lo) || len(b.Weight(i)) != int(hi-lo) ||
+				(hi > lo && &b.Neigh[i][0] != &b.Idx[lo]) {
+				t.Fatalf("%s: dst %d Neigh/Weight are not Idx/W[%d:%d]", key, i, lo, hi)
 			}
 			// A consumer appending to one destination's slice must not
 			// write into the next destination's.
-			if cap(b.Neigh[i]) != len(b.Neigh[i]) || cap(b.Weight[i]) != len(b.Weight[i]) {
+			if cap(b.Neigh[i]) != len(b.Neigh[i]) || cap(b.Weight(i)) != len(b.Weight(i)) {
 				t.Fatalf("%s: dst %d slices have spare capacity (%d/%d, %d/%d)", key, i,
-					len(b.Neigh[i]), cap(b.Neigh[i]), len(b.Weight[i]), cap(b.Weight[i]))
+					len(b.Neigh[i]), cap(b.Neigh[i]), len(b.Weight(i)), cap(b.Weight(i)))
+			}
+			for _, w := range b.Weight(i) {
+				if !(w > 0) {
+					t.Fatalf("%s: dst %d has weight %v; aggregation skips a zero weight", key, i, w)
+				}
 			}
 			for _, s := range b.Neigh[i] {
 				if s < 0 || int(s) >= len(b.Srcs) {

@@ -19,6 +19,7 @@ type FastGCNSampler struct {
 	Budget int // source nodes per layer
 
 	alias aliasTable // q(v) = deg(v) / arcs
+	local []int32    // buildBlock's id table
 }
 
 // NewFastGCNSampler precomputes the importance distribution.
@@ -45,7 +46,7 @@ func (s *FastGCNSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 	for i := 0; i < s.Budget; i++ {
 		mult[int32(s.alias.draw(rng))]++
 	}
-	return wireDrawn(s.G, dsts, mult, s.Budget, float64(s.G.NumEdges()))
+	return wireDrawn(s.G, &s.local, dsts, mult, s.Budget, float64(s.G.NumEdges()))
 }
 
 var _ BlockSampler = (*FastGCNSampler)(nil)
@@ -55,9 +56,9 @@ var _ BlockSampler = (*FastGCNSampler)(nil)
 // m(v) / (deg(u) · t · q(v)) for t draws of which m(v) landed on v. Both
 // layer-wise samplers draw degree-proportionally, q(v) = deg(v)/qTotal;
 // they differ in the candidate set and hence in qTotal.
-func wireDrawn(g *graph.CSR, dsts []int32, mult map[int32]int, budget int, qTotal float64) *Block {
+func wireDrawn(g *graph.CSR, local *[]int32, dsts []int32, mult map[int32]int, budget int, qTotal float64) *Block {
 	t := float64(budget)
-	return buildBlock(g, dsts, 0, func(bb *blockBuilder, ns []int32) {
+	return buildBlock(g, local, dsts, 0, func(bb *blockBuilder, ns []int32) {
 		deg := float64(len(ns))
 		for _, v := range ns {
 			if m, ok := mult[v]; ok {
@@ -163,6 +164,7 @@ func SampledFieldSize(s *NeighborSampler, batch []int32, layers int, rng *rand.R
 type LadiesSampler struct {
 	G      *graph.CSR
 	Budget int
+	local  []int32 // buildBlock's id table
 }
 
 // NewLadiesSampler validates and constructs the sampler.
@@ -185,7 +187,7 @@ func (s *LadiesSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 		}
 	}
 	if len(candSet) == 0 {
-		return wireDrawn(s.G, dsts, nil, s.Budget, 0)
+		return wireDrawn(s.G, &s.local, dsts, nil, s.Budget, 0)
 	}
 	cands := make([]int32, 0, len(candSet))
 	for v := range candSet {
@@ -206,7 +208,7 @@ func (s *LadiesSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 	for i := 0; i < s.Budget; i++ {
 		mult[cands[at.draw(rng)]]++
 	}
-	return wireDrawn(s.G, dsts, mult, s.Budget, total)
+	return wireDrawn(s.G, &s.local, dsts, mult, s.Budget, total)
 }
 
 var _ BlockSampler = (*LadiesSampler)(nil)

@@ -20,12 +20,16 @@ import (
 
 	"scalegnn/internal/graph"
 	"scalegnn/internal/obs"
+	"scalegnn/internal/par"
 	"scalegnn/internal/tensor"
 )
 
-// Block is one layer of a sampled computation graph: for each destination
-// node, the sampled source neighbors (by position in Srcs) with importance
-// weights. Blocks are consumed innermost-first by mini-batch GNN trainers.
+// Block is one layer of a sampled computation graph: a rectangular CSR
+// with one row per destination node and one column per source node — the
+// layout of graph.CSR, with |Dsts| rows and |Srcs| columns. Row i's edges
+// are Idx[Offsets[i]:Offsets[i+1]] (positions in Srcs) with importance
+// weights W over the same range; every weight is > 0. Blocks are consumed
+// innermost-first by mini-batch GNN trainers.
 type Block struct {
 	// Dsts are the global IDs of the nodes whose aggregation this block
 	// estimates.
@@ -33,29 +37,97 @@ type Block struct {
 	// Srcs are the global IDs feeding the aggregation. By construction
 	// Srcs always begins with Dsts (self features are needed by SAGE-style
 	// concatenation).
-	Srcs []int32
-	// Neigh[i] lists the sampled in-neighbors of Dsts[i] as indices into
-	// Srcs; Weight[i][j] is the importance weight of that edge in the
-	// unbiased mean estimate.
-	Neigh  [][]int32
-	Weight [][]float64
+	Srcs    []int32
+	Offsets []int64
+	Idx     []int32
+	W       []float64
+	// Neigh[i] is Idx[Offsets[i]:Offsets[i+1]], capacity included: the
+	// sampled in-neighbours of Dsts[i] as positions in Srcs.
+	Neigh [][]int32
+
+	// The transpose — one row per source, its edges in (destination,
+	// edge) order — built by the first AggregateBackwardInto.
+	tOffsets []int64
+	tIdx     []int32
+	tW       []float64
 }
 
 // NumUniqueSrcs returns the number of distinct source nodes the block
 // touches — the memory/compute cost measure the LABOR comparison uses.
 func (b *Block) NumUniqueSrcs() int { return len(b.Srcs) }
 
-// Aggregate computes the estimated mean aggregation for every dst given
-// the feature rows of Srcs (row i of srcFeats corresponds to Srcs[i]).
-func (b *Block) Aggregate(srcFeats *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(len(b.Dsts), srcFeats.Cols)
-	for i := range b.Dsts {
-		row := out.Row(i)
-		for j, s := range b.Neigh[i] {
-			tensor.F64Axpy(b.Weight[i][j], srcFeats.Row(int(s)), row)
+// Weight returns the importance weights of Dsts[i]'s edges, parallel to
+// Neigh[i].
+func (b *Block) Weight(i int) []float64 {
+	lo, hi := b.Offsets[i], b.Offsets[i+1]
+	return b.W[lo:hi:hi]
+}
+
+const minChunkRows = 256 // least rows one worker aggregates, as in graph's SpMM
+
+// AggregateInto writes into dst (|Dsts| × src.Cols) the estimated mean
+// aggregation of every destination from src, whose row i holds the
+// features of Srcs[i]. It is the SpMM of the block's rows: each row is
+// cleared, then its edges' weighted source rows are added in edge order.
+// dst must not overlap src.
+func (b *Block) AggregateInto(src, dst *tensor.Matrix) {
+	accumRows(b.Offsets, b.Idx, b.W, src, len(b.Srcs), dst)
+}
+
+// AggregateBackwardInto is the adjoint of AggregateInto: from ∂L/∂(output)
+// g it writes ∂L/∂(source features) into dst (|Srcs| × g.Cols). It sweeps
+// the block's transpose with the same row kernel; each source's edges
+// appear there in (destination, edge) order, the order a scatter over the
+// destinations would add them in. dst must not overlap g.
+func (b *Block) AggregateBackwardInto(g, dst *tensor.Matrix) {
+	if b.tOffsets == nil {
+		b.transpose()
+	}
+	accumRows(b.tOffsets, b.tIdx, b.tW, g, len(b.Dsts), dst)
+}
+
+// transpose builds the source-major copy of the block by one stable
+// counting pass over the edges.
+func (b *Block) transpose() {
+	off := make([]int64, len(b.Srcs)+1)
+	for _, s := range b.Idx {
+		off[s+1]++
+	}
+	for s := range b.Srcs {
+		off[s+1] += off[s]
+	}
+	b.tIdx = make([]int32, len(b.Idx))
+	b.tW = make([]float64, len(b.W))
+	// off[s] is source s's next free slot; placing shifts it to where
+	// source s+1 starts, so shifting back restores the offsets.
+	for d := range b.Dsts {
+		for e := b.Offsets[d]; e < b.Offsets[d+1]; e++ {
+			s := b.Idx[e]
+			b.tIdx[off[s]], b.tW[off[s]] = int32(d), b.W[e]
+			off[s]++
 		}
 	}
-	return out
+	copy(off[1:], off)
+	off[0] = 0
+	b.tOffsets = off
+}
+
+// accumRows sets row i of dst to Σ w[e]·row(idx[e]) of x over e in
+// [offsets[i], offsets[i+1]), rows split among workers; x must have xRows
+// rows.
+func accumRows(offsets []int64, idx []int32, w []float64, x *tensor.Matrix, xRows int, dst *tensor.Matrix) {
+	if x.Rows != xRows || dst.Rows != len(offsets)-1 || dst.Cols != x.Cols || tensor.Overlaps(x.Data, dst.Data) {
+		panic(fmt.Sprintf("sampling: aggregating %d rows over %d: %dx%d -> %dx%d, or the two overlap",
+			len(offsets)-1, xRows, x.Rows, x.Cols, dst.Rows, dst.Cols))
+	}
+	par.Range(dst.Rows, minChunkRows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := dst.Row(i)
+			clear(row)
+			s, e := offsets[i], offsets[i+1]
+			tensor.F64AccumRows(w[s:e], idx[s:e], x.Data, x.Rows, x.Cols, row)
+		}
+	})
 }
 
 // blockBuilder is the one place a Block is assembled. It owns what every
@@ -63,30 +135,34 @@ func (b *Block) Aggregate(srcFeats *tensor.Matrix) *tensor.Matrix {
 // first-seen order, and all destinations' neighbour indices and weights in
 // two flat arrays — so a sampler is only its selection rule.
 type blockBuilder struct {
-	dsts  []int32
-	srcs  []int32
-	local map[int32]int32 // global id -> position in srcs
-	idx   []int32         // sampled edges of all destinations, as positions in srcs
-	w     []float64       // parallel importance weights
-	ends  []int           // ends[i] = len(idx) once destination i is done
+	b *Block
+	// local maps a global id to 1 + its position in b.Srcs, 0 meaning not
+	// yet a source. The sampler owns it; buildBlock clears the entries it
+	// set, so a block costs O(|Srcs|) in it, not O(n).
+	local []int32
 }
 
 // buildBlock runs sel once per destination that has neighbours; sel keeps
 // an edge by calling add. perDst, the number of edges sel expects to keep
-// per destination, only sizes the flat arrays: they grow past it.
-func buildBlock(g *graph.CSR, dsts []int32, perDst int, sel func(bb *blockBuilder, ns []int32)) *Block {
+// per destination, only sizes the flat arrays: they grow past it. local is
+// the sampler's id table, sized to g on first use.
+func buildBlock(g *graph.CSR, local *[]int32, dsts []int32, perDst int, sel func(bb *blockBuilder, ns []int32)) *Block {
+	if len(*local) != g.N {
+		*local = make([]int32, g.N)
+	}
 	edges := 0
 	for _, d := range dsts {
 		edges += min(perDst, g.Degree(int(d)))
 	}
-	bb := &blockBuilder{
-		dsts:  dsts,
-		srcs:  make([]int32, 0, len(dsts)+edges),
-		local: make(map[int32]int32, len(dsts)*4),
-		idx:   make([]int32, 0, edges),
-		w:     make([]float64, 0, edges),
-		ends:  make([]int, len(dsts)),
+	b := &Block{
+		Dsts:    dsts,
+		Srcs:    make([]int32, 0, len(dsts)+edges),
+		Offsets: make([]int64, len(dsts)+1),
+		Idx:     make([]int32, 0, edges),
+		W:       make([]float64, 0, edges),
+		Neigh:   make([][]int32, len(dsts)),
 	}
+	bb := &blockBuilder{b: b, local: *local}
 	for _, d := range dsts {
 		bb.localID(d)
 	}
@@ -94,45 +170,33 @@ func buildBlock(g *graph.CSR, dsts []int32, perDst int, sel func(bb *blockBuilde
 		if ns := g.Neighbors(int(d)); len(ns) > 0 {
 			sel(bb, ns)
 		}
-		bb.ends[i] = len(bb.idx)
+		b.Offsets[i+1] = int64(len(b.Idx))
 	}
-	return bb.finish()
+	for _, v := range b.Srcs {
+		bb.local[v] = 0
+	}
+	for i := range b.Neigh {
+		lo, hi := b.Offsets[i], b.Offsets[i+1]
+		b.Neigh[i] = b.Idx[lo:hi:hi]
+	}
+	return b
 }
 
 func (bb *blockBuilder) localID(v int32) int32 {
-	if i, ok := bb.local[v]; ok {
-		return i
+	if i := bb.local[v]; i != 0 {
+		return i - 1
 	}
-	i := int32(len(bb.srcs))
-	bb.srcs = append(bb.srcs, v)
+	bb.b.Srcs = append(bb.b.Srcs, v)
+	i := int32(len(bb.b.Srcs))
 	bb.local[v] = i
-	return i
+	return i - 1
 }
 
 // add keeps the edge from source v, with weight w, for the destination
 // being built.
 func (bb *blockBuilder) add(v int32, w float64) {
-	bb.idx = append(bb.idx, bb.localID(v))
-	bb.w = append(bb.w, w)
-}
-
-// finish carves the flat arrays into per-destination slices whose capacity
-// ends where the next destination begins, so a consumer's append copies
-// instead of overwriting a neighbour's edges.
-func (bb *blockBuilder) finish() *Block {
-	b := &Block{
-		Dsts:   bb.dsts,
-		Srcs:   bb.srcs,
-		Neigh:  make([][]int32, len(bb.dsts)),
-		Weight: make([][]float64, len(bb.dsts)),
-	}
-	lo := 0
-	for i, hi := range bb.ends {
-		b.Neigh[i] = bb.idx[lo:hi:hi]
-		b.Weight[i] = bb.w[lo:hi:hi]
-		lo = hi
-	}
-	return b
+	bb.b.Idx = append(bb.b.Idx, bb.localID(v))
+	bb.b.W = append(bb.b.W, w)
 }
 
 // NeighborSampler is the node-level (GraphSAGE) strategy: every target node
@@ -140,6 +204,7 @@ func (bb *blockBuilder) finish() *Block {
 type NeighborSampler struct {
 	G      *graph.CSR
 	Fanout int
+	local  []int32 // buildBlock's id table
 }
 
 // NewNeighborSampler validates and constructs a node-level sampler.
@@ -153,7 +218,7 @@ func NewNeighborSampler(g *graph.CSR, fanout int) (*NeighborSampler, error) {
 // SampleBlock draws one block for the given destination nodes.
 func (s *NeighborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 	var scratch []int32
-	return buildBlock(s.G, dsts, s.Fanout, func(bb *blockBuilder, ns []int32) {
+	return buildBlock(s.G, &s.local, dsts, s.Fanout, func(bb *blockBuilder, ns []int32) {
 		deg, k := len(ns), s.Fanout
 		if k >= deg {
 			// Take all neighbors exactly: zero sampling variance.
@@ -207,6 +272,7 @@ func (s *NeighborSampler) SampleLayers(batch []int32, layers int, rng *rand.Rand
 type LaborSampler struct {
 	G      *graph.CSR
 	Fanout int
+	local  []int32 // buildBlock's id table
 }
 
 // NewLaborSampler validates and constructs a LABOR-style sampler.
@@ -221,7 +287,7 @@ func NewLaborSampler(g *graph.CSR, fanout int) (*LaborSampler, error) {
 func (s *LaborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 	// Shared variates, drawn lazily per source node.
 	variates := make(map[int32]float64)
-	return inclusionBlock(s.G, dsts, s.Fanout, func(v int32) float64 {
+	return inclusionBlock(s.G, &s.local, dsts, s.Fanout, func(v int32) float64 {
 		r, ok := variates[v]
 		if !ok {
 			r = rng.Float64()
@@ -236,8 +302,8 @@ func (s *LaborSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
 // Horvitz-Thompson weight (1/deg)·(1/π). Where the variate comes from —
 // shared per source or fresh per edge — is all that separates LABOR from
 // its independent baseline.
-func inclusionBlock(g *graph.CSR, dsts []int32, fanout int, variate func(v int32) float64) *Block {
-	return buildBlock(g, dsts, fanout, func(bb *blockBuilder, ns []int32) {
+func inclusionBlock(g *graph.CSR, local *[]int32, dsts []int32, fanout int, variate func(v int32) float64) *Block {
+	return buildBlock(g, local, dsts, fanout, func(bb *blockBuilder, ns []int32) {
 		deg := float64(len(ns))
 		pi := min(1, float64(fanout)/deg)
 		w := (1 / deg) / pi
@@ -256,6 +322,7 @@ func inclusionBlock(g *graph.CSR, dsts []int32, fanout int, variate func(v int32
 type PoissonSampler struct {
 	G      *graph.CSR
 	Fanout int
+	local  []int32 // buildBlock's id table
 }
 
 // NewPoissonSampler validates and constructs the independent baseline.
@@ -268,10 +335,12 @@ func NewPoissonSampler(g *graph.CSR, fanout int) (*PoissonSampler, error) {
 
 // SampleBlock draws one independently-sampled block.
 func (s *PoissonSampler) SampleBlock(dsts []int32, rng *rand.Rand) *Block {
-	return inclusionBlock(s.G, dsts, s.Fanout, func(int32) float64 { return rng.Float64() })
+	return inclusionBlock(s.G, &s.local, dsts, s.Fanout, func(int32) float64 { return rng.Float64() })
 }
 
 // BlockSampler is implemented by all per-layer samplers in this package.
+// A sampler keeps scratch between calls and is not safe for concurrent
+// use.
 type BlockSampler interface {
 	SampleBlock(dsts []int32, rng *rand.Rand) *Block
 }
@@ -306,7 +375,9 @@ func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int3
 		for i, v := range b.Srcs {
 			idx[i] = int(v)
 		}
-		return b.Aggregate(x.SelectRows(idx))
+		out := tensor.New(len(b.Dsts), x.Cols)
+		b.AggregateInto(x.SelectRows(idx), out)
+		return out
 	}
 	exact := aggregate(exactBlock(g, dsts))
 	var sse, bias, uniq float64
@@ -329,18 +400,4 @@ func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int3
 		MeanBias:         bias / float64(count),
 		AvgUniqueSrcs:    uniq / float64(trials),
 	}
-}
-
-// AggregateBackward is the adjoint of Aggregate: given ∂L/∂(aggregated
-// output) it returns ∂L/∂(source features), scattering each weighted
-// contribution back to the source rows. Used by mini-batch GNN trainers.
-func (b *Block) AggregateBackward(gradOut *tensor.Matrix) *tensor.Matrix {
-	gradSrc := tensor.New(len(b.Srcs), gradOut.Cols)
-	for i := range b.Dsts {
-		grow := gradOut.Row(i)
-		for j, s := range b.Neigh[i] {
-			tensor.F64Axpy(b.Weight[i][j], grow, gradSrc.Row(int(s)))
-		}
-	}
-	return gradSrc
 }

@@ -30,7 +30,8 @@ func TestExactBlockMatchesOperator(t *testing.T) {
 	full := op.Apply(x)
 	dsts := batchOf(g.N, 10)
 	blk := exactBlock(g, dsts)
-	est := blk.Aggregate(x.SelectRows(toInts(blk.Srcs)))
+	est := tensor.New(len(dsts), x.Cols)
+	blk.AggregateInto(x.SelectRows(toInts(blk.Srcs)), est)
 	for i, d := range dsts {
 		for j := 0; j < 4; j++ {
 			if math.Abs(est.At(i, j)-full.At(int(d), j)) > 1e-12 {
@@ -327,7 +328,7 @@ func TestLadiesValidation(t *testing.T) {
 	}
 }
 
-// TestAggregateBackwardIsAdjoint checks <Aggregate(x), g> == <x, AggregateBackward(g)>
+// TestAggregateBackwardIsAdjoint checks <AggregateInto(x), g> == <x, AggregateBackwardInto(g)>
 // — the defining property the SAGE trainer's gradients rely on.
 func TestAggregateBackwardIsAdjoint(t *testing.T) {
 	g := testGraph(t, 80, 4)
@@ -339,8 +340,10 @@ func TestAggregateBackwardIsAdjoint(t *testing.T) {
 	blk := s.SampleBlock(batchOf(g.N, 15), rng)
 	x := tensor.RandNormal(blk.NumUniqueSrcs(), 4, 1, rng)
 	gy := tensor.RandNormal(len(blk.Dsts), 4, 1, rng)
-	y := blk.Aggregate(x)
-	gx := blk.AggregateBackward(gy)
+	y := tensor.New(len(blk.Dsts), 4)
+	blk.AggregateInto(x, y)
+	gx := tensor.New(blk.NumUniqueSrcs(), 4)
+	blk.AggregateBackwardInto(gy, gx)
 	var lhs, rhs float64
 	for i := range y.Data {
 		lhs += y.Data[i] * gy.Data[i]

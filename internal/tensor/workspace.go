@@ -137,11 +137,13 @@ func GetZeroBufOf[T Elem](rows, cols int) *Mat[T] { return defaultPool[T]().GetZ
 func PutBufOf[T Elem](m *Mat[T]) { defaultPool[T]().Put(m) }
 
 // BufOf is a single-slot recycling handle for the canonical layer-output
-// pattern: each call to Next recycles the buffer handed out by the previous
-// call and acquires a fresh one from the workspace. Because training loops
-// consume a layer's output before the next forward/backward pass, the
+// pattern: each call to Next reuses the buffer handed out by the previous
+// call — in place when it holds enough values, else by trading it for one
+// of the new shape from the workspace. Because training loops consume a
+// layer's output before the next forward/backward pass, the
 // previous-generation buffer is dead by the time Next runs again, so the
-// hand-back is safe and the steady state allocates nothing.
+// reuse is safe, and the steady state allocates nothing even when the row
+// count changes from call to call (sampled batches).
 //
 // Callers that hold a returned matrix across two calls to Next on the same
 // Buf will observe it being overwritten — clone anything that must outlive
@@ -154,8 +156,17 @@ type BufOf[T Elem] struct {
 type Buf = BufOf[float64]
 
 // Next recycles the previously returned buffer and hands out a rows x cols
-// matrix with unspecified contents.
+// matrix with unspecified contents. Reusing the buffer in place counts as
+// a pool hit.
 func (b *BufOf[T]) Next(rows, cols int) *Mat[T] {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: Buf.Next invalid shape %dx%d", rows, cols))
+	}
+	if m := b.cur; m != nil && rows*cols <= cap(m.Data) {
+		poolHits.Add(1)
+		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+		return m
+	}
 	ws := defaultPool[T]()
 	if b.cur != nil {
 		ws.Put(b.cur)
