@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,5 +27,30 @@ func TestRejectsInvalidGeneratorInputs(t *testing.T) {
 		} else if !strings.Contains(string(out), c.want) {
 			t.Errorf("%s %s: %v, output does not name %q:\n%s", c.flag, c.val, err, c.want, out)
 		}
+	}
+}
+
+// TestRejectsNegativeEdgeWeight: a -graph file with a negative edge weight
+// exits 1 naming the weight; it used to train on NaN operator coefficients
+// and report a model that predicts one class.
+func TestRejectsNegativeEdgeWeight(t *testing.T) {
+	buildBinaries(t)
+	path := filepath.Join(t.TempDir(), "neg.edgelist")
+	var b strings.Builder
+	b.WriteString("# nodes 300 directed false\n")
+	for u := range 300 {
+		fmt.Fprintf(&b, "%d %d\n", u, (u+1)%300)
+	}
+	b.WriteString("0 19 -100\n")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(gnntrainBin, "-model", "gcn", "-epochs", "2", "-graph", path).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("negative weight: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "weight -100") {
+		t.Errorf("output does not name the weight -100:\n%s", out)
 	}
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
@@ -33,6 +34,9 @@ func Load(graphPath, labelPath string, cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkWeights(g); err != nil {
+		return nil, err
+	}
 	var labels []int
 	numClasses := cfg.Classes
 	if labelPath != "" {
@@ -61,6 +65,24 @@ func Load(graphPath, labelPath string, cfg Config) (*Dataset, error) {
 		G: g, X: x, Labels: labels, NumClasses: numClasses,
 		TrainIdx: train, ValIdx: val, TestIdx: test,
 	}, nil
+}
+
+// checkWeights rejects a negative or infinite arc weight, after parallel
+// copies are summed (finite copies can sum to +Inf): every model
+// normalizes by 1/√deg or 1/deg, which such a weight turns into NaN
+// coefficients and a model that predicts one class.
+func checkWeights(g *graph.CSR) error {
+	if g.Weights == nil {
+		return nil
+	}
+	for u := range g.N {
+		for k := g.Offsets[u]; k < g.Offsets[u+1]; k++ {
+			if w := g.Weights[k]; w < 0 || math.IsInf(w, 1) {
+				return fmt.Errorf("dataset: arc %d→%d has weight %g; edge weights must be finite and ≥ 0", u, g.Adj[k], w)
+			}
+		}
+	}
+	return nil
 }
 
 // readLabels parses one integer class per line; class count is

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"scalegnn/internal/tensor"
@@ -136,6 +137,33 @@ func TestConfigCheck(t *testing.T) {
 			if _, err := load.run(); (err == nil) != c.ok {
 				t.Errorf("%s: %s err = %v, want ok=%v", c.name, load.name, err, c.ok)
 			}
+		}
+	}
+}
+
+// TestLoadRejectsNegativeWeight: a negative or infinite summed arc weight
+// makes every normalized operator NaN, so Load refuses it and names the
+// arc and the weight. Weight 0, and a negative copy that its parallel twin
+// outweighs, load.
+func TestLoadRejectsNegativeWeight(t *testing.T) {
+	cfg := defaultConfig()
+	for _, c := range []struct {
+		name, edges string
+		want        string // "" = accepted
+	}{
+		{"negative", "0 1\n1 2 -100\n2 3\n", "arc 1→2 has weight -100"},
+		{"negative sum", "0 1 -1\n0 1 -2\n2 3\n", "arc 0→1 has weight -3"},
+		{"sum overflows", "0 1 1e308\n1 0 1e308\n2 3\n", "arc 0→1 has weight +Inf"},
+		{"zero", "0 1\n1 2 0\n2 3\n", ""},
+		{"parallel sum 1", "0 1 -1\n0 1 2\n2 3\n", ""},
+	} {
+		path := writeFile(t, "# nodes 4 directed false\n"+c.edges)
+		_, err := Load(path, "", cfg)
+		if c.want == "" && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -60,6 +60,9 @@ func (m *ClusterGCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) 
 
 // fitClusterGCN returns the full-graph predictions Predict serves.
 func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) ([]int, error) {
+	if err := requireUndirected(m.Name(), ds); err != nil {
+		return nil, err
+	}
 	pcg, rng := newRunRNG(cfg.Seed)
 
 	preStart := time.Now()
@@ -117,7 +120,7 @@ func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainC
 				return nil
 			}
 			_, grad := maskedLoss(cb.net.Forward(cb.x, true), cb.labels, cb.trainIdx)
-			cb.net.Backward(grad) // nil: layer 0 reads no ∂L/∂X, so no SpMM for it
+			cb.net.Backward(grad) // nil: layer 0 computes no ∂L/∂X (if it narrows, one SpMM for ∂L/∂W)
 			tensor.PutBufOf(grad)
 			opt.Step(params)
 			return nil

@@ -12,37 +12,93 @@ import (
 	"scalegnn/internal/train"
 )
 
-// GCNConvOf is one graph-convolution layer y = Lin(Â x): propagation
-// followed by a dense transform. Backward exploits the symmetry of Â
-// (undirected graphs): ∂L/∂x = Â · Lin.Backward(g) — or nil, with no
-// propagation, when Lin.NoInputGrad is set (the first layer of a network,
-// whose input is the feature matrix). Propagation buffers are recycled
-// through the shared tensor workspace under the nn.Layer lifetime contract.
+// GCNConvOf is one graph-convolution layer y = Â x W + b. Its order comes
+// from its shape: propagation moves as many columns as the matrix it
+// multiplies, so a layer that narrows (Lin.OutF < Lin.InF) transforms
+// first, y = Â(xW) + b, and every other layer propagates first, y =
+// Lin(Âx). The bias is added after propagation because Â's rows do not
+// sum to 1. Either order gives the same y up to rounding.
+//
+// Backward exploits the symmetry of Â (undirected graphs): Âᵀ = Â. On the
+// propagate-first path ∂L/∂x = Â · Lin.Backward(g); on the transform-first
+// path ĝ = Â g, ∂L/∂W = xᵀĝ, ∂L/∂b = Σ rows(g) and ∂L/∂x = ĝ Wᵀ. With
+// Lin.NoInputGrad set (the first layer of a network, whose input is the
+// feature matrix) Backward returns nil: the propagate-first path then runs
+// no SpMM, the transform-first path still runs one for ∂L/∂W. The rule
+// ignores NoInputGrad, so such a layer with out < in < 2·out propagates
+// 2·out columns per step instead of in; no model here builds one.
+//
+// Propagation buffers are recycled through the shared tensor workspace
+// under the nn.Layer lifetime contract; the transform-first path holds
+// one N×in matrix (∂L/∂x) and leaves Lin's own buffers empty.
 type GCNConvOf[T tensor.Elem] struct {
 	Op  *graph.OperatorOf[T]
 	Lin *nn.LinearOf[T]
 
-	px, gx tensor.BufOf[T]
+	px, gx tensor.BufOf[T] // Âx, or xW then Âg; ∂L/∂x
+	y, wg  tensor.BufOf[T] // transform-first output and ∂L/∂W
+	lastX  *tensor.Mat[T]  // transform-first training input
 }
 
 // GCNConv is the float64 instantiation of GCNConvOf.
 type GCNConv = GCNConvOf[float64]
 
-// Forward propagates then transforms.
+// narrow reports whether the layer transforms before it propagates.
+func (c *GCNConvOf[T]) narrow() bool { return c.Lin.OutF < c.Lin.InF }
+
+// Forward propagates and transforms, in the order narrow picks.
 func (c *GCNConvOf[T]) Forward(x *tensor.Mat[T], training bool) *tensor.Mat[T] {
-	px := c.px.Next(x.Rows, x.Cols)
-	c.Op.ApplyInto(x, px)
-	return c.Lin.Forward(px, training)
+	if !c.narrow() {
+		px := c.px.Next(x.Rows, x.Cols)
+		c.Op.ApplyInto(x, px)
+		return c.Lin.Forward(px, training)
+	}
+	h := c.px.Next(x.Rows, c.Lin.OutF)
+	tensor.MatMulInto(x, c.Lin.W.Value, h)
+	y := c.y.Next(x.Rows, c.Lin.OutF)
+	c.Op.ApplyInto(h, y)
+	if c.Lin.B != nil {
+		y.AddRowVector(c.Lin.B.Value.Row(0))
+	}
+	if training {
+		c.lastX = x
+	}
+	return y
 }
 
-// Backward transforms the gradient then propagates it back through Â.
+// Backward propagates the gradient back through Â and the transform.
 func (c *GCNConvOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
-	g := c.Lin.Backward(gradOut)
-	if g == nil {
+	if !c.narrow() {
+		g := c.Lin.Backward(gradOut)
+		if g == nil {
+			return nil
+		}
+		gx := c.gx.Next(g.Rows, g.Cols)
+		c.Op.ApplyInto(g, gx)
+		return gx
+	}
+	if c.lastX == nil {
+		panic(fmt.Sprintf("models: GCNConv %d→%d Backward before Forward(training=true)", c.Lin.InF, c.Lin.OutF))
+	}
+	if c.Lin.B != nil {
+		brow := c.Lin.B.Grad.Row(0)
+		for i := 0; i < gradOut.Rows; i++ {
+			for j, v := range gradOut.Row(i) {
+				brow[j] += v
+			}
+		}
+	}
+	g := c.px.Next(gradOut.Rows, gradOut.Cols)
+	c.Op.ApplyInto(gradOut, g)
+	wg := c.wg.Next(c.Lin.InF, c.Lin.OutF)
+	tensor.TMatMulInto(c.lastX, g, wg)
+	c.Lin.W.Grad.Add(wg)
+	c.lastX = nil // pins the caller's buffer otherwise
+	if c.Lin.NoInputGrad {
 		return nil
 	}
-	gx := c.gx.Next(g.Rows, g.Cols)
-	c.Op.ApplyInto(g, gx)
+	gx := c.gx.Next(g.Rows, c.Lin.InF)
+	tensor.MatMulTInto(g, c.Lin.W.Value, gx)
 	return gx
 }
 
@@ -105,6 +161,9 @@ func (m *GCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 }
 
 func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (gcnTrained, error) {
+	if err := requireUndirected(m.Name(), ds); err != nil {
+		return nil, err
+	}
 	pcg, rng := newRunRNG(cfg.Seed)
 	op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 	x := tensor.FromFloat64[T](ds.X)
@@ -144,6 +203,16 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
 	return &gcnState[T]{net: net, src: ds.X, x: x}, nil
+}
+
+// requireUndirected rejects a directed graph for the models whose Backward
+// propagates with Â in place of Âᵀ (GCNConvOf): their gradients would be
+// wrong, and training would go on silently.
+func requireUndirected(model string, ds *dataset.Dataset) error {
+	if !ds.G.Undirected() {
+		return fmt.Errorf("models: %s requires an undirected graph: its backward pass uses Â for Âᵀ", model)
+	}
+	return nil
 }
 
 // gcnLinears returns the dense transforms of a layers-deep GCN: in →

@@ -91,19 +91,21 @@ go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 # aggregation splits its rows among workers; the masks, the RNG stream
 # after them, the aggregates and everything trained on them must not
 # depend on how many workers that is. Run the goldens, the block digests,
-# the aggregation and the dropout/PCG tests at one worker and at three.
-echo "== go test -cpu 1,3 (dropout fill, block aggregation, goldens and block digests at several worker counts)"
-go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor
+# the aggregation and the dropout/PCG tests at one worker and at three,
+# beside the GCN layer tests (the transform-first order of a narrowing
+# layer must hold at any worker count).
+echo "== go test -cpu 1,3 (dropout fill, block aggregation, GCN layer order, goldens and block digests at several worker counts)"
+go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor
 
 # Second pass with the vector kernels off: the golden fingerprints, the
-# kernel tests and the allocation ceilings must hold on the scalar
-# fallback too — it is what every non-AVX2 host runs and what the vector
-# kernels are compared against.
+# GCN layer tests, the kernel tests and the allocation ceilings must hold
+# on the scalar fallback too — it is what every non-AVX2 host runs and
+# what the vector kernels are compared against.
 # -count=1 because the gate is read at package init, where the test cache
 # does not see the environment.
-echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints + alloc ceilings)"
+echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints + GCN layer order + alloc ceilings)"
 SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph
-SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints' ./internal/models
+SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints|TestGCNConv' ./internal/models
 SCALEGNN_NOSIMD=1 go test -count=1 -run TestAllocCeilings ./internal/models
 
 RACE_PKGS=(
