@@ -12,8 +12,10 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"scalegnn/internal/graph"
@@ -203,13 +205,19 @@ func (m *WalkMaintainer) resample(si, w int) {
 // resamples exactly the walks visiting u or v and returns how many.
 func (m *WalkMaintainer) OnEdgeEvent(u, v int) int {
 	m.stats.Events++
-	affected := make(map[[2]int32]struct{})
+	var affected [][2]int32
 	for _, node := range []int32{int32(u), int32(v)} {
 		for key := range m.visits[node] {
-			affected[key] = struct{}{}
+			affected = append(affected, key)
 		}
 	}
-	for key := range affected {
+	// resample draws from the shared RNG, so the walks are resampled in
+	// key order, not map order: the result is a function of the seed.
+	slices.SortFunc(affected, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	affected = slices.Compact(affected)
+	for _, key := range affected {
 		m.resample(int(key[0]), int(key[1]))
 	}
 	m.stats.WalksResampled += len(affected)

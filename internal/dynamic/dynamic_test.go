@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,43 @@ func TestWalkMaintainerLocality(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWalkMaintainerDeterministic: two maintainers with the same seed fed
+// the same event stream end with the same walks and counters. The events
+// touch the BA graph's hubs, so each resamples many walks from the shared
+// RNG, and any order that is not a function of the seed (a map's) shows.
+func TestWalkMaintainerDeterministic(t *testing.T) {
+	static := graph.BarabasiAlbert(500, 3, tensor.NewRand(3))
+	evRng := tensor.NewRand(4)
+	events := make([][2]int, 40)
+	for i := range events {
+		events[i] = [2]int{evRng.IntN(5), evRng.IntN(static.N)}
+	}
+	run := func() ([][][]int32, MaintainerStats) {
+		d, err := FromCSR(static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewWalkMaintainer(d, []int{0, 1, 2, 50, 250}, 20, 4, tensor.NewRand(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if d.AddEdge(e[0], e[1]) || d.RemoveEdge(e[0], e[1]) {
+				m.OnEdgeEvent(e[0], e[1])
+			}
+		}
+		return m.walks, m.Stats()
+	}
+	w1, s1 := run()
+	w2, s2 := run()
+	if s1 != s2 {
+		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
+	}
+	if !reflect.DeepEqual(w1, w2) {
+		t.Fatal("walks differ between two runs at one seed")
 	}
 }
 

@@ -78,41 +78,45 @@ func requireSameBitsF32(t testing.TB, what string, got, want []float32) {
 }
 
 // TestF32ProductsOneChain: the three products agree bit for bit at every
-// worker count, sampled elements equal fmaChain, and every element is
-// within (k+1)·2⁻²³·Σ|a·b| of the float64 product of the same inputs.
+// worker count and every element is within (k+1)·2⁻²³·Σ|a·b| of the
+// float64 product of the same inputs, gate on and off; with the gate on,
+// sampled elements equal fmaChain.
 func TestF32ProductsOneChain(t *testing.T) {
-	requireVectorKernels(t)
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	defer func(on bool) { simdOn = on }(simdOn)
 	rng := rand.New(rand.NewPCG(5, 35))
-	for _, s := range gemmShapes {
-		a, b := randF32(rng, s.m, s.k), randF32(rng, s.k, s.n)
-		at, bt := a.T(), b.T()
-		par.SetMaxWorkers(1)
-		want := f32Products(a, b, at, bt)[0]
-		for w := 1; w <= 3; w++ {
-			par.SetMaxWorkers(w)
-			for p, got := range f32Products(a, b, at, bt) {
-				requireSameBitsF32(t, fmt.Sprintf("%s %dx%dx%d workers=%d", productNames[p], s.m, s.k, s.n, w),
-					got.Data, want.Data)
-			}
-		}
-		step := max(s.m*s.n/400, 1)
-		for e := 0; e < s.m*s.n; e += step {
-			i, j := e/s.n, e%s.n
-			if got, chain := want.At(i, j), fmaChain(a, b, i, j); math.Float32bits(got) != math.Float32bits(chain) {
-				t.Fatalf("%dx%dx%d [%d,%d] = %v, FMA chain %v", s.m, s.k, s.n, i, j, got, chain)
-			}
-		}
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.n; j++ {
-				var ref, mag float64
-				for k := 0; k < s.k; k++ {
-					p := float64(a.At(i, k)) * float64(b.At(k, j))
-					ref += p
-					mag += math.Abs(p)
+	for _, on := range gateSettings() {
+		simdOn = on
+		for _, s := range gemmShapes {
+			a, b := randF32(rng, s.m, s.k), randF32(rng, s.k, s.n)
+			at, bt := a.T(), b.T()
+			par.SetMaxWorkers(1)
+			want := f32Products(a, b, at, bt)[0]
+			for w := 1; w <= 3; w++ {
+				par.SetMaxWorkers(w)
+				for p, got := range f32Products(a, b, at, bt) {
+					requireSameBitsF32(t, fmt.Sprintf("%s %dx%dx%d gate=%v workers=%d", productNames[p], s.m, s.k, s.n, on, w),
+						got.Data, want.Data)
 				}
-				if d := math.Abs(float64(want.At(i, j)) - ref); d > float64(s.k+1)*0x1p-23*mag {
-					t.Fatalf("%dx%dx%d [%d,%d] = %v, float64 %v (|Σ|a·b|| %v)", s.m, s.k, s.n, i, j, want.At(i, j), ref, mag)
+			}
+			step := max(s.m*s.n/400, 1)
+			for e := 0; on && e < s.m*s.n; e += step {
+				i, j := e/s.n, e%s.n
+				if got, chain := want.At(i, j), fmaChain(a, b, i, j); math.Float32bits(got) != math.Float32bits(chain) {
+					t.Fatalf("%dx%dx%d [%d,%d] = %v, FMA chain %v", s.m, s.k, s.n, i, j, got, chain)
+				}
+			}
+			for i := 0; i < s.m; i++ {
+				for j := 0; j < s.n; j++ {
+					var ref, mag float64
+					for k := 0; k < s.k; k++ {
+						p := float64(a.At(i, k)) * float64(b.At(k, j))
+						ref += p
+						mag += math.Abs(p)
+					}
+					if d := math.Abs(float64(want.At(i, j)) - ref); d > float64(s.k+1)*0x1p-23*mag {
+						t.Fatalf("%dx%dx%d gate=%v [%d,%d] = %v, float64 %v (|Σ|a·b|| %v)", s.m, s.k, s.n, on, i, j, want.At(i, j), ref, mag)
+					}
 				}
 			}
 		}
@@ -121,11 +125,19 @@ func TestF32ProductsOneChain(t *testing.T) {
 
 // TestF32ProductsBlockingFree: rows computed on their own (as a serving
 // chunk computes them) and columns computed on their own carry the bits
-// they have inside the full product, for every start and width, so no
-// output element depends on the 4-row or 16-column block it falls in.
+// they have inside the full product, for every start and width, gate on
+// and off, so no output element depends on the 4-row or 16-column block
+// it falls in.
 func TestF32ProductsBlockingFree(t *testing.T) {
-	requireVectorKernels(t)
+	defer func(on bool) { simdOn = on }(simdOn)
 	rng := rand.New(rand.NewPCG(6, 36))
+	for _, on := range gateSettings() {
+		simdOn = on
+		testF32BlockingFree(t, rng)
+	}
+}
+
+func testF32BlockingFree(t *testing.T, rng *rand.Rand) {
 	for _, s := range []struct{ m, k, n int }{{23, 37, 37}, {11, mmBlockK + 9, 21}} {
 		a, b := randF32(rng, s.m, s.k), randF32(rng, s.k, s.n)
 		at, bt := a.T(), b.T()

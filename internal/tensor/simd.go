@@ -1,18 +1,20 @@
-// Vector fast paths for both tiers. The generic kernels in tensor.go pick
-// their inner kernel here once per call, by element type (no boxing, no
-// allocation), when simdOn says the CPU has the AVX2 kernels of
-// simd_amd64.s; otherwise they run the portable scalar loops.
+// The dense kernels of both tiers. Each tier has one inner kernel, and only
+// it (beside the two axpys) reads the gate, simdOn: the CPU has the AVX2
+// kernels of simd_amd64.s and SCALEGNN_NOSIMD is unset. With the gate off
+// the kernel runs its portable scalar body. Two concrete drivers per tier,
+// a·b and aᵀ·b, call their kernel statically (through a func value the
+// par closures would allocate); a·bᵀ is bᵀ written out, then a·b.
 //
-// The two tiers make different promises. The float32 products run on one
-// FMA block kernel: each output element is one fused chain over k in
-// increasing order from 0, with no zero skip, so its bits do not depend
-// on row or column blocking or on the worker count — which is what makes
-// served (chunked) output equal offline output — and agree with the
-// scalar loops, which do not fuse, to a tolerance. float64 kernels are
-// bitwise equal to the scalar loops — multiply, then add, one accumulator
-// per output element, terms in the same order — so fingerprints,
-// checkpoints and distributed replicas do not depend on whether the gate
-// is on.
+// The two tiers make different promises. float32 runs on one block
+// kernel, f32Gemm4x16: each output element is one chain over k in
+// increasing order from 0, with no zero skip, so its bits do not depend on
+// row or column blocking or on the worker count — which is what makes
+// served (chunked) output equal offline output. The chain is fused with
+// the gate on, so the two gate settings agree to a tolerance. float64 runs
+// on F64AccumRows: multiply, then add, one accumulator per output element,
+// k increasing, a zero a-term skipped; its vector and scalar bodies give
+// the same bits, so fingerprints, checkpoints and distributed replicas do
+// not depend on whether the gate is on.
 package tensor
 
 import (
@@ -86,7 +88,7 @@ func F64AccumRows(coef []float64, idx []int32, x []float64, nrows, stride int, a
 }
 
 // tileRows is the identity index list that turns F64AccumRows into a dense
-// k-tile: row k of the b tile belongs to ablk[k].
+// k-tile: row k of the b tile belongs to the k-th a-term.
 var tileRows = func() (r [mmBlockK]int32) {
 	for i := range r {
 		r[i] = int32(i)
@@ -94,15 +96,66 @@ var tileRows = func() (r [mmBlockK]int32) {
 	return r
 }()
 
-// matMulTileF64 is the float64 tile kernel: bitwise equal to matMulTile,
-// with 32 columns of partial sums per pass instead of 8.
-func matMulTileF64(ablk, bblk, orow []float64, n int) {
-	F64AccumRows(ablk, tileRows[:len(ablk)], bblk, len(ablk), n, orow)
+// f64MatMul computes dst = a·b at float64. Each output row takes one
+// F64AccumRows per k-tile of b, whose vector body keeps 32 columns of
+// partial sums in registers across the tile. Workers split the rows.
+func f64MatMul(a, b, dst *Matrix) {
+	n := b.Cols
+	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			orow := dst.Row(i)
+			clear(orow)
+			for kb := 0; kb < len(arow); kb += mmBlockK {
+				kn := min(mmBlockK, len(arow)-kb)
+				F64AccumRows(arow[kb:kb+kn], tileRows[:kn], b.Data[kb*n:(kb+kn)*n], kn, n, orow)
+			}
+		}
+	})
 }
 
-// The float32 products run on one block kernel, f32Gemm4x16AVX: 4 output
+// tmBlockI is how many columns of a f64TMatMul gathers from one k-tile at
+// a time: eight float64s, one cache line of each row of a.
+const tmBlockI = 8
+
+// tmTileFloats bounds the k-tile of b that f64TMatMul rereads for every
+// output row: 2 048 float64s, 16 KiB, so it stays in the L1 data cache.
+const tmTileFloats = 2048
+
+// f64TMatMul computes dst = aᵀ·b at float64. Per k-tile, tmBlockI columns
+// of a are gathered into stack scratch, and each is handed with the tile
+// of b to F64AccumRows, which adds Σ_k a[k][i]·b[k][:] into output row i.
+// Workers split the output rows by work, at least minWorkTMatMul each.
+func f64TMatMul(a, b, dst *Matrix) {
+	n := b.Cols
+	kt := min(mmBlockK, max(tmTileFloats/max(n, 1), 1))
+	rowWork := max(a.Rows*n, 1)
+	par.Range(a.Cols, (minWorkTMatMul+rowWork-1)/rowWork, func(lo, hi int) {
+		var cols [tmBlockI][mmBlockK]float64
+		for i := lo; i < hi; i++ {
+			clear(dst.Row(i))
+		}
+		for kb := 0; kb < a.Rows; kb += kt {
+			kn := min(kt, a.Rows-kb)
+			bblk := b.Data[kb*n : (kb+kn)*n]
+			for i0 := lo; i0 < hi; i0 += tmBlockI {
+				w := min(tmBlockI, hi-i0)
+				for k := 0; k < kn; k++ {
+					for c, v := range a.Data[(kb+k)*a.Cols+i0:][:w] {
+						cols[c][k] = v
+					}
+				}
+				for c := 0; c < w; c++ {
+					F64AccumRows(cols[c][:kn], tileRows[:kn], bblk, kn, n, dst.Row(i0+c))
+				}
+			}
+		}
+	})
+}
+
+// The float32 products run on one block kernel, f32Gemm4x16: 4 output
 // rows × 16 output columns per call, over one k-tile. Every output
-// element is cleared, then the kernel continues its one FMA chain tile
+// element is cleared, then the kernel continues its one chain tile
 // after tile, so each element is the chain over all of k in increasing
 // order from 0. A block that is short of 4 rows or 16 columns goes
 // through the same kernel on zero-padded stack scratch, never a second
@@ -117,12 +170,11 @@ const (
 // 4-row block: 8 192 float32s, 32 KiB, within the L1 data cache.
 const f32TileFloats = 8192
 
-// f32MatMul computes dst = a·op(b) at float32, where op(b) is b, or bᵀ
-// when bt is set. a is read in place; per k-tile each 16-column panel of
-// op(b) is read in place, or packed into stack scratch when it is bᵀ or
-// the partial last panel, and then swept by every 4-row block of the
-// worker's rows.
-func f32MatMul(a, b, dst *Mat[float32], bt bool) {
+// f32MatMul computes dst = a·b at float32. a is read in place; per k-tile
+// each 16-column panel of b is read in place, or packed into zero-padded
+// stack scratch when it is the partial last panel, and then swept by
+// every 4-row block of the worker's rows.
+func f32MatMul(a, b, dst *Mat[float32]) {
 	n, kdim := dst.Cols, a.Cols
 	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
 		var panel [mmBlockK * gemmCols]float32
@@ -134,20 +186,12 @@ func f32MatMul(a, b, dst *Mat[float32], bt bool) {
 			kn := min(mmBlockK, kdim-kb)
 			for j := 0; j < n; j += gemmCols {
 				w := min(gemmCols, n-j)
-				pb, ldb := panel[:kn*gemmCols], gemmCols
-				if !bt && w == gemmCols {
-					pb, ldb = b.Data[kb*n+j:], n
-				} else {
+				pb, ldb := b.Data[kb*n+j:], n
+				if w < gemmCols {
+					pb, ldb = panel[:kn*gemmCols], gemmCols
 					clear(pb)
 					for k := 0; k < kn; k++ {
-						prow := pb[k*gemmCols:][:w]
-						if bt {
-							for c := range prow {
-								prow[c] = b.Data[(j+c)*kdim+kb+k]
-							}
-						} else {
-							copy(prow, b.Row(kb + k)[j:])
-						}
+						copy(pb[k*gemmCols:][:w], b.Row(kb + k)[j:])
 					}
 				}
 				for i := lo; i < hi; i += gemmRows {
@@ -235,9 +279,12 @@ func f32Block(kn int, pa []float32, lda, ka int, pb []float32, ldb int, dst *Mat
 	}
 }
 
-// f32Gemm4x16 is f32Gemm4x16AVX behind the bounds checks the assembly does
-// not make: the 4×k elements of a, the k rows of b and the 4 rows of c it
-// reads or writes must lie inside the slices.
+// f32Gemm4x16 adds a[4×k]·b[k×16] into c[4×16], element (r, kk) of a at
+// a[r*lda+kk*ka]: one chain per element over k in increasing order, fused
+// by f32Gemm4x16AVX with the gate on and run in plain Go with it off. The
+// 4×k elements of a, the k rows of b and the 4 rows of c it reads or
+// writes must lie inside the slices; it checks so before the assembly,
+// which does not.
 func f32Gemm4x16(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int) {
 	if k == 0 {
 		return
@@ -245,5 +292,27 @@ func f32Gemm4x16(k int, a []float32, lda, ka int, b []float32, ldb int, c []floa
 	_ = a[(gemmRows-1)*lda+(k-1)*ka]
 	_ = b[(k-1)*ldb+gemmCols-1]
 	_ = c[(gemmRows-1)*ldc+gemmCols-1]
-	f32Gemm4x16AVX(k, a, lda, ka, b, ldb, c, ldc)
+	if simdOn {
+		f32Gemm4x16AVX(k, a, lda, ka, b, ldb, c, ldc)
+		return
+	}
+	// Eight partial sums at a time stay in registers across all of k.
+	for r := 0; r < gemmRows; r++ {
+		for j := 0; j < gemmCols; j += 8 {
+			cq := c[r*ldc+j:][:8:8]
+			s0, s1, s2, s3, s4, s5, s6, s7 := cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7]
+			for kk, ao, bo := 0, r*lda, j; kk < k; kk, ao, bo = kk+1, ao+ka, bo+ldb {
+				av, bq := a[ao], b[bo:bo+8:bo+8]
+				s0 += av * bq[0]
+				s1 += av * bq[1]
+				s2 += av * bq[2]
+				s3 += av * bq[3]
+				s4 += av * bq[4]
+				s5 += av * bq[5]
+				s6 += av * bq[6]
+				s7 += av * bq[7]
+			}
+			cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+	}
 }

@@ -51,6 +51,15 @@ func requireVectorKernels(t testing.TB) {
 	}
 }
 
+// gateSettings lists the gate values this machine can run: off, and on
+// when the vector kernels are available. Callers restore simdOn.
+func gateSettings() []bool {
+	if simdOn {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // scalarOnly runs f with the gate off.
 func scalarOnly(f func()) {
 	defer func(on bool) { simdOn = on }(simdOn)
@@ -192,8 +201,8 @@ func requireMostlyFinite(t testing.TB, what string, vals []float64) {
 	}
 }
 
-// TestF64DenseKernelsGateOnOff runs the float64 kernels that pick a vector
-// inner loop with the gate on and off. Shapes cover the 32/4/1 column
+// TestF64DenseKernelsGateOnOff runs the float64 products and AddScaled
+// with the gate on and off. Shapes cover the 32/4/1 column
 // blocks, a k range longer than one mmBlockK tile, rows full of zeros (ReLU
 // outputs) and specials, and the two weight-gradient shapes of a 64-wide
 // hidden layer: TMatMul of 700×64 and 600×64 activations against 64- and
@@ -208,9 +217,10 @@ func TestF64DenseKernelsGateOnOff(t *testing.T) {
 		special float64
 	}{{3, 5, 2, dense}, {70, 64, 5, dense}, {9, 300, 64, dense}, {130, 33, 67, dense}, {1, 1, 1, dense}, {700, 64, 64, sparse}, {600, 64, 5, sparse}} {
 		a, b, w := mixedMat(rng, c.m, c.k, c.special, 0.4), mixedMat(rng, c.k, c.n, c.special, 0), mixedMat(rng, c.m, c.n, c.special, 0.2)
-		var mmS, tmS, addS *Matrix
+		bt := b.T()
+		var mmS, mtS, tmS, addS *Matrix
 		scalarOnly(func() {
-			mmS, tmS = MatMul(a, b), TMatMul(a, w)
+			mmS, mtS, tmS = MatMul(a, b), MatMulT(a, bt), TMatMul(a, w)
 			addS = w.Clone()
 			addS.AddScaled(-1.5, w)
 		})
@@ -220,59 +230,68 @@ func TestF64DenseKernelsGateOnOff(t *testing.T) {
 		add := w.Clone()
 		add.AddScaled(-1.5, w)
 		requireSameBits(t, "MatMul", MatMul(a, b).Data, mmS.Data)
+		requireSameBits(t, "MatMulT", MatMulT(a, bt).Data, mtS.Data)
 		requireSameBits(t, "TMatMul", TMatMul(a, w).Data, tmS.Data)
 		requireSameBits(t, "AddScaled", add.Data, addS.Data)
 	}
 }
 
-// TestTMatMulBitsIndependentOfWorkers: TMatMulInto splits its output rows
-// among workers by work, so a 70-row output fans out to every worker. The
-// bits must be those of the naive loop at every worker count, gate on and
-// off. Every seventh row of a is ±0 and the same row of b holds ±Inf, NaN,
-// −0 and a denormal: the skip, not 0·b, decides those terms. The other
-// rows are finite, so a change of sum order shows in the bits.
-func TestTMatMulBitsIndependentOfWorkers(t *testing.T) {
+// TestF64ProductsBitsIndependentOfWorkers holds the three float64 products
+// to one contract, a naive loop that skips a zero a-term: a·b as
+// MatMulInto(a, b), MatMulTInto(a, bᵀ) and TMatMulInto(aᵀ, b), at 1–4
+// workers, gate on and off, into a NaN-filled dst. Every seventh column
+// of a is ±0 and the same row of b holds ±Inf, NaN, −0 and a denormal:
+// the skip, not 0·b, decides those terms. The other terms are finite, so
+// a change of sum order shows in the bits. Both MatMulInto and
+// TMatMulInto split their output rows among every worker.
+func TestF64ProductsBitsIndependentOfWorkers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(67, 71))
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
-	gates := []bool{false}
-	if simdOn {
-		gates = append(gates, true)
-	}
 	defer func(on bool) { simdOn = on }(simdOn)
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
-	const rows, outRows = 600, 70
+	const m, k = 260, 600
 	for _, n := range []int{5, 33, 67} {
-		a, b := mixedMat(rng, rows, outRows, 0, 0.3), mixedMat(rng, rows, n, 0, 0)
-		for k := 0; k < rows; k += 7 {
-			arow, brow := a.Row(k), b.Row(k)
-			for i := range arow {
-				arow[i] = math.Copysign(0, float64(i%2*2-1))
+		a, b := mixedMat(rng, m, k, 0, 0.3), mixedMat(rng, k, n, 0, 0)
+		for kk := 0; kk < k; kk += 7 {
+			for i := 0; i < m; i++ {
+				a.Set(i, kk, math.Copysign(0, float64(i%2*2-1)))
 			}
-			for j := range brow {
-				brow[j] = specials[(k+j)%len(specials)]
+			for j, brow := 0, b.Row(kk); j < n; j++ {
+				brow[j] = specials[(kk+j)%len(specials)]
 			}
 		}
-		want := New(outRows, n)
-		for i := 0; i < outRows; i++ {
+		want := New(m, n)
+		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var s float64
-				for k := 0; k < rows; k++ {
-					if av := a.At(k, i); av != 0 {
-						s += float64(av * b.At(k, j)) // the conversion forbids fusing
+				for kk := 0; kk < k; kk++ {
+					if av := a.At(i, kk); av != 0 {
+						s += float64(av * b.At(kk, j)) // the conversion forbids fusing
 					}
 				}
 				want.Set(i, j, s)
 			}
 		}
-		requireMostlyFinite(t, "naive aᵀ·b", want.Data)
-		for _, on := range gates {
+		requireMostlyFinite(t, "naive a·b", want.Data)
+		at, bt := a.T(), b.T()
+		products := []struct {
+			name string
+			run  func(dst *Matrix)
+		}{
+			{"MatMulInto", func(dst *Matrix) { MatMulInto(a, b, dst) }},
+			{"MatMulTInto", func(dst *Matrix) { MatMulTInto(a, bt, dst) }},
+			{"TMatMulInto", func(dst *Matrix) { TMatMulInto(at, b, dst) }},
+		}
+		for _, on := range gateSettings() {
 			simdOn = on
 			for w := 1; w <= 4; w++ {
 				par.SetMaxWorkers(w)
-				got := New(outRows, n)
-				got.Fill(math.NaN()) // the kernel must overwrite, not add
-				TMatMulInto(a, b, got)
-				requireSameBits(t, fmt.Sprintf("TMatMulInto n=%d gate=%v workers=%d", n, on, w), got.Data, want.Data)
+				for _, p := range products {
+					got := New(m, n)
+					got.Fill(math.NaN()) // the kernel must overwrite, not add
+					p.run(got)
+					requireSameBits(t, fmt.Sprintf("%s n=%d gate=%v workers=%d", p.name, n, on, w), got.Data, want.Data)
+				}
 			}
 		}
 	}

@@ -2,8 +2,8 @@
 
 package tensor
 
-// simdOn is false off amd64: there are no vector kernels, so every tier
-// runs the portable scalar loops. Declared as a var (not a const) so the
+// simdOn is false off amd64: there are no vector kernels, so every kernel
+// runs its plain-Go body. Declared as a var (not a const) so the
 // dispatch code reads identically on both build variants.
 var simdOn = false
 

@@ -17,8 +17,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"scalegnn/internal/par"
 )
 
 // Elem is the set of element types the tensor stack supports: float64 for
@@ -102,13 +100,17 @@ func (m *Mat[T]) Fill(v T) {
 // T returns the transpose of m as a new matrix.
 func (m *Mat[T]) T() *Mat[T] {
 	out := NewOf[T](m.Cols, m.Rows)
+	transposeInto(m, out)
+	return out
+}
+
+// transposeInto writes mᵀ into dst, which is m.Cols x m.Rows.
+func transposeInto[T Elem](m, dst *Mat[T]) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
+		for j, v := range m.Row(i) {
+			dst.Data[j*m.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // Add computes m += other element-wise.
@@ -285,16 +287,8 @@ func MatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 
 // MatMulInto computes a*b into dst (shape a.Rows x b.Cols), overwriting it.
 // dst must not alias a or b. This is the zero-allocation form used by the
-// pooled training hot path.
-//
-// The kernel is register-blocked: each output row is produced in column
-// tiles (8 scalar accumulators, or 32 columns in YMM registers when the
-// float64 vector kernels are on) while k streams through a tile of b, so
-// the inner loop has no load/store of dst. Per output element the sum
-// still runs over k in increasing order with one accumulator and a
-// separately rounded product — on float64 bitwise-equal to the naive ikj
-// loop, vector or not. With the gate on, float32 runs on the 4×16 FMA
-// block kernel instead (f32MatMul).
+// pooled training hot path. float64 runs on f64MatMul and float32 on
+// f32MatMul; simd.go states each tier's bit contract.
 func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -303,87 +297,11 @@ func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulInto", dst, a, b)
-	if simdOn {
-		switch a := any(a).(type) {
-		case *Mat[float32]:
-			f32MatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]), false)
-			return
-		case *Matrix:
-			matMulIntoF64(a, any(b).(*Matrix), any(dst).(*Matrix))
-			return
-		}
-	}
-	n := b.Cols
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			clear(orow)
-			for kb := 0; kb < len(arow); kb += mmBlockK {
-				kend := min(kb+mmBlockK, len(arow))
-				matMulTile(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
-			}
-		}
-	})
-}
-
-// matMulIntoF64 is MatMulInto's float64 vector path: the same traversal on
-// the float64 tile kernel, called statically so the closure captures no
-// func value.
-func matMulIntoF64(a, b, dst *Matrix) {
-	n := b.Cols
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			clear(orow)
-			for kb := 0; kb < len(arow); kb += mmBlockK {
-				kend := min(kb+mmBlockK, len(arow))
-				matMulTileF64(arow[kb:kend], b.Data[kb*n:kend*n], orow, n)
-			}
-		}
-	})
-}
-
-// matMulTile adds ablk · bblk into orow, where ablk is a k-tile of one row
-// of a and bblk the matching rows of b — the scalar tile kernel, and the
-// reference matMulTileF64 must equal bit for bit. Columns advance in tiles
-// of 8 with the partial sums pinned in registers; zero a-entries are
-// skipped, which both exploits ReLU sparsity and preserves the historical
-// Inf/NaN behavior of the skip.
-func matMulTile[T Elem](ablk, bblk []T, orow []T, n int) {
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		s0, s1, s2, s3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
-		s4, s5, s6, s7 := orow[j+4], orow[j+5], orow[j+6], orow[j+7]
-		bo := j
-		for _, av := range ablk {
-			if av != 0 {
-				brow := bblk[bo : bo+8 : bo+8]
-				s0 += av * brow[0]
-				s1 += av * brow[1]
-				s2 += av * brow[2]
-				s3 += av * brow[3]
-				s4 += av * brow[4]
-				s5 += av * brow[5]
-				s6 += av * brow[6]
-				s7 += av * brow[7]
-			}
-			bo += n
-		}
-		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
-	}
-	for ; j < n; j++ {
-		s := orow[j]
-		bo := j
-		for _, av := range ablk {
-			if av != 0 {
-				s += av * bblk[bo]
-			}
-			bo += n
-		}
-		orow[j] = s
+	switch a := any(a).(type) {
+	case *Matrix:
+		f64MatMul(a, any(b).(*Matrix), any(dst).(*Matrix))
+	case *Mat[float32]:
+		f32MatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
 	}
 }
 
@@ -396,15 +314,8 @@ func MatMulT[T Elem](a, b *Mat[T]) *Mat[T] {
 }
 
 // MatMulTInto computes a * bᵀ into dst (shape a.Rows x b.Rows), overwriting
-// it. dst must not alias a or b.
-//
-// Four output columns (rows of b) are produced per pass so each element of
-// arow is loaded once per four dot products; every dot product keeps its own
-// single accumulator running over k in increasing order, so float64 results
-// are bitwise-equal to the naive per-column loop. float64 has no vector
-// kernel here: a dot product vectorizes only by splitting its k-sum, which
-// the float64 tier forbids. With the gate on, float32 runs on the 4×16
-// FMA block kernel over packed panels of bᵀ (f32MatMul).
+// it. dst must not alias a or b. bᵀ is written into a pooled matrix and
+// multiplied by MatMulInto, so a·bᵀ has the bits of a·(bᵀ) on either tier.
 func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %dx%d * (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -413,38 +324,10 @@ func MatMulTInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	mustNotAlias("MatMulTInto", dst, a, b)
-	if simdOn {
-		if fa, ok := any(a).(*Mat[float32]); ok {
-			f32MatMul(fa, any(b).(*Mat[float32]), any(dst).(*Mat[float32]), true)
-			return
-		}
-	}
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			j := 0
-			for ; j+4 <= b.Rows; j += 4 {
-				b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-				var s0, s1, s2, s3 T
-				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var s T
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				orow[j] = s
-			}
-		}
-	})
+	bt := GetBufOf[T](b.Cols, b.Rows)
+	transposeInto(b, bt)
+	MatMulInto(a, bt, dst)
+	PutBufOf(bt)
 }
 
 // TMatMul returns aᵀ * b, parallelized over rows of the output.
@@ -455,16 +338,10 @@ func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 }
 
 // TMatMulInto computes aᵀ * b into dst (shape a.Cols x b.Cols), overwriting
-// it. dst must not alias a or b.
-//
-// Output row i is column i of a times b. On float64 (tMatMulIntoF64) it
-// runs on MatMulInto's k-tile, and workers split the output rows by work,
-// so a 64×5 weight gradient over thousands of rows still uses every core.
-// Each element sums over k in increasing order with one accumulator, so
-// the bits are the naive loop's at any worker count. On float32 with the
-// gate on it runs on the 4×16 FMA block kernel, split the same way
-// (f32TMatMul); with the gate off k runs outermost and each output row
-// takes an axpy per k, split by rows.
+// it. dst must not alias a or b. Output row i is column i of a times b, on
+// f64TMatMul or f32TMatMul; workers split the output rows by work, so a
+// 64×5 weight gradient over thousands of rows still uses every core, and
+// the bits are a·b's contract at any worker count.
 func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul inner dim mismatch (%dx%d)ᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -473,80 +350,18 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: TMatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("TMatMulInto", dst, a, b)
-	if fa, ok := any(a).(*Matrix); ok {
-		tMatMulIntoF64(fa, any(b).(*Matrix), any(dst).(*Matrix))
-		return
+	switch a := any(a).(type) {
+	case *Matrix:
+		f64TMatMul(a, any(b).(*Matrix), any(dst).(*Matrix))
+	case *Mat[float32]:
+		f32TMatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
 	}
-	if simdOn {
-		f32TMatMul(any(a).(*Mat[float32]), any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
-		return
-	}
-	dst.Zero()
-	par.Range(a.Cols, minChunkDense, func(lo, hi int) {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				axpyUnrolled(av, brow, dst.Row(i))
-			}
-		}
-	})
 }
 
 // minWorkTMatMul is the least work, in multiply-adds, TMatMulInto hands one
 // worker. Its output is a weight gradient, often 64 rows or fewer over a
 // k of thousands, so a minimum in rows would leave it on one core.
 const minWorkTMatMul = 1 << 16
-
-// tmBlockI is how many columns of a tMatMulIntoF64 gathers from one k-tile
-// at a time: eight float64s, one cache line of each row of a.
-const tmBlockI = 8
-
-// tmTileFloats bounds the k-tile of b that tMatMulIntoF64 rereads for every
-// output row: 2 048 float64s, 16 KiB, so it stays in the L1 data cache.
-const tmTileFloats = 2048
-
-// tMatMulIntoF64 is the float64 aᵀ·b kernel. Per k-tile, tmBlockI columns of
-// a are gathered into stack scratch, and each is handed with the tile of b
-// to MatMulInto's tile kernel, which adds Σ_k a[k][i]·b[k][:] into output
-// row i in increasing k, skipping zero a[k][i]. Workers split the output
-// rows by work, at least minWorkTMatMul each.
-func tMatMulIntoF64(a, b, dst *Matrix) {
-	n := b.Cols
-	kt := min(mmBlockK, max(tmTileFloats/max(n, 1), 1))
-	rowWork := max(a.Rows*n, 1)
-	par.Range(a.Cols, (minWorkTMatMul+rowWork-1)/rowWork, func(lo, hi int) {
-		var cols [tmBlockI][mmBlockK]float64
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
-		}
-		for kb := 0; kb < a.Rows; kb += kt {
-			kn := min(kt, a.Rows-kb)
-			bblk := b.Data[kb*n : (kb+kn)*n]
-			for i0 := lo; i0 < hi; i0 += tmBlockI {
-				w := min(tmBlockI, hi-i0)
-				for k := 0; k < kn; k++ {
-					for c, v := range a.Data[(kb+k)*a.Cols+i0:][:w] {
-						cols[c][k] = v
-					}
-				}
-				for c := 0; c < w; c++ {
-					// Static calls: through a func value cols would
-					// escape to the heap.
-					if simdOn {
-						matMulTileF64(cols[c][:kn], bblk, dst.Row(i0+c), n)
-					} else {
-						matMulTile(cols[c][:kn], bblk, dst.Row(i0+c), n)
-					}
-				}
-			}
-		}
-	})
-}
 
 // axpyUnrolled computes y += a*x with a 4-wide unrolled loop — the scalar
 // axpy of both tiers. Elements are independent, so unrolling cannot

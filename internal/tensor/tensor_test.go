@@ -361,43 +361,34 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul128(b *testing.B) {
+// BenchmarkF64Dense times the three float64 products at the workloads'
+// shapes, rows × k × n: MatMulInto is a (rows×k)·(k×n), MatMulTInto a
+// (rows×k)·(n×k)ᵀ and TMatMulInto a (rows×k)ᵀ·(rows×n). The rows are a
+// 20 000-node full-batch GCN, a GraphSAGE hidden layer over 3 072 sampled
+// rows and a 512-row SIGN head; k and n are its 64-wide hidden and 5-class
+// output layers. It reports GFMA/s; compare worker counts with -cpu.
+func BenchmarkF64Dense(b *testing.B) {
 	rng := NewRand(1)
-	x := RandNormal(128, 128, 1, rng)
-	y := RandNormal(128, 128, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul512(b *testing.B) {
-	rng := NewRand(1)
-	x := RandNormal(512, 512, 1, rng)
-	y := RandNormal(512, 512, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-// BenchmarkTMatMulInto times the float64 weight gradient xᵀ·g of a Linear
-// layer: rows activations of width in against rows gradients of width out.
-// The shapes are the hidden layer of a GraphSAGE batch (512 seeds, fan-out
-// 5: 3 072 rows) and the two layers of a 20 000-node full-batch GCN.
-// Compare worker counts with -cpu.
-func BenchmarkTMatMulInto(b *testing.B) {
-	for _, s := range []struct{ rows, in, out int }{{3072, 64, 64}, {20000, 64, 64}, {20000, 64, 5}} {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.rows, s.in, s.out), func(b *testing.B) {
-			rng := NewRand(1)
-			x := RandNormal(s.rows, s.in, 1, rng)
-			g := RandNormal(s.rows, s.out, 1, rng)
-			dst := New(s.in, s.out)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				TMatMulInto(x, g, dst)
-			}
-		})
+	for _, s := range []struct{ rows, k, n int }{
+		{20000, 64, 64}, {20000, 64, 5}, {20000, 5, 64}, {3072, 64, 64}, {512, 256, 64}, {512, 64, 5},
+	} {
+		x, w, wt, g := RandNormal(s.rows, s.k, 1, rng), RandNormal(s.k, s.n, 1, rng), RandNormal(s.n, s.k, 1, rng), RandNormal(s.rows, s.n, 1, rng)
+		y, wg := New(s.rows, s.n), New(s.k, s.n)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMulInto", func() { MatMulInto(x, w, y) }},
+			{"MatMulTInto", func() { MatMulTInto(x, wt, y) }},
+			{"TMatMulInto", func() { TMatMulInto(x, g, wg) }},
+		} {
+			b.Run(fmt.Sprintf("%s_%dx%dx%d", c.name, s.rows, s.k, s.n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.run()
+				}
+				b.ReportMetric(float64(s.rows*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFMA/s")
+			})
+		}
 	}
 }
 

@@ -72,6 +72,9 @@ echo "== go test -bench ReadEdgeList -benchtime 1x ./internal/graph (smoke)"
 go test -run '^$' -bench ReadEdgeList -benchtime 1x ./internal/graph
 echo "== go test -bench F32Dense -benchtime 1x ./internal/tensor (smoke)"
 go test -run '^$' -bench F32Dense -benchtime 1x ./internal/tensor
+# The float64 dense products, GFMA/s at the float64 workloads' shapes.
+echo "== go test -bench F64Dense -benchtime 1x ./internal/tensor (smoke)"
+go test -run '^$' -bench F64Dense -benchtime 1x ./internal/tensor
 
 # Ten seconds of the edge-list fuzzer: ReadEdgeList must match the oracle
 # reader (same CSR bits or the same error) on inputs nobody wrote down.
