@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -24,9 +25,9 @@ func sampleSnapshot(fp uint64) *Snapshot {
 		RNGEpoch:       []byte{11, 12, 13, 14},
 		Run:            []byte(`{"family":"sign"}`),
 		Blocks: []Block{
-			{Name: "param.0", Rows: 2, Cols: 3, Data: []float64{1, -2, 3.5, 0, 1e-9, -7}},
-			{Name: "adam.m.0", Rows: 2, Cols: 3, Data: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}},
-			{Name: "empty", Rows: 0, Cols: 4, Data: []float64{}},
+			NewBlock("param.0", 2, 3, []float64{1, -2, 3.5, 0, 1e-9, -7}),
+			NewBlock("adam.m.0", 2, 3, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}),
+			NewBlock("empty", 0, 4, []float64{}),
 		},
 	}
 }
@@ -54,13 +55,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for i, b := range got.Blocks {
 		w := want.Blocks[i]
-		if b.Name != w.Name || b.Rows != w.Rows || b.Cols != w.Cols {
+		if b.Name != w.Name || b.Dtype != w.Dtype || b.Rows != w.Rows || b.Cols != w.Cols {
 			t.Fatalf("block %d shape: got %+v want %+v", i, b, w)
 		}
-		for j := range b.Data {
-			if b.Data[j] != w.Data[j] {
-				t.Fatalf("block %d data[%d]: got %v want %v", i, j, b.Data[j], w.Data[j])
-			}
+		if !bytes.Equal(b.Bits, w.Bits) {
+			t.Fatalf("block %d payload: got %x want %x", i, b.Bits, w.Bits)
 		}
 	}
 }

@@ -18,9 +18,9 @@
 //	...           auxiliary state  (uint32 length + bytes)
 //	...           run description  (uint32 length + bytes)
 //	...           block count (uint32), then per block:
-//	                name (uint16 length + bytes), dtype (uint8),
-//	                rows (uint32), cols (uint32), rows*cols values
-//	                (8 bytes each for Float64 blocks, 4 for Float32)
+//	                name (uint16 length + bytes), dtype (uint8:
+//	                tensor.Dtype), rows (uint32), cols (uint32), rows*cols
+//	                values as tensor.AppendBits writes them
 //	end-4   4     CRC32 (IEEE) over every preceding byte
 //
 // Decode reads version 4 only; any other version fails with ErrVersion.
@@ -41,6 +41,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"scalegnn/internal/tensor"
 )
 
 // Format constants.
@@ -48,39 +50,6 @@ const (
 	magic   = "SGNNCKPT"
 	Version = 4
 )
-
-// Dtype tags a block's element type. The zero value is Float64, so
-// zero-valued Blocks are the reference dtype.
-type Dtype uint8
-
-// Block element types.
-const (
-	Float64 Dtype = 0
-	Float32 Dtype = 1
-)
-
-func (d Dtype) String() string {
-	switch d {
-	case Float64:
-		return "float64"
-	case Float32:
-		return "float32"
-	default:
-		return fmt.Sprintf("Dtype(%d)", uint8(d))
-	}
-}
-
-// elemSize returns the on-disk bytes per element, or 0 for an unknown tag.
-func (d Dtype) elemSize() int {
-	switch d {
-	case Float64:
-		return 8
-	case Float32:
-		return 4
-	default:
-		return 0
-	}
-}
 
 // Typed decode errors. Manager.Latest skips snapshots failing with
 // ErrTruncated, ErrChecksum, ErrBadMagic, or ErrVersion (falling back to
@@ -96,48 +65,17 @@ var (
 
 // Block is one named tensor in a snapshot: a model parameter, its
 // gradient-moment pair, or an auxiliary weight copy (e.g. best-so-far).
-// Exactly one of Data/Data32 is populated, selected by Dtype; the zero
-// Dtype is Float64 so existing construction sites stay valid.
+// Build one with NewBlock and read it back with ReadBlock.
 type Block struct {
 	Name       string
-	Dtype      Dtype
+	Dtype      tensor.Dtype
 	Rows, Cols int
-	Data       []float64 // payload when Dtype == Float64
-	Data32     []float32 // payload when Dtype == Float32
+	Bits       []byte // the Rows*Cols elements, as tensor.AppendBits writes them
 }
 
-// Len returns the number of elements in the block's payload.
-func (b Block) Len() int {
-	if b.Dtype == Float32 {
-		return len(b.Data32)
-	}
-	return len(b.Data)
-}
-
-// Float64 returns the payload as float64, widening a Float32 block into a
-// fresh slice; Float64 blocks return their payload without copying.
-func (b Block) Float64() []float64 {
-	if b.Dtype != Float32 {
-		return b.Data
-	}
-	out := make([]float64, len(b.Data32))
-	for i, v := range b.Data32 {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// Float32 returns the payload as float32, narrowing a Float64 block into a
-// fresh slice; Float32 blocks return their payload without copying.
-func (b Block) Float32() []float32 {
-	if b.Dtype == Float32 {
-		return b.Data32
-	}
-	out := make([]float32, len(b.Data))
-	for i, v := range b.Data {
-		out[i] = float32(v)
-	}
-	return out
+// NewBlock encodes the rows×cols values of data as a block of T's dtype.
+func NewBlock[T tensor.Elem](name string, rows, cols int, data []T) Block {
+	return Block{Name: name, Dtype: tensor.DtypeOf[T](), Rows: rows, Cols: cols, Bits: tensor.AppendBits(nil, data)}
 }
 
 // Snapshot is the full resumable training state at a (epoch, batch)
@@ -160,13 +98,40 @@ type Snapshot struct {
 	Blocks []Block
 }
 
+// Block returns the block named name, or nil.
+func (s *Snapshot) Block(name string) *Block {
+	for i := range s.Blocks {
+		if s.Blocks[i].Name == name {
+			return &s.Blocks[i]
+		}
+	}
+	return nil
+}
+
+// ReadBlock copies block name into dst, which holds rows×cols values. A
+// missing block, another shape, or another dtype than T's is an error: a
+// block is never widened or narrowed.
+func ReadBlock[T tensor.Elem](s *Snapshot, name string, rows, cols int, dst []T) error {
+	b := s.Block(name)
+	switch {
+	case b == nil:
+		return fmt.Errorf("ckpt: snapshot has no block %q", name)
+	case b.Rows != rows || b.Cols != cols:
+		return fmt.Errorf("ckpt: block %q is %dx%d, want %dx%d", name, b.Rows, b.Cols, rows, cols)
+	case b.Dtype != tensor.DtypeOf[T]():
+		return fmt.Errorf("ckpt: block %q is %s, want %s", name, b.Dtype, tensor.DtypeOf[T]())
+	}
+	tensor.FromBits(dst, b.Bits)
+	return nil
+}
+
 // Encode serializes the snapshot to the version-4 binary format,
 // including the trailing checksum.
 func (s *Snapshot) Encode() []byte {
 	n := len(magic) + 4 + 8 + 5*8 + 8 +
 		4 + len(s.RNG) + 4 + len(s.RNGEpoch) + 4 + len(s.Aux) + 4 + len(s.Run) + 4
 	for _, b := range s.Blocks {
-		n += 2 + len(b.Name) + 1 + 4 + 4 + b.Dtype.elemSize()*b.Len()
+		n += 2 + len(b.Name) + 1 + 4 + 4 + len(b.Bits)
 	}
 	n += 4 // checksum
 	buf := make([]byte, 0, n)
@@ -189,16 +154,7 @@ func (s *Snapshot) Encode() []byte {
 		buf = append(buf, byte(b.Dtype))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Rows))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Cols))
-		switch b.Dtype {
-		case Float32:
-			for _, v := range b.Data32 {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-			}
-		default:
-			for _, v := range b.Data {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
+		buf = append(buf, b.Bits...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf
@@ -206,7 +162,8 @@ func (s *Snapshot) Encode() []byte {
 
 // Decode parses a version-4 snapshot, verifying magic, version, and
 // checksum. It does not check the fingerprint; callers compare
-// Snapshot.Fingerprint themselves (Manager.Latest does).
+// Snapshot.Fingerprint themselves (Manager.Latest does). The blocks' Bits
+// share data's storage.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
@@ -246,13 +203,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	for i := 0; i < nblocks && r.err == nil; i++ {
 		var b Block
 		b.Name = string(r.short())
-		b.Dtype = Dtype(r.u8())
+		b.Dtype = tensor.Dtype(r.u8())
 		b.Rows = int(r.u32())
 		b.Cols = int(r.u32())
 		if r.err != nil {
 			break
 		}
-		es := b.Dtype.elemSize()
+		es := b.Dtype.Size()
 		if es == 0 {
 			r.err = fmt.Errorf("%w: block %q has unknown dtype %d", ErrTruncated, b.Name, uint8(b.Dtype))
 			break
@@ -261,17 +218,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			r.err = fmt.Errorf("%w: block %q claims %dx%d", ErrTruncated, b.Name, b.Rows, b.Cols)
 			break
 		}
-		if b.Dtype == Float32 {
-			b.Data32 = make([]float32, b.Rows*b.Cols)
-			for j := range b.Data32 {
-				b.Data32[j] = math.Float32frombits(r.u32())
-			}
-		} else {
-			b.Data = make([]float64, b.Rows*b.Cols)
-			for j := range b.Data {
-				b.Data[j] = math.Float64frombits(r.u64())
-			}
-		}
+		b.Bits = r.take(b.Rows * b.Cols * es)
 		s.Blocks = append(s.Blocks, b)
 	}
 	if r.err != nil {

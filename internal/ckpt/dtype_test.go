@@ -2,22 +2,23 @@ package ckpt
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"scalegnn/internal/tensor"
 )
 
 // TestFloat32BlockRoundTrip proves the format carries mixed-dtype
-// blocks losslessly: float32 payloads keep their exact bits, float64 blocks
-// are unaffected, and the widening/narrowing accessors convert.
+// blocks losslessly: float32 and float64 payloads keep their exact bits,
+// and a block is read back only at its own dtype.
 func TestFloat32BlockRoundTrip(t *testing.T) {
+	w32 := []float32{1.5, -2.25, 3e-8, 4096.125, float32(math.NaN()), math.Float32frombits(0x7fc00001)}
+	w64 := []float64{1, math.Pi, -1e-12, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000123)}
 	want := &Snapshot{
 		Fingerprint: 42, Epoch: 3, Batch: -1, BestEpoch: -1, PatienceAnchor: 2,
 		BestVal: 0.75,
 		RNG:     []byte{9, 8, 7},
-		Blocks: []Block{
-			{Name: "w32", Dtype: Float32, Rows: 2, Cols: 2,
-				Data32: []float32{1.5, -2.25, 3e-8, 4096.125}},
-			{Name: "w64", Rows: 1, Cols: 3, Data: []float64{1, math.Pi, -1e-12}},
-		},
+		Blocks:  []Block{NewBlock("w32", 2, 3, w32), NewBlock("w64", 1, 5, w64)},
 	}
 	got, err := Decode(want.Encode())
 	if err != nil {
@@ -26,39 +27,48 @@ func TestFloat32BlockRoundTrip(t *testing.T) {
 	if len(got.Blocks) != 2 {
 		t.Fatalf("got %d blocks, want 2", len(got.Blocks))
 	}
-	b32 := got.Blocks[0]
-	if b32.Dtype != Float32 || b32.Name != "w32" || b32.Rows != 2 || b32.Cols != 2 {
-		t.Fatalf("float32 block header corrupted: %+v", b32)
+	if b := got.Blocks[0]; b.Dtype != tensor.Float32 || b.Name != "w32" || b.Rows != 2 || b.Cols != 3 {
+		t.Fatalf("float32 block header corrupted: %+v", b)
 	}
-	for i, v := range want.Blocks[0].Data32 {
-		if b32.Data32[i] != v {
-			t.Fatalf("float32 payload[%d] = %v, want %v (must be bit-exact)", i, b32.Data32[i], v)
+	if b := got.Blocks[1]; b.Dtype != tensor.Float64 || b.Name != "w64" || b.Rows != 1 || b.Cols != 5 {
+		t.Fatalf("float64 block header corrupted: %+v", b)
+	}
+	r32 := make([]float32, 6)
+	if err := ReadBlock(got, "w32", 2, 3, r32); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range w32 {
+		if math.Float32bits(r32[i]) != math.Float32bits(v) {
+			t.Fatalf("float32 payload[%d] = %v, want %v (must be bit-exact)", i, r32[i], v)
 		}
 	}
-	if b32.Len() != 4 {
-		t.Fatalf("float32 block Len() = %d, want 4", b32.Len())
+	r64 := make([]float64, 5)
+	if err := ReadBlock(got, "w64", 1, 5, r64); err != nil {
+		t.Fatal(err)
 	}
-	// Accessors: Float32 on a Float32 block returns the payload, Float64
-	// widens it.
-	wide := b32.Float64()
-	for i, v := range b32.Data32 {
-		if wide[i] != float64(v) {
-			t.Fatalf("Float64()[%d] = %v, want %v", i, wide[i], float64(v))
+	for i, v := range w64 {
+		if math.Float64bits(r64[i]) != math.Float64bits(v) {
+			t.Fatalf("float64 payload[%d] = %v, want %v (must be bit-exact)", i, r64[i], v)
 		}
 	}
-	b64 := got.Blocks[1]
-	if b64.Dtype != Float64 {
-		t.Fatalf("float64 block decoded with dtype %d", b64.Dtype)
-	}
-	for i, v := range want.Blocks[1].Data {
-		if b64.Data[i] != v {
-			t.Fatalf("float64 payload[%d] = %v, want %v", i, b64.Data[i], v)
+	// A cross-dtype read is refused, naming the block and both dtypes; so
+	// are a missing block and another shape.
+	for _, tc := range []struct {
+		err  error
+		want []string
+	}{
+		{ReadBlock(got, "w32", 2, 3, make([]float64, 6)), []string{`"w32"`, "float32", "float64"}},
+		{ReadBlock(got, "w64", 1, 5, make([]float32, 5)), []string{`"w64"`, "float64", "float32"}},
+		{ReadBlock(got, "w16", 1, 5, r64), []string{`"w16"`}},
+		{ReadBlock(got, "w64", 5, 1, r64), []string{`"w64"`, "1x5", "5x1"}},
+	} {
+		if tc.err == nil {
+			t.Fatalf("read accepted, want an error naming %v", tc.want)
 		}
-	}
-	narrow := b64.Float32()
-	for i, v := range b64.Data {
-		if narrow[i] != float32(v) {
-			t.Fatalf("Float32()[%d] = %v, want %v", i, narrow[i], float32(v))
+		for _, w := range tc.want {
+			if !strings.Contains(tc.err.Error(), w) {
+				t.Fatalf("error %q does not name %s", tc.err, w)
+			}
 		}
 	}
 }

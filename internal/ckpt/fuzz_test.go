@@ -26,15 +26,7 @@ func withVersion(enc []byte, version uint32) []byte {
 func FuzzDecode(f *testing.F) {
 	bare := sampleSnapshot(7)
 	bare.Run = nil
-	full := &Snapshot{
-		Fingerprint: 42, Epoch: 3, Batch: 11, BestEpoch: -1, BestVal: 0.75,
-		RNG: []byte{9, 8, 7}, Aux: []byte("round=5"), Run: []byte(`{"family":"sgc","hops":2}`),
-		Blocks: []Block{
-			{Name: "w32", Dtype: Float32, Rows: 2, Cols: 2, Data32: []float32{1.5, -2.25, 3e-8, 4096.125}},
-			{Name: "w64", Rows: 1, Cols: 3, Data: []float64{1, -1e-12, 0}},
-		},
-	}
-	enc := full.Encode()
+	enc := mixedSnapshot().Encode()
 	for _, seed := range [][]byte{
 		enc,
 		bare.Encode(),
@@ -55,6 +47,19 @@ func FuzzDecode(f *testing.F) {
 			decodeRoundTrip(t, fixed)
 		}
 	})
+}
+
+// mixedSnapshot is a snapshot with one block at each dtype: a fuzz seed,
+// and the input whose bytes TestSnapshotBytesPinned holds fixed.
+func mixedSnapshot() *Snapshot {
+	return &Snapshot{
+		Fingerprint: 42, Epoch: 3, Batch: 11, BestEpoch: -1, BestVal: 0.75,
+		RNG: []byte{9, 8, 7}, Aux: []byte("round=5"), Run: []byte(`{"family":"sgc","hops":2}`),
+		Blocks: []Block{
+			NewBlock("w32", 2, 2, []float32{1.5, -2.25, 3e-8, 4096.125}),
+			NewBlock("w64", 1, 3, []float64{1, -1e-12, 0}),
+		},
+	}
 }
 
 func decodeRoundTrip(t *testing.T, data []byte) {

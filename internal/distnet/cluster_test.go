@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -156,20 +158,82 @@ func recoverExchange(err *error) {
 	}
 }
 
-// oneRowBlock is a tiny distinguishable payload for protocol-level tests.
-func oneRowBlock(v float64) *RowBlock {
-	return &RowBlock{IDs: []int32{0}, Cols: 1, F64: []float64{v}}
-}
-
-// allPeers maps every remote shard to the same block.
-func allPeers(c *Cluster, b *RowBlock) map[int]*RowBlock {
-	out := make(map[int]*RowBlock)
-	for id, p := range c.peer {
-		if p != nil {
-			out[id] = b
+// sendOne runs one round of the protocol-level tests: this shard sends the
+// single value v as row 0 to every peer. It returns the value each peer
+// sent, at that peer's shard id.
+func sendOne(c *Cluster, site string, v float64) ([]float64, error) {
+	got, err := exchange(c, site, tensor.FromSlice(1, 1, []float64{v}), []int32{0})
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, len(got))
+	for id, m := range got {
+		if m != nil {
+			vals[id] = rowValue(m)
 		}
 	}
-	return out
+	return vals, nil
+}
+
+// rowValue reads a one-row frame's value through the scatter path (NaN if
+// the frame is not one float64 row 0).
+func rowValue(m *rowsMsg) float64 {
+	dst := tensor.FromSlice(1, 1, []float64{math.NaN()})
+	if err := scatterRows(dst, m, []int32{0}); err != nil {
+		return math.NaN()
+	}
+	return dst.Data[0]
+}
+
+// TestHookRejectsForeignRows: a peer's rows frame must list exactly the
+// rows that peer owns, in order. A frame that repeats one row and omits
+// another has the right length, and one that carries a row the receiver
+// owns would overwrite the receiver's own result; either must fail the
+// round, naming the shard and the first bad id, instead of leaving a
+// stale row in dst.
+func TestHookRejectsForeignRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(owned [][]int32) int32 // the id shard 1 sends second
+	}{
+		{"duplicate id", func(owned [][]int32) int32 { return owned[1][0] }},
+		{"id owned by the receiver", func(owned [][]int32) int32 { return owned[0][0] }},
+	} {
+		cs := startClusters(t, 2, nil)
+		var bad int32
+		var roundErr error
+		eachShard(t, cs, func(c *Cluster) error {
+			g, a, x := fixture(80, 2)
+			h, err := NewHook(c, a)
+			if err != nil {
+				return err
+			}
+			if c.Shard() == 1 {
+				ids := slices.Clone(h.owned[1])
+				bad = tc.bad(h.owned)
+				ids[1] = bad
+				_, err := exchange(c, c.nextSite(), x, ids)
+				return err
+			}
+			h.Attach(g)
+			dst := tensor.New(x.Rows, x.Cols)
+			dst.Fill(math.NaN())
+			func() {
+				defer recoverExchange(&roundErr)
+				graph.NewOperator(g, graph.NormSymmetric, true).ApplyInto(x, dst)
+			}()
+			return nil
+		})
+		var xe *ExchangeError
+		if !errors.As(roundErr, &xe) {
+			t.Fatalf("%s: round error = %v, want an *ExchangeError", tc.name, roundErr)
+		}
+		for _, want := range []string{"shard 1", fmt.Sprintf("is id %d,", bad)} {
+			if !strings.Contains(roundErr.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", tc.name, roundErr, want)
+			}
+		}
+	}
 }
 
 // TestStaleFallback: with MaxStaleness > 0, a slow peer's round is served
@@ -184,21 +248,21 @@ func TestStaleFallback(t *testing.T) {
 	eachShard(t, cs, func(c *Cluster) error {
 		if c.Shard() == 1 {
 			// Round 1 on time, round 2 a second late.
-			if _, err := c.Exchange("s", allPeers(c, oneRowBlock(10))); err != nil {
+			if _, err := sendOne(c, "s", 10); err != nil {
 				return err
 			}
 			time.Sleep(time.Second)
-			_, err := c.Exchange("s", allPeers(c, oneRowBlock(20)))
+			_, err := sendOne(c, "s", 20)
 			return err
 		}
-		if _, err := c.Exchange("s", allPeers(c, oneRowBlock(1))); err != nil {
+		if _, err := sendOne(c, "s", 1); err != nil {
 			return err
 		}
-		got, err := c.Exchange("s", allPeers(c, oneRowBlock(2)))
+		got, err := sendOne(c, "s", 2)
 		if err != nil {
 			return err
 		}
-		staleVal <- got[1].F64[0]
+		staleVal <- got[1]
 		return nil
 	})
 	if v := <-staleVal; v != 10 {
@@ -227,22 +291,22 @@ func TestMaxStalenessExceededFailsLoudly(t *testing.T) {
 		if c.Shard() == 1 {
 			// Participate in round 1, then go quiet (alive, heartbeating,
 			// but contributing nothing) until shard 0 has failed.
-			_, err := c.Exchange("s", allPeers(c, oneRowBlock(10)))
+			_, err := sendOne(c, "s", 10)
 			<-stop
 			return err
 		}
 		defer close(stop)
-		if _, err := c.Exchange("s", allPeers(c, oneRowBlock(1))); err != nil {
+		if _, err := sendOne(c, "s", 1); err != nil {
 			return err
 		}
 		// Cache age 1 <= bound: still served.
 		c.SetEpoch(1)
-		if _, err := c.Exchange("s", allPeers(c, oneRowBlock(2))); err != nil {
+		if _, err := sendOne(c, "s", 2); err != nil {
 			return fmt.Errorf("age-1 round should have used the cache: %w", err)
 		}
 		// Cache age 3 > bound: must fail loudly.
 		c.SetEpoch(3)
-		_, err := c.Exchange("s", allPeers(c, oneRowBlock(3)))
+		_, err := sendOne(c, "s", 3)
 		errc <- err
 		return nil
 	})
@@ -279,11 +343,11 @@ func TestTornFrameRecovery(t *testing.T) {
 	vals := make([][]float64, 2)
 	eachShard(t, cs, func(c *Cluster) error {
 		for r := 1; r <= rounds; r++ {
-			got, err := c.Exchange(fmt.Sprintf("r%d", r), allPeers(c, oneRowBlock(float64(10*c.Shard()+r))))
+			got, err := sendOne(c, fmt.Sprintf("r%d", r), float64(10*c.Shard()+r))
 			if err != nil {
 				return err
 			}
-			vals[c.Shard()] = append(vals[c.Shard()], got[1-c.Shard()].F64[0])
+			vals[c.Shard()] = append(vals[c.Shard()], got[1-c.Shard()])
 		}
 		return nil
 	})
@@ -339,11 +403,11 @@ func TestReconnectAtEveryRound(t *testing.T) {
 							return err
 						}
 					}
-					got, err := c.Exchange("s", allPeers(c, oneRowBlock(float64(10*c.Shard()+r))))
+					got, err := sendOne(c, "s", float64(10*c.Shard()+r))
 					if err != nil {
 						return fmt.Errorf("round %d: %w", r, err)
 					}
-					vals[c.Shard()] = append(vals[c.Shard()], got[1-c.Shard()].F64[0])
+					vals[c.Shard()] = append(vals[c.Shard()], got[1-c.Shard()])
 				}
 				return nil
 			})
@@ -402,12 +466,12 @@ func resumeReplay(t *testing.T, crash int) {
 	}
 	val := func(shard, r int) float64 { return float64(100*shard + r) }
 	round := func(c *Cluster, r int) error {
-		got, err := c.Exchange("s", allPeers(c, oneRowBlock(val(c.Shard(), r))))
+		got, err := sendOne(c, "s", val(c.Shard(), r))
 		if err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
 		}
-		if peer := 1 - c.Shard(); got[peer].F64[0] != val(peer, r) {
-			return fmt.Errorf("round %d: got %v, want %v", r, got[peer].F64[0], val(peer, r))
+		if peer := 1 - c.Shard(); got[peer] != val(peer, r) {
+			return fmt.Errorf("round %d: got %v, want %v", r, got[peer], val(peer, r))
 		}
 		return nil
 	}
@@ -486,7 +550,7 @@ func TestExchangeCancelled(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := cs[0].Exchange("s", allPeers(cs[0], oneRowBlock(1)))
+	_, err := sendOne(cs[0], "s", 1)
 	if err == nil {
 		t.Fatal("cancelled exchange reported success")
 	}
@@ -504,7 +568,7 @@ func TestSyncModeTimesOutLoudly(t *testing.T) {
 	cs := startClusters(t, 2, func(cfg *Config) {
 		cfg.PeerTimeout = 400 * time.Millisecond
 	})
-	_, err := cs[0].Exchange("s", allPeers(cs[0], oneRowBlock(1)))
+	_, err := sendOne(cs[0], "s", 1)
 	var re *RoundError
 	if !errors.As(err, &re) {
 		t.Fatalf("error is %T (%v), want *RoundError", err, err)
@@ -536,10 +600,10 @@ func TestHandshakeRejectsWrongFingerprint(t *testing.T) {
 	failed := make(chan error, 1)
 	//lint:ignore naked-go simulates the imposter process, joined via failed
 	go func() {
-		_, err := imposter.Exchange("s", allPeers(imposter, oneRowBlock(2)))
+		_, err := sendOne(imposter, "s", 2)
 		failed <- err
 	}()
-	_, err := c0.Exchange("s", allPeers(c0, oneRowBlock(1)))
+	_, err := sendOne(c0, "s", 1)
 	if err == nil || <-failed == nil {
 		t.Fatal("round completed against a shard from a different run")
 	}

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"scalegnn/internal/obs"
+	"scalegnn/internal/tensor"
 )
 
 // Defaults for the zero-valued Config knobs.
@@ -125,15 +126,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// RowBlock is a set of feature rows keyed by global node id: len(IDs) rows
-// of Cols values, stored row-major in exactly one of F64/F32.
-type RowBlock struct {
-	IDs  []int32
-	Cols int
-	F64  []float64
-	F32  []float32
-}
-
 // RoundError is a failed exchange round: the site and round seq, the peer
 // that could not be satisfied, and why. It is the loud failure the staleness
 // bound and PeerTimeout promise.
@@ -158,8 +150,8 @@ func (e *RoundError) Unwrap() error { return e.Err }
 // Cluster is one shard's runtime state: the listener, one peer state
 // machine per remote shard, and the round counter.
 //
-// Exchange, SetEpoch, MarshalBinary, and UnmarshalBinary must all be called
-// from the single training goroutine; everything else is internally
+// Exchange rounds, SetEpoch, MarshalBinary, and UnmarshalBinary must all
+// run on the single training goroutine; everything else is internally
 // synchronized.
 type Cluster struct {
 	cfg  Config
@@ -174,7 +166,7 @@ type Cluster struct {
 	done    chan struct{}
 	closing atomic.Bool
 	wg      sync.WaitGroup
-	links   sync.Once // startLinks, at the first Exchange
+	links   sync.Once // startLinks, at the first exchange round
 
 	// conns is every connection with a running reader — each peer's link
 	// and any displaced one still draining — so Close can sever them all.
@@ -238,11 +230,11 @@ func splitAddr(addr string) (network, address string) {
 }
 
 // Open starts shard cfg.Shard of an N-process cluster: it binds this
-// shard's listen address and returns. The mesh forms at the first Exchange
-// — dialing every lower-numbered shard (with bounded exponential backoff,
-// forever), accepting connections from higher-numbered ones — because a
-// handshake carries the cursor, and a resumed shard learns its cursor only
-// in UnmarshalBinary.
+// shard's listen address and returns. The mesh forms at the first exchange
+// round — dialing every lower-numbered shard (with bounded exponential
+// backoff, forever), accepting connections from higher-numbered ones —
+// because a handshake carries the cursor, and a resumed shard learns its
+// cursor only in UnmarshalBinary.
 func Open(cfg Config) (*Cluster, error) {
 	cfg.fillDefaults()
 	if cfg.N < 1 {
@@ -303,7 +295,7 @@ func (c *Cluster) startLinks() {
 
 // Close tears the cluster down: it stops every background goroutine,
 // closes the listener and all connections, and ends the cluster span. A
-// blocked Exchange returns an error promptly.
+// blocked exchange round returns an error promptly.
 func (c *Cluster) Close() error {
 	if c.closing.Swap(true) {
 		return nil
@@ -325,7 +317,7 @@ func (c *Cluster) Close() error {
 		_ = conn.Close()
 	}
 	c.connMu.Unlock()
-	c.links.Do(func() {}) // no first Exchange may start them now
+	c.links.Do(func() {}) // no first round may start them now
 	c.wg.Wait()
 	c.root.End()
 	return err
@@ -410,8 +402,8 @@ func (c *Cluster) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores the exchange cursor from a checkpoint Aux blob:
 // the rounds up to it were consumed from every peer before the crash. Must
-// run before the first Exchange (train resume does), whose handshakes then
-// ask for exactly the rounds after it.
+// run before the first exchange round (train resume does), whose
+// handshakes then ask for exactly the rounds after it.
 func (c *Cluster) UnmarshalBinary(data []byte) error {
 	if len(data) != 24 {
 		return fmt.Errorf("distnet: aux state is %d bytes, want 24", len(data))
@@ -429,19 +421,18 @@ func (c *Cluster) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Exchange runs one round: send outgoing[id] to every peer id, then wait
-// for every peer's rows for the same round. outgoing may map distinct peers
-// to the same *RowBlock (an allgather); it is encoded once per distinct
-// block. The returned map holds one RowBlock per peer.
+// exchange runs one allgather round: it sends the rows ids of m to every
+// peer, then waits for every peer's rows for the same round. The result
+// holds each peer's frame at its shard id (nil at this shard's own).
 //
 // In synchronous mode a round either completes exactly or fails with a
 // *RoundError after PeerTimeout. With MaxStaleness > 0, a peer that stays
 // silent past ExchangeTimeout is substituted from the stale cache when the
 // cached rows for this site are at most MaxStaleness epochs old; otherwise
 // the wait continues to PeerTimeout and then fails loudly.
-func (c *Cluster) Exchange(site string, outgoing map[int]*RowBlock) (map[int]*RowBlock, error) {
+func exchange[T tensor.Elem](c *Cluster, site string, m *tensor.Mat[T], ids []int32) ([]*rowsMsg, error) {
 	if c.cfg.N == 1 {
-		return map[int]*RowBlock{}, nil
+		return nil, nil
 	}
 	c.links.Do(c.startLinks)
 	c.seq++
@@ -453,21 +444,11 @@ func (c *Cluster) Exchange(site string, outgoing map[int]*RowBlock) (map[int]*Ro
 	sp.Link(seq)
 	defer sp.End()
 
-	encoded := make(map[*RowBlock][]byte, 1)
-	for id, p := range c.peer {
-		if p == nil {
-			continue
+	buf := encodeRows(c.cfg.Shard, seq, epoch, site, m.Cols, ids, func(i int) []T { return m.Row(int(ids[i])) })
+	for _, p := range c.peer {
+		if p != nil {
+			p.enqueue(seq, epoch, buf)
 		}
-		blk := outgoing[id]
-		if blk == nil {
-			blk = &RowBlock{}
-		}
-		buf, ok := encoded[blk]
-		if !ok {
-			buf = encodeRows(c.cfg.Shard, seq, epoch, site, blk)
-			encoded[blk] = buf
-		}
-		p.enqueue(seq, epoch, buf)
 	}
 
 	deadline := time.Now().Add(c.cfg.PeerTimeout)
@@ -475,12 +456,12 @@ func (c *Cluster) Exchange(site string, outgoing map[int]*RowBlock) (map[int]*Ro
 	if c.cfg.MaxStaleness > 0 {
 		staleAt = time.Now().Add(c.cfg.ExchangeTimeout)
 	}
-	got := make(map[int]*RowBlock, c.cfg.N-1)
+	got := make([]*rowsMsg, c.cfg.N)
 	for id, p := range c.peer {
 		if p == nil {
 			continue
 		}
-		blk, stale, waited, err := p.await(seq, site, epoch, deadline, staleAt)
+		msg, stale, waited, err := p.await(seq, site, epoch, deadline, staleAt)
 		rsp := sp.Child("distnet.recv")
 		rsp.SetLabel(fmt.Sprintf("shard%d", id))
 		rsp.Link(seq)
@@ -494,8 +475,8 @@ func (c *Cluster) Exchange(site string, outgoing map[int]*RowBlock) (map[int]*Ro
 			staleHitsC.Add(1)
 			sp.SetLabel(site + " stale")
 		}
-		got[id] = blk
-		sp.AddCount(int64(len(blk.IDs)))
+		got[id] = msg
+		sp.AddCount(int64(msg.n))
 	}
 	c.stats.rounds.Add(1)
 	roundsC.Add(1)

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net"
 	"sync/atomic"
 	"time"
 
 	"scalegnn/internal/fault"
+	"scalegnn/internal/tensor"
 )
 
 // Process-wide wire-volume counters, mirrored into the obs registry when
@@ -68,12 +68,21 @@ type frame struct {
 
 // encodeFrame serializes a frame, including the trailing checksum.
 func encodeFrame(typ byte, from int, payload []byte) []byte {
-	buf := make([]byte, 0, headerLen+len(payload)+4)
+	return sealFrame(append(newFrame(typ, from, len(payload)), payload...))
+}
+
+// newFrame returns the header of a frame with an n-byte payload, in a
+// buffer with room for the payload and the checksum.
+func newFrame(typ byte, from, n int) []byte {
+	buf := make([]byte, 0, headerLen+n+4)
 	buf = append(buf, frameMagic...)
 	buf = append(buf, protoVersion, typ)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(from))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
+}
+
+// sealFrame appends the checksum over everything before it.
+func sealFrame(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -186,101 +195,76 @@ func decodeHello(f frame) (n int, fingerprint, want uint64, err error) {
 
 // Rows payload:
 //
-//	seq (uint64), epoch (int64), dtype (uint8: 0 float64, 1 float32),
+//	seq (uint64), epoch (int64), dtype (uint8: tensor.Dtype),
 //	cols (uint32), rowCount (uint32), site (uint16 length + bytes),
 //	then rowCount × (rowID uint32 + cols elements).
 //
-// Elements travel as raw IEEE-754 bit patterns (8 bytes for float64, 4 for
-// float32), so a row received over the wire is bitwise the row the sender
+// Elements travel as tensor.AppendBits writes them, raw IEEE-754 bit
+// patterns, so a row received over the wire is bitwise the row the sender
 // computed — the property the whole sync-mode parity story rests on.
+const rowsHeaderLen = 8 + 8 + 1 + 4 + 4 + 2
+
+// rowsMsg is one decoded rows frame. Its rows stay the validated payload
+// bytes until scatterRows copies them into place.
 type rowsMsg struct {
 	seq   uint64
 	epoch int64
 	site  string
-	block *RowBlock
+	dtype tensor.Dtype
+	cols  int
+	n     int    // row count
+	rows  []byte // n × (rowID uint32 + cols elements)
 }
 
-func encodeRows(from int, seq uint64, epoch int64, site string, b *RowBlock) []byte {
-	elem := 8
-	if b.F32 != nil {
-		elem = 4
+// row returns the id and the element bits of row i.
+func (m *rowsMsg) row(i int) (int32, []byte) {
+	stride := 4 + m.cols*m.dtype.Size()
+	r := m.rows[i*stride : (i+1)*stride]
+	return int32(binary.LittleEndian.Uint32(r)), r[4:]
+}
+
+// encodeRows builds one rows frame: for each i, ids[i] followed by the
+// cols elements of row(i).
+func encodeRows[T tensor.Elem](from int, seq uint64, epoch int64, site string, cols int, ids []int32, row func(i int) []T) []byte {
+	buf := newFrame(typeRows, from, rowsHeaderLen+len(site)+len(ids)*(4+cols*tensor.DtypeOf[T]().Size()))
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(epoch))
+	buf = append(buf, byte(tensor.DtypeOf[T]()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(cols))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(site)))
+	buf = append(buf, site...)
+	for i, id := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		buf = tensor.AppendBits(buf, row(i))
 	}
-	p := make([]byte, 0, 8+8+1+4+4+2+len(site)+len(b.IDs)*(4+b.Cols*elem))
-	p = binary.LittleEndian.AppendUint64(p, seq)
-	p = binary.LittleEndian.AppendUint64(p, uint64(epoch))
-	if b.F32 != nil {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(b.Cols))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(b.IDs)))
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(site)))
-	p = append(p, site...)
-	for i, id := range b.IDs {
-		p = binary.LittleEndian.AppendUint32(p, uint32(id))
-		if b.F32 != nil {
-			for _, v := range b.F32[i*b.Cols : (i+1)*b.Cols] {
-				p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
-			}
-		} else {
-			for _, v := range b.F64[i*b.Cols : (i+1)*b.Cols] {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-		}
-	}
-	return encodeFrame(typeRows, from, p)
+	return sealFrame(buf)
 }
 
 func decodeRows(f frame) (*rowsMsg, error) {
 	p := f.payload
-	if len(p) < 8+8+1+4+4+2 {
+	if len(p) < rowsHeaderLen {
 		return nil, fmt.Errorf("%w: rows payload %d bytes", errCorrupt, len(p))
 	}
 	m := &rowsMsg{
 		seq:   binary.LittleEndian.Uint64(p),
 		epoch: int64(binary.LittleEndian.Uint64(p[8:])),
+		dtype: tensor.Dtype(p[16]),
+		cols:  int(binary.LittleEndian.Uint32(p[17:])),
+		n:     int(binary.LittleEndian.Uint32(p[21:])),
 	}
-	dtype := p[16]
-	cols := int(binary.LittleEndian.Uint32(p[17:]))
-	rows := int(binary.LittleEndian.Uint32(p[21:]))
 	siteLen := int(binary.LittleEndian.Uint16(p[25:]))
-	p = p[27:]
-	if dtype > 1 || cols < 0 || rows < 0 || len(p) < siteLen {
+	p = p[rowsHeaderLen:]
+	elem := m.dtype.Size()
+	if elem == 0 || m.cols < 0 || m.n < 0 || len(p) < siteLen {
 		return nil, fmt.Errorf("%w: malformed rows header", errCorrupt)
 	}
 	m.site = string(p[:siteLen])
-	p = p[siteLen:]
-	elem := 8
-	if dtype == 1 {
-		elem = 4
+	m.rows = p[siteLen:]
+	// n is bounded by the body first: the product alone can wrap to
+	// len(rows) for a row count the body cannot hold.
+	if m.n > len(m.rows)/4 || len(m.rows) != m.n*(4+m.cols*elem) {
+		return nil, fmt.Errorf("%w: rows body %d bytes for %d rows of %d columns", errCorrupt, len(m.rows), m.n, m.cols)
 	}
-	// rows is bounded by the body first: the product alone can wrap to
-	// len(p) for a row count the body cannot hold.
-	if rows > len(p)/4 || len(p) != rows*(4+cols*elem) {
-		return nil, fmt.Errorf("%w: rows body %d bytes for %d rows of %d columns", errCorrupt, len(p), rows, cols)
-	}
-	b := &RowBlock{Cols: cols, IDs: make([]int32, rows)}
-	if dtype == 1 {
-		b.F32 = make([]float32, rows*cols)
-	} else {
-		b.F64 = make([]float64, rows*cols)
-	}
-	for i := 0; i < rows; i++ {
-		b.IDs[i] = int32(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if dtype == 1 {
-			for j := 0; j < cols; j++ {
-				b.F32[i*cols+j] = math.Float32frombits(binary.LittleEndian.Uint32(p))
-				p = p[4:]
-			}
-		} else {
-			for j := 0; j < cols; j++ {
-				b.F64[i*cols+j] = math.Float64frombits(binary.LittleEndian.Uint64(p))
-				p = p[8:]
-			}
-		}
-	}
-	m.block = b
 	return m, nil
 }

@@ -1,10 +1,15 @@
 package distnet
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
+
+	"scalegnn/internal/tensor"
 )
 
 // pipeRead feeds raw bytes through a real net.Pipe connection and returns
@@ -29,9 +34,7 @@ func pipeRead(t *testing.T, raw []byte) (frame, error) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	blk := &RowBlock{IDs: []int32{3, 9}, Cols: 2, F64: []float64{1.5, -2.25, 0, 3e-300}}
-	raw := encodeRows(1, 42, 7, "a3", blk)
-	f, err := pipeRead(t, raw)
+	f, err := pipeRead(t, f64RowsFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +48,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if m.seq != 42 || m.epoch != 7 || m.site != "a3" {
 		t.Fatalf("seq=%d epoch=%d site=%q", m.seq, m.epoch, m.site)
 	}
-	if len(m.block.IDs) != 2 || m.block.IDs[1] != 9 {
-		t.Fatalf("ids = %v", m.block.IDs)
-	}
-	for i, v := range blk.F64 {
-		if m.block.F64[i] != v {
-			t.Fatalf("value[%d] = %v, want %v (not bitwise)", i, m.block.F64[i], v)
-		}
-	}
+	scatterBack(t, m, []int32{3, 9}, f64Rows)
 }
 
 func TestFrameRoundTripFloat32(t *testing.T) {
-	blk := &RowBlock{IDs: []int32{0}, Cols: 3, F32: []float32{1.5, -0.25, 7}}
-	f, err := pipeRead(t, encodeRows(0, 1, 0, "s", blk))
+	f, err := pipeRead(t, f32RowsFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,18 +60,41 @@ func TestFrameRoundTripFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range blk.F32 {
-		if m.block.F32[i] != v {
-			t.Fatalf("value[%d] = %v, want %v", i, m.block.F32[i], v)
+	scatterBack(t, m, []int32{0}, f32Rows)
+}
+
+// scatterBack scatters m into a NaN-filled matrix and requires rows ids to
+// hold exactly the bits of vals, and every other row to be untouched.
+func scatterBack[T tensor.Elem](t *testing.T, m *rowsMsg, ids []int32, vals []T) {
+	t.Helper()
+	cols := len(vals) / len(ids)
+	dst := tensor.NewOf[T](int(slices.Max(ids))+2, cols)
+	dst.Fill(T(math.NaN()))
+	if err := scatterRows(dst, m, ids); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < dst.Rows; r++ {
+		i := slices.Index(ids, int32(r))
+		for j, v := range dst.Row(r) {
+			switch {
+			case i < 0 && v == v:
+				t.Fatalf("row %d was not sent, but holds %v", r, v)
+			case i >= 0 && !sameBits(v, vals[i*cols+j]):
+				t.Fatalf("row %d value %d = %v, want %v (not bitwise)", r, j, v, vals[i*cols+j])
+			}
 		}
 	}
+}
+
+func sameBits[T tensor.Elem](a, b T) bool {
+	return bytes.Equal(tensor.AppendBits(nil, []T{a}), tensor.AppendBits(nil, []T{b}))
 }
 
 // TestFrameCorruptionRejected: every class of wire damage — flipped payload
 // bits, a flipped checksum, bad magic, a truncated (torn) frame, an absurd
 // length — must be rejected as corruption, never decoded.
 func TestFrameCorruptionRejected(t *testing.T) {
-	good := encodeRows(1, 3, 0, "a0", &RowBlock{IDs: []int32{5}, Cols: 1, F64: []float64{42}})
+	good := encodeRows(1, 3, 0, "a0", 1, []int32{5}, func(int) []float64 { return []float64{42} })
 	cases := []struct {
 		name string
 		mut  func([]byte) []byte

@@ -5,13 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"scalegnn/internal/tensor"
 )
 
 // FuzzReadFrame: readFrame and the payload decoders behind it never panic
 // on arbitrary bytes; a torn, oversized or bad-checksum frame is an error;
 // and whatever is accepted is exactly what the encoders write.
 func FuzzReadFrame(f *testing.F) {
-	rows := encodeRows(1, 42, 7, "a3", &RowBlock{IDs: []int32{3, 9}, Cols: 2, F64: []float64{1.5, -2.25, 0, 3e-300}})
+	rows := f64RowsFrame()
 	oversized := bytes.Clone(rows)
 	binary.LittleEndian.PutUint32(oversized[8:], maxPayload+1)
 	badCRC := bytes.Clone(rows)
@@ -23,7 +25,7 @@ func FuzzReadFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(wrap[21:], 2147549185)
 	for _, seed := range [][]byte{
 		rows,
-		encodeRows(0, 1, 0, "s", &RowBlock{IDs: []int32{0}, Cols: 3, F32: []float32{1.5, -0.25, 7}}),
+		f32RowsFrame(),
 		encodeHello(2, 4, 0xfeedface, 1),  // fresh start
 		encodeHello(1, 2, 0xfeedface, 18), // resumed past round 17
 		encodeHello(1, 2, 0xfeedface, 0),  // no such cursor: rejected
@@ -66,6 +68,33 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// f64RowsFrame and f32RowsFrame are one rows frame at each dtype: fuzz
+// seeds, and the inputs whose bytes TestRowsFrameBytesPinned holds fixed.
+func f64RowsFrame() []byte {
+	return encodeRows(1, 42, 7, "a3", 2, []int32{3, 9}, func(i int) []float64 { return f64Rows[2*i : 2*i+2] })
+}
+
+func f32RowsFrame() []byte {
+	return encodeRows(0, 1, 0, "s", 3, []int32{0}, func(int) []float32 { return f32Rows })
+}
+
+var (
+	f64Rows = []float64{1.5, -2.25, 0, 3e-300}
+	f32Rows = []float32{1.5, -0.25, 7}
+)
+
+// reencodeRows decodes a frame's rows to T and encodes them again.
+func reencodeRows[T tensor.Elem](m *rowsMsg) []byte {
+	ids := make([]int32, m.n)
+	vals := make([]T, m.n*m.cols)
+	for i := range ids {
+		var bits []byte
+		ids[i], bits = m.row(i)
+		tensor.FromBits(vals[i*m.cols:(i+1)*m.cols], bits)
+	}
+	return encodeRows(0, m.seq, m.epoch, m.site, m.cols, ids, func(i int) []T { return vals[i*m.cols : (i+1)*m.cols] })
+}
+
 func fuzzPayload(t *testing.T, p []byte) {
 	if n, fp, want, err := decodeHello(frame{typ: typeHello, payload: p}); err == nil {
 		if got := encodeHello(0, n, fp, want); want == 0 || !bytes.Equal(got[headerLen:len(got)-4], p) {
@@ -73,7 +102,11 @@ func fuzzPayload(t *testing.T, p []byte) {
 		}
 	}
 	if m, err := decodeRows(frame{typ: typeRows, payload: p}); err == nil {
-		if got := encodeRows(0, m.seq, m.epoch, m.site, m.block); !bytes.Equal(got[headerLen:len(got)-4], p) {
+		reencode := reencodeRows[float64]
+		if m.dtype == tensor.Float32 {
+			reencode = reencodeRows[float32]
+		}
+		if got := reencode(m); !bytes.Equal(got[headerLen:len(got)-4], p) {
 			t.Fatalf("rows payload (%d bytes) does not re-encode to itself", len(p))
 		}
 	}

@@ -39,7 +39,8 @@ func (e *ExchangeError) Unwrap() error { return e.Err }
 // through Operator.ApplyInto.
 type Hook struct {
 	c     *Cluster
-	owned []int32
+	owned [][]int32 // owned[p]: the rows shard p computes, ascending
+	nodes int
 }
 
 // NewHook builds the propagation hook for this shard's partition. The
@@ -48,20 +49,18 @@ func NewHook(c *Cluster, a *partition.Assignment) (*Hook, error) {
 	if a.K != c.N() {
 		return nil, fmt.Errorf("distnet: partition has %d parts for %d shards", a.K, c.N())
 	}
-	h := &Hook{c: c}
+	h := &Hook{c: c, owned: make([][]int32, a.K), nodes: len(a.Parts)}
 	for u, part := range a.Parts {
 		if part < 0 || part >= a.K {
 			return nil, fmt.Errorf("distnet: node %d assigned to part %d of %d", u, part, a.K)
 		}
-		if part == c.Shard() {
-			h.owned = append(h.owned, int32(u))
-		}
+		h.owned[part] = append(h.owned[part], int32(u))
 	}
 	return h, nil
 }
 
 // Owned returns the destination rows this shard computes locally.
-func (h *Hook) Owned() []int32 { return h.owned }
+func (h *Hook) Owned() []int32 { return h.owned[h.c.Shard()] }
 
 // Attach installs the hook on g; detach by attaching nil via g.SetApplyHook.
 func (h *Hook) Attach(g *graph.CSR) { g.SetApplyHook(h) }
@@ -78,79 +77,49 @@ func (h *Hook) Apply32(op *graph.OperatorOf[float32], x, dst *tensor.Mat[float32
 
 // hookApply is the shared exchange step: compute owned rows, allgather them
 // (every shard's dense stage consumes the full matrix), and fill the rest
-// from the received blocks.
+// from the received frames. Each peer must send exactly the rows it owns,
+// so together they cover dst.
 func hookApply[T tensor.Elem](h *Hook, op *graph.OperatorOf[T], x, dst *tensor.Mat[T]) {
-	op.ApplyRowsInto(x, dst, h.owned)
+	op.ApplyRowsInto(x, dst, h.Owned())
 	if h.c.N() == 1 {
 		return
 	}
-	blk := gatherRows(dst, h.owned)
-	out := make(map[int]*RowBlock, h.c.N()-1)
-	for id := range h.c.peer {
-		if h.c.peer[id] != nil {
-			out[id] = blk // allgather: every peer gets our owned rows
-		}
+	if dst.Rows != h.nodes {
+		panic(&ExchangeError{Err: fmt.Errorf("partition covers %d nodes, matrix has %d rows", h.nodes, dst.Rows)})
 	}
-	recv, err := h.c.Exchange(h.c.nextSite(), out)
+	recv, err := exchange(h.c, h.c.nextSite(), dst, h.Owned())
 	if err != nil {
 		panic(&ExchangeError{Err: err})
 	}
-	filled := len(h.owned)
-	for id, b := range recv {
-		if err := scatterRows(dst, b); err != nil {
+	for id, m := range recv {
+		if m == nil {
+			continue
+		}
+		if err := scatterRows(dst, m, h.owned[id]); err != nil {
 			panic(&ExchangeError{Err: fmt.Errorf("rows from shard %d: %w", id, err)})
 		}
-		filled += len(b.IDs)
-	}
-	if filled != dst.Rows {
-		panic(&ExchangeError{Err: fmt.Errorf("round assembled %d of %d rows", filled, dst.Rows)})
 	}
 }
 
-// gatherRows copies the listed rows of m into a contiguous RowBlock.
-func gatherRows[T tensor.Elem](m *tensor.Mat[T], ids []int32) *RowBlock {
-	flat := make([]T, len(ids)*m.Cols)
-	for i, id := range ids {
-		copy(flat[i*m.Cols:(i+1)*m.Cols], m.Row(int(id)))
+// scatterRows copies a received frame's rows into dst. The frame must be
+// at dst's dtype and width and carry exactly the rows want, in order.
+func scatterRows[T tensor.Elem](dst *tensor.Mat[T], m *rowsMsg, want []int32) error {
+	if m.dtype != tensor.DtypeOf[T]() || m.cols != dst.Cols {
+		return fmt.Errorf("%s rows of %d cols, want %s rows of %d", m.dtype, m.cols, tensor.DtypeOf[T](), dst.Cols)
 	}
-	b := &RowBlock{IDs: ids, Cols: m.Cols}
-	switch d := any(flat).(type) {
-	case []float64:
-		b.F64 = d
-	case []float32:
-		b.F32 = d
-	}
-	return b
-}
-
-// scatterRows copies a received block's rows into their positions in m,
-// validating shape and element type against the destination.
-func scatterRows[T tensor.Elem](m *tensor.Mat[T], b *RowBlock) error {
-	if b.Cols != m.Cols {
-		return fmt.Errorf("block has %d cols, want %d", b.Cols, m.Cols)
-	}
-	var flat []T
-	if b.F64 != nil {
-		d, ok := any(b.F64).([]T)
-		if !ok {
-			return fmt.Errorf("block is float64, destination is not")
+	for i, id := range want {
+		if i >= m.n {
+			return fmt.Errorf("%d rows, want %d: id %d is missing", m.n, len(want), id)
 		}
-		flat = d
-	} else {
-		d, ok := any(b.F32).([]T)
-		if !ok {
-			return fmt.Errorf("block is float32, destination is not")
+		got, bits := m.row(i)
+		if got != id {
+			return fmt.Errorf("row %d is id %d, want id %d", i, got, id)
 		}
-		flat = d
+		tensor.FromBits(dst.Row(int(id)), bits)
 	}
-	if len(flat) != len(b.IDs)*b.Cols {
-		return fmt.Errorf("block has %d values for %d rows of %d", len(flat), len(b.IDs), b.Cols)
-	}
-	for i, id := range b.IDs {
-		if id < 0 || int(id) >= m.Rows {
-			return fmt.Errorf("row id %d out of range [0,%d)", id, m.Rows)
-		}
-		copy(m.Row(int(id)), flat[i*b.Cols:(i+1)*b.Cols])
+	if m.n > len(want) {
+		id, _ := m.row(len(want))
+		return fmt.Errorf("%d rows, want %d: id %d is not the shard's", m.n, len(want), id)
 	}
 	return nil
 }

@@ -141,7 +141,7 @@ func (p *peer) sendLoop() {
 			beat = true
 		case <-p.c.done:
 			// Final drain: a round enqueued just before Close (the last
-			// Exchange of a run) must still reach the peer, which may be one
+			// round of a run) must still reach the peer, which may be one
 			// frame behind us. The write deadline bounds the attempt.
 			p.flush()
 			return
@@ -235,14 +235,14 @@ func (p *peer) readLoop(l *link) {
 // await blocks until the peer's rows for round seq arrive (fresh), the
 // stale cache can stand in for them (stale), or the round fails. It reports
 // how long it waited for the round span's wait attribution.
-func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt time.Time) (blk *RowBlock, stale bool, waited time.Duration, err error) {
+func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt time.Time) (msg *rowsMsg, stale bool, waited time.Duration, err error) {
 	start := time.Now()
 	for {
 		p.mu.Lock()
 		if m, ok := p.inbox[seq]; ok {
 			p.consume(seq)
 			p.mu.Unlock()
-			return m.block, false, time.Since(start), nil
+			return m, false, time.Since(start), nil
 		}
 		var sub *rowsMsg
 		if !staleAt.IsZero() && time.Now().After(staleAt) {
@@ -253,7 +253,7 @@ func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt tim
 		}
 		p.mu.Unlock()
 		if sub != nil {
-			return sub.block, true, time.Since(start), nil
+			return sub, true, time.Since(start), nil
 		}
 		if time.Now().After(deadline) {
 			why := "no rows within the peer timeout"

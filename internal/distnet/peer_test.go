@@ -42,7 +42,7 @@ func TestDisplacedConnectionIsDrained(t *testing.T) {
 	p := newPeer(c, 1)
 
 	x, remote := connPair(t)
-	if err := writeFrame(remote, time.Second, encodeRows(1, 1, 0, "s", oneRowBlock(7))); err != nil {
+	if err := writeFrame(remote, time.Second, encodeRows(1, 1, 0, "s", 1, []int32{0}, func(int) []float64 { return []float64{7} })); err != nil {
 		t.Fatal(err)
 	}
 	_ = remote.Close()
@@ -53,11 +53,11 @@ func TestDisplacedConnectionIsDrained(t *testing.T) {
 	p.install(&link{conn: y})
 
 	p.readLoop(old) // returns at the EOF behind the frame
-	blk, stale, _, err := p.await(1, "s", 0, time.Time{}, time.Time{})
+	m, stale, _, err := p.await(1, "s", 0, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatalf("round 1 was lost with its connection: %v", err)
 	}
-	if stale || blk.F64[0] != 7 {
-		t.Fatalf("round 1 = %v (stale=%v), want the row the peer wrote", blk.F64, stale)
+	if v := rowValue(m); stale || v != 7 {
+		t.Fatalf("round 1 = %v (stale=%v), want the row the peer wrote", v, stale)
 	}
 }

@@ -198,37 +198,15 @@ func checkSnapshotFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig,
 	return nil
 }
 
-// blockValues returns a block's payload as []T, converting when the block
-// was written at a different precision (a block already at T's precision
-// comes back uncopied).
-func blockValues[T tensor.Elem](b ckpt.Block) []T {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(b.Float32()).([]T)
-	}
-	return any(b.Float64()).([]T)
-}
-
 // restoreParams copies the snapshot's param.* blocks into the freshly built
 // parameter list, in the same order the training engine saved them.
 func restoreParams[T tensor.Elem](name string, params []*nn.ParamOf[T], snap *ckpt.Snapshot) error {
-	blocks := make(map[string]ckpt.Block, len(snap.Blocks))
-	for _, b := range snap.Blocks {
-		blocks[b.Name] = b
-	}
 	for i, p := range params {
-		key := fmt.Sprintf("param.%d", i)
-		b, ok := blocks[key]
-		if !ok {
-			return fmt.Errorf("models: restore %s: snapshot has no block %q", name, key)
+		if err := ckpt.ReadBlock(snap, fmt.Sprintf("param.%d", i), p.Value.Rows, p.Value.Cols, p.Value.Data); err != nil {
+			return fmt.Errorf("models: restore %s: %w", name, err)
 		}
-		if b.Rows != p.Value.Rows || b.Cols != p.Value.Cols {
-			return fmt.Errorf("models: restore %s: block %q is %dx%d, model wants %dx%d",
-				name, key, b.Rows, b.Cols, p.Value.Rows, p.Value.Cols)
-		}
-		copy(p.Value.Data, blockValues[T](b))
 	}
-	if _, extra := blocks[fmt.Sprintf("param.%d", len(params))]; extra {
+	if snap.Block(fmt.Sprintf("param.%d", len(params))) != nil {
 		return fmt.Errorf("models: restore %s: snapshot has more than %d parameter blocks", name, len(params))
 	}
 	return nil

@@ -170,3 +170,33 @@ func TestF32AxpyTails(t *testing.T) {
 		}
 	}
 }
+
+// TestBitsRoundTrip: AppendBits writes little-endian IEEE-754 bits at
+// DtypeOf[T]().Size() bytes per element, and FromBits restores every value
+// bit for bit — signed zeros, infinities, denormals and NaN payloads too.
+func TestBitsRoundTrip(t *testing.T) {
+	bitsRoundTrip(t, []float64{1.5, math.Copysign(0, -1), math.Inf(-1), 5e-324,
+		math.Float64frombits(0x7ff8000000000123)}, []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x3f})
+	bitsRoundTrip(t, []float32{1.5, float32(math.Copysign(0, -1)), float32(math.Inf(1)),
+		math.Float32frombits(1), math.Float32frombits(0x7fc00123)}, []byte{0, 0, 0xc0, 0x3f})
+}
+
+func bitsRoundTrip[T Elem](t *testing.T, v []T, first []byte) {
+	t.Helper()
+	prefix := []byte{0xaa}
+	enc := AppendBits(prefix, v)
+	if len(enc) != 1+len(v)*DtypeOf[T]().Size() || enc[0] != 0xaa || string(enc[1:1+len(first)]) != string(first) {
+		t.Fatalf("%s: AppendBits wrote %x", DtypeOf[T](), enc)
+	}
+	got := make([]T, len(v))
+	FromBits(got, enc[1:])
+	if string(AppendBits(nil, got)) != string(enc[1:]) {
+		t.Fatalf("%s: FromBits(AppendBits(v)) = %v, want %v bit for bit", DtypeOf[T](), got, v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: FromBits accepted a short source", DtypeOf[T]())
+		}
+	}()
+	FromBits(got, enc[2:])
+}

@@ -51,33 +51,6 @@ type AuxState interface {
 	encoding.BinaryUnmarshaler
 }
 
-// blockOf wraps a tensor's backing slice as a dtype-tagged checkpoint
-// block without copying: float64 data becomes a Float64 block, float32 a
-// Float32 block.
-func blockOf[T tensor.Elem](name string, rows, cols int, data []T) ckpt.Block {
-	switch d := any(data).(type) {
-	case []float64:
-		return ckpt.Block{Name: name, Dtype: ckpt.Float64, Rows: rows, Cols: cols, Data: d}
-	case []float32:
-		return ckpt.Block{Name: name, Dtype: ckpt.Float32, Rows: rows, Cols: cols, Data32: d}
-	default:
-		panic("train: unsupported block element type")
-	}
-}
-
-// blockData returns a block's payload as []T, converting across dtypes when
-// the snapshot was written at a different precision (a block already at
-// T's precision returns its payload uncopied).
-func blockData[T tensor.Elem](b ckpt.Block) []T {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return any(b.Float32()).([]T)
-	default:
-		return any(b.Float64()).([]T)
-	}
-}
-
 // ckptRunner glues a run to its ckpt.Manager: it captures the pre-shuffle
 // RNG state each epoch (so a mid-epoch snapshot can re-derive the
 // permutation by replaying the shuffle), assembles Snapshots from the live
@@ -155,16 +128,16 @@ func (c *ckptRunner[T]) save(epoch, batch int, stopper *earlyStop, rep *Report, 
 	nb := 2*len(c.spec.Params) + len(moments)/2 + len(best)
 	s.Blocks = make([]ckpt.Block, 0, nb)
 	for i, p := range c.spec.Params {
-		s.Blocks = append(s.Blocks, blockOf(
+		s.Blocks = append(s.Blocks, ckpt.NewBlock(
 			fmt.Sprintf("param.%d", i), p.Value.Rows, p.Value.Cols, p.Value.Data))
 	}
 	for i, m := range moments {
-		s.Blocks = append(s.Blocks, blockOf(
+		s.Blocks = append(s.Blocks, ckpt.NewBlock(
 			fmt.Sprintf("moment.%d", i), m.Rows, m.Cols, m.Data))
 	}
 	for i, data := range best {
 		p := c.spec.Params[i].Value
-		s.Blocks = append(s.Blocks, blockOf(
+		s.Blocks = append(s.Blocks, ckpt.NewBlock(
 			fmt.Sprintf("best.%d", i), p.Rows, p.Cols, data))
 	}
 	if _, err := c.mgr.Save(s); err != nil {
@@ -194,45 +167,33 @@ func (c *ckptRunner[T]) resume(stopper *earlyStop, rep *Report) (*ckpt.Snapshot,
 			return nil, nil, fmt.Errorf("train: resume %s: restore aux state: %w", path, err)
 		}
 	}
-	blocks := make(map[string]ckpt.Block, len(s.Blocks))
-	for _, b := range s.Blocks {
-		blocks[b.Name] = b
-	}
-	block := func(name string, want *tensor.Mat[T]) (ckpt.Block, error) {
-		b, ok := blocks[name]
-		if !ok {
-			return b, fmt.Errorf("train: resume %s: snapshot has no block %q", path, name)
-		}
-		if b.Rows != want.Rows || b.Cols != want.Cols {
-			return b, fmt.Errorf("train: resume %s: block %q is %dx%d, model wants %dx%d",
-				path, name, b.Rows, b.Cols, want.Rows, want.Cols)
-		}
-		return b, nil
-	}
 	moments := make([]*tensor.Mat[T], 0, 2*len(c.spec.Params))
 	var best snapshotOf[T]
 	for i, p := range c.spec.Params {
-		pb, err := block(fmt.Sprintf("param.%d", i), p.Value)
-		if err != nil {
+		read := func(name string, dst []T) error {
+			if err := ckpt.ReadBlock(s, name, p.Value.Rows, p.Value.Cols, dst); err != nil {
+				return fmt.Errorf("train: resume %s: %w", path, err)
+			}
+			return nil
+		}
+		if err := read(fmt.Sprintf("param.%d", i), p.Value.Data); err != nil {
 			return nil, nil, err
 		}
-		copy(p.Value.Data, blockData[T](pb))
 		for _, half := range []int{2 * i, 2*i + 1} {
-			mb, err := block(fmt.Sprintf("moment.%d", half), p.Value)
-			if err != nil {
+			m := tensor.NewOf[T](p.Value.Rows, p.Value.Cols)
+			if err := read(fmt.Sprintf("moment.%d", half), m.Data); err != nil {
 				return nil, nil, err
 			}
-			moments = append(moments, tensor.FromSlice(mb.Rows, mb.Cols, blockData[T](mb)))
+			moments = append(moments, m)
 		}
-		if bb, ok := blocks[fmt.Sprintf("best.%d", i)]; ok {
+		if name := fmt.Sprintf("best.%d", i); s.Block(name) != nil {
 			if best == nil {
 				best = make(snapshotOf[T], len(c.spec.Params))
 			}
-			if bb.Len() != len(p.Value.Data) {
-				return nil, nil, fmt.Errorf("train: resume %s: best.%d has %d values, want %d",
-					path, i, bb.Len(), len(p.Value.Data))
+			best[i] = make([]T, len(p.Value.Data))
+			if err := read(name, best[i]); err != nil {
+				return nil, nil, err
 			}
-			best[i] = blockData[T](bb)
 		}
 	}
 	if best != nil {

@@ -367,3 +367,30 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRefusesOtherDtype: a snapshot holds its blocks at the tier that
+// wrote them. Resuming a float32 spec from float64 blocks under the same
+// fingerprint must fail and name the block, not narrow the weights and
+// moments into a run that then differs from both tiers.
+func TestResumeRefusesOtherDtype(t *testing.T) {
+	dir := t.TempDir()
+	cc := CheckpointConfig{Dir: dir, Fingerprint: 12}
+	if _, _, err := ckptRun(t, 5, 2, cc, 0); err != nil {
+		t.Fatal(err)
+	}
+	cc.Resume = true
+	pcg := tensor.NewPCG(5)
+	w := nn.NewParam("w", tensor.NewOf[float32](2, 3))
+	opt := nn.NewAdamOf[float32](0.05)
+	_, err := Run(Config{Epochs: 4, RNG: pcg, Checkpoint: cc}, SpecOf[float32]{
+		Source:    NewBatches([]int{0, 1, 2, 3, 4, 5, 6}, 3),
+		Step:      func([]int) error { opt.Step([]*nn.ParamOf[float32]{w}); return nil },
+		Validate:  func() (float64, error) { return 0, nil },
+		Params:    []*nn.ParamOf[float32]{w},
+		Optimizer: opt,
+	})
+	if err == nil || !strings.Contains(err.Error(), `"param.0"`) ||
+		!strings.Contains(err.Error(), "float64") || !strings.Contains(err.Error(), "float32") {
+		t.Fatalf("float32 resume from float64 blocks: err = %v, want a refusal naming the block and both dtypes", err)
+	}
+}

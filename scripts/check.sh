@@ -83,6 +83,13 @@ go test -run '^$' -bench F64Dense -benchtime 1x ./internal/tensor
 echo "== go test -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph (smoke)"
 go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph
 
+# Ten seconds each of the two byte-format decoders: a rows frame or a
+# snapshot that is accepted must re-encode to exactly its own bytes.
+echo "== go test -fuzz FuzzReadFrame -fuzztime 10s ./internal/distnet (smoke)"
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s -fuzzminimizetime 1s ./internal/distnet
+echo "== go test -fuzz FuzzDecode -fuzztime 10s ./internal/ckpt (smoke)"
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt
+
 # TMatMulInto splits its output among as many workers as its work allows;
 # its bits must not depend on how many that is. Run the float64 kernel
 # tests at several GOMAXPROCS, not only at this host's core count.
