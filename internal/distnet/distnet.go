@@ -55,10 +55,13 @@ const (
 	DefaultExchangeTimeout = 500 * time.Millisecond
 	DefaultHeartbeatEvery  = 250 * time.Millisecond
 	DefaultFailAfter       = 2 * time.Second
-	DefaultDialBackoff     = 50 * time.Millisecond
-	DefaultMaxBackoff      = 2 * time.Second
-	DefaultWriteTimeout    = 10 * time.Second
 	DefaultRetainEpochs    = 2
+
+	// Reconnect backoff (doubling from dialBackoff up to maxBackoff) and
+	// the per-frame write deadline.
+	dialBackoff  = 50 * time.Millisecond
+	maxBackoff   = 2 * time.Second
+	writeTimeout = 10 * time.Second
 
 	// maxInbox bounds the out-of-order rounds buffered per peer; in
 	// lockstep operation the inbox holds at most a handful of entries, so
@@ -85,9 +88,6 @@ type Config struct {
 	PeerTimeout     time.Duration // hard bound before a round fails loudly
 	HeartbeatEvery  time.Duration // idle-connection heartbeat cadence
 	FailAfter       time.Duration // read silence before a connection is declared dead
-	DialBackoff     time.Duration // initial reconnect backoff (doubles per failure)
-	MaxBackoff      time.Duration // reconnect backoff cap
-	WriteTimeout    time.Duration // per-frame write deadline
 
 	// RetainEpochs keeps send-log entries for rounds at most this many
 	// epochs old, bounding replay memory while guaranteeing a peer resuming
@@ -111,15 +111,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = DefaultFailAfter
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = DefaultDialBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefaultMaxBackoff
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
 	}
 	if c.RetainEpochs <= 0 {
 		c.RetainEpochs = DefaultRetainEpochs

@@ -148,7 +148,7 @@ func (p *peer) sendLoop() {
 		}
 		l := p.flush()
 		if beat && l != nil {
-			if err := writeFrame(l.conn, p.c.cfg.WriteTimeout, heartbeat); err != nil {
+			if err := writeFrame(l.conn, writeTimeout, heartbeat); err != nil {
 				p.lose(l)
 			}
 		}
@@ -187,7 +187,7 @@ func (p *peer) flush() *link {
 			return l
 		}
 		for _, b := range bufs {
-			if err := writeFrame(l.conn, p.c.cfg.WriteTimeout, b); err != nil {
+			if err := writeFrame(l.conn, writeTimeout, b); err != nil {
 				p.lose(l)
 				return nil
 			}
@@ -281,7 +281,7 @@ func (p *peer) await(seq uint64, site string, epoch int64, deadline, staleAt tim
 // error counts as a failed dial.
 func (p *peer) dialLoop() {
 	defer p.c.wg.Done()
-	backoff := p.c.cfg.DialBackoff
+	backoff := dialBackoff
 	for {
 		select {
 		case <-p.c.done:
@@ -297,12 +297,12 @@ func (p *peer) dialLoop() {
 			case <-time.After(backoff):
 			}
 			backoff *= 2
-			if backoff > p.c.cfg.MaxBackoff {
-				backoff = p.c.cfg.MaxBackoff
+			if backoff > maxBackoff {
+				backoff = maxBackoff
 			}
 			continue
 		}
-		backoff = p.c.cfg.DialBackoff
+		backoff = dialBackoff
 	}
 }
 
@@ -334,7 +334,7 @@ func (c *Cluster) connect(conn net.Conn, p *peer) error {
 		p.mu.Lock()
 		want := p.consumed + 1 // the first round we still need from p
 		p.mu.Unlock()
-		return writeFrame(conn, c.cfg.WriteTimeout, encodeHello(c.cfg.Shard, c.cfg.N, c.cfg.Fingerprint, want))
+		return writeFrame(conn, writeTimeout, encodeHello(c.cfg.Shard, c.cfg.N, c.cfg.Fingerprint, want))
 	}
 	if p != nil {
 		if err := hello(p); err != nil {

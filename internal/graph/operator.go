@@ -275,46 +275,6 @@ func (op *OperatorOf[T]) ApplyRowsInto(x, dst *tensor.Mat[T], rows []int32) {
 	})
 }
 
-// ApplyVec computes P*x for a vector x of length N.
-func (op *OperatorOf[T]) ApplyVec(x []T) []T {
-	g := op.G
-	if len(x) != g.N {
-		panic(fmt.Sprintf("graph: Operator.ApplyVec len %d != n %d", len(x), g.N))
-	}
-	out := make([]T, g.N)
-	op.ApplyVecInto(x, out)
-	return out
-}
-
-// ApplyVecInto computes P*x into dst (length N), overwriting it — the
-// single-column SpMM used by PPR power iteration and diffusion. dst must
-// not alias x.
-func (op *OperatorOf[T]) ApplyVecInto(x, dst []T) {
-	g := op.G
-	if len(x) != g.N {
-		panic(fmt.Sprintf("graph: Operator.ApplyVecInto len %d != n %d", len(x), g.N))
-	}
-	if len(dst) != g.N {
-		panic(fmt.Sprintf("graph: Operator.ApplyVecInto dst len %d != n %d", len(dst), g.N))
-	}
-	if tensor.Overlaps(x, dst) {
-		panic("graph: ApplyVecInto dst must not overlap x")
-	}
-	par.Range(g.N, minChunkSparse, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			var s T
-			if op.loopCo != nil {
-				s = op.loopCo[u] * x[u]
-			}
-			a, b := g.Offsets[u], g.Offsets[u+1]
-			for k := a; k < b; k++ {
-				s += op.Coef[k] * x[g.Adj[k]]
-			}
-			dst[u] = s
-		}
-	})
-}
-
 // PowerApply computes P^k * X by repeated application.
 func (op *OperatorOf[T]) PowerApply(x *tensor.Mat[T], k int) *tensor.Mat[T] {
 	cur := x.Clone()

@@ -68,20 +68,47 @@ func TestOperatorApplyMatchesDense(t *testing.T) {
 	}
 }
 
-func TestOperatorApplyVecMatchesApply(t *testing.T) {
-	rng := tensor.NewRand(19)
-	g := BarabasiAlbert(60, 2, rng)
-	op := NewOperator(g, NormSymmetric, true)
-	x := make([]float64, g.N)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+// spmvRef is P·x written as the textbook scalar loop: the self-loop term,
+// then each arc in CSR order, a rounded product and a rounded add each.
+func spmvRef(op *Operator, x []float64) []float64 {
+	out := make([]float64, len(x))
+	for u := range out {
+		var s float64
+		if op.loopCo != nil {
+			s = float64(op.loopCo[u] * x[u])
+		}
+		for k := op.G.Offsets[u]; k < op.G.Offsets[u+1]; k++ {
+			s += float64(op.Coef[k] * x[op.G.Adj[k]]) // the conversion forbids fusing
+		}
+		out[u] = s
 	}
-	xm := tensor.FromSlice(g.N, 1, append([]float64(nil), x...))
-	got := op.ApplyVec(x)
-	want := op.Apply(xm)
-	for i := range got {
-		if math.Abs(got[i]-want.At(i, 0)) > 1e-12 {
-			t.Fatalf("ApplyVec[%d] = %v, Apply = %v", i, got[i], want.At(i, 0))
+	return out
+}
+
+// TestApplyIntoColumnMatchesScalarSpMV: ApplyInto on an n×1 view is the
+// SpMV of PPR power iteration and the CG solves; it must give the scalar
+// loop's bits for every normalization, with and without self-loops, on a
+// graph with isolated nodes and on one without.
+func TestApplyIntoColumnMatchesScalarSpMV(t *testing.T) {
+	rng := tensor.NewRand(19)
+	graphs := map[string]*CSR{"ba": BarabasiAlbert(300, 2, rng), "er": ErdosRenyi(300, 200, rng)}
+	for name, g := range graphs {
+		x := make([]float64, g.N)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for _, norm := range []Normalization{NormNone, NormSymmetric, NormRandomWalk, NormColumn} {
+			for _, loops := range []bool{false, true} {
+				op := NewOperator(g, norm, loops)
+				got := tensor.New(g.N, 1)
+				got.Fill(math.NaN()) // ApplyInto must overwrite, not add
+				op.ApplyInto(tensor.FromSlice(g.N, 1, x), got)
+				for u, want := range spmvRef(op, x) {
+					if math.Float64bits(got.Data[u]) != math.Float64bits(want) {
+						t.Fatalf("%s %v loops=%v: row %d = %v, scalar SpMV %v", name, norm, loops, u, got.Data[u], want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -112,8 +139,8 @@ func TestOperatorPreservesConstantRW(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	out := op.ApplyVec(ones)
-	for i, v := range out {
+	out := op.Apply(tensor.FromSlice(g.N, 1, ones))
+	for i, v := range out.Data {
 		if math.Abs(v-1) > 1e-12 {
 			t.Fatalf("node %d: P·1 = %v", i, v)
 		}
@@ -231,11 +258,9 @@ func TestApplyIntoRejectsAliasing(t *testing.T) {
 	g := triangle(t)
 	op := NewOperator(g, NormSymmetric, true)
 	x := tensor.New(3, 2)
-	v := make([]float64, 3)
 	mustPanic(t, map[string]func(){
 		"ApplyInto(x, x)":          func() { op.ApplyInto(x, x) },
 		"ApplyRowsInto(x, x, {0})": func() { op.ApplyRowsInto(x, x, []int32{0}) },
-		"ApplyVecInto(v, v)":       func() { op.ApplyVecInto(v, v) },
 	})
 }
 
@@ -248,7 +273,6 @@ func TestApplyIntoRejectsShapeMismatch(t *testing.T) {
 	mustPanic(t, map[string]func(){
 		"ApplyInto wrong dst":     func() { op.ApplyInto(x, tensor.New(4, 2)) },
 		"ApplyRowsInto wrong dst": func() { op.ApplyRowsInto(x, tensor.New(4, 2), []int32{0}) },
-		"ApplyVecInto wrong dst":  func() { op.ApplyVecInto(make([]float64, 3), make([]float64, 4)) },
 	})
 }
 

@@ -169,10 +169,7 @@ func (s *Solver) cgSolve(rhs []float64, mu float64) ([]float64, int, error) {
 	}
 	n := len(rhs)
 	apply := func(x []float64) []float64 {
-		px := s.Op.ApplyVec(x)
-		for i := 1; i < s.Scale; i++ {
-			px = s.Op.ApplyVec(px)
-		}
+		px := s.propagate(tensor.FromSlice(n, 1, x)).Data
 		out := make([]float64, n)
 		for i := range out {
 			out[i] = x[i] - mu*px[i]

@@ -27,7 +27,7 @@ var allocCeilings = []struct {
 	name string
 	max  float64
 }{
-	{"f64_axpy/float64", 0},
+	{"axpy/float64", 0},
 	{"f64_accum_rows/float64", 0},
 	{"matmul_into/float64", 1},
 	{"matmul_into/float32", 1},
@@ -83,9 +83,9 @@ func TestAllocCeilings(t *testing.T) {
 	}
 }
 
-// addF64KernelCases adds the two float64 vector kernels on their own, at the
-// shape one GCN destination row has (25 arcs over 64 columns). They run once
-// per row or per arc, so nothing at all may allocate. It also adds the
+// addF64KernelCases adds the float64 kernel and the axpy on it on their own,
+// at the shape one GCN destination row has (25 arcs over 64 columns). They
+// run once per row or per arc, so nothing at all may allocate. It also adds the
 // weight gradient of SAGE's 64→5 output layer over a 512-row batch, whose
 // gathered columns of x must stay on the kernel's stack.
 func addF64KernelCases(cases map[string]func()) {
@@ -102,7 +102,7 @@ func addF64KernelCases(cases map[string]func()) {
 		idx[k] = int32(rng.IntN(rows))
 	}
 	acc := make([]float64, cols)
-	cases["f64_axpy/float64"] = func() { tensor.F64Axpy(1e-9, x[:cols], acc) }
+	cases["axpy/float64"] = func() { tensor.Axpy(1e-9, x[:cols], acc) }
 	cases["f64_accum_rows/float64"] = func() { tensor.F64AccumRows(coef, idx, x, rows, cols, acc) }
 
 	const classes = 5

@@ -81,12 +81,7 @@ func (c *GCNConvOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 		panic(fmt.Sprintf("models: GCNConv %d→%d Backward before Forward(training=true)", c.Lin.InF, c.Lin.OutF))
 	}
 	if c.Lin.B != nil {
-		brow := c.Lin.B.Grad.Row(0)
-		for i := 0; i < gradOut.Rows; i++ {
-			for j, v := range gradOut.Row(i) {
-				brow[j] += v
-			}
-		}
+		gradOut.AddRowsTo(c.Lin.B.Grad.Row(0))
 	}
 	g := c.px.Next(gradOut.Rows, gradOut.Cols)
 	c.Op.ApplyInto(gradOut, g)

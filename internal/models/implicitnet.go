@@ -134,12 +134,7 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 			st.wout.Grad.Add(wg)
 			tensor.PutBuf(wg)
 			tensor.PutBuf(mean)
-			bg := st.bout.Grad.Row(0)
-			for i := 0; i < gLogits.Rows; i++ {
-				for j, v := range gLogits.Row(i) {
-					bg[j] += v
-				}
-			}
+			gLogits.AddRowsTo(st.bout.Grad.Row(0))
 			gZ := tensor.GetBuf(ds.G.N, st.hidden)
 			tensor.MatMulTInto(gLogits, st.wout.Value, gZ)
 			tensor.PutBuf(gLogits)

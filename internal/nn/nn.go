@@ -147,12 +147,7 @@ func (l *LinearOf[T]) Backward(gradOut *tensor.Mat[T]) *tensor.Mat[T] {
 	l.lastX = nil // pins the caller's buffer otherwise
 	l.W.Grad.Add(wg)
 	if l.hasB {
-		brow := l.B.Grad.Row(0)
-		for i := 0; i < gradOut.Rows; i++ {
-			for j, v := range gradOut.Row(i) {
-				brow[j] += v
-			}
-		}
+		gradOut.AddRowsTo(l.B.Grad.Row(0))
 	}
 	if l.NoInputGrad {
 		return nil

@@ -21,6 +21,7 @@ import (
 
 	"scalegnn/internal/graph"
 	"scalegnn/internal/obs"
+	"scalegnn/internal/tensor"
 )
 
 // Config holds common PPR parameters.
@@ -64,8 +65,9 @@ func PowerIteration(g *graph.CSR, s int, cfg Config) (p []float64, iters int, co
 	sp := obs.Start("ppr.power_iteration")
 	defer func() { sp.SetCount(int64(iters)); sp.End() }()
 	// The mass-transfer step next = (A·D^{-1}) p is the column-stochastic
-	// CSR operator, so each round is one row-parallel SpMV gather through
-	// graph.Operator instead of a serial per-edge scatter. Dangling nodes
+	// CSR operator, so each round is one row-parallel SpMV gather, ApplyInto
+	// on n×1 views of p and next, instead of a serial per-edge scatter. The
+	// views swap with the slices they view. Dangling nodes
 	// (degree 0) drop out of the operator entirely; their mass restarts at
 	// the source below, matching the scatter formulation.
 	op := graph.NewOperator(g, graph.NormColumn, false)
@@ -77,9 +79,10 @@ func PowerIteration(g *graph.CSR, s int, cfg Config) (p []float64, iters int, co
 	}
 	p = make([]float64, g.N)
 	next := make([]float64, g.N)
+	pm, nextm := tensor.FromSlice(g.N, 1, p), tensor.FromSlice(g.N, 1, next)
 	p[s] = 1
 	for ; iters < cfg.MaxIter; iters++ {
-		op.ApplyVecInto(p, next)
+		op.ApplyInto(pm, nextm)
 		decay := 1 - cfg.Alpha
 		var dangMass float64
 		for _, u := range dangling {
@@ -98,6 +101,7 @@ func PowerIteration(g *graph.CSR, s int, cfg Config) (p []float64, iters int, co
 			diff += d
 		}
 		p, next = next, p
+		pm, nextm = nextm, pm
 		if diff < cfg.Tol {
 			iters++
 			converged = true

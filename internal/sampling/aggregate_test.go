@@ -13,14 +13,14 @@ import (
 )
 
 // aggregateOracle is the loop AggregateInto replaced: a zeroed output, then
-// one F64Axpy per edge, destinations in order and each one's edges in
+// one Axpy per edge, destinations in order and each one's edges in
 // order.
 func aggregateOracle(b *Block, src *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(len(b.Dsts), src.Cols)
 	for i := range b.Dsts {
 		row := out.Row(i)
 		for j, s := range b.Neigh[i] {
-			tensor.F64Axpy(b.Weight(i)[j], src.Row(int(s)), row)
+			tensor.Axpy(b.Weight(i)[j], src.Row(int(s)), row)
 		}
 	}
 	return out
@@ -32,7 +32,7 @@ func aggregateBackwardOracle(b *Block, g *tensor.Matrix) *tensor.Matrix {
 	for i := range b.Dsts {
 		grow := g.Row(i)
 		for j, s := range b.Neigh[i] {
-			tensor.F64Axpy(b.Weight(i)[j], grow, out.Row(int(s)))
+			tensor.Axpy(b.Weight(i)[j], grow, out.Row(int(s)))
 		}
 	}
 	return out

@@ -339,7 +339,7 @@ func TestSubspaceIterationMatchesDense(t *testing.T) {
 		if math.Abs(tensor.Norm2(col)-1) > 1e-8 {
 			t.Fatalf("column %d not unit norm", j)
 		}
-		pv := op.ApplyVec(col)
+		pv := op.Apply(tensor.FromSlice(g.N, 1, col)).Data
 		for i := range pv {
 			if math.Abs(pv[i]-vals[j]*col[i]) > 1e-3 {
 				t.Fatalf("eigen-equation violated for pair %d at row %d", j, i)

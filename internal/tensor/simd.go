@@ -1,5 +1,5 @@
 // The dense kernels of both tiers. Each tier has one inner kernel, and only
-// it (beside the two axpys) reads the gate, simdOn: the CPU has the AVX2
+// it (beside the float32 axpy) reads the gate, simdOn: the CPU has the AVX2
 // kernels of simd_amd64.s and SCALEGNN_NOSIMD is unset. With the gate off
 // the kernel runs its portable scalar body. Two concrete drivers per tier,
 // a·b and aᵀ·b, call their kernel statically (through a func value the
@@ -42,27 +42,14 @@ func F32Axpy(a float32, x, y []float32) {
 	axpyUnrolled(a, x, y)
 }
 
-// F64Axpy computes y += a*x over equal-length float64 slices. The vector
-// and the scalar path give the same bits: each element is one rounded
-// product followed by one rounded sum.
-func F64Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: F64Axpy length mismatch %d != %d", len(x), len(y)))
-	}
-	if simdOn {
-		f64AxpyAVX(a, x, y)
-		return
-	}
-	axpyUnrolled(a, x, y)
-}
-
 // F64AccumRows adds Σ_k coef[k]·row(idx[k]) into acc, where row(r) is
 // x[r*stride : r*stride+len(acc)] and x holds nrows such rows: terms are
 // added in increasing k and a zero coef[k] skips its term. With idx the arcs
 // of a CSR row this is one destination row of the SpMM (exported for
 // graph.OperatorOf); with idx the identity it is one k-tile of a matmul
-// output row. The vector path keeps the partial sums of 32 columns in
-// registers across all k; it and the scalar path give the same bits.
+// output row; with one term it is Axpy. The vector path keeps the partial
+// sums of 32 columns in registers across all k; it and the scalar path give
+// the same bits.
 func F64AccumRows(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) {
 	n := len(acc)
 	if len(idx) != len(coef) || nrows < 0 || stride < 0 || (nrows > 0 && (nrows-1)*stride+n > len(x)) {

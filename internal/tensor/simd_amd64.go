@@ -31,12 +31,6 @@ func f32AxpyAVX(a float32, x, y []float32)
 //go:noescape
 func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int)
 
-// f64AxpyAVX computes y += a*x, multiply rounded before the add. Caller
-// guarantees len(x) == len(y).
-//
-//go:noescape
-func f64AxpyAVX(a float64, x, y []float64)
-
 // f64AccumRowsAVX adds sum_k coef[k]*x[idx[k]*stride:][:len(acc)] into acc,
 // k increasing, zero coefficients skipped; false if an idx[k] is not in
 // [0, nrows). See F64AccumRows for the caller's side of the contract.

@@ -164,58 +164,6 @@ store:
 	VZEROUPPER
 	RET
 
-// func f64AxpyAVX(a float64, x, y []float64)
-//
-// y[i] = y[i] + a*x[i] for i < len(y), the product rounded before the add
-// (no FMA). Caller guarantees len(x) == len(y).
-TEXT ·f64AxpyAVX(SB), NOSPLIT, $0-56
-	VBROADCASTSD a+0(FP), Y8
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-	MOVQ CX, BX
-	ANDQ $-16, BX
-	XORQ AX, AX
-loop16:
-	CMPQ AX, BX
-	JGE  head4
-	VMULPD (SI)(AX*8), Y8, Y0
-	VMULPD 32(SI)(AX*8), Y8, Y1
-	VMULPD 64(SI)(AX*8), Y8, Y2
-	VMULPD 96(SI)(AX*8), Y8, Y3
-	VADDPD (DI)(AX*8), Y0, Y0
-	VADDPD 32(DI)(AX*8), Y1, Y1
-	VADDPD 64(DI)(AX*8), Y2, Y2
-	VADDPD 96(DI)(AX*8), Y3, Y3
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, 32(DI)(AX*8)
-	VMOVUPD Y2, 64(DI)(AX*8)
-	VMOVUPD Y3, 96(DI)(AX*8)
-	ADDQ $16, AX
-	JMP  loop16
-head4:
-	MOVQ CX, BX
-	ANDQ $-4, BX
-loop4:
-	CMPQ AX, BX
-	JGE  scalar
-	VMULPD (SI)(AX*8), Y8, Y0
-	VADDPD (DI)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  loop4
-scalar:
-	CMPQ AX, CX
-	JGE  done
-	VMULSD (SI)(AX*8), X8, X0
-	VADDSD (DI)(AX*8), X0, X0
-	VMOVSD X0, (DI)(AX*8)
-	INCQ AX
-	JMP  scalar
-done:
-	VZEROUPPER
-	RET
-
 // func f64AccumRowsAVX(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) bool
 //
 // acc[j] += sum over k, in increasing k, of coef[k] * x[idx[k]*stride + j],

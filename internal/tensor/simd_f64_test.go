@@ -95,24 +95,6 @@ func accumRowsRef(coef []float64, idx []int32, x []float64, stride int, acc []fl
 	}
 }
 
-func TestF64AxpyBitsMatchScalar(t *testing.T) {
-	requireVectorKernels(t)
-	rng := rand.New(rand.NewPCG(41, 43))
-	coefs := append([]float64{0.5, -2.75}, f64Specials...)
-	for n := 0; n <= 67; n++ {
-		for _, off := range []int{0, 1, 3} { // 8- and 24-byte offsets: never 32-byte aligned
-			for _, a := range coefs {
-				x := mixedVals(rng, n+off)[off:]
-				y := mixedVals(rng, n+off)[off:]
-				want := append([]float64(nil), y...)
-				scalarOnly(func() { F64Axpy(a, x, want) })
-				F64Axpy(a, x, y)
-				requireSameBits(t, "F64Axpy", y, want)
-			}
-		}
-	}
-}
-
 func TestF64AccumRowsBitsMatchScalar(t *testing.T) {
 	requireVectorKernels(t)
 	rng := rand.New(rand.NewPCG(47, 53))
@@ -243,12 +225,20 @@ func TestF64DenseKernelsGateOnOff(t *testing.T) {
 // of a is ±0 and the same row of b holds ±Inf, NaN, −0 and a denormal:
 // the skip, not 0·b, decides those terms. The other terms are finite, so
 // a change of sum order shows in the bits. Both MatMulInto and
-// TMatMulInto split their output rows among every worker.
+// TMatMulInto split their output rows among every worker. Axpy and
+// AddScaled of b into b shifted by one element follow the same rule: a ±0
+// a leaves y as it was, where adding 0·b would turn ±Inf into NaN and −0
+// into +0. At float32 they never skip.
 func TestF64ProductsBitsIndependentOfWorkers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(67, 71))
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
 	defer func(on bool) { simdOn = on }(simdOn)
 	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	widen := func(v *Mat[float32]) []float64 {
+		w := New(v.Rows, v.Cols)
+		WidenInto(v, w)
+		return w.Data
+	}
 	const m, k = 260, 600
 	for _, n := range []int{5, 33, 67} {
 		a, b := mixedMat(rng, m, k, 0, 0.3), mixedMat(rng, k, n, 0, 0)
@@ -282,8 +272,37 @@ func TestF64ProductsBitsIndependentOfWorkers(t *testing.T) {
 			{"MatMulTInto", func(dst *Matrix) { MatMulTInto(a, bt, dst) }},
 			{"TMatMulInto", func(dst *Matrix) { TMatMulInto(at, b, dst) }},
 		}
+		y0 := FromSlice(k, n, append(b.Data[1:len(b.Data):len(b.Data)], b.Data[0]))
+		b32, y32 := FromFloat64[float32](b), FromFloat64[float32](y0)
 		for _, on := range gateSettings() {
 			simdOn = on
+			for _, s := range []float64{0, math.Copysign(0, -1), -1.5} {
+				wantY := y0.Clone()
+				if s != 0 {
+					for i, v := range b.Data {
+						wantY.Data[i] += float64(s * v) // the conversion forbids fusing
+					}
+				}
+				what := fmt.Sprintf("a=%v n=%d gate=%v", s, n, on)
+				y, ys := append([]float64(nil), y0.Data...), y0.Clone()
+				Axpy(s, b.Data, y)
+				ys.AddScaled(s, b)
+				requireSameBits(t, "Axpy "+what, y, wantY.Data)
+				requireSameBits(t, "AddScaled "+what, ys.Data, wantY.Data)
+				if s != 0 {
+					continue // a fused float32 product rounds differently
+				}
+				// 0·b needs no rounding, so fused or not it is y + 0·b.
+				wantY32 := y32.Clone()
+				for i, v := range b32.Data {
+					wantY32.Data[i] += float32(s) * v
+				}
+				y32s, ys32 := y32.Clone(), y32.Clone()
+				Axpy(float32(s), b32.Data, y32s.Data)
+				ys32.AddScaled(float32(s), b32)
+				requireSameBits(t, "Axpy float32 "+what, widen(y32s), widen(wantY32))
+				requireSameBits(t, "AddScaled float32 "+what, widen(ys32), widen(wantY32))
+			}
 			for w := 1; w <= 4; w++ {
 				par.SetMaxWorkers(w)
 				for _, p := range products {
@@ -297,8 +316,9 @@ func TestF64ProductsBitsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// FuzzF64KernelsMatchScalar feeds the two float64 assembly kernels arbitrary
-// bit patterns, lengths and alignments and requires the scalar path's bits.
+// FuzzF64KernelsMatchScalar feeds the float64 assembly kernel, as a row of
+// the SpMM and as Axpy, arbitrary bit patterns, lengths and alignments and
+// requires the scalar path's bits.
 // vals is read as little-endian float64s and reused cyclically.
 func FuzzF64KernelsMatchScalar(f *testing.F) {
 	le := func(vs ...float64) []byte {
@@ -341,12 +361,12 @@ func FuzzF64KernelsMatchScalar(f *testing.F) {
 		wantY := append([]float64(nil), acc...)
 		scalarOnly(func() {
 			F64AccumRows(coef, idx, x, nrows, n, wantAcc)
-			F64Axpy(a, x[:n], wantY)
+			Axpy(a, x[:n], wantY)
 		})
 		y := append([]float64(nil), acc...)
 		F64AccumRows(coef, idx, x, nrows, n, acc)
-		F64Axpy(a, x[:n], y)
+		Axpy(a, x[:n], y)
 		requireSameBits(t, "F64AccumRows", acc, wantAcc)
-		requireSameBits(t, "F64Axpy", y, wantY)
+		requireSameBits(t, "Axpy", y, wantY)
 	})
 }

@@ -136,14 +136,22 @@ func (m *Mat[T]) Scale(s T) {
 	}
 }
 
-// AddScaled computes m += s*other element-wise.
+// AddScaled computes m += s*other element-wise through Axpy.
 func (m *Mat[T]) AddScaled(s T, other *Mat[T]) {
 	mustSameShape("AddScaled", m, other)
-	switch m := any(m).(type) {
-	case *Mat[float32]:
-		F32Axpy(float32(s), any(other).(*Mat[float32]).Data, m.Data)
-	case *Matrix:
-		F64Axpy(float64(s), any(other).(*Matrix).Data, m.Data)
+	Axpy(s, other.Data, m.Data)
+}
+
+// AddRowsTo adds the sum of m's rows into dst (length Cols), row after row
+// — the bias gradient of a dense layer.
+func (m *Mat[T]) AddRowsTo(dst []T) {
+	if len(dst) != m.Cols {
+		panic(fmt.Sprintf("tensor: AddRowsTo len %d != cols %d", len(dst), m.Cols))
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dst[j] += v
+		}
 	}
 }
 
@@ -397,13 +405,19 @@ func Dot[T Elem](x, y []T) T {
 // Norm2 returns the Euclidean norm of x.
 func Norm2[T Elem](x []T) T { return T(math.Sqrt(float64(Dot(x, x)))) }
 
-// Axpy computes y += a*x in place.
+// Axpy computes y += a*x in place, the one axpy of both tiers. float64
+// runs F64AccumRows with a single term, so a zero a leaves y as it was;
+// float32 runs F32Axpy, which never skips.
 func Axpy[T Elem](a T, x, y []T) {
 	if len(x) != len(y) {
-		panic("tensor: Axpy length mismatch")
+		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
-	for i, v := range x {
-		y[i] += a * v
+	switch y := any(y).(type) {
+	case []float64:
+		coef := [1]float64{float64(a)}
+		F64AccumRows(coef[:], tileRows[:1], any(x).([]float64), 1, len(y), y)
+	case []float32:
+		F32Axpy(float32(a), any(x).([]float32), y)
 	}
 }
 

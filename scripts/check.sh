@@ -90,6 +90,11 @@ go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s -fuzzminimizetime 1s ./i
 echo "== go test -fuzz FuzzDecode -fuzztime 10s ./internal/ckpt (smoke)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt
 
+# Ten seconds of the float64 kernel fuzzer: the vector body of the SpMM row
+# kernel and of Axpy must give the scalar body's bits on any bit pattern.
+echo "== go test -fuzz FuzzF64KernelsMatchScalar -fuzztime 10s ./internal/tensor (smoke)"
+go test -run '^$' -fuzz '^FuzzF64KernelsMatchScalar$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tensor
+
 # TMatMulInto splits its output among as many workers as its work allows;
 # its bits must not depend on how many that is. Run the float64 kernel
 # tests at several GOMAXPROCS, not only at this host's core count.
@@ -108,13 +113,14 @@ echo "== go test -cpu 1,3 (dropout fill, block aggregation, GCN layer order, gol
 go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor
 
 # Second pass with the vector kernels off: the golden fingerprints, the
-# GCN layer tests, the kernel tests and the allocation ceilings must hold
+# GCN layer tests, the kernel tests, the solvers whose SpMV runs on the
+# SpMM row kernel (PPR, CG, spectral) and the allocation ceilings must hold
 # on the scalar fallback too — it is what every non-AVX2 host runs and
 # what the vector kernels are compared against.
 # -count=1 because the gate is read at package init, where the test cache
 # does not see the environment.
-echo "== SCALEGNN_NOSIMD=1 go test (kernels + golden fingerprints + GCN layer order + alloc ceilings)"
-SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph
+echo "== SCALEGNN_NOSIMD=1 go test (kernels + solvers + golden fingerprints + GCN layer order + alloc ceilings)"
+SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph ./internal/ppr ./internal/implicit ./internal/spectral
 SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints|TestGCNConv' ./internal/models
 SCALEGNN_NOSIMD=1 go test -count=1 -run TestAllocCeilings ./internal/models
 
