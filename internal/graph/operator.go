@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"scalegnn/internal/par"
 	"scalegnn/internal/tensor"
 )
 
@@ -24,11 +23,6 @@ const (
 	// NormColumn uses A D^{-1} (column-stochastic; PageRank convention).
 	NormColumn
 )
-
-// minChunkSparse is the minimum nodes per worker for sparse propagation,
-// passed to the shared partitioner in internal/par. Sparse rows are cheaper
-// than dense ones, so the chunk floor is higher than the dense kernels'.
-const minChunkSparse = 256
 
 func (n Normalization) String() string {
 	switch n {
@@ -150,34 +144,21 @@ type ApplyHook interface {
 // round of message passing / graph propagation, parallelized over
 // destination nodes. The result is a new matrix.
 func (op *OperatorOf[T]) Apply(x *tensor.Mat[T]) *tensor.Mat[T] {
-	if x.Rows != op.G.N {
-		panic(fmt.Sprintf("graph: Operator.Apply rows %d != n %d", x.Rows, op.G.N))
-	}
 	out := tensor.NewOf[T](x.Rows, x.Cols)
 	op.ApplyInto(x, out)
 	return out
 }
 
-// ApplyInto computes P*X into dst — the CSR×dense SpMM kernel. dst must
-// have X's shape and must not share any backing memory with X (rows of X
-// are read while rows of dst are written, so even partially overlapping
-// FromSlice views would corrupt the result). dst is overwritten.
-//
-// Work is row-chunked across goroutines via internal/par; each destination
-// row accumulates its arcs in CSR order through the tier's row kernel (see
-// rowKernelOf). Columns are independent and every term is a rounded product
-// followed by a rounded add, so the float64 path is bitwise-stable whether
-// the vector kernels are on or not.
+// ApplyInto computes P*X into dst — the CSR×dense SpMM, one
+// tensor.SpMMInto over the arcs with the self-loop coefficients as its
+// diagonal. dst must have X's shape and must not share any backing memory
+// with X (rows of X are read while rows of dst are written, so even
+// partially overlapping FromSlice views would corrupt the result). dst is
+// overwritten. Every destination row accumulates its arcs in CSR order,
+// each term a rounded product followed by a rounded add, so the float64
+// path is bitwise-stable whether the vector kernels are on or not.
 func (op *OperatorOf[T]) ApplyInto(x, dst *tensor.Mat[T]) {
-	if x.Rows != op.G.N {
-		panic(fmt.Sprintf("graph: ApplyInto rows %d != n %d", x.Rows, op.G.N))
-	}
-	if dst.Rows != x.Rows || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("graph: ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, x.Cols))
-	}
-	if tensor.Overlaps(x.Data, dst.Data) {
-		panic("graph: ApplyInto dst must not overlap x")
-	}
+	op.mustApply("ApplyInto", x, dst)
 	if h := op.G.applyHook; h != nil {
 		switch o := any(op).(type) {
 		case *Operator:
@@ -188,91 +169,33 @@ func (op *OperatorOf[T]) ApplyInto(x, dst *tensor.Mat[T]) {
 			return
 		}
 	}
-	accum := rowKernelOf[T]()
-	par.Range(op.G.N, minChunkSparse, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			applyRow(op, u, x, dst, accum)
-		}
-	})
-}
-
-// rowKernel adds Σ_k coef[k]·(row adj[k] of x) into orow in increasing k,
-// skipping zero coefficients — the arcs of one destination row. x is the
-// row-major data of an nrows × stride matrix.
-type rowKernel[T tensor.Elem] func(coef []T, adj []int32, x []T, nrows, stride int, orow []T)
-
-// rowKernelOf picks the row kernel of tier T, once per ApplyInto or
-// ApplyRowsInto call. float64 is tensor.F64AccumRows, which holds a row's
-// partial sums in registers across all its arcs when the vector kernels are
-// on and is bitwise equal to the scalar loop either way; float32 does one
-// tensor.F32Axpy per arc.
-func rowKernelOf[T tensor.Elem]() rowKernel[T] {
-	var k any
-	switch any(*new(T)).(type) {
-	case float64:
-		k = rowKernel[float64](tensor.F64AccumRows)
-	case float32:
-		k = rowKernel[float32](accumRowsF32)
-	}
-	return k.(rowKernel[T])
-}
-
-// accumRowsF32 is the float32 row kernel: one (vector) axpy per arc.
-func accumRowsF32(coef []float32, adj []int32, x []float32, _, stride int, orow []float32) {
-	for i, c := range coef {
-		if c != 0 {
-			r := int(adj[i]) * stride
-			tensor.F32Axpy(c, x[r:r+stride], orow)
-		}
-	}
-}
-
-// applyRow computes one destination row of P*X into dst.Row(u) — the shared
-// per-row SpMM body of ApplyInto and ApplyRowsInto. A row's value depends
-// only on u's arcs (accumulated in CSR order by accum) and the referenced
-// rows of x, never on which other rows are computed alongside it, so any
-// subset of rows is bitwise identical to the same rows of a full ApplyInto.
-func applyRow[T tensor.Elem](op *OperatorOf[T], u int, x, dst *tensor.Mat[T], accum rowKernel[T]) {
-	orow := dst.Row(u)
-	if op.loopCo != nil && op.loopCo[u] != 0 {
-		c := op.loopCo[u]
-		xrow := x.Row(u)
-		for j, xv := range xrow {
-			orow[j] = c * xv
-		}
-	} else {
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
-	s, e := op.G.Offsets[u], op.G.Offsets[u+1]
-	accum(op.Coef[s:e], op.G.Adj[s:e], x.Data, x.Rows, x.Cols, orow)
+	tensor.SpMMInto(op.G.Offsets, op.G.Adj, op.Coef, op.loopCo, x, dst, nil)
 }
 
 // ApplyRowsInto computes only the listed destination rows of P*X into dst,
 // leaving every other row of dst untouched. It is the partitioned form of
 // ApplyInto used by the distributed runtime: each shard computes its owned
-// rows and receives the rest over the wire. The per-row kernel is shared
-// with ApplyInto, so on the float64 tier the computed rows are bitwise
-// identical to the same rows of a full local ApplyInto. x must still span
-// the whole graph (a row may aggregate any neighbor). dst must have X's
-// shape and must not share backing memory with X.
+// rows and receives the rest over the wire. A row of tensor.SpMMInto does
+// not depend on which rows are computed beside it, so the computed rows
+// are bitwise identical to the same rows of a full local ApplyInto. x must
+// still span the whole graph (a row may aggregate any neighbor). dst must
+// have X's shape and must not share backing memory with X.
 func (op *OperatorOf[T]) ApplyRowsInto(x, dst *tensor.Mat[T], rows []int32) {
-	if x.Rows != op.G.N {
-		panic(fmt.Sprintf("graph: ApplyRowsInto rows %d != n %d", x.Rows, op.G.N))
+	op.mustApply("ApplyRowsInto", x, dst)
+	if len(rows) > 0 { // SpMMInto reads nil rows as all of them
+		tensor.SpMMInto(op.G.Offsets, op.G.Adj, op.Coef, op.loopCo, x, dst, rows)
 	}
-	if dst.Rows != x.Rows || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("graph: ApplyRowsInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, x.Cols))
+}
+
+// mustApply panics unless x spans the graph and dst has x's shape without
+// sharing memory with it.
+func (op *OperatorOf[T]) mustApply(fn string, x, dst *tensor.Mat[T]) {
+	if x.Rows != op.G.N || dst.Rows != x.Rows || dst.Cols != x.Cols {
+		panic(fmt.Sprintf("graph: %s x %dx%d, dst %dx%d, n %d", fn, x.Rows, x.Cols, dst.Rows, dst.Cols, op.G.N))
 	}
 	if tensor.Overlaps(x.Data, dst.Data) {
-		panic("graph: ApplyRowsInto dst must not overlap x")
+		panic("graph: " + fn + " dst must not overlap x")
 	}
-	accum := rowKernelOf[T]()
-	par.Range(len(rows), minChunkSparse, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			applyRow(op, int(rows[i]), x, dst, accum)
-		}
-	})
 }
 
 // PowerApply computes P^k * X by repeated application.

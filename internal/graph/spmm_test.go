@@ -113,8 +113,10 @@ func TestSpMMEmptyRowsZeroOutput(t *testing.T) {
 // zero coefficients skipped) and ApplyRowsInto on a row subset to the same
 // rows of ApplyInto — the property that keeps distributed shards bitwise
 // equal to a single process. Widths cover the row kernel's 32-, 4- and
-// 1-column blocks. Nothing here depends on whether the vector kernels are
-// on; scripts/check.sh runs it both ways.
+// 1-column blocks. On float32 it holds the row subset to ApplyInto's bits
+// and a zero arc from a row of ±Inf and NaN to a finite output row (the
+// term is skipped, not added as 0·x). Nothing here depends on whether the
+// vector kernels are on; scripts/check.sh runs it both ways.
 func TestApplyRowsIntoBitsMatchApplyInto(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	const n = 300
@@ -172,6 +174,58 @@ func TestApplyRowsIntoBitsMatchApplyInto(t *testing.T) {
 			for i := range want.Data {
 				if math.Float64bits(part.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("d=%d loops=%v: ApplyRowsInto differs from ApplyInto at row %d col %d: %v vs %v",
+						d, loops, i/d, i%d, part.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+
+	for _, d := range []int{1, 5, 64, 67} {
+		x := tensor.NewOf[float32](n, d)
+		for i := range x.Data {
+			x.Data[i] = float32(rng.NormFloat64())
+		}
+		u := rng.IntN(n)
+		for g.Offsets[u] == g.Offsets[u+1] {
+			u = rng.IntN(n)
+		}
+		v := g.Adj[g.Offsets[u]] // never u: randCSR draws no self-loops
+		poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+		for j := range x.Row(int(v)) {
+			x.Row(int(v))[j] = poison[j%len(poison)]
+		}
+		rows := []int32{int32(u)}
+		for w := 0; w < n; w++ {
+			if w != u && rng.IntN(3) == 0 {
+				rows = append(rows, int32(w))
+			}
+		}
+		for _, loops := range []bool{false, true} {
+			op := NewOperatorOf[float32](g, NormSymmetric, loops)
+			for k := g.Offsets[u]; k < g.Offsets[u+1]; k++ {
+				if g.Adj[k] == v {
+					op.Coef[k] = 0 // every arc u→v is skipped
+				}
+			}
+			full := tensor.NewOf[float32](n, d)
+			op.ApplyInto(x, full)
+			for j, y := range full.Row(u) {
+				if math.IsInf(float64(y), 0) || y != y {
+					t.Fatalf("float32 d=%d loops=%v: row %d col %d = %v; its only non-finite source has coefficient 0", d, loops, u, j, y)
+				}
+			}
+			const untouched = 99.0
+			part := tensor.NewOf[float32](n, d)
+			part.Fill(untouched)
+			op.ApplyRowsInto(x, part, rows)
+			want := tensor.NewOf[float32](n, d)
+			want.Fill(untouched)
+			for _, r := range rows {
+				copy(want.Row(int(r)), full.Row(int(r)))
+			}
+			for i := range want.Data {
+				if math.Float32bits(part.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("float32 d=%d loops=%v: ApplyRowsInto differs from ApplyInto at row %d col %d: %v vs %v",
 						d, loops, i/d, i%d, part.Data[i], want.Data[i])
 				}
 			}

@@ -20,7 +20,6 @@ import (
 
 	"scalegnn/internal/graph"
 	"scalegnn/internal/obs"
-	"scalegnn/internal/par"
 	"scalegnn/internal/tensor"
 )
 
@@ -63,27 +62,31 @@ func (b *Block) Weight(i int) []float64 {
 	return b.W[lo:hi:hi]
 }
 
-const minChunkRows = 256 // least rows one worker aggregates, as in graph's SpMM
-
 // AggregateInto writes into dst (|Dsts| × src.Cols) the estimated mean
 // aggregation of every destination from src, whose row i holds the
-// features of Srcs[i]. It is the SpMM of the block's rows: each row is
+// features of Srcs[i]. It is the block's tensor.SpMMInto: each row is
 // cleared, then its edges' weighted source rows are added in edge order.
 // dst must not overlap src.
 func (b *Block) AggregateInto(src, dst *tensor.Matrix) {
-	accumRows(b.Offsets, b.Idx, b.W, src, len(b.Srcs), dst)
+	if src.Rows != len(b.Srcs) {
+		panic(fmt.Sprintf("sampling: AggregateInto src has %d rows, block %d sources", src.Rows, len(b.Srcs)))
+	}
+	tensor.SpMMInto(b.Offsets, b.Idx, b.W, nil, src, dst, nil)
 }
 
 // AggregateBackwardInto is the adjoint of AggregateInto: from ∂L/∂(output)
-// g it writes ∂L/∂(source features) into dst (|Srcs| × g.Cols). It sweeps
-// the block's transpose with the same row kernel; each source's edges
+// g it writes ∂L/∂(source features) into dst (|Srcs| × g.Cols). It is
+// the same product over the block's transpose; each source's edges
 // appear there in (destination, edge) order, the order a scatter over the
 // destinations would add them in. dst must not overlap g.
 func (b *Block) AggregateBackwardInto(g, dst *tensor.Matrix) {
+	if g.Rows != len(b.Dsts) {
+		panic(fmt.Sprintf("sampling: AggregateBackwardInto g has %d rows, block %d destinations", g.Rows, len(b.Dsts)))
+	}
 	if b.tOffsets == nil {
 		b.transpose()
 	}
-	accumRows(b.tOffsets, b.tIdx, b.tW, g, len(b.Dsts), dst)
+	tensor.SpMMInto(b.tOffsets, b.tIdx, b.tW, nil, g, dst, nil)
 }
 
 // transpose builds the source-major copy of the block by one stable
@@ -110,24 +113,6 @@ func (b *Block) transpose() {
 	copy(off[1:], off)
 	off[0] = 0
 	b.tOffsets = off
-}
-
-// accumRows sets row i of dst to Σ w[e]·row(idx[e]) of x over e in
-// [offsets[i], offsets[i+1]), rows split among workers; x must have xRows
-// rows.
-func accumRows(offsets []int64, idx []int32, w []float64, x *tensor.Matrix, xRows int, dst *tensor.Matrix) {
-	if x.Rows != xRows || dst.Rows != len(offsets)-1 || dst.Cols != x.Cols || tensor.Overlaps(x.Data, dst.Data) {
-		panic(fmt.Sprintf("sampling: aggregating %d rows over %d: %dx%d -> %dx%d, or the two overlap",
-			len(offsets)-1, xRows, x.Rows, x.Cols, dst.Rows, dst.Cols))
-	}
-	par.Range(dst.Rows, minChunkRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := dst.Row(i)
-			clear(row)
-			s, e := offsets[i], offsets[i+1]
-			tensor.F64AccumRows(w[s:e], idx[s:e], x.Data, x.Rows, x.Cols, row)
-		}
-	})
 }
 
 // blockBuilder is the one place a Block is assembled. It owns what every

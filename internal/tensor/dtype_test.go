@@ -162,7 +162,7 @@ func TestF32AxpyTails(t *testing.T) {
 			y[i] = float32(n - i)
 			want[i] = y[i] + 0.5*x[i]
 		}
-		F32Axpy(0.5, x, y)
+		f32Axpy(0.5, x, y)
 		for i := range y {
 			if math.Abs(float64(y[i]-want[i])) > 1e-6 {
 				t.Fatalf("n=%d: y[%d] = %v, want %v", n, i, y[i], want[i])

@@ -42,7 +42,7 @@ func RandNormal(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 func randUniformOf[T Elem](rows, cols int, lo, hi float64, rng *rand.Rand) *Mat[T] {
 	m := NewOf[T](rows, cols)
 	for i := range m.Data {
-		m.Data[i] = T(lo + rng.Float64()*(hi-lo))
+		m.Data[i] = T(lo + float64(rng.Float64()*(hi-lo)))
 	}
 	return m
 }

@@ -1,9 +1,11 @@
-// The dense kernels of both tiers. Each tier has one inner kernel, and only
-// it (beside the float32 axpy) reads the gate, simdOn: the CPU has the AVX2
-// kernels of simd_amd64.s and SCALEGNN_NOSIMD is unset. With the gate off
-// the kernel runs its portable scalar body. Two concrete drivers per tier,
-// a·b and aᵀ·b, call their kernel statically (through a func value the
-// par closures would allocate); a·bᵀ is bᵀ written out, then a·b.
+// The dense and sparse products of both tiers. float64 runs both on
+// f64AccumRows; float32 runs the dense ones on f32Gemm4x16 and the sparse
+// one on f32Axpy. Only these kernels read the gate, simdOn: the CPU has the
+// AVX2 kernels of simd_amd64.s and SCALEGNN_NOSIMD is unset; with it off a
+// kernel runs its plain-Go body. Each product picks its tier's driver by one
+// type switch per call; the driver calls the kernel statically (a func value
+// costs a par closure allocation, a pick per row 20–40 % of a width-1 or -5
+// SpMM). a·bᵀ is bᵀ written out, then a·b.
 //
 // The two tiers make different promises. float32 runs on one block
 // kernel, f32Gemm4x16: each output element is one chain over k in
@@ -11,10 +13,12 @@
 // row or column blocking or on the worker count — which is what makes
 // served (chunked) output equal offline output. The chain is fused with
 // the gate on, so the two gate settings agree to a tolerance. float64 runs
-// on F64AccumRows: multiply, then add, one accumulator per output element,
+// on f64AccumRows: multiply, then add, one accumulator per output element,
 // k increasing, a zero a-term skipped; its vector and scalar bodies give
 // the same bits, so fingerprints, checkpoints and distributed replicas do
-// not depend on whether the gate is on.
+// not depend on whether the gate is on. No plain-Go body fuses: each
+// product is converted to its type before its add, which the Go spec makes
+// a rounding point (arm64 would otherwise emit FMADD).
 package tensor
 
 import (
@@ -28,13 +32,9 @@ import (
 // the float32 and the float64 kernels; the name predates the float64 ones.
 func FastF32() bool { return simdOn }
 
-// F32Axpy computes y += a*x over equal-length float32 slices, vectorized
-// when available. It is exported for sibling packages (the graph SpMM inner
-// loop) that run concrete float32 hot loops.
-func F32Axpy(a float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: F32Axpy length mismatch %d != %d", len(x), len(y)))
-	}
+// f32Axpy computes y += a*x over equal-length float32 slices (the caller
+// guarantees it), fused and vectorized with the gate on; it never skips.
+func f32Axpy(a float32, x, y []float32) {
 	if simdOn {
 		f32AxpyAVX(a, x, y)
 		return
@@ -42,23 +42,22 @@ func F32Axpy(a float32, x, y []float32) {
 	axpyUnrolled(a, x, y)
 }
 
-// F64AccumRows adds Σ_k coef[k]·row(idx[k]) into acc, where row(r) is
+// f64AccumRows adds Σ_k coef[k]·row(idx[k]) into acc, where row(r) is
 // x[r*stride : r*stride+len(acc)] and x holds nrows such rows: terms are
 // added in increasing k and a zero coef[k] skips its term. With idx the arcs
-// of a CSR row this is one destination row of the SpMM (exported for
-// graph.OperatorOf); with idx the identity it is one k-tile of a matmul
-// output row; with one term it is Axpy. The vector path keeps the partial
-// sums of 32 columns in registers across all k; it and the scalar path give
-// the same bits.
-func F64AccumRows(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) {
+// of a CSR row this is one destination row of SpMMInto; with idx the
+// identity it is one k-tile of a matmul output row; with one term it is
+// Axpy. The vector path keeps the partial sums of 32 columns in registers
+// across all k; it and the scalar path give the same bits.
+func f64AccumRows(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) {
 	n := len(acc)
 	if len(idx) != len(coef) || nrows < 0 || stride < 0 || (nrows > 0 && (nrows-1)*stride+n > len(x)) {
-		panic(fmt.Sprintf("tensor: F64AccumRows %d coefs, %d indices, %d rows of stride %d and width %d in %d values",
+		panic(fmt.Sprintf("tensor: f64AccumRows %d coefs, %d indices, %d rows of stride %d and width %d in %d values",
 			len(coef), len(idx), nrows, stride, n, len(x)))
 	}
 	if simdOn {
 		if !f64AccumRowsAVX(coef, idx, x, nrows, stride, acc) {
-			panic(fmt.Sprintf("tensor: F64AccumRows row index outside [0,%d)", nrows))
+			panic(fmt.Sprintf("tensor: f64AccumRows row index outside [0,%d)", nrows))
 		}
 		return
 	}
@@ -68,13 +67,94 @@ func F64AccumRows(coef []float64, idx []int32, x []float64, nrows, stride int, a
 		}
 		r := int(idx[k])
 		if r < 0 || r >= nrows {
-			panic(fmt.Sprintf("tensor: F64AccumRows row index %d outside [0,%d)", r, nrows))
+			panic(fmt.Sprintf("tensor: f64AccumRows row index %d outside [0,%d)", r, nrows))
 		}
 		axpyUnrolled(c, x[r*stride:r*stride+n], acc)
 	}
 }
 
-// tileRows is the identity index list that turns F64AccumRows into a dense
+// minChunkSparse is the least rows one worker of SpMMInto takes. Sparse
+// rows are cheaper than dense ones, so the floor is higher than
+// minChunkDense.
+const minChunkSparse = 256
+
+// SpMMInto is the sparse product, the one body of every aggregation: a CSR
+// matrix of len(offsets)-1 rows times x. Row r of dst is set to
+// diag[r]·x[r] plus Σ coef[e]·x[idx[e]] over e in [offsets[r],
+// offsets[r+1]), terms in increasing e; a zero coefficient (or diag[r])
+// skips its term, and diag may be nil. With rows nil every row of dst is
+// written, else only the listed ones and the rest of dst is left as it
+// was. A row's value depends only on its own terms, never on which rows
+// are computed beside it or on the worker count, so a subset of rows has
+// the bits of the same rows of the full product. dst must not overlap x.
+func SpMMInto[T Elem](offsets []int64, idx []int32, coef, diag []T, x, dst *Mat[T], rows []int32) {
+	n := len(offsets) - 1
+	if n < 0 || dst.Rows != n || dst.Cols != x.Cols || len(idx) != len(coef) || (diag != nil && (len(diag) != n || x.Rows != n)) {
+		panic(fmt.Sprintf("tensor: SpMMInto %d rows, %d indices, %d coefficients, %d diagonal: %dx%d -> %dx%d",
+			n, len(idx), len(coef), len(diag), x.Rows, x.Cols, dst.Rows, dst.Cols))
+	}
+	if Overlaps(x.Data, dst.Data) {
+		panic("tensor: SpMMInto dst overlaps x")
+	}
+	count := dst.Rows
+	if rows != nil {
+		count = len(rows)
+	}
+	switch dst := any(dst).(type) {
+	case *Matrix:
+		f64SpMM(offsets, idx, any(coef).([]float64), any(diag).([]float64), any(x).(*Matrix), dst, rows, count)
+	case *Mat[float32]:
+		f32SpMM(offsets, idx, any(coef).([]float32), any(diag).([]float32), any(x).(*Mat[float32]), dst, rows, count)
+	}
+}
+
+// f64SpMM is SpMMInto's row loop at float64: one f64AccumRows per row.
+func f64SpMM(offsets []int64, idx []int32, coef, diag []float64, x, dst *Matrix, rows []int32, count int) {
+	par.Range(count, minChunkSparse, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r, orow := spmmRow(rows, i, diag, x, dst)
+			s, e := offsets[r], offsets[r+1]
+			f64AccumRows(coef[s:e], idx[s:e], x.Data, x.Rows, x.Cols, orow)
+		}
+	})
+}
+
+// f32SpMM is SpMMInto's row loop at float32: one f32Axpy per term.
+func f32SpMM(offsets []int64, idx []int32, coef, diag []float32, x, dst *Mat[float32], rows []int32, count int) {
+	par.Range(count, minChunkSparse, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r, orow := spmmRow(rows, i, diag, x, dst)
+			s, e := offsets[r], offsets[r+1]
+			for k, c := range coef[s:e] {
+				if c != 0 {
+					j := int(idx[s+int64(k)]) * len(orow)
+					f32Axpy(c, x.Data[j:j+len(orow)], orow)
+				}
+			}
+		}
+	})
+}
+
+// spmmRow returns SpMMInto's i-th row r (i itself when rows is nil) and
+// row r of dst, started at diag[r]·x[r], or cleared when diag is nil or
+// diag[r] is zero.
+func spmmRow[T Elem](rows []int32, i int, diag []T, x, dst *Mat[T]) (int, []T) {
+	r := i
+	if rows != nil {
+		r = int(rows[i])
+	}
+	orow := dst.Row(r)
+	if diag == nil || diag[r] == 0 {
+		clear(orow)
+		return r, orow
+	}
+	for j, v := range x.Row(r) {
+		orow[j] = diag[r] * v
+	}
+	return r, orow
+}
+
+// tileRows is the identity index list that turns f64AccumRows into a dense
 // k-tile: row k of the b tile belongs to the k-th a-term.
 var tileRows = func() (r [mmBlockK]int32) {
 	for i := range r {
@@ -84,7 +164,7 @@ var tileRows = func() (r [mmBlockK]int32) {
 }()
 
 // f64MatMul computes dst = a·b at float64. Each output row takes one
-// F64AccumRows per k-tile of b, whose vector body keeps 32 columns of
+// f64AccumRows per k-tile of b, whose vector body keeps 32 columns of
 // partial sums in registers across the tile. Workers split the rows.
 func f64MatMul(a, b, dst *Matrix) {
 	n := b.Cols
@@ -95,7 +175,7 @@ func f64MatMul(a, b, dst *Matrix) {
 			clear(orow)
 			for kb := 0; kb < len(arow); kb += mmBlockK {
 				kn := min(mmBlockK, len(arow)-kb)
-				F64AccumRows(arow[kb:kb+kn], tileRows[:kn], b.Data[kb*n:(kb+kn)*n], kn, n, orow)
+				f64AccumRows(arow[kb:kb+kn], tileRows[:kn], b.Data[kb*n:(kb+kn)*n], kn, n, orow)
 			}
 		}
 	})
@@ -111,7 +191,7 @@ const tmTileFloats = 2048
 
 // f64TMatMul computes dst = aᵀ·b at float64. Per k-tile, tmBlockI columns
 // of a are gathered into stack scratch, and each is handed with the tile
-// of b to F64AccumRows, which adds Σ_k a[k][i]·b[k][:] into output row i.
+// of b to f64AccumRows, which adds Σ_k a[k][i]·b[k][:] into output row i.
 // Workers split the output rows by work, at least minWorkTMatMul each.
 func f64TMatMul(a, b, dst *Matrix) {
 	n := b.Cols
@@ -133,7 +213,7 @@ func f64TMatMul(a, b, dst *Matrix) {
 					}
 				}
 				for c := 0; c < w; c++ {
-					F64AccumRows(cols[c][:kn], tileRows[:kn], bblk, kn, n, dst.Row(i0+c))
+					f64AccumRows(cols[c][:kn], tileRows[:kn], bblk, kn, n, dst.Row(i0+c))
 				}
 			}
 		}
@@ -290,14 +370,14 @@ func f32Gemm4x16(k int, a []float32, lda, ka int, b []float32, ldb int, c []floa
 			s0, s1, s2, s3, s4, s5, s6, s7 := cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7]
 			for kk, ao, bo := 0, r*lda, j; kk < k; kk, ao, bo = kk+1, ao+ka, bo+ldb {
 				av, bq := a[ao], b[bo:bo+8:bo+8]
-				s0 += av * bq[0]
-				s1 += av * bq[1]
-				s2 += av * bq[2]
-				s3 += av * bq[3]
-				s4 += av * bq[4]
-				s5 += av * bq[5]
-				s6 += av * bq[6]
-				s7 += av * bq[7]
+				s0 += float32(av * bq[0])
+				s1 += float32(av * bq[1])
+				s2 += float32(av * bq[2])
+				s3 += float32(av * bq[3])
+				s4 += float32(av * bq[4])
+				s5 += float32(av * bq[5])
+				s6 += float32(av * bq[6])
+				s7 += float32(av * bq[7])
 			}
 			cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7] = s0, s1, s2, s3, s4, s5, s6, s7
 		}

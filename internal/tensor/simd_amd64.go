@@ -33,7 +33,7 @@ func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []f
 
 // f64AccumRowsAVX adds sum_k coef[k]*x[idx[k]*stride:][:len(acc)] into acc,
 // k increasing, zero coefficients skipped; false if an idx[k] is not in
-// [0, nrows). See F64AccumRows for the caller's side of the contract.
+// [0, nrows). See f64AccumRows for the caller's side of the contract.
 //
 //go:noescape
 func f64AccumRowsAVX(coef []float64, idx []int32, x []float64, nrows, stride int, acc []float64) bool

@@ -80,7 +80,7 @@ func mixedVals(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// accumRowsRef is F64AccumRows written the naive way, one column at a time:
+// accumRowsRef is f64AccumRows written the naive way, one column at a time:
 // one accumulator, terms in k order, product rounded before the add.
 func accumRowsRef(coef []float64, idx []int32, x []float64, stride int, acc []float64) {
 	for j := range acc {
@@ -113,10 +113,10 @@ func TestF64AccumRowsBitsMatchScalar(t *testing.T) {
 				ref := append([]float64(nil), acc...)
 				accumRowsRef(coef, idx, x, stride, ref)
 				scalar := append([]float64(nil), acc...)
-				scalarOnly(func() { F64AccumRows(coef, idx, x, nrows, stride, scalar) })
-				F64AccumRows(coef, idx, x, nrows, stride, acc)
-				requireSameBits(t, "F64AccumRows scalar path vs naive loop", scalar, ref)
-				requireSameBits(t, "F64AccumRows", acc, scalar)
+				scalarOnly(func() { f64AccumRows(coef, idx, x, nrows, stride, scalar) })
+				f64AccumRows(coef, idx, x, nrows, stride, acc)
+				requireSameBits(t, "f64AccumRows scalar path vs naive loop", scalar, ref)
+				requireSameBits(t, "f64AccumRows", acc, scalar)
 			}
 		}
 	}
@@ -139,13 +139,35 @@ func TestF64AccumRowsRejectsBadRows(t *testing.T) {
 	defer func(was bool) { simdOn = was }(simdOn)
 	for _, on := range []bool{simdOn, false} {
 		simdOn = on
-		mustPanic("row == nrows", func() { F64AccumRows([]float64{1}, []int32{3}, x, 3, 40, acc) })
-		mustPanic("negative row", func() { F64AccumRows([]float64{1}, []int32{-1}, x, 3, 40, acc) })
-		mustPanic("x too short", func() { F64AccumRows([]float64{1}, []int32{0}, x, 4, 40, acc) })
-		mustPanic("idx shorter than coef", func() { F64AccumRows([]float64{1, 2}, []int32{0}, x, 3, 40, acc) })
+		mustPanic("row == nrows", func() { f64AccumRows([]float64{1}, []int32{3}, x, 3, 40, acc) })
+		mustPanic("negative row", func() { f64AccumRows([]float64{1}, []int32{-1}, x, 3, 40, acc) })
+		mustPanic("x too short", func() { f64AccumRows([]float64{1}, []int32{0}, x, 4, 40, acc) })
+		mustPanic("idx shorter than coef", func() { f64AccumRows([]float64{1, 2}, []int32{0}, x, 3, 40, acc) })
 		// A zero coefficient skips its term before the index is looked at,
 		// on both paths.
-		F64AccumRows([]float64{0}, []int32{99}, x, 3, 40, acc)
+		f64AccumRows([]float64{0}, []int32{99}, x, 3, 40, acc)
+	}
+}
+
+// TestF64AccumRowsAllocsNothing: the row kernel runs once per destination
+// row of every float64 SpMM, so it may not allocate, gate on or off. The
+// shape is one GCN destination row: 25 arcs over 64 columns of a 512-row x.
+func TestF64AccumRowsAllocsNothing(t *testing.T) {
+	const terms, rows, cols = 25, 512, 64
+	rng := rand.New(rand.NewPCG(42, 43))
+	x := mixedVals(rng, rows*cols)
+	coef := mixedVals(rng, terms)
+	idx := make([]int32, terms)
+	for k := range idx {
+		idx[k] = int32(rng.IntN(rows))
+	}
+	acc := make([]float64, cols)
+	defer func(was bool) { simdOn = was }(simdOn)
+	for _, on := range gateSettings() {
+		simdOn = on
+		if got := testing.AllocsPerRun(50, func() { f64AccumRows(coef, idx, x, rows, cols, acc) }); got != 0 {
+			t.Errorf("gate on=%v: %v allocs per call, want 0", on, got)
+		}
 	}
 }
 
@@ -360,13 +382,13 @@ func FuzzF64KernelsMatchScalar(f *testing.F) {
 		wantAcc := append([]float64(nil), acc...)
 		wantY := append([]float64(nil), acc...)
 		scalarOnly(func() {
-			F64AccumRows(coef, idx, x, nrows, n, wantAcc)
+			f64AccumRows(coef, idx, x, nrows, n, wantAcc)
 			Axpy(a, x[:n], wantY)
 		})
 		y := append([]float64(nil), acc...)
-		F64AccumRows(coef, idx, x, nrows, n, acc)
+		f64AccumRows(coef, idx, x, nrows, n, acc)
 		Axpy(a, x[:n], y)
-		requireSameBits(t, "F64AccumRows", acc, wantAcc)
+		requireSameBits(t, "f64AccumRows", acc, wantAcc)
 		requireSameBits(t, "Axpy", y, wantY)
 	})
 }

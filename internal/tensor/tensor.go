@@ -202,7 +202,7 @@ func (m *Mat[T]) Sum() T {
 func (m *Mat[T]) FrobeniusNorm() T {
 	var s T
 	for _, v := range m.Data {
-		s += v * v
+		s += T(v * v)
 	}
 	return T(math.Sqrt(float64(s)))
 }
@@ -373,20 +373,20 @@ const minWorkTMatMul = 1 << 16
 
 // axpyUnrolled computes y += a*x with a 4-wide unrolled loop — the scalar
 // axpy of both tiers. Elements are independent, so unrolling cannot
-// reassociate any sum.
+// reassociate any sum, and each product is rounded before its add.
 func axpyUnrolled[T Elem](a T, x, y []T) {
 	n := len(y)
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		xq := x[j : j+4 : j+4]
 		yq := y[j : j+4 : j+4]
-		yq[0] += a * xq[0]
-		yq[1] += a * xq[1]
-		yq[2] += a * xq[2]
-		yq[3] += a * xq[3]
+		yq[0] += T(a * xq[0])
+		yq[1] += T(a * xq[1])
+		yq[2] += T(a * xq[2])
+		yq[3] += T(a * xq[3])
 	}
 	for ; j < n; j++ {
-		y[j] += a * x[j]
+		y[j] += T(a * x[j])
 	}
 }
 
@@ -397,7 +397,7 @@ func Dot[T Elem](x, y []T) T {
 	}
 	var s T
 	for i, v := range x {
-		s += v * y[i]
+		s += T(v * y[i])
 	}
 	return s
 }
@@ -406,8 +406,8 @@ func Dot[T Elem](x, y []T) T {
 func Norm2[T Elem](x []T) T { return T(math.Sqrt(float64(Dot(x, x)))) }
 
 // Axpy computes y += a*x in place, the one axpy of both tiers. float64
-// runs F64AccumRows with a single term, so a zero a leaves y as it was;
-// float32 runs F32Axpy, which never skips.
+// runs f64AccumRows with a single term, so a zero a leaves y as it was;
+// float32 runs f32Axpy, which never skips.
 func Axpy[T Elem](a T, x, y []T) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(x), len(y)))
@@ -415,9 +415,9 @@ func Axpy[T Elem](a T, x, y []T) {
 	switch y := any(y).(type) {
 	case []float64:
 		coef := [1]float64{float64(a)}
-		F64AccumRows(coef[:], tileRows[:1], any(x).([]float64), 1, len(y), y)
+		f64AccumRows(coef[:], tileRows[:1], any(x).([]float64), 1, len(y), y)
 	case []float32:
-		F32Axpy(float32(a), any(x).([]float32), y)
+		f32Axpy(float32(a), any(x).([]float32), y)
 	}
 }
 

@@ -40,6 +40,21 @@ go vet ./...
 echo "== GOARCH=arm64 go vet ./internal/tensor ./internal/graph"
 GOARCH=arm64 go vet ./internal/tensor ./internal/graph
 
+# The plain-Go float bodies of internal/tensor round each product before
+# its add (the float64 tier's bit contract; the float32 scalar body's
+# tolerance to the vector one). amd64 never fuses a multiply and an add;
+# arm64 does unless the product is converted to its type first. Compile
+# everything for arm64 with assembly listings and fail on a fused
+# multiply-add in any internal/tensor function, generic instantiations
+# compiled in other packages included.
+echo "== no fused multiply-add in internal/tensor functions on arm64"
+GOARCH=arm64 go build -a -gcflags='scalegnn/...=-S' ./... 2> "$SCRATCH/arm64.s" \
+  || { tail -n 20 "$SCRATCH/arm64.s"; exit 1; }
+FUSED=$(awk '/^[^ \t]/ { fn = $1; if (fn ~ /^scalegnn\/internal\/tensor\./) seen++ }
+  fn ~ /^scalegnn\/internal\/tensor\./ && /\tFN?M(ADD|SUB)[DS]\t/ { print fn ": " $0 }
+  END { if (!seen) print "no internal/tensor function in the arm64 listing" }' "$SCRATCH/arm64.s")
+[ -z "$FUSED" ] || { echo "$FUSED"; echo "internal/tensor must not fuse multiply and add"; exit 1; }
+
 # The float64 tier is bitwise equal to the scalar loops only while its
 # vector kernels multiply, round, then add. No fused double-precision
 # multiply-add may appear in the kernel file (the float32 kernels use the
@@ -70,6 +85,9 @@ echo "== go test -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn (smoke)"
 go test -run '^$' -bench 'Dropout|ReLU' -benchtime 1x ./internal/nn
 echo "== go test -bench ReadEdgeList -benchtime 1x ./internal/graph (smoke)"
 go test -run '^$' -bench ReadEdgeList -benchtime 1x ./internal/graph
+# The SpMM at widths 1, 5 and 64, both tiers (ns/op on a 20 000-node BA graph).
+echo "== go test -bench OperatorApply -benchtime 1x ./internal/graph (smoke)"
+go test -run '^$' -bench OperatorApply -benchtime 1x ./internal/graph
 echo "== go test -bench F32Dense -benchtime 1x ./internal/tensor (smoke)"
 go test -run '^$' -bench F32Dense -benchtime 1x ./internal/tensor
 # The float64 dense products, GFMA/s at the float64 workloads' shapes.
@@ -102,15 +120,16 @@ echo "== go test -cpu 1,2,4 (float64 kernels at several worker counts)"
 go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 
 # Dropout splits its mask fill among as many workers as the length allows,
-# each jumping the run's PCG to its first element, and a sampled block's
-# aggregation splits its rows among workers; the masks, the RNG stream
-# after them, the aggregates and everything trained on them must not
-# depend on how many workers that is. Run the goldens, the block digests,
-# the aggregation and the dropout/PCG tests at one worker and at three,
-# beside the GCN layer tests (the transform-first order of a narrowing
-# layer must hold at any worker count).
-echo "== go test -cpu 1,3 (dropout fill, block aggregation, GCN layer order, goldens and block digests at several worker counts)"
-go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor
+# each jumping the run's PCG to its first element, and the sparse product
+# (graph SpMM and a sampled block's aggregation alike) splits its rows
+# among workers; the masks, the RNG stream after them, the products and
+# everything trained on them must not depend on how many workers that is.
+# Run the goldens, the block digests, the SpMM and aggregation tests and
+# the dropout/PCG tests at one worker and at three, beside the GCN layer
+# tests (the transform-first order of a narrowing layer must hold at any
+# worker count).
+echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order, goldens and block digests at several worker counts)"
+go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph
 
 # Second pass with the vector kernels off: the golden fingerprints, the
 # GCN layer tests, the kernel tests, the solvers whose SpMV runs on the
