@@ -22,8 +22,8 @@
 //     the effective receptive field without extra solver cost per scale.
 //
 // Training uses exact implicit differentiation: gradients of the
-// equilibrium are themselves fixed points of the adjoint equation, solved
-// by the same machinery (SolveAdjoint).
+// equilibrium are themselves fixed points of the adjoint equation, which
+// is Solve on Wᵀ.
 package implicit
 
 import (
@@ -53,75 +53,74 @@ func NewSolver(op *graph.Operator, gamma float64) (*Solver, error) {
 	return &Solver{Op: op, Gamma: gamma, Tol: 1e-8, MaxIter: 300, Scale: 1}, nil
 }
 
-// propagate applies P^Scale to x.
-func (s *Solver) propagate(x *tensor.Matrix) *tensor.Matrix {
-	out := s.Op.Apply(x)
-	for i := 1; i < s.Scale; i++ {
-		out = s.Op.Apply(out)
+// propagate writes P^Scale·x into dst. The hops alternate between dst and
+// tmp and end in dst, so no hop writes into its own source; tmp is not
+// touched at scale 1.
+func (s *Solver) propagate(x, dst, tmp *tensor.Matrix) {
+	src := x
+	for h := max(s.Scale, 1); h > 0; h-- {
+		out := dst
+		if h%2 == 0 {
+			out = tmp
+		}
+		s.Op.ApplyInto(src, out)
+		src = out
 	}
-	return out
 }
 
 // Solve finds Z with Z = γ P^s Z W + B via Picard iteration, returning the
-// equilibrium and the iterations used. W must satisfy γ‖W‖₂ < 1 for
+// equilibrium (pooled; the caller may tensor.PutBuf it) and the iterations
+// used, allocating no matrix per iteration. W must satisfy γ‖W‖₂ < 1 for
 // guaranteed convergence; the solver detects divergence and errors out.
+// For a symmetric P, Solve(G, Wᵀ) with G = ∂L/∂Z is the adjoint
+// equilibrium U = γ P^s U Wᵀ + G, which is ∂L/∂B.
 func (s *Solver) Solve(b, w *tensor.Matrix) (*tensor.Matrix, int, error) {
 	if b.Cols != w.Rows || w.Rows != w.Cols {
 		return nil, 0, fmt.Errorf("implicit: shape mismatch B %dx%d, W %dx%d", b.Rows, b.Cols, w.Rows, w.Cols)
 	}
-	z := b.Clone()
+	z := tensor.GetBuf(b.Rows, b.Cols)
+	copy(z.Data, b.Data)
+	next, pz := tensor.GetBuf(b.Rows, b.Cols), tensor.GetBuf(b.Rows, b.Cols)
+	defer tensor.PutBuf(pz)
 	prevDiff := math.Inf(1)
 	for it := 1; it <= s.MaxIter; it++ {
-		pz := s.propagate(z)
-		next := tensor.MatMul(pz, w)
-		next.Scale(s.Gamma)
-		next.Add(b)
-		next.Sub(z)
-		diff := next.FrobeniusNorm()
-		next.Add(z)
-		z = next
+		s.propagate(z, pz, next)
+		tensor.MatMulInto(pz, w, next)
+		// next = (γ·P^s Z W + B − Z) + Z, rounding each step; ‖residual‖² in order.
+		var sq float64
+		for i, v := range next.Data {
+			d := float64(v*s.Gamma) + b.Data[i] - z.Data[i]
+			sq += float64(d * d)
+			next.Data[i] = d + z.Data[i]
+		}
+		diff := math.Sqrt(sq)
+		z, next = next, z
 		if diff < s.Tol {
+			tensor.PutBuf(next)
 			return z, it, nil
 		}
 		if diff > 10*prevDiff && diff > 1e6 {
+			tensor.PutBuf(next)
+			tensor.PutBuf(z)
 			return nil, it, fmt.Errorf("implicit: Picard diverging (residual %g); is γ·‖W‖ < 1?", diff)
 		}
 		if diff < prevDiff {
 			prevDiff = diff
 		}
 	}
+	tensor.PutBuf(next)
 	return z, s.MaxIter, nil
 }
 
-// SolveAdjoint finds U with U = γ (P^s)ᵀ U Wᵀ + G — the adjoint equilibrium
-// whose solution is exactly ∂L/∂B given G = ∂L/∂Z. For symmetric operators
-// (undirected graphs) (P^s)ᵀ = P^s.
-func (s *Solver) SolveAdjoint(g, w *tensor.Matrix) (*tensor.Matrix, int, error) {
-	wt := w.T()
-	u := g.Clone()
-	for it := 1; it <= s.MaxIter; it++ {
-		pu := s.propagate(u)
-		next := tensor.MatMul(pu, wt)
-		next.Scale(s.Gamma)
-		next.Add(g)
-		next.Sub(u)
-		diff := next.FrobeniusNorm()
-		next.Add(u)
-		u = next
-		if diff < s.Tol {
-			return u, it, nil
-		}
-	}
-	return u, s.MaxIter, nil
-}
-
-// GradW computes ∂L/∂W = γ (P^s Z)ᵀ U from the equilibrium Z and the
-// adjoint solution U.
-func (s *Solver) GradW(z, u *tensor.Matrix) *tensor.Matrix {
-	pz := s.propagate(z)
-	g := tensor.TMatMul(pz, u)
-	g.Scale(s.Gamma)
-	return g
+// GradW writes ∂L/∂W = γ (P^s Z)ᵀ U into dst (W's shape) from the
+// equilibrium Z and the adjoint solution U.
+func (s *Solver) GradW(z, u, dst *tensor.Matrix) {
+	pz, tmp := tensor.GetBuf(z.Rows, z.Cols), tensor.GetBuf(z.Rows, z.Cols)
+	s.propagate(z, pz, tmp)
+	tensor.TMatMulInto(pz, u, dst)
+	dst.Scale(s.Gamma)
+	tensor.PutBuf(pz)
+	tensor.PutBuf(tmp)
 }
 
 // SolveEig solves the equilibrium for a symmetric W by the EIGNN
@@ -168,14 +167,6 @@ func (s *Solver) cgSolve(rhs []float64, mu float64) ([]float64, int, error) {
 		return nil, 0, fmt.Errorf("implicit: CG system not PD (|μ|=%v >= 1)", math.Abs(mu))
 	}
 	n := len(rhs)
-	apply := func(x []float64) []float64 {
-		px := s.propagate(tensor.FromSlice(n, 1, x)).Data
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = x[i] - mu*px[i]
-		}
-		return out
-	}
 	x := make([]float64, n)
 	r := append([]float64(nil), rhs...)
 	p := append([]float64(nil), rhs...)
@@ -183,8 +174,16 @@ func (s *Solver) cgSolve(rhs []float64, mu float64) ([]float64, int, error) {
 	if math.Sqrt(rs) < s.Tol {
 		return x, 0, nil
 	}
+	// ap = (I − μ P^s) p, with P^s p written into the pooled px.
+	pm, ap := tensor.FromSlice(n, 1, p), make([]float64, n)
+	px, tmp := tensor.GetBuf(n, 1), tensor.GetBuf(n, 1)
+	defer tensor.PutBuf(px)
+	defer tensor.PutBuf(tmp)
 	for it := 1; it <= s.MaxIter; it++ {
-		ap := apply(p)
+		s.propagate(pm, px, tmp)
+		for i, v := range px.Data {
+			ap[i] = p[i] - float64(mu*v)
+		}
 		alpha := rs / tensor.Dot(p, ap)
 		tensor.Axpy(alpha, p, x)
 		tensor.Axpy(-alpha, ap, r)
@@ -194,7 +193,7 @@ func (s *Solver) cgSolve(rhs []float64, mu float64) ([]float64, int, error) {
 		}
 		beta := rsNew / rs
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = r[i] + float64(beta*p[i])
 		}
 		rs = rsNew
 	}
@@ -226,7 +225,7 @@ func spectralNorm(w *tensor.Matrix, iters int) float64 {
 		for j := range v {
 			var s float64
 			for i := 0; i < w.Rows; i++ {
-				s += w.At(i, j) * u[i]
+				s += float64(w.At(i, j) * u[i])
 			}
 			v[j] = s
 		}

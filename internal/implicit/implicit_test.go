@@ -25,25 +25,31 @@ func setup(t *testing.T, n int) (*graph.Operator, *tensor.Matrix, *tensor.Matrix
 
 func TestSolveReachesFixedPoint(t *testing.T) {
 	op, b, w := setup(t, 40)
-	s, err := NewSolver(op, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, iters, err := s.Solve(b, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters == 0 || iters == s.MaxIter {
-		t.Errorf("suspicious iteration count %d", iters)
-	}
-	// Verify residual: Z - (γ P Z W + B) ≈ 0.
-	pz := op.Apply(z)
-	rhs := tensor.MatMul(pz, w)
-	rhs.Scale(0.8)
-	rhs.Add(b)
-	rhs.Sub(z)
-	if res := rhs.FrobeniusNorm(); res > 1e-6 {
-		t.Errorf("fixed-point residual %v", res)
+	for _, scale := range []int{1, 2, 3} {
+		s, err := NewSolver(op, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Scale = scale
+		z, iters, err := s.Solve(b, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iters == 0 || iters == s.MaxIter {
+			t.Errorf("scale %d: suspicious iteration count %d", scale, iters)
+		}
+		// Verify residual: Z - (γ P^s Z W + B) ≈ 0, with P applied s times.
+		pz := z
+		for range scale {
+			pz = op.Apply(pz)
+		}
+		rhs := tensor.MatMul(pz, w)
+		rhs.Scale(0.8)
+		rhs.Add(b)
+		rhs.Sub(z)
+		if res := rhs.FrobeniusNorm(); res > 1e-6 {
+			t.Errorf("scale %d: fixed-point residual %v", scale, res)
+		}
 	}
 }
 
@@ -110,7 +116,7 @@ func TestAdjointIsExactGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gradB, _, err := s.SolveAdjoint(z, w)
+	gradB, _, err := s.Solve(z, w.T())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,42 +137,46 @@ func TestAdjointIsExactGradient(t *testing.T) {
 
 func TestGradWIsExact(t *testing.T) {
 	op, b, w := setup(t, 12)
-	s, err := NewSolver(op, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Tol = 1e-12
-	loss := func() float64 {
+	for _, scale := range []int{1, 2, 3} {
+		s, err := NewSolver(op, 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Tol = 1e-12
+		s.Scale = scale
+		loss := func() float64 {
+			z, _, err := s.Solve(b, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l float64
+			for _, v := range z.Data {
+				l += 0.5 * v * v
+			}
+			return l
+		}
 		z, _, err := s.Solve(b, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var l float64
-		for _, v := range z.Data {
-			l += 0.5 * v * v
+		u, _, err := s.Solve(z, w.T())
+		if err != nil {
+			t.Fatal(err)
 		}
-		return l
-	}
-	z, _, err := s.Solve(b, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, _, err := s.SolveAdjoint(z, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gradW := s.GradW(z, u)
-	const eps = 1e-6
-	for i := range w.Data {
-		orig := w.Data[i]
-		w.Data[i] = orig + eps
-		lp := loss()
-		w.Data[i] = orig - eps
-		lm := loss()
-		w.Data[i] = orig
-		numeric := (lp - lm) / (2 * eps)
-		if math.Abs(numeric-gradW.Data[i]) > 1e-3*(1+math.Abs(numeric)) {
-			t.Fatalf("∂L/∂W[%d]: analytic %v vs numeric %v", i, gradW.Data[i], numeric)
+		gradW := tensor.New(w.Rows, w.Cols)
+		s.GradW(z, u, gradW)
+		const eps = 1e-6
+		for i := range w.Data {
+			orig := w.Data[i]
+			w.Data[i] = orig + eps
+			lp := loss()
+			w.Data[i] = orig - eps
+			lm := loss()
+			w.Data[i] = orig
+			numeric := (lp - lm) / (2 * eps)
+			if math.Abs(numeric-gradW.Data[i]) > 1e-3*(1+math.Abs(numeric)) {
+				t.Fatalf("scale %d: ∂L/∂W[%d]: analytic %v vs numeric %v", scale, i, gradW.Data[i], numeric)
+			}
 		}
 	}
 }

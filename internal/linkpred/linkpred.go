@@ -217,7 +217,7 @@ func (m *WalkFeatureModel) pairFeatures(u, v int, rng *rand.Rand) ([]float64, er
 		if massU > 0 && massV > 0 {
 			common++
 		}
-		prod := massU * massV
+		prod := float64(massU * massV)
 		sumProd += prod
 		if prod > maxProd {
 			maxProd = prod

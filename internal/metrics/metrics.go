@@ -125,7 +125,7 @@ func AUC(scores []float64, labels []int) float64 {
 		for j < len(ps) && ps[j].s == ps[i].s {
 			j++
 		}
-		midrank := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j) / 2
+		midrank := float64(float64(i+j+1) / 2) // ranks are 1-based: (i+1 + j) / 2
 		for k := i; k < j; k++ {
 			if ps[k].y == 1 {
 				sumPosRank += midrank
@@ -133,5 +133,5 @@ func AUC(scores []float64, labels []int) float64 {
 		}
 		i = j
 	}
-	return (sumPosRank - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
+	return (sumPosRank - float64(float64(nPos)*float64(nPos+1)/2)) / (float64(nPos) * float64(nNeg))
 }

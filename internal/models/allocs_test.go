@@ -8,6 +8,7 @@ import (
 
 	"scalegnn/internal/dataset"
 	"scalegnn/internal/graph"
+	"scalegnn/internal/implicit"
 	"scalegnn/internal/nn"
 	"scalegnn/internal/par"
 	"scalegnn/internal/sampling"
@@ -40,6 +41,7 @@ var allocCeilings = []struct {
 	{"gcn_epoch/float64", 16},
 	{"gcn_epoch/float32", 16},
 	{"sage_step/float64", 49},
+	{"implicit_solve/float64", 2 * 10},
 }
 
 // TestAllocCeilings holds every family in allocCeilings to its ceiling and
@@ -65,6 +67,7 @@ func TestAllocCeilings(t *testing.T) {
 	addTierCases[float64](cases, "float64", ds)
 	addTierCases[float32](cases, "float32", ds)
 	cases["sage_step/float64"] = sageStep(ds)
+	cases["implicit_solve/float64"] = implicitSolve(ds)
 
 	for _, c := range allocCeilings {
 		body, ok := cases[c.name]
@@ -177,6 +180,29 @@ func sageStep(ds *dataset.Dataset) func() {
 		st.backwardBlocks(blocks, grad)
 		tensor.PutBuf(grad)
 		opt.Step(params)
+	}
+}
+
+// implicitSolve returns ten Picard iterations (Tol 0) of a 16-channel
+// implicit equilibrium on ds's graph. Each iteration makes the two par.Range
+// closures of ApplyInto and MatMulInto and nothing else: the iterate and
+// its scratch come from the pool.
+func implicitSolve(ds *dataset.Dataset) func() {
+	rng := rand.New(rand.NewPCG(42, 43))
+	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
+	b := tensor.RandNormal(ds.G.N, 16, 1, rng)
+	w := tensor.RandNormal(16, 16, 0.05, rng)
+	s, err := implicit.NewSolver(op, 0.8)
+	if err != nil {
+		panic(err)
+	}
+	s.Tol, s.MaxIter = 0, 10
+	return func() {
+		z, _, err := s.Solve(b, w)
+		if err != nil {
+			panic(err)
+		}
+		tensor.PutBuf(z)
 	}
 }
 

@@ -53,6 +53,9 @@ func TestResumeBitwiseIdenticalAcrossFamilies(t *testing.T) {
 		{"gcn", func() (Trainer, error) { return NewGCN(2) }, 5},
 		{"sage", func() (Trainer, error) { return NewGraphSAGE(2, 5) }, 5},
 		{"sgc", func() (Trainer, error) { return NewSGC(2) }, 5},
+		// Full batch: cancelled at an epoch boundary, where the resumed run
+		// starts with no validation solve to reuse.
+		{"implicit", func() (Trainer, error) { return NewImplicitNet(0.8, nil) }, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -437,14 +437,14 @@ func trainGAMLP[T tensor.Elem](m *GAMLP, hops []*tensor.Mat[T], theta *nn.ParamO
 				h.SelectRowsInto(bIdx, sel)
 				var dot float64
 				for i := range gx.Data {
-					dot += float64(gx.Data[i]) * float64(sel.Data[i])
+					dot += float64(float64(gx.Data[i]) * float64(sel.Data[i]))
 				}
 				ga[k] = dot
 			}
 			tensor.PutBufOf(sel)
 			var inner float64
 			for k := range ga {
-				inner += att[k] * ga[k]
+				inner += float64(att[k] * ga[k])
 			}
 			for k := range ga {
 				theta.Grad.Data[k] += T(att[k] * (ga[k] - inner))

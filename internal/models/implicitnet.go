@@ -29,16 +29,21 @@ type ImplicitNet struct {
 // implicitState is ImplicitNet's trained state: the input, implicit and
 // output weights, with the γ and scales they were trained at.
 type implicitState struct {
-	gamma  float64
-	scales []int
-	win    *nn.Param
-	wimp   []*nn.Param // one per scale
-	wout   *nn.Param
-	bout   *nn.Param
-	hidden int
+	gamma           float64
+	scales          []int
+	win, wout, bout *nn.Param
+	wimp            []*nn.Param        // one per scale
+	solvers         []*implicit.Solver // one per scale, on the operator of the last Fit or Predict
+	hidden          int
 
-	// pooled forward scratch, recycled on the next forward call
+	// The last forward's results, recycled by the next forward: the
+	// per-scale equilibria (pooled, owned here), their mean and the logits.
+	// current marks them as solved at the present weights, so a Step after
+	// Validate trains on them instead of solving again.
+	zs                 []*tensor.Matrix
+	mean, logits       *tensor.Matrix
 	fb, fmean, flogits tensor.Buf
+	current            bool
 }
 
 // NewImplicitNet constructs an implicit model with contraction factor γ.
@@ -65,31 +70,26 @@ func (m *ImplicitNet) Name() string {
 	return fmt.Sprintf("ImplicitGNN-ms%d", len(m.Scales))
 }
 
-// forward computes per-scale equilibria and the averaged logits. The logits
-// live in a pooled buffer recycled on the next forward call.
-func (s *implicitState) forward(op *graph.Operator, x *tensor.Matrix) (zs []*tensor.Matrix, logits *tensor.Matrix, err error) {
+// forward solves each scale's equilibrium and leaves the equilibria, their
+// mean and the averaged logits in s, replacing the last forward's.
+func (s *implicitState) forward(x *tensor.Matrix) error {
 	b := s.fb.Next(x.Rows, s.win.Value.Cols)
 	tensor.MatMulInto(x, s.win.Value, b)
-	zs = make([]*tensor.Matrix, len(s.scales))
-	mean := s.fmean.NextZero(x.Rows, s.hidden)
-	for i, sc := range s.scales {
-		solver, serr := implicit.NewSolver(op, s.gamma)
-		if serr != nil {
-			return nil, nil, serr
+	s.mean = s.fmean.NextZero(x.Rows, s.hidden)
+	for i, sv := range s.solvers {
+		z, _, err := sv.Solve(b, s.wimp[i].Value)
+		if err != nil {
+			return err
 		}
-		solver.Scale = sc
-		solver.Tol = 1e-7
-		z, _, serr := solver.Solve(b, s.wimp[i].Value)
-		if serr != nil {
-			return nil, nil, serr
-		}
-		zs[i] = z
-		mean.AddScaled(1/float64(len(s.scales)), z)
+		tensor.PutBuf(s.zs[i])
+		s.zs[i] = z
+		s.mean.AddScaled(1/float64(len(s.scales)), z)
 	}
-	logits = s.flogits.Next(x.Rows, s.wout.Value.Cols)
-	tensor.MatMulInto(mean, s.wout.Value, logits)
-	logits.AddRowVector(s.bout.Value.Row(0))
-	return zs, logits, nil
+	s.logits = s.flogits.Next(x.Rows, s.wout.Value.Cols)
+	tensor.MatMulInto(s.mean, s.wout.Value, s.logits)
+	s.logits.AddRowVector(s.bout.Value.Row(0))
+	s.current = true
+	return nil
 }
 
 // Fit trains full-batch with implicit differentiation.
@@ -101,7 +101,16 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 	pcg, rng := newRunRNG(cfg.Seed)
 	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
 
-	st := &implicitState{gamma: m.Gamma, scales: slices.Clone(m.Scales), hidden: cfg.Hidden}
+	st := &implicitState{gamma: m.Gamma, scales: slices.Clone(m.Scales), hidden: cfg.Hidden,
+		zs: make([]*tensor.Matrix, len(m.Scales))}
+	for _, sc := range st.scales {
+		sv, err := implicit.NewSolver(op, st.gamma)
+		if err != nil {
+			return nil, err
+		}
+		sv.Scale, sv.Tol = sc, 1e-7
+		st.solvers = append(st.solvers, sv)
+	}
 	st.win = nn.NewParam("implicit.win", tensor.GlorotUniform(ds.X.Cols, cfg.Hidden, rng))
 	st.wout = nn.NewParam("implicit.wout", tensor.GlorotUniform(cfg.Hidden, ds.NumClasses, rng))
 	st.bout = nn.NewParam("implicit.bout", tensor.New(1, ds.NumClasses))
@@ -119,52 +128,42 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 	defer opt.Reset()
 	err := runLoop(m.Name(), ds, cfg, pcg, rep, train.Spec{
 		Step: func([]int) error {
-			zs, logits, err := st.forward(op, ds.X)
-			if err != nil {
-				return fmt.Errorf("models: implicit forward: %w", err)
+			if !st.current {
+				if err := st.forward(ds.X); err != nil {
+					return fmt.Errorf("models: implicit forward: %w", err)
+				}
 			}
-			_, gLogits := maskedLoss(logits, ds.Labels, ds.TrainIdx)
+			st.current = false
+			_, gLogits := maskedLoss(st.logits, ds.Labels, ds.TrainIdx)
 			// Head gradients. mean = (1/S)Σ z_i.
-			mean := tensor.GetZeroBuf(ds.G.N, st.hidden)
-			for _, z := range zs {
-				mean.AddScaled(1/float64(len(st.scales)), z)
-			}
 			wg := tensor.GetBuf(st.hidden, ds.NumClasses)
-			tensor.TMatMulInto(mean, gLogits, wg)
+			tensor.TMatMulInto(st.mean, gLogits, wg)
 			st.wout.Grad.Add(wg)
 			tensor.PutBuf(wg)
-			tensor.PutBuf(mean)
 			gLogits.AddRowsTo(st.bout.Grad.Row(0))
 			gZ := tensor.GetBuf(ds.G.N, st.hidden)
+			defer tensor.PutBuf(gZ)
 			tensor.MatMulTInto(gLogits, st.wout.Value, gZ)
 			tensor.PutBuf(gLogits)
 			gZ.Scale(1 / float64(len(st.scales)))
-			// Per-scale adjoint solves.
-			gB := tensor.GetZeroBuf(ds.G.N, st.hidden)
-			for i, sc := range st.scales {
-				solver, err := implicit.NewSolver(op, st.gamma)
+			// Per-scale adjoint solves: U_i = Solve(∂L/∂Z_i, W_iᵀ).
+			gB, gW := tensor.GetZeroBuf(ds.G.N, st.hidden), tensor.GetBuf(st.hidden, st.hidden)
+			defer tensor.PutBuf(gB)
+			defer tensor.PutBuf(gW)
+			for i, sv := range st.solvers {
+				u, _, err := sv.Solve(gZ, st.wimp[i].Value.T())
 				if err != nil {
-					tensor.PutBuf(gZ)
-					tensor.PutBuf(gB)
-					return err
-				}
-				solver.Scale = sc
-				solver.Tol = 1e-7
-				u, _, err := solver.SolveAdjoint(gZ, st.wimp[i].Value)
-				if err != nil {
-					tensor.PutBuf(gZ)
-					tensor.PutBuf(gB)
 					return fmt.Errorf("models: implicit adjoint: %w", err)
 				}
-				st.wimp[i].Grad.Add(solver.GradW(zs[i], u))
+				sv.GradW(st.zs[i], u, gW)
+				st.wimp[i].Grad.Add(gW)
 				gB.Add(u)
+				tensor.PutBuf(u)
 			}
-			tensor.PutBuf(gZ)
 			ig := tensor.GetBuf(ds.X.Cols, st.hidden)
 			tensor.TMatMulInto(ds.X, gB, ig)
 			st.win.Grad.Add(ig)
 			tensor.PutBuf(ig)
-			tensor.PutBuf(gB)
 			nn.ClipGradNorm(params, 5)
 			opt.Step(params)
 			for i := range st.wimp {
@@ -173,11 +172,10 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 			return nil
 		},
 		Validate: func() (float64, error) {
-			_, valLogits, err := st.forward(op, ds.X)
-			if err != nil {
+			if err := st.forward(ds.X); err != nil {
 				return 0, err
 			}
-			return accuracyAt(valLogits, ds.Labels, ds.ValIdx), nil
+			return accuracyAt(st.logits, ds.Labels, ds.ValIdx), nil
 		},
 		Params:    params,
 		Optimizer: opt,
@@ -189,12 +187,12 @@ func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.S
 		return nil, err
 	}
 
-	_, logits, err := st.forward(op, ds.X)
-	if err != nil {
+	// RestoreBest may have swapped the weights since the last Validate.
+	if err := st.forward(ds.X); err != nil {
 		return nil, err
 	}
 	fillAccuracies(func(idx []int) []int {
-		return nn.Argmax(logits.SelectRows(idx))
+		return nn.Argmax(st.logits.SelectRows(idx))
 	}, ds, rep)
 	return st, nil
 }
@@ -205,9 +203,11 @@ func (m *ImplicitNet) Predict(ds *dataset.Dataset) ([]int, error) {
 		return nil, fmt.Errorf("models: ImplicitNet.Predict before Fit")
 	}
 	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
-	_, logits, err := m.st.forward(op, ds.X)
-	if err != nil {
+	for _, sv := range m.st.solvers {
+		sv.Op = op
+	}
+	if err := m.st.forward(ds.X); err != nil {
 		return nil, err
 	}
-	return nn.Argmax(logits), nil
+	return nn.Argmax(m.st.logits), nil
 }

@@ -2,6 +2,8 @@ package models
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"scalegnn/internal/dataset"
@@ -175,6 +177,51 @@ func TestImplicitLearns(t *testing.T) {
 	}
 	if rep.TestAcc < 0.6 {
 		t.Errorf("implicit test accuracy %.3f", rep.TestAcc)
+	}
+}
+
+// TestImplicitSolvesEachEquilibriumOnce pins the SpMMs of a 3-epoch
+// ImplicitNet fit per training step and per validation pass. A step after
+// a pass trains on that pass's equilibria and propagates only for its
+// adjoint solves and ∂L/∂W; one that solved its forward again would also
+// count the pass before it. The final forward solves again, and matches
+// the last pass call for call. Iteration counts follow the float bits, so
+// the pins bind amd64 only, like the golden fingerprints.
+func TestImplicitSolvesEachEquilibriumOnce(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("counts were captured on amd64, not %s", runtime.GOARCH)
+	}
+	ds := smallTask(t)
+	for _, tc := range []struct {
+		scales []int
+		want   []int // step, pass, step, pass, step, pass, final forward
+	}{
+		{nil, []int{23, 14, 10, 15, 11, 27, 27}},
+		{[]int{1, 2}, []int{67, 42, 25, 51, 30, 76, 76}},
+	} {
+		rec := &widthRecorder{segs: [][]int{nil}}
+		for u := range ds.G.N {
+			rec.rows = append(rec.rows, int32(u))
+		}
+		ds.G.SetApplyHook(rec)
+		m, err := NewImplicitNet(0.8, tc.scales)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickCfg()
+		cfg.Epochs, cfg.Hooks = 3, []train.Hook{rec}
+		_, err = m.Fit(ds, cfg)
+		ds.G.SetApplyHook(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, seg := range rec.segs {
+			got = append(got, len(seg))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("scales %v: SpMMs per step/pass %v, want %v", tc.scales, got, tc.want)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func (s *gtState) forwardBatch(x *tensor.Matrix, buckets [][]int) (*attnState, *
 	for i := 0; i < b; i++ {
 		row := raw.Row(i)
 		for j := range row {
-			row[j] = row[j]*scale + s.bias.Value.At(0, buckets[i][j])
+			row[j] = float64(row[j]*scale) + s.bias.Value.At(0, buckets[i][j])
 		}
 	}
 	a.scores = nn.Softmax(raw)
@@ -113,7 +113,7 @@ func (s *gtState) backwardBatch(a *attnState, gLogits *tensor.Matrix) {
 		grow := gScores.Row(i)
 		var inner float64
 		for j := range srow {
-			inner += srow[j] * grow[j]
+			inner += float64(srow[j] * grow[j])
 		}
 		out := gRaw.Row(i)
 		for j := range srow {

@@ -60,10 +60,10 @@ func (o *AdamOf[T]) Step(params []*ParamOf[T]) {
 		for i, g := range p.Grad.Data {
 			g64 := float64(g)
 			if o.WeightDecay != 0 {
-				g64 += o.WeightDecay * float64(p.Value.Data[i])
+				g64 += float64(o.WeightDecay * float64(p.Value.Data[i]))
 			}
-			m64 := o.Beta1*float64(m.Data[i]) + (1-o.Beta1)*g64
-			v64 := o.Beta2*float64(v.Data[i]) + (1-o.Beta2)*g64*g64
+			m64 := float64(o.Beta1*float64(m.Data[i])) + float64((1-o.Beta1)*g64)
+			v64 := float64(o.Beta2*float64(v.Data[i])) + float64((1-o.Beta2)*g64*g64)
 			m.Data[i] = T(m64)
 			v.Data[i] = T(v64)
 			mhat := m64 / bc1
@@ -151,19 +151,19 @@ func (o *AdamOf[T]) Reset() {
 // maxNorm, returning the pre-clip norm. It guards the implicit-GNN training
 // loops where fixed-point gradients can spike. The norm accumulates in
 // float64 for every element type.
-func ClipGradNorm[T tensor.Elem](params []*ParamOf[T], maxNorm float64) float64 {
+func ClipGradNorm[T tensor.Elem](params []*ParamOf[T], maxNorm float64) (norm float64) {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			sq += float64(g) * float64(g)
+			sq += float64(float64(g) * float64(g))
 		}
 	}
-	norm := math.Sqrt(sq)
+	norm = math.Sqrt(sq)
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
 			p.Grad.Scale(T(scale))
 		}
 	}
-	return norm
+	return
 }

@@ -109,7 +109,7 @@ func Simulate(g *graph.CSR, a *Assignment, cfg CostConfig) (*CostReport, error) 
 	var worst, worstCompute, worstComm, totalCompute, maxCompute float64
 	var boundary float64
 	for w := 0; w < a.K; w++ {
-		flops := localArcs[w]*cfg.FlopPerEdge + localNodes[w]*cfg.FlopPerNode
+		flops := float64(localArcs[w]*cfg.FlopPerEdge) + float64(localNodes[w]*cfg.FlopPerNode)
 		compute := flops * float64(cfg.Layers) / (cfg.WorkerGFLO * 1e9)
 		comm := (send[w] + recv[w]) * bytesPerNode * float64(cfg.Layers) / (cfg.BandwidthGB * 1e9)
 		totalCompute += compute
@@ -143,7 +143,7 @@ func Speedup(g *graph.CSR, a *Assignment, cfg CostConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	single := (float64(g.NumEdges())*cfg.FlopPerEdge + float64(g.N)*cfg.FlopPerNode) *
+	single := (float64(float64(g.NumEdges())*cfg.FlopPerEdge) + float64(float64(g.N)*cfg.FlopPerNode)) *
 		float64(cfg.Layers) / (cfg.WorkerGFLO * 1e9)
 	if rep.MakespanSec == 0 {
 		return 0, nil

@@ -143,7 +143,7 @@ func Fennel(g *graph.CSR, k int, rng *rand.Rand) (*Assignment, error) {
 			if sizes[p] >= capacity {
 				continue
 			}
-			score := neighborCount[p] - alpha*gamma*math.Pow(sizes[p], gamma-1)
+			score := neighborCount[p] - float64(alpha*gamma*math.Pow(sizes[p], gamma-1))
 			if score > bestScore {
 				best, bestScore = p, score
 			}

@@ -91,7 +91,7 @@ func PowerIteration(g *graph.CSR, s int, cfg Config) (p []float64, iters int, co
 		for i := range next {
 			next[i] *= decay
 		}
-		next[s] += cfg.Alpha + decay*dangMass
+		next[s] += cfg.Alpha + float64(decay*dangMass)
 		var diff float64
 		for i := range p {
 			d := p[i] - next[i]
@@ -162,7 +162,7 @@ func ForwardPush(g *graph.CSR, s int, cfg Config) (*PushResult, error) {
 			continue
 		}
 		pushes++
-		p[u] += cfg.Alpha * ru
+		p[u] += float64(cfg.Alpha * ru)
 		share := (1 - cfg.Alpha) * ru / float64(d)
 		r[u] = 0
 		for _, v := range g.Neighbors(u) {

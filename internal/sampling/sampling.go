@@ -374,7 +374,7 @@ func MeasureVariance(g *graph.CSR, x *tensor.Matrix, s BlockSampler, dsts []int3
 		for i := 0; i < est.Rows; i++ {
 			for j := 0; j < est.Cols; j++ {
 				d := est.At(i, j) - exact.At(i, j)
-				sse += d * d
+				sse += float64(d * d)
 				bias += d
 				count++
 			}

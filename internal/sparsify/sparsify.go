@@ -128,7 +128,7 @@ func laplacianQuadratic(g *graph.CSR, x []float64) float64 {
 	var s float64
 	for _, e := range g.UndirectedEdges() {
 		d := x[e.U] - x[e.V]
-		s += e.W * d * d
+		s += float64(e.W * d * d)
 	}
 	return s
 }

@@ -27,7 +27,7 @@ func JacobiEigen(m *tensor.Matrix, maxSweeps int) ([]float64, *tensor.Matrix) {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+				off += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 		if off < 1e-22 {
@@ -41,23 +41,23 @@ func JacobiEigen(m *tensor.Matrix, maxSweeps int) ([]float64, *tensor.Matrix) {
 				}
 				app, aqq := a.At(p, p), a.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				for k := 0; k < n; k++ {
 					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
+					a.Set(k, p, float64(c*akp)-float64(s*akq))
+					a.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
+					a.Set(p, k, float64(c*apk)-float64(s*aqk))
+					a.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}
@@ -149,10 +149,10 @@ func orthonormalize(q *tensor.Matrix) {
 		for p := 0; p < j; p++ {
 			var dot float64
 			for i := 0; i < n; i++ {
-				dot += col[i] * q.At(i, p)
+				dot += float64(col[i] * q.At(i, p))
 			}
 			for i := 0; i < n; i++ {
-				col[i] -= dot * q.At(i, p)
+				col[i] -= float64(dot * q.At(i, p))
 			}
 		}
 		norm := tensor.Norm2(col)

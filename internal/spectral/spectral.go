@@ -122,7 +122,7 @@ func (f *Filter) EvalScalar(lambda float64) float64 {
 		var s, p float64
 		p = 1
 		for _, c := range f.Coeffs {
-			s += c * p
+			s += float64(c * p)
 			p *= lambda
 		}
 		return s
@@ -135,11 +135,11 @@ func (f *Filter) EvalScalar(lambda float64) float64 {
 			case 0:
 				s += c * 1
 			case 1:
-				s += c * x
+				s += float64(c * x)
 			default:
-				tNext := 2*x*tCur - tPrev
+				tNext := float64(2*x*tCur) - tPrev
 				tPrev, tCur = tCur, tNext
-				s += c * tCur
+				s += float64(c * tCur)
 			}
 		}
 		return s
@@ -201,7 +201,7 @@ func pprFilter(alpha float64, k int) *Filter {
 	for kk := 0; kk <= k; kk++ {
 		w := alpha * math.Pow(1-alpha, float64(kk))
 		for j := 0; j <= kk; j++ {
-			coeffs[j] += w * binom(kk, j) * math.Pow(-1, float64(j))
+			coeffs[j] += float64(w * binom(kk, j) * math.Pow(-1, float64(j)))
 		}
 	}
 	return &Filter{Basis: Monomial, Coeffs: coeffs}

@@ -40,20 +40,20 @@ go vet ./...
 echo "== GOARCH=arm64 go vet ./internal/tensor ./internal/graph"
 GOARCH=arm64 go vet ./internal/tensor ./internal/graph
 
-# The plain-Go float bodies of internal/tensor round each product before
-# its add (the float64 tier's bit contract; the float32 scalar body's
-# tolerance to the vector one). amd64 never fuses a multiply and an add;
-# arm64 does unless the product is converted to its type first. Compile
-# everything for arm64 with assembly listings and fail on a fused
-# multiply-add in any internal/tensor function, generic instantiations
-# compiled in other packages included.
-echo "== no fused multiply-add in internal/tensor functions on arm64"
+# Plain-Go float code rounds each product before its add: the float64
+# tier's bit contract, the float32 scalar body's tolerance to the vector
+# one, and everywhere else the arithmetic amd64 runs. amd64 never fuses a
+# multiply and an add; arm64 does unless the product is converted to its
+# type first. Compile everything for arm64 with assembly listings and fail
+# on a fused multiply-add in any internal/ or cmd/ function, generic
+# instantiations compiled in other packages included.
+echo "== no fused multiply-add in internal/ and cmd/ functions on arm64"
 GOARCH=arm64 go build -a -gcflags='scalegnn/...=-S' ./... 2> "$SCRATCH/arm64.s" \
   || { tail -n 20 "$SCRATCH/arm64.s"; exit 1; }
 FUSED=$(awk '/^[^ \t]/ { fn = $1; if (fn ~ /^scalegnn\/internal\/tensor\./) seen++ }
-  fn ~ /^scalegnn\/internal\/tensor\./ && /\tFN?M(ADD|SUB)[DS]\t/ { print fn ": " $0 }
+  fn ~ /^scalegnn\/(internal|cmd)\// && /\tFN?M(ADD|SUB)[DS]\t/ { print fn ": " $0 }
   END { if (!seen) print "no internal/tensor function in the arm64 listing" }' "$SCRATCH/arm64.s")
-[ -z "$FUSED" ] || { echo "$FUSED"; echo "internal/tensor must not fuse multiply and add"; exit 1; }
+[ -z "$FUSED" ] || { echo "$FUSED"; echo "internal/ and cmd/ must not fuse multiply and add"; exit 1; }
 
 # The float64 tier is bitwise equal to the scalar loops only while its
 # vector kernels multiply, round, then add. No fused double-precision
@@ -93,6 +93,9 @@ go test -run '^$' -bench F32Dense -benchtime 1x ./internal/tensor
 # The float64 dense products, GFMA/s at the float64 workloads' shapes.
 echo "== go test -bench F64Dense -benchtime 1x ./internal/tensor (smoke)"
 go test -run '^$' -bench F64Dense -benchtime 1x ./internal/tensor
+# The implicit solvers: Picard iteration and the eigen-decoupled CG solve.
+echo "== go test -bench 'PicardSolve|EigenSolve' -benchtime 1x ./internal/implicit (smoke)"
+go test -run '^$' -bench 'PicardSolve|EigenSolve' -benchtime 1x ./internal/implicit
 
 # Ten seconds of the edge-list fuzzer: ReadEdgeList must match the oracle
 # reader (same CSR bits or the same error) on inputs nobody wrote down.
@@ -127,9 +130,10 @@ go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 # Run the goldens, the block digests, the SpMM and aggregation tests and
 # the dropout/PCG tests at one worker and at three, beside the GCN layer
 # tests (the transform-first order of a narrowing layer must hold at any
-# worker count).
-echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order, goldens and block digests at several worker counts)"
-go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph
+# worker count). The implicit solver tests run there too: their Picard
+# loop and P^s ping-pong sit on the same sparse and dense products.
+echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order, implicit solves, goldens and block digests at several worker counts)"
+go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM|TestSolve|TestGradW|TestAdjoint' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph ./internal/implicit
 
 # Second pass with the vector kernels off: the golden fingerprints, the
 # GCN layer tests, the kernel tests, the solvers whose SpMV runs on the
