@@ -28,23 +28,24 @@ func faultEnv(bindings string) []string {
 }
 
 var (
-	buildOnce               sync.Once
-	buildErr                error
-	binDir                  string
-	gnntrainBin, gnnfingBin string
+	buildOnce                            sync.Once
+	buildErr                             error
+	binDir                               string
+	gnntrainBin, gnnfingBin, graphgenBin string
 )
 
-// buildBinaries compiles gnntrain and gnnfingerprint once per test binary,
-// into a directory removed by TestMain after all tests finish. The
-// children run un-instrumented even when this test runs under -race: the
-// race detector watches the supervising process; the child's torn state is
-// what the assertions cover.
+// buildBinaries compiles gnntrain, gnnfingerprint and graphgen once per
+// test binary, into a directory removed by TestMain after all tests
+// finish. The children run un-instrumented even when this test runs under
+// -race: the race detector watches the supervising process; the child's
+// torn state is what the assertions cover.
 func buildBinaries(t *testing.T) {
 	t.Helper()
 	buildOnce.Do(func() {
 		gnntrainBin = filepath.Join(binDir, "gnntrain")
 		gnnfingBin = filepath.Join(binDir, "gnnfingerprint")
-		for dir, out := range map[string]string{".": gnntrainBin, "../gnnfingerprint": gnnfingBin} {
+		graphgenBin = filepath.Join(binDir, "graphgen")
+		for dir, out := range map[string]string{".": gnntrainBin, "../gnnfingerprint": gnnfingBin, "../graphgen": graphgenBin} {
 			cmd := exec.Command("go", "build", "-o", out, ".")
 			cmd.Dir = dir
 			if b, err := cmd.CombinedOutput(); err != nil {

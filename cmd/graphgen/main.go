@@ -36,6 +36,19 @@ func main() {
 	)
 	flag.Parse()
 
+	// Reject sizes the generators would clamp (ba, er) or panic on (path,
+	// er) rather than write a graph of another size.
+	switch {
+	case *kind == "grid" && (*rows < 1 || *cols < 1):
+		fatal("-rows %d -cols %d: grid needs at least one row and one column", *rows, *cols)
+	case *kind != "grid" && *n < 1:
+		fatal("-n %d: need at least one node", *n)
+	case *kind == "ba" && (*deg < 1 || *deg >= *n):
+		fatal("-deg %d: attachment degree must be in [1, n=%d)", *deg, *n)
+	case *kind == "er" && (*edges < 0 || *edges > *n*(*n-1)/2):
+		fatal("-edges %d: edge count must be in [0, n(n-1)/2=%d]", *edges, *n*(*n-1)/2)
+	}
+
 	rng := tensor.NewRand(*seed)
 	var g *graph.CSR
 	var labels []int

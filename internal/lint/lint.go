@@ -75,7 +75,9 @@ type Check struct {
 // Checks returns the full suite for a module, in stable order.
 func Checks(modPath string) []*Check {
 	inScope := func(pkgPath string) bool {
-		// The training/serving stack; examples stay demo-grade.
+		// The training/serving stack. What falls outside is the benchmark
+		// module's package main at its root, a harness these
+		// library-discipline checks do not hold to.
 		return strings.HasPrefix(pkgPath, modPath+"/internal/") ||
 			strings.HasPrefix(pkgPath, modPath+"/cmd/")
 	}

@@ -1,9 +1,4 @@
-// Quickstart: generate a synthetic node-classification task, train the
-// decoupled SGC model, and evaluate — the minimal end-to-end path through
-// the library.
-//
-//	go run ./examples/quickstart
-package main
+package models_test
 
 import (
 	"fmt"
@@ -13,14 +8,17 @@ import (
 	"scalegnn/internal/models"
 )
 
-func main() {
-	// 1. A graph learning task: stochastic block model graph with
-	//    class-conditional features, 50/20/30 train/val/test split.
+// ExampleSGC is the minimal end-to-end path through the library: generate a
+// synthetic node-classification task, train the decoupled SGC model, and
+// predict. Training is seeded, so the output is fixed.
+func ExampleSGC() {
+	// A stochastic block model graph with class-conditional features and a
+	// 50/20/30 train/val/test split.
 	ds, err := dataset.Generate(dataset.Config{
 		Nodes:      5000,
 		Classes:    5,
 		AvgDegree:  10,
-		Homophily:  0.8, // homophilous: neighbors tend to share labels
+		Homophily:  0.8, // neighbors tend to share labels
 		FeatureDim: 32,
 		NoiseStd:   1.2,
 		TrainFrac:  0.5,
@@ -33,28 +31,27 @@ func main() {
 	fmt.Printf("task: %d nodes, %d arcs, %d classes, measured homophily %.2f\n",
 		ds.G.N, ds.G.NumEdges(), ds.NumClasses, dataset.EdgeHomophily(ds.G, ds.Labels))
 
-	// 2. A scalable model: SGC precomputes Â²X once, then trains a linear
-	//    head with mini-batches — no graph access during training.
+	// SGC precomputes Â²X once, then trains a linear head with mini-batches
+	// and no graph access.
 	model, err := models.NewSGC(2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := models.DefaultTrainConfig()
 	cfg.Epochs = 100
-
-	// 3. Train and report.
 	rep, err := model.Fit(ds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(rep)
-	fmt.Printf("graph precompute: %v, then %d epochs at %v/epoch\n",
-		rep.Precompute, rep.Epochs, rep.EpochTime)
+	fmt.Printf("test accuracy %.2f after %d epochs\n", rep.TestAcc, rep.Epochs)
 
-	// 4. Predictions for downstream use.
 	pred, err := model.Predict(ds)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("first 10 predictions: %v\n", pred[:10])
+	// Output:
+	// task: 5000 nodes, 50000 arcs, 5 classes, measured homophily 0.80
+	// test accuracy 0.96 after 97 epochs
+	// first 10 predictions: [0 1 2 3 4 0 1 2 3 4]
 }

@@ -10,7 +10,6 @@ package rewire
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"scalegnn/internal/graph"
@@ -210,24 +209,4 @@ func topKExcluding(scores []float64, a, k int, g *graph.CSR) []int {
 		out[i] = cands[i].v
 	}
 	return out
-}
-
-// HomophilyGain measures the change in edge homophily achieved by a
-// rewiring, given ground-truth labels — the quantity DHGR optimizes for.
-func HomophilyGain(before, after *graph.CSR, labels []int) (float64, float64) {
-	return edgeHomophily(before, labels), edgeHomophily(after, labels)
-}
-
-func edgeHomophily(g *graph.CSR, labels []int) float64 {
-	edges := g.UndirectedEdges()
-	if len(edges) == 0 {
-		return math.NaN()
-	}
-	same := 0
-	for _, e := range edges {
-		if labels[e.U] == labels[e.V] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(edges))
 }

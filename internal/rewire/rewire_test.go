@@ -1,7 +1,6 @@
 package rewire
 
 import (
-	"math"
 	"testing"
 
 	"scalegnn/internal/dataset"
@@ -33,7 +32,7 @@ func TestCosineRewireRaisesHomophily(t *testing.T) {
 	if res.Added == 0 {
 		t.Fatal("no edges added")
 	}
-	before, after := HomophilyGain(g, res.G, labels)
+	before, after := dataset.EdgeHomophily(g, labels), dataset.EdgeHomophily(res.G, labels)
 	if after <= before {
 		t.Errorf("homophily did not improve: %.3f -> %.3f", before, after)
 	}
@@ -64,7 +63,7 @@ func TestRewireAddAndPruneTogether(t *testing.T) {
 	if res.Added == 0 || res.Pruned == 0 {
 		t.Fatalf("added=%d pruned=%d", res.Added, res.Pruned)
 	}
-	before, after := HomophilyGain(g, res.G, labels)
+	before, after := dataset.EdgeHomophily(g, labels), dataset.EdgeHomophily(res.G, labels)
 	// Add + prune should improve homophily more than either alone tends to.
 	if after <= before {
 		t.Errorf("homophily %.3f -> %.3f", before, after)
@@ -128,16 +127,5 @@ func TestCosineQueryLocality(t *testing.T) {
 	}
 	if _, err := sim.Query(-1); err == nil {
 		t.Error("bad node should error")
-	}
-}
-
-func TestHomophilyGainEmptyGraph(t *testing.T) {
-	empty, err := graph.FromEdges(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := edgeHomophily(empty, []int{0, 1, 2})
-	if !math.IsNaN(h) {
-		t.Errorf("empty-graph homophily = %v, want NaN", h)
 	}
 }

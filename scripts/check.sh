@@ -22,6 +22,13 @@ echo "== tracked files <= 1 MB"
 BIG=$(git ls-files -z | xargs -0 -r wc -c 2>/dev/null | awk '$2 != "total" && $1 > 1048576' || true)
 [ -z "$BIG" ] || { echo "tracked files over 1 MB (bytes, path):"; echo "$BIG"; exit 1; }
 
+# A main package is a command, and commands live in cmd/. A walkthrough
+# is an Example test or a gnnbench experiment, which tier-1 runs, not a
+# main that nothing executes.
+echo "== no package main outside cmd/"
+MAINS=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | grep -vE '^(scalegnn/cmd/|$)' || true)
+[ -z "$MAINS" ] || { echo "package main outside cmd/:"; echo "$MAINS"; exit 1; }
+
 echo "== go build ./..."
 go build ./...
 
