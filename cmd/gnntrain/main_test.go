@@ -55,6 +55,25 @@ func TestRejectsNegativeEdgeWeight(t *testing.T) {
 	}
 }
 
+// TestRejectsEdgelessGraph: a -graph file with nodes but no arcs exits 1
+// naming the file; it used to train to chance accuracy and report
+// homophily=0.000.
+func TestRejectsEdgelessGraph(t *testing.T) {
+	buildBinaries(t)
+	path := filepath.Join(t.TempDir(), "empty.edgelist")
+	if err := os.WriteFile(path, []byte("# nodes 100 directed false\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(gnntrainBin, "-model", "sgc", "-epochs", "2", "-graph", path).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("edgeless graph: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), path+" has no arcs") {
+		t.Errorf("output does not name %s and \"no arcs\":\n%s", path, out)
+	}
+}
+
 // TestGraphgenRejectsSizes: graphgen sizes the generators cannot honour
 // exit 1 naming the value. They used to write a graph of another size
 // (ba clamps n up to deg+1, er the edge count down to n(n-1)/2) or panic
@@ -73,6 +92,7 @@ func TestGraphgenRejectsSizes(t *testing.T) {
 		{[]string{"-kind", "er", "-n", "10", "-edges", "-1"}, "-edges -1"},
 		{[]string{"-kind", "er", "-n", "3", "-edges", "4"}, "-edges 4"},
 		{[]string{"-kind", "sbm", "-n", "-3"}, "-n -3"},
+		{[]string{"-kind", "sbm", "-n", "100", "-deg", "0"}, "-deg 0"},
 		{[]string{"-kind", "path", "-n", "-1"}, "-n -1"},
 		{[]string{"-kind", "grid", "-rows", "0"}, "-rows 0"},
 		{[]string{"-kind", "grid", "-cols", "-2"}, "-cols -2"},

@@ -45,6 +45,8 @@ func main() {
 		fatal("-n %d: need at least one node", *n)
 	case *kind == "ba" && (*deg < 1 || *deg >= *n):
 		fatal("-deg %d: attachment degree must be in [1, n=%d)", *deg, *n)
+	case *kind == "sbm" && *deg < 1:
+		fatal("-deg %d: average degree must be at least 1", *deg)
 	case *kind == "er" && (*edges < 0 || *edges > *n*(*n-1)/2):
 		fatal("-edges %d: edge count must be in [0, n(n-1)/2=%d]", *edges, *n*(*n-1)/2)
 	}

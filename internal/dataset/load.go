@@ -34,6 +34,12 @@ func Load(graphPath, labelPath string, cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	// With no arcs every aggregation is empty and a model trains on its
+	// features alone, while EdgeHomophily reads 0 as if every edge crossed
+	// classes.
+	if len(g.Adj) == 0 {
+		return nil, fmt.Errorf("dataset: %s has no arcs", graphPath)
+	}
 	if err := checkWeights(g); err != nil {
 		return nil, err
 	}

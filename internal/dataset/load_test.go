@@ -167,3 +167,14 @@ func TestLoadRejectsNegativeWeight(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsEdgelessGraph: an edge list with nodes but no arcs would
+// train every model on its features alone and report homophily 0, so Load
+// refuses it, naming the file.
+func TestLoadRejectsEdgelessGraph(t *testing.T) {
+	path := writeFile(t, "# nodes 100 directed false\n")
+	_, err := Load(path, "", defaultConfig())
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "no arcs") {
+		t.Fatalf("error %v, want one naming %s and \"no arcs\"", err, path)
+	}
+}

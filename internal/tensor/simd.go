@@ -1,28 +1,29 @@
-// The dense and sparse products of both tiers. float64 runs both on
-// f64AccumRows; float32 runs the dense ones on f32Gemm4x16 and the sparse
-// one on f32Axpy. Only these kernels read the gate, simdOn: the CPU has the
-// AVX2 kernels of simd_amd64.s and SCALEGNN_NOSIMD is unset; with it off a
-// kernel runs its plain-Go body. Each product picks its tier's driver by one
-// type switch per call; the driver calls the kernel statically (a func value
-// costs a par closure allocation, a pick per row 20–40 % of a width-1 or -5
-// SpMM). a·bᵀ is bᵀ written out, then a·b.
+// The dense and sparse products of both tiers. The dense ones run on one
+// generic driver, gemm, over a block kernel per tier (f64Gemm4x8,
+// f32Gemm4x16); the sparse one runs on f64AccumRows or f32Axpy. Only these
+// kernels read the gate, simdOn: the CPU has the AVX2 kernels of
+// simd_amd64.s and SCALEGNN_NOSIMD is unset; with it off a kernel runs its
+// plain-Go body. Drivers pick the tier's kernel by one type switch per
+// call and call it statically (a func value costs a par closure
+// allocation, a pick per row 20–40 % of a width-1 or -5 SpMM). a·bᵀ is bᵀ
+// written out, then a·b.
 //
-// The two tiers make different promises. float32 runs on one block
-// kernel, f32Gemm4x16: each output element is one chain over k in
-// increasing order from 0, with no zero skip, so its bits do not depend on
-// row or column blocking or on the worker count — which is what makes
-// served (chunked) output equal offline output. The chain is fused with
-// the gate on, so the two gate settings agree to a tolerance. float64 runs
-// on f64AccumRows: multiply, then add, one accumulator per output element,
-// k increasing, a zero a-term skipped; its vector and scalar bodies give
-// the same bits, so fingerprints, checkpoints and distributed replicas do
-// not depend on whether the gate is on. No plain-Go body fuses: each
-// product is converted to its type before its add, which the Go spec makes
-// a rounding point (arm64 would otherwise emit FMADD).
+// The two tiers make different promises. float32: each output element is
+// one chain over k in increasing order from 0, with no zero skip, so its
+// bits do not depend on row or column blocking or on the worker count —
+// which is what makes served (chunked) output equal offline output. The
+// chain is fused with the gate on, so the two gate settings agree to a
+// tolerance. float64: multiply, then add, one accumulator per output
+// element, k increasing, a zero a-term skipped; vector and scalar bodies
+// give the same bits, so fingerprints, checkpoints and distributed
+// replicas do not depend on whether the gate is on. No plain-Go body
+// fuses: each product is converted to its type before its add, which the
+// Go spec makes a rounding point (arm64 would otherwise emit FMADD).
 package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"scalegnn/internal/par"
 )
@@ -154,8 +155,9 @@ func spmmRow[T Elem](rows []int32, i int, diag []T, x, dst *Mat[T]) (int, []T) {
 	return r, orow
 }
 
-// tileRows is the identity index list that turns f64AccumRows into a dense
-// k-tile: row k of the b tile belongs to the k-th a-term.
+// tileRows is the identity index list that turns f64AccumRows into one row
+// of a dense k-tile (gemmRow) or into Axpy: row k of b goes with the k-th
+// coefficient.
 var tileRows = func() (r [mmBlockK]int32) {
 	for i := range r {
 		r[i] = int32(i)
@@ -163,221 +165,203 @@ var tileRows = func() (r [mmBlockK]int32) {
 	return r
 }()
 
-// f64MatMul computes dst = a·b at float64. Each output row takes one
-// f64AccumRows per k-tile of b, whose vector body keeps 32 columns of
-// partial sums in registers across the tile. Workers split the rows.
-func f64MatMul(a, b, dst *Matrix) {
-	n := b.Cols
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			clear(orow)
-			for kb := 0; kb < len(arow); kb += mmBlockK {
-				kn := min(mmBlockK, len(arow)-kb)
-				f64AccumRows(arow[kb:kb+kn], tileRows[:kn], b.Data[kb*n:(kb+kn)*n], kn, n, orow)
-			}
-		}
-	})
-}
-
-// tmBlockI is how many columns of a f64TMatMul gathers from one k-tile at
-// a time: eight float64s, one cache line of each row of a.
-const tmBlockI = 8
-
-// tmTileFloats bounds the k-tile of b that f64TMatMul rereads for every
-// output row: 2 048 float64s, 16 KiB, so it stays in the L1 data cache.
-const tmTileFloats = 2048
-
-// f64TMatMul computes dst = aᵀ·b at float64. Per k-tile, tmBlockI columns
-// of a are gathered into stack scratch, and each is handed with the tile
-// of b to f64AccumRows, which adds Σ_k a[k][i]·b[k][:] into output row i.
-// Workers split the output rows by work, at least minWorkTMatMul each.
-func f64TMatMul(a, b, dst *Matrix) {
-	n := b.Cols
-	kt := min(mmBlockK, max(tmTileFloats/max(n, 1), 1))
-	rowWork := max(a.Rows*n, 1)
-	par.Range(a.Cols, (minWorkTMatMul+rowWork-1)/rowWork, func(lo, hi int) {
-		var cols [tmBlockI][mmBlockK]float64
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
-		}
-		for kb := 0; kb < a.Rows; kb += kt {
-			kn := min(kt, a.Rows-kb)
-			bblk := b.Data[kb*n : (kb+kn)*n]
-			for i0 := lo; i0 < hi; i0 += tmBlockI {
-				w := min(tmBlockI, hi-i0)
-				for k := 0; k < kn; k++ {
-					for c, v := range a.Data[(kb+k)*a.Cols+i0:][:w] {
-						cols[c][k] = v
-					}
-				}
-				for c := 0; c < w; c++ {
-					f64AccumRows(cols[c][:kn], tileRows[:kn], bblk, kn, n, dst.Row(i0+c))
-				}
-			}
-		}
-	})
-}
-
-// The float32 products run on one block kernel, f32Gemm4x16: 4 output
-// rows × 16 output columns per call, over one k-tile. Every output
-// element is cleared, then the kernel continues its one chain tile
-// after tile, so each element is the chain over all of k in increasing
-// order from 0. A block that is short of 4 rows or 16 columns goes
-// through the same kernel on zero-padded stack scratch, never a second
-// kernel: the bits of an element do not depend on where the blocks, the
-// k-tiles or the workers' row ranges fall.
+// The dense products of both tiers run on one driver, gemm, and one block
+// kernel per tier: 4 output rows × every full panel of a row, a panel
+// being one cache line of columns (16 float32s, 8 float64s).
 const (
-	gemmRows = 4
-	gemmCols = 16
+	gemmRows       = 4
+	gemmPanelBytes = 64
 )
 
-// f32TileFloats bounds the k-tile of b that f32TMatMul rereads for every
-// 4-row block: 8 192 float32s, 32 KiB, within the L1 data cache.
-const f32TileFloats = 8192
+// gemmTileBytes bounds the k-tile of b that gemm rereads for every 4-row
+// block: 32 KiB, within the L1 data cache. gemmTailFloats bounds the
+// packed partial panel, which Go zeroes on each call that packs one.
+const (
+	gemmTileBytes  = 32 << 10
+	gemmTailFloats = 1024
+)
 
-// f32MatMul computes dst = a·b at float32. a is read in place; per k-tile
-// each 16-column panel of b is read in place, or packed into zero-padded
-// stack scratch when it is the partial last panel, and then swept by
-// every 4-row block of the worker's rows.
-func f32MatMul(a, b, dst *Mat[float32]) {
-	n, kdim := dst.Cols, a.Cols
-	par.Range(a.Rows, minChunkDense, func(lo, hi int) {
-		var panel [mmBlockK * gemmCols]float32
-		var rows [gemmRows * mmBlockK]float32
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
+// gemm computes dst = a·b on either tier, where element (i, k) of a is
+// a[i*lda+k*ka]: MatMulInto passes a (ka = 1), TMatMulInto aᵀ in place
+// (lda = 1). Workers split dst's rows, at least minChunk each. Per k-tile,
+// each 4-row block of a worker's rows runs the block kernel across every
+// full panel of b in place, then across the partial last panel packed
+// into zero-padded stack scratch (through a copy of dst's block); the
+// rows left over run gemmRow. float64 reruns a block whose kernel result
+// holds a NaN on gemmRow, which skips a zero a-term; a NaN stays NaN, so
+// the last k-tile's flag covers every tile.
+func gemm[T Elem](a []T, lda, ka int, b, dst *Mat[T], minChunk int) {
+	m, n, kdim := dst.Rows, dst.Cols, b.Rows
+	if kdim == 0 {
+		clear(dst.Data)
+		return
+	}
+	pw := gemmPanelBytes / int(unsafe.Sizeof(T(0)))
+	full, kt := n-n%pw, min(mmBlockK, max(gemmTileBytes/gemmPanelBytes*pw/max(n, 1), 1))
+	if full < n {
+		kt = min(kt, gemmTailFloats/pw)
+	}
+	par.Range(m, minChunk, func(lo, hi int) {
+		var tail []T
+		if full < n && hi-lo >= gemmRows {
+			var buf [gemmTailFloats]T
+			tail = buf[:]
 		}
-		for kb := 0; kb < kdim; kb += mmBlockK {
-			kn := min(mmBlockK, kdim-kb)
-			for j := 0; j < n; j += gemmCols {
-				w := min(gemmCols, n-j)
-				pb, ldb := b.Data[kb*n+j:], n
-				if w < gemmCols {
-					pb, ldb = panel[:kn*gemmCols], gemmCols
-					clear(pb)
-					for k := 0; k < kn; k++ {
-						copy(pb[k*gemmCols:][:w], b.Row(kb + k)[j:])
-					}
+		row := func(i, kb, kn int) { // adds k-tile kb of row i on gemmRow
+			if ka == 1 {
+				gemmRow(a[i*lda+kb:][:kn], b.Data[kb*n:], n, dst.Row(i))
+				return
+			}
+			var coef [32]T
+			for k0 := kb; k0 < kb+kn; k0 += len(coef) {
+				c := coef[:min(len(coef), kb+kn-k0)]
+				for k := range c {
+					c[k] = a[i*lda+(k0+k)*ka]
 				}
-				for i := lo; i < hi; i += gemmRows {
-					r := min(gemmRows, hi-i)
-					pa, lda := a.Data[i*kdim+kb:], kdim
-					if r < gemmRows {
-						clear(rows[:gemmRows*kn])
-						for c := 0; c < r; c++ {
-							copy(rows[c*kn:][:kn], a.Row(i + c)[kb:])
-						}
-						pa, lda = rows[:gemmRows*kn], kn
-					}
-					f32Block(kn, pa, lda, 1, pb, ldb, dst, i, j, r, w)
-				}
+				gemmRow(c, b.Data[k0*n:], n, dst.Row(i))
 			}
 		}
-	})
-}
-
-// f32TMatMul computes dst = aᵀ·b at float32. Per k-tile, a full block of
-// four columns of a is read in place (the kernel strides a by row per k);
-// a partial block is gathered into zero-padded stack scratch. Each block
-// runs against every 16-column panel of b in place, and the partial last
-// panel is packed once per k-tile. The k-tile keeps the tile of b within
-// f32TileFloats, and workers split the output rows by work, at least
-// minWorkTMatMul each.
-func f32TMatMul(a, b, dst *Mat[float32]) {
-	n, p := b.Cols, a.Cols
-	full := n &^ (gemmCols - 1) // columns in whole panels
-	kt := min(mmBlockK, max(f32TileFloats/max(n, 1), 1))
-	rowWork := max(a.Rows*n, 1)
-	par.Range(p, (minWorkTMatMul+rowWork-1)/rowWork, func(lo, hi int) {
-		var tail [mmBlockK * gemmCols]float32
-		var cols [mmBlockK * gemmRows]float32
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
-		}
-		for kb := 0; kb < a.Rows; kb += kt {
-			kn := min(kt, a.Rows-kb)
-			if full < n {
-				clear(tail[:kn*gemmCols])
+		for kb := 0; kb < kdim; kb += kt {
+			kn := min(kt, kdim-kb)
+			if tail != nil {
+				clear(tail[:kn*pw])
 				for k := 0; k < kn; k++ {
-					copy(tail[k*gemmCols:], b.Row(kb + k)[full:])
+					copy(tail[k*pw:], b.Row(kb + k)[full:])
 				}
 			}
-			for i := lo; i < hi; i += gemmRows {
-				r := min(gemmRows, hi-i)
-				pa, ka := a.Data[kb*p+i:], p
-				if r < gemmRows {
-					clear(cols[:kn*gemmRows])
-					for k := 0; k < kn; k++ {
-						copy(cols[k*gemmRows:][:r], a.Row(kb + k)[i:])
+			i := lo
+			for ; i+gemmRows <= hi; i += gemmRows {
+				pa := a[i*lda+kb*ka:]
+				nan := gemmBlock(kn, pa, lda, ka, b.Data[kb*n:], n, dst.Data[i*n:], n, full/pw, kb == 0)
+				if tail != nil {
+					var blk [gemmRows * gemmPanelBytes / 4]T // sized for float32
+					for r := 0; r < gemmRows && kb > 0; r++ {
+						copy(blk[r*pw:][:n-full], dst.Row(i + r)[full:])
 					}
-					pa, ka = cols[:kn*gemmRows], gemmRows
+					nan = gemmBlock(kn, pa, lda, ka, tail[:kn*pw], pw, blk[:gemmRows*pw], pw, 1, kb == 0) || nan
+					for r := 0; r < gemmRows; r++ {
+						copy(dst.Row(i + r)[full:], blk[r*pw:][:n-full])
+					}
 				}
-				for j := 0; j < full; j += gemmCols {
-					f32Block(kn, pa, 1, ka, b.Data[kb*n+j:], n, dst, i, j, r, gemmCols)
+				for r := i; nan && kb+kn == kdim && r < i+gemmRows; r++ {
+					clear(dst.Row(r))
+					for k0 := 0; k0 < kdim; k0 += kt {
+						row(r, k0, min(kt, kdim-k0))
+					}
 				}
-				if full < n {
-					f32Block(kn, pa, 1, ka, tail[:kn*gemmCols], gemmCols, dst, i, full, r, n-full)
+			}
+			for ; i < hi; i++ {
+				if kb == 0 {
+					clear(dst.Row(i))
 				}
+				row(i, kb, kn)
 			}
 		}
 	})
 }
 
-// f32Block adds pa·pb into rows [i, i+r) and columns [j, j+w) of dst, where
-// pa holds 4 rows of a k-tile of kn (element (r, k) at pa[r*lda+k*ka]) and
-// pb kn rows of a 16-column panel (stride ldb). Rows of pa past r and
-// columns of pb past w reach only the part of the block that is not
-// stored: a partial block is run in a zero-padded copy of dst's block.
-func f32Block(kn int, pa []float32, lda, ka int, pb []float32, ldb int, dst *Mat[float32], i, j, r, w int) {
-	n := dst.Cols
-	if r == gemmRows && w == gemmCols {
-		f32Gemm4x16(kn, pa, lda, ka, pb, ldb, dst.Data[i*n+j:], n)
-		return
+// gemmBlock runs the tier's block kernel on 4 rows of a against panels
+// full panels of b; true if a float64 result is NaN.
+func gemmBlock[T Elem](k int, a []T, lda, ka int, b []T, ldb int, c []T, ldc, panels int, fresh bool) bool {
+	switch c := any(c).(type) {
+	case []float64:
+		return f64Gemm4x8(k, any(a).([]float64), lda, ka, any(b).([]float64), ldb, c, ldc, panels, fresh)
+	case []float32:
+		f32Gemm4x16(k, any(a).([]float32), lda, ka, any(b).([]float32), ldb, c, ldc, panels, fresh)
 	}
-	var c [gemmRows * gemmCols]float32
-	for rr := 0; rr < r; rr++ {
-		copy(c[rr*gemmCols:][:w], dst.Data[(i+rr)*n+j:])
-	}
-	f32Gemm4x16(kn, pa, lda, ka, pb, ldb, c[:], gemmCols)
-	for rr := 0; rr < r; rr++ {
-		copy(dst.Data[(i+rr)*n+j:][:w], c[rr*gemmCols:])
+	return false
+}
+
+// gemmRow adds Σ_k coef[k]·b[k*ldb:][:len(orow)] into orow, k increasing:
+// at float64 on f64AccumRows, which skips a zero coefficient (the
+// contract), at float32 as one f32Axpy per term (the block kernel's chain).
+func gemmRow[T Elem](coef, b []T, ldb int, orow []T) {
+	switch orow := any(orow).(type) {
+	case []float64:
+		f64AccumRows(any(coef).([]float64), tileRows[:len(coef)], any(b).([]float64), len(coef), ldb, orow)
+	case []float32:
+		b := any(b).([]float32)
+		for k, c := range any(coef).([]float32) {
+			f32Axpy(c, b[k*ldb:][:len(orow)], orow)
+		}
 	}
 }
 
-// f32Gemm4x16 adds a[4×k]·b[k×16] into c[4×16], element (r, kk) of a at
-// a[r*lda+kk*ka]: one chain per element over k in increasing order, fused
-// by f32Gemm4x16AVX with the gate on and run in plain Go with it off. The
-// 4×k elements of a, the k rows of b and the 4 rows of c it reads or
-// writes must lie inside the slices; it checks so before the assembly,
-// which does not.
-func f32Gemm4x16(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int) {
-	if k == 0 {
+// f32Gemm4x16 adds a[4×k]·b[k×16·panels] into c[4×16·panels], or stores
+// it when fresh, element (r, kk) of a at a[r*lda+kk*ka]: one chain per
+// element over k in increasing order, fused by f32Gemm4x16AVX with the
+// gate on and run by gemmGo with it off. The elements it names must lie
+// inside the slices; it checks so before the assembly, which does not.
+func f32Gemm4x16(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc, panels int, fresh bool) {
+	if !gemmInBounds(k, a, lda, ka, b, ldb, c, ldc, panels*16) {
 		return
 	}
-	_ = a[(gemmRows-1)*lda+(k-1)*ka]
-	_ = b[(k-1)*ldb+gemmCols-1]
-	_ = c[(gemmRows-1)*ldc+gemmCols-1]
 	if simdOn {
-		f32Gemm4x16AVX(k, a, lda, ka, b, ldb, c, ldc)
+		f32Gemm4x16AVX(k, a, lda, ka, b, ldb, c, ldc, panels, fresh)
 		return
 	}
-	// Eight partial sums at a time stay in registers across all of k.
+	gemmGo(k, a, lda, ka, b, ldb, c, ldc, panels*16, fresh)
+}
+
+// f64Gemm4x8 is f32Gemm4x16 at float64 on 8-column panels, run by
+// f64Gemm4x8AVX with the gate on: a multiply, then an add, per term,
+// where a zero a-term adds 0·b (the AVX comment says why that is the
+// skipping loop's result unless it is NaN). It reports whether any element
+// of the block is NaN; both bodies give the same bits.
+func f64Gemm4x8(k int, a []float64, lda, ka int, b []float64, ldb int, c []float64, ldc, panels int, fresh bool) bool {
+	w := panels * 8
+	if !gemmInBounds(k, a, lda, ka, b, ldb, c, ldc, w) {
+		return false
+	}
+	if simdOn {
+		return f64Gemm4x8AVX(k, a, lda, ka, b, ldb, c, ldc, panels, fresh)
+	}
+	gemmGo(k, a, lda, ka, b, ldb, c, ldc, w, fresh)
 	for r := 0; r < gemmRows; r++ {
-		for j := 0; j < gemmCols; j += 8 {
+		for _, v := range c[r*ldc:][:w] {
+			if v != v {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// gemmInBounds reports whether a block kernel over w columns has work,
+// panicking when its elements do not lie inside a, b and c.
+func gemmInBounds[T Elem](k int, a []T, lda, ka int, b []T, ldb int, c []T, ldc, w int) bool {
+	if w == 0 {
+		return false
+	}
+	if k > 0 {
+		_ = a[(gemmRows-1)*lda+(k-1)*ka]
+		_ = b[(k-1)*ldb+w-1]
+	}
+	_ = c[(gemmRows-1)*ldc+w-1]
+	return true
+}
+
+// gemmGo is the plain-Go body of both block kernels, over w columns (a
+// multiple of 8): eight partial sums at a time stay in registers across
+// all of k, each product converted to T before its add, no term skipped.
+func gemmGo[T Elem](k int, a []T, lda, ka int, b []T, ldb int, c []T, ldc, w int, fresh bool) {
+	for r := 0; r < gemmRows; r++ {
+		for j := 0; j < w; j += 8 {
 			cq := c[r*ldc+j:][:8:8]
-			s0, s1, s2, s3, s4, s5, s6, s7 := cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7]
+			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			if !fresh {
+				s0, s1, s2, s3, s4, s5, s6, s7 = cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7]
+			}
 			for kk, ao, bo := 0, r*lda, j; kk < k; kk, ao, bo = kk+1, ao+ka, bo+ldb {
 				av, bq := a[ao], b[bo:bo+8:bo+8]
-				s0 += float32(av * bq[0])
-				s1 += float32(av * bq[1])
-				s2 += float32(av * bq[2])
-				s3 += float32(av * bq[3])
-				s4 += float32(av * bq[4])
-				s5 += float32(av * bq[5])
-				s6 += float32(av * bq[6])
-				s7 += float32(av * bq[7])
+				s0 += T(av * bq[0])
+				s1 += T(av * bq[1])
+				s2 += T(av * bq[2])
+				s3 += T(av * bq[3])
+				s4 += T(av * bq[4])
+				s5 += T(av * bq[5])
+				s6 += T(av * bq[6])
+				s7 += T(av * bq[7])
 			}
 			cq[0], cq[1], cq[2], cq[3], cq[4], cq[5], cq[6], cq[7] = s0, s1, s2, s3, s4, s5, s6, s7
 		}

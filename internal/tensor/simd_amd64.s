@@ -1,6 +1,6 @@
 // AVX2 kernels for both numeric tiers, behind the one simdOn gate.
 //
-// float32 (raw-speed tier): fused multiply-add. The one matmul kernel,
+// float32 (raw-speed tier): fused multiply-add. The block kernel,
 // f32Gemm4x16AVX, keeps one accumulator per output element and runs it
 // over k in increasing order, with no zero skip: every element of a
 // product is one FMA chain from 0, so its bits do not depend on how the
@@ -8,13 +8,14 @@
 // Parity with float64 (and with the scalar loops, which do not fuse) is
 // tolerance-based.
 //
-// float64 (reference tier): every kernel is element-wise identical to the
-// scalar Go loop it replaces — a separate multiply (VMULPD) and add (VADDPD)
-// per term, never a fused multiply-add, one accumulator per output element,
-// terms added in the caller's k / CSR-arc order, and a zero coefficient
-// skips its term exactly as the scalar `== 0` test does (skipping and adding
-// 0*x differ on -0, Inf and NaN). scripts/check.sh rejects any
-// double-precision FMA mnemonic in this file.
+// float64 (reference tier): every kernel gives the bits of its plain-Go
+// body — a separate multiply (VMULPD) and add (VADDPD) per term, never a
+// fused multiply-add, one accumulator per output element, terms added in
+// the caller's k / CSR-arc order. f64AccumRowsAVX skips a zero coefficient
+// exactly as the scalar `== 0` test does (skipping and adding 0*x differ
+// on -0, Inf and NaN); f64Gemm4x8AVX adds 0*x and reports a NaN result,
+// the one case where that can differ, so its caller can rerun the rows.
+// scripts/check.sh rejects any double-precision FMA mnemonic in this file.
 
 #include "textflag.h"
 
@@ -97,40 +98,61 @@ done:
 	VZEROUPPER
 	RET
 
-// func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc int)
+// func f32Gemm4x16AVX(k int, a []float32, lda, ka int, b []float32, ldb int, c []float32, ldc, panels int, fresh bool)
 //
 // c[r*ldc+j] += sum over kk < k, in increasing kk, of
-// a[r*lda+kk*ka] * b[kk*ldb+j], for the 4 rows r and 16 columns j of one
-// output block. The block's 64 partial sums live in Y0-Y7 across all k,
-// loaded from c at the start and stored at the end; per k, two loads of b
+// a[r*lda+kk*ka] * b[kk*ldb+j], for the 4 rows r and the 16·panels columns
+// j of one output block, swept one 16-column panel at a time. A panel's
+// 64 partial sums live in Y0-Y7 across all k, loaded from c (or set to +0
+// when fresh) at the start and stored at the end; per k, two loads of b
 // and four broadcasts of a feed eight FMAs. Each output element is
 // therefore one FMA chain over k in increasing order, continued from the
 // value c held, whatever the caller's blocking. The two strides of a let
 // the caller pass a (ka = 1) or aᵀ (lda = 1) in place. Caller guarantees
 // the elements it names lie inside a, b and c (strides in elements).
-TEXT ·f32Gemm4x16AVX(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), SI
+TEXT ·f32Gemm4x16AVX(SB), NOSPLIT, $0-121
+	MOVQ a_base+8(FP), R13
 	MOVQ lda+32(FP), R8
 	SHLQ $2, R8              // lda in bytes
 	LEAQ (R8)(R8*2), R11     // 3*lda in bytes
 	MOVQ ka+40(FP), R12
 	SHLQ $2, R12             // ka in bytes
-	MOVQ b_base+48(FP), DX
+	MOVQ b_base+48(FP), R14  // this panel of b
 	MOVQ ldb+72(FP), R9
 	SHLQ $2, R9              // ldb in bytes
-	MOVQ c_base+80(FP), DI
+	MOVQ c_base+80(FP), DI   // this panel of c
 	MOVQ ldc+104(FP), R10
 	SHLQ $2, R10             // ldc in bytes
-	LEAQ (DI)(R10*2), BX     // c row 2
+	MOVQ panels+112(FP), AX
+	MOVBLZX fresh+120(FP), BX
+panel:
+	TESTQ AX, AX
+	JEQ  done
+	TESTQ BX, BX
+	JNE  zero
+	LEAQ (DI)(R10*2), CX     // c row 2
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS (DI)(R10*1), Y2
 	VMOVUPS 32(DI)(R10*1), Y3
-	VMOVUPS (BX), Y4
-	VMOVUPS 32(BX), Y5
-	VMOVUPS (BX)(R10*1), Y6
-	VMOVUPS 32(BX)(R10*1), Y7
+	VMOVUPS (CX), Y4
+	VMOVUPS 32(CX), Y5
+	VMOVUPS (CX)(R10*1), Y6
+	VMOVUPS 32(CX)(R10*1), Y7
+	JMP  ready
+zero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+ready:
+	MOVQ R13, SI
+	MOVQ R14, DX
+	MOVQ k+0(FP), CX
 	TESTQ CX, CX
 	JEQ  store
 loop:
@@ -153,14 +175,141 @@ loop:
 	DECQ CX
 	JNZ  loop
 store:
+	LEAQ (DI)(R10*2), CX
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, (DI)(R10*1)
 	VMOVUPS Y3, 32(DI)(R10*1)
-	VMOVUPS Y4, (BX)
-	VMOVUPS Y5, 32(BX)
-	VMOVUPS Y6, (BX)(R10*1)
-	VMOVUPS Y7, 32(BX)(R10*1)
+	VMOVUPS Y4, (CX)
+	VMOVUPS Y5, 32(CX)
+	VMOVUPS Y6, (CX)(R10*1)
+	VMOVUPS Y7, 32(CX)(R10*1)
+	ADDQ $64, DI
+	ADDQ $64, R14
+	DECQ AX
+	JMP  panel
+done:
+	VZEROUPPER
+	RET
+
+// func f64Gemm4x8AVX(k int, a []float64, lda, ka int, b []float64, ldb int, c []float64, ldc, panels int, fresh bool) bool
+//
+// c[r*ldc+j] += sum over kk < k, in increasing kk, of
+// a[r*lda+kk*ka] * b[kk*ldb+j], for the 4 rows r and the 8·panels columns
+// j of one output block, swept one 8-column panel at a time, with the
+// strides of f32Gemm4x16AVX. A panel's 32 partial sums live in Y0-Y7
+// across all k, loaded from c (or set to +0 when fresh) at the start and
+// stored at the end; per k, two loads of b and four broadcasts of a feed
+// eight VMULPD, each followed by its VADDPD: one accumulator per element,
+// product rounded before the add, terms in increasing k.
+//
+// A zero a-term is not skipped: 0·b is added. That gives the skipping
+// loop's bits whenever the result is not NaN. An accumulator that starts
+// at +0 never becomes −0 under round-to-nearest (a sum is −0 only when
+// both addends are), so adding ±0 leaves it unchanged; 0·b is ±0 unless b
+// is ±Inf or NaN, and then the element is NaN and stays NaN. So the kernel
+// returns true when any stored element of the block is NaN (VCMPPD
+// unordered at each store), and the caller recomputes those rows with the
+// skipping f64AccumRows.
+TEXT ·f64Gemm4x8AVX(SB), NOSPLIT, $0-129
+	MOVQ a_base+8(FP), R13
+	MOVQ lda+32(FP), R8
+	SHLQ $3, R8              // lda in bytes
+	LEAQ (R8)(R8*2), R11     // 3*lda in bytes
+	MOVQ ka+40(FP), R12
+	SHLQ $3, R12             // ka in bytes
+	MOVQ b_base+48(FP), R14  // this panel of b
+	MOVQ ldb+72(FP), R9
+	SHLQ $3, R9              // ldb in bytes
+	MOVQ c_base+80(FP), DI   // this panel of c
+	MOVQ ldc+104(FP), R10
+	SHLQ $3, R10             // ldc in bytes
+	MOVQ panels+112(FP), AX
+	MOVBLZX fresh+120(FP), BX
+	VXORPD Y15, Y15, Y15     // lanes that have held a NaN
+panel:
+	TESTQ AX, AX
+	JEQ  done
+	TESTQ BX, BX
+	JNE  zero
+	LEAQ (DI)(R10*2), CX     // c row 2
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R10*1), Y2
+	VMOVUPD 32(DI)(R10*1), Y3
+	VMOVUPD (CX), Y4
+	VMOVUPD 32(CX), Y5
+	VMOVUPD (CX)(R10*1), Y6
+	VMOVUPD 32(CX)(R10*1), Y7
+	JMP  ready
+zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+ready:
+	MOVQ R13, SI
+	MOVQ R14, DX
+	MOVQ k+0(FP), CX
+	TESTQ CX, CX
+	JEQ  store
+loop:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	VBROADCASTSD (SI), Y10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y0, Y0
+	VADDPD Y12, Y1, Y1
+	VBROADCASTSD (SI)(R8*1), Y13
+	VMULPD Y8, Y13, Y14
+	VMULPD Y9, Y13, Y13
+	VADDPD Y14, Y2, Y2
+	VADDPD Y13, Y3, Y3
+	VBROADCASTSD (SI)(R8*2), Y10
+	VMULPD Y8, Y10, Y11
+	VMULPD Y9, Y10, Y12
+	VADDPD Y11, Y4, Y4
+	VADDPD Y12, Y5, Y5
+	VBROADCASTSD (SI)(R11*1), Y13
+	VMULPD Y8, Y13, Y14
+	VMULPD Y9, Y13, Y13
+	VADDPD Y14, Y6, Y6
+	VADDPD Y13, Y7, Y7
+	ADDQ R9, DX
+	ADDQ R12, SI
+	DECQ CX
+	JNZ  loop
+store:
+	LEAQ (DI)(R10*2), CX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R10*1)
+	VMOVUPD Y3, 32(DI)(R10*1)
+	VMOVUPD Y4, (CX)
+	VMOVUPD Y5, 32(CX)
+	VMOVUPD Y6, (CX)(R10*1)
+	VMOVUPD Y7, 32(CX)(R10*1)
+	VCMPPD $3, Y1, Y0, Y8    // unordered: either lane is NaN
+	VCMPPD $3, Y3, Y2, Y9
+	VCMPPD $3, Y5, Y4, Y10
+	VCMPPD $3, Y7, Y6, Y11
+	VORPD Y8, Y9, Y8
+	VORPD Y10, Y11, Y10
+	VORPD Y8, Y15, Y15
+	VORPD Y10, Y15, Y15
+	ADDQ $64, DI
+	ADDQ $64, R14
+	DECQ AX
+	JMP  panel
+done:
+	VMOVMSKPD Y15, AX
+	TESTL AX, AX
+	SETNE ret+128(FP)
 	VZEROUPPER
 	RET
 

@@ -338,10 +338,89 @@ func TestF64ProductsBitsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// FuzzF64KernelsMatchScalar feeds the float64 assembly kernel, as a row of
-// the SpMM and as Axpy, arbitrary bit patterns, lengths and alignments and
-// requires the scalar path's bits.
-// vals is read as little-endian float64s and reused cyclically.
+// skipLoop is the float64 products' contract written out: element (i, j)
+// of a·b is one accumulator from +0 over k in increasing order, each
+// product rounded before its add, a zero a-term skipped.
+func skipLoop(a, b *Matrix) *Matrix {
+	want := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for kk := 0; kk < a.Cols; kk++ {
+				if av := a.At(i, kk); av != 0 {
+					s += float64(av * b.At(kk, j)) // the conversion forbids fusing
+				}
+			}
+			want.Set(i, j, s)
+		}
+	}
+	return want
+}
+
+// TestF64ProductsRemainderShapes holds the float64 products to skipLoop on
+// the shapes the 4×8 block kernel does not tile: m mod 4 of 1, 2 and 3
+// (leftover rows run f64AccumRows), n mod 8 of 1 to 7 (the last panel
+// runs packed, alone or after full ones) and k of 0 (all +0), 1, 5 and
+// 257 (three k-tiles), gate on and off, at 1–3 workers, into a dst that
+// holds NaN or stale finite values. In the last case the only ±Inf of b
+// lies in the first of two k-tiles beside a zero a-term: the kernel's
+// NaN from 0·Inf must survive into the last tile's flag, so the rows are
+// rerun and come out finite.
+func TestF64ProductsRemainderShapes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(73, 79))
+	defer func(on bool) { simdOn = on }(simdOn)
+	defer par.SetMaxWorkers(par.SetMaxWorkers(0))
+	type product struct{ a, b *Matrix }
+	var cases []product
+	for _, m := range []int{129, 6, 67} {
+		for r := 1; r <= 7; r++ {
+			for _, k := range []int{0, 1, 5, 257} {
+				cases = append(cases, product{mixedMat(rng, m, k, 0, 0.3), mixedMat(rng, k, r%2*8+r, 0, 0)})
+			}
+		}
+	}
+	k := gemmTailFloats/8 + 5 // two k-tiles when the last panel is packed
+	a, b := mixedMat(rng, 70, k, 0, 0.3), mixedMat(rng, k, 13, 0, 0)
+	for i := 0; i < a.Rows; i++ {
+		a.Set(i, 3, math.Copysign(0, float64(i%2*2-1)))
+	}
+	b.Set(3, 2, math.Inf(1))
+	b.Set(3, 11, math.Inf(-1))
+	cases = append(cases, product{a, b})
+	for _, c := range cases {
+		want := skipLoop(c.a, c.b)
+		requireMostlyFinite(t, "skipLoop", want.Data)
+		at := c.a.T()
+		for _, on := range gateSettings() {
+			simdOn = on
+			for w := 1; w <= 3; w++ {
+				par.SetMaxWorkers(w)
+				for _, fill := range []float64{math.NaN(), 1} {
+					for p, run := range []func(dst *Matrix){
+						func(dst *Matrix) { MatMulInto(c.a, c.b, dst) },
+						func(dst *Matrix) { TMatMulInto(at, c.b, dst) },
+					} {
+						got := New(c.a.Rows, c.b.Cols)
+						got.Fill(fill)
+						run(got)
+						requireSameBits(t, fmt.Sprintf("%s %dx%dx%d gate=%v workers=%d fill=%v", productNames[2*p], c.a.Rows, c.a.Cols, c.b.Cols, on, w, fill),
+							got.Data, want.Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzF64KernelsMatchScalar feeds the float64 assembly kernels arbitrary
+// bit patterns, lengths and alignments and requires the plain-Go bodies'
+// bits: f64AccumRows as a row of the SpMM and as Axpy, and f64Gemm4x8
+// (value and NaN flag) on a 4-row block of k 0–40 against 1–5 panels,
+// with a (ka = 1) or aᵀ (lda = 1) in place and fresh on or off. The
+// products MatMulInto and TMatMulInto of 1–9 rows, 1–40 columns and the
+// same k must give skipLoop's bits at both gate settings.
+// vals is read as little-endian float64s and reused cyclically; width
+// picks the columns, the layout and fresh, off the rows and the alignment.
 func FuzzF64KernelsMatchScalar(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var b []byte
@@ -390,5 +469,43 @@ func FuzzF64KernelsMatchScalar(f *testing.F) {
 		Axpy(a, x[:n], y)
 		requireSameBits(t, "f64AccumRows", acc, wantAcc)
 		requireSameBits(t, "Axpy", y, wantY)
+
+		k, m, cols := int(terms)%41, 1+int(off>>2)%9, 1+int(width>>2)%40
+		transposed, fresh := width&1 != 0, width&2 != 0
+		panels := (cols + 7) / 8
+		lda, ka := k, 1
+		if transposed {
+			lda, ka = 1, gemmRows+o
+		}
+		blkA := take(max(gemmRows*k, k*(gemmRows+o)))
+		blkB := take(k*(8*panels+o) + o)[o:]
+		c := take(gemmRows*(8*panels+o) + o)[o:]
+		wantC := append([]float64(nil), c...)
+		var wantNaN bool
+		scalarOnly(func() {
+			wantNaN = f64Gemm4x8(k, blkA, lda, ka, blkB, 8*panels+o, wantC, 8*panels+o, panels, fresh)
+		})
+		gotNaN := f64Gemm4x8(k, blkA, lda, ka, blkB, 8*panels+o, c, 8*panels+o, panels, fresh)
+		what := fmt.Sprintf("f64Gemm4x8 k=%d panels=%d transposed=%v fresh=%v", k, panels, transposed, fresh)
+		requireSameBits(t, what, c, wantC)
+		if gotNaN != wantNaN {
+			t.Fatalf("%s: NaN flag %v, plain Go %v", what, gotNaN, wantNaN)
+		}
+
+		pa, pb := FromSlice(m, k, take(m*k)), FromSlice(k, cols, take(k*cols))
+		want, at := skipLoop(pa, pb), pa.T()
+		defer func(on bool) { simdOn = on }(simdOn)
+		for _, on := range gateSettings() {
+			simdOn = on
+			for p, run := range []func(dst *Matrix){
+				func(dst *Matrix) { MatMulInto(pa, pb, dst) },
+				func(dst *Matrix) { TMatMulInto(at, pb, dst) },
+			} {
+				got := New(m, cols)
+				got.Fill(math.NaN())
+				run(got)
+				requireSameBits(t, fmt.Sprintf("%s %dx%dx%d gate=%v", productNames[2*p], m, k, cols, on), got.Data, want.Data)
+			}
+		}
 	})
 }

@@ -267,9 +267,9 @@ func mustSameShape[T Elem](op string, a, b *Mat[T]) {
 // passed to the shared partitioner in internal/par.
 const minChunkDense = 64
 
-// mmBlockK is the k-tile of the matmul kernels: a tile of b spanning
-// mmBlockK rows is consumed column-block by column-block before the kernel
-// advances, bounding the streamed working set regardless of how tall b is.
+// mmBlockK is the longest k-tile of the dense products: a tile of b spanning
+// at most mmBlockK rows is swept by every 4-row block before the driver
+// advances, bounding the working set regardless of how tall b is.
 // Accumulation still visits k in strictly increasing order per output
 // element, so tiling never perturbs float64 results.
 const mmBlockK = 256
@@ -295,8 +295,8 @@ func MatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 
 // MatMulInto computes a*b into dst (shape a.Rows x b.Cols), overwriting it.
 // dst must not alias a or b. This is the zero-allocation form used by the
-// pooled training hot path. float64 runs on f64MatMul and float32 on
-// f32MatMul; simd.go states each tier's bit contract.
+// pooled training hot path. Both tiers run on gemm; simd.go states each
+// tier's bit contract.
 func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -305,12 +305,7 @@ func MatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	mustNotAlias("MatMulInto", dst, a, b)
-	switch a := any(a).(type) {
-	case *Matrix:
-		f64MatMul(a, any(b).(*Matrix), any(dst).(*Matrix))
-	case *Mat[float32]:
-		f32MatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
-	}
+	gemm(a.Data, a.Cols, 1, b, dst, minChunkDense)
 }
 
 // MatMulT returns a * bᵀ. It is used for gradient computations where the
@@ -347,7 +342,7 @@ func TMatMul[T Elem](a, b *Mat[T]) *Mat[T] {
 
 // TMatMulInto computes aᵀ * b into dst (shape a.Cols x b.Cols), overwriting
 // it. dst must not alias a or b. Output row i is column i of a times b, on
-// f64TMatMul or f32TMatMul; workers split the output rows by work, so a
+// gemm with a read in place; workers split the output rows by work, so a
 // 64×5 weight gradient over thousands of rows still uses every core, and
 // the bits are a·b's contract at any worker count.
 func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
@@ -358,12 +353,8 @@ func TMatMulInto[T Elem](a, b, dst *Mat[T]) {
 		panic(fmt.Sprintf("tensor: TMatMulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("TMatMulInto", dst, a, b)
-	switch a := any(a).(type) {
-	case *Matrix:
-		f64TMatMul(a, any(b).(*Matrix), any(dst).(*Matrix))
-	case *Mat[float32]:
-		f32TMatMul(a, any(b).(*Mat[float32]), any(dst).(*Mat[float32]))
-	}
+	rowWork := max(a.Rows*b.Cols, 1)
+	gemm(a.Data, 1, a.Cols, b, dst, (minWorkTMatMul+rowWork-1)/rowWork)
 }
 
 // minWorkTMatMul is the least work, in multiply-adds, TMatMulInto hands one

@@ -366,11 +366,15 @@ func TestPermIsPermutation(t *testing.T) {
 // (rows×k)·(n×k)ᵀ and TMatMulInto a (rows×k)ᵀ·(rows×n). The rows are a
 // 20 000-node full-batch GCN, a GraphSAGE hidden layer over 3 072 sampled
 // rows and a 512-row SIGN head; k and n are its 64-wide hidden and 5-class
-// output layers. It reports GFMA/s; compare worker counts with -cpu.
+// output layers. The 1- and 4-row products are the serving head's hidden
+// layer after a cache miss, where ns/op is the figure to read (a per-call
+// cost shows there first). It reports GFMA/s; compare worker counts with
+// -cpu.
 func BenchmarkF64Dense(b *testing.B) {
 	rng := NewRand(1)
 	for _, s := range []struct{ rows, k, n int }{
 		{20000, 64, 64}, {20000, 64, 5}, {20000, 5, 64}, {3072, 64, 64}, {512, 256, 64}, {512, 64, 5},
+		{1, 256, 64}, {4, 256, 64},
 	} {
 		x, w, wt, g := RandNormal(s.rows, s.k, 1, rng), RandNormal(s.k, s.n, 1, rng), RandNormal(s.n, s.k, 1, rng), RandNormal(s.rows, s.n, 1, rng)
 		y, wg := New(s.rows, s.n), New(s.k, s.n)

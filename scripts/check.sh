@@ -120,6 +120,8 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./inte
 
 # Ten seconds of the float64 kernel fuzzer: the vector body of the SpMM row
 # kernel and of Axpy must give the scalar body's bits on any bit pattern.
+# It also drives the 4×8 block kernel (value and NaN flag) and the two
+# dense products built on it against the naive skipping loop.
 echo "== go test -fuzz FuzzF64KernelsMatchScalar -fuzztime 10s ./internal/tensor (smoke)"
 go test -run '^$' -fuzz '^FuzzF64KernelsMatchScalar$' -fuzztime 10s -fuzzminimizetime 1s ./internal/tensor
 
@@ -139,8 +141,11 @@ go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 # tests (the transform-first order of a narrowing layer must hold at any
 # worker count). The implicit solver tests run there too: their Picard
 # loop and P^s ping-pong sit on the same sparse and dense products.
+# The float64 product tests (TestF64, the remainder-shape test among them)
+# run there too: a worker's leftover rows and the packed last panel fall
+# elsewhere at each worker count.
 echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order, implicit solves, goldens and block digests at several worker counts)"
-go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM|TestSolve|TestGradW|TestAdjoint' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph ./internal/implicit
+go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM|TestSolve|TestGradW|TestAdjoint|TestF64|TestF64ProductsRemainderShapes' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph ./internal/implicit
 
 # Second pass with the vector kernels off: the golden fingerprints, the
 # GCN layer tests, the kernel tests, the solvers whose SpMV runs on the
