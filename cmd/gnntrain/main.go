@@ -130,9 +130,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg.Ctx = ctx
-	if sess.Registry != nil {
-		cfg.Hooks = append(cfg.Hooks, obs.NewTrainHook(sess.Registry))
-	}
 	if *verbose {
 		cfg.Hooks = append(cfg.Hooks, epochLogger{})
 	}

@@ -277,15 +277,12 @@ func TestFingerprintSeparatesFields(t *testing.T) {
 	}
 }
 
+// TestEnableMetricsCounts: a save moves the bound counters and the
+// latency histogram, and after EnableMetrics(nil) a save moves nothing.
 func TestEnableMetricsCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
-	t.Cleanup(func() {
-		bytesWritten.Bind(nil)
-		snapshotsSaved.Bind(nil)
-		fallbacks.Bind(nil)
-		saveSeconds.Store(nil)
-	})
+	t.Cleanup(func() { EnableMetrics(nil) })
 	m, err := NewManager(t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -293,10 +290,21 @@ func TestEnableMetricsCounts(t *testing.T) {
 	if _, err := m.Save(sampleSnapshot(3)); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("ckpt.snapshots_saved").Value(); n != 1 {
+	saved, secs := reg.Counter("ckpt.snapshots_saved"), reg.Histogram("ckpt.save_seconds", nil)
+	if n := saved.Value(); n != 1 {
 		t.Fatalf("snapshots_saved = %d, want 1", n)
 	}
 	if n := reg.Counter("ckpt.bytes_written").Value(); n <= 0 {
 		t.Fatalf("bytes_written = %d, want > 0", n)
+	}
+	if n := secs.Count(); n != 1 {
+		t.Fatalf("save_seconds count = %d, want 1", n)
+	}
+	EnableMetrics(nil)
+	if _, err := m.Save(sampleSnapshot(4)); err != nil {
+		t.Fatal(err)
+	}
+	if saved.Value() != 1 || secs.Count() != 1 {
+		t.Errorf("unbound: snapshots_saved %d, save_seconds count %d, want both still 1", saved.Value(), secs.Count())
 	}
 }

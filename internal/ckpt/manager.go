@@ -55,9 +55,7 @@ func (m *Manager) Save(s *Snapshot) (string, error) {
 	}
 	bytesWritten.Add(int64(len(data)))
 	snapshotsSaved.Add(1)
-	if h := saveSeconds.Load(); h != nil {
-		h.Observe(time.Since(start).Seconds())
-	}
+	saveSeconds.Observe(time.Since(start).Seconds())
 	if err := m.prune(); err != nil {
 		return path, fmt.Errorf("ckpt: prune after save: %w", err)
 	}

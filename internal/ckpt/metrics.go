@@ -1,32 +1,19 @@
 package ckpt
 
-import (
-	"sync/atomic"
+import "scalegnn/internal/obs"
 
-	"scalegnn/internal/obs"
-)
-
-// Package metrics, disabled (one atomic load per site) until a session
-// binds them with EnableMetrics — the same convention as internal/train.
+// The package's metric refs (see DESIGN.md "Observability"), disabled (one
+// atomic load per site) until EnableMetrics binds them.
 var (
-	bytesWritten   obs.CounterRef
-	snapshotsSaved obs.CounterRef
-	fallbacks      obs.CounterRef
-	saveSeconds    atomic.Pointer[obs.Histogram]
+	bytesWritten   = obs.CounterRef{Name: "ckpt.bytes_written"}
+	snapshotsSaved = obs.CounterRef{Name: "ckpt.snapshots_saved"}
+	fallbacks      = obs.CounterRef{Name: "ckpt.fallbacks"}
+	saveSeconds    = obs.HistogramRef{Name: "ckpt.save_seconds", Bounds: []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}}
 )
 
-// EnableMetrics binds the checkpoint metrics to reg:
-//
-//	ckpt.bytes_written    total snapshot bytes durably written
-//	ckpt.snapshots_saved  snapshots committed (rename completed)
-//	ckpt.fallbacks        unusable snapshots skipped during resume
-//	ckpt.save_seconds     durable-write latency histogram
+// EnableMetrics binds the checkpoint metrics to reg; nil unbinds them.
 func EnableMetrics(reg *obs.Registry) {
-	bytesWritten.Bind(reg.Counter("ckpt.bytes_written"))
-	snapshotsSaved.Bind(reg.Counter("ckpt.snapshots_saved"))
-	fallbacks.Bind(reg.Counter("ckpt.fallbacks"))
-	saveSeconds.Store(reg.Histogram("ckpt.save_seconds",
-		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}))
+	obs.Bind(reg, &bytesWritten, &snapshotsSaved, &fallbacks, &saveSeconds)
 }
 
 // Fingerprint hashes a run identity (model name, dataset content key,

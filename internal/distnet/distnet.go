@@ -490,46 +490,22 @@ func (c *Cluster) ctxErr() error {
 	return c.cfg.Ctx.Err()
 }
 
-// Cluster-level metric refs, disabled (one atomic load, no work) until
-// EnableMetrics binds them to a registry.
+// Cluster-level metric refs (see DESIGN.md "Observability"), disabled (one
+// atomic load, no work) until EnableMetrics binds them. They sum over every
+// Cluster in the process; Cluster.Stats counts one cluster.
 var (
-	roundsC        obs.CounterRef
-	staleHitsC     obs.CounterRef
-	reconnectsC    obs.CounterRef
-	dialRetriesC   obs.CounterRef
-	framesCorruptC obs.CounterRef
-	replaysC       obs.CounterRef
-	bytesSentC     obs.CounterRef
-	bytesRecvC     obs.CounterRef
+	roundsC        = obs.CounterRef{Name: "distnet.rounds"}
+	staleHitsC     = obs.CounterRef{Name: "distnet.stale_hits"}
+	reconnectsC    = obs.CounterRef{Name: "distnet.reconnects"}
+	dialRetriesC   = obs.CounterRef{Name: "distnet.dial_retries"}
+	framesCorruptC = obs.CounterRef{Name: "distnet.frames_corrupt"}
+	replaysC       = obs.CounterRef{Name: "distnet.replays"}
+	bytesSentC     = obs.CounterRef{Name: "distnet.bytes_sent"}
+	bytesRecvC     = obs.CounterRef{Name: "distnet.bytes_recv"}
 )
 
-// EnableMetrics binds the runtime's metrics to reg (see DESIGN.md
-// "Observability" for the name registry):
-//
-//	distnet.rounds          counter  completed exchange rounds
-//	distnet.stale_hits      counter  rounds satisfied from the stale cache
-//	distnet.reconnects      counter  connections lost and re-established
-//	distnet.dial_retries    counter  failed dial attempts
-//	distnet.frames_corrupt  counter  frames rejected by CRC/format checks
-//	distnet.replays         counter  log entries re-sent to a reconnected peer
-//	distnet.bytes_sent      counter  wire bytes written
-//	distnet.bytes_recv      counter  wire bytes read (validated frames)
-//
-// Call once at process start; pass nil to unbind.
+// EnableMetrics binds the runtime's metrics to reg; nil unbinds them.
 func EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		for _, r := range []*obs.CounterRef{&roundsC, &staleHitsC, &reconnectsC,
-			&dialRetriesC, &framesCorruptC, &replaysC, &bytesSentC, &bytesRecvC} {
-			r.Bind(nil)
-		}
-		return
-	}
-	roundsC.Bind(reg.Counter("distnet.rounds"))
-	staleHitsC.Bind(reg.Counter("distnet.stale_hits"))
-	reconnectsC.Bind(reg.Counter("distnet.reconnects"))
-	dialRetriesC.Bind(reg.Counter("distnet.dial_retries"))
-	framesCorruptC.Bind(reg.Counter("distnet.frames_corrupt"))
-	replaysC.Bind(reg.Counter("distnet.replays"))
-	bytesSentC.Bind(reg.Counter("distnet.bytes_sent"))
-	bytesRecvC.Bind(reg.Counter("distnet.bytes_recv"))
+	obs.Bind(reg, &roundsC, &staleHitsC, &reconnectsC, &dialRetriesC,
+		&framesCorruptC, &replaysC, &bytesSentC, &bytesRecvC)
 }

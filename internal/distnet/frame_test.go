@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"scalegnn/internal/obs"
 	"scalegnn/internal/tensor"
 )
 
@@ -166,5 +167,28 @@ func TestAuxCursorRoundTrip(t *testing.T) {
 	}
 	if err := d.UnmarshalBinary(blob[:10]); err == nil {
 		t.Fatal("short aux blob accepted")
+	}
+}
+
+// TestEnableMetricsNilUnbinds: after EnableMetrics(nil) reading a frame no
+// longer moves the byte counter it moved while bound.
+func TestEnableMetricsNilUnbinds(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	t.Cleanup(func() { EnableMetrics(nil) })
+	recv := reg.Counter("distnet.bytes_recv")
+	if _, err := pipeRead(t, f64RowsFrame()); err != nil {
+		t.Fatal(err)
+	}
+	bound := recv.Value()
+	if bound < 1 {
+		t.Fatalf("bound: distnet.bytes_recv = %d, want >= 1", bound)
+	}
+	EnableMetrics(nil)
+	if _, err := pipeRead(t, f64RowsFrame()); err != nil {
+		t.Fatal(err)
+	}
+	if got := recv.Value(); got != bound {
+		t.Errorf("unbound: distnet.bytes_recv moved %d -> %d", bound, got)
 	}
 }

@@ -164,23 +164,17 @@ func atTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, s
 	return rep, nil
 }
 
-// Report summarizes one training run.
+// Report summarizes one training run: the model's accuracies and one-time
+// graph work beside the engine's accounting (epochs run, wall-clock, peak
+// resident floats, best validation, stop reason), which it embeds.
 type Report struct {
+	train.Report
 	Model      string
 	TrainAcc   float64
 	ValAcc     float64
 	TestAcc    float64
 	TestF1     float64
-	Epochs     int           // epochs actually run (early stopping)
 	Precompute time.Duration // one-time graph work (decoupled models)
-	TrainTime  time.Duration // total optimization time
-	EpochTime  time.Duration // TrainTime / Epochs
-	PeakFloats int           // peak resident float64s in one training step
-	// BestVal / BestEpoch track the best validation accuracy the engine saw
-	// during training and the epoch it occurred (engine accounting; with
-	// TrainConfig.RestoreBest the final weights come from that epoch).
-	BestVal   float64
-	BestEpoch int
 }
 
 func (r Report) String() string {
@@ -260,11 +254,11 @@ func RunFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 }
 
 // runLoop adapts the model-level TrainConfig to the shared training engine
-// and copies the engine's accounting (epochs, wall-clock, peak floats, best
-// validation) into the model report. On cancellation the partial engine
-// accounting is still recorded before the error propagates. pcg is the
-// run's RNG source (newRunRNG); when cfg.Checkpoint is enabled, the
-// engine-level config is completed here with the run fingerprint.
+// and stores the engine's accounting in the model report. On cancellation
+// the partial engine accounting is still recorded before the error
+// propagates. pcg is the run's RNG source (newRunRNG); when cfg.Checkpoint
+// is enabled, the engine-level config is completed here with the run
+// fingerprint.
 func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, pcg *rand.PCG, rep *Report, spec train.SpecOf[T]) error {
 	ck := cfg.Checkpoint
 	if ck.Dir != "" {
@@ -275,12 +269,7 @@ func runLoop[T tensor.Elem](model string, ds *dataset.Dataset, cfg TrainConfig, 
 		RNG: pcg, Ctx: cfg.Ctx, Hooks: cfg.Hooks, Checkpoint: ck,
 	}, spec)
 	if tr != nil {
-		rep.Epochs = tr.Epochs
-		rep.TrainTime = tr.TrainTime
-		rep.EpochTime = tr.EpochTime
-		rep.PeakFloats = tr.PeakFloats
-		rep.BestVal = tr.BestVal
-		rep.BestEpoch = tr.BestEpoch
+		rep.Report = *tr
 	}
 	return err
 }

@@ -6,7 +6,7 @@ import (
 	"scalegnn/internal/obs"
 )
 
-// The five disabled-path bodies below are the overhead contract of the
+// The seven disabled-path bodies below are the overhead contract of the
 // tracer and the metric refs when observability is off: every
 // instrumentation point in the hot path runs one of them per call, so each
 // must compile down to an atomic load and a handful of branches — no clock
@@ -49,12 +49,22 @@ func requestSpanDisabled() {
 	sp.End()
 }
 
-var unboundRef obs.CounterRef
+var (
+	unboundRef   = obs.CounterRef{Name: "bench.unbound"}
+	unboundGauge = obs.GaugeRef{Name: "bench.unbound_gauge"}
+	unboundHist  = obs.HistogramRef{Name: "bench.unbound_hist", Bounds: obs.DefaultDurationBuckets}
+)
 
 // counterRefDisabled is the unbound-ref fast path: one atomic pointer load,
 // no increment (the tensor pool / par.Range instrumentation runs this on
 // every call when metrics are off).
 func counterRefDisabled() { unboundRef.Add(1) }
+
+// gaugeRefDisabled and histogramRefDisabled are the same fast path for the
+// other two ref kinds (train.Run sets gauges and observes the epoch
+// histogram once per epoch whether or not metrics are on).
+func gaugeRefDisabled()     { unboundGauge.Set(0.5) }
+func histogramRefDisabled() { unboundHist.Observe(0.5) }
 
 func TestDisabledPathAllocsNothing(t *testing.T) {
 	obs.SetTracer(nil)
@@ -67,6 +77,8 @@ func TestDisabledPathAllocsNothing(t *testing.T) {
 		{"SpanDisabledDeferred", spanDisabledDeferred},
 		{"RequestSpanDisabled", requestSpanDisabled},
 		{"CounterRefDisabled", counterRefDisabled},
+		{"GaugeRefDisabled", gaugeRefDisabled},
+		{"HistogramRefDisabled", histogramRefDisabled},
 	} {
 		if got := testing.AllocsPerRun(1000, c.body); got != 0 {
 			t.Errorf("%s: %v allocs per call with observability off, want 0", c.name, got)
@@ -125,9 +137,8 @@ func BenchmarkCounterRefDisabled(b *testing.B) {
 }
 
 func BenchmarkCounterRefBound(b *testing.B) {
-	reg := obs.NewRegistry()
-	var ref obs.CounterRef
-	ref.Bind(reg.Counter("bench.bound"))
+	ref := obs.CounterRef{Name: "bench.bound"}
+	obs.Bind(obs.NewRegistry(), &ref)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ref.Add(1)

@@ -187,71 +187,101 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Counter returns (registering on first use) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-		r.gen.Add(1)
-	}
-	return c
+	return register(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (registering on first use) the named gauge.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-		r.gen.Add(1)
-	}
-	return g
+	return register(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (registering on first use) the named histogram with the
 // given bucket bounds; later calls with the same name reuse the first
 // layout.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	return register(r, r.histograms, name, func() *Histogram { return newHistogram(bounds) })
+}
+
+// register is the one get-or-create body behind Counter, Gauge and
+// Histogram: it returns m[name], creating it with mk (and bumping the
+// registration generation) on first use.
+func register[M any](r *Registry, m map[string]*M, name string, mk func() *M) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
+	v, ok := m[name]
 	if !ok {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
+		v = mk()
+		m[name] = v
 		r.gen.Add(1)
 	}
-	return h
+	return v
 }
 
-// CounterRef gates hot-path counting behind one atomic pointer load:
-// instrumented packages declare a package-level CounterRef and call Add
-// unconditionally. Until Bind is called the ref is disabled and Add is a
-// load-and-branch — no atomic increment, no overhead worth measuring
-// (BenchmarkCounterRefDisabled pins 0 allocs).
-type CounterRef struct{ p atomic.Pointer[Counter] }
+// Ref is a named hot-path instrument: a CounterRef, GaugeRef or
+// HistogramRef. An instrumented package declares its refs as package-level
+// vars, each carrying its registry name, records through them
+// unconditionally, and binds them all with one Bind call. Until bound, a
+// record is one atomic pointer load and a branch — no atomic increment, no
+// allocation (TestDisabledPathAllocsNothing).
+type Ref interface{ bind(*Registry) }
 
-// Bind points the ref at a registered counter (nil unbinds).
-func (r *CounterRef) Bind(c *Counter) { r.p.Store(c) }
+// Bind points every ref at its named instrument in reg, registering it on
+// first use; a nil reg unbinds them all.
+func Bind(reg *Registry, refs ...Ref) {
+	for _, r := range refs {
+		r.bind(reg)
+	}
+}
+
+// CounterRef is a named Counter handle; see Ref.
+type CounterRef struct {
+	Name string
+	p    atomic.Pointer[Counter]
+}
+
+func (r *CounterRef) bind(reg *Registry) {
+	var c *Counter
+	if reg != nil {
+		c = reg.Counter(r.Name)
+	}
+	r.p.Store(c)
+}
 
 // Add increments the bound counter, if any.
-func (r *CounterRef) Add(n int64) {
-	if c := r.p.Load(); c != nil {
-		c.v.Add(n)
-	}
+func (r *CounterRef) Add(n int64) { r.p.Load().Add(n) }
+
+// GaugeRef is a named Gauge handle; see Ref.
+type GaugeRef struct {
+	Name string
+	p    atomic.Pointer[Gauge]
 }
 
-// GaugeRef is CounterRef's last-value sibling.
-type GaugeRef struct{ p atomic.Pointer[Gauge] }
-
-// Bind points the ref at a registered gauge (nil unbinds).
-func (r *GaugeRef) Bind(g *Gauge) { r.p.Store(g) }
+func (r *GaugeRef) bind(reg *Registry) {
+	var g *Gauge
+	if reg != nil {
+		g = reg.Gauge(r.Name)
+	}
+	r.p.Store(g)
+}
 
 // Set records v on the bound gauge, if any.
-func (r *GaugeRef) Set(v float64) {
-	if g := r.p.Load(); g != nil {
-		g.Set(v)
-	}
+func (r *GaugeRef) Set(v float64) { r.p.Load().Set(v) }
+
+// HistogramRef is a named Histogram handle that also carries its bucket
+// bounds; see Ref.
+type HistogramRef struct {
+	Name   string
+	Bounds []float64
+	p      atomic.Pointer[Histogram]
 }
+
+func (r *HistogramRef) bind(reg *Registry) {
+	var h *Histogram
+	if reg != nil {
+		h = reg.Histogram(r.Name, r.Bounds)
+	}
+	r.p.Store(h)
+}
+
+// Observe records v on the bound histogram, if any.
+func (r *HistogramRef) Observe(v float64) { r.p.Load().Observe(v) }

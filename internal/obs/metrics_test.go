@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"scalegnn/internal/obs"
 	"scalegnn/internal/par"
@@ -94,56 +93,33 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestCounterRefGating(t *testing.T) {
-	var ref obs.CounterRef
-	ref.Add(5) // unbound: dropped
+	ref := obs.CounterRef{Name: "gated"}
+	gref := obs.GaugeRef{Name: "gated.gauge"}
+	href := obs.HistogramRef{Name: "gated.hist", Bounds: []float64{1, 2}}
+	ref.Add(5)      // unbound: dropped
+	gref.Set(1)     // unbound: dropped
+	href.Observe(1) // unbound: dropped
 	reg := obs.NewRegistry()
-	c := reg.Counter("gated")
-	ref.Bind(c)
+	obs.Bind(reg, &ref, &gref, &href)
+	c, g, h := reg.Counter("gated"), reg.Gauge("gated.gauge"), reg.Histogram("gated.hist", nil)
 	ref.Add(3)
+	gref.Set(0.75)
+	href.Observe(1.5)
 	if c.Value() != 3 {
 		t.Errorf("bound counter = %d, want 3 (pre-bind adds dropped)", c.Value())
 	}
-	ref.Bind(nil)
-	ref.Add(10)
-	if c.Value() != 3 {
-		t.Errorf("unbound ref still incremented: %d", c.Value())
-	}
-
-	var gref obs.GaugeRef
-	gref.Set(1) // unbound: dropped
-	g := reg.Gauge("gated.gauge")
-	gref.Bind(g)
-	gref.Set(0.75)
 	if g.Value() != 0.75 {
 		t.Errorf("bound gauge = %v, want 0.75", g.Value())
 	}
-}
-
-func TestTrainHook(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := obs.NewTrainHook(reg)
-	for b := 0; b < 4; b++ {
-		h.OnBatch(obs.BatchEnd{Epoch: 0, Batch: b, Size: 32})
+	if h.Count() != 1 || h.Quantile(1) != 2 {
+		t.Errorf("bound histogram: count %d, max bucket %v; want 1 observation in the le=2 bucket", h.Count(), h.Quantile(1))
 	}
-	h.OnEpoch(obs.EpochEnd{Epoch: 0, ValAcc: 0.8, Improved: true, Best: 0.8, Elapsed: 10 * time.Millisecond})
-	h.OnBatch(obs.BatchEnd{Epoch: 1, Batch: 0, Size: 32})
-	h.OnEpoch(obs.EpochEnd{Epoch: 1, ValAcc: 0.7, Best: 0.8, Elapsed: 20 * time.Millisecond})
-
-	for name, want := range map[string]int64{"train.batches": 5, "train.epochs": 2, "train.batch_nodes": 160} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
-	for name, want := range map[string]float64{"train.val_acc": 0.7, "train.best_val_acc": 0.8} {
-		if got := reg.Gauge(name).Value(); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-	if n := reg.Histogram("train.epoch_seconds", nil).Count(); n != 2 {
-		t.Errorf("train.epoch_seconds count = %d, want 2", n)
-	}
-	if r := reg.Gauge("train.batches_per_s").Value(); r <= 0 {
-		t.Errorf("batches_per_s = %v, want > 0", r)
+	obs.Bind(nil, &ref, &gref, &href)
+	ref.Add(10)
+	gref.Set(9)
+	href.Observe(1)
+	if c.Value() != 3 || g.Value() != 0.75 || h.Count() != 1 {
+		t.Errorf("unbound refs still record: counter %d, gauge %v, histogram count %d", c.Value(), g.Value(), h.Count())
 	}
 }
 

@@ -11,8 +11,9 @@
 //     wall-clock spans; WriteJSONL exports the timeline as one JSON object
 //     per line, ordered by start time.
 //   - Metrics (metrics.go): a Registry of counters, gauges, and fixed-bucket
-//     histograms; CounterRef/GaugeRef gate hot-path instrumentation behind a
-//     single atomic pointer load so disabled metrics cost nothing.
+//     histograms; named CounterRef/GaugeRef/HistogramRef vars gate hot-path
+//     instrumentation behind a single atomic pointer load until one Bind
+//     call binds them, so disabled metrics cost nothing.
 //   - Profiling (http.go, opened by StartSession): an opt-in listener serves
 //     the registry as Prometheus text (prom.go) next to net/http/pprof, and
 //     a CPU profile can be captured to a file with runtime/pprof.
@@ -24,12 +25,11 @@
 // append. Observation never touches RNG or model state, so fingerprint
 // outputs are bitwise-identical with tracing on or off.
 //
-// Layering: obs imports only the standard library. Every instrumented
-// package (internal/train, internal/tensor, internal/par, internal/ppr,
-// internal/sampling, internal/partition, internal/core) imports obs, never
-// the other way around. The train.Hook payload types live here (hook.go)
-// precisely so obs.TrainHook can satisfy train.Hook without a cycle;
-// internal/train re-exports them as type aliases.
+// Layering: obs imports only the standard library and knows no other
+// package's metric names. Every instrumented package imports obs, never the
+// other way around. Spans come from internal/train, ppr, sampling, partition,
+// core, distnet and serve; metric refs from internal/train, tensor, par,
+// ckpt and distnet; internal/serve registers on its engine's own registry.
 package obs
 
 import (

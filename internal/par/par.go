@@ -92,30 +92,17 @@ func Range(n, minChunk int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Partitioner metric refs, disabled until EnableMetrics binds them: with no
-// registry each Range pays one atomic pointer load, nothing more.
+// The partitioner's metric refs (see DESIGN.md "Observability"), disabled
+// until EnableMetrics binds them: with no registry each Range pays one
+// atomic pointer load, nothing more. A high inline share on large inputs
+// points at minChunk tuning; tasks per parallel range shows the fan-out.
 var (
-	inlineRanges   obs.CounterRef
-	parallelRanges obs.CounterRef
-	tasksSpawned   obs.CounterRef
+	inlineRanges   = obs.CounterRef{Name: "par.ranges_inline"}
+	parallelRanges = obs.CounterRef{Name: "par.ranges_parallel"}
+	tasksSpawned   = obs.CounterRef{Name: "par.tasks"}
 )
 
-// EnableMetrics binds the partitioner's metrics to reg:
-//
-//	par.ranges_inline    counter  Range calls run inline (work too small)
-//	par.ranges_parallel  counter  Range calls that fanned out
-//	par.tasks            counter  worker chunks spawned across all Ranges
-//
-// A high inline share on large inputs points at minChunk tuning; tasks per
-// parallel range shows the effective fan-out. Pass nil to unbind.
+// EnableMetrics binds the partitioner's metrics to reg; nil unbinds them.
 func EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		inlineRanges.Bind(nil)
-		parallelRanges.Bind(nil)
-		tasksSpawned.Bind(nil)
-		return
-	}
-	inlineRanges.Bind(reg.Counter("par.ranges_inline"))
-	parallelRanges.Bind(reg.Counter("par.ranges_parallel"))
-	tasksSpawned.Bind(reg.Counter("par.tasks"))
+	obs.Bind(reg, &inlineRanges, &parallelRanges, &tasksSpawned)
 }

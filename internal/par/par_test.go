@@ -3,6 +3,8 @@ package par
 import (
 	"sync"
 	"testing"
+
+	"scalegnn/internal/obs"
 )
 
 // TestRangeCoversAll verifies every index is visited exactly once for a
@@ -72,5 +74,24 @@ func TestSetMaxWorkers(t *testing.T) {
 	SetMaxWorkers(0)
 	if maxWorkers() < 1 {
 		t.Fatalf("maxWorkers() < 1 after reset")
+	}
+}
+
+// TestEnableMetricsNilUnbinds: after EnableMetrics(nil) an inline Range no
+// longer moves the counter it moved while bound.
+func TestEnableMetricsNilUnbinds(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	t.Cleanup(func() { EnableMetrics(nil) })
+	inline := reg.Counter("par.ranges_inline")
+	Range(8, 64, func(lo, hi int) {})
+	bound := inline.Value()
+	if bound < 1 {
+		t.Fatalf("bound: par.ranges_inline = %d, want >= 1", bound)
+	}
+	EnableMetrics(nil)
+	Range(8, 64, func(lo, hi int) {})
+	if got := inline.Value(); got != bound {
+		t.Errorf("unbound: par.ranges_inline moved %d -> %d", bound, got)
 	}
 }

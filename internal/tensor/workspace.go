@@ -70,29 +70,18 @@ func (w *Pool[T]) Get(rows, cols int) *Mat[T] {
 }
 
 // Pool hit/miss refs for every workspace in the process (all element
-// types). Unbound (the default) they cost one atomic pointer load per Get —
-// nothing is counted and nothing allocates; EnablePoolMetrics turns them on.
+// types; see DESIGN.md "Observability"). Unbound (the default) they cost
+// one atomic pointer load per Get — nothing is counted and nothing
+// allocates. Steady-state training should show a hit rate near 1; a
+// climbing miss count flags shape churn.
 var (
-	poolHits   obs.CounterRef
-	poolMisses obs.CounterRef
+	poolHits   = obs.CounterRef{Name: "tensor.pool_hits"}
+	poolMisses = obs.CounterRef{Name: "tensor.pool_misses"}
 )
 
-// EnablePoolMetrics binds the workspace pool counters to reg:
-//
-//	tensor.pool_hits    counter  Get calls served from the pool
-//	tensor.pool_misses  counter  Get calls that allocated a fresh matrix
-//
-// Steady-state training should show a hit rate near 1 (the allocation-free
-// hot path); a climbing miss count flags shape churn. Pass nil to unbind.
-func EnablePoolMetrics(reg *obs.Registry) {
-	if reg == nil {
-		poolHits.Bind(nil)
-		poolMisses.Bind(nil)
-		return
-	}
-	poolHits.Bind(reg.Counter("tensor.pool_hits"))
-	poolMisses.Bind(reg.Counter("tensor.pool_misses"))
-}
+// EnablePoolMetrics binds the workspace pool counters to reg; nil unbinds
+// them.
+func EnablePoolMetrics(reg *obs.Registry) { obs.Bind(reg, &poolHits, &poolMisses) }
 
 // GetZero returns a zeroed rows x cols matrix.
 func (w *Pool[T]) GetZero(rows, cols int) *Mat[T] {

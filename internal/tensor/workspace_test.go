@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"scalegnn/internal/obs"
 )
 
 func TestWorkspaceGetPutReuse(t *testing.T) {
@@ -212,4 +214,23 @@ func TestIntoKernelsRejectShapeMismatch(t *testing.T) {
 	mustPanic("MatMulTInto wrong dst", func() { MatMulTInto(a, New(5, 3), New(5, 5)) })
 	mustPanic("TMatMulInto wrong dst", func() { TMatMulInto(a, New(4, 5), New(4, 5)) })
 	mustPanic("WidenInto wrong dst", func() { WidenInto(NewOf[float32](2, 3), New(3, 3)) })
+}
+
+// TestEnablePoolMetricsNilUnbinds: after EnablePoolMetrics(nil) a pool
+// miss no longer moves the counter it moved while bound.
+func TestEnablePoolMetricsNilUnbinds(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnablePoolMetrics(reg)
+	t.Cleanup(func() { EnablePoolMetrics(nil) })
+	misses := reg.Counter("tensor.pool_misses")
+	(&Workspace{}).Get(3, 5)
+	bound := misses.Value()
+	if bound < 1 {
+		t.Fatalf("bound: tensor.pool_misses = %d, want >= 1", bound)
+	}
+	EnablePoolMetrics(nil)
+	(&Workspace{}).Get(3, 5)
+	if got := misses.Value(); got != bound {
+		t.Errorf("unbound: tensor.pool_misses moved %d -> %d", bound, got)
+	}
 }

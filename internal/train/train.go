@@ -12,8 +12,9 @@
 //     with optional best-validation weight restoration, context.Context
 //     cancellation/deadline, and wall-clock plus peak-resident-float
 //     accounting;
-//   - Hook receives OnBatch/OnEpoch callbacks for metrics, tracing, and
-//     progress layers without touching the hot path.
+//   - Run counts its own progress on the refs EnableMetrics binds, and Hook
+//     receives OnBatch/OnEpoch callbacks for progress layers without
+//     touching the hot path.
 //
 // Determinism contract: with the same Config, Spec, and PCG state, Run
 // consumes randomness in exactly the order of the hand-rolled loops it
@@ -114,14 +115,29 @@ type Report struct {
 	Stopped StopReason
 }
 
-// BatchEnd is the per-batch hook payload. It is an alias for the obs
-// package's type (observation payloads belong to the observability layer)
-// so that obs.TrainHook satisfies Hook without an import cycle: train
-// imports obs for its span instrumentation, never the reverse.
-type BatchEnd = obs.BatchEnd
+// BatchEnd is the per-batch hook payload.
+type BatchEnd struct {
+	Epoch int
+	Batch int
+	// Size is the node count of the batch (0 for full-batch steps).
+	Size int
+	// Trace is the run's trace id (zero when the run is untraced), so hooks
+	// can correlate their own output with the run's span timeline.
+	Trace obs.TraceID
+}
 
-// EpochEnd is the per-epoch hook payload (alias, see BatchEnd).
-type EpochEnd = obs.EpochEnd
+// EpochEnd is the per-epoch hook payload.
+type EpochEnd struct {
+	Epoch  int
+	ValAcc float64
+	// Improved reports whether this epoch set a new validation best.
+	Improved bool
+	Best     float64
+	// Elapsed is wall-clock time since training started.
+	Elapsed time.Duration
+	// Trace is the run's trace id (zero when untraced).
+	Trace obs.TraceID
+}
 
 // Hook observes a training run. Implementations must be cheap or sample
 // internally: OnBatch sits on the hot path.
@@ -207,6 +223,10 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 		}
 	}
 	start := time.Now()
+	// lastElapsed and runBatches feed the epoch-latency histogram and the
+	// batch rate, both over this run's own clock.
+	var lastElapsed time.Duration
+	runBatches := 0
 	// The engine is the span emitter for the training timeline: run → epoch
 	// → {shuffle, batch, validate}. With no tracer installed every span call
 	// below is a guarded no-op (see the obs overhead contract), so the hot
@@ -295,6 +315,9 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 				epSp.End()
 				return nil, fmt.Errorf("train: step (epoch %d batch %d): %w", epoch, i, err)
 			}
+			runBatches++
+			batches.Add(1)
+			batchNodes.Add(int64(len(ids)))
 			for _, h := range cfg.Hooks {
 				h.OnBatch(BatchEnd{Epoch: epoch, Batch: i, Size: len(ids), Trace: runSp.TraceID()})
 			}
@@ -313,10 +336,19 @@ func Run[T tensor.Elem](cfg Config, spec SpecOf[T]) (*Report, error) {
 				best = takeSnapshot(spec.Params, best)
 			}
 		}
+		elapsed := time.Since(start)
+		epochs.Add(1)
+		valAcc.Set(val)
+		bestValAcc.Set(stopper.best)
+		epochSeconds.Observe((elapsed - lastElapsed).Seconds())
+		lastElapsed = elapsed
+		if s := elapsed.Seconds(); s > 0 {
+			batchRate.Set(float64(runBatches) / s)
+		}
 		for _, h := range cfg.Hooks {
 			h.OnEpoch(EpochEnd{
 				Epoch: epoch, ValAcc: val, Improved: improved,
-				Best: stopper.best, Elapsed: time.Since(start),
+				Best: stopper.best, Elapsed: elapsed,
 				Trace: runSp.TraceID(),
 			})
 		}
@@ -356,29 +388,25 @@ func check[T tensor.Elem](cfg *Config, spec *SpecOf[T]) error {
 	return nil
 }
 
-// Engine-level metric refs, disabled (one atomic load, no work) until
-// EnableMetrics binds them to a registry.
+// The engine's metric refs (see DESIGN.md "Observability"), disabled (one
+// atomic load, no work) until EnableMetrics binds them. Run counts its own
+// progress; Gather counts rows.
 var (
-	rowsGathered obs.CounterRef
-	peakFloats   obs.GaugeRef
+	batches      = obs.CounterRef{Name: "train.batches"}
+	epochs       = obs.CounterRef{Name: "train.epochs"}
+	batchNodes   = obs.CounterRef{Name: "train.batch_nodes"}
+	batchRate    = obs.GaugeRef{Name: "train.batches_per_s"}
+	valAcc       = obs.GaugeRef{Name: "train.val_acc"}
+	bestValAcc   = obs.GaugeRef{Name: "train.best_val_acc"}
+	epochSeconds = obs.HistogramRef{Name: "train.epoch_seconds", Bounds: obs.DefaultDurationBuckets}
+	rowsGathered = obs.CounterRef{Name: "train.rows_gathered"}
+	peakFloats   = obs.GaugeRef{Name: "train.peak_floats"}
 )
 
-// EnableMetrics binds the engine's metrics to reg (see DESIGN.md
-// "Observability" for the name registry):
-//
-//	train.rows_gathered  counter  feature rows gathered by Gather
-//	train.peak_floats    gauge    Report.PeakFloats of the latest run
-//
-// Call once at process start (the CLIs do, behind -metrics-addr); pass nil
-// to unbind.
+// EnableMetrics binds the engine's metrics to reg; nil unbinds them.
 func EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		rowsGathered.Bind(nil)
-		peakFloats.Bind(nil)
-		return
-	}
-	rowsGathered.Bind(reg.Counter("train.rows_gathered"))
-	peakFloats.Bind(reg.Gauge("train.peak_floats"))
+	obs.Bind(reg, &batches, &epochs, &batchNodes, &batchRate, &valAcc, &bestValAcc,
+		&epochSeconds, &rowsGathered, &peakFloats)
 }
 
 // ctxErr reports a context's error, treating nil as never-cancelled.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scalegnn/internal/nn"
+	"scalegnn/internal/obs"
 	"scalegnn/internal/tensor"
 )
 
@@ -365,5 +366,50 @@ func TestStepErrorAborts(t *testing.T) {
 	rep, err := Run(Config{Epochs: 3}, f.spec(nil))
 	if err == nil || rep != nil {
 		t.Errorf("step error must abort with nil report, got rep=%v err=%v", rep, err)
+	}
+}
+
+// TestRunCountsProgress: Run publishes its own progress — batches, epochs,
+// batch ids stepped, the last and best validation accuracy, one
+// epoch-latency observation per epoch and the batch rate over the run's
+// clock — on the refs EnableMetrics binds, and after EnableMetrics(nil) a
+// run moves none of them.
+func TestRunCountsProgress(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	t.Cleanup(func() { EnableMetrics(nil) })
+	run := func() {
+		f := newFakeModel(0.8, 0.7)
+		rep, err := Run(Config{Epochs: 2, RNG: tensor.NewPCG(1)}, f.spec(NewBatches([]int{0, 1, 2, 3, 4}, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Epochs != 2 {
+			t.Fatalf("ran %d epochs, want 2", rep.Epochs)
+		}
+	}
+	run()
+	// 3 batches (2, 2 and 1 ids) per epoch.
+	for name, want := range map[string]int64{"train.batches": 6, "train.epochs": 2, "train.batch_nodes": 10} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]float64{"train.val_acc": 0.7, "train.best_val_acc": 0.8} {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if n := reg.Histogram("train.epoch_seconds", nil).Count(); n != 2 {
+		t.Errorf("train.epoch_seconds count = %d, want 2", n)
+	}
+	if r := reg.Gauge("train.batches_per_s").Value(); r <= 0 {
+		t.Errorf("batches_per_s = %v, want > 0", r)
+	}
+
+	EnableMetrics(nil)
+	run()
+	if n := reg.Counter("train.batches").Value(); n != 6 {
+		t.Errorf("unbound: train.batches moved 6 -> %d", n)
 	}
 }

@@ -29,6 +29,15 @@ echo "== no package main outside cmd/"
 MAINS=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | grep -vE '^(scalegnn/cmd/|$)' || true)
 [ -z "$MAINS" ] || { echo "package main outside cmd/:"; echo "$MAINS"; exit 1; }
 
+# A package publishes metrics through named refs (obs.CounterRef, GaugeRef,
+# HistogramRef) that its EnableMetrics binds with one obs.Bind, which also
+# unbinds them on nil. Registering by name is left to internal/obs itself
+# and to internal/serve, whose engine owns a per-instance registry.
+echo "== metrics register by name only in internal/obs and internal/serve"
+BYNAME=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata \
+  '\.(Counter|Gauge|Histogram)\("' internal cmd benchmark | grep -vE '^internal/(obs|serve)/' || true)
+[ -z "$BYNAME" ] || { echo "$BYNAME"; echo "declare a named obs ref and bind it with obs.Bind instead"; exit 1; }
+
 echo "== go build ./..."
 go build ./...
 
