@@ -59,7 +59,7 @@ func (m *ClusterGCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) 
 }
 
 // fitClusterGCN returns the full-graph predictions Predict serves.
-func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) ([]int, error) {
+func fitClusterGCN[T tensor.Elem](m *ClusterGCN, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) ([]int, error) {
 	if err := requireUndirected(m.Name(), ds); err != nil {
 		return nil, err
 	}

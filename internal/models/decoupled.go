@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync"
 	"time"
+	"weak"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
@@ -18,12 +21,12 @@ import (
 )
 
 // buildHead is the one skeleton SGC, SIGN and LD2 share — they differ only
-// in their embedding function and hidden widths: precompute the embedding,
-// construct the head, then train it (snap == nil) or load its weights.
-func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report,
+// in their embedding function and hidden widths: get the embedding from
+// embMemo, construct the head, then train it (snap == nil) or load it.
+func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, key func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report,
 	embed func(*dataset.Dataset) (*tensor.Mat[T], error)) (tierState, error) {
 	start := time.Now()
-	emb, err := embed(ds)
+	emb, err := sharedEmbedding(embKey{weak.Make(ds), key(), m.Name(), cfg.dtype()}, ds, embed)
 	if err != nil {
 		return nil, err
 	}
@@ -40,6 +43,39 @@ func buildHead[T tensor.Elem](m namer, hidden []int, ds *dataset.Dataset, cfg Tr
 		return nil, err
 	}
 	return newHeadState(emb, net, ds, snap, rep), nil
+}
+
+// embMemo shares a head family's embedding between the models built on one
+// dataset, so a hot-swap reuses the live generation's emb instead of
+// rerunning the precompute. Keys: the dataset itself (equal-content shards
+// do not share), its content key (in-place mutation misses), family name,
+// tier. Values: a weak.Pointer[tensor.Mat[T]] at that tier, dropped once
+// its emb is collected, so the memo keeps nothing alive no model holds. A
+// stored emb is never written.
+var embMemo sync.Map
+
+type embKey struct {
+	ds         weak.Pointer[dataset.Dataset]
+	content    uint64
+	name, tier string
+}
+
+// sharedEmbedding returns the live embedding memoized under k, or computes
+// it with embed and memoizes it.
+func sharedEmbedding[T tensor.Elem](k embKey, ds *dataset.Dataset, embed func(*dataset.Dataset) (*tensor.Mat[T], error)) (*tensor.Mat[T], error) {
+	if wp, ok := embMemo.Load(k); ok {
+		if emb := wp.(weak.Pointer[tensor.Mat[T]]).Value(); emb != nil {
+			return emb, nil
+		}
+	}
+	emb, err := embed(ds)
+	if err != nil {
+		return nil, err
+	}
+	wp := weak.Make(emb)
+	embMemo.Store(k, wp)
+	runtime.AddCleanup(emb, func(wp weak.Pointer[tensor.Mat[T]]) { embMemo.CompareAndDelete(k, wp) }, wp)
+	return emb, nil
 }
 
 // newHeadState is the trained state of an embedding+head family; after a
@@ -79,15 +115,15 @@ func (m *SGC) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 	return atTier(m, &m.st, ds, cfg, nil, buildSGC[float64], buildSGC[float32])
 }
 
-// Restore implements Restorer: rerun the Â^K X precompute, rebuild the
+// Restore implements Restorer: get the Â^K X precompute, rebuild the
 // linear head, and load its weights from the snapshot.
 func (m *SGC) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
 	return restoreAtTier(m, &m.st, ds, cfg, snap, buildSGC[float64], buildSGC[float32])
 }
 
-func buildSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
+func buildSGC[T tensor.Elem](m *SGC, ds *dataset.Dataset, key func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	// Linear head: no hidden layer.
-	return buildHead(m, nil, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+	return buildHead(m, nil, ds, key, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		op := graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true)
 		return op.PowerApply(tensor.FromFloat64[T](ds.X), m.K), nil
 	})
@@ -138,8 +174,8 @@ func (m *SIGN) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot
 	return restoreAtTier(m, &m.st, ds, cfg, snap, buildSIGN[float64], buildSIGN[float32])
 }
 
-func buildSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
-	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+func buildSIGN[T tensor.Elem](m *SIGN, ds *dataset.Dataset, key func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
+	return buildHead(m, []int{cfg.Hidden}, ds, key, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		return spectral.ConcatColumns(hopEmbeddings[T](ds, m.K)), nil
 	})
 }
@@ -252,7 +288,7 @@ func (m *APPNP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapsho
 	return restoreAtTier(m, &m.st, ds, cfg, snap, buildAPPNP[float64], buildAPPNP[float32])
 }
 
-func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
+func buildAPPNP[T tensor.Elem](m *APPNP, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	pcg := tensor.NewPCG(cfg.Seed)
 	st := &appnpState[T]{
 		headState: headState[T]{
@@ -378,7 +414,7 @@ func (m *GAMLP) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapsho
 // buildGAMLP trains (or restores) the hop attention and the head together;
 // its trained state is a headState whose embedding is Σ_k a_k H_k under the
 // final attention, combined once.
-func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
+func buildGAMLP[T tensor.Elem](m *GAMLP, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
 	start := time.Now()
 	hops := hopEmbeddings[T](ds, m.K)
 	rep.Precompute = time.Since(start)
@@ -522,8 +558,8 @@ func (m *LD2) Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot)
 	return restoreAtTier(m, &m.st, ds, cfg, snap, buildLD2[float64], buildLD2[float32])
 }
 
-func buildLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
-	return buildHead(m, []int{cfg.Hidden}, ds, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
+func buildLD2[T tensor.Elem](m *LD2, ds *dataset.Dataset, key func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (tierState, error) {
+	return buildHead(m, []int{cfg.Hidden}, ds, key, cfg, snap, rep, func(ds *dataset.Dataset) (*tensor.Mat[T], error) {
 		emb, err := m.embed(ds)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
@@ -155,7 +156,7 @@ func (m *GCN) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 	return atTier(m, &m.st, ds, cfg, nil, fitGCN[float64], fitGCN[float32])
 }
 
-func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (gcnTrained, error) {
+func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (gcnTrained, error) {
 	if err := requireUndirected(m.Name(), ds); err != nil {
 		return nil, err
 	}
@@ -164,6 +165,7 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 	x := tensor.FromFloat64[T](ds.X)
 
 	net := gcnStack(op, gcnLinears[T](m.Layers, ds, cfg, rng), cfg.Dropout, pcg)
+	infer, held := evalForward(net, op, x)
 	opt := nn.NewAdamOf[T](cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
 
@@ -178,26 +180,47 @@ func fitGCN[T tensor.Elem](m *GCN, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt
 			return nil
 		},
 		Validate: func() (float64, error) {
-			return accuracyAt(net.Forward(x, false), ds.Labels, ds.ValIdx), nil
+			return accuracyAt(infer(), ds.Labels, ds.ValIdx), nil
 		},
 		Params:    net.Params(),
 		Optimizer: opt,
-		// Full-batch resident floats: every layer's activations plus
-		// gradients over all n nodes — the term that scales with graph size.
+		// Full-batch resident floats: every layer's activations and
+		// gradients over all n nodes, and the fit's held Âx.
 		PeakFloats: func() int {
 			n := ds.G.N
-			return 2*n*(ds.X.Cols+(m.Layers-1)*cfg.Hidden+ds.NumClasses) + net.NumParams()*3
+			return 2*n*(ds.X.Cols+(m.Layers-1)*cfg.Hidden+ds.NumClasses) + held + net.NumParams()*3
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	logits := net.Forward(x, false)
+	logits := infer()
 	fillAccuracies(func(idx []int) []int {
 		return nn.Argmax(logits.SelectRows(idx))
 	}, ds, rep)
 	return &gcnState[T]{net: net, src: ds.X, x: x}, nil
+}
+
+// evalForward returns fitGCN's validation and final forward, and the floats
+// it holds. Eval dropout is the identity, so if the first GCNConvOf
+// propagates first they all start from one Âx, computed once outside the
+// pool by ApplyRowsInto over every row: no ApplyHook, no distnet round (a
+// shard holds the whole graph and X). gcnState.predict recomputes.
+func evalForward[T tensor.Elem](net *nn.SequentialOf[T], op *graph.OperatorOf[T], x *tensor.Mat[T]) (func() *tensor.Mat[T], int) {
+	i := slices.IndexFunc(net.Layers, func(l nn.LayerOf[T]) bool { _, ok := l.(*GCNConvOf[T]); return ok })
+	conv := net.Layers[i].(*GCNConvOf[T])
+	if conv.narrow() {
+		return func() *tensor.Mat[T] { return net.Forward(x, false) }, 0
+	}
+	rows := make([]int32, x.Rows)
+	for u := range rows {
+		rows[u] = int32(u)
+	}
+	ax := tensor.NewOf[T](x.Rows, x.Cols)
+	op.ApplyRowsInto(x, ax, rows)
+	rest := nn.NewSequentialOf(net.Layers[i+1:]...)
+	return func() *tensor.Mat[T] { return rest.Forward(conv.Lin.Forward(ax, false), false) }, len(ax.Data)
 }
 
 // requireUndirected rejects a directed graph for the models whose Backward

@@ -1,14 +1,20 @@
 package models
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"scalegnn/internal/dataset"
+	"scalegnn/internal/distnet"
 	"scalegnn/internal/graph"
 	"scalegnn/internal/nn"
+	"scalegnn/internal/partition"
 	"scalegnn/internal/tensor"
 	"scalegnn/internal/train"
 )
@@ -196,8 +202,9 @@ func (w *widthRecorder) OnEpoch(train.EpochEnd) { w.segs = append(w.segs, nil) }
 
 // TestGCNConvPropagatedWidths pins what a GCN epoch propagates: on a
 // 32→64→5 network the training step moves 32 columns forward and 5 forward
-// and back (the first layer reads no ∂L/∂X), and every full-graph forward
-// 32 then 5; a 1-layer 32→5 GCN moves only 5-wide matrices.
+// and back (the first layer reads no ∂L/∂X), and every inference forward
+// of the fit only 5 (it reads the fit's one Âx, which reaches no hook); a
+// 1-layer 32→5 GCN moves only 5-wide matrices.
 func TestGCNConvPropagatedWidths(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Config{
 		Nodes: 200, Classes: 5, AvgDegree: 6, Homophily: 0.8,
@@ -209,7 +216,7 @@ func TestGCNConvPropagatedWidths(t *testing.T) {
 	for _, tc := range []struct {
 		layers          int
 		step, inference []int
-	}{{2, []int{32, 5, 5}, []int{32, 5}}, {1, []int{5, 5}, []int{5}}} {
+	}{{2, []int{32, 5, 5}, []int{5}}, {1, []int{5, 5}, []int{5}}} {
 		for _, dtype := range []string{DTypeFloat64, DTypeFloat32} {
 			rec := &widthRecorder{segs: [][]int{nil}}
 			for u := range ds.G.N {
@@ -276,3 +283,221 @@ type countHook struct{ n int }
 
 func (c *countHook) OnBatch(train.BatchEnd) { c.n++ }
 func (c *countHook) OnEpoch(train.EpochEnd) {}
+
+// valHook records each epoch's validation accuracy.
+type valHook struct{ acc []float64 }
+
+func (*valHook) OnBatch(train.BatchEnd)     {}
+func (h *valHook) OnEpoch(e train.EpochEnd) { h.acc = append(h.acc, e.ValAcc) }
+
+// explicitGCN2 is a trained 2-layer GCN's inference forward written out:
+// p = Âx through a fresh operator, h = ReLU(pW₀ + b₀), then the output
+// layer's own Forward.
+func explicitGCN2[T tensor.Elem](net *nn.SequentialOf[T], ds *dataset.Dataset) *tensor.Mat[T] {
+	var convs []*GCNConvOf[T]
+	for _, l := range net.Layers {
+		if c, ok := l.(*GCNConvOf[T]); ok {
+			convs = append(convs, c)
+		}
+	}
+	x := tensor.FromFloat64[T](ds.X)
+	p := tensor.NewOf[T](x.Rows, x.Cols)
+	graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true).ApplyInto(x, p)
+	lin := convs[0].Lin
+	h := tensor.NewOf[T](x.Rows, lin.OutF)
+	tensor.MatMulInto(p, lin.W.Value, h)
+	h.AddRowVector(lin.B.Value.Row(0))
+	for i, v := range h.Data {
+		if !(v > 0) {
+			h.Data[i] = 0
+		}
+	}
+	return convs[1].Forward(h, false).Clone()
+}
+
+// bitsEqual reports whether two matrices hold the same bits (±0 differ).
+func bitsEqual[T tensor.Elem](a, b *tensor.Mat[T]) bool {
+	return slices.EqualFunc(a.Data, b.Data, func(u, v T) bool {
+		return math.Float64bits(float64(u)) == math.Float64bits(float64(v))
+	})
+}
+
+// TestGCNEvalReusesAX: a GCN fit's validation passes and its final forward
+// read the fit's one Âx. After 1, 2 and 3 epochs, the last validation
+// accuracy, the report's accuracies and the logits of that forward are
+// bitwise those of an explicit Lin(Âx)→ReLU→conv forward over the same
+// weights, at both tiers.
+func TestGCNEvalReusesAX(t *testing.T) {
+	checkEvalReusesAX[float64](t, DTypeFloat64)
+	checkEvalReusesAX[float32](t, DTypeFloat32)
+}
+
+func checkEvalReusesAX[T tensor.Elem](t *testing.T, dtype string) {
+	ds := smallTask(t)
+	for _, n := range []int{1, 2, 3} { // one Fit per length; train.Run drives each
+		m, err := NewGCN(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := &valHook{}
+		cfg := quickCfg()
+		cfg.Epochs, cfg.DType, cfg.Hooks = n, dtype, []train.Hook{vals}
+		rep, err := m.Fit(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := m.st.(*gcnState[T]).net
+		want := explicitGCN2(net, ds)
+		if got, w := vals.acc[n-1], accuracyAt(want, ds.Labels, ds.ValIdx); got != w {
+			t.Errorf("%s epoch %d: validation accuracy %v, explicit forward %v", dtype, n, got, w)
+		}
+		wantRep := Report{}
+		fillAccuracies(func(idx []int) []int { return nn.Argmax(want.SelectRows(idx)) }, ds, &wantRep)
+		if rep.TrainAcc != wantRep.TrainAcc || rep.ValAcc != wantRep.ValAcc || rep.TestAcc != wantRep.TestAcc || rep.TestF1 != wantRep.TestF1 {
+			t.Errorf("%s after %d epochs: report %+v, explicit forward %+v", dtype, n, *rep, wantRep)
+		}
+		infer, _ := evalForward(net, graph.NewOperatorOf[T](ds.G, graph.NormSymmetric, true), tensor.FromFloat64[T](ds.X))
+		if !bitsEqual(infer(), want) {
+			t.Errorf("%s after %d epochs: the fit's inference forward differs from the explicit one", dtype, n)
+		}
+	}
+}
+
+// TestGCNPeakFloatsCountsHeldAX: a GCN whose first layer propagates first
+// holds the fit's n×in Âx beside every layer's activations and gradients;
+// one whose only layer narrows holds none.
+func TestGCNPeakFloatsCountsHeldAX(t *testing.T) {
+	ds := smallTask(t)
+	n, in, c := ds.G.N, ds.X.Cols, ds.NumClasses
+	cfg := quickCfg()
+	cfg.Epochs = 1
+	h := cfg.Hidden
+	for _, tc := range []struct{ layers, want int }{
+		{2, 2*n*(in+h+c) + n*in + 3*(in*h+h+h*c+c)},
+		{1, 2*n*(in+c) + 3*(in*c+c)},
+	} {
+		m, err := NewGCN(tc.layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Fit(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PeakFloats != tc.want {
+			t.Errorf("GCN-%dL peak floats %d, want %d", tc.layers, rep.PeakFloats, tc.want)
+		}
+	}
+}
+
+// roundsHook records a cluster's completed exchange rounds at every epoch
+// end, and advances its staleness epoch as gnntrain's shards do.
+type roundsHook struct {
+	c      *distnet.Cluster
+	rounds []int64
+}
+
+func (*roundsHook) OnBatch(train.BatchEnd) {}
+func (h *roundsHook) OnEpoch(e train.EpochEnd) {
+	h.rounds = append(h.rounds, h.c.Stats().Rounds)
+	h.c.SetEpoch(e.Epoch + 1)
+}
+
+// TestGCNDistRoundsPerEpoch: two in-process distnet shards train GCN-2L.
+// An epoch exchanges 4 rounds (the step's 64-wide forward and 5-wide
+// forward and backward, then validation's 5-wide output layer): the fit's
+// Âx is computed locally and adds none, at fit start or after. Both
+// shards' predictions equal the single-process run's.
+func TestGCNDistRoundsPerEpoch(t *testing.T) {
+	gen := func() *dataset.Dataset {
+		ds, err := dataset.Generate(dataset.Config{
+			Nodes: 200, Classes: 5, AvgDegree: 6, Homophily: 0.8,
+			FeatureDim: 16, NoiseStd: 1, TrainFrac: 0.5, ValFrac: 0.2, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	cfg := quickCfg()
+	cfg.Epochs, cfg.Patience = 4, 0
+	single := gen()
+	m, err := NewGCN(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Fit(single, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Predict(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir, err := os.MkdirTemp("", "dn") // sun_path caps at ~100 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	addrs := []string{"unix:" + dir + "/s0.sock", "unix:" + dir + "/s1.sock"}
+	hooks := make([]*roundsHook, 2)
+	preds := make([][]int, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for shard := range 2 {
+		ds := gen()
+		c, err := distnet.Open(distnet.Config{Shard: shard, N: 2, Addrs: addrs, Fingerprint: 0x49, PeerTimeout: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		parts := make([]int, ds.G.N)
+		for u := range parts {
+			parts[u] = u % 2
+		}
+		h, err := distnet.NewHook(c, &partition.Assignment{Parts: parts, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Attach(ds.G)
+		hooks[shard] = &roundsHook{c: c}
+		wg.Add(1)
+		//lint:ignore naked-go each goroutine is one shard, joined via wg
+		go func() {
+			defer wg.Done()
+			defer func() { // an exchange failure panics out of ApplyInto
+				if r := recover(); r != nil {
+					errs[shard] = fmt.Errorf("%v", r)
+				}
+			}()
+			m, err := NewGCN(2)
+			if err != nil {
+				errs[shard] = err
+				return
+			}
+			cfg := cfg
+			cfg.Hooks = []train.Hook{hooks[shard]}
+			if _, errs[shard] = m.Fit(ds, cfg); errs[shard] == nil {
+				preds[shard], errs[shard] = m.Predict(ds)
+			}
+		}()
+	}
+	wg.Wait()
+	for shard, h := range hooks {
+		if errs[shard] != nil {
+			t.Fatalf("shard %d: %v", shard, errs[shard])
+		}
+		for e := 1; e < len(h.rounds); e++ {
+			if d := h.rounds[e] - h.rounds[e-1]; d != 4 {
+				t.Errorf("shard %d epoch %d: %d exchange rounds, want 4", shard, e, d)
+			}
+		}
+		if h.rounds[0] != 4 {
+			t.Errorf("shard %d: %d exchange rounds by the end of epoch 0, want 4", shard, h.rounds[0])
+		}
+		if !slices.Equal(preds[shard], want) {
+			t.Errorf("shard %d predictions differ from the single-process run (fingerprint %016x, want %016x)",
+				shard, PredictionFingerprint(preds[shard]), PredictionFingerprint(want))
+		}
+	}
+}

@@ -97,7 +97,7 @@ func (m *ImplicitNet) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error)
 	return atTier(m, &m.st, ds, cfg, nil, fitImplicit, nil)
 }
 
-func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*implicitState, error) {
+func fitImplicit(m *ImplicitNet, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*implicitState, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	op := graph.NewOperator(ds.G, graph.NormSymmetric, true)
 

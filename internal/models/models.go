@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"scalegnn/internal/ckpt"
@@ -127,10 +128,11 @@ func (c TrainConfig) dtype() string {
 type namer interface{ Name() string }
 
 // tierFunc is one numeric tier's instantiation of a family's generic build
-// function: it reruns the graph-side precompute, constructs the network,
-// and then either trains it (snap == nil, filling rep) or loads its weights
+// function: it gets the graph-side precompute, constructs the network, and
+// then either trains it (snap == nil, filling rep) or loads its weights
 // from snap. It returns the family's trained state and leaves m untouched.
-type tierFunc[M, S any] func(m M, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (S, error)
+// key is ds.ContentKey, hashed at most once per Fit or Restore.
+type tierFunc[M, S any] func(m M, ds *dataset.Dataset, key func() uint64, cfg TrainConfig, snap *ckpt.Snapshot, rep *Report) (S, error)
 
 // atTier is every family's Fit (snap == nil) and Restore, and the one place
 // the package reads a numeric tier out of a config: it validates cfg,
@@ -143,9 +145,11 @@ func atTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, s
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if snap != nil {
-		if err := checkSnapshotFingerprint(m.Name(), ds, cfg, snap); err != nil {
-			return nil, err
+	key := sync.OnceValue(ds.ContentKey)
+	if snap != nil { // refuse another model, dataset, config or tier
+		if want := runFingerprint(m.Name(), key(), ds, cfg); snap.Fingerprint != want {
+			return nil, fmt.Errorf("models: restore %s: %w: snapshot %016x, run %016x",
+				m.Name(), ckpt.ErrFingerprint, snap.Fingerprint, want)
 		}
 	}
 	build := f64
@@ -156,7 +160,7 @@ func atTier[M namer, S any](m M, dst *S, ds *dataset.Dataset, cfg TrainConfig, s
 		build = f32
 	}
 	rep := &Report{Model: m.Name()}
-	st, err := build(m, ds, cfg, snap, rep)
+	st, err := build(m, ds, key, cfg, snap, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -240,9 +244,14 @@ func newRunRNG(seed uint64) (*rand.PCG, *rand.Rand) {
 // only for the float32 tier. ckpt.Manager.Latest takes it to pick the
 // right snapshot before a model instance exists.
 func RunFingerprint(model string, ds *dataset.Dataset, cfg TrainConfig) uint64 {
+	return runFingerprint(model, ds.ContentKey(), ds, cfg)
+}
+
+// runFingerprint is RunFingerprint with ds's content key already hashed.
+func runFingerprint(model string, key uint64, ds *dataset.Dataset, cfg TrainConfig) uint64 {
 	f := ckpt.NewFingerprint().
 		String(model).
-		U64(ds.ContentKey()).U64(uint64(ds.NumClasses)).
+		U64(key).U64(uint64(ds.NumClasses)).
 		U64(math.Float64bits(cfg.LR)).U64(math.Float64bits(cfg.WeightDecay)).
 		U64(math.Float64bits(cfg.Dropout)).
 		U64(uint64(cfg.Hidden)).U64(uint64(int64(cfg.BatchSize))).

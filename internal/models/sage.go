@@ -184,7 +184,7 @@ func (m *GraphSAGE) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, error) {
 	return atTier(m, &m.st, ds, cfg, nil, fitSAGE, nil)
 }
 
-func fitSAGE(m *GraphSAGE, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*sageState, error) {
+func fitSAGE(m *GraphSAGE, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*sageState, error) {
 	pcg, rng := newRunRNG(cfg.Seed)
 	sampler, err := sampling.NewNeighborSampler(ds.G, m.Fanout)
 	if err != nil {

@@ -36,12 +36,13 @@ type NodeScorer interface {
 }
 
 // Restorer rebuilds a trained model from a checkpoint snapshot without
-// retraining: the graph-side precompute reruns, the network is constructed
-// by the same code Fit uses, and its weights come from the snapshot. The
-// dataset and config must describe the run that produced the snapshot —
-// Restore rejects a mismatch with ckpt.ErrFingerprint. A float32-run
-// snapshot restores only under cfg.DType = "float32" (the fingerprint
-// encodes the tier). A failed Restore leaves the model as it was.
+// retraining: the graph-side precompute reruns (or comes from embMemo),
+// the network is built by the same code Fit uses, and its weights come
+// from the snapshot. The dataset and config must describe the run that
+// produced the snapshot — Restore rejects a mismatch with
+// ckpt.ErrFingerprint. A float32-run snapshot restores only under
+// cfg.DType = "float32" (the fingerprint encodes the tier). A failed
+// Restore leaves the model as it was.
 type Restorer interface {
 	Restore(ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error
 }
@@ -184,17 +185,6 @@ func (s *headState[T]) score(idx []int, out *tensor.Matrix) error {
 	s.emb.SelectRowsInto(idx, sel)
 	tensor.WidenInto(s.net.Forward(sel, false), out)
 	tensor.PutBufOf(sel)
-	return nil
-}
-
-// checkSnapshotFingerprint rejects restoring a snapshot produced by a
-// different model, dataset, hyperparameter set, or numeric tier.
-func checkSnapshotFingerprint(name string, ds *dataset.Dataset, cfg TrainConfig, snap *ckpt.Snapshot) error {
-	want := RunFingerprint(name, ds, cfg)
-	if snap.Fingerprint != want {
-		return fmt.Errorf("models: restore %s: %w: snapshot %016x, run %016x",
-			name, ckpt.ErrFingerprint, snap.Fingerprint, want)
-	}
 	return nil
 }
 

@@ -2,8 +2,11 @@ package models
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	"scalegnn/internal/ckpt"
 	"scalegnn/internal/dataset"
@@ -305,5 +308,196 @@ func checkArgmax(t *testing.T, logits *tensor.Matrix, want []int, label string) 
 	}
 	if !equalInts(want, got) {
 		t.Fatalf("%s argmax differs from Predict", label)
+	}
+}
+
+// embOf returns the embedding a head family's trained state serves from.
+func embOf(t *testing.T, m servableTrainer) any {
+	t.Helper()
+	var st tierState
+	switch m := m.(type) {
+	case *SGC:
+		st = m.st
+	case *SIGN:
+		st = m.st
+	case *LD2:
+		st = m.st
+	}
+	switch st := st.(type) {
+	case *headState[float64]:
+		return st.emb
+	case *headState[float32]:
+		return st.emb
+	}
+	t.Fatalf("%s holds no head state", m.Name())
+	return nil
+}
+
+// memoized reports whether embMemo holds a live embedding under k.
+func memoized[T tensor.Elem](k embKey) bool {
+	v, _ := embMemo.Load(k)
+	wp, _ := v.(weak.Pointer[tensor.Mat[T]])
+	return wp.Value() != nil
+}
+
+// scoreAll returns m's logits for every node of ds.
+func scoreAll(t *testing.T, m servableTrainer, ds *dataset.Dataset) *tensor.Matrix {
+	t.Helper()
+	out := tensor.New(ds.G.N, ds.NumClasses)
+	if err := m.Score(rangeIdx(ds.G.N), out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// fitWithSnapshot fits m on ds with checkpointing and returns its newest
+// snapshot.
+func fitWithSnapshot(t *testing.T, m servableTrainer, ds *dataset.Dataset, cfg TrainConfig) *ckpt.Snapshot {
+	t.Helper()
+	cfg.Checkpoint = train.CheckpointConfig{Dir: t.TempDir(), Every: cfg.Epochs}
+	if _, err := m.Fit(ds, cfg); err != nil {
+		t.Fatalf("fit: %v", err)
+	}
+	mgr, err := ckpt.NewManager(cfg.Checkpoint.Dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := mgr.Latest(RunFingerprint(m.Name(), ds, cfg))
+	if err != nil || snap == nil {
+		t.Fatalf("latest snapshot: %v, %v", snap, err)
+	}
+	return snap
+}
+
+// TestRestoresShareEmbedding: two Restores on one dataset install the
+// embedding of the model fitted on it, with no copy, and each serves
+// logits bitwise equal to that offline model's, at both tiers.
+func TestRestoresShareEmbedding(t *testing.T) {
+	ds := servingDataset(t)
+	for _, name := range []string{"sgc", "sign", "ld2"} { // the families on buildHead
+		make := servableFamilies()[name]
+		for _, dtype := range []string{DTypeFloat64, DTypeFloat32} {
+			cfg := servingConfig()
+			cfg.DType = dtype
+			m := make()
+			snap := fitWithSnapshot(t, m, ds, cfg)
+			want := scoreAll(t, m, ds)
+			for i := range 2 {
+				r := make()
+				if err := r.Restore(ds, cfg, snap); err != nil {
+					t.Fatalf("%s/%s restore %d: %v", name, dtype, i, err)
+				}
+				if embOf(t, r) != embOf(t, m) {
+					t.Errorf("%s/%s restore %d built its own embedding", name, dtype, i)
+				}
+				if !bitsEqual(scoreAll(t, r, ds), want) {
+					t.Errorf("%s/%s restore %d serves logits that differ from offline Predict's", name, dtype, i)
+				}
+			}
+		}
+	}
+}
+
+// TestEmbMemoHoldsNothingDead: once every model holding an embedding is
+// dropped and the GC has run, the memo yields nothing for its key and the
+// next build computes the embedding again.
+func TestEmbMemoHoldsNothingDead(t *testing.T) {
+	ds := servingDataset(t)
+	cfg := servingConfig()
+	k := embKey{weak.Make(ds), ds.ContentKey(), "SIGN-K2", DTypeFloat64}
+	calls := 0
+	embed := func(ds *dataset.Dataset) (*tensor.Matrix, error) {
+		calls++
+		return ds.X.Clone(), nil
+	}
+	func() {
+		m := servableFamilies()["sign"]()
+		snap := fitWithSnapshot(t, m, ds, cfg)
+		r := servableFamilies()["sign"]()
+		if err := r.Restore(ds, cfg, snap); err != nil {
+			t.Fatal(err)
+		}
+		if !memoized[float64](k) {
+			t.Fatal("no live embedding memoized while two models hold it")
+		}
+		if emb, err := sharedEmbedding(k, ds, embed); err != nil || calls != 0 || any(emb) != embOf(t, r) {
+			t.Fatalf("a build beside live models computed again (calls %d, err %v)", calls, err)
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	if memoized[float64](k) {
+		t.Fatal("the memo still yields an embedding no model holds")
+	}
+	if _, err := sharedEmbedding(k, ds, embed); err != nil || calls != 1 {
+		t.Fatalf("the next build did not recompute (calls %d, err %v)", calls, err)
+	}
+}
+
+// TestEmbMemoKeysDatasetAndContent: datasets of equal content do not share
+// an embedding, and one mutated in place after a fit gets a new one.
+func TestEmbMemoKeysDatasetAndContent(t *testing.T) {
+	cfg := servingConfig()
+	cfg.Epochs = 1
+	fit := func(ds *dataset.Dataset) servableTrainer {
+		m := servableFamilies()["sgc"]()
+		if _, err := m.Fit(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := servingDataset(t), servingDataset(t)
+	if a.ContentKey() != b.ContentKey() {
+		t.Fatal("servingDataset is not deterministic")
+	}
+	ma, mb := fit(a), fit(b)
+	if embOf(t, ma) == embOf(t, mb) {
+		t.Error("two datasets of equal content share an embedding")
+	}
+	a.X.Data[0]++
+	if embOf(t, fit(a)) == embOf(t, ma) {
+		t.Error("a dataset mutated in place reused the embedding of its old content")
+	}
+}
+
+// TestConcurrentRestoresShareEmbedding: Restores racing on one dataset all
+// succeed and serve the offline logits, and a Restore after them installs
+// an embedding one of them holds.
+func TestConcurrentRestoresShareEmbedding(t *testing.T) {
+	ds := servingDataset(t)
+	cfg := servingConfig()
+	m := servableFamilies()["sign"]()
+	snap := fitWithSnapshot(t, m, ds, cfg)
+	want := scoreAll(t, m, ds)
+	m = nil // the Restores race on a miss, or on whatever the GC left
+	rs := make([]servableTrainer, 4)
+	errs := make([]error, len(rs))
+	var wg sync.WaitGroup
+	for i := range rs {
+		rs[i] = servableFamilies()["sign"]()
+		wg.Add(1)
+		//lint:ignore naked-go each goroutine is one concurrent Restore, joined via wg
+		go func() {
+			defer wg.Done()
+			errs[i] = rs[i].Restore(ds, cfg, snap)
+		}()
+	}
+	wg.Wait()
+	held := map[any]bool{}
+	for i, r := range rs {
+		if errs[i] != nil {
+			t.Fatalf("restore %d: %v", i, errs[i])
+		}
+		held[embOf(t, r)] = true
+		if !bitsEqual(scoreAll(t, r, ds), want) {
+			t.Errorf("restore %d serves logits that differ from offline Predict's", i)
+		}
+	}
+	last := servableFamilies()["sign"]()
+	if err := last.Restore(ds, cfg, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !held[embOf(t, last)] {
+		t.Error("a Restore after the race built its own embedding")
 	}
 }

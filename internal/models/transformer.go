@@ -148,7 +148,7 @@ func (m *GraphTransformer) Fit(ds *dataset.Dataset, cfg TrainConfig) (*Report, e
 	return atTier(m, &m.st, ds, cfg, nil, fitTransformer, nil)
 }
 
-func fitTransformer(m *GraphTransformer, ds *dataset.Dataset, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*gtState, error) {
+func fitTransformer(m *GraphTransformer, ds *dataset.Dataset, _ func() uint64, cfg TrainConfig, _ *ckpt.Snapshot, rep *Report) (*gtState, error) {
 	preStart := time.Now()
 	ix, err := hublabel.Build(ds.G)
 	if err != nil {

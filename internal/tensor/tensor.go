@@ -104,11 +104,24 @@ func (m *Mat[T]) T() *Mat[T] {
 	return out
 }
 
-// transposeInto writes mᵀ into dst, which is m.Cols x m.Rows.
+// transposeInto writes mᵀ into dst, which is m.Cols x m.Rows. It reads
+// eight source rows at a time, so each source column lands as eight
+// adjacent dst elements (one float64 cache line) instead of eight stores
+// a column stride apart; the remainder rows go one at a time.
 func transposeInto[T Elem](m, dst *Mat[T]) {
-	for i := 0; i < m.Rows; i++ {
+	r := m.Rows
+	i := 0
+	for ; i+8 <= r; i += 8 {
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		r4, r5, r6, r7 := m.Row(i+4), m.Row(i+5), m.Row(i+6), m.Row(i+7)
+		for j, v := range r0 {
+			d := dst.Data[j*r+i : j*r+i+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = v, r1[j], r2[j], r3[j], r4[j], r5[j], r6[j], r7[j]
+		}
+	}
+	for ; i < r; i++ {
 		for j, v := range m.Row(i) {
-			dst.Data[j*m.Rows+i] = v
+			dst.Data[j*r+i] = v
 		}
 	}
 }

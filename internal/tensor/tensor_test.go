@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,32 @@ func TestTranspose(t *testing.T) {
 			if m.At(i, j) != mt.At(j, i) {
 				t.Fatalf("T mismatch at (%d,%d)", i, j)
 			}
+		}
+	}
+}
+
+// TestTransposeBlockedMatchesNaive holds transposeInto's eight-row strips
+// and remainder rows to the one-element-at-a-time loop, at both tiers.
+func TestTransposeBlockedMatchesNaive(t *testing.T) {
+	checkTransposeNaive[float64](t)
+	checkTransposeNaive[float32](t)
+}
+
+func checkTransposeNaive[T Elem](t *testing.T) {
+	rng := NewRand(3)
+	for _, s := range [][2]int{{1, 9}, {9, 1}, {1, 64}, {64, 1}, {7, 13}, {8, 8}, {65, 129}} {
+		m := RandNormalOf[T](s[0], s[1], 1, rng)
+		want := NewOf[T](s[1], s[0])
+		for i := 0; i < m.Rows; i++ {
+			for j := 0; j < m.Cols; j++ {
+				want.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+			}
+		}
+		got := NewOf[T](s[1], s[0])
+		got.Fill(T(math.NaN()))
+		transposeInto(m, got)
+		if !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("%T %dx%d: blocked transpose differs from the naive loop", *new(T), s[0], s[1])
 		}
 	}
 }

@@ -152,9 +152,11 @@ go test -count=1 -cpu 1,2,4 -run 'TestF64|TestTMatMul' ./internal/tensor
 # loop and P^s ping-pong sit on the same sparse and dense products.
 # The float64 product tests (TestF64, the remainder-shape test among them)
 # run there too: a worker's leftover rows and the packed last panel fall
-# elsewhere at each worker count.
-echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order, implicit solves, goldens and block digests at several worker counts)"
-go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM|TestSolve|TestGradW|TestAdjoint|TestF64|TestF64ProductsRemainderShapes' ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph ./internal/implicit
+# elsewhere at each worker count. So do GCN's one Âx per fit (its bits,
+# its peak floats, its 4 distnet rounds per epoch) and the embedding memo.
+GCN_MEMO='TestGCNEvalReusesAX|TestGCNPeakFloatsCountsHeldAX|TestGCNDistRoundsPerEpoch|TestRestoresShareEmbedding|TestEmbMemo|TestConcurrentRestoresShareEmbedding'
+echo "== go test -cpu 1,3 (dropout fill, sparse products, GCN layer order and Âx reuse, embedding memo, implicit solves, goldens and block digests at several worker counts)"
+go test -count=1 -cpu 1,3 -run "TestGoldenFingerprints|TestBlockDigests|TestAggregate|TestDropout|TestPCG|TestGCNConv|TestApplyRowsInto|TestSpMM|TestSolve|TestGradW|TestAdjoint|TestF64|TestF64ProductsRemainderShapes|$GCN_MEMO" ./internal/models ./internal/sampling ./internal/nn ./internal/tensor ./internal/graph ./internal/implicit
 
 # Second pass with the vector kernels off: the golden fingerprints, the
 # GCN layer tests, the kernel tests, the solvers whose SpMV runs on the
@@ -165,7 +167,7 @@ go test -count=1 -cpu 1,3 -run 'TestGoldenFingerprints|TestBlockDigests|TestAggr
 # does not see the environment.
 echo "== SCALEGNN_NOSIMD=1 go test (kernels + solvers + golden fingerprints + GCN layer order + alloc ceilings)"
 SCALEGNN_NOSIMD=1 go test -count=1 ./internal/tensor ./internal/graph ./internal/ppr ./internal/implicit ./internal/spectral
-SCALEGNN_NOSIMD=1 go test -count=1 -run 'TestGoldenFingerprints|TestGCNConv' ./internal/models
+SCALEGNN_NOSIMD=1 go test -count=1 -run "TestGoldenFingerprints|TestGCNConv|$GCN_MEMO" ./internal/models
 SCALEGNN_NOSIMD=1 go test -count=1 -run TestAllocCeilings ./internal/models
 
 RACE_PKGS=(
